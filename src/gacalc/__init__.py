@@ -10,13 +10,7 @@ suites (`suites`) with a CLI (`cli`).
 
 from __future__ import annotations
 
-import sys
-
-# Curvature derivatives stack symbolic trees a few hundred levels deep.
-if sys.getrecursionlimit() < 20000:
-    sys.setrecursionlimit(20000)
-
-from .algebra import (  # noqa: E402
+from .algebra import (
     Frame,
     LinearMap11,
     Multivector,
@@ -35,9 +29,9 @@ from .algebra import (  # noqa: E402
     scalar_product,
     wedge,
 )
-from .connection import ConnectionField, ExtensorField11, ExtensorFieldK, cov_derivative  # noqa: E402
-from .expr import DomainError, ParseError, diff, evaluate, parse, simplify, to_str  # noqa: E402
-from .fields import Box, MultivectorField  # noqa: E402
+from .connection import ConnectionField, ExtensorField11, ExtensorFieldK, cov_derivative
+from .expr import DomainError, ParseError, diff, evaluate, parse, simplify, to_str
+from .fields import Box, MultivectorField
 
 __version__ = "0.1.0"
 

@@ -28,7 +28,7 @@ from .connection import (
     is_symmetric,
 )
 from .fields import MultivectorField
-from .report import CheckResult, residual
+from .report import CheckResult, field_residual, worst_of
 
 
 class NotSymmetricError(ValueError):
@@ -167,12 +167,6 @@ def second_structure_rhs(conn: ConnectionField, c: MultivectorField,
     return out
 
 
-def _max_field_residual(lhs: MultivectorField, rhs: MultivectorField, points) -> float:
-    fl = mf.compiled_evaluator(lhs)
-    fr = mf.compiled_evaluator(rhs)
-    return max(residual(fl(p), fr(p)) for p in points)
-
-
 def check_structure_equation(conn: ConnectionField, which: str, args: Sequence,
                              points, tol: float) -> CheckResult:
     """Max residual of a structure equation, both sides built independently.
@@ -191,7 +185,7 @@ def check_structure_equation(conn: ConnectionField, which: str, args: Sequence,
         else:
             c, d = tup
             lhs, rhs = second_structure_lhs(conn, c, d), second_structure_rhs(conn, c, d)
-        worst = max(worst, _max_field_residual(lhs, rhs, points))
+        worst = worst_of(worst, field_residual(lhs, rhs, points))
         total += len(points)
     name = "structure-first" if which == "first" else "structure-second"
     eq = "FCE.1" if which == "first" else "SCE.1"
@@ -213,13 +207,11 @@ def check_cyclic(conn: ConnectionField, points, tol: float, seed: int = 0,
     worst = 0.0
     total = 0
     zero = MultivectorField(conn.dim, {})
-    fz = mf.compiled_evaluator(zero)
     for k in range(arg_draws):
         a, b, c = (_rand_poly_vector(conn.dim, rng, constant=(k == 0)) for _ in range(3))
         total_field = mf.add(mf.add(curvature(conn, a, b, c), curvature(conn, b, c, a)),
                              curvature(conn, c, a, b))
-        fn = mf.compiled_evaluator(total_field)
-        worst = max(worst, max(residual(fn(p), fz(p)) for p in points))
+        worst = worst_of(worst, field_residual(total_field, zero, points))
         total += len(points)
     return CheckResult("curvature-cyclic", "SPS.4", total, worst, tol)
 
@@ -234,14 +226,12 @@ def check_bianchi(conn: ConnectionField, points, tol: float, seed: int = 0,
     worst = 0.0
     total = 0
     zero = MultivectorField(conn.dim, {})
-    fz = mf.compiled_evaluator(zero)
     for k in range(arg_draws):
         a, b, c, d = (_rand_poly_vector(conn.dim, rng, constant=(k == 0)) for _ in range(4))
         s = cov_derivative_extensor(conn, signs, rho, d, (a, b, c))
         s = mf.add(s, cov_derivative_extensor(conn, signs, rho, a, (b, d, c)))
         s = mf.add(s, cov_derivative_extensor(conn, signs, rho, b, (d, a, c)))
-        fn = mf.compiled_evaluator(s)
-        worst = max(worst, max(residual(fn(p), fz(p)) for p in points))
+        worst = worst_of(worst, field_residual(s, zero, points))
         total += len(points)
     return CheckResult("curvature-bianchi", "SPS.5", total, worst, tol)
 

@@ -183,6 +183,11 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, DomainError, NotSymmetricError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except RecursionError:
+        # the tree walkers recurse once per level, within the default limit
+        print("error: expression nested too deeply (maximum recursion depth exceeded)",
+              file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

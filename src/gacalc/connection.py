@@ -75,8 +75,7 @@ def is_symmetric(conn: ConnectionField, points, tol: float = 1e-10) -> bool:
                     if abs(d.value) > tol:
                         return False
                     continue
-                fn = ex.compile_fn(d)
-                if any(abs(fn(p)) > tol for p in points):
+                if np.max(np.abs(ex.compile_fn(d)(points))) > tol:
                     return False
     return True
 
@@ -205,10 +204,12 @@ def outermorphism_apply(t: ExtensorField11, x: MultivectorField) -> MultivectorF
 
 def const_frames(dim: int, frame: Frame | None):
     """Constant frame fields and their reciprocals (canonical by default)."""
-    frame = frame if frame is not None else canonical_frame(dim)
-    recip = reciprocal_frame(frame)
+    if frame is None:
+        # the canonical frame is orthonormal, so its own reciprocal
+        down = [mf.constant(v) for v in canonical_frame(dim).vectors]
+        return down, down
     down = [mf.constant(v) for v in frame.vectors]
-    up = [mf.constant(v) for v in recip.vectors]
+    up = [mf.constant(v) for v in reciprocal_frame(frame).vectors]
     return down, up
 
 

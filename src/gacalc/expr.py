@@ -11,12 +11,16 @@ Grammar (whitespace insignificant)::
 Coordinates are x0, x1, ...  ASTs are immutable and closed under `diff`,
 so repeated differentiation (needed for curvature and its derivatives)
 stays exact.  `simplify` only folds constants and 0/1/-1 identities.
+`evaluate` interprets a tree at one point; `Tape` (behind `compile_fn`)
+evaluates many trees at many points at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class Expr:
@@ -367,32 +371,137 @@ def to_str(e: Expr) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def to_python_source(e: Expr) -> str:
-    if isinstance(e, Var):
-        return f"p[{e.index}]"
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Add):
-        return f"({to_python_source(e.left)} + {to_python_source(e.right)})"
-    if isinstance(e, Sub):
-        return f"({to_python_source(e.left)} - {to_python_source(e.right)})"
-    if isinstance(e, Mul):
-        return f"({to_python_source(e.left)} * {to_python_source(e.right)})"
-    if isinstance(e, Div):
-        return f"({to_python_source(e.left)} / {to_python_source(e.right)})"
-    if isinstance(e, Neg):
-        return f"(-{to_python_source(e.arg)})"
-    if isinstance(e, Pow):
-        return f"({to_python_source(e.base)} ** ({e.exponent}))"
-    if isinstance(e, Call):
-        fn = "log" if e.name == "ln" else e.name
-        return f"math.{fn}({to_python_source(e.arg)})"
-    raise TypeError(f"not an expression: {e!r}")
+# Batched evaluation.  A tape holds the distinct nodes of some expressions
+# in topological order, one slot each: expressions built by differentiation
+# share subtrees by reference and repeat them by structure, so a tree of
+# millions of nodes often has only thousands of distinct ones.  Running the
+# tape computes every slot once, as an array over all points (the tape
+# evaluation of Griewank & Walther, "Evaluating Derivatives", 2008).
+
+_NUMPY_FUNCTIONS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "ln": np.log,
+    "sqrt": np.sqrt,
+    "atan": np.arctan,
+}
+
+_BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
+_BINARY_NODES = (Add, Sub, Mul, Div)
+
+
+class Tape:
+    """The distinct nodes of ``roots`` in topological order, evaluated in one pass.
+
+    Lowering walks each tree once per object (memoized on identity) and
+    gives structurally equal nodes (same type, own fields and child slots)
+    one slot.  Calling the tape on an (N, dim) points array returns the
+    (N, len(roots)) values and raises DomainError naming the subexpression
+    where a denominator is 0, 0 is raised to a negative power, ln meets a
+    value <= 0 or sqrt a value < 0, or, when a root comes out NaN or
+    infinite, the first node on the tape that did.
+    """
+
+    def __init__(self, roots):
+        roots = list(roots)
+        self.nodes: list[Expr] = []
+        self.code: list[tuple] = []  # per slot: (type, own fields and child slots...)
+        slot_of: dict[int, int] = {}  # id(node) -> slot; the roots keep the ids valid
+        slot_by_key: dict[tuple, int] = {}
+        for root in roots:
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                if id(node) in slot_of:
+                    continue
+                kind = type(node)
+                if kind in _BINARY_NODES:
+                    left = slot_of.get(id(node.left))
+                    right = slot_of.get(id(node.right))
+                    if left is None or right is None:  # lower the children first
+                        stack += (node, node.right, node.left)
+                        continue
+                    key = (kind, left, right)
+                elif kind is Var:
+                    key = (Var, node.index)
+                elif kind is Const:
+                    # -0.0 == 0.0, so the sign bit joins the key
+                    key = (Const, node.value, math.copysign(1.0, node.value))
+                elif kind in (Neg, Pow, Call):
+                    child = node.base if kind is Pow else node.arg
+                    arg = slot_of.get(id(child))
+                    if arg is None:
+                        stack += (node, child)
+                        continue
+                    if kind is Pow:
+                        key = (Pow, arg, node.exponent)
+                    elif kind is Call:
+                        key = (Call, arg, node.name)
+                    else:
+                        key = (Neg, arg)
+                else:
+                    raise TypeError(f"not an expression: {node!r}")
+                slot = slot_by_key.get(key)
+                if slot is None:
+                    slot = slot_by_key[key] = len(self.code)
+                    self.code.append(key)
+                    self.nodes.append(node)
+                slot_of[id(node)] = slot
+        self.roots = [slot_of[id(r)] for r in roots]
+
+    def __call__(self, points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        values: list = []
+        with np.errstate(all="ignore"):
+            for node, (kind, *args) in zip(self.nodes, self.code):
+                if kind is Var:
+                    v = points[:, args[0]]
+                elif kind is Const:
+                    v = np.float64(args[0])
+                elif kind is Neg:
+                    v = -values[args[0]]
+                elif kind is Div:
+                    den = values[args[1]]
+                    if np.any(den == 0.0):
+                        raise DomainError("division by zero", node)
+                    v = values[args[0]] / den
+                elif kind is Pow:
+                    base, exponent = values[args[0]], args[1]
+                    if exponent < 0 and np.any(base == 0.0):
+                        raise DomainError("zero raised to a negative power", node)
+                    v = base ** exponent
+                elif kind is Call:
+                    x, name = values[args[0]], args[1]
+                    if name == "ln" and np.any(x <= 0.0):
+                        raise DomainError("logarithm of a non-positive value", node)
+                    if name == "sqrt" and np.any(x < 0.0):
+                        raise DomainError("square root of a negative value", node)
+                    v = _NUMPY_FUNCTIONS[name](x)
+                else:
+                    v = _BINARY[kind](values[args[0]], values[args[1]])
+                values.append(v)
+        out = np.empty((len(points), len(self.roots)))
+        for j, slot in enumerate(self.roots):
+            out[:, j] = values[slot]
+        if not np.isfinite(out).all():
+            # numpy overflows to inf where math raised; blame the first
+            # node that went non-finite, whose inputs were all finite
+            for node, v in zip(self.nodes, values):
+                if not np.isfinite(v).all():
+                    raise DomainError("overflow to a non-finite value", node)
+        return out
 
 
 def compile_fn(e: Expr):
-    """Compile to a fast point -> float callable (no DomainError wrapping)."""
-    return eval(f"lambda p: {to_python_source(e)}", {"math": math})
+    """Lower ``e`` to a `Tape` once; return points (N, dim) -> values (N,).
+
+    The returned function evaluates every distinct node once over all
+    points and raises DomainError as `Tape` describes.
+    """
+    tape = Tape((e,))
+    return lambda points: tape(points)[:, 0]
 
 
 class _Parser:

@@ -16,6 +16,9 @@ import numpy as np
 from . import expr as ex
 from .algebra import Multivector, grade_of, reorder_sign
 
+# Box.sample gives up after this many draws per requested point.
+SAMPLE_TRIES = 1000
+
 
 @dataclass(frozen=True)
 class Box:
@@ -35,6 +38,22 @@ class Box:
             raise ValueError("box bounds must satisfy lo < hi on every axis")
         object.__setattr__(self, "exclusions",
                            tuple((int(a), float(v)) for a, v in self.exclusions))
+        if any(not 0 <= a < self.dim for a, _ in self.exclusions):
+            raise ValueError(f"exclusion axis out of range for dimension {self.dim}")
+        if not self.margin >= 0.0:
+            raise ValueError(f"margin must be a non-negative number, got {self.margin}")
+        for axis in range(self.dim):
+            cut = sorted((v - self.margin, v + self.margin)
+                         for a, v in self.exclusions if a == axis)
+            reach = self.lo[axis]  # (lo, reach] is covered by exclusions
+            for start, end in cut:
+                if start > reach:
+                    break
+                reach = max(reach, end)
+            else:
+                if reach >= self.hi[axis]:
+                    raise ValueError(f"exclusions with margin {self.margin} cover all "
+                                     f"of axis {axis}; no point can be sampled")
 
     @property
     def dim(self) -> int:
@@ -50,10 +69,16 @@ class Box:
         return True
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Rejection-sample ``count`` points, one uniform draw per try."""
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         out = []
+        tries = 0
         while len(out) < count:
+            if tries == SAMPLE_TRIES * count:
+                raise ValueError(f"drew {len(out)} of {count} points in {tries} tries: "
+                                 "the exclusions leave too little of the box")
+            tries += 1
             p = rng.uniform(lo, hi)
             if all(abs(p[axis] - value) > self.margin for axis, value in self.exclusions):
                 out.append(p)
@@ -281,15 +306,19 @@ def gradient_field(f: ex.Expr, dim: int, domain: Box | None = None) -> Multivect
 
 
 def compiled_evaluator(x: MultivectorField):
-    """Fast point -> Multivector evaluator (compiled coefficient lambdas)."""
-    fns = [(m, ex.compile_fn(c)) for m, c in x.coeffs.items()]
-    size = 1 << x.dim
-    dim = x.dim
+    """Lower all coefficients of ``x`` to one shared `expr.Tape`.
 
-    def at(point) -> Multivector:
-        c = np.zeros(size)
-        for m, fn in fns:
-            c[m] = fn(point)
-        return Multivector(dim, c)
+    The returned function maps an (N, dim) points array to the (N, 2**dim)
+    coefficient array, evaluating every distinct node once over all
+    points; it raises DomainError as `expr.Tape` describes.
+    """
+    masks = list(x.coeffs)
+    tape = ex.Tape(x.coeffs.values())
+    size = 1 << x.dim
+
+    def at(points) -> np.ndarray:
+        out = np.zeros((len(points), size))
+        out[:, masks] = tape(points)
+        return out
 
     return at

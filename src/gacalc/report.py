@@ -3,22 +3,46 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector
+from . import expr as ex
+from . import fields as mf
 
 
-def residual(lhs: Multivector, rhs: Multivector) -> float:
-    """Max coefficient deviation, normalized by max(1, |lhs|, |rhs|)."""
-    num = float(np.max(np.abs(lhs.coeffs - rhs.coeffs)))
-    den = max(1.0, lhs.norm_inf(), rhs.norm_inf())
-    return num / den
+def batch_residual(lhs, rhs) -> float:
+    """Largest residual over a batch of (lhs, rhs) values.
+
+    The last axis of the two arrays holds the coefficients of one item
+    (e.g. one point of a multivector field); an item's residual is
+    max|l - r| / max(1, max|l|, max|r|), and the result is the max over
+    items.  A NaN anywhere makes the result NaN.
+    """
+    lhs = np.asarray(lhs, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    num = np.max(np.abs(lhs - rhs), axis=-1)
+    den = np.maximum(1.0, np.maximum(np.max(np.abs(lhs), axis=-1), np.max(np.abs(rhs), axis=-1)))
+    return float(np.max(num / den))
 
 
-def scalar_residual(lhs: float, rhs: float) -> float:
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+def field_residual(lhs: mf.MultivectorField, rhs: mf.MultivectorField, points) -> float:
+    """`batch_residual` of two multivector fields over an (N, dim) points array."""
+    return batch_residual(mf.compiled_evaluator(lhs)(points), mf.compiled_evaluator(rhs)(points))
+
+
+def expr_residual(pairs, points) -> float:
+    """`batch_residual` of (lhs, rhs) scalar expression pairs, each scalar
+    normalized on its own, over an (N, dim) points array."""
+    lhs = np.stack([ex.compile_fn(a)(points) for a, _ in pairs])
+    rhs = np.stack([ex.compile_fn(b)(points) for _, b in pairs])
+    return batch_residual(lhs[..., None], rhs[..., None])
+
+
+def worst_of(*residuals: float) -> float:
+    """The largest of some residuals; unlike the builtin max, NaN wins."""
+    return float(np.max(residuals))
 
 
 @dataclass
@@ -36,14 +60,16 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
+        # False for NaN too, which compares false with everything
         return self.max_residual < self.tolerance
 
     def to_dict(self) -> dict:
+        finite = math.isfinite(self.max_residual)
         return {
             "name": self.name,
             "paper_eq": self.paper_eq,
             "samples": self.samples,
-            "max_residual": self.max_residual,
+            "max_residual": self.max_residual if finite else None,  # strict JSON has no NaN
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
@@ -71,7 +97,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
     def to_text(self) -> str:
         name_w = max([len(c.name) for c in self.checks] + [5])

@@ -63,7 +63,7 @@ from .connection import (
     resolve11,
 )
 from .fixtures import FixtureConfig
-from .report import CheckResult, Report, residual
+from .report import CheckResult, Report, expr_residual, field_residual, worst_of
 
 SUITES = ("all", "core", "cartan", "bianchi", "bridge")
 
@@ -140,25 +140,8 @@ def rand_kextensor2(dim: int, rng: np.random.Generator) -> ExtensorFieldK:
 
 
 # ---------------------------------------------------------------------------
-# Residual evaluation helpers
+# Suite bookkeeping
 # ---------------------------------------------------------------------------
-
-
-def field_residual(lhs: mf.MultivectorField, rhs: mf.MultivectorField, points) -> float:
-    fl = mf.compiled_evaluator(lhs)
-    fr = mf.compiled_evaluator(rhs)
-    return max(residual(fl(p), fr(p)) for p in points)
-
-
-def expr_residual(pairs, points) -> float:
-    worst = 0.0
-    for lhs, rhs in pairs:
-        fl = ex.compile_fn(lhs)
-        fr = ex.compile_fn(rhs)
-        for p in points:
-            a, b = fl(p), fr(p)
-            worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
-    return worst
 
 
 class _SuiteRun:
@@ -182,7 +165,7 @@ class _SuiteRun:
         pts = self.points(n_points)
         worst = 0.0
         for _ in range(draws):
-            worst = max(worst, residual_fn(self.rng, pts))
+            worst = worst_of(worst, residual_fn(self.rng, pts))
         self.results.append(CheckResult(name, tag, draws * n_points, worst, self.tol))
 
 
@@ -221,7 +204,7 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
         worst = 0.0
         for k in range(dim + 1):
             y = generalized_apply(conn, a, mf.grade_project(x, k))
-            worst = max(worst, field_residual(y, mf.grade_project(y, k), pts))
+            worst = worst_of(worst, field_residual(y, mf.grade_project(y, k), pts))
         return worst
 
     run.check("gen-grade-preserving", "PS.4", gen_grade, draws=2)
@@ -266,8 +249,8 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
         minus = generalized_adjoint_apply(conn, a, x)
         sym = mf.scale(0.5, mf.add(plus, minus))
         skew = mf.scale(0.5, mf.sub(plus, minus))
-        return max(field_residual(sym, generalized_sym_apply(conn, a, x), pts),
-                   field_residual(skew, generalized_skew_apply(conn, a, x), pts))
+        return worst_of(field_residual(sym, generalized_sym_apply(conn, a, x), pts),
+                        field_residual(skew, generalized_skew_apply(conn, a, x), pts))
 
     run.check("gen-sym-skew-parts", "PS.8", gen_parts, draws=2)
 
@@ -287,7 +270,7 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
         for sign in ("+", "-"):
             for k in range(dim + 1):
                 y = cov_derivative(conn, sign, a, mf.grade_project(x, k))
-                worst = max(worst, field_residual(y, mf.grade_project(y, k), pts))
+                worst = worst_of(worst, field_residual(y, mf.grade_project(y, k), pts))
         return worst
 
     run.check("cov-grade-preserving", "CDM.2", cov_grade, draws=2)
@@ -301,7 +284,7 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
             lhs = cov_derivative(conn, sign, combo, x)
             rhs = mf.add(mf.scale(alpha, cov_derivative(conn, sign, a, x)),
                          mf.scale(beta, cov_derivative(conn, sign, a2, x)))
-            worst = max(worst, field_residual(lhs, rhs, pts))
+            worst = worst_of(worst, field_residual(lhs, rhs, pts))
         return worst
 
     run.check("cov-direction-linearity", "CDM.3", cov_linear_dir, draws=2)
@@ -310,7 +293,7 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
         a = rv(rng)
         f = mf.scalar_field(dim, rand_scalar(dim, rng, degree=2))
         flat = mf.directional_derivative(a, f)
-        return max(field_residual(cov_derivative(conn, s, a, f), flat, pts) for s in SIGNS3)
+        return worst_of(*(field_residual(cov_derivative(conn, s, a, f), flat, pts) for s in SIGNS3))
 
     run.check("cov-scalar-field", "CDM.4a", cov_scalar)
 
@@ -320,7 +303,7 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
         for sign in SIGNS3:
             lhs = cov_derivative(conn, sign, a, mf.add(x, y))
             rhs = mf.add(cov_derivative(conn, sign, a, x), cov_derivative(conn, sign, a, y))
-            worst = max(worst, field_residual(lhs, rhs, pts))
+            worst = worst_of(worst, field_residual(lhs, rhs, pts))
         return worst
 
     run.check("cov-additivity", "CDM.4b", cov_additive, draws=2)
@@ -334,7 +317,7 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
         for sign in SIGNS3:
             lhs = cov_derivative(conn, sign, a, fx)
             rhs = mf.add(mf.scale(df, x), mf.scale(f, cov_derivative(conn, sign, a, x)))
-            worst = max(worst, field_residual(lhs, rhs, pts))
+            worst = worst_of(worst, field_residual(lhs, rhs, pts))
         return worst
 
     run.check("cov-scalar-leibniz", "CDM.4c", cov_f_leibniz, draws=2)
@@ -346,7 +329,7 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
             lhs = cov_derivative(conn, sign, a, mf.wedge(x, y))
             rhs = mf.add(mf.wedge(cov_derivative(conn, sign, a, x), y),
                          mf.wedge(x, cov_derivative(conn, sign, a, y)))
-            worst = max(worst, field_residual(lhs, rhs, pts))
+            worst = worst_of(worst, field_residual(lhs, rhs, pts))
         return worst
 
     run.check("cov-wedge-leibniz", "CDM.5", cov_wedge, draws=2)
@@ -387,10 +370,10 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
         for sign in ("+", "-"):
             lhs = cov_derivative(conn, sign, mf.add(a, a2), b)
             rhs = mf.add(cov_derivative(conn, sign, a, b), cov_derivative(conn, sign, a2, b))
-            worst = max(worst, field_residual(lhs, rhs, pts))
+            worst = worst_of(worst, field_residual(lhs, rhs, pts))
             lhs = cov_derivative(conn, sign, a, mf.add(b, b2))
             rhs = mf.add(cov_derivative(conn, sign, a, b), cov_derivative(conn, sign, a, b2))
-            worst = max(worst, field_residual(lhs, rhs, pts))
+            worst = worst_of(worst, field_residual(lhs, rhs, pts))
         return worst
 
     run.check("connection-op-additivity", "CO.2a", co_additive, draws=2)
@@ -402,7 +385,7 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
         for sign in ("+", "-"):
             lhs = cov_derivative(conn, sign, mf.scale(f, a), b)
             rhs = mf.scale(f, cov_derivative(conn, sign, a, b))
-            worst = max(worst, field_residual(lhs, rhs, pts))
+            worst = worst_of(worst, field_residual(lhs, rhs, pts))
         return worst
 
     run.check("connection-op-first-slot", "CO.2c", co_f_first, draws=2)
@@ -415,7 +398,7 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
         for sign in ("+", "-"):
             lhs = cov_derivative(conn, sign, a, mf.scale(f, b))
             rhs = mf.add(mf.scale(df, b), mf.scale(f, cov_derivative(conn, sign, a, b)))
-            worst = max(worst, field_residual(lhs, rhs, pts))
+            worst = worst_of(worst, field_residual(lhs, rhs, pts))
         return worst
 
     run.check("connection-op-second-slot", "CO.2d", co_f_second, draws=2)
@@ -440,7 +423,7 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
                     ex.sub(_flat_scalar(a, mf.scalar_product(t.apply(x1), x)),
                            mf.scalar_product(t.apply(cov_derivative(conn, s1, a, x1)), x)),
                     mf.scalar_product(t.apply(x1), cov_derivative(conn, s, a, x)))
-                worst = max(worst, expr_residual([(lhs, rhs)], pts))
+                worst = worst_of(worst, expr_residual([(lhs, rhs)], pts))
         return worst
 
     run.check("extensor-derivative-defining", "CDE.1", cde1_k1, draws=2)
@@ -456,7 +439,7 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
             rhs = ex.sub(rhs, mf.scalar_product(t(cov_derivative(conn, signs[0], a, x1), x2), x))
             rhs = ex.sub(rhs, mf.scalar_product(t(x1, cov_derivative(conn, signs[1], a, x2)), x))
             rhs = ex.sub(rhs, mf.scalar_product(t(x1, x2), cov_derivative(conn, signs[2], a, x)))
-            worst = max(worst, expr_residual([(lhs, rhs)], pts))
+            worst = worst_of(worst, expr_residual([(lhs, rhs)], pts))
         return worst
 
     run.check("extensor-derivative-defining-k2", "CDE.1", cde1_k2, draws=1)
@@ -471,12 +454,12 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
             lhs = cov_derivative_extensor(conn, signs, _ext_sum(t, u), a, (x1,))
             rhs = mf.add(cov_derivative_extensor(conn, signs, t, a, (x1,)),
                          cov_derivative_extensor(conn, signs, u, a, (x1,)))
-            worst = max(worst, field_residual(lhs, rhs, pts))
+            worst = worst_of(worst, field_residual(lhs, rhs, pts))
             scaled = ExtensorFieldK(dim, 1, lambda v, f=f, t=t: mf.scale(f, t.apply(v)))
             lhs = cov_derivative_extensor(conn, signs, scaled, a, (x1,))
             rhs = mf.add(mf.scale(df, t.apply(x1)),
                          mf.scale(f, cov_derivative_extensor(conn, signs, t, a, (x1,))))
-            worst = max(worst, field_residual(lhs, rhs, pts))
+            worst = worst_of(worst, field_residual(lhs, rhs, pts))
         return worst
 
     run.check("extensor-derivative-linearity", "CDE.2", cde2, draws=2)
@@ -491,7 +474,7 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
                 rhs = resolve11(extensor_cov_derivative(conn, (s, s1), ext_adjoint(t), a))
                 pairs = [(lhs.entries[i][j], rhs.entries[i][j])
                          for i in range(dim) for j in range(dim)]
-                worst = max(worst, expr_residual(pairs, pts))
+                worst = worst_of(worst, expr_residual(pairs, pts))
         return worst
 
     run.check("extensor-adjoint-commutation", "CDE.3", cde3, draws=2)
@@ -501,7 +484,8 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
         lam = rand_lambda(dim, rng)
         f = mf.scalar_field(dim, rand_scalar(dim, rng, degree=2))
         flat = mf.directional_derivative(a, f)
-        return max(field_residual(deform(conn, lam, s, a, f), flat, pts) for s in ("+", "-"))
+        return worst_of(*(field_residual(deform(conn, lam, s, a, f), flat, pts)
+                          for s in ("+", "-")))
 
     run.check("deform-scalar-field", "CDM.11", deform_scalar, draws=2)
 
@@ -614,9 +598,9 @@ def cartan_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> lis
         f = rand_scalar(dim, rng)
         base = curvature(conn, a, b, c)
         worst = field_residual(curvature(conn, mf.scale(f, a), b, c), mf.scale(f, base), pts)
-        worst = max(worst, field_residual(curvature(conn, a, mf.scale(f, b), c),
+        worst = worst_of(worst, field_residual(curvature(conn, a, mf.scale(f, b), c),
                                           mf.scale(f, base), pts))
-        worst = max(worst, field_residual(curvature(conn, a, b, mf.scale(f, c)),
+        worst = worst_of(worst, field_residual(curvature(conn, a, b, mf.scale(f, c)),
                                           mf.scale(f, base), pts))
         return worst
 
@@ -670,8 +654,8 @@ def cartan_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> lis
     if symmetric:
         def torsion_vanishes(rng, pts):
             a, b = rv(rng), rv(rng)
-            return max(field_residual(torsion(conn, a, b), zero, pts),
-                       field_residual(cartan_torsion(conn, a), zero, pts))
+            return worst_of(field_residual(torsion(conn, a, b), zero, pts),
+                            field_residual(cartan_torsion(conn, a), zero, pts))
 
         run.check("torsion-vanishes", "SPS.3", torsion_vanishes, draws=2)
 
@@ -685,7 +669,7 @@ def cartan_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> lis
         grad_f = mf.gradient_field(f, dim)
         rhs = mf.add(mf.scale(mf.scalar_product(b, c), grad_f),
                      mf.scale(f, cartan_connection(conn, "first", b, c)))
-        return max(worst, field_residual(lhs, rhs, pts))
+        return worst_of(worst, field_residual(lhs, rhs, pts))
 
     run.check("cartan-first-linearity", "CSE.3", first_kind_linear, draws=2)
 
@@ -699,7 +683,7 @@ def cartan_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> lis
         grad_f = mf.gradient_field(f, dim)
         rhs = mf.add(mf.scale(mf.scalar_product(b, c), grad_f),
                      mf.scale(f, cartan_connection(conn, "second", b, c)))
-        return max(worst, field_residual(lhs, rhs, pts))
+        return worst_of(worst, field_residual(lhs, rhs, pts))
 
     run.check("cartan-second-linearity", "CSE.4", second_kind_linear, draws=2)
 
@@ -866,8 +850,9 @@ def transform_suite(fix: FixtureConfig, cmap: CoordinateMap, seed: int, samples:
             for i in range(dim):
                 rebuilt_co[i] = ex.add(rebuilt_co[i], ex.mul(co[alpha], up[i]))
                 rebuilt_contra[i] = ex.add(rebuilt_contra[i], ex.mul(contra[alpha], down[i]))
-        worst_co = max(worst_co, expr_residual(list(zip(rebuilt_co, composed_v)), pts))
-        worst_contra = max(worst_contra, expr_residual(list(zip(rebuilt_contra, composed_v)), pts))
+        worst_co = worst_of(worst_co, expr_residual(list(zip(rebuilt_co, composed_v)), pts))
+        worst_contra = worst_of(worst_contra,
+                                expr_residual(list(zip(rebuilt_contra, composed_v)), pts))
     record("vector-law-co", "A8", worst_co, 3 * n_points)
     record("vector-law-contra", "A9", worst_contra, 3 * n_points)
 
@@ -897,7 +882,7 @@ def transform_suite(fix: FixtureConfig, cmap: CoordinateMap, seed: int, samples:
                 for j in range(dim):
                     rhs = ex.add(rhs, ex.mul(ex.substitute(t.entries[i][j], cmap.inverse),
                                              ex.mul(ex.const(u[j]), ex.const(w[i]))))
-            worst = max(worst, expr_residual([(lhs, rhs)], pts))
+            worst = worst_of(worst, expr_residual([(lhs, rhs)], pts))
         record(name, tag, worst, 3 * n_points)
 
     # directional derivative along frame vectors vs primed-chart partials
@@ -913,7 +898,7 @@ def transform_suite(fix: FixtureConfig, cmap: CoordinateMap, seed: int, samples:
             for i in range(dim):
                 lhs = ex.add(lhs, ex.mul(b_comp[i], grads[i]))
             pairs.append((lhs, ex.diff(composed_f, alpha)))
-        worst = max(worst, expr_residual(pairs, pts))
+        worst = worst_of(worst, expr_residual(pairs, pts))
     record("directional-chain-rule", "A.1", worst, 3 * n_points)
 
     # transforming there and back recovers the connection

@@ -22,7 +22,7 @@ from gacalc.cartan import (
     torsion,
     torsion_operator_form,
 )
-from gacalc.report import residual
+from gacalc.report import batch_residual
 from gacalc.suites import rand_frame
 
 E1 = mf.basis(2, 0)
@@ -30,9 +30,7 @@ E2 = mf.basis(2, 1)
 
 
 def max_residual(lhs, rhs, points):
-    fl = mf.compiled_evaluator(lhs)
-    fr = mf.compiled_evaluator(rhs)
-    return max(residual(fl(p), fr(p)) for p in points)
+    return batch_residual(mf.compiled_evaluator(lhs)(points), mf.compiled_evaluator(rhs)(points))
 
 
 def rand_vf(dim, rng):

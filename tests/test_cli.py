@@ -47,6 +47,36 @@ class TestCheckCommand:
         assert res.returncode == 2
         assert "variable index 9 out of range" in res.stderr
 
+    @pytest.mark.parametrize("coefficient,domain,subexpr", [
+        # overflows to inf, and a residual's inf - inf is NaN: never a PASS
+        ("(x0*1e200)*(x0*1e200)*x1", {"lo": [0.5, -1], "hi": [1, 1]}, "x0*1e+200*(x0*1e+200)"),
+        ("exp(exp(exp(10*x0)))", {"lo": [-1, -1], "hi": [1, 1]}, "exp(exp(10*x0))"),
+        ("sqrt(x0)", {"lo": [-1, -1], "hi": [1, 1]}, "sqrt(x0)"),
+    ])
+    def test_unevaluable_coefficient_exits_2_naming_it(self, tmp_path, coefficient, domain,
+                                                        subexpr):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({
+            "name": "bad", "dim": 2, "seed": 1,
+            "connection": {"kind": "coefficients", "coefficients": {"0,1,1": coefficient}},
+            "domain": domain,
+        }))
+        res = run_cli("check", "--config", str(cfg), "--suite", "cartan")
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert res.stdout == ""
+        assert f"'{subexpr}'" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_domain_with_no_room_to_sample_exits_2(self, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({
+            "name": "bad", "dim": 2, "seed": 1,
+            "domain": {"lo": [0, 0], "hi": [1, 1], "exclusions": [[0, 0.5]], "margin": 1.0},
+        }))
+        res = run_cli("check", "--config", str(cfg), "--suite", "cartan", timeout=60)
+        assert res.returncode == 2
+        assert "cover all of axis 0" in res.stderr
+
     def test_unknown_suite_exits_2(self):
         res = run_cli("check", "--config", str(FIXTURES / "polar.json"), "--suite", "bogus")
         assert res.returncode == 2
@@ -158,6 +188,18 @@ class TestChristoffelCommand:
         assert res.returncode == 0
         row = [l for l in res.stdout.splitlines() if l.startswith("Gamma^x0'_{x1' x1'}")][0]
         assert float(row.split("=")[-1]) == pytest.approx(-2.0)
+
+    def test_too_deeply_nested_expression_exits_2(self, tmp_path):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(json.dumps({
+            "name": "deep", "dim": 2, "seed": 1,
+            "connection": {"kind": "coefficients",
+                           "coefficients": {"0,1,1": " + ".join(["x0*x1"] * 3000)}},
+        }))
+        res = run_cli("christoffel", "--config", str(cfg))
+        assert res.returncode == 2
+        assert "nested too deeply" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_map_dimension_mismatch_exits_2(self):
         res = run_cli("christoffel", "--config", str(FIXTURES / "zero.json"),

@@ -1,10 +1,16 @@
 """Expression DSL: grammar, evaluation, exact differentiation, printing."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from numpy.testing import assert_allclose
 
 from gacalc import expr as ex
+from gacalc import fields as mf
 
 
 def fd(e, i, p, h=1e-6):
@@ -224,6 +230,41 @@ class TestCompiled:
     def test_compiled_matches_interpreter(self, src, rng):
         e = ex.parse(src, 2)
         fn = ex.compile_fn(e)
-        for _ in range(20):
-            p = rng.uniform(0.5, 2.0, size=2)
-            assert fn(p) == pytest.approx(ex.evaluate(e, p), rel=1e-15, abs=1e-300)
+        pts = rng.uniform(0.5, 2.0, size=(20, 2))
+        values = fn(pts)
+        assert values.shape == (20,)
+        for p, value in zip(pts, values):
+            assert value == pytest.approx(ex.evaluate(e, p), rel=1e-15, abs=1e-300)
+
+    @pytest.mark.parametrize("src,point,message,subexpr", [
+        ("x1 + 1/x0", (0.0, 1.0), "division by zero", "1/x0"),
+        ("x1 + x0^-2", (0.0, 1.0), "zero raised to a negative power", "x0^-2"),
+        ("x1*ln(x0 - 1)", (1.0, 1.0), "logarithm of a non-positive value", "ln(x0 - 1)"),
+        ("x1 - sqrt(x0)", (-0.5, 1.0), "square root of a negative value", "sqrt(x0)"),
+        ("x1 + exp(exp(exp(10*x0)))", (1.0, 1.0), "non-finite value", "exp(exp(10*x0))"),
+    ])
+    def test_domain_error_names_subexpression(self, src, point, message, subexpr):
+        # the bad point sits among good ones: one point is enough to fail the batch
+        pts = [(1.5, 0.5), point, (2.0, -1.0)]
+        with pytest.raises(ex.DomainError, match=message) as err:
+            ex.compile_fn(ex.parse(src, 2))(pts)
+        assert f"'{subexpr}'" in str(err.value)
+        assert ex.to_str(err.value.subexpr) == subexpr
+
+    def test_field_evaluator_matches_point_queries(self, rng):
+        e = ex.parse("sin(x0)*x1", 2)
+        field = mf.mvf(2, {0: e, 0b11: ex.diff(e, 0)})
+        pts = rng.uniform(-1.0, 1.0, size=(7, 2))
+        values = mf.compiled_evaluator(field)(pts)
+        assert values.shape == (7, 4)
+        for p, row in zip(pts, values):
+            assert_allclose(row, field.at(p).coeffs, rtol=1e-15, atol=0.0)
+
+
+def test_import_leaves_recursion_limit_unchanged():
+    code = ("import sys; before = sys.getrecursionlimit(); import gacalc; "
+            "assert sys.getrecursionlimit() == before, sys.getrecursionlimit()")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr

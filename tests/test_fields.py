@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from gacalc import expr as ex
 from gacalc import fields as mf
 from gacalc.algebra import Multivector, allclose
-from gacalc.report import residual
+from gacalc.report import batch_residual
 
 
 def rand_poly_vf(dim, rng, degree=1):
@@ -32,9 +32,7 @@ def rand_poly_mvf(dim, rng):
 
 
 def max_residual(lhs, rhs, points):
-    fl = mf.compiled_evaluator(lhs)
-    fr = mf.compiled_evaluator(rhs)
-    return max(residual(fl(p), fr(p)) for p in points)
+    return batch_residual(mf.compiled_evaluator(lhs)(points), mf.compiled_evaluator(rhs)(points))
 
 
 class TestFieldBasics:
@@ -179,6 +177,20 @@ class TestBox:
         assert box.contains((0.2,))
         assert not box.contains((0.5,))
         assert not box.contains((1.5,))
+
+    @pytest.mark.parametrize("exclusions,margin", [
+        (((0, 0.5),), 1.0),
+        (((0, 0.2), (0, 0.7)), 0.3),
+        (((1, 0.5),), 0.5),
+    ])
+    def test_box_with_a_covered_axis_rejected(self, exclusions, margin):
+        with pytest.raises(ValueError, match="cover all of axis"):
+            mf.Box((0.0, 0.0), (1.0, 1.0), exclusions=exclusions, margin=margin)
+
+    def test_narrow_gap_between_exclusions_kept(self, rng):
+        box = mf.Box((0.0, 0.0), (1.0, 1.0), exclusions=((0, 0.2), (0, 0.7), (0, 1.0)),
+                     margin=0.24)
+        assert (np.abs(box.sample(20, rng)[:, 0] - 0.45) <= 0.01).all()
 
     def test_seeded_sampling_is_deterministic(self):
         box = mf.Box((0.0, 0.0), (1.0, 1.0))

@@ -1,8 +1,12 @@
 """Suite runner: coverage of the check registry, overrides, determinism."""
 
+import json
+import math
+
 import pytest
 
 from gacalc.cartan import NotSymmetricError
+from gacalc.report import CheckResult, Report, worst_of
 from gacalc.suites import run_fixture_checks
 
 CORE_CHECKS = {
@@ -126,3 +130,26 @@ class TestSuiteOverrides:
     def test_samples_reported_at_least_requested(self, torsionful):
         report = run_fixture_checks(torsionful, "core", samples=50)
         assert all(c.samples >= 50 for c in report.checks)
+
+
+class TestNonFiniteResiduals:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_residual_fails(self, value):
+        check = CheckResult("c", "-", 10, value, 1e-8)
+        assert not check.passed
+        report = Report("f", 1, [check, CheckResult("b", "-", 10, 0.0, 1e-8)])
+        assert not report.passed
+
+        def reject(token):
+            raise ValueError(f"non-finite {token} in JSON")
+
+        parsed = json.loads(report.to_json(), parse_constant=reject)
+        assert parsed["pass"] is False
+        entry = next(c for c in parsed["checks"] if c["name"] == "c")
+        assert entry["max_residual"] is None
+        assert set(entry) == {"name", "paper_eq", "samples", "max_residual", "tolerance", "pass"}
+        assert "FAIL" in report.to_text()
+
+    def test_worst_of_keeps_nan(self):
+        assert math.isnan(worst_of(0.0, math.nan))
+        assert worst_of(1e-9, 2e-9, 0.0) == 2e-9
