@@ -10,7 +10,8 @@ map, and covariant derivatives of k-extensor fields (k <= 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,11 +35,16 @@ def _check_sign(sign: str, allowed=SIGNS) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ConnectionField:
-    """Coefficients gamma[out][direction][argument] as scalar expressions."""
+    """Coefficients gamma[out][direction][argument] as scalar expressions.
+
+    ``nonzero`` lists the (out, direction, argument, coefficient) entries
+    that are not a constant 0, in index order; contractions iterate it.
+    """
 
     dim: int
     gamma: tuple[tuple[tuple[ex.Expr, ...], ...], ...]
     domain: Box
+    nonzero: tuple[tuple[int, int, int, ex.Expr], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         g = tuple(tuple(tuple(row) for row in plane) for plane in self.gamma)
@@ -46,6 +52,9 @@ class ConnectionField:
         if len(g) != n or any(len(p) != n or any(len(r) != n for r in p) for p in g):
             raise ValueError(f"connection coefficients must form an {n}x{n}x{n} array")
         object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "nonzero", tuple(
+            (out, a, b, c) for out, plane in enumerate(g) for a, row in enumerate(plane)
+            for b, c in enumerate(row) if not ex.is_zero(c)))
 
     @classmethod
     def zero(cls, dim: int, domain: Box) -> ConnectionField:
@@ -109,11 +118,12 @@ class ExtensorField11:
             raise ValueError(f"dimension mismatch: {v.dim} vs {self.dim}")
         if not v.is_vector():
             raise ValueError("a (1,1)-extensor field applies to vector fields")
-        comps = v.vector_components()
+        comps = [(j, c) for j, c in enumerate(v.vector_components()) if not ex.is_zero(c)]
         out = [ex.ZERO] * self.dim
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out[i] = ex.add(out[i], ex.mul(self.entries[i][j], comps[j]))
+        for i, row in enumerate(self.entries):
+            for j, c in comps:
+                if not ex.is_zero(row[j]):
+                    out[i] = ex.add(out[i], ex.mul(row[j], c))
         return mf.vector(self.dim, out, v.domain or self.domain)
 
     def at(self, point) -> LinearMap11:
@@ -202,14 +212,20 @@ def outermorphism_apply(t: ExtensorField11, x: MultivectorField) -> MultivectorF
     return out
 
 
+@lru_cache(maxsize=None)
+def _canonical_frame_fields(dim: int) -> tuple[MultivectorField, ...]:
+    # one entry per dim; fields are never modified, so every caller shares them
+    return tuple(mf.constant(v) for v in canonical_frame(dim).vectors)
+
+
 def const_frames(dim: int, frame: Frame | None):
-    """Constant frame fields and their reciprocals (canonical by default)."""
+    """Constant frame fields and their reciprocals, as tuples (canonical by default)."""
     if frame is None:
         # the canonical frame is orthonormal, so its own reciprocal
-        down = [mf.constant(v) for v in canonical_frame(dim).vectors]
+        down = _canonical_frame_fields(dim)
         return down, down
-    down = [mf.constant(v) for v in frame.vectors]
-    up = [mf.constant(v) for v in reciprocal_frame(frame).vectors]
+    down = tuple(mf.constant(v) for v in frame.vectors)
+    up = tuple(mf.constant(v) for v in reciprocal_frame(frame).vectors)
     return down, up
 
 
@@ -221,14 +237,10 @@ def gamma_apply(conn: ConnectionField, a: MultivectorField, b: MultivectorField)
         raise ValueError("gamma takes two vector fields")
     ac = a.vector_components()
     bc = b.vector_components()
-    out = []
-    for g in range(conn.dim):
-        total = ex.ZERO
-        for i in range(conn.dim):
-            for j in range(conn.dim):
-                coeff = conn.gamma[g][i][j]
-                total = ex.add(total, ex.mul(coeff, ex.mul(ac[i], bc[j])))
-        out.append(total)
+    out = [ex.ZERO] * conn.dim
+    for g, i, j, coeff in conn.nonzero:
+        if not (ex.is_zero(ac[i]) or ex.is_zero(bc[j])):
+            out[g] = ex.add(out[g], ex.mul(coeff, ex.mul(ac[i], bc[j])))
     return mf.vector(conn.dim, out, a.domain or b.domain or conn.domain)
 
 
@@ -237,16 +249,11 @@ def gamma_matrix(conn: ConnectionField, a: MultivectorField) -> ExtensorField11:
     if not a.is_vector():
         raise ValueError("direction must be a vector field")
     ac = a.vector_components()
-    rows = []
-    for g in range(conn.dim):
-        row = []
-        for j in range(conn.dim):
-            total = ex.ZERO
-            for i in range(conn.dim):
-                total = ex.add(total, ex.mul(ac[i], conn.gamma[g][i][j]))
-            row.append(total)
-        rows.append(tuple(row))
-    return ExtensorField11(conn.dim, tuple(rows), a.domain or conn.domain)
+    rows = [[ex.ZERO] * conn.dim for _ in range(conn.dim)]
+    for g, i, j, coeff in conn.nonzero:  # for each (g, j): i ascending, as in the sum
+        if not ex.is_zero(ac[i]):
+            rows[g][j] = ex.add(rows[g][j], ex.mul(ac[i], coeff))
+    return ExtensorField11(conn.dim, tuple(map(tuple, rows)), a.domain or conn.domain)
 
 
 def gauge_bivector(conn: ConnectionField, a: MultivectorField,

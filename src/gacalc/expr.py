@@ -80,6 +80,8 @@ class Call(Expr):
     arg: Expr
 
 
+_BINARY_NODES = (Add, Sub, Mul, Div)
+
 ZERO = Const(0.0)
 ONE = Const(1.0)
 
@@ -103,7 +105,7 @@ class ParseError(ValueError):
 
 
 class DomainError(ValueError):
-    """Evaluation hit a singular subexpression (1/0, ln<=0, sqrt<0)."""
+    """Evaluation hit a singular subexpression (1/0, ln<=0, sqrt<0, overflow)."""
 
     def __init__(self, message: str, subexpr: Expr):
         super().__init__(f"{message} in '{to_str(subexpr)}'")
@@ -118,15 +120,21 @@ def _is_const(e: Expr, v: float) -> bool:
     return isinstance(e, Const) and e.value == v
 
 
+def is_zero(e: Expr) -> bool:
+    """True for a constant 0 (either sign): a factor that `mul` folds to ZERO
+    and a term that `add` drops."""
+    return isinstance(e, Const) and e.value == 0.0
+
+
 # Smart constructors: fold constants and trivial identities so that trees
 # built by differentiation and field arithmetic stay bounded.
 
 def add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value + b.value)
-    if _is_const(a, 0.0):
+    if is_zero(a):
         return b
-    if _is_const(b, 0.0):
+    if is_zero(b):
         return a
     return Add(a, b)
 
@@ -134,9 +142,9 @@ def add(a: Expr, b: Expr) -> Expr:
 def sub(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value - b.value)
-    if _is_const(b, 0.0):
+    if is_zero(b):
         return a
-    if _is_const(a, 0.0):
+    if is_zero(a):
         return neg(b)
     return Sub(a, b)
 
@@ -144,7 +152,7 @@ def sub(a: Expr, b: Expr) -> Expr:
 def mul(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    if is_zero(a) or is_zero(b):
         return ZERO
     if _is_const(a, 1.0):
         return b
@@ -164,7 +172,7 @@ def div(a: Expr, b: Expr) -> Expr:
         return a
     if _is_const(b, -1.0):
         return neg(a)
-    if _is_const(a, 0.0):
+    if is_zero(a):
         return ZERO
     return Div(a, b)
 
@@ -220,43 +228,79 @@ def simplify(e: Expr) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def diff(e: Expr, i: int) -> Expr:
-    """Exact partial derivative with respect to coordinate x_i."""
-    if isinstance(e, Var):
-        return ONE if e.index == i else ZERO
-    if isinstance(e, Const):
-        return ZERO
+def diff(e: Expr, i: int, memo: dict | None = None) -> Expr:
+    """Exact partial derivative with respect to coordinate x_i.
+
+    The walk is iterative (post-order on an explicit stack, so any depth
+    is fine) and differentiates each distinct node object once.  ``memo``
+    maps id(node) -> (node, derivative); holding the node keeps its id
+    valid.  Callers differentiating several expressions by the same x_i
+    may pass one memo to share the work on their common subtrees.
+    """
+    if memo is None:
+        memo = {}
+    get = memo.get
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in memo:
+            continue
+        kind = type(node)
+        if kind is Var:
+            d = ONE if node.index == i else ZERO
+        elif kind is Const:
+            d = ZERO
+        elif kind in _BINARY_NODES:
+            left, right = get(id(node.left)), get(id(node.right))
+            if left is None or right is None:  # differentiate the children first
+                stack += (node, node.right, node.left)
+                continue
+            d = _diff_binary(node, left[1], right[1])
+        elif kind in (Neg, Pow, Call):
+            child = node.base if kind is Pow else node.arg
+            done = get(id(child))
+            if done is None:
+                stack += (node, child)
+                continue
+            d = _diff_unary(node, done[1])
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+        memo[id(node)] = (node, d)
+    return memo[id(e)][1]
+
+
+def _diff_binary(e: Expr, dl: Expr, dr: Expr) -> Expr:
+    """Derivative of a binary node from the derivatives of its operands."""
     if isinstance(e, Add):
-        return add(diff(e.left, i), diff(e.right, i))
+        return add(dl, dr)
     if isinstance(e, Sub):
-        return sub(diff(e.left, i), diff(e.right, i))
+        return sub(dl, dr)
     if isinstance(e, Mul):
-        return add(mul(diff(e.left, i), e.right), mul(e.left, diff(e.right, i)))
-    if isinstance(e, Div):
-        num = sub(mul(diff(e.left, i), e.right), mul(e.left, diff(e.right, i)))
-        return div(num, powi(e.right, 2))
+        return add(mul(dl, e.right), mul(e.left, dr))
+    num = sub(mul(dl, e.right), mul(e.left, dr))
+    return div(num, powi(e.right, 2))
+
+
+def _diff_unary(e: Expr, du: Expr) -> Expr:
+    """Derivative of a Neg, Pow or Call node from the derivative of its operand."""
     if isinstance(e, Neg):
-        return neg(diff(e.arg, i))
+        return neg(du)
     if isinstance(e, Pow):
-        return mul(mul(const(e.exponent), powi(e.base, e.exponent - 1)), diff(e.base, i))
-    if isinstance(e, Call):
-        du = diff(e.arg, i)
-        u = e.arg
-        if e.name == "sin":
-            return mul(call("cos", u), du)
-        if e.name == "cos":
-            return neg(mul(call("sin", u), du))
-        if e.name == "tan":
-            return mul(add(ONE, powi(call("tan", u), 2)), du)
-        if e.name == "exp":
-            return mul(call("exp", u), du)
-        if e.name == "ln":
-            return div(du, u)
-        if e.name == "sqrt":
-            return div(du, mul(const(2.0), call("sqrt", u)))
-        if e.name == "atan":
-            return div(du, add(ONE, powi(u, 2)))
-    raise TypeError(f"not an expression: {e!r}")
+        return mul(mul(const(e.exponent), powi(e.base, e.exponent - 1)), du)
+    u = e.arg
+    if e.name == "sin":
+        return mul(call("cos", u), du)
+    if e.name == "cos":
+        return neg(mul(call("sin", u), du))
+    if e.name == "tan":
+        return mul(add(ONE, powi(call("tan", u), 2)), du)
+    if e.name == "exp":
+        return mul(call("exp", u), du)
+    if e.name == "ln":
+        return div(du, u)
+    if e.name == "sqrt":
+        return div(du, mul(const(2.0), call("sqrt", u)))
+    return div(du, add(ONE, powi(u, 2)))  # atan
 
 
 def gradient(e: Expr, dim: int) -> list[Expr]:
@@ -264,7 +308,9 @@ def gradient(e: Expr, dim: int) -> list[Expr]:
 
 
 def evaluate(e: Expr, point) -> float:
-    """Evaluate at a point, raising DomainError on singular subexpressions."""
+    """Evaluate at a point, raising DomainError on singular subexpressions,
+    where ``**`` or a function overflows the float range and where a
+    function meets an argument outside its domain (sin of inf)."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -286,14 +332,22 @@ def evaluate(e: Expr, point) -> float:
         base = evaluate(e.base, point)
         if base == 0.0 and e.exponent < 0:
             raise DomainError("zero raised to a negative power", e)
-        return base ** e.exponent
+        try:
+            return base ** e.exponent
+        except OverflowError:
+            raise DomainError("overflow beyond the float range", e) from None
     if isinstance(e, Call):
         v = evaluate(e.arg, point)
         if e.name == "ln" and v <= 0.0:
             raise DomainError("logarithm of a non-positive value", e)
         if e.name == "sqrt" and v < 0.0:
             raise DomainError("square root of a negative value", e)
-        return _FUNCTIONS[e.name](v)
+        try:
+            return _FUNCTIONS[e.name](v)
+        except OverflowError:
+            raise DomainError("overflow beyond the float range", e) from None
+        except ValueError:  # sin, cos or tan of an infinity
+            raise DomainError("argument outside the function's domain", e) from None
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -389,7 +443,6 @@ _NUMPY_FUNCTIONS = {
 }
 
 _BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
-_BINARY_NODES = (Add, Sub, Mul, Div)
 
 
 class Tape:

@@ -96,8 +96,7 @@ class MultivectorField:
     domain: Box | None = None
 
     def __post_init__(self):
-        clean = {int(m): _coerce(c) for m, c in self.coeffs.items()
-                 if not (isinstance(c, ex.Const) and c.value == 0.0)}
+        clean = {int(m): _coerce(c) for m, c in self.coeffs.items() if not ex.is_zero(c)}
         for m in clean:
             if not 0 <= m < (1 << self.dim):
                 raise ValueError(f"blade index {m} out of range for dim {self.dim}")
@@ -263,16 +262,22 @@ def grade_project(x: MultivectorField, k: int) -> MultivectorField:
 
 
 def directional_derivative(a: MultivectorField, x: MultivectorField) -> MultivectorField:
-    """Flat derivative a.d_o X: coefficient-wise sum of a^i dX/dx_i."""
+    """Flat derivative a.d_o X: coefficient-wise sum of a^i dX/dx_i.
+
+    Directions whose component is a constant 0 are skipped (their term
+    would fold away); one `expr.diff` memo per coordinate is shared by all
+    of X's coefficients.
+    """
     _same_dim(a, x)
     if not a.is_vector():
         raise ValueError("direction must be a vector field")
-    comps = a.vector_components()
+    comps = [(i, ai) for i, ai in enumerate(a.vector_components()) if not ex.is_zero(ai)]
+    memos = {i: {} for i, _ in comps}
     out: dict[int, ex.Expr] = {}
     for m, c in x.coeffs.items():
         total = ex.ZERO
-        for i, ai in enumerate(comps):
-            total = ex.add(total, ex.mul(ai, ex.diff(c, i)))
+        for i, ai in comps:
+            total = ex.add(total, ex.mul(ai, ex.diff(c, i, memos[i])))
         out[m] = total
     return MultivectorField(x.dim, out, _domain(x, a))
 
@@ -286,13 +291,14 @@ def lie_bracket(a: MultivectorField, b: MultivectorField) -> MultivectorField:
 
 def curl(x: MultivectorField) -> MultivectorField:
     """Grade-raising derivative d_o ^ X = sum_mu e_mu ^ dX/dx_mu."""
+    memos = [{} for _ in range(x.dim)]  # one `expr.diff` memo per coordinate
     out: dict[int, ex.Expr] = {}
     for m, c in x.coeffs.items():
         for i in range(x.dim):
             bit = 1 << i
             if m & bit:
                 continue
-            term = ex.diff(c, i)
+            term = ex.diff(c, i, memos[i])
             if reorder_sign(bit, m) < 0:
                 term = ex.neg(term)
             key = m | bit

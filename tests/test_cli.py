@@ -220,6 +220,28 @@ class TestChristoffelCommand:
         assert "division by zero" in res.stderr
 
 
+class TestPointEvaluationOverflow:
+    """`eval` and `christoffel --at` evaluate at one point with `expr.evaluate`."""
+
+    @pytest.mark.parametrize("args", [
+        ("christoffel", "--at", "0.9,0"),
+        ("eval", "--what", "cov-plus", "--at", "0.9,0", "--args", "0,1", "0,1"),
+    ])
+    def test_overflowing_coefficient_exits_2_naming_it(self, tmp_path, args):
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps({
+            "name": "overflow", "dim": 2, "seed": 1,
+            "connection": {"kind": "coefficients",
+                           "coefficients": {"0,1,1": "exp(exp(exp(10*x0)))"}},
+            "domain": {"lo": [0.5, -1], "hi": [1, 1]},
+        }))
+        res = run_cli(args[0], "--config", str(cfg), *args[1:])
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert "overflow" in res.stderr
+        assert "'exp(exp(10*x0))'" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 class TestTransformCommand:
     def test_polar_map_laws_pass(self):
         res = run_cli("transform", "--config", str(FIXTURES / "polar.json"),

@@ -9,6 +9,7 @@ from gacalc import expr as ex
 from gacalc import fields as mf
 from gacalc.algebra import Multivector, allclose
 from gacalc.connection import (
+    ConnectionField,
     ExtensorField11,
     ExtensorFieldK,
     cov_derivative,
@@ -19,12 +20,14 @@ from gacalc.connection import (
     ext_det,
     ext_inverse,
     gamma_apply,
+    gamma_matrix,
     gauge_bivector,
     generalized_apply,
     is_symmetric,
     outermorphism_apply,
     resolve11,
 )
+from gacalc.fixtures import zero_fixture
 from gacalc.report import batch_residual
 
 
@@ -276,3 +279,99 @@ class TestExtensorDerivatives:
     def test_arity_cap(self):
         with pytest.raises(ValueError, match="arity"):
             ExtensorFieldK(2, 4, lambda *a: None)
+
+
+def _random_component(dim, rng):
+    """A scalar expression from a pool that includes the constant 0."""
+    k, m = (int(v) for v in rng.integers(0, dim, size=2))
+    everywhere = ex.ZERO  # depends on every coordinate
+    for i in range(dim):
+        everywhere = ex.add(everywhere, ex.Var(i))
+    pool = [ex.ZERO, ex.ONE, ex.const(-2.5), ex.Var(k),
+            ex.mul(ex.Var(k), ex.Var(m)), ex.call("sin", ex.Var(k)),
+            ex.div(ex.ONE, ex.add(ex.const(3.0), ex.Var(m))), ex.call("exp", everywhere)]
+    return pool[int(rng.integers(len(pool)))]
+
+
+def _random_vector(dim, rng):
+    return mf.vector(dim, [_random_component(dim, rng) for _ in range(dim)])
+
+
+def _random_field(dim, rng):
+    masks = rng.choice(1 << dim, size=min(5, 1 << dim), replace=False)
+    return mf.mvf(dim, {int(m): _random_component(dim, rng) for m in masks})
+
+
+class TestSparseContractionsMatchDenseFormulas:
+    """The contractions skip constant-0 factors; the trees must come out as
+    the dense sums over every index build them, by structural equality."""
+
+    @pytest.fixture(params=["polar", "sphere", "torsionful", "zero4", "random3"])
+    def conn(self, request):
+        if request.param == "zero4":
+            return zero_fixture(4).conn
+        if request.param == "random3":  # several nonzero terms in every sum
+            rng = np.random.default_rng(7)
+            gamma = [[[_random_component(3, rng) for _ in range(3)] for _ in range(3)]
+                     for _ in range(3)]
+            return ConnectionField(3, gamma, zero_fixture(3).domain)
+        return request.getfixturevalue(request.param).conn
+
+    @staticmethod
+    def directions(conn, rng):
+        n = conn.dim
+        return [mf.basis(n, i) for i in range(n)] + [_random_vector(n, rng) for _ in range(8)]
+
+    def test_gamma_matrix(self, conn, rng):
+        n = conn.dim
+        for a in self.directions(conn, rng):
+            ac = a.vector_components()
+            dense = []
+            for g in range(n):
+                row = []
+                for j in range(n):
+                    total = ex.ZERO
+                    for i in range(n):
+                        total = ex.add(total, ex.mul(ac[i], conn.gamma[g][i][j]))
+                    row.append(total)
+                dense.append(tuple(row))
+            assert gamma_matrix(conn, a).entries == tuple(dense)
+
+    def test_gamma_apply(self, conn, rng):
+        n = conn.dim
+        for a in self.directions(conn, rng):
+            b = _random_vector(n, rng)
+            ac, bc = a.vector_components(), b.vector_components()
+            dense = []
+            for g in range(n):
+                total = ex.ZERO
+                for i in range(n):
+                    for j in range(n):
+                        total = ex.add(total, ex.mul(conn.gamma[g][i][j], ex.mul(ac[i], bc[j])))
+                dense.append(total)
+            assert gamma_apply(conn, a, b).coeffs == mf.vector(n, dense).coeffs
+
+    def test_extensor_apply(self, conn, rng):
+        n = conn.dim
+        for a in self.directions(conn, rng):
+            t = gamma_matrix(conn, a)
+            v = _random_vector(n, rng)
+            comps = v.vector_components()
+            dense = [ex.ZERO] * n
+            for i in range(n):
+                for j in range(n):
+                    dense[i] = ex.add(dense[i], ex.mul(t.entries[i][j], comps[j]))
+            assert t.apply(v).coeffs == mf.vector(n, dense).coeffs
+
+    def test_directional_derivative(self, conn, rng):
+        n = conn.dim
+        for a in self.directions(conn, rng):
+            x = _random_field(n, rng)
+            comps = a.vector_components()
+            dense = {}
+            for m, c in x.coeffs.items():
+                total = ex.ZERO
+                for i in range(n):
+                    total = ex.add(total, ex.mul(comps[i], ex.diff(c, i)))
+                dense[m] = total
+            assert mf.directional_derivative(a, x).coeffs == mf.mvf(n, dense).coeffs

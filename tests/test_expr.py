@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -99,6 +100,20 @@ class TestEvaluate:
         with pytest.raises(ex.DomainError, match=r"1/x0"):
             ex.evaluate(ex.parse("x1 + 1/x0", 2), (0.0, 3.0))
 
+    @pytest.mark.parametrize("src,subexpr", [
+        ("1 + exp(exp(x0))", "exp(exp(x0))"),
+        ("x1 - (x0*1e200)^2", "(x0*1e+200)^2"),
+    ])
+    def test_overflow_names_subexpression(self, src, subexpr):
+        with pytest.raises(ex.DomainError, match="overflow") as err:
+            ex.evaluate(ex.parse(src, 2), (10.0, 1.0))
+        assert f"'{subexpr}'" in str(err.value)
+
+    def test_function_of_infinity_names_subexpression(self):
+        with pytest.raises(ex.DomainError, match="outside the function's domain") as err:
+            ex.evaluate(ex.parse("x1 + sin(x0*1e308*10)", 2), (1.0, 1.0))
+        assert "'sin(x0*1e+308*10)'" in str(err.value)
+
 
 class TestDiff:
     def test_calculus_examples(self):
@@ -151,6 +166,35 @@ class TestDiff:
             exact = ex.evaluate(d3, (t,))
             approx = fd(ex.diff(ex.diff(e, 0), 0), 0, (t,))
             assert exact == pytest.approx(approx, rel=1e-5)
+
+
+    def test_shared_dag_differentiates_in_linear_work(self):
+        # e_{k+1} = e_k * e_k shares its operand; a tree walk would take
+        # 2^depth steps, and the derivative keeps the sharing
+        x = ex.Var(0)
+        e = x
+        for _ in range(200):
+            e = ex.mul(e, e)
+        d = ex.diff(e, 0)
+        assert len(ex.Tape((d,)).nodes) <= 5 * 200
+        e = x
+        for _ in range(10):
+            e = ex.mul(e, e)
+        points = [[0.99], [1.0], [1.002]]
+        got = ex.compile_fn(ex.diff(e, 0))(points)
+        assert_allclose(got, [2 ** 10 * p ** (2 ** 10 - 1) for (p,) in points], rtol=1e-12)
+
+    def test_deep_sum_differentiates_at_any_depth(self):
+        # a left-deep sum of 5000 terms, far past the default recursion limit
+        n = 5000
+        e = ex.ZERO
+        for k in range(1, n + 1):
+            e = ex.Add(e, ex.Call("sin", ex.Mul(ex.const(k / n), ex.Var(0))))
+        d = ex.diff(e, 0)
+        points = [[0.3], [1.7]]
+        k = np.arange(1, n + 1) / n
+        want = [np.sum(k * np.cos(k * p)) for (p,) in points]
+        assert_allclose(ex.compile_fn(d)(points), want, rtol=1e-12)
 
 
 class TestPrintRoundTrip:

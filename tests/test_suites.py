@@ -6,6 +6,8 @@ import math
 import pytest
 
 from gacalc.cartan import NotSymmetricError
+from gacalc.connection import MAX_DEFORM_DIM
+from gacalc.fixtures import zero_fixture
 from gacalc.report import CheckResult, Report, worst_of
 from gacalc.suites import run_fixture_checks
 
@@ -104,6 +106,14 @@ class TestSuiteCoverage:
     def test_bianchi_suite_requires_symmetry(self, torsionful):
         with pytest.raises(NotSymmetricError):
             run_fixture_checks(torsionful, "bianchi", samples=20)
+
+    def test_core_suite_at_the_largest_deformation_dim(self):
+        # deformation is documented up to MAX_DEFORM_DIM; the core suite
+        # (deform-pairing among it) must finish there and pass
+        report = run_fixture_checks(zero_fixture(MAX_DEFORM_DIM), "core")
+        assert {c.name for c in report.checks} == CORE_CHECKS
+        failed = [c.name for c in report.checks if not c.passed]
+        assert failed == []
 
     def test_unknown_suite_rejected(self, sphere):
         with pytest.raises(ValueError, match="unknown suite"):
