@@ -1,20 +1,27 @@
 """Dense multivector algebra over Euclidean R^n with blade-bitmask storage.
 
 Basis blades are indexed by bitmask: bit i set means basis vector e_{i+1}
-is a factor, so e.g. mask 0b011 is e1^e2.  Product signs come from counting
-the transpositions needed to bring concatenated generators into ascending
-order; with the Euclidean scalar product every repeated generator squares
-to +1, so a single sign rule covers the geometric product, the outer
-product and both contractions.
+is a factor, so e.g. mask 0b011 is e1^e2.  The product of blades a and b
+lands on blade a ^ b with the sign of the transpositions that sort their
+concatenated generators; with the Euclidean scalar product every repeated
+generator squares to +1, so that one sign serves the geometric product,
+and the outer product and both contractions are the pairs it keeps.
+`blade_table` holds these targets and signs, with each blade's grade and
+involution signs, once per dimension (the bitmap representation of Dorst,
+Fontijne & Mann, *Geometric Algebra for Computer Science*, 2007, ch. 19).
+The numeric products here and the symbolic ones in `fields` both read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 MAX_DIM = 6
+PRODUCTS = ("clifford", "wedge", "left", "right")
+INVOLUTIONS = ("hat", "tilde", "bar")
 
 
 def _check_dim(dim: int) -> None:
@@ -22,30 +29,56 @@ def _check_dim(dim: int) -> None:
         raise ValueError(f"dimension must be between 2 and {MAX_DIM}, got {dim}")
 
 
+def same_dim(x, y) -> int:
+    """The common dimension of two multivectors or multivector fields."""
+    if x.dim != y.dim:
+        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    return x.dim
+
+
 def grade_of(mask: int) -> int:
     """Grade of a basis blade, i.e. the number of generators in it."""
     return int(mask).bit_count()
 
 
-def reorder_sign(a: int, b: int) -> int:
-    """Sign from sorting the concatenation of blades ``a`` and ``b``.
+@dataclass(frozen=True, eq=False)
+class BladeTable:
+    """Products and involutions of the 2**dim basis blades of one dimension.
 
-    Counts pairs (i in a, j in b) with i > j; each such pair is one
-    transposition.  Valid for an orthonormal Euclidean basis.
+    ``target[a, b]`` is the blade that a product of blades a and b lands on
+    and ``sign[p][a, b]`` its sign under product ``p`` (one of `PRODUCTS`),
+    0.0 where that product drops the pair.  ``grade[m]`` is the grade of
+    blade m and ``involution[k][m]`` its sign under involution ``k`` (one
+    of `INVOLUTIONS`).  The arrays are read-only, since one table serves
+    every caller.
     """
-    a >>= 1
-    swaps = 0
-    while a:
-        swaps += (a & b).bit_count()
-        a >>= 1
-    return -1 if swaps & 1 else 1
+
+    dim: int
+    grade: np.ndarray
+    target: np.ndarray
+    sign: dict[str, np.ndarray]
+    involution: dict[str, np.ndarray]
 
 
-_INVOLUTION_SIGNS = {
-    "hat": lambda k: -1.0 if k % 2 else 1.0,
-    "tilde": lambda k: -1.0 if (k * (k - 1) // 2) % 2 else 1.0,
-    "bar": lambda k: -1.0 if (k * (k + 1) // 2) % 2 else 1.0,
-}
+@lru_cache(maxsize=None)
+def blade_table(dim: int) -> BladeTable:
+    """The `BladeTable` of ``dim``, built on first use."""
+    _check_dim(dim)
+    masks = np.arange(1 << dim)
+    grade = np.array([grade_of(m) for m in masks])
+    a, b = masks[:, None], masks[None, :]
+    # one transposition for every generator of a above a generator of b
+    swaps = sum(grade[(a >> shift) & b] for shift in range(1, dim))
+    geometric = np.where(swaps % 2, -1.0, 1.0)
+    keep = {"clifford": True, "wedge": (a & b) == 0, "left": (a & ~b) == 0,
+            "right": (b & ~a) == 0}
+    sign = {p: np.where(keep[p], geometric, 0.0) for p in PRODUCTS}
+    flips = {"hat": grade, "tilde": grade * (grade - 1) // 2, "bar": grade * (grade + 1) // 2}
+    involution = {k: np.where(flips[k] % 2, -1.0, 1.0) for k in INVOLUTIONS}
+    target = a ^ b
+    for arr in (grade, target, *sign.values(), *involution.values()):
+        arr.setflags(write=False)
+    return BladeTable(dim, grade, target, sign, involution)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +136,11 @@ class Multivector:
         return float(np.max(np.abs(self.coeffs)))
 
     def __add__(self, other: Multivector) -> Multivector:
-        _same_dim(self, other)
+        same_dim(self, other)
         return Multivector(self.dim, self.coeffs + other.coeffs)
 
     def __sub__(self, other: Multivector) -> Multivector:
-        _same_dim(self, other)
+        same_dim(self, other)
         return Multivector(self.dim, self.coeffs - other.coeffs)
 
     def __neg__(self) -> Multivector:
@@ -122,46 +155,35 @@ class Multivector:
         return f"Multivector({self.dim}, {format_multivector(self)})"
 
 
-def _same_dim(x: Multivector, y: Multivector) -> None:
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-
-
 def allclose(x: Multivector, y: Multivector, atol: float = 1e-12) -> bool:
-    _same_dim(x, y)
+    same_dim(x, y)
     return bool(np.allclose(x.coeffs, y.coeffs, rtol=0.0, atol=atol))
 
 
 def grade_project(x: Multivector, k: int) -> Multivector:
-    out = np.zeros_like(x.coeffs)
-    for m in np.nonzero(x.coeffs)[0]:
-        if grade_of(m) == k:
-            out[m] = x.coeffs[m]
-    return Multivector(x.dim, out)
+    return Multivector(x.dim, np.where(blade_table(x.dim).grade == k, x.coeffs, 0.0))
+
+
+def _product(x: Multivector, y: Multivector, kind: str) -> Multivector:
+    """Sum every coefficient pair's signed product onto its target blade.
+
+    `np.bincount` adds in flattened (a, b) order, the order of a double
+    loop over x's blades and then y's.
+    """
+    table = blade_table(same_dim(x, y))
+    weights = table.sign[kind] * np.outer(x.coeffs, y.coeffs)
+    return Multivector(x.dim, np.bincount(table.target.ravel(), weights=weights.ravel(),
+                                          minlength=len(x.coeffs)))
 
 
 def wedge(x: Multivector, y: Multivector) -> Multivector:
     """Exterior product; blades with shared generators annihilate."""
-    _same_dim(x, y)
-    out = np.zeros_like(x.coeffs)
-    for a in np.nonzero(x.coeffs)[0]:
-        xa = x.coeffs[a]
-        for b in np.nonzero(y.coeffs)[0]:
-            if a & b:
-                continue
-            out[a | b] += reorder_sign(a, b) * xa * y.coeffs[b]
-    return Multivector(x.dim, out)
+    return _product(x, y, "wedge")
 
 
 def clifford(x: Multivector, y: Multivector) -> Multivector:
     """Geometric (Clifford) product with Euclidean signature e_i e_i = 1."""
-    _same_dim(x, y)
-    out = np.zeros_like(x.coeffs)
-    for a in np.nonzero(x.coeffs)[0]:
-        xa = x.coeffs[a]
-        for b in np.nonzero(y.coeffs)[0]:
-            out[a ^ b] += reorder_sign(a, b) * xa * y.coeffs[b]
-    return Multivector(x.dim, out)
+    return _product(x, y, "clifford")
 
 
 def scalar_product(x: Multivector, y: Multivector) -> float:
@@ -171,23 +193,15 @@ def scalar_product(x: Multivector, y: Multivector) -> float:
     so this reduces to the dot product of coefficient arrays; on same-grade
     blades it agrees with det(v_i . w_j).
     """
-    _same_dim(x, y)
+    same_dim(x, y)
     return float(np.dot(x.coeffs, y.coeffs))
 
 
 def contraction(x: Multivector, y: Multivector, side: str = "left") -> Multivector:
     """Left (x lowers y) or right (y lowers x) interior product."""
-    _same_dim(x, y)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    out = np.zeros_like(x.coeffs)
-    for a in np.nonzero(x.coeffs)[0]:
-        xa = x.coeffs[a]
-        for b in np.nonzero(y.coeffs)[0]:
-            keep = (a & ~b) == 0 if side == "left" else (b & ~a) == 0
-            if keep:
-                out[a ^ b] += reorder_sign(a, b) * xa * y.coeffs[b]
-    return Multivector(x.dim, out)
+    return _product(x, y, side)
 
 
 def commutator(a: Multivector, x: Multivector) -> Multivector:
@@ -197,14 +211,9 @@ def commutator(a: Multivector, x: Multivector) -> Multivector:
 
 def involution(x: Multivector, kind: str) -> Multivector:
     """Grade involution ('hat'), reversion ('tilde') or conjugation ('bar')."""
-    try:
-        sign = _INVOLUTION_SIGNS[kind]
-    except KeyError:
-        raise ValueError(f"unknown involution {kind!r}") from None
-    out = x.coeffs.copy()
-    for m in range(len(out)):
-        out[m] *= sign(grade_of(m))
-    return Multivector(x.dim, out)
+    if kind not in INVOLUTIONS:
+        raise ValueError(f"unknown involution {kind!r}")
+    return Multivector(x.dim, x.coeffs * blade_table(x.dim).involution[kind])
 
 
 @dataclass(frozen=True, eq=False)

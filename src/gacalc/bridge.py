@@ -152,7 +152,7 @@ def transform_connection(conn: ConnectionField, cmap: CoordinateMap) -> Connecti
 def transform_vector_components(components, cmap: CoordinateMap, variance: str):
     """Vector component law into the primed chart ('co' or 'contra')."""
     n = cmap.dim
-    comps = [_compose(_as_expr(c), cmap) for c in components]
+    comps = [_compose(ex.as_expr(c), cmap) for c in components]
     if variance == "co":
         jinv = inverse_jacobian(cmap)
         return [_sum(ex.mul(jinv[b][a], comps[b]) for b in range(n)) for a in range(n)]
@@ -165,7 +165,7 @@ def transform_vector_components(components, cmap: CoordinateMap, variance: str):
 def transform_tensor2_components(components, cmap: CoordinateMap, variances: tuple[str, str]):
     """2-tensor component law into the primed chart, one variance per index."""
     n = cmap.dim
-    comps = [[_compose(_as_expr(c), cmap) for c in row] for row in components]
+    comps = [[_compose(ex.as_expr(c), cmap) for c in row] for row in components]
     jinv = inverse_jacobian(cmap)
     kfwd = forward_jacobian_primed(cmap)
 
@@ -235,21 +235,21 @@ def classical_cov_derivative(conn: ConnectionField, components, variance):
     n = conn.dim
     g = conn.gamma
     if variance == "contra":
-        v = [_as_expr(c) for c in components]
+        v = [ex.as_expr(c) for c in components]
         return [[_sum([ex.diff(v[l], m)] + [ex.mul(g[l][m][a], v[a]) for a in range(n)])
                  for m in range(n)] for l in range(n)]
     if variance == "co":
-        v = [_as_expr(c) for c in components]
+        v = [ex.as_expr(c) for c in components]
         return [[_sum([ex.diff(v[nu], m)] + [ex.neg(ex.mul(g[a][m][nu], v[a])) for a in range(n)])
                  for m in range(n)] for nu in range(n)]
     if variance == ("co", "co"):
-        t = [[_as_expr(c) for c in row] for row in components]
+        t = [[ex.as_expr(c) for c in row] for row in components]
         return [[[_sum([ex.diff(t[a][b], m)]
                        + [ex.neg(ex.mul(g[s][m][a], t[s][b])) for s in range(n)]
                        + [ex.neg(ex.mul(g[s][m][b], t[a][s])) for s in range(n)])
                   for m in range(n)] for b in range(n)] for a in range(n)]
     if variance == ("co", "contra"):
-        t = [[_as_expr(c) for c in row] for row in components]
+        t = [[ex.as_expr(c) for c in row] for row in components]
         return [[[_sum([ex.diff(t[a][b], m)]
                        + [ex.neg(ex.mul(g[s][m][a], t[s][b])) for s in range(n)]
                        + [ex.mul(g[b][m][s], t[a][s]) for s in range(n)])
@@ -280,7 +280,7 @@ def riemann_coefficients(conn: ConnectionField):
 
 def levi_civita_from_metric(metric, domain: Box) -> ConnectionField:
     """Symmetric connection of a metric: half g^{gs}(d_a g_sb + d_b g_as - d_s g_ab)."""
-    g = [[_as_expr(c) for c in row] for row in metric]
+    g = [[ex.as_expr(c) for c in row] for row in metric]
     n = len(g)
     if any(len(row) != n for row in g):
         raise ValueError("metric must be a square matrix of expressions")
@@ -304,10 +304,6 @@ def levi_civita_from_metric(metric, domain: Box) -> ConnectionField:
                     total = ex.add(total, ex.mul(ginv[gg][s], bracket))
                 out[gg][a][b] = ex.mul(ex.const(0.5), total)
     return ConnectionField(n, tuple(tuple(tuple(r) for r in p) for p in out), domain)
-
-
-def _as_expr(c) -> ex.Expr:
-    return c if isinstance(c, ex.Expr) else ex.const(c)
 
 
 def _sum(terms) -> ex.Expr:

@@ -149,6 +149,7 @@ def _cmd_christoffel(args) -> int:
         conn = transform_connection(conn, cmap)
         names = tuple(f"x{i}'" for i in range(fix.dim))
     point = _parse_point(args.at, fix.dim) if args.at else None
+    lines = []  # printed only once all are built, so a failure prints none
     for g in range(fix.dim):
         for a in range(fix.dim):
             for b in range(fix.dim):
@@ -156,7 +157,8 @@ def _cmd_christoffel(args) -> int:
                 line = f"Gamma^{names[g]}_{{{names[a]} {names[b]}}} = {ex.to_str(e)}"
                 if point is not None:
                     line += f" = {ex.evaluate(e, point):.12g}"
-                print(line)
+                lines.append(line + "\n")
+    sys.stdout.write("".join(lines))
     return EXIT_OK
 
 

@@ -98,7 +98,7 @@ class ExtensorField11:
     domain: Box | None = None
 
     def __post_init__(self):
-        rows = tuple(tuple(_as_expr(c) for c in row) for row in self.entries)
+        rows = tuple(tuple(ex.as_expr(c) for c in row) for row in self.entries)
         if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
             raise ValueError(f"expected {self.dim}x{self.dim} entries")
         object.__setattr__(self, "entries", rows)
@@ -111,7 +111,7 @@ class ExtensorField11:
     @classmethod
     def from_matrix(cls, matrix) -> ExtensorField11:
         rows = [list(r) for r in matrix]
-        return cls(len(rows), tuple(tuple(_as_expr(c) for c in r) for r in rows))
+        return cls(len(rows), tuple(tuple(ex.as_expr(c) for c in r) for r in rows))
 
     def apply(self, v: MultivectorField) -> MultivectorField:
         if v.dim != self.dim:
@@ -131,10 +131,6 @@ class ExtensorField11:
         return LinearMap11(self.dim, m)
 
 
-def _as_expr(c) -> ex.Expr:
-    return c if isinstance(c, ex.Expr) else ex.const(c)
-
-
 def ext_adjoint(t: ExtensorField11) -> ExtensorField11:
     return ExtensorField11(t.dim, tuple(zip(*t.entries)), t.domain)
 
@@ -146,7 +142,7 @@ def ext_add(t: ExtensorField11, u: ExtensorField11) -> ExtensorField11:
 
 
 def ext_scale(f, t: ExtensorField11) -> ExtensorField11:
-    f = _as_expr(f)
+    f = ex.as_expr(f)
     return ExtensorField11(t.dim, tuple(tuple(ex.mul(f, c) for c in row) for row in t.entries), t.domain)
 
 

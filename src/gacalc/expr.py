@@ -116,6 +116,11 @@ def const(value: float) -> Const:
     return Const(float(value))
 
 
+def as_expr(c) -> Expr:
+    """``c`` itself if it is an expression, else the constant ``c``."""
+    return c if isinstance(c, Expr) else const(c)
+
+
 def _is_const(e: Expr, v: float) -> bool:
     return isinstance(e, Const) and e.value == v
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .algebra import Multivector, grade_of, reorder_sign
+from .algebra import INVOLUTIONS, Multivector, blade_table, grade_of, same_dim
 
 # Box.sample gives up after this many draws per requested point.
 SAMPLE_TRIES = 1000
@@ -85,10 +85,6 @@ class Box:
         return np.array(out)
 
 
-def _coerce(c) -> ex.Expr:
-    return c if isinstance(c, ex.Expr) else ex.const(c)
-
-
 @dataclass(frozen=True, eq=False)
 class MultivectorField:
     dim: int
@@ -96,7 +92,7 @@ class MultivectorField:
     domain: Box | None = None
 
     def __post_init__(self):
-        clean = {int(m): _coerce(c) for m, c in self.coeffs.items() if not ex.is_zero(c)}
+        clean = {int(m): ex.as_expr(c) for m, c in self.coeffs.items() if not ex.is_zero(c)}
         for m in clean:
             if not 0 <= m < (1 << self.dim):
                 raise ValueError(f"blade index {m} out of range for dim {self.dim}")
@@ -138,7 +134,7 @@ def vector(dim: int, components, domain: Box | None = None) -> MultivectorField:
     comps = list(components)
     if len(comps) != dim:
         raise ValueError(f"expected {dim} components, got {len(comps)}")
-    return MultivectorField(dim, {1 << i: _coerce(c) for i, c in enumerate(comps)}, domain)
+    return MultivectorField(dim, {1 << i: ex.as_expr(c) for i, c in enumerate(comps)}, domain)
 
 
 def basis(dim: int, i: int) -> MultivectorField:
@@ -153,11 +149,6 @@ def scalar_field(dim: int, e: ex.Expr, domain: Box | None = None) -> Multivector
     return MultivectorField(dim, {0: e}, domain)
 
 
-def _same_dim(x: MultivectorField, y: MultivectorField) -> None:
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-
-
 def _domain(x: MultivectorField, y: MultivectorField | None = None) -> Box | None:
     if x.domain is not None:
         return x.domain
@@ -165,7 +156,7 @@ def _domain(x: MultivectorField, y: MultivectorField | None = None) -> Box | Non
 
 
 def add(x: MultivectorField, y: MultivectorField) -> MultivectorField:
-    _same_dim(x, y)
+    same_dim(x, y)
     out = dict(x.coeffs)
     for m, c in y.coeffs.items():
         out[m] = ex.add(out.get(m, ex.ZERO), c)
@@ -173,7 +164,7 @@ def add(x: MultivectorField, y: MultivectorField) -> MultivectorField:
 
 
 def sub(x: MultivectorField, y: MultivectorField) -> MultivectorField:
-    _same_dim(x, y)
+    same_dim(x, y)
     out = dict(x.coeffs)
     for m, c in y.coeffs.items():
         out[m] = ex.sub(out.get(m, ex.ZERO), c)
@@ -181,58 +172,43 @@ def sub(x: MultivectorField, y: MultivectorField) -> MultivectorField:
 
 
 def scale(f, x: MultivectorField) -> MultivectorField:
-    f = _coerce(f)
+    f = ex.as_expr(f)
     return MultivectorField(x.dim, {m: ex.mul(f, c) for m, c in x.coeffs.items()}, x.domain)
 
 
-def wedge(x: MultivectorField, y: MultivectorField) -> MultivectorField:
-    _same_dim(x, y)
+def _product(x: MultivectorField, y: MultivectorField, kind: str) -> MultivectorField:
+    """Sum every coefficient pair's signed product onto its target blade,
+    looping over x's blades and then y's, as `algebra` sums numerically."""
+    table = blade_table(same_dim(x, y))
+    signs, targets = table.sign[kind], table.target
     out: dict[int, ex.Expr] = {}
     for a, ca in x.coeffs.items():
+        sign_row, target_row = signs[a].tolist(), targets[a].tolist()
         for b, cb in y.coeffs.items():
-            if a & b:
-                continue
-            m = a | b
-            term = ex.mul(ca, cb)
-            if reorder_sign(a, b) < 0:
-                term = ex.neg(term)
-            out[m] = ex.add(out.get(m, ex.ZERO), term)
+            sign = sign_row[b]
+            if sign:
+                m = target_row[b]
+                term = ex.mul(ca, cb)
+                out[m] = ex.add(out.get(m, ex.ZERO), ex.neg(term) if sign < 0 else term)
     return MultivectorField(x.dim, out, _domain(x, y))
+
+
+def wedge(x: MultivectorField, y: MultivectorField) -> MultivectorField:
+    return _product(x, y, "wedge")
 
 
 def clifford(x: MultivectorField, y: MultivectorField) -> MultivectorField:
-    _same_dim(x, y)
-    out: dict[int, ex.Expr] = {}
-    for a, ca in x.coeffs.items():
-        for b, cb in y.coeffs.items():
-            m = a ^ b
-            term = ex.mul(ca, cb)
-            if reorder_sign(a, b) < 0:
-                term = ex.neg(term)
-            out[m] = ex.add(out.get(m, ex.ZERO), term)
-    return MultivectorField(x.dim, out, _domain(x, y))
+    return _product(x, y, "clifford")
 
 
 def contract(x: MultivectorField, y: MultivectorField, side: str = "left") -> MultivectorField:
-    _same_dim(x, y)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    out: dict[int, ex.Expr] = {}
-    for a, ca in x.coeffs.items():
-        for b, cb in y.coeffs.items():
-            keep = (a & ~b) == 0 if side == "left" else (b & ~a) == 0
-            if not keep:
-                continue
-            m = a ^ b
-            term = ex.mul(ca, cb)
-            if reorder_sign(a, b) < 0:
-                term = ex.neg(term)
-            out[m] = ex.add(out.get(m, ex.ZERO), term)
-    return MultivectorField(x.dim, out, _domain(x, y))
+    return _product(x, y, side)
 
 
 def scalar_product(x: MultivectorField, y: MultivectorField) -> ex.Expr:
-    _same_dim(x, y)
+    same_dim(x, y)
     total = ex.ZERO
     for m, ca in x.coeffs.items():
         if m in y.coeffs:
@@ -245,15 +221,10 @@ def commutator(a: MultivectorField, x: MultivectorField) -> MultivectorField:
 
 
 def involute(x: MultivectorField, kind: str) -> MultivectorField:
-    signs = {
-        "hat": lambda k: k % 2,
-        "tilde": lambda k: (k * (k - 1) // 2) % 2,
-        "bar": lambda k: (k * (k + 1) // 2) % 2,
-    }
-    if kind not in signs:
+    if kind not in INVOLUTIONS:
         raise ValueError(f"unknown involution {kind!r}")
-    flip = signs[kind]
-    out = {m: (ex.neg(c) if flip(grade_of(m)) else c) for m, c in x.coeffs.items()}
+    signs = blade_table(x.dim).involution[kind].tolist()
+    out = {m: (ex.neg(c) if signs[m] < 0 else c) for m, c in x.coeffs.items()}
     return MultivectorField(x.dim, out, x.domain)
 
 
@@ -268,7 +239,7 @@ def directional_derivative(a: MultivectorField, x: MultivectorField) -> Multivec
     would fold away); one `expr.diff` memo per coordinate is shared by all
     of X's coefficients.
     """
-    _same_dim(a, x)
+    same_dim(a, x)
     if not a.is_vector():
         raise ValueError("direction must be a vector field")
     comps = [(i, ai) for i, ai in enumerate(a.vector_components()) if not ex.is_zero(ai)]
@@ -291,18 +262,18 @@ def lie_bracket(a: MultivectorField, b: MultivectorField) -> MultivectorField:
 
 def curl(x: MultivectorField) -> MultivectorField:
     """Grade-raising derivative d_o ^ X = sum_mu e_mu ^ dX/dx_mu."""
+    table = blade_table(x.dim)
+    signs, targets = table.sign["wedge"], table.target
     memos = [{} for _ in range(x.dim)]  # one `expr.diff` memo per coordinate
     out: dict[int, ex.Expr] = {}
     for m, c in x.coeffs.items():
+        sign_col, target_col = signs[:, m].tolist(), targets[:, m].tolist()
         for i in range(x.dim):
-            bit = 1 << i
-            if m & bit:
-                continue
-            term = ex.diff(c, i, memos[i])
-            if reorder_sign(bit, m) < 0:
-                term = ex.neg(term)
-            key = m | bit
-            out[key] = ex.add(out.get(key, ex.ZERO), term)
+            sign = sign_col[1 << i]
+            if sign:
+                key = target_col[1 << i]
+                term = ex.diff(c, i, memos[i])
+                out[key] = ex.add(out.get(key, ex.ZERO), ex.neg(term) if sign < 0 else term)
     return MultivectorField(x.dim, out, x.domain)
 
 

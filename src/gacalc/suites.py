@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from . import fields as mf
-from .algebra import Frame, Multivector
+from .algebra import Frame, Multivector, grade_of
 from .bridge import (
     CoordinateMap,
     christoffel,
@@ -94,7 +94,7 @@ def rand_mvf(dim: int, rng: np.random.Generator, degree: int = 1,
              grades=None) -> mf.MultivectorField:
     coeffs = {}
     for mask in range(1 << dim):
-        if grades is not None and bin(mask).count("1") not in grades:
+        if grades is not None and grade_of(mask) not in grades:
             continue
         coeffs[mask] = rand_scalar(dim, rng, degree)
     return mf.mvf(dim, coeffs)

@@ -1,16 +1,23 @@
 """Multivector kernel tests against an independent list-based blade oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from gacalc.algebra import (
+    MAX_DIM,
     Frame,
     LinearMap11,
     Multivector,
     adjoint,
     allclose,
     biv,
+    blade_table,
     canonical_frame,
     clifford,
     commutator,
@@ -28,10 +35,14 @@ from gacalc.algebra import (
 )
 
 
-def blade_mul_oracle(a_mask: int, b_mask: int) -> tuple[int, int]:
-    """Multiply basis blades by explicit generator lists: bubble-sort the
-    concatenation, counting swaps, contracting equal neighbours (e_i^2 = 1)."""
-    gens = [i for i in range(8) if a_mask >> i & 1] + [i for i in range(8) if b_mask >> i & 1]
+def generators(mask: int) -> list[int]:
+    return [i for i in range(8) if mask >> i & 1]
+
+
+def sort_generators(gens: list[int]) -> tuple[int, int]:
+    """Bubble-sort a product of generators, counting swaps and contracting
+    equal neighbours (e_i^2 = 1); returns the blade's mask and sign."""
+    gens = list(gens)
     sign = 1
     changed = True
     while changed:
@@ -53,12 +64,38 @@ def blade_mul_oracle(a_mask: int, b_mask: int) -> tuple[int, int]:
     return mask, sign
 
 
+def blade_mul_oracle(a_mask: int, b_mask: int) -> tuple[int, int]:
+    """Multiply basis blades by explicit generator lists."""
+    return sort_generators(generators(a_mask) + generators(b_mask))
+
+
 def rand_mv(dim, rng):
     return Multivector(dim, rng.uniform(-1, 1, size=1 << dim))
 
 
+DIMS = list(range(2, MAX_DIM + 1))
+# the grade, from grade(a) and grade(b), at which each graded part of the
+# geometric product keeps the oracle's blade a b
+KEPT_GRADE = {"wedge": lambda ga, gb: ga + gb, "left": lambda ga, gb: gb - ga,
+              "right": lambda ga, gb: ga - gb}
+
+
+def assert_graded_part_of_clifford(dim, product, kept_grade):
+    """``product`` of blades a and b is the oracle's a b where that blade has
+    grade ``kept_grade(grade(a), grade(b))``, and zero elsewhere."""
+    for a in range(1 << dim):
+        for b in range(1 << dim):
+            got = product(Multivector.blade(dim, a), Multivector.blade(dim, b))
+            mask, sign = blade_mul_oracle(a, b)
+            if grade_of(mask) == kept_grade(grade_of(a), grade_of(b)):
+                want = Multivector.blade(dim, mask, sign)
+            else:
+                want = Multivector.zero(dim)
+            assert allclose(got, want), (a, b)
+
+
 class TestBladeProducts:
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dim", DIMS)
     def test_clifford_matches_oracle_on_all_blade_pairs(self, dim):
         for a in range(1 << dim):
             for b in range(1 << dim):
@@ -67,29 +104,32 @@ class TestBladeProducts:
                 want = Multivector.blade(dim, mask, sign)
                 assert allclose(got, want), (a, b)
 
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dim", DIMS)
     def test_wedge_is_graded_part_of_clifford(self, dim):
-        for a in range(1 << dim):
-            for b in range(1 << dim):
-                got = wedge(Multivector.blade(dim, a), Multivector.blade(dim, b))
-                mask, sign = blade_mul_oracle(a, b)
-                if grade_of(mask) == grade_of(a) + grade_of(b):
-                    want = Multivector.blade(dim, mask, sign)
-                else:
-                    want = Multivector.zero(dim)
-                assert allclose(got, want), (a, b)
+        assert_graded_part_of_clifford(dim, wedge, KEPT_GRADE["wedge"])
 
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_left_contraction_is_graded_part_of_clifford(self, dim):
-        for a in range(1 << dim):
-            for b in range(1 << dim):
-                got = contraction(Multivector.blade(dim, a), Multivector.blade(dim, b), "left")
-                mask, sign = blade_mul_oracle(a, b)
-                if grade_of(mask) == grade_of(b) - grade_of(a):
-                    want = Multivector.blade(dim, mask, sign)
-                else:
-                    want = Multivector.zero(dim)
-                assert allclose(got, want), (a, b)
+    @pytest.mark.parametrize("dim, side", [pytest.param(d, "left", id=str(d)) for d in DIMS]
+                             + [pytest.param(d, "right", id=f"right-{d}") for d in DIMS])
+    def test_left_contraction_is_graded_part_of_clifford(self, dim, side):
+        """The left contraction keeps grade(b) - grade(a); the right one, its
+        mirror image, grade(a) - grade(b)."""
+        assert_graded_part_of_clifford(dim, lambda x, y: contraction(x, y, side), KEPT_GRADE[side])
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_involutions_and_grade_projections_of_every_blade(self, dim):
+        """Reversion reverses the generator list; the grade involution negates
+        each generator; conjugation is both; projection keeps its own grade."""
+        for m in range(1 << dim):
+            gens = generators(m)
+            reversed_mask, tilde = sort_generators(gens[::-1])
+            assert reversed_mask == m
+            hat = (-1) ** len(gens)
+            x = Multivector.blade(dim, m)
+            for kind, sign in (("hat", hat), ("tilde", tilde), ("bar", hat * tilde)):
+                assert allclose(involution(x, kind), Multivector.blade(dim, m, sign)), (m, kind)
+            for k in range(dim + 1):
+                want = x if k == len(gens) else Multivector.zero(dim)
+                assert allclose(grade_project(x, k), want), (m, k)
 
     def test_basis_examples(self):
         e1 = Multivector.basis_vector(3, 0)
@@ -139,6 +179,22 @@ class TestBladeProducts:
             wedge(Multivector.zero(2), Multivector.zero(3))
         with pytest.raises(ValueError, match="dimension mismatch"):
             clifford(Multivector.zero(2), Multivector.zero(3))
+
+
+class TestBladeTable:
+    def test_import_builds_no_table(self):
+        code = ("import gacalc.cli; from gacalc.algebra import blade_table; "
+                "assert blade_table.cache_info().currsize == 0, blade_table.cache_info()")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+
+    def test_shared_table_is_read_only(self):
+        table = blade_table(3)
+        assert blade_table(3) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table.sign["clifford"][1, 1] = -1.0
 
 
 class TestAlgebraProperties:

@@ -201,6 +201,19 @@ class TestChristoffelCommand:
         assert "nested too deeply" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_failing_coefficient_prints_no_partial_table(self, tmp_path):
+        cfg = tmp_path / "sin_of_inf.json"
+        cfg.write_text(json.dumps({
+            "name": "sin_of_inf", "dim": 2, "seed": 1,
+            "connection": {"kind": "coefficients",
+                           "coefficients": {"0,1,1": "sin(x0*1e308*10)"}},
+            "domain": {"lo": [0.5, -1], "hi": [1, 1]},
+        }))
+        res = run_cli("christoffel", "--config", str(cfg), "--at", "0.9,0")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "'sin(x0*1e+308*10)'" in res.stderr
+
     def test_map_dimension_mismatch_exits_2(self):
         res = run_cli("christoffel", "--config", str(FIXTURES / "zero.json"),
                       "--map", str(FIXTURES / "maps" / "identity2.json"))

@@ -6,8 +6,9 @@ from numpy.testing import assert_allclose
 
 from gacalc import expr as ex
 from gacalc import fields as mf
-from gacalc.algebra import Multivector, allclose
+from gacalc.algebra import Multivector, allclose, grade_of
 from gacalc.report import batch_residual
+from test_algebra import KEPT_GRADE, blade_mul_oracle, generators, sort_generators
 
 
 def rand_poly_vf(dim, rng, degree=1):
@@ -162,6 +163,73 @@ class TestCurl:
             lhs = mf.curl(mf.scale(f, x))
             rhs = mf.add(mf.wedge(mf.gradient_field(f, 3), x), mf.scale(f, mf.curl(x)))
             assert max_residual(lhs, rhs, pts) < 1e-10
+
+
+def rand_field_on(dim, rng, masks):
+    """Distinct coefficients, linear in every coordinate, keyed in the order of ``masks``."""
+    return mf.mvf(dim, {int(m): rand_poly_vf(dim, rng).vector_components()[0] for m in masks})
+
+
+def sparse_fields_covering_every_blade(dim, rng):
+    """Three sparse fields on disjoint random thirds of the blades, in shuffled order."""
+    return [rand_field_on(dim, rng, part) for part in np.array_split(rng.permutation(1 << dim), 3)]
+
+
+def accumulate(out, mask, sign, term):
+    out[mask] = ex.add(out.get(mask, ex.ZERO), ex.neg(term) if sign < 0 else term)
+
+
+class TestProductsMatchOracleLoops:
+    """The symbolic products, curl and involutions read the blade table; the
+    trees must come out as loops over every coefficient pair, signed by the
+    generator-list oracle, build them: same keys in the same order, and
+    structurally equal sums.  The sparse operands cover every blade, so a
+    flipped sign or a reordered sum anywhere in the table fails."""
+
+    PRODUCTS = {"clifford": mf.clifford, "wedge": mf.wedge,
+                "left": lambda x, y: mf.contract(x, y, "left"),
+                "right": lambda x, y: mf.contract(x, y, "right")}
+
+    @staticmethod
+    def assert_same_tree(got, want):
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
+
+    @pytest.mark.parametrize("kind", ["clifford", "wedge", "left", "right"])
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_products(self, dim, kind, rng):
+        y = rand_field_on(dim, rng, rng.permutation(1 << dim))
+        for x in sparse_fields_covering_every_blade(dim, rng):
+            dense = {}
+            for a, ca in x.coeffs.items():
+                for b, cb in y.coeffs.items():
+                    mask, sign = blade_mul_oracle(a, b)
+                    if (kind == "clifford"
+                            or grade_of(mask) == KEPT_GRADE[kind](grade_of(a), grade_of(b))):
+                        accumulate(dense, mask, sign, ex.mul(ca, cb))
+            self.assert_same_tree(self.PRODUCTS[kind](x, y), mf.mvf(dim, dense))
+
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_curl(self, dim, rng):
+        for x in sparse_fields_covering_every_blade(dim, rng):
+            dense = {}
+            for m, c in x.coeffs.items():
+                for i in range(dim):
+                    mask, sign = blade_mul_oracle(1 << i, m)
+                    if grade_of(mask) == grade_of(m) + 1:
+                        accumulate(dense, mask, sign, ex.diff(c, i))
+            self.assert_same_tree(mf.curl(x), mf.mvf(dim, dense))
+
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_involute(self, dim, rng):
+        for x in sparse_fields_covering_every_blade(dim, rng):
+            for kind in ("hat", "tilde", "bar"):
+                dense = {}
+                for m, c in x.coeffs.items():
+                    gens = generators(m)
+                    hat, tilde = (-1) ** len(gens), sort_generators(gens[::-1])[1]
+                    sign = {"hat": hat, "tilde": tilde, "bar": hat * tilde}[kind]
+                    dense[m] = ex.neg(c) if sign < 0 else c
+                self.assert_same_tree(mf.involute(x, kind), mf.mvf(dim, dense))
 
 
 class TestBox:
