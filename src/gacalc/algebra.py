@@ -95,7 +95,7 @@ class Multivector:
             raise ValueError(
                 f"expected {1 << self.dim} coefficients for dim {self.dim}, got {arr.shape}"
             )
-        object.__setattr__(self, "coeffs", arr.copy())
+        object.__setattr__(self, "coeffs", arr.copy())  # the caller keeps its own array
 
     @classmethod
     def zero(cls, dim: int) -> Multivector:
@@ -103,9 +103,7 @@ class Multivector:
 
     @classmethod
     def scalar(cls, dim: int, value: float) -> Multivector:
-        c = np.zeros(1 << dim)
-        c[0] = value
-        return cls(dim, c)
+        return cls.blade(dim, 0, value)
 
     @classmethod
     def blade(cls, dim: int, mask: int, coeff: float = 1.0) -> Multivector:
@@ -137,22 +135,29 @@ class Multivector:
 
     def __add__(self, other: Multivector) -> Multivector:
         same_dim(self, other)
-        return Multivector(self.dim, self.coeffs + other.coeffs)
+        return _owning(self.dim, self.coeffs + other.coeffs)
 
     def __sub__(self, other: Multivector) -> Multivector:
         same_dim(self, other)
-        return Multivector(self.dim, self.coeffs - other.coeffs)
+        return _owning(self.dim, self.coeffs - other.coeffs)
 
     def __neg__(self) -> Multivector:
-        return Multivector(self.dim, -self.coeffs)
+        return _owning(self.dim, -self.coeffs)
 
     def __rmul__(self, scalar: float) -> Multivector:
-        return Multivector(self.dim, float(scalar) * self.coeffs)
+        return _owning(self.dim, float(scalar) * self.coeffs)
 
     __mul__ = __rmul__
 
     def __repr__(self) -> str:
         return f"Multivector({self.dim}, {format_multivector(self)})"
+
+
+def _owning(dim: int, coeffs: np.ndarray) -> Multivector:
+    """A Multivector around a float array this module just built: no check, no copy."""
+    x = object.__new__(Multivector)
+    x.__dict__.update(dim=dim, coeffs=coeffs)
+    return x
 
 
 def allclose(x: Multivector, y: Multivector, atol: float = 1e-12) -> bool:
@@ -161,7 +166,7 @@ def allclose(x: Multivector, y: Multivector, atol: float = 1e-12) -> bool:
 
 
 def grade_project(x: Multivector, k: int) -> Multivector:
-    return Multivector(x.dim, np.where(blade_table(x.dim).grade == k, x.coeffs, 0.0))
+    return _owning(x.dim, np.where(blade_table(x.dim).grade == k, x.coeffs, 0.0))
 
 
 def _product(x: Multivector, y: Multivector, kind: str) -> Multivector:
@@ -172,8 +177,8 @@ def _product(x: Multivector, y: Multivector, kind: str) -> Multivector:
     """
     table = blade_table(same_dim(x, y))
     weights = table.sign[kind] * np.outer(x.coeffs, y.coeffs)
-    return Multivector(x.dim, np.bincount(table.target.ravel(), weights=weights.ravel(),
-                                          minlength=len(x.coeffs)))
+    return _owning(x.dim, np.bincount(table.target.ravel(), weights=weights.ravel(),
+                                      minlength=len(x.coeffs)))
 
 
 def wedge(x: Multivector, y: Multivector) -> Multivector:
@@ -213,7 +218,7 @@ def involution(x: Multivector, kind: str) -> Multivector:
     """Grade involution ('hat'), reversion ('tilde') or conjugation ('bar')."""
     if kind not in INVOLUTIONS:
         raise ValueError(f"unknown involution {kind!r}")
-    return Multivector(x.dim, x.coeffs * blade_table(x.dim).involution[kind])
+    return _owning(x.dim, x.coeffs * blade_table(x.dim).involution[kind])
 
 
 @dataclass(frozen=True, eq=False)

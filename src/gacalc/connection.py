@@ -254,19 +254,25 @@ def gamma_matrix(conn: ConnectionField, a: MultivectorField) -> ExtensorField11:
 
 def gauge_bivector(conn: ConnectionField, a: MultivectorField,
                    frame: Frame | None = None) -> MultivectorField:
-    """Gauge bivector: half the frame sum of gamma(a, e^mu) ^ e_mu."""
+    """Gauge bivector: half the frame sum of gamma(a, e^mu) ^ e_mu over its nonempty terms."""
     down, up = const_frames(conn.dim, frame)
     out = MultivectorField(conn.dim, {}, a.domain or conn.domain)
     for e_mu, e_up in zip(down, up):
-        out = mf.add(out, mf.wedge(gamma_apply(conn, a, e_up), e_mu))
+        column = gamma_apply(conn, a, e_up)
+        if column.coeffs:
+            out = mf.add(out, mf.wedge(column, e_mu))
     return mf.scale(0.5, out)
 
 
 def _generalized(gmap: ExtensorField11, x: MultivectorField, frame: Frame | None) -> MultivectorField:
+    """Frame sum of gmap(e^mu) ^ (e_mu . X), skipping the empty gmap(e^mu) terms."""
     down, up = const_frames(gmap.dim, frame)
-    out = MultivectorField(gmap.dim, {}, x.domain)
+    # the domain the first term would give the sum, had no term been skipped
+    out = MultivectorField(gmap.dim, {}, x.domain or gmap.domain)
     for e_mu, e_up in zip(down, up):
-        out = mf.add(out, mf.wedge(gmap.apply(e_up), mf.contract(e_mu, x, "left")))
+        column = gmap.apply(e_up)
+        if column.coeffs:
+            out = mf.add(out, mf.wedge(column, mf.contract(e_mu, x, "left")))
     return out
 
 

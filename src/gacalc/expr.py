@@ -214,64 +214,76 @@ def call(name: str, arg: Expr) -> Expr:
 
 def simplify(e: Expr) -> Expr:
     """Rebuild bottom-up through the folding constructors."""
-    if isinstance(e, (Var, Const)):
+    return _rebuild(e, lambda v: v)
+
+
+def _rebuild(e: Expr, var) -> Expr:
+    """Rebuild ``e`` bottom-up through the folding constructors, each Var v as var(v)."""
+    if isinstance(e, Var):
+        return var(e)
+    if isinstance(e, Const):
         return e
     if isinstance(e, Add):
-        return add(simplify(e.left), simplify(e.right))
+        return add(_rebuild(e.left, var), _rebuild(e.right, var))
     if isinstance(e, Sub):
-        return sub(simplify(e.left), simplify(e.right))
+        return sub(_rebuild(e.left, var), _rebuild(e.right, var))
     if isinstance(e, Mul):
-        return mul(simplify(e.left), simplify(e.right))
+        return mul(_rebuild(e.left, var), _rebuild(e.right, var))
     if isinstance(e, Div):
-        return div(simplify(e.left), simplify(e.right))
+        return div(_rebuild(e.left, var), _rebuild(e.right, var))
     if isinstance(e, Neg):
-        return neg(simplify(e.arg))
+        return neg(_rebuild(e.arg, var))
     if isinstance(e, Pow):
-        return powi(simplify(e.base), e.exponent)
+        return powi(_rebuild(e.base, var), e.exponent)
     if isinstance(e, Call):
-        return call(e.name, simplify(e.arg))
+        return call(e.name, _rebuild(e.arg, var))
     raise TypeError(f"not an expression: {e!r}")
 
 
-def diff(e: Expr, i: int, memo: dict | None = None) -> Expr:
+def diff(e: Expr, i: int) -> Expr:
     """Exact partial derivative with respect to coordinate x_i.
 
     The walk is iterative (post-order on an explicit stack, so any depth
-    is fine) and differentiates each distinct node object once.  ``memo``
-    maps id(node) -> (node, derivative); holding the node keeps its id
-    valid.  Callers differentiating several expressions by the same x_i
-    may pass one memo to share the work on their common subtrees.
+    is fine).  Each node keeps its derivatives in its own ``_diff`` dict,
+    outside the fields that ``==``, ``hash`` and ``repr`` read, so it is
+    differentiated by x_i once in its lifetime, whichever call asks.
     """
-    if memo is None:
-        memo = {}
-    get = memo.get
     stack = [e]
     while stack:
         node = stack.pop()
-        if id(node) in memo:
+        if _stored(node, i) is not None:  # a leaf, or differentiated before
             continue
         kind = type(node)
-        if kind is Var:
-            d = ONE if node.index == i else ZERO
-        elif kind is Const:
-            d = ZERO
-        elif kind in _BINARY_NODES:
-            left, right = get(id(node.left)), get(id(node.right))
+        if kind in _BINARY_NODES:
+            left, right = _stored(node.left, i), _stored(node.right, i)
             if left is None or right is None:  # differentiate the children first
                 stack += (node, node.right, node.left)
                 continue
-            d = _diff_binary(node, left[1], right[1])
+            d = _diff_binary(node, left, right)
         elif kind in (Neg, Pow, Call):
             child = node.base if kind is Pow else node.arg
-            done = get(id(child))
+            done = _stored(child, i)
             if done is None:
                 stack += (node, child)
                 continue
-            d = _diff_unary(node, done[1])
+            d = _diff_unary(node, done)
         else:
             raise TypeError(f"not an expression: {node!r}")
-        memo[id(node)] = (node, d)
-    return memo[id(e)][1]
+        if getattr(node, "_diff", None) is None:
+            object.__setattr__(node, "_diff", {})
+        node._diff[i] = d
+    return _stored(e, i)
+
+
+def _stored(e: Expr, i: int) -> Expr | None:
+    """d/dx_i of ``e`` if it takes no work: a leaf's, or the one stored on ``e``."""
+    kind = type(e)
+    if kind is Var:
+        return ONE if e.index == i else ZERO
+    if kind is Const:
+        return ZERO
+    known = getattr(e, "_diff", None)
+    return None if known is None else known.get(i)
 
 
 def _diff_binary(e: Expr, dl: Expr, dr: Expr) -> Expr:
@@ -306,10 +318,6 @@ def _diff_unary(e: Expr, du: Expr) -> Expr:
     if e.name == "sqrt":
         return div(du, mul(const(2.0), call("sqrt", u)))
     return div(du, add(ONE, powi(u, 2)))  # atan
-
-
-def gradient(e: Expr, dim: int) -> list[Expr]:
-    return [diff(e, i) for i in range(dim)]
 
 
 def evaluate(e: Expr, point) -> float:
@@ -358,25 +366,7 @@ def evaluate(e: Expr, point) -> float:
 
 def substitute(e: Expr, replacements) -> Expr:
     """Replace Var(i) by replacements[i] (composition of expressions)."""
-    if isinstance(e, Var):
-        return replacements[e.index]
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Add):
-        return add(substitute(e.left, replacements), substitute(e.right, replacements))
-    if isinstance(e, Sub):
-        return sub(substitute(e.left, replacements), substitute(e.right, replacements))
-    if isinstance(e, Mul):
-        return mul(substitute(e.left, replacements), substitute(e.right, replacements))
-    if isinstance(e, Div):
-        return div(substitute(e.left, replacements), substitute(e.right, replacements))
-    if isinstance(e, Neg):
-        return neg(substitute(e.arg, replacements))
-    if isinstance(e, Pow):
-        return powi(substitute(e.base, replacements), e.exponent)
-    if isinstance(e, Call):
-        return call(e.name, substitute(e.arg, replacements))
-    raise TypeError(f"not an expression: {e!r}")
+    return _rebuild(e, lambda v: replacements[v.index])
 
 
 # Printing.  Binary operators parenthesize right operands of equal

@@ -236,19 +236,18 @@ def directional_derivative(a: MultivectorField, x: MultivectorField) -> Multivec
     """Flat derivative a.d_o X: coefficient-wise sum of a^i dX/dx_i.
 
     Directions whose component is a constant 0 are skipped (their term
-    would fold away); one `expr.diff` memo per coordinate is shared by all
-    of X's coefficients.
+    would fold away); `expr.diff` differentiates each coefficient node once
+    per coordinate in its lifetime, whichever call asks.
     """
     same_dim(a, x)
     if not a.is_vector():
         raise ValueError("direction must be a vector field")
     comps = [(i, ai) for i, ai in enumerate(a.vector_components()) if not ex.is_zero(ai)]
-    memos = {i: {} for i, _ in comps}
     out: dict[int, ex.Expr] = {}
     for m, c in x.coeffs.items():
         total = ex.ZERO
         for i, ai in comps:
-            total = ex.add(total, ex.mul(ai, ex.diff(c, i, memos[i])))
+            total = ex.add(total, ex.mul(ai, ex.diff(c, i)))
         out[m] = total
     return MultivectorField(x.dim, out, _domain(x, a))
 
@@ -261,10 +260,9 @@ def lie_bracket(a: MultivectorField, b: MultivectorField) -> MultivectorField:
 
 
 def curl(x: MultivectorField) -> MultivectorField:
-    """Grade-raising derivative d_o ^ X = sum_mu e_mu ^ dX/dx_mu."""
+    """Grade-raising derivative d_o ^ X = sum_mu e_mu ^ dX/dx_mu (stored `expr.diff` partials)."""
     table = blade_table(x.dim)
     signs, targets = table.sign["wedge"], table.target
-    memos = [{} for _ in range(x.dim)]  # one `expr.diff` memo per coordinate
     out: dict[int, ex.Expr] = {}
     for m, c in x.coeffs.items():
         sign_col, target_col = signs[:, m].tolist(), targets[:, m].tolist()
@@ -272,7 +270,7 @@ def curl(x: MultivectorField) -> MultivectorField:
             sign = sign_col[1 << i]
             if sign:
                 key = target_col[1 << i]
-                term = ex.diff(c, i, memos[i])
+                term = ex.diff(c, i)
                 out[key] = ex.add(out.get(key, ex.ZERO), ex.neg(term) if sign < 0 else term)
     return MultivectorField(x.dim, out, x.domain)
 

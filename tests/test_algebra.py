@@ -181,6 +181,27 @@ class TestBladeProducts:
             clifford(Multivector.zero(2), Multivector.zero(3))
 
 
+class TestMultivectorArrays:
+    def test_constructor_copies_the_callers_array(self):
+        arr = np.array([1.0, 2.0, 3.0, 4.0])
+        x = Multivector(2, arr)
+        arr[:] = -7.0
+        assert x.coeffs.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("dim", range(2, MAX_DIM + 1))
+    def test_results_own_fresh_float_arrays(self, dim, rng):
+        # operations hand their own arrays over uncopied; none may alias an operand
+        x = Multivector(dim, rng.normal(size=1 << dim))
+        y = Multivector(dim, rng.normal(size=1 << dim))
+        results = [x + y, x - y, -x, 2.0 * x, x * 0.5, clifford(x, y), wedge(x, y),
+                   contraction(x, y, "left"), contraction(x, y, "right"),
+                   grade_project(x, 1)] + [involution(x, k) for k in ("hat", "tilde", "bar")]
+        for z in results:
+            assert z.dim == dim
+            assert z.coeffs.dtype == np.float64 and z.coeffs.shape == (1 << dim,)
+            assert not (np.shares_memory(z.coeffs, x.coeffs) or np.shares_memory(z.coeffs, y.coeffs))
+
+
 class TestBladeTable:
     def test_import_builds_no_table(self):
         code = ("import gacalc.cli; from gacalc.algebra import blade_table; "

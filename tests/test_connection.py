@@ -7,11 +7,12 @@ import pytest
 
 from gacalc import expr as ex
 from gacalc import fields as mf
-from gacalc.algebra import Multivector, allclose
+from gacalc.algebra import Frame, Multivector, allclose
 from gacalc.connection import (
     ConnectionField,
     ExtensorField11,
     ExtensorFieldK,
+    const_frames,
     cov_derivative,
     cov_derivative_extensor,
     connection_operator,
@@ -22,6 +23,7 @@ from gacalc.connection import (
     gamma_apply,
     gamma_matrix,
     gauge_bivector,
+    generalized_adjoint_apply,
     generalized_apply,
     is_symmetric,
     outermorphism_apply,
@@ -375,3 +377,40 @@ class TestSparseContractionsMatchDenseFormulas:
                     total = ex.add(total, ex.mul(comps[i], ex.diff(c, i)))
                 dense[m] = total
             assert mf.directional_derivative(a, x).coeffs == mf.mvf(n, dense).coeffs
+
+    @staticmethod
+    def frames(n, rng):
+        """The canonical frame, whose reciprocal vectors pick single columns, and
+        a seeded random one, whose reciprocal vectors mix them."""
+        return [None, Frame.from_matrix(np.eye(n) + 0.3 * rng.uniform(-1.0, 1.0, (n, n)))]
+
+    def test_generalized_apply(self, conn, rng):
+        # the frame sum of gmap(e^mu) ^ (e_mu . X) over every mu, skipping none
+        n = conn.dim
+        for frame in self.frames(n, rng):
+            down, up = const_frames(n, frame)
+            for a in self.directions(conn, rng):
+                x = _random_field(n, rng)
+                gmap = gamma_matrix(conn, a)
+                for apply, t in ((generalized_apply, gmap),
+                                 (generalized_adjoint_apply, ext_adjoint(gmap))):
+                    dense = mf.mvf(n, {}, x.domain)
+                    for e_mu, e_up in zip(down, up):
+                        dense = mf.add(dense, mf.wedge(t.apply(e_up), mf.contract(e_mu, x)))
+                    got = apply(conn, a, x, frame)
+                    assert got.coeffs == dense.coeffs
+                    assert got.domain == dense.domain
+
+    def test_gauge_bivector(self, conn, rng):
+        # half the frame sum of gamma(a, e^mu) ^ e_mu over every mu, skipping none
+        n = conn.dim
+        for frame in self.frames(n, rng):
+            down, up = const_frames(n, frame)
+            for a in self.directions(conn, rng):
+                dense = mf.mvf(n, {}, a.domain or conn.domain)
+                for e_mu, e_up in zip(down, up):
+                    dense = mf.add(dense, mf.wedge(gamma_apply(conn, a, e_up), e_mu))
+                dense = mf.scale(0.5, dense)
+                got = gauge_bivector(conn, a, frame)
+                assert got.coeffs == dense.coeffs
+                assert got.domain == dense.domain

@@ -1,9 +1,11 @@
 """Expression DSL: grammar, evaluation, exact differentiation, printing."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +185,41 @@ class TestDiff:
         points = [[0.99], [1.0], [1.002]]
         got = ex.compile_fn(ex.diff(e, 0))(points)
         assert_allclose(got, [2 ** 10 * p ** (2 ** 10 - 1) for (p,) in points], rtol=1e-12)
+
+    def test_second_diff_returns_the_stored_derivative(self, monkeypatch):
+        e = ex.parse("x0*sin(x1) + exp(x0*x1)/x1 - (x0 - x1)^3", 2)
+        d0, d1 = ex.diff(e, 0), ex.diff(e, 1)
+        fresh = ex.parse("x0*sin(x1) + exp(x0*x1)/x1 - (x0 - x1)^3", 2)
+        # the stored derivatives leave ==, hash and repr as they were
+        assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
+
+        def no_new_nodes(*args, **kwargs):
+            raise AssertionError("a node was built")
+
+        for kind in (ex.Var, ex.Const, ex.Add, ex.Sub, ex.Mul, ex.Div, ex.Neg, ex.Pow, ex.Call):
+            monkeypatch.setattr(kind, "__init__", no_new_nodes)
+        assert ex.diff(e, 0) is d0
+        assert ex.diff(e, 1) is d1
+        assert ex.diff(e.left, 1) is ex.diff(e.left, 1)  # a subtree's, stored on the way
+
+    def test_directional_derivatives_share_the_stored_partials(self):
+        x = mf.mvf(2, {0: ex.parse("x0*sin(x1)", 2), 0b11: ex.parse("exp(x0*x1)/x1", 2)})
+        for i in range(2):
+            first = mf.directional_derivative(mf.basis(2, i), x)
+            second = mf.directional_derivative(mf.basis(2, i), x)
+            assert first.coeffs.keys() == second.coeffs.keys()
+            for m, c in first.coeffs.items():
+                assert c is second.coeffs[m] is ex.diff(x.coeffs[m], i)
+
+    def test_stored_derivatives_go_with_their_node(self):
+        # no module-level table may keep a differentiated tree alive
+        e = ex.parse("x0*sin(x1) + exp(x0*x1)/x1", 2)
+        d = ex.diff(ex.diff(e, 0), 1)
+        root, derivative = weakref.ref(e), weakref.ref(d)
+        del e, d
+        gc.collect()
+        assert root() is None
+        assert derivative() is None
 
     def test_deep_sum_differentiates_at_any_depth(self):
         # a left-deep sum of 5000 terms, far past the default recursion limit
