@@ -47,10 +47,12 @@ class BladeTable:
 
     ``target[a, b]`` is the blade that a product of blades a and b lands on
     and ``sign[p][a, b]`` its sign under product ``p`` (one of `PRODUCTS`),
-    0.0 where that product drops the pair.  ``grade[m]`` is the grade of
-    blade m and ``involution[k][m]`` its sign under involution ``k`` (one
-    of `INVOLUTIONS`).  The arrays are read-only, since one table serves
-    every caller.
+    0.0 where that product drops the pair; ``sign["commutator"][a, b]`` is
+    (s(a, b) - s(b, a))/2 for the geometric sign s, 0.0 exactly where the
+    two blades commute.  ``grade[m]`` is the grade of blade m and
+    ``involution[k][m]`` its sign under involution ``k`` (one of
+    `INVOLUTIONS`).  The arrays are read-only, since one table serves every
+    caller.
     """
 
     dim: int
@@ -73,6 +75,7 @@ def blade_table(dim: int) -> BladeTable:
     keep = {"clifford": True, "wedge": (a & b) == 0, "left": (a & ~b) == 0,
             "right": (b & ~a) == 0}
     sign = {p: np.where(keep[p], geometric, 0.0) for p in PRODUCTS}
+    sign["commutator"] = (geometric - geometric.T) / 2
     flips = {"hat": grade, "tilde": grade * (grade - 1) // 2, "bar": grade * (grade + 1) // 2}
     involution = {k: np.where(flips[k] % 2, -1.0, 1.0) for k in INVOLUTIONS}
     target = a ^ b

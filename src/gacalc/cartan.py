@@ -28,7 +28,7 @@ from .connection import (
     is_symmetric,
 )
 from .fields import MultivectorField
-from .report import CheckResult, field_residual, worst_of
+from .report import CheckResult, worst_residual
 
 
 class NotSymmetricError(ValueError):
@@ -176,20 +176,13 @@ def check_structure_equation(conn: ConnectionField, which: str, args: Sequence,
     """
     if which not in ("first", "second"):
         raise ValueError(f"which must be 'first' or 'second', got {which!r}")
-    worst = 0.0
-    total = 0
-    for tup in args:
-        if which == "first":
-            (c,) = tup
-            lhs, rhs = first_structure_lhs(conn, c), first_structure_rhs(conn, c)
-        else:
-            c, d = tup
-            lhs, rhs = second_structure_lhs(conn, c, d), second_structure_rhs(conn, c, d)
-        worst = worst_of(worst, field_residual(lhs, rhs, points))
-        total += len(points)
+    lhs, rhs = ((first_structure_lhs, first_structure_rhs) if which == "first"
+                else (second_structure_lhs, second_structure_rhs))
+    args = list(args)
+    worst = worst_residual(((lhs(conn, *tup), rhs(conn, *tup)) for tup in args), points)
     name = "structure-first" if which == "first" else "structure-second"
     eq = "FCE.1" if which == "first" else "SCE.1"
-    return CheckResult(name, eq, total, worst, tol)
+    return CheckResult(name, eq, len(args) * len(points), worst, tol)
 
 
 def _require_symmetric(conn: ConnectionField, points) -> None:
@@ -204,16 +197,16 @@ def check_cyclic(conn: ConnectionField, points, tol: float, seed: int = 0,
     """Cyclic curvature sum rho(a,b,c) + rho(b,c,a) + rho(c,a,b) over random fields."""
     _require_symmetric(conn, points)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    total = 0
     zero = MultivectorField(conn.dim, {})
-    for k in range(arg_draws):
-        a, b, c = (_rand_poly_vector(conn.dim, rng, constant=(k == 0)) for _ in range(3))
-        total_field = mf.add(mf.add(curvature(conn, a, b, c), curvature(conn, b, c, a)),
-                             curvature(conn, c, a, b))
-        worst = worst_of(worst, field_residual(total_field, zero, points))
-        total += len(points)
-    return CheckResult("curvature-cyclic", "SPS.4", total, worst, tol)
+
+    def sums():
+        for k in range(arg_draws):
+            a, b, c = (_rand_poly_vector(conn.dim, rng, constant=(k == 0)) for _ in range(3))
+            yield mf.add(mf.add(curvature(conn, a, b, c), curvature(conn, b, c, a)),
+                         curvature(conn, c, a, b)), zero
+
+    worst = worst_residual(sums(), points)
+    return CheckResult("curvature-cyclic", "SPS.4", arg_draws * len(points), worst, tol)
 
 
 def check_bianchi(conn: ConnectionField, points, tol: float, seed: int = 0,
@@ -223,17 +216,18 @@ def check_bianchi(conn: ConnectionField, points, tol: float, seed: int = 0,
     rng = np.random.default_rng(seed)
     rho = curvature_extensor(conn)
     signs = ("+", "+", "+", "-")
-    worst = 0.0
-    total = 0
     zero = MultivectorField(conn.dim, {})
-    for k in range(arg_draws):
-        a, b, c, d = (_rand_poly_vector(conn.dim, rng, constant=(k == 0)) for _ in range(4))
-        s = cov_derivative_extensor(conn, signs, rho, d, (a, b, c))
-        s = mf.add(s, cov_derivative_extensor(conn, signs, rho, a, (b, d, c)))
-        s = mf.add(s, cov_derivative_extensor(conn, signs, rho, b, (d, a, c)))
-        worst = worst_of(worst, field_residual(s, zero, points))
-        total += len(points)
-    return CheckResult("curvature-bianchi", "SPS.5", total, worst, tol)
+
+    def sums():
+        for k in range(arg_draws):
+            a, b, c, d = (_rand_poly_vector(conn.dim, rng, constant=(k == 0)) for _ in range(4))
+            s = cov_derivative_extensor(conn, signs, rho, d, (a, b, c))
+            s = mf.add(s, cov_derivative_extensor(conn, signs, rho, a, (b, d, c)))
+            s = mf.add(s, cov_derivative_extensor(conn, signs, rho, b, (d, a, c)))
+            yield s, zero
+
+    worst = worst_residual(sums(), points)
+    return CheckResult("curvature-bianchi", "SPS.5", arg_draws * len(points), worst, tol)
 
 
 def _rand_poly_vector(dim: int, rng: np.random.Generator, constant: bool = False) -> MultivectorField:

@@ -212,32 +212,50 @@ def call(name: str, arg: Expr) -> Expr:
     return Call(name, arg)
 
 
+_BUILD = {Add: add, Sub: sub, Mul: mul, Div: div}
+
+
 def simplify(e: Expr) -> Expr:
     """Rebuild bottom-up through the folding constructors."""
     return _rebuild(e, lambda v: v)
 
 
 def _rebuild(e: Expr, var) -> Expr:
-    """Rebuild ``e`` bottom-up through the folding constructors, each Var v as var(v)."""
-    if isinstance(e, Var):
-        return var(e)
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Add):
-        return add(_rebuild(e.left, var), _rebuild(e.right, var))
-    if isinstance(e, Sub):
-        return sub(_rebuild(e.left, var), _rebuild(e.right, var))
-    if isinstance(e, Mul):
-        return mul(_rebuild(e.left, var), _rebuild(e.right, var))
-    if isinstance(e, Div):
-        return div(_rebuild(e.left, var), _rebuild(e.right, var))
-    if isinstance(e, Neg):
-        return neg(_rebuild(e.arg, var))
-    if isinstance(e, Pow):
-        return powi(_rebuild(e.base, var), e.exponent)
-    if isinstance(e, Call):
-        return call(e.name, _rebuild(e.arg, var))
-    raise TypeError(f"not an expression: {e!r}")
+    """Rebuild ``e`` bottom-up through the folding constructors, each Var v as var(v).
+
+    The walk is iterative (post-order on an explicit stack, as in `diff`),
+    so any depth is fine; it calls the constructors in the order a
+    recursive rebuild would, left operand before right.
+    """
+    done: list[Expr] = []  # rebuilt operands, innermost last
+    stack = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        kind = type(node)
+        if kind is Var:
+            done.append(var(node))
+        elif kind is Const:
+            done.append(node)
+        elif kind in _BINARY_NODES:
+            if not ready:  # rebuild the operands first
+                stack += ((node, True), (node.right, False), (node.left, False))
+                continue
+            right = done.pop()
+            done.append(_BUILD[kind](done.pop(), right))
+        elif kind in (Neg, Pow, Call):
+            if not ready:
+                stack += ((node, True), (node.base if kind is Pow else node.arg, False))
+                continue
+            arg = done.pop()
+            if kind is Neg:
+                done.append(neg(arg))
+            elif kind is Pow:
+                done.append(powi(arg, node.exponent))
+            else:
+                done.append(call(node.name, arg))
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+    return done.pop()
 
 
 def diff(e: Expr, i: int) -> Expr:

@@ -217,7 +217,14 @@ def scalar_product(x: MultivectorField, y: MultivectorField) -> ex.Expr:
 
 
 def commutator(a: MultivectorField, x: MultivectorField) -> MultivectorField:
-    return scale(0.5, sub(clifford(a, x), clifford(x, a)))
+    """Commutator product (aX - Xa)/2 in one pass over the blade pairs.
+
+    A pair that commutes is dropped exactly and one that anticommutes gives
+    a single term, so a grade the law excludes (a bivector's commutator
+    keeps grades; Hestenes & Sobczyk 1984, ch. 1) is never left behind as a
+    rounding residue of two products that cancel only numerically.
+    """
+    return _product(a, x, "commutator")
 
 
 def involute(x: MultivectorField, kind: str) -> MultivectorField:

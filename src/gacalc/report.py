@@ -32,17 +32,37 @@ def field_residual(lhs: mf.MultivectorField, rhs: mf.MultivectorField, points) -
     return batch_residual(mf.compiled_evaluator(lhs)(points), mf.compiled_evaluator(rhs)(points))
 
 
-def expr_residual(pairs, points) -> float:
-    """`batch_residual` of (lhs, rhs) scalar expression pairs, each scalar
-    normalized on its own, over an (N, dim) points array."""
-    lhs = np.stack([ex.compile_fn(a)(points) for a, _ in pairs])
-    rhs = np.stack([ex.compile_fn(b)(points) for _, b in pairs])
-    return batch_residual(lhs[..., None], rhs[..., None])
-
-
 def worst_of(*residuals: float) -> float:
     """The largest of some residuals; unlike the builtin max, NaN wins."""
     return float(np.max(residuals))
+
+
+def worst_residual(pairs, points) -> float:
+    """`worst_of` the residuals of (lhs, rhs) pairs over an (N, dim) points array.
+
+    Each pair is evaluated as it is drawn from ``pairs``, which may be a
+    generator that builds it only then.  A pair of multivector fields is
+    normalized per point over its coefficients (`field_residual`); a pair
+    of scalar expressions is normalized on its own, in one batch with the
+    other scalar pairs once their values are all in.  No pairs give 0.0.
+    """
+    worst = 0.0
+    lhs_values, rhs_values = [], []
+    for lhs, rhs in pairs:
+        if isinstance(lhs, mf.MultivectorField):
+            worst = worst_of(worst, field_residual(lhs, rhs, points))
+        else:
+            lhs_values.append(ex.compile_fn(lhs)(points))
+            rhs_values.append(ex.compile_fn(rhs)(points))
+    if lhs_values:
+        worst = worst_of(worst, batch_residual(np.stack(lhs_values)[..., None],
+                                               np.stack(rhs_values)[..., None]))
+    return worst
+
+
+def expr_residual(pairs, points) -> float:
+    """`worst_residual` of (lhs, rhs) scalar expression pairs, each normalized on its own."""
+    return worst_residual(pairs, points)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Connection maps, covariant derivatives, deformation, extensor derivatives."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +30,11 @@ from gacalc.connection import (
     outermorphism_apply,
     resolve11,
 )
-from gacalc.fixtures import zero_fixture
+from gacalc.fixtures import load_fixture_file, zero_fixture
 from gacalc.report import batch_residual
+from gacalc.suites import rand_vector
+
+SPHERE3 = Path(__file__).resolve().parents[1] / "fixtures" / "sphere3_metric.json"
 
 
 E1 = mf.basis(2, 0)
@@ -414,3 +418,19 @@ class TestSparseContractionsMatchDenseFormulas:
                 got = gauge_bivector(conn, a, frame)
                 assert got.coeffs == dense.coeffs
                 assert got.domain == dense.domain
+
+
+class TestZeroDerivativeOnCurvedDim3:
+    def test_zero_derivative_of_vector_field_is_vector(self):
+        # Omega(a) x b has no trivector part; the symbolic commutator must not
+        # leave one behind as a rounding residue of two cancelling products
+        conn = load_fixture_file(SPHERE3).conn
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            a, b = rand_vector(3, rng), rand_vector(3, rng)
+            assert cov_derivative(conn, "0", a, b).is_vector()
+
+    def test_commutator_keeps_a_bivector_and_vector_to_grade_1(self):
+        omega = mf.mvf(3, {0b011: ex.Var(0), 0b101: ex.Var(1), 0b110: ex.Var(2)})
+        b = mf.vector(3, [ex.Var(1), ex.Var(2), ex.Var(0)])
+        assert mf.commutator(omega, b).grades() == {1}

@@ -298,6 +298,37 @@ class TestSimplify:
         assert ex.simplify(ex.Neg(ex.Neg(x))) == x
         assert ex.simplify(ex.parse("2*3 + 1", 1)) == ex.const(7.0)
 
+    def test_simplify_calls_constructors_as_a_recursive_rebuild(self):
+        def reference(e):
+            if isinstance(e, (ex.Var, ex.Const)):
+                return e
+            if isinstance(e, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
+                build = {ex.Add: ex.add, ex.Sub: ex.sub, ex.Mul: ex.mul, ex.Div: ex.div}[type(e)]
+                return build(reference(e.left), reference(e.right))
+            if isinstance(e, ex.Neg):
+                return ex.neg(reference(e.arg))
+            if isinstance(e, ex.Pow):
+                return ex.powi(reference(e.base), e.exponent)
+            return ex.call(e.name, reference(e.arg))
+
+        for src in CORPUS + ["0*x0 + 1*(x1 - 0) - -(-x0)", "(2 + 3)^2 / (x0*1)^1 + sin(0)"]:
+            e = ex.parse(src, 2)
+            assert ex.simplify(e) == reference(e), src
+
+    def test_deep_sum_simplifies_and_substitutes_at_any_depth(self):
+        # a left-deep sum of 5000 terms, far past the default recursion limit
+        n = 5000
+        e = ex.ZERO
+        for k in range(1, n + 1):
+            e = ex.Add(e, ex.Mul(ex.const(k / n), ex.Call("sin", ex.Var(0))))
+        points = [[0.3, 0.2], [1.7, -0.4]]
+        k = np.arange(1, n + 1) / n
+        want = [np.sum(k) * math.sin(p) for p, _ in points]
+        assert_allclose(ex.compile_fn(ex.simplify(e))(points), want, rtol=1e-12)
+        swapped = ex.substitute(e, [ex.Var(1), ex.Var(0)])
+        assert_allclose(ex.compile_fn(swapped)(points),
+                        [np.sum(k) * math.sin(q) for _, q in points], rtol=1e-12)
+
     def test_substitute(self):
         e = ex.parse("x0^2 + x1", 2)
         composed = ex.substitute(e, [ex.parse("x0*cos(x1)", 2), ex.parse("x0*sin(x1)", 2)])

@@ -2,14 +2,18 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from gacalc.cartan import NotSymmetricError
 from gacalc.connection import MAX_DEFORM_DIM
-from gacalc.fixtures import zero_fixture
+from gacalc.fixtures import load_fixture_file, load_map_file, zero_fixture
 from gacalc.report import CheckResult, Report, worst_of
-from gacalc.suites import run_fixture_checks
+from gacalc.suites import run_fixture_checks, run_transform_checks
+
+REPO = Path(__file__).resolve().parents[1]
+FIXTURES = REPO / "fixtures"
 
 CORE_CHECKS = {
     "gen-grade-preserving",
@@ -163,3 +167,48 @@ class TestNonFiniteResiduals:
     def test_worst_of_keeps_nan(self):
         assert math.isnan(worst_of(0.0, math.nan))
         assert worst_of(1e-9, 2e-9, 0.0) == 2e-9
+
+
+class TestShippedCurvedFixtures:
+    def test_sphere3_metric_passes_every_suite(self):
+        # the unit S^3 metric: curved, with a gauge bivector in every direction
+        report = run_fixture_checks(load_fixture_file(FIXTURES / "sphere3_metric.json"), "all")
+        assert {c.name for c in report.checks} == (
+            CORE_CHECKS | CARTAN_CHECKS | BRIDGE_CHECKS | SYMMETRIC_ONLY)
+        assert len(report.checks) == 63
+        failed = [(c.name, c.max_residual) for c in report.checks if not c.passed]
+        assert failed == []
+
+
+# Operations of the benchmark's shipped-fixture workloads (deep-trees and
+# shallow-2d): "<fixture>.<suite>", or "<fixture>.transform" under the polar map.
+KNOWN_OPS = ("zero.all", "polar_from_zero.cartan", "sphere.all", "sphere_metric.all",
+             "polar.all", "torsionful.all", "torsionful.bianchi", "polar.transform")
+
+
+class TestBenchmarkKnownAnswers:
+    """The in-process reports at seed 1 against `perfbench/known_answers.json`,
+    so a check that is dropped, renamed, re-tagged or redrawn fails here."""
+
+    @pytest.fixture(scope="class")
+    def known(self):
+        return json.loads((REPO / "perfbench" / "known_answers.json").read_text())
+
+    @pytest.mark.parametrize("op_id", KNOWN_OPS)
+    def test_report_matches_known_answer(self, known, op_id):
+        answer = known[op_id]
+        fixture, suite = op_id.split(".")
+        fix = load_fixture_file(FIXTURES / f"{fixture}.json")
+        if answer["exit"] != 0:
+            with pytest.raises(NotSymmetricError, match=answer["stderr"]):
+                run_fixture_checks(fix, suite, seed=1)
+            return
+        if suite == "transform":
+            report = run_transform_checks(fix, load_map_file(FIXTURES / "maps" / "polar_map.json"),
+                                          seed=1)
+        else:
+            report = run_fixture_checks(fix, suite, seed=1)
+        shape = [[c.name, c.paper_eq, c.samples, c.tolerance] for c in report.checks]
+        assert shape == answer["checks"]
+        for c in report.checks:
+            assert math.isfinite(c.max_residual) and 0 <= c.max_residual < c.tolerance, c.name
