@@ -91,17 +91,23 @@ def is_symmetric(conn: ConnectionField, points, tol: float = 1e-10) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ExtensorField11:
-    """Vector-to-vector extensor field; entries[i][j] = component i of the image of e_{j+1}."""
+    """Vector-to-vector extensor field; entries[i][j] = component i of the image of e_{j+1}.
+
+    ``nonzero`` lists the (i, j, entry) entries not a constant 0, in index order.
+    """
 
     dim: int
     entries: tuple[tuple[ex.Expr, ...], ...]
     domain: Box | None = None
+    nonzero: tuple[tuple[int, int, ex.Expr], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = tuple(tuple(ex.as_expr(c) for c in row) for row in self.entries)
         if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
             raise ValueError(f"expected {self.dim}x{self.dim} entries")
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "nonzero", tuple(
+            (i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row) if not ex.is_zero(c)))
 
     @classmethod
     def identity(cls, dim: int) -> ExtensorField11:
@@ -118,12 +124,11 @@ class ExtensorField11:
             raise ValueError(f"dimension mismatch: {v.dim} vs {self.dim}")
         if not v.is_vector():
             raise ValueError("a (1,1)-extensor field applies to vector fields")
-        comps = [(j, c) for j, c in enumerate(v.vector_components()) if not ex.is_zero(c)]
+        comps = v.vector_components()
         out = [ex.ZERO] * self.dim
-        for i, row in enumerate(self.entries):
-            for j, c in comps:
-                if not ex.is_zero(row[j]):
-                    out[i] = ex.add(out[i], ex.mul(row[j], c))
+        for i, j, entry in self.nonzero:
+            if not ex.is_zero(comps[j]):
+                out[i] = ex.add(out[i], ex.mul(entry, comps[j]))
         return mf.vector(self.dim, out, v.domain or self.domain)
 
     def at(self, point) -> LinearMap11:
@@ -269,6 +274,8 @@ def _generalized(gmap: ExtensorField11, x: MultivectorField, frame: Frame | None
     down, up = const_frames(gmap.dim, frame)
     # the domain the first term would give the sum, had no term been skipped
     out = MultivectorField(gmap.dim, {}, x.domain or gmap.domain)
+    if not gmap.nonzero:
+        return out
     for e_mu, e_up in zip(down, up):
         column = gmap.apply(e_up)
         if column.coeffs:

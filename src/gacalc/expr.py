@@ -11,8 +11,8 @@ Grammar (whitespace insignificant)::
 Coordinates are x0, x1, ...  ASTs are immutable and closed under `diff`,
 so repeated differentiation (needed for curvature and its derivatives)
 stays exact.  `simplify` only folds constants and 0/1/-1 identities.
-`evaluate` interprets a tree at one point; `Tape` (behind `compile_fn`)
-evaluates many trees at many points at once.
+`evaluate` interprets a tree at one point; `Tape` evaluates many trees
+at many points at once (`compile_fn` wraps it for one tree).
 """
 
 from __future__ import annotations
@@ -467,7 +467,7 @@ class Tape:
     (N, len(roots)) values and raises DomainError naming the subexpression
     where a denominator is 0, 0 is raised to a negative power, ln meets a
     value <= 0 or sqrt a value < 0, or, when a root comes out NaN or
-    infinite, the first node on the tape that did.
+    infinite, the first node below the first such root that did.
     """
 
     def __init__(self, roots):
@@ -551,12 +551,20 @@ class Tape:
         out = np.empty((len(points), len(self.roots)))
         for j, slot in enumerate(self.roots):
             out[:, j] = values[slot]
-        if not np.isfinite(out).all():
-            # numpy overflows to inf where math raised; blame the first
-            # node that went non-finite, whose inputs were all finite
-            for node, v in zip(self.nodes, values):
-                if not np.isfinite(v).all():
-                    raise DomainError("overflow to a non-finite value", node)
+        finite = np.isfinite(out).all(axis=0)
+        if not finite.all():
+            # numpy overflows to inf where math raised; blame the first node
+            # below the first non-finite root that went non-finite, whose
+            # inputs were all finite (a node of another root may be non-finite
+            # under a finite value of its own, as exp(800*x0) is in 1/exp(800*x0))
+            root = self.roots[int(np.argmin(finite))]
+            below = {root}
+            for slot in range(root, -1, -1):  # children sit before their parents
+                kind, *args = self.code[slot]
+                if slot in below and kind not in (Var, Const):
+                    below.update(args[:2] if kind in _BINARY_NODES else args[:1])
+            slot = next(s for s in sorted(below) if not np.isfinite(values[s]).all())
+            raise DomainError("overflow to a non-finite value", self.nodes[slot])
         return out
 
 

@@ -1,4 +1,7 @@
-"""Residual-check records and report rendering (text table and JSON)."""
+"""Residual-check records and report rendering (text table and JSON).
+
+`worst_residual` is the one residual path: one `expr.Tape` for a check's pairs.
+"""
 
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ def batch_residual(lhs, rhs) -> float:
 
 def field_residual(lhs: mf.MultivectorField, rhs: mf.MultivectorField, points) -> float:
     """`batch_residual` of two multivector fields over an (N, dim) points array."""
-    return batch_residual(mf.compiled_evaluator(lhs)(points), mf.compiled_evaluator(rhs)(points))
+    return worst_residual(((lhs, rhs),), points)
 
 
 def worst_of(*residuals: float) -> float:
@@ -40,23 +43,36 @@ def worst_of(*residuals: float) -> float:
 def worst_residual(pairs, points) -> float:
     """`worst_of` the residuals of (lhs, rhs) pairs over an (N, dim) points array.
 
-    Each pair is evaluated as it is drawn from ``pairs``, which may be a
-    generator that builds it only then.  A pair of multivector fields is
-    normalized per point over its coefficients (`field_residual`); a pair
-    of scalar expressions is normalized on its own, in one batch with the
-    other scalar pairs once their values are all in.  No pairs give 0.0.
+    All the pairs, which may come from a generator, are lowered onto one
+    `expr.Tape` (every coefficient of a pair of multivector fields, both
+    sides of a pair of scalar expressions) and evaluated in one pass, so a
+    subtree the pairs share is evaluated once.  A pair of fields is then
+    normalized per point over its coefficients; a pair of scalars on its
+    own, in one batch with the other scalar pairs.  No pairs give 0.0.
     """
-    worst = 0.0
-    lhs_values, rhs_values = [], []
+    roots: list[ex.Expr] = []
+    field_pairs = []  # (dim, lhs blades, rhs blades, column of the first lhs value)
+    scalar_columns = []  # column of each scalar pair's lhs value; its rhs is next
     for lhs, rhs in pairs:
         if isinstance(lhs, mf.MultivectorField):
-            worst = worst_of(worst, field_residual(lhs, rhs, points))
+            field_pairs.append((lhs.dim, list(lhs.coeffs), list(rhs.coeffs), len(roots)))
+            roots += lhs.coeffs.values()
+            roots += rhs.coeffs.values()
         else:
-            lhs_values.append(ex.compile_fn(lhs)(points))
-            rhs_values.append(ex.compile_fn(rhs)(points))
-    if lhs_values:
-        worst = worst_of(worst, batch_residual(np.stack(lhs_values)[..., None],
-                                               np.stack(rhs_values)[..., None]))
+            scalar_columns.append(len(roots))
+            roots += (lhs, rhs)
+    values = ex.Tape(roots)(points)
+    worst = 0.0
+    for dim, lhs_blades, rhs_blades, column in field_pairs:
+        split = column + len(lhs_blades)
+        lhs_values, rhs_values = np.zeros((2, len(values), 1 << dim))
+        lhs_values[:, lhs_blades] = values[:, column:split]
+        rhs_values[:, rhs_blades] = values[:, split:split + len(rhs_blades)]
+        worst = worst_of(worst, batch_residual(lhs_values, rhs_values))
+    if scalar_columns:
+        lhs_columns = np.array(scalar_columns)
+        worst = worst_of(worst, batch_residual(values[:, lhs_columns].T[..., None],
+                                               values[:, lhs_columns + 1].T[..., None]))
     return worst
 
 

@@ -5,7 +5,7 @@ equation it verifies, the number of seeded argument draws, and a builder.
 ``build(rng)`` is a generator: it draws one set of random argument fields
 from ``rng``, then yields the ``(lhs, rhs)`` pairs of that draw, built
 through independent code paths where the law relates different
-constructions.  The runner evaluates each pair as it is yielded
+constructions.  The runner evaluates all pairs of a check on one tape
 (`report.worst_residual`): a pair of multivector fields is normalized per
 point by max(1, |lhs|, |rhs|) over its coefficients, a pair of scalar
 expressions on its own, and the check reports the worst residual over all

@@ -434,3 +434,27 @@ class TestZeroDerivativeOnCurvedDim3:
         omega = mf.mvf(3, {0b011: ex.Var(0), 0b101: ex.Var(1), 0b110: ex.Var(2)})
         b = mf.vector(3, [ex.Var(1), ex.Var(2), ex.Var(0)])
         assert mf.commutator(omega, b).grades() == {1}
+
+
+class TestEmptyConnectionMap:
+    def test_generalized_maps_of_the_zero_connection_apply_no_extensor(self, monkeypatch, rng):
+        # an all-zero connection map has no nonzero entry, so the frame sum
+        # is empty without building a single column image
+        conn = zero_fixture(3).conn
+
+        def refuse(self, v):
+            raise AssertionError("ExtensorField11.apply called on an all-zero map")
+
+        monkeypatch.setattr(ExtensorField11, "apply", refuse)
+        a, x = rand_vector(3, rng), _random_field(3, rng)
+        boxed = mf.mvf(3, x.coeffs, mf.Box((-0.5,) * 3, (0.5,) * 3))
+        for fn in (generalized_apply, generalized_adjoint_apply):
+            got = fn(conn, a, x)
+            assert got.coeffs == {} and got.domain == conn.domain
+            got = fn(conn, a, boxed)
+            assert got.coeffs == {} and got.domain == boxed.domain
+
+    def test_nonzero_lists_the_entries_that_are_not_constant_0(self):
+        t = ExtensorField11(2, ((ex.ZERO, ex.Var(1)), (ex.ONE, 0.0)))
+        assert t.nonzero == ((0, 1, ex.Var(1)), (1, 0, ex.ONE))
+        assert ExtensorField11(3, ((ex.ZERO,) * 3,) * 3).nonzero == ()

@@ -363,6 +363,14 @@ class TestCompiled:
         assert f"'{subexpr}'" in str(err.value)
         assert ex.to_str(err.value.subexpr) == subexpr
 
+    def test_overflow_blames_a_node_below_the_non_finite_root(self):
+        # exp(800*x0) overflows under the finite 1/exp(800*x0); the second
+        # root's own overflow is the one to name
+        tape = ex.Tape([ex.parse("1/exp(800*x0)", 1), ex.parse("exp(x0)*1e308*10", 1)])
+        with pytest.raises(ex.DomainError, match="non-finite value") as err:
+            tape([(1.0,)])
+        assert ex.to_str(err.value.subexpr) == "exp(x0)*1e+308"
+
     def test_field_evaluator_matches_point_queries(self, rng):
         e = ex.parse("sin(x0)*x1", 2)
         field = mf.mvf(2, {0: e, 0b11: ex.diff(e, 0)})

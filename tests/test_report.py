@@ -1,0 +1,94 @@
+"""`report.worst_residual`: one tape per call, the same residuals as pair by pair."""
+
+import numpy as np
+import pytest
+
+from gacalc import expr as ex
+from gacalc import fields as mf
+from gacalc.connection import cov_derivative, generalized_apply
+from gacalc.report import batch_residual, worst_of, worst_residual
+from gacalc.suites import rand_mvf, rand_vector
+
+
+def pair_by_pair(pairs, points):
+    """Each field pair on two tapes of its own, each scalar pair on two more."""
+    worst = 0.0
+    lhs_values, rhs_values = [], []
+    for lhs, rhs in pairs:
+        if isinstance(lhs, mf.MultivectorField):
+            worst = worst_of(worst, batch_residual(mf.compiled_evaluator(lhs)(points),
+                                                   mf.compiled_evaluator(rhs)(points)))
+        else:
+            lhs_values.append(ex.compile_fn(lhs)(points))
+            rhs_values.append(ex.compile_fn(rhs)(points))
+    if lhs_values:
+        worst = worst_of(worst, batch_residual(np.stack(lhs_values)[..., None],
+                                               np.stack(rhs_values)[..., None]))
+    return worst
+
+
+@pytest.fixture
+def tapes(monkeypatch):
+    """The number of `expr.Tape` objects built so far."""
+    built = []
+
+    class Counted(ex.Tape):
+        def __init__(self, roots):
+            built.append(self)
+            super().__init__(roots)
+
+    monkeypatch.setattr(ex, "Tape", Counted)
+    return built
+
+
+def field_pairs(conn, rng):
+    """Pairs that share subtrees, pairs with no coefficients and pairs on disjoint blades."""
+    dim = conn.dim
+    a, x = rand_vector(dim, rng, degree=2), rand_mvf(dim, rng, degree=2)
+    plus = cov_derivative(conn, "+", a, x)
+    yield plus, mf.add(mf.directional_derivative(a, x), generalized_apply(conn, a, x))
+    yield plus, cov_derivative(conn, "-", a, x)
+    yield mf.mvf(dim, {}), mf.mvf(dim, {})
+    yield mf.mvf(dim, {}), mf.grade_project(plus, 1)
+    yield mf.grade_project(plus, 0), mf.grade_project(plus, 2)
+
+
+def scalar_pairs(conn, rng):
+    dim = conn.dim
+    a, b = rand_vector(dim, rng), rand_vector(dim, rng)
+    dot = mf.scalar_product(a, b)
+    yield dot, mf.scalar_product(b, a)
+    yield ex.diff(dot, 0), ex.mul(dot, ex.Var(1))
+    yield ex.ONE, ex.ZERO
+    yield ex.call("sin", dot), dot
+
+
+class TestWorstResidual:
+    @pytest.mark.parametrize("kind", ["fields", "scalars", "mixed"])
+    @pytest.mark.parametrize("name", ["polar", "sphere", "torsionful"])
+    def test_one_tape_gives_the_pair_by_pair_residual(self, request, tapes, kind, name):
+        conn = request.getfixturevalue(name).conn
+        rng = np.random.default_rng(11)
+        points = conn.domain.sample(13, rng)
+        build = {"fields": [field_pairs], "scalars": [scalar_pairs],
+                 "mixed": [field_pairs, scalar_pairs, field_pairs]}[kind]
+        corpus = [pair for make in build for pair in make(conn, rng)]
+        want = pair_by_pair(corpus, points)
+        del tapes[:]
+        got = worst_residual((pair for pair in corpus), points)  # a generator, as suites pass
+        assert got == want
+        assert len(tapes) == 1
+        for lhs, rhs in corpus:  # and pair by pair
+            assert worst_residual([(lhs, rhs)], points) == pair_by_pair([(lhs, rhs)], points)
+
+    def test_no_pairs_give_0(self, tapes):
+        assert worst_residual(iter(()), np.zeros((4, 2))) == 0.0
+        assert len(tapes) == 1
+
+    def test_overflow_in_a_later_pair_is_named_there(self):
+        # the first pair is finite though exp(800*x0) overflows inside it
+        first = (ex.parse("1/exp(800*x0)", 1), ex.ZERO)
+        second = (ex.parse("exp(x0)*1e308*10", 1), ex.ONE)
+        with pytest.raises(ex.DomainError, match="non-finite value") as err:
+            worst_residual([first, second], np.array([[1.0], [0.5]]))
+        assert ex.to_str(err.value.subexpr) == "exp(x0)*1e+308"
