@@ -106,8 +106,7 @@ class ExtensorField11:
         if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
             raise ValueError(f"expected {self.dim}x{self.dim} entries")
         object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "nonzero", tuple(
-            (i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row) if not ex.is_zero(c)))
+        object.__setattr__(self, "nonzero", _nonzero(rows))
 
     @classmethod
     def identity(cls, dim: int) -> ExtensorField11:
@@ -136,19 +135,32 @@ class ExtensorField11:
         return LinearMap11(self.dim, m)
 
 
+def _nonzero(rows) -> tuple[tuple[int, int, ex.Expr], ...]:
+    return tuple((i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row) if not ex.is_zero(c))
+
+
+def _owning11(dim: int, rows, domain: Box | None, nonzero) -> ExtensorField11:
+    """An extensor field around expression rows this module just built: no check."""
+    t = object.__new__(ExtensorField11)
+    t.__dict__.update(dim=dim, entries=rows, domain=domain, nonzero=nonzero)
+    return t
+
+
 def ext_adjoint(t: ExtensorField11) -> ExtensorField11:
-    return ExtensorField11(t.dim, tuple(zip(*t.entries)), t.domain)
+    nonzero = tuple(sorted((j, i, c) for i, j, c in t.nonzero))
+    return _owning11(t.dim, tuple(zip(*t.entries)), t.domain, nonzero)
 
 
 def ext_add(t: ExtensorField11, u: ExtensorField11) -> ExtensorField11:
     rows = tuple(tuple(ex.add(a, b) for a, b in zip(ra, rb))
                  for ra, rb in zip(t.entries, u.entries))
-    return ExtensorField11(t.dim, rows, t.domain or u.domain)
+    return _owning11(t.dim, rows, t.domain or u.domain, _nonzero(rows))
 
 
 def ext_scale(f, t: ExtensorField11) -> ExtensorField11:
     f = ex.as_expr(f)
-    return ExtensorField11(t.dim, tuple(tuple(ex.mul(f, c) for c in row) for row in t.entries), t.domain)
+    rows = tuple(tuple(ex.mul(f, c) for c in row) for row in t.entries)
+    return _owning11(t.dim, rows, t.domain, _nonzero(rows))
 
 
 def ext_sym(t: ExtensorField11) -> ExtensorField11:
@@ -249,12 +261,15 @@ def gamma_matrix(conn: ConnectionField, a: MultivectorField) -> ExtensorField11:
     """The direction-a connection map as a (1,1)-extensor field."""
     if not a.is_vector():
         raise ValueError("direction must be a vector field")
+    n, domain = conn.dim, a.domain or conn.domain
+    if not conn.nonzero:  # a flat connection: every map shares the all-zero rows
+        return _owning11(n, ((ex.ZERO,) * n,) * n, domain, ())
     ac = a.vector_components()
-    rows = [[ex.ZERO] * conn.dim for _ in range(conn.dim)]
+    rows = [[ex.ZERO] * n for _ in range(n)]
     for g, i, j, coeff in conn.nonzero:  # for each (g, j): i ascending, as in the sum
         if not ex.is_zero(ac[i]):
             rows[g][j] = ex.add(rows[g][j], ex.mul(ac[i], coeff))
-    return ExtensorField11(conn.dim, tuple(map(tuple, rows)), a.domain or conn.domain)
+    return _owning11(n, tuple(map(tuple, rows)), domain, _nonzero(rows))
 
 
 def gauge_bivector(conn: ConnectionField, a: MultivectorField,

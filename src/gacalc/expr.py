@@ -8,11 +8,13 @@ Grammar (whitespace insignificant)::
     base   := number | 'x' integer | func '(' expr ')' | '(' expr ')' | '-' base
     func   := sin | cos | tan | exp | ln | sqrt | atan
 
-Coordinates are x0, x1, ...  ASTs are immutable and closed under `diff`,
-so repeated differentiation (needed for curvature and its derivatives)
-stays exact.  `simplify` only folds constants and 0/1/-1 identities.
-`evaluate` interprets a tree at one point; `Tape` evaluates many trees
-at many points at once (`compile_fn` wraps it for one tree).
+Coordinates are x0, x1, ...  ASTs are immutable by convention (nothing
+assigns to a node's fields once built; slots hold them and the derivatives
+`diff` stores, `_diff`) and closed under `diff`, so repeated differentiation
+(needed for curvature and its derivatives) stays exact.  `simplify` only
+folds constants and 0/1/-1 identities.  `evaluate` interprets a tree at
+one point; `Tape` evaluates many trees at many points at once (`compile_fn`
+wraps it for one tree).
 """
 
 from __future__ import annotations
@@ -26,55 +28,55 @@ import numpy as np
 class Expr:
     """Base of all expression nodes."""
 
-    __slots__ = ()
+    __slots__ = ("_diff", "__weakref__")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Var(Expr):
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Call(Expr):
     name: str
     arg: Expr
@@ -121,71 +123,68 @@ def as_expr(c) -> Expr:
     return c if isinstance(c, Expr) else const(c)
 
 
-def _is_const(e: Expr, v: float) -> bool:
-    return isinstance(e, Const) and e.value == v
-
-
 def is_zero(e: Expr) -> bool:
     """True for a constant 0 (either sign): a factor that `mul` folds to ZERO
     and a term that `add` drops."""
-    return isinstance(e, Const) and e.value == 0.0
+    return type(e) is Const and e.value == 0.0
 
 
-# Smart constructors: fold constants and trivial identities so that trees
-# built by differentiation and field arithmetic stay bounded.
+# Smart constructors: fold constants, then 0, 1 and -1 operands (left first),
+# so that trees built by differentiation and field arithmetic stay bounded.
 
 def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    if is_zero(a):
-        return b
-    if is_zero(b):
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.value + b.value)
+        return b if a.value == 0.0 else Add(a, b)
+    if type(b) is Const and b.value == 0.0:
         return a
     return Add(a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    if is_zero(b):
-        return a
-    if is_zero(a):
+    if type(b) is Const:
+        if type(a) is Const:
+            return Const(a.value - b.value)
+        return a if b.value == 0.0 else Sub(a, b)
+    if type(a) is Const and a.value == 0.0:
         return neg(b)
     return Sub(a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    if is_zero(a) or is_zero(b):
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.value * b.value)
+        v, other = a.value, b
+    elif type(b) is Const:
+        v, other = b.value, a
+    else:
+        return Mul(a, b)
+    if v == 0.0:
         return ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a, -1.0):
-        return neg(b)
-    if _is_const(b, -1.0):
-        return neg(a)
-    return Mul(a, b)
+    if v == 1.0:
+        return other
+    return neg(other) if v == -1.0 else Mul(a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if isinstance(b, Const) and b.value != 0.0 and isinstance(a, Const):
-        return Const(a.value / b.value)
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(b, -1.0):
-        return neg(a)
-    if is_zero(a):
+    if type(b) is Const:
+        if type(a) is Const and b.value != 0.0:
+            return Const(a.value / b.value)
+        if b.value == 1.0:
+            return a
+        if b.value == -1.0:
+            return neg(a)
+    if type(a) is Const and a.value == 0.0:
         return ZERO
     return Div(a, b)
 
 
 def neg(a: Expr) -> Expr:
-    if isinstance(a, Const):
+    if type(a) is Const:
         return Const(-a.value)
-    if isinstance(a, Neg):
+    if type(a) is Neg:
         return a.arg
     return Neg(a)
 
@@ -266,6 +265,9 @@ def diff(e: Expr, i: int) -> Expr:
     outside the fields that ``==``, ``hash`` and ``repr`` read, so it is
     differentiated by x_i once in its lifetime, whichever call asks.
     """
+    d = _stored(e, i)
+    if d is not None:  # a leaf, or differentiated before
+        return d
     stack = [e]
     while stack:
         node = stack.pop()
@@ -288,7 +290,7 @@ def diff(e: Expr, i: int) -> Expr:
         else:
             raise TypeError(f"not an expression: {node!r}")
         if getattr(node, "_diff", None) is None:
-            object.__setattr__(node, "_diff", {})
+            node._diff = {}
         node._diff[i] = d
     return _stored(e, i)
 

@@ -149,6 +149,14 @@ def scalar_field(dim: int, e: ex.Expr, domain: Box | None = None) -> Multivector
     return MultivectorField(dim, {0: e}, domain)
 
 
+def _owning(dim: int, coeffs: dict[int, ex.Expr], domain: Box | None) -> MultivectorField:
+    """A field around coefficients this module just built: constant zeros dropped, no check."""
+    x = object.__new__(MultivectorField)
+    x.__dict__.update(dim=dim, coeffs={m: c for m, c in coeffs.items() if not ex.is_zero(c)},
+                      domain=domain)
+    return x
+
+
 def _domain(x: MultivectorField, y: MultivectorField | None = None) -> Box | None:
     if x.domain is not None:
         return x.domain
@@ -160,7 +168,7 @@ def add(x: MultivectorField, y: MultivectorField) -> MultivectorField:
     out = dict(x.coeffs)
     for m, c in y.coeffs.items():
         out[m] = ex.add(out.get(m, ex.ZERO), c)
-    return MultivectorField(x.dim, out, _domain(x, y))
+    return _owning(x.dim, out, _domain(x, y))
 
 
 def sub(x: MultivectorField, y: MultivectorField) -> MultivectorField:
@@ -168,12 +176,12 @@ def sub(x: MultivectorField, y: MultivectorField) -> MultivectorField:
     out = dict(x.coeffs)
     for m, c in y.coeffs.items():
         out[m] = ex.sub(out.get(m, ex.ZERO), c)
-    return MultivectorField(x.dim, out, _domain(x, y))
+    return _owning(x.dim, out, _domain(x, y))
 
 
 def scale(f, x: MultivectorField) -> MultivectorField:
     f = ex.as_expr(f)
-    return MultivectorField(x.dim, {m: ex.mul(f, c) for m, c in x.coeffs.items()}, x.domain)
+    return _owning(x.dim, {m: ex.mul(f, c) for m, c in x.coeffs.items()}, x.domain)
 
 
 def _product(x: MultivectorField, y: MultivectorField, kind: str) -> MultivectorField:
@@ -190,7 +198,7 @@ def _product(x: MultivectorField, y: MultivectorField, kind: str) -> Multivector
                 m = target_row[b]
                 term = ex.mul(ca, cb)
                 out[m] = ex.add(out.get(m, ex.ZERO), ex.neg(term) if sign < 0 else term)
-    return MultivectorField(x.dim, out, _domain(x, y))
+    return _owning(x.dim, out, _domain(x, y))
 
 
 def wedge(x: MultivectorField, y: MultivectorField) -> MultivectorField:
@@ -232,11 +240,11 @@ def involute(x: MultivectorField, kind: str) -> MultivectorField:
         raise ValueError(f"unknown involution {kind!r}")
     signs = blade_table(x.dim).involution[kind].tolist()
     out = {m: (ex.neg(c) if signs[m] < 0 else c) for m, c in x.coeffs.items()}
-    return MultivectorField(x.dim, out, x.domain)
+    return _owning(x.dim, out, x.domain)
 
 
 def grade_project(x: MultivectorField, k: int) -> MultivectorField:
-    return MultivectorField(x.dim, {m: c for m, c in x.coeffs.items() if grade_of(m) == k}, x.domain)
+    return _owning(x.dim, {m: c for m, c in x.coeffs.items() if grade_of(m) == k}, x.domain)
 
 
 def directional_derivative(a: MultivectorField, x: MultivectorField) -> MultivectorField:
@@ -256,7 +264,7 @@ def directional_derivative(a: MultivectorField, x: MultivectorField) -> Multivec
         for i, ai in comps:
             total = ex.add(total, ex.mul(ai, ex.diff(c, i)))
         out[m] = total
-    return MultivectorField(x.dim, out, _domain(x, a))
+    return _owning(x.dim, out, _domain(x, a))
 
 
 def lie_bracket(a: MultivectorField, b: MultivectorField) -> MultivectorField:
@@ -279,7 +287,7 @@ def curl(x: MultivectorField) -> MultivectorField:
                 key = target_col[1 << i]
                 term = ex.diff(c, i)
                 out[key] = ex.add(out.get(key, ex.ZERO), ex.neg(term) if sign < 0 else term)
-    return MultivectorField(x.dim, out, x.domain)
+    return _owning(x.dim, out, x.domain)
 
 
 def gradient_field(f: ex.Expr, dim: int, domain: Box | None = None) -> MultivectorField:

@@ -1,8 +1,12 @@
 """Torsion, curvature, Cartan fields, structure equations, symmetric identities."""
 
+import itertools
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from gacalc import expr as ex
 from gacalc import fields as mf
@@ -22,8 +26,11 @@ from gacalc.cartan import (
     torsion,
     torsion_operator_form,
 )
+from gacalc.fixtures import load_fixture_file
 from gacalc.report import batch_residual
 from gacalc.suites import rand_frame
+
+SPHERE3 = Path(__file__).resolve().parents[1] / "fixtures" / "sphere3_metric.json"
 
 E1 = mf.basis(2, 0)
 E2 = mf.basis(2, 1)
@@ -94,6 +101,25 @@ class TestCurvature:
         rho = curvature(sphere.conn, E1, E2, E2)
         got = rho.at((math.pi / 3, 0.0))
         assert allclose(got, Multivector.from_vector([0.75, 0.0]), atol=1e-12)
+
+
+class TestSphere3Curvature:
+    def test_curvature_is_the_unit_sphere_closed_form(self):
+        # the unit S^n has rho(a, b) c = (b.c) a - (a.c) b; on the chart basis of
+        # S^3 that is g_jk e_i - g_ik e_j, g = diag(1, sin^2 x0, sin^2 x0 sin^2 x1)
+        fx = load_fixture_file(SPHERE3)
+        pts = fx.domain.sample(20, np.random.default_rng(3303))
+        s0, s1 = np.sin(pts[:, 0]) ** 2, np.sin(pts[:, 1]) ** 2
+        g = [np.ones(len(pts)), s0, s0 * s1]
+        e = [mf.basis(3, i) for i in range(3)]
+        for i, j, k in itertools.product(range(3), repeat=3):
+            got = mf.compiled_evaluator(curvature(fx.conn, e[i], e[j], e[k]))(pts)
+            want = np.zeros((len(pts), 8))
+            if j == k:
+                want[:, 1 << i] += g[j]
+            if i == k:
+                want[:, 1 << j] -= g[i]
+            assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=f"(i, j, k) = {(i, j, k)}")
 
 
 class TestCartanFields:

@@ -179,6 +179,17 @@ class TestShippedCurvedFixtures:
         failed = [(c.name, c.max_residual) for c in report.checks if not c.passed]
         assert failed == []
 
+    def test_cylindrical3_from_zero_passes_every_suite(self):
+        # the flat connection in cylindrical coordinates: 6 nonzero coefficients,
+        # so every direction's connection map is a non-empty 3x3 extensor
+        config = load_fixture_file(FIXTURES / "cylindrical3_from_zero.json")
+        assert config.dim == 3 and len(config.conn.nonzero) == 6
+        report = run_fixture_checks(config, "all")
+        assert {c.name for c in report.checks} == (
+            CORE_CHECKS | CARTAN_CHECKS | BRIDGE_CHECKS | SYMMETRIC_ONLY)
+        failed = [(c.name, c.max_residual) for c in report.checks if not c.passed]
+        assert failed == []
+
 
 # Operations of the benchmark's shipped-fixture workloads (deep-trees and
 # shallow-2d): "<fixture>.<suite>", or "<fixture>.transform" under the polar map.
