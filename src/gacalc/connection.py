@@ -152,6 +152,8 @@ def ext_adjoint(t: ExtensorField11) -> ExtensorField11:
 
 
 def ext_add(t: ExtensorField11, u: ExtensorField11) -> ExtensorField11:
+    if t.dim != u.dim:
+        raise ValueError(f"dimension mismatch: {t.dim} vs {u.dim}")
     rows = tuple(tuple(ex.add(a, b) for a, b in zip(ra, rb))
                  for ra, rb in zip(t.entries, u.entries))
     return _owning11(t.dim, rows, t.domain or u.domain, _nonzero(rows))
@@ -261,15 +263,13 @@ def gamma_matrix(conn: ConnectionField, a: MultivectorField) -> ExtensorField11:
     """The direction-a connection map as a (1,1)-extensor field."""
     if not a.is_vector():
         raise ValueError("direction must be a vector field")
-    n, domain = conn.dim, a.domain or conn.domain
-    if not conn.nonzero:  # a flat connection: every map shares the all-zero rows
-        return _owning11(n, ((ex.ZERO,) * n,) * n, domain, ())
-    ac = a.vector_components()
+    n, ac, sums = conn.dim, a.coeffs, {}
     rows = [[ex.ZERO] * n for _ in range(n)]
     for g, i, j, coeff in conn.nonzero:  # for each (g, j): i ascending, as in the sum
-        if not ex.is_zero(ac[i]):
-            rows[g][j] = ex.add(rows[g][j], ex.mul(ac[i], coeff))
-    return _owning11(n, tuple(map(tuple, rows)), domain, _nonzero(rows))
+        if not ex.is_zero(ai := ac.get(1 << i, ex.ZERO)):
+            rows[g][j] = sums[g, j] = ex.add(rows[g][j], ex.mul(ai, coeff))
+    nonzero = tuple((g, j, c) for (g, j), c in sorted(sums.items()) if not ex.is_zero(c))
+    return _owning11(n, tuple(map(tuple, rows)), a.domain or conn.domain, nonzero)
 
 
 def gauge_bivector(conn: ConnectionField, a: MultivectorField,

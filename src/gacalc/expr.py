@@ -26,7 +26,7 @@ import numpy as np
 
 
 class Expr:
-    """Base of all expression nodes."""
+    """Base of all expression nodes; never assign to a field (hash and `_diff` rely on it)."""
 
     __slots__ = ("_diff", "__weakref__")
 

@@ -6,8 +6,10 @@ node class, the folding rules written out as isinstance chains, and the
 public validating constructors of `MultivectorField` and `ExtensorField11`.
 """
 
+import ast
 import dataclasses
 import itertools
+import pathlib
 import weakref
 
 import numpy as np
@@ -31,6 +33,8 @@ from gacalc.connection import (
 )
 from gacalc.fixtures import polar_fixture, sphere_fixture, torsionful_fixture, zero_fixture
 from gacalc.suites import rand_mvf, rand_scalar, rand_vector
+
+SOURCE = pathlib.Path(ex.__file__).parent
 
 # Field names of every node class, in order.
 NODE_FIELDS = {
@@ -86,6 +90,24 @@ class TestNodeClasses:
     def test_every_node_takes_a_weak_reference(self):
         for node in node_samples():
             assert weakref.ref(node)() is node
+
+    def test_no_module_assigns_to_a_node_field(self):
+        """Nodes are immutable by convention: only `diff` stores on a node, in `_diff`."""
+        node_fields = {name for names in NODE_FIELDS.values() for name in names}
+        stores = []
+        for path in sorted(SOURCE.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for fn in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
+                for n in ast.walk(fn):
+                    if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Load):
+                        stores.append((path.name, fn, n.attr))
+                    elif (isinstance(n, ast.Call) and ast.unparse(n.func).endswith("setattr")
+                          and len(n.args) > 1 and isinstance(n.args[1], ast.Constant)):
+                        stores.append((path.name, fn, n.args[1].value))
+        assert not [s for s in stores if s[2] in node_fields]
+        diff_stores = {(name, getattr(fn, "name", None)) for name, fn, attr in stores
+                       if attr == "_diff" and isinstance(fn, ast.FunctionDef)}
+        assert diff_stores == {("expr.py", "diff")}
 
 
 # The folding rules as isinstance chains, in the order the constructors apply them.
@@ -283,6 +305,16 @@ class TestFieldResults:
             for u in (ext_adjoint(t), ext_add(t, ext_adjoint(t)), ext_scale(0.5, t),
                       ext_scale(0.0, t), ext_sym(t), ext_skew(t)):
                 assert_validated11(u)
+
+
+class TestExtensorMapInputs:
+    def test_ext_add_of_maps_of_different_dims_raises(self):
+        t = ExtensorField11.identity(3)
+        u = ExtensorField11.identity(2)
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+            ext_add(t, u)
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+            ext_add(u, t)
 
 
 class TestFlatConnectionMaps:
