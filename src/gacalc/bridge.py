@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import expr as ex
 from . import fields as mf
-from .connection import ConnectionField, ExtensorField11, _det
+from .connection import ConnectionField, ExtensorField11, _cofactor_inverse
 from .fields import Box, MultivectorField
 
 
@@ -284,15 +284,7 @@ def levi_civita_from_metric(metric, domain: Box) -> ConnectionField:
     n = len(g)
     if any(len(row) != n for row in g):
         raise ValueError("metric must be a square matrix of expressions")
-    det = _det(g)
-    ginv = [[ex.ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:i] + row[i + 1:] for k, row in enumerate(g) if k != j]
-            cof = _det(minor) if minor else ex.ONE
-            if (i + j) % 2:
-                cof = ex.neg(cof)
-            ginv[i][j] = ex.div(cof, det)
+    ginv = _cofactor_inverse(g)
     out = [[[ex.ZERO] * n for _ in range(n)] for _ in range(n)]
     for gg in range(n):
         for a in range(n):

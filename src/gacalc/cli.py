@@ -14,6 +14,7 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import expr as ex
@@ -90,9 +91,12 @@ def _parse_point(text: str, dim: int):
     if len(parts) != dim:
         raise ConfigError(f"point needs {dim} coordinates, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        point = [float(p) for p in parts]
     except ValueError as err:
         raise ConfigError(f"bad point {text!r}: {err}") from None
+    if not all(math.isfinite(v) for v in point):
+        raise ConfigError(f"bad point {text!r}: point coordinates must be finite")
+    return point
 
 
 def _parse_vector_arg(text: str, dim: int) -> mf.MultivectorField:
@@ -186,7 +190,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except RecursionError:
-        # the tree walkers recurse once per level, within the default limit
+        # to_str and the parser still recurse once per tree level, within
+        # the default limit
         print("error: expression nested too deeply (maximum recursion depth exceeded)",
               file=sys.stderr)
         return EXIT_CONFIG_ERROR

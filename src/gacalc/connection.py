@@ -189,24 +189,25 @@ def _det(m: list[list[ex.Expr]]) -> ex.Expr:
     return total
 
 
-def ext_inverse(t: ExtensorField11) -> ExtensorField11:
-    """Pointwise inverse via adjugate over determinant (small dimensions)."""
-    n = t.dim
-    if n > MAX_DEFORM_DIM:
-        raise ValueError(f"symbolic inversion restricted to dim <= {MAX_DEFORM_DIM}")
-    det = ext_det(t)
-    m = [list(row) for row in t.entries]
-    rows = []
+def _cofactor_inverse(m: list[list[ex.Expr]]) -> list[list[ex.Expr]]:
+    """Entries of the inverse of the square matrix ``m``: adjugate over determinant."""
+    n = len(m)
+    det = _det(m)
+    inv = [[ex.ZERO] * n for _ in range(n)]
     for i in range(n):
-        row = []
         for j in range(n):
             minor = [r[:i] + r[i + 1:] for k, r in enumerate(m) if k != j]
             cof = _det(minor) if minor else ex.ONE
-            if (i + j) % 2:
-                cof = ex.neg(cof)
-            row.append(ex.div(cof, det))
-        rows.append(tuple(row))
-    return ExtensorField11(n, tuple(rows), t.domain)
+            inv[i][j] = ex.div(ex.neg(cof) if (i + j) % 2 else cof, det)
+    return inv
+
+
+def ext_inverse(t: ExtensorField11) -> ExtensorField11:
+    """Pointwise inverse via adjugate over determinant (small dimensions)."""
+    if t.dim > MAX_DEFORM_DIM:
+        raise ValueError(f"symbolic inversion restricted to dim <= {MAX_DEFORM_DIM}")
+    rows = _cofactor_inverse([list(row) for row in t.entries])
+    return ExtensorField11(t.dim, tuple(tuple(row) for row in rows), t.domain)
 
 
 def outermorphism_apply(t: ExtensorField11, x: MultivectorField) -> MultivectorField:

@@ -12,9 +12,11 @@ Coordinates are x0, x1, ...  ASTs are immutable by convention (nothing
 assigns to a node's fields once built; slots hold them and the derivatives
 `diff` stores, `_diff`) and closed under `diff`, so repeated differentiation
 (needed for curvature and its derivatives) stays exact.  `simplify` only
-folds constants and 0/1/-1 identities.  `evaluate` interprets a tree at
-one point; `Tape` evaluates many trees at many points at once (`compile_fn`
-wraps it for one tree).
+folds constants and 0/1/-1 identities.  `Tape` is the one evaluator: it
+evaluates many trees at many points at once and raises `DomainError`
+naming the subexpression that failed; `evaluate` is a one-point tape and
+`compile_fn` wraps one for one tree.  Only `to_str` and the parser still
+recurse once per tree level.
 """
 
 from __future__ import annotations
@@ -340,50 +342,6 @@ def _diff_unary(e: Expr, du: Expr) -> Expr:
     return div(du, add(ONE, powi(u, 2)))  # atan
 
 
-def evaluate(e: Expr, point) -> float:
-    """Evaluate at a point, raising DomainError on singular subexpressions,
-    where ``**`` or a function overflows the float range and where a
-    function meets an argument outside its domain (sin of inf)."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return float(point[e.index])
-    if isinstance(e, Add):
-        return evaluate(e.left, point) + evaluate(e.right, point)
-    if isinstance(e, Sub):
-        return evaluate(e.left, point) - evaluate(e.right, point)
-    if isinstance(e, Mul):
-        return evaluate(e.left, point) * evaluate(e.right, point)
-    if isinstance(e, Div):
-        den = evaluate(e.right, point)
-        if den == 0.0:
-            raise DomainError("division by zero", e)
-        return evaluate(e.left, point) / den
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, point)
-    if isinstance(e, Pow):
-        base = evaluate(e.base, point)
-        if base == 0.0 and e.exponent < 0:
-            raise DomainError("zero raised to a negative power", e)
-        try:
-            return base ** e.exponent
-        except OverflowError:
-            raise DomainError("overflow beyond the float range", e) from None
-    if isinstance(e, Call):
-        v = evaluate(e.arg, point)
-        if e.name == "ln" and v <= 0.0:
-            raise DomainError("logarithm of a non-positive value", e)
-        if e.name == "sqrt" and v < 0.0:
-            raise DomainError("square root of a negative value", e)
-        try:
-            return _FUNCTIONS[e.name](v)
-        except OverflowError:
-            raise DomainError("overflow beyond the float range", e) from None
-        except ValueError:  # sin, cos or tan of an infinity
-            raise DomainError("argument outside the function's domain", e) from None
-    raise TypeError(f"not an expression: {e!r}")
-
-
 def substitute(e: Expr, replacements) -> Expr:
     """Replace Var(i) by replacements[i] (composition of expressions)."""
     return _rebuild(e, lambda v: replacements[v.index])
@@ -578,6 +536,11 @@ def compile_fn(e: Expr):
     """
     tape = Tape((e,))
     return lambda points: tape(points)[:, 0]
+
+
+def evaluate(e: Expr, point) -> float:
+    """Evaluate at one point: a one-point `Tape`, under its `DomainError` contract."""
+    return float(Tape((e,))(np.asarray(point, dtype=float)[None, :])[0, 0])
 
 
 class _Parser:

@@ -10,6 +10,7 @@ flat directional derivative reduces to coefficient-wise partials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,7 +93,8 @@ class MultivectorField:
     domain: Box | None = None
 
     def __post_init__(self):
-        clean = {int(m): ex.as_expr(c) for m, c in self.coeffs.items() if not ex.is_zero(c)}
+        clean = {int(m): ex.as_expr(c) for m, c in self.coeffs.items()}
+        clean = {m: c for m, c in clean.items() if not ex.is_zero(c)}
         for m in clean:
             if not 0 <= m < (1 << self.dim):
                 raise ValueError(f"blade index {m} out of range for dim {self.dim}")
@@ -110,10 +112,15 @@ class MultivectorField:
     def vector_components(self) -> list[ex.Expr]:
         return [self.component(1 << i) for i in range(self.dim)]
 
+    @cached_property
+    def _tape(self) -> ex.Tape:
+        """All coefficients lowered once (a field is never changed), in ``coeffs`` order."""
+        return ex.Tape(self.coeffs.values())
+
     def at(self, point) -> Multivector:
+        """The field at one point, as `expr.evaluate` gives each coefficient."""
         c = np.zeros(1 << self.dim)
-        for m, e in self.coeffs.items():
-            c[m] = ex.evaluate(e, point)
+        c[list(self.coeffs)] = self._tape(np.asarray(point, dtype=float)[None, :])[0]
         return Multivector(self.dim, c)
 
     def __add__(self, other: MultivectorField) -> MultivectorField:
@@ -296,14 +303,14 @@ def gradient_field(f: ex.Expr, dim: int, domain: Box | None = None) -> Multivect
 
 
 def compiled_evaluator(x: MultivectorField):
-    """Lower all coefficients of ``x`` to one shared `expr.Tape`.
+    """The points (N, dim) -> (N, 2**dim) coefficients function of ``x``'s tape.
 
-    The returned function maps an (N, dim) points array to the (N, 2**dim)
-    coefficient array, evaluating every distinct node once over all
-    points; it raises DomainError as `expr.Tape` describes.
+    It evaluates every distinct node of ``x`` once over all points, on the
+    tape that `MultivectorField.at` uses, and raises DomainError as
+    `expr.Tape` describes.
     """
     masks = list(x.coeffs)
-    tape = ex.Tape(x.coeffs.values())
+    tape = x._tape
     size = 1 << x.dim
 
     def at(points) -> np.ndarray:

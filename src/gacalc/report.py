@@ -30,11 +30,6 @@ def batch_residual(lhs, rhs) -> float:
     return float(np.max(num / den))
 
 
-def field_residual(lhs: mf.MultivectorField, rhs: mf.MultivectorField, points) -> float:
-    """`batch_residual` of two multivector fields over an (N, dim) points array."""
-    return worst_residual(((lhs, rhs),), points)
-
-
 def worst_of(*residuals: float) -> float:
     """The largest of some residuals; unlike the builtin max, NaN wins."""
     return float(np.max(residuals))
@@ -74,11 +69,6 @@ def worst_residual(pairs, points) -> float:
         worst = worst_of(worst, batch_residual(values[:, lhs_columns].T[..., None],
                                                values[:, lhs_columns + 1].T[..., None]))
     return worst
-
-
-def expr_residual(pairs, points) -> float:
-    """`worst_residual` of (lhs, rhs) scalar expression pairs, each normalized on its own."""
-    return worst_residual(pairs, points)
 
 
 @dataclass

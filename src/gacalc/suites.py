@@ -74,13 +74,7 @@ from .connection import (
     resolve11,
 )
 from .fixtures import FixtureConfig
-from .report import (  # noqa: F401  (expr_residual, field_residual: re-exported)
-    CheckResult,
-    Report,
-    expr_residual,
-    field_residual,
-    worst_residual,
-)
+from .report import CheckResult, Report, worst_residual
 
 SUITES = ("all", "core", "cartan", "bianchi", "bridge")
 

@@ -33,10 +33,9 @@ from gacalc.connection import (
     resolve11,
 )
 from gacalc.fields import Box
+from gacalc.report import worst_residual
 from gacalc.suites import (
     bridge_suite,
-    expr_residual,
-    field_residual,
     rand_ext11,
     rand_frame,
     rand_lambda,
@@ -73,7 +72,7 @@ def test_criterion_2_polar_fixture(polar, pmap):
     expected = {(0, 1, 1): ex.neg(r), (1, 0, 1): ex.div(ex.ONE, r), (1, 1, 0): ex.div(ex.ONE, r)}
     pairs = [(derived.gamma[g][a][b], expected.get((g, a, b), ex.ZERO))
              for g in range(2) for a in range(2) for b in range(2)]
-    coeff_res = expr_residual(pairs, pts)
+    coeff_res = worst_residual(pairs, pts)
 
     flat_pts = polar.domain.sample(10, rng)
     zero = mf.mvf(2, {})
@@ -81,7 +80,7 @@ def test_criterion_2_polar_fixture(polar, pmap):
     for _ in range(5):
         rho = curvature(polar.conn, rand_vector(2, rng), rand_vector(2, rng),
                         rand_vector(2, rng))
-        curv_res = max(curv_res, field_residual(rho, zero, flat_pts))
+        curv_res = max(curv_res, worst_residual([(rho, zero)], flat_pts))
 
     ok = coeff_res < 1e-12 and curv_res < 1e-9
     report_line(2, ok, f"polar coefficients residual {coeff_res:.2e} < 1e-12, "
@@ -99,13 +98,13 @@ def test_criterion_3_sphere_fixture(sphere):
 
     rho = curvature(sphere.conn, e1, e2, e2)
     sin2 = ex.powi(ex.call("sin", ex.Var(0)), 2)
-    rho_res = field_residual(rho, mf.mvf(2, {0b01: sin2}), pts)
+    rho_res = worst_residual([(rho, mf.mvf(2, {0b01: sin2}))], pts)
     riem = riemann_coefficients(sphere.conn)
-    oracle_res = expr_residual([(rho.component(0b01), riem[0][1][0][1]),
-                                (rho.component(0b10), riem[1][1][0][1])], pts)
+    oracle_res = worst_residual([(rho.component(0b01), riem[0][1][0][1]),
+                                 (rho.component(0b10), riem[1][1][0][1])], pts)
 
     omega = cartan_curvature(sphere.conn, e2, e1)
-    omega_res = field_residual(omega, mf.mvf(2, {0b11: sin2}), pts)
+    omega_res = worst_residual([(omega, mf.mvf(2, {0b11: sin2}))], pts)
 
     id_pts = sphere.domain.sample(17, rng)
     cyc = check_cyclic(sphere.conn, id_pts, 1e-8, seed=9001)
@@ -135,19 +134,19 @@ def test_criterion_4_pairing_identities(zero3, polar, sphere):
                 a, mf.scalar_field(dim, mf.scalar_product(x, y))).component(0)
             lhs = ex.add(mf.scalar_product(cov_derivative(fix.conn, "+", a, x), y),
                          mf.scalar_product(x, cov_derivative(fix.conn, "-", a, y)))
-            worst = max(worst, expr_residual([(lhs, flat_xy)], pts))
+            worst = max(worst, worst_residual([(lhs, flat_xy)], pts))
             lhs = ex.add(mf.scalar_product(cov_derivative(fix.conn, "0", a, x), y),
                          mf.scalar_product(x, cov_derivative(fix.conn, "0", a, y)))
-            worst = max(worst, expr_residual([(lhs, flat_xy)], pts))
+            worst = max(worst, worst_residual([(lhs, flat_xy)], pts))
             flat_bc = mf.directional_derivative(
                 a, mf.scalar_field(dim, mf.scalar_product(b, c))).component(0)
             lhs = ex.add(mf.scalar_product(cov_derivative(fix.conn, "+", a, b), c),
                          mf.scalar_product(b, cov_derivative(fix.conn, "-", a, c)))
-            worst = max(worst, expr_residual([(lhs, flat_bc)], pts))
+            worst = max(worst, worst_residual([(lhs, flat_bc)], pts))
             lhs_field = mf.add(cartan_connection(fix.conn, "first", b, c),
                                cartan_connection(fix.conn, "second", b, c))
             rhs_field = mf.gradient_field(mf.scalar_product(b, c), dim)
-            worst = max(worst, field_residual(lhs_field, rhs_field, pts))
+            worst = max(worst, worst_residual([(lhs_field, rhs_field)], pts))
 
     rng = np.random.default_rng(77004)
     deform_worst = 0.0
@@ -161,7 +160,7 @@ def test_criterion_4_pairing_identities(zero3, polar, sphere):
                          mf.scalar_product(x, deform(fix.conn, lam, "-", a, y)))
             rhs = mf.directional_derivative(
                 a, mf.scalar_field(2, mf.scalar_product(x, y))).component(0)
-            deform_worst = max(deform_worst, expr_residual([(lhs, rhs)], pts))
+            deform_worst = max(deform_worst, worst_residual([(lhs, rhs)], pts))
 
     ok = worst < 1e-8 and deform_worst < 1e-8
     report_line(4, ok, f"pairing identities residual {worst:.2e} < 1e-8, "
@@ -197,10 +196,10 @@ def test_criterion_6_inversions_and_frames(sphere, torsionful):
         for _ in range(5):
             a, b, c = (rand_vector(2, rng) for _ in range(3))
             rec_t = invert_cartan_torsion(lambda v: cartan_torsion(fix.conn, v), a, b)
-            rt_worst = max(rt_worst, field_residual(rec_t, torsion(fix.conn, a, b), pts))
+            rt_worst = max(rt_worst, worst_residual([(rec_t, torsion(fix.conn, a, b))], pts))
             rec_r = invert_cartan_curvature(
                 lambda v, w: cartan_curvature(fix.conn, v, w), a, b, c)
-            rt_worst = max(rt_worst, field_residual(rec_r, curvature(fix.conn, a, b, c), pts))
+            rt_worst = max(rt_worst, worst_residual([(rec_r, curvature(fix.conn, a, b, c))], pts))
 
     fr_worst = 0.0
     for fix in (sphere, torsionful):
@@ -209,14 +208,14 @@ def test_criterion_6_inversions_and_frames(sphere, torsionful):
             frame = rand_frame(2, rng)
             a, c, d = (rand_vector(2, rng) for _ in range(3))
             x = rand_mvf(2, rng)
-            fr_worst = max(fr_worst, field_residual(
-                cartan_torsion(fix.conn, c), cartan_torsion(fix.conn, c, frame), pts))
-            fr_worst = max(fr_worst, field_residual(
-                cartan_curvature(fix.conn, c, d), cartan_curvature(fix.conn, c, d, frame), pts))
-            fr_worst = max(fr_worst, field_residual(
-                gauge_bivector(fix.conn, a), gauge_bivector(fix.conn, a, frame), pts))
-            fr_worst = max(fr_worst, field_residual(
-                generalized_apply(fix.conn, a, x), generalized_apply(fix.conn, a, x, frame), pts))
+            fr_worst = max(fr_worst, worst_residual([(
+                cartan_torsion(fix.conn, c), cartan_torsion(fix.conn, c, frame))], pts))
+            fr_worst = max(fr_worst, worst_residual([(
+                cartan_curvature(fix.conn, c, d), cartan_curvature(fix.conn, c, d, frame))], pts))
+            fr_worst = max(fr_worst, worst_residual([(
+                gauge_bivector(fix.conn, a), gauge_bivector(fix.conn, a, frame))], pts))
+            fr_worst = max(fr_worst, worst_residual([(
+                generalized_apply(fix.conn, a, x), generalized_apply(fix.conn, a, x, frame))], pts))
 
     ok = rt_worst < 1e-10 and fr_worst < 1e-9
     report_line(6, ok, f"inversion round trips {rt_worst:.2e} < 1e-10, "
@@ -259,7 +258,7 @@ def test_criterion_8_adjoint_commutation(polar, sphere):
                     rhs = resolve11(extensor_cov_derivative(fix.conn, (s, s1), ext_adjoint(t), a))
                     pairs = [(lhs.entries[i][j], rhs.entries[i][j])
                              for i in range(2) for j in range(2)]
-                    worst = max(worst, expr_residual(pairs, pts))
+                    worst = max(worst, worst_residual(pairs, pts))
     ok = worst < 1e-8
     report_line(8, ok, f"adjoint commutation over 9 sign pairs, residual {worst:.2e} < 1e-8")
     assert ok

@@ -27,7 +27,7 @@ from gacalc.connection import (
     extensor_cov_derivative,
 )
 from gacalc.fields import Box
-from gacalc.suites import expr_residual
+from gacalc.report import worst_residual
 
 
 def eval_gamma(conn, g, a, b, p):
@@ -57,12 +57,12 @@ class TestCoordinateMap:
         pts = pmap.domain_primed.sample(10, rng)
         pairs = [(mf.scalar_product(cov[m], contra[n]),
                   ex.ONE if m == n else ex.ZERO) for m in range(2) for n in range(2)]
-        assert expr_residual(pairs, pts) < 1e-10
+        assert worst_residual(pairs, pts) < 1e-10
 
     def test_round_trip_and_jacobians(self, pmap, rng):
         pts = pmap.domain_primed.sample(10, rng)
         composed = [ex.substitute(f, pmap.inverse) for f in pmap.forward]
-        assert expr_residual([(c, ex.Var(i)) for i, c in enumerate(composed)], pts) < 1e-10
+        assert worst_residual([(c, ex.Var(i)) for i, c in enumerate(composed)], pts) < 1e-10
         jinv = inverse_jacobian(pmap)
         kfwd = forward_jacobian_primed(pmap)
         pairs = []
@@ -72,7 +72,7 @@ class TestCoordinateMap:
                 for k in range(2):
                     prod = ex.add(prod, ex.mul(kfwd[i][k], jinv[k][j]))
                 pairs.append((prod, ex.ONE if i == j else ex.ZERO))
-        assert expr_residual(pairs, pts) < 1e-10
+        assert worst_residual(pairs, pts) < 1e-10
 
     def test_component_count_validated(self):
         with pytest.raises(ValueError, match="forward and inverse"):
@@ -86,7 +86,7 @@ class TestConnectionTransform:
         pts = polar.domain.sample(8, rng)
         pairs = [(out.gamma[g][a][b], polar.conn.gamma[g][a][b])
                  for g in range(2) for a in range(2) for b in range(2)]
-        assert expr_residual(pairs, pts) < 1e-13
+        assert worst_residual(pairs, pts) < 1e-13
 
     def test_zero_to_polar_coefficients(self, zero2_conn, pmap, rng):
         out = transform_connection(zero2_conn, pmap)
@@ -102,7 +102,7 @@ class TestConnectionTransform:
             for a in range(2):
                 for b in range(2):
                     pairs.append((out.gamma[g][a][b], expected.get((g, a, b), ex.ZERO)))
-        assert expr_residual(pairs, pts) < 1e-12
+        assert worst_residual(pairs, pts) < 1e-12
         assert eval_gamma(out, 0, 1, 1, (2.0, 0.3)) == pytest.approx(-2.0)
 
     def test_operator_route_agrees_with_law(self, zero2_conn, polar, pmap, rng):
@@ -112,7 +112,7 @@ class TestConnectionTransform:
             b_route = transform_connection(conn, pmap)
             pairs = [(a_route.gamma[g][a][b], b_route.gamma[g][a][b])
                      for g in range(2) for a in range(2) for b in range(2)]
-            assert expr_residual(pairs, pts) < 1e-9
+            assert worst_residual(pairs, pts) < 1e-9
 
     def test_there_and_back(self, zero2_conn, pmap, rng):
         swapped = CoordinateMap(2, pmap.inverse, pmap.forward,
@@ -122,7 +122,7 @@ class TestConnectionTransform:
         pts = pmap.domain_canonical.sample(10, rng)
         pairs = [(back.gamma[g][a][b], ex.ZERO) for g in range(2) for a in range(2)
                  for b in range(2)]
-        assert expr_residual(pairs, pts) < 1e-9
+        assert worst_residual(pairs, pts) < 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +150,7 @@ class TestCylindrical3D:
             for a in range(3):
                 for b in range(3):
                     pairs.append((conn.gamma[g][a][b], expected.get((g, a, b), ex.ZERO)))
-        assert expr_residual(pairs, pts) < 1e-12
+        assert worst_residual(pairs, pts) < 1e-12
 
     def test_operator_route_and_flatness(self, cyl, rng):
         from gacalc.cartan import curvature
@@ -163,7 +163,7 @@ class TestCylindrical3D:
         ch = christoffel(zero3, cyl)
         pairs = [(ch.gamma[g][a][b], conn.gamma[g][a][b])
                  for g in range(3) for a in range(3) for b in range(3)]
-        assert expr_residual(pairs, pts) < 1e-10
+        assert worst_residual(pairs, pts) < 1e-10
 
         derived = ConnectionField(3, conn.gamma, cyl.domain_primed)
         rho_field = curvature(derived, rand_vector(3, rng), rand_vector(3, rng),
@@ -180,7 +180,7 @@ class TestComponentTransforms:
         for variance in ("co", "contra"):
             out = transform_vector_components(comps, cmap, variance)
             pts = rng.uniform(-1, 1, size=(8, 2))
-            assert expr_residual(list(zip(out, comps)), pts) < 1e-14
+            assert worst_residual(list(zip(out, comps)), pts) < 1e-14
 
     def test_constant_vector_under_polar(self, pmap):
         # e1 has polar components v^r = cos(theta), v^theta = -sin(theta)/r
@@ -195,7 +195,7 @@ class TestComponentTransforms:
         for variance in ("co", "contra"):
             law = transform_vector_components(v.vector_components(), pmap, variance)
             direct = vector_components_in_chart(v, pmap, variance)
-            assert expr_residual(list(zip(law, direct)), pts) < 1e-10
+            assert worst_residual(list(zip(law, direct)), pts) < 1e-10
 
     def test_variance_validated(self, pmap):
         with pytest.raises(ValueError, match="variance"):
@@ -214,7 +214,7 @@ class TestComponentTransforms:
         direct = tensor2_components_in_chart(t, pmap, variances)
         pts = pmap.domain_primed.sample(10, rng)
         pairs = [(law[m][n], direct[m][n]) for m in range(2) for n in range(2)]
-        assert expr_residual(pairs, pts) < 1e-10
+        assert worst_residual(pairs, pts) < 1e-10
 
 
 class TestClassicalCovariantDerivatives:
@@ -223,7 +223,7 @@ class TestClassicalCovariantDerivatives:
         out = classical_cov_derivative(zero2_conn, v, "contra")
         pts = rng.uniform(0.4, 1.0, size=(8, 2))
         pairs = [(out[l][m], ex.diff(v[l], m)) for l in range(2) for m in range(2)]
-        assert expr_residual(pairs, pts) < 1e-14
+        assert worst_residual(pairs, pts) < 1e-14
 
     def test_sphere_example_values(self, sphere):
         # v = (1, 0): contra derivative along phi gives (0, cot(theta))
@@ -243,7 +243,7 @@ class TestClassicalCovariantDerivatives:
             ga = cov_derivative(sphere.conn, sign, mf.basis(2, mu), v)
             for l in range(2):
                 pairs.append((ga.component(1 << l), table[l][mu]))
-        assert expr_residual(pairs, pts) < 1e-10
+        assert worst_residual(pairs, pts) < 1e-10
 
     @pytest.mark.parametrize("variance,signs", [(("co", "co"), ("+", "+")),
                                                 (("co", "contra"), ("+", "-"))])
@@ -260,7 +260,7 @@ class TestClassicalCovariantDerivatives:
                 value = dt(mf.basis(2, a))
                 for b in range(2):
                     pairs.append((value.component(1 << b), table[a][b][mu]))
-        assert expr_residual(pairs, pts) < 1e-10
+        assert worst_residual(pairs, pts) < 1e-10
 
 
 class TestLeviCivita:
@@ -270,7 +270,7 @@ class TestLeviCivita:
         pts = rng.uniform(-1, 1, size=(5, 2))
         pairs = [(conn.gamma[g][a][b], ex.ZERO) for g in range(2) for a in range(2)
                  for b in range(2)]
-        assert expr_residual(pairs, pts) == 0.0
+        assert worst_residual(pairs, pts) == 0.0
 
     def test_polar_metric(self, polar, rng):
         conn = levi_civita_from_metric([[ex.ONE, ex.ZERO], [ex.ZERO, ex.powi(ex.Var(0), 2)]],
@@ -278,7 +278,7 @@ class TestLeviCivita:
         pts = polar.domain.sample(10, rng)
         pairs = [(conn.gamma[g][a][b], polar.conn.gamma[g][a][b])
                  for g in range(2) for a in range(2) for b in range(2)]
-        assert expr_residual(pairs, pts) < 1e-12
+        assert worst_residual(pairs, pts) < 1e-12
 
     def test_sphere_metric(self, sphere, rng):
         g = [[ex.ONE, ex.ZERO], [ex.ZERO, ex.powi(ex.call("sin", ex.Var(0)), 2)]]
@@ -286,7 +286,7 @@ class TestLeviCivita:
         pts = sphere.domain.sample(10, rng)
         pairs = [(conn.gamma[gg][a][b], sphere.conn.gamma[gg][a][b])
                  for gg in range(2) for a in range(2) for b in range(2)]
-        assert expr_residual(pairs, pts) < 1e-12
+        assert worst_residual(pairs, pts) < 1e-12
 
     def test_pullback_agrees_with_transform(self, zero2_conn, pmap, polar, rng):
         # Euclidean metric pulled back through the polar chart = r^2 metric
@@ -296,7 +296,7 @@ class TestLeviCivita:
         pts = pmap.domain_primed.sample(10, rng)
         pairs = [(conn_metric.gamma[g][a][b], conn_map.gamma[g][a][b])
                  for g in range(2) for a in range(2) for b in range(2)]
-        assert expr_residual(pairs, pts) < 1e-10
+        assert worst_residual(pairs, pts) < 1e-10
 
     def test_singular_metric_detected(self):
         conn = levi_civita_from_metric([[ex.Var(0), ex.ZERO], [ex.ZERO, ex.ONE]],

@@ -212,7 +212,14 @@ class TestChristoffelCommand:
         res = run_cli("christoffel", "--config", str(cfg), "--at", "0.9,0")
         assert res.returncode == 2
         assert res.stdout == ""
-        assert "'sin(x0*1e+308*10)'" in res.stderr
+        assert "'x0*1e+308*10'" in res.stderr
+
+    @pytest.mark.parametrize("at", ["nan,0", "1,inf", "0.5,-inf"])
+    def test_non_finite_point_exits_2(self, at):
+        res = run_cli("christoffel", "--config", str(FIXTURES / "polar.json"), "--at", at)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "point coordinates must be finite" in res.stderr
 
     def test_map_dimension_mismatch_exits_2(self):
         res = run_cli("christoffel", "--config", str(FIXTURES / "zero.json"),
@@ -233,26 +240,43 @@ class TestChristoffelCommand:
         assert "division by zero" in res.stderr
 
 
-class TestPointEvaluationOverflow:
-    """`eval` and `christoffel --at` evaluate at one point with `expr.evaluate`."""
+POINT_QUERIES = [
+    ("christoffel", "--at", "0.9,0"),
+    ("eval", "--what", "cov-plus", "--at", "0.9,0", "--args", "0,1", "0,1"),
+]
 
-    @pytest.mark.parametrize("args", [
-        ("christoffel", "--at", "0.9,0"),
-        ("eval", "--what", "cov-plus", "--at", "0.9,0", "--args", "0,1", "0,1"),
-    ])
+
+def overflow_config(tmp_path, coefficient):
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({
+        "name": "overflow", "dim": 2, "seed": 1,
+        "connection": {"kind": "coefficients", "coefficients": {"0,1,1": coefficient}},
+        "domain": {"lo": [0.5, -1], "hi": [1, 1]},
+    }))
+    return cfg
+
+
+class TestPointEvaluationOverflow:
+    """`eval` (through `MultivectorField.at`) and `christoffel --at` (through
+    `expr.evaluate`) run one-point tapes, so an overflow in any node, a
+    function or plain arithmetic, exits 2 naming the node that overflowed."""
+
+    @pytest.mark.parametrize("args", POINT_QUERIES)
     def test_overflowing_coefficient_exits_2_naming_it(self, tmp_path, args):
-        cfg = tmp_path / "overflow.json"
-        cfg.write_text(json.dumps({
-            "name": "overflow", "dim": 2, "seed": 1,
-            "connection": {"kind": "coefficients",
-                           "coefficients": {"0,1,1": "exp(exp(exp(10*x0)))"}},
-            "domain": {"lo": [0.5, -1], "hi": [1, 1]},
-        }))
+        cfg = overflow_config(tmp_path, "exp(exp(exp(10*x0)))")
         res = run_cli(args[0], "--config", str(cfg), *args[1:])
         assert res.returncode == 2, res.stdout + res.stderr
         assert "overflow" in res.stderr
         assert "'exp(exp(10*x0))'" in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("args", POINT_QUERIES)
+    def test_overflowing_product_exits_2_naming_it(self, tmp_path, args):
+        cfg = overflow_config(tmp_path, "x0*1e308*10")
+        res = run_cli(args[0], "--config", str(cfg), *args[1:])
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert res.stdout == ""
+        assert "overflow to a non-finite value in 'x0*1e+308*10'" in res.stderr
 
 
 class TestTransformCommand:

@@ -52,6 +52,11 @@ class TestFieldBasics:
         f = mf.mvf(2, {0b01: ex.ZERO, 0b10: ex.ONE})
         assert set(f.coeffs) == {0b10}
 
+    def test_plain_number_zeros_dropped(self):
+        f = mf.mvf(2, {0: 0.0, 0b11: 0, 0b01: ex.Var(0)})
+        assert set(f.coeffs) == {0b01}
+        assert f.is_vector()
+
     def test_blade_index_validated(self):
         with pytest.raises(ValueError, match="blade index"):
             mf.mvf(2, {7: ex.ONE})
