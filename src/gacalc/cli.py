@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from . import expr as ex
@@ -84,6 +85,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--json", action="store_true")
 
     return parser
+
+
+def _attach_at(argv: list[str]) -> list[str]:
+    """``--at -1,0`` as ``--at=-1,0``: argparse takes a value that starts with
+    '-' for an option unless the whole value is one negative number."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--at" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--at={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _parse_point(text: str, dim: int):
@@ -177,7 +190,7 @@ def _cmd_transform(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_at(sys.argv[1:] if argv is None else list(argv)))
     handlers = {
         "check": _cmd_check,
         "eval": _cmd_eval,
@@ -190,8 +203,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except RecursionError:
-        # to_str and the parser still recurse once per tree level, within
-        # the default limit
+        # the parser still recurses once per tree level, within the
+        # default limit
         print("error: expression nested too deeply (maximum recursion depth exceeded)",
               file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -215,7 +215,7 @@ def outermorphism_apply(t: ExtensorField11, x: MultivectorField) -> MultivectorF
     if x.dim != t.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {t.dim}")
     images = [mf.vector(t.dim, [t.entries[i][j] for i in range(t.dim)]) for j in range(t.dim)]
-    out = MultivectorField(x.dim, {}, x.domain or t.domain)
+    out = mf._owning(x.dim, {}, x.domain or t.domain)
     for m, c in x.coeffs.items():
         if m == 0:
             out = mf.add(out, mf.scalar_field(x.dim, c))
@@ -277,7 +277,7 @@ def gauge_bivector(conn: ConnectionField, a: MultivectorField,
                    frame: Frame | None = None) -> MultivectorField:
     """Gauge bivector: half the frame sum of gamma(a, e^mu) ^ e_mu over its nonempty terms."""
     down, up = const_frames(conn.dim, frame)
-    out = MultivectorField(conn.dim, {}, a.domain or conn.domain)
+    out = mf._owning(conn.dim, {}, a.domain or conn.domain)
     for e_mu, e_up in zip(down, up):
         column = gamma_apply(conn, a, e_up)
         if column.coeffs:
@@ -289,7 +289,7 @@ def _generalized(gmap: ExtensorField11, x: MultivectorField, frame: Frame | None
     """Frame sum of gmap(e^mu) ^ (e_mu . X), skipping the empty gmap(e^mu) terms."""
     down, up = const_frames(gmap.dim, frame)
     # the domain the first term would give the sum, had no term been skipped
-    out = MultivectorField(gmap.dim, {}, x.domain or gmap.domain)
+    out = mf._owning(gmap.dim, {}, x.domain or gmap.domain)
     if not gmap.nonzero:
         return out
     for e_mu, e_up in zip(down, up):

@@ -15,8 +15,8 @@ assigns to a node's fields once built; slots hold them and the derivatives
 folds constants and 0/1/-1 identities.  `Tape` is the one evaluator: it
 evaluates many trees at many points at once and raises `DomainError`
 naming the subexpression that failed; `evaluate` is a one-point tape and
-`compile_fn` wraps one for one tree.  Only `to_str` and the parser still
-recurse once per tree level.
+`compile_fn` wraps one for one tree.  Only the parser still recurses once
+per tree level.
 """
 
 from __future__ import annotations
@@ -365,37 +365,60 @@ def _prec(e: Expr) -> int:
     return _ATOM
 
 
-def _wrap(e: Expr, minimum: int) -> str:
-    s = to_str(e)
-    return f"({s})" if _prec(e) < minimum else s
+_INFIX = {Add: (" + ", _ADDSUB), Sub: (" - ", _ADDSUB), Mul: ("*", _MULDIV), Div: ("/", _MULDIV)}
+
+
+def _const_str(v: float) -> str:
+    if not math.isfinite(v):  # 1e999 parses back to inf
+        return "nan" if v != v else ("1e999" if v > 0 else "-1e999")
+    return repr(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
 
 
 def to_str(e: Expr) -> str:
-    """Render in the source grammar; parse(to_str(e)) evaluates like e."""
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    if isinstance(e, Const):
-        v = e.value
-        return repr(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, _ADDSUB)} + {_wrap(e.right, _ADDSUB + 1)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, _ADDSUB)} - {_wrap(e.right, _ADDSUB + 1)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, _MULDIV)}*{_wrap(e.right, _MULDIV + 1)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.left, _MULDIV)}/{_wrap(e.right, _MULDIV + 1)}"
-    if isinstance(e, Neg):
-        # '^' binds outside a leading '-', so a Pow operand needs parens
-        inner = to_str(e.arg)
-        if _prec(e.arg) < _UNARY or isinstance(e.arg, Pow):
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _ATOM)}^{e.exponent}"
-    if isinstance(e, Call):
-        return f"{e.name}({to_str(e.arg)})"
-    raise TypeError(f"not an expression: {e!r}")
+    """Render in the source grammar; parse(to_str(e)) evaluates like e.
+
+    The walk is iterative (post-order on an explicit stack, as in `diff`),
+    so any depth is fine.
+    """
+    done: list[str] = []  # rendered operands, innermost last
+    stack = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        kind = type(node)
+        if kind is Var:
+            done.append(f"x{node.index}")
+        elif kind is Const:
+            done.append(_const_str(node.value))
+        elif kind in _BINARY_NODES:
+            if not ready:  # render the operands first
+                stack += ((node, True), (node.right, False), (node.left, False))
+                continue
+            right, left = done.pop(), done.pop()
+            op, prec = _INFIX[kind]
+            if _prec(node.left) < prec:
+                left = f"({left})"
+            if _prec(node.right) < prec + 1:
+                right = f"({right})"
+            done.append(f"{left}{op}{right}")
+        elif kind in (Neg, Pow, Call):
+            child = node.base if kind is Pow else node.arg
+            if not ready:
+                stack += ((node, True), (child, False))
+                continue
+            inner = done.pop()
+            if kind is Neg:
+                # '^' binds outside a leading '-', so a Pow operand needs parens
+                if _prec(child) < _UNARY or type(child) is Pow:
+                    inner = f"({inner})"
+                done.append(f"-{inner}")
+            elif kind is Pow:
+                done.append(f"({inner})^{node.exponent}" if _prec(child) < _ATOM
+                            else f"{inner}^{node.exponent}")
+            else:
+                done.append(f"{node.name}({inner})")
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+    return done.pop()
 
 
 # Batched evaluation.  A tape holds the distinct nodes of some expressions
@@ -415,7 +438,12 @@ _NUMPY_FUNCTIONS = {
     "atan": np.arctan,
 }
 
-_BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
+_BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
+
+
+def _power(exponent: int):
+    """x -> x ** exponent, as numpy's ``**`` computes it (its fast paths for 2, -1, ...)."""
+    return lambda x: x ** exponent
 
 
 class Tape:
@@ -423,19 +451,30 @@ class Tape:
 
     Lowering walks each tree once per object (memoized on identity) and
     gives structurally equal nodes (same type, own fields and child slots)
-    one slot.  Calling the tape on an (N, dim) points array returns the
-    (N, len(roots)) values and raises DomainError naming the subexpression
-    where a denominator is 0, 0 is raised to a negative power, ln meets a
-    value <= 0 or sqrt a value < 0, or, when a root comes out NaN or
-    infinite, the first node below the first such root that did.
+    one slot.  Each slot is decoded once, into ``program``: a function
+    slot holds (numpy callable, operand slot, operand slot or None), a
+    leaf (None, coordinate index, None) or (None, None, constant).
+    Calling the tape on an (N, dim) points array runs the program with no
+    test inside the loop and returns the (N, len(roots)) values.
+
+    It raises DomainError naming the subexpression where a denominator is
+    0, 0 is raised to a negative power, ln meets a value <= 0 or sqrt a
+    value < 0, or, when a root comes out NaN or infinite, the first node
+    below the first such root that did.  IEEE arithmetic leaves each of
+    those domain faults non-finite in its own slot (x/0 is +-inf or NaN,
+    0^-k is +-inf, ln(0) is -inf, ln and sqrt of a negative are NaN), so
+    one isfinite over the checked slots and the roots screens a call; only
+    when it trips do the exact tests run, in slot order.
     """
 
     def __init__(self, roots):
         roots = list(roots)
         self.nodes: list[Expr] = []
-        self.code: list[tuple] = []  # per slot: (type, own fields and child slots...)
+        self.program: list[tuple] = []  # per slot: (callable, operand, operand) or a leaf
+        self.checked: list[int] = []  # the slots a domain fault can occur in
         slot_of: dict[int, int] = {}  # id(node) -> slot; the roots keep the ids valid
-        slot_by_key: dict[tuple, int] = {}
+        slot_by_key: dict[tuple, int] = {}  # a leaf's key, or a function slot's instruction
+        powers: dict[int, object] = {}
         for root in roots:
             stack = [root]
             while stack:
@@ -449,12 +488,13 @@ class Tape:
                     if left is None or right is None:  # lower the children first
                         stack += (node, node.right, node.left)
                         continue
-                    key = (kind, left, right)
+                    key = op = (_BINARY[kind], left, right)
                 elif kind is Var:
-                    key = (Var, node.index)
+                    key, op = (Var, node.index), (None, node.index, None)
                 elif kind is Const:
                     # -0.0 == 0.0, so the sign bit joins the key
                     key = (Const, node.value, math.copysign(1.0, node.value))
+                    op = (None, None, np.float64(node.value))
                 elif kind in (Neg, Pow, Call):
                     child = node.base if kind is Pow else node.arg
                     arg = slot_of.get(id(child))
@@ -462,70 +502,78 @@ class Tape:
                         stack += (node, child)
                         continue
                     if kind is Pow:
-                        key = (Pow, arg, node.exponent)
+                        power = powers.get(node.exponent)
+                        if power is None:
+                            power = powers[node.exponent] = _power(node.exponent)
+                        key = op = (power, arg, None)
                     elif kind is Call:
-                        key = (Call, arg, node.name)
+                        key = op = (_NUMPY_FUNCTIONS[node.name], arg, None)
                     else:
-                        key = (Neg, arg)
+                        key = op = (np.negative, arg, None)
                 else:
                     raise TypeError(f"not an expression: {node!r}")
                 slot = slot_by_key.get(key)
                 if slot is None:
-                    slot = slot_by_key[key] = len(self.code)
-                    self.code.append(key)
+                    slot = slot_by_key[key] = len(self.program)
+                    self.program.append(op)
                     self.nodes.append(node)
+                    if (kind is Div or kind is Pow and node.exponent < 0
+                            or kind is Call and node.name in ("ln", "sqrt")):
+                        self.checked.append(slot)
                 slot_of[id(node)] = slot
         self.roots = [slot_of[id(r)] for r in roots]
 
     def __call__(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         values: list = []
+        append = values.append
         with np.errstate(all="ignore"):
-            for node, (kind, *args) in zip(self.nodes, self.code):
-                if kind is Var:
-                    v = points[:, args[0]]
-                elif kind is Const:
-                    v = np.float64(args[0])
-                elif kind is Neg:
-                    v = -values[args[0]]
-                elif kind is Div:
-                    den = values[args[1]]
-                    if np.any(den == 0.0):
-                        raise DomainError("division by zero", node)
-                    v = values[args[0]] / den
-                elif kind is Pow:
-                    base, exponent = values[args[0]], args[1]
-                    if exponent < 0 and np.any(base == 0.0):
-                        raise DomainError("zero raised to a negative power", node)
-                    v = base ** exponent
-                elif kind is Call:
-                    x, name = values[args[0]], args[1]
-                    if name == "ln" and np.any(x <= 0.0):
-                        raise DomainError("logarithm of a non-positive value", node)
-                    if name == "sqrt" and np.any(x < 0.0):
-                        raise DomainError("square root of a negative value", node)
-                    v = _NUMPY_FUNCTIONS[name](x)
+            for fn, a, b in self.program:
+                if fn is None:  # a leaf: a coordinate column or a constant
+                    append(points[:, a] if b is None else b)
+                elif b is None:
+                    append(fn(values[a]))
                 else:
-                    v = _BINARY[kind](values[args[0]], values[args[1]])
-                values.append(v)
+                    append(fn(values[a], values[b]))
         out = np.empty((len(points), len(self.roots)))
         for j, slot in enumerate(self.roots):
             out[:, j] = values[slot]
-        finite = np.isfinite(out).all(axis=0)
-        if not finite.all():
-            # numpy overflows to inf where math raised; blame the first node
-            # below the first non-finite root that went non-finite, whose
-            # inputs were all finite (a node of another root may be non-finite
-            # under a finite value of its own, as exp(800*x0) is in 1/exp(800*x0))
-            root = self.roots[int(np.argmin(finite))]
-            below = {root}
-            for slot in range(root, -1, -1):  # children sit before their parents
-                kind, *args = self.code[slot]
-                if slot in below and kind not in (Var, Const):
-                    below.update(args[:2] if kind in _BINARY_NODES else args[:1])
-            slot = next(s for s in sorted(below) if not np.isfinite(values[s]).all())
-            raise DomainError("overflow to a non-finite value", self.nodes[slot])
+        screen = [values[s] for s in self.checked]
+        screen.append(out)
+        if not np.isfinite(np.concatenate(screen, axis=None)).all():
+            self._raise(values, out)
         return out
+
+    def _raise(self, values: list, out: np.ndarray) -> None:
+        """Raise the DomainError of a call whose screen tripped, if any is due."""
+        for slot in self.checked:  # the exact tests, in slot order
+            node, (_, a, b) = self.nodes[slot], self.program[slot]
+            kind = type(node)
+            if kind is Div and np.any(values[b] == 0.0):
+                raise DomainError("division by zero", node)
+            if kind is Pow and np.any(values[a] == 0.0):
+                raise DomainError("zero raised to a negative power", node)
+            if kind is Call and node.name == "ln" and np.any(values[a] <= 0.0):
+                raise DomainError("logarithm of a non-positive value", node)
+            if kind is Call and node.name == "sqrt" and np.any(values[a] < 0.0):
+                raise DomainError("square root of a negative value", node)
+        finite = np.isfinite(out).all(axis=0)
+        if finite.all():
+            return  # a checked slot went non-finite under a finite root, by no fault
+        # blame the first node below the first non-finite root that went
+        # non-finite, whose inputs were all finite (a node of another root
+        # may be non-finite under a finite value of its own, as exp(800*x0)
+        # is in 1/exp(800*x0))
+        root = self.roots[int(np.argmin(finite))]
+        below = {root}
+        for slot in range(root, -1, -1):  # children sit before their parents
+            fn, a, b = self.program[slot]
+            if slot in below and fn is not None:
+                below.add(a)
+                if b is not None:
+                    below.add(b)
+        slot = next(s for s in sorted(below) if not np.isfinite(values[s]).all())
+        raise DomainError("overflow to a non-finite value", self.nodes[slot])
 
 
 def compile_fn(e: Expr):

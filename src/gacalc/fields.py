@@ -16,6 +16,7 @@ import numpy as np
 
 from . import expr as ex
 from .algebra import INVOLUTIONS, Multivector, blade_table, grade_of, same_dim
+from .algebra import _owning as _owning_multivector
 
 # Box.sample gives up after this many draws per requested point.
 SAMPLE_TRIES = 1000
@@ -121,7 +122,7 @@ class MultivectorField:
         """The field at one point, as `expr.evaluate` gives each coefficient."""
         c = np.zeros(1 << self.dim)
         c[list(self.coeffs)] = self._tape(np.asarray(point, dtype=float)[None, :])[0]
-        return Multivector(self.dim, c)
+        return _owning_multivector(self.dim, c)
 
     def __add__(self, other: MultivectorField) -> MultivectorField:
         return add(self, other)

@@ -190,16 +190,51 @@ class TestChristoffelCommand:
         assert float(row.split("=")[-1]) == pytest.approx(-2.0)
 
     def test_too_deeply_nested_expression_exits_2(self, tmp_path):
+        # the parser recurses once per parenthesis
         cfg = tmp_path / "deep.json"
         cfg.write_text(json.dumps({
             "name": "deep", "dim": 2, "seed": 1,
             "connection": {"kind": "coefficients",
-                           "coefficients": {"0,1,1": " + ".join(["x0*x1"] * 3000)}},
+                           "coefficients": {"0,1,1": "(" * 3000 + "x0" + ")" * 3000}},
         }))
         res = run_cli("christoffel", "--config", str(cfg))
         assert res.returncode == 2
         assert "nested too deeply" in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_long_sum_prints_its_table(self, tmp_path):
+        # a left-deep tree of 3000 terms, past the default recursion limit
+        total = " + ".join(["x0*x1"] * 3000)
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(json.dumps({
+            "name": "deep", "dim": 2, "seed": 1,
+            "connection": {"kind": "coefficients", "coefficients": {"0,1,1": total}},
+        }))
+        res = run_cli("christoffel", "--config", str(cfg))
+        assert res.returncode == 0, res.stderr
+        assert f"Gamma^x0_{{x1 x1}} = {total}\n" in res.stdout
+
+    def test_infinite_constant_prints_and_its_point_query_exits_2(self, tmp_path):
+        cfg = overflow_config(tmp_path, "1e309*x0")
+        res = run_cli("christoffel", "--config", str(cfg))
+        assert res.returncode == 0, res.stderr
+        assert "Gamma^x0_{x1 x1} = 1e999*x0\n" in res.stdout
+        res = run_cli("christoffel", "--config", str(cfg), "--at", "0.9,0")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "overflow to a non-finite value in '1e999'" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("eval", "--what", "cov-plus", "--args", "1,x1", "x0,1"),
+        ("christoffel",),
+    ])
+    def test_negative_first_coordinate_needs_no_equals_sign(self, args):
+        cfg = str(FIXTURES / "torsionful.json")
+        spaced = run_cli(args[0], "--config", cfg, *args[1:], "--at", "-1,0.5")
+        joined = run_cli(args[0], "--config", cfg, *args[1:], "--at=-1,0.5")
+        assert spaced.returncode == joined.returncode == 0, spaced.stderr
+        assert spaced.stdout == joined.stdout != ""
 
     def test_failing_coefficient_prints_no_partial_table(self, tmp_path):
         cfg = tmp_path / "sin_of_inf.json"

@@ -283,6 +283,23 @@ class TestPrintRoundTrip:
             b = ex.evaluate(back, p)
             assert abs(a - b) <= 1e-14 * max(1.0, abs(a), abs(b)), ex.to_str(e)
 
+    def test_deep_tree_prints_at_any_depth(self):
+        # to_str builds every DomainError message; a left-deep sum of 3000
+        # terms is past the default recursion limit
+        deep = ex.parse(" + ".join(["x0*x1"] * 3000), 2)
+        with pytest.raises(ex.DomainError, match="division by zero") as err:
+            ex.evaluate(ex.Div(ex.ONE, deep), (0.0, 0.0))
+        assert str(err.value).endswith("in '1/(" + " + ".join(["x0*x1"] * 3000) + ")'")
+
+    @pytest.mark.parametrize("value,text", [
+        (math.inf, "1e999*x0"), (-math.inf, "-1e999*x0"), (math.nan, "nan*x0"),
+    ])
+    def test_non_finite_constants_print(self, value, text):
+        e = ex.Mul(ex.Const(value), ex.Var(0))
+        assert ex.to_str(e) == text
+        if not math.isnan(value):  # +-1e999 parses back to +-inf
+            assert ex.simplify(ex.parse(text, 1)) == ex.simplify(e)
+
 
 class TestSimplify:
     @pytest.mark.parametrize("src", CORPUS)
@@ -402,6 +419,56 @@ class TestCompiled:
         with pytest.raises(ex.DomainError, match="non-finite value") as err:
             tape([(1.0,)])
         assert ex.to_str(err.value.subexpr) == "exp(x0)*1e+308"
+
+    @staticmethod
+    def three_ways(e, point):
+        """Evaluate ``e`` at ``point`` through `evaluate`, `compile_fn` and a
+        50-point tape, the point among good ones in the last two."""
+        good = np.full(len(point), 0.75)
+        pts = np.tile(good, (50, 1))
+        pts[17] = point
+        yield lambda: ex.evaluate(e, point)
+        yield lambda: ex.compile_fn(e)([good, point, good])
+        yield lambda: ex.Tape([e])(pts)
+
+    @pytest.mark.parametrize("src,message,subexpr", [
+        ("atan(1/x0)", "division by zero", "1/x0"),
+        ("atan(ln(x0))", "logarithm of a non-positive value", "ln(x0)"),
+        ("atan(x0^-2)", "zero raised to a negative power", "x0^-2"),
+        ("atan(1/0) + x0", "division by zero", "1/0"),
+    ])
+    def test_fault_under_a_finite_root_raises(self, src, message, subexpr):
+        # atan maps the fault's inf or -inf to a finite root value; 1/0 is
+        # one scalar, not a column, whatever the number of points
+        e = ex.parse(src, 1)
+        for run in self.three_ways(e, (0.0,)):
+            with pytest.raises(ex.DomainError, match=message) as err:
+                run()
+            assert ex.to_str(err.value.subexpr) == subexpr
+
+    def test_non_finite_value_without_a_fault_is_overflow(self):
+        e = ex.parse("1e308/x0", 1)
+        for run in self.three_ways(e, (1e-10,)):
+            with pytest.raises(ex.DomainError, match="overflow to a non-finite value") as err:
+                run()
+            assert ex.to_str(err.value.subexpr) == "1e+308/x0"
+
+    def test_earlier_slot_wins_between_two_faults(self):
+        e = ex.parse("ln(x0) + 1/x1", 2)
+        for run in self.three_ways(e, (0.0, 0.0)):
+            with pytest.raises(ex.DomainError, match="logarithm of a non-positive value"):
+                run()
+
+    @pytest.mark.parametrize("n", [1, 50])
+    def test_tape_matches_interpreter(self, n, rng):
+        # one tape over the whole corpus, so trees share slots
+        trees = [ex.parse(src, 2) for src in CORPUS]
+        pts = rng.uniform(0.5, 2.0, size=(n, 2))
+        values = ex.Tape(trees)(pts)
+        assert values.shape == (n, len(trees))
+        for p, row in zip(pts, values):
+            for e, got in zip(trees, row):
+                assert got == pytest.approx(interpret(e, p), rel=1e-15, abs=1e-300)
 
     def test_field_evaluator_matches_point_queries(self, rng):
         e = ex.parse("sin(x0)*x1", 2)
