@@ -133,9 +133,6 @@ class Multivector:
     def grades(self) -> set[int]:
         return {grade_of(m) for m in np.nonzero(self.coeffs)[0]}
 
-    def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
     def __add__(self, other: Multivector) -> Multivector:
         same_dim(self, other)
         return _owning(self.dim, self.coeffs + other.coeffs)

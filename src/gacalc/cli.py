@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--what", required=True, choices=sorted(_OBJECT_ARITY))
     p_eval.add_argument("--at", required=True, help="point, e.g. '2.0,0.785'")
-    p_eval.add_argument("--args", nargs="*", default=[],
+    p_eval.add_argument("--args", nargs="*", action="extend", default=[],
                         help="vector arguments, each as comma-joined component expressions")
 
     p_chr = sub.add_parser("christoffel", help="print the coefficient table")
@@ -87,12 +87,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_at(argv: list[str]) -> list[str]:
-    """``--at -1,0`` as ``--at=-1,0``: argparse takes a value that starts with
-    '-' for an option unless the whole value is one negative number."""
+# a value that starts with '-': a negative number, or an expression such as -x0 or -sin(x1)
+_NEGATIVE_VALUE = re.compile(r"-([\d.(]|x\d|[a-z]+\()")
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """``--at -1,0`` as ``--at=-1,0``, and each value of ``--args`` as its own
+    ``--args=-1,0``: argparse takes a value that starts with '-' for an
+    option unless the whole value is one negative number."""
     out: list[str] = []
+    vectors = False  # reading the values of --args
     for arg in argv:
-        if out and out[-1] == "--at" and re.match(r"-[\d.]", arg):
+        if vectors and (not arg.startswith("-") or _NEGATIVE_VALUE.match(arg)):
+            out.append(f"--args={arg}")
+            continue
+        vectors = arg == "--args" or arg.startswith("--args=")
+        if out and out[-1] == "--at" and _NEGATIVE_VALUE.match(arg):
             out[-1] = f"--at={arg}"
         else:
             out.append(arg)
@@ -190,7 +200,7 @@ def _cmd_transform(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_attach_at(sys.argv[1:] if argv is None else list(argv)))
+    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
     handlers = {
         "check": _cmd_check,
         "eval": _cmd_eval,

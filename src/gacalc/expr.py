@@ -15,14 +15,17 @@ assigns to a node's fields once built; slots hold them and the derivatives
 folds constants and 0/1/-1 identities.  `Tape` is the one evaluator: it
 evaluates many trees at many points at once and raises `DomainError`
 naming the subexpression that failed; `evaluate` is a one-point tape and
-`compile_fn` wraps one for one tree.  Only the parser still recurses once
-per tree level.
+`compile_fn` wraps one for one tree.  A one-point call runs the tape's
+program on numpy scalars, bit for bit as the same point in an array call.
+Only the parser still recurses once per tree level.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -440,10 +443,23 @@ _NUMPY_FUNCTIONS = {
 
 _BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 
+# what a one-point call runs for each array ufunc: the same IEEE operation on np.float64
+_SCALAR = {np.add: operator.add, np.subtract: operator.sub, np.multiply: operator.mul,
+           np.divide: operator.truediv, np.negative: operator.neg}
+
+_POWERS = {2: np.square, -1: np.reciprocal, 1: np.positive, 0: np.ones_like}
+
 
 def _power(exponent: int):
-    """x -> x ** exponent, as numpy's ``**`` computes it (its fast paths for 2, -1, ...)."""
-    return lambda x: x ** exponent
+    """x -> x ** exponent through the ufunc numpy's array ``**`` picks for it.
+
+    An array's ``**`` takes np.square, np.reciprocal, np.positive or
+    np.ones_like for 2, -1, 1 or 0 and np.power otherwise; a numpy
+    scalar's ``**`` calls the C library's pow instead, which can differ in
+    the last bit.  Calling the ufunc gives a one-point call on numpy
+    scalars the bits of the same point in an array call.
+    """
+    return _POWERS.get(exponent) or (lambda x: np.power(x, exponent))
 
 
 class Tape:
@@ -455,7 +471,13 @@ class Tape:
     slot holds (numpy callable, operand slot, operand slot or None), a
     leaf (None, coordinate index, None) or (None, None, constant).
     Calling the tape on an (N, dim) points array runs the program with no
-    test inside the loop and returns the (N, len(roots)) values.
+    test inside the loop and returns the (N, len(roots)) values.  With
+    N = 1 the same loop runs ``_scalar_program``, the program with numpy
+    scalar arithmetic (``operator.add`` ... ``operator.neg`` on np.float64)
+    in place of the array ufuncs of + - * / and negation: the same IEEE
+    operations under the same errstate, without array dispatch, so a
+    one-point call gives the values and the DomainError of the same point
+    in an array call, at a fraction of the cost.
 
     It raises DomainError naming the subexpression where a denominator is
     0, 0 is raised to a negative power, ln meets a value <= 0 or sqrt a
@@ -473,8 +495,7 @@ class Tape:
         self.program: list[tuple] = []  # per slot: (callable, operand, operand) or a leaf
         self.checked: list[int] = []  # the slots a domain fault can occur in
         slot_of: dict[int, int] = {}  # id(node) -> slot; the roots keep the ids valid
-        slot_by_key: dict[tuple, int] = {}  # a leaf's key, or a function slot's instruction
-        powers: dict[int, object] = {}
+        slot_by_key: dict[tuple, int] = {}  # a leaf's or a Pow's key, or a slot's instruction
         for root in roots:
             stack = [root]
             while stack:
@@ -502,10 +523,7 @@ class Tape:
                         stack += (node, child)
                         continue
                     if kind is Pow:
-                        power = powers.get(node.exponent)
-                        if power is None:
-                            power = powers[node.exponent] = _power(node.exponent)
-                        key = op = (power, arg, None)
+                        key, op = (Pow, node.exponent, arg), (_power(node.exponent), arg, None)
                     elif kind is Call:
                         key = op = (_NUMPY_FUNCTIONS[node.name], arg, None)
                     else:
@@ -523,24 +541,42 @@ class Tape:
                 slot_of[id(node)] = slot
         self.roots = [slot_of[id(r)] for r in roots]
 
+    @cached_property
+    def _scalar_program(self) -> list[tuple]:
+        """``program`` with numpy scalar arithmetic for the array ufuncs of + - * / and -."""
+        return [(_SCALAR.get(fn, fn), a, b) for fn, a, b in self.program]
+
     def __call__(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
+        if points.ndim != 2:
+            raise ValueError(f"points must be an (N, dim) array, got shape {points.shape}")
+        one_point = len(points) == 1
+        if one_point:  # np.float64 values: the same IEEE operations, no array dispatch
+            program, coordinates = self._scalar_program, points[0]
+        else:
+            program, coordinates = self.program, points.T
         values: list = []
         append = values.append
         with np.errstate(all="ignore"):
-            for fn, a, b in self.program:
-                if fn is None:  # a leaf: a coordinate column or a constant
-                    append(points[:, a] if b is None else b)
+            for fn, a, b in program:
+                if fn is None:  # a leaf: a coordinate (column) or a constant
+                    append(coordinates[a] if b is None else b)
                 elif b is None:
                     append(fn(values[a]))
                 else:
                     append(fn(values[a], values[b]))
-        out = np.empty((len(points), len(self.roots)))
-        for j, slot in enumerate(self.roots):
-            out[:, j] = values[slot]
-        screen = [values[s] for s in self.checked]
-        screen.append(out)
-        if not np.isfinite(np.concatenate(screen, axis=None)).all():
+        if one_point:  # one small array holds the roots, then the checked slots
+            row = np.array([values[s] for s in self.roots + self.checked])
+            out = row[None, :len(self.roots)]
+            finite = np.isfinite(row).all()
+        else:
+            out = np.empty((len(points), len(self.roots)))
+            for j, slot in enumerate(self.roots):
+                out[:, j] = values[slot]
+            screen = [values[s] for s in self.checked]
+            screen.append(out)
+            finite = np.isfinite(np.concatenate(screen, axis=None)).all()
+        if not finite:
             self._raise(values, out)
         return out
 

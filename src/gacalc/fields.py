@@ -114,14 +114,15 @@ class MultivectorField:
         return [self.component(1 << i) for i in range(self.dim)]
 
     @cached_property
-    def _tape(self) -> ex.Tape:
-        """All coefficients lowered once (a field is never changed), in ``coeffs`` order."""
-        return ex.Tape(self.coeffs.values())
+    def _tape(self) -> tuple[ex.Tape, np.ndarray]:
+        """All coefficients lowered once (a field is never changed), and their blade indices."""
+        return ex.Tape(self.coeffs.values()), np.fromiter(self.coeffs, np.intp, len(self.coeffs))
 
     def at(self, point) -> Multivector:
         """The field at one point, as `expr.evaluate` gives each coefficient."""
+        tape, masks = self._tape
         c = np.zeros(1 << self.dim)
-        c[list(self.coeffs)] = self._tape(np.asarray(point, dtype=float)[None, :])[0]
+        c[masks] = tape(np.asarray(point, dtype=float)[None, :])[0]
         return _owning_multivector(self.dim, c)
 
     def __add__(self, other: MultivectorField) -> MultivectorField:
@@ -310,8 +311,7 @@ def compiled_evaluator(x: MultivectorField):
     tape that `MultivectorField.at` uses, and raises DomainError as
     `expr.Tape` describes.
     """
-    masks = list(x.coeffs)
-    tape = x._tape
+    tape, masks = x._tape
     size = 1 << x.dim
 
     def at(points) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Torsion, curvature, Cartan fields, structure equations, symmetric identities."""
 
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -120,6 +121,33 @@ class TestSphere3Curvature:
             if i == k:
                 want[:, 1 << j] -= g[i]
             assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=f"(i, j, k) = {(i, j, k)}")
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_higher_spheres_at_points(self, n, tmp_path):
+        # the same closed form on S^4..S^6, g_ii = sin^2 x0 ... sin^2 x{i-1},
+        # read one point at a time through MultivectorField.at
+        g_ii = ["1"] + ["*".join(f"sin(x{m})^2" for m in range(i)) for i in range(1, n)]
+        cfg = tmp_path / f"sphere{n}.json"
+        cfg.write_text(json.dumps({
+            "name": f"sphere{n}", "dim": n, "seed": n,
+            "connection": {"kind": "metric",
+                           "matrix": [[g_ii[i] if i == j else "0" for j in range(n)]
+                                      for i in range(n)]},
+            "domain": {"lo": [0.3] * (n - 1) + [-3.0], "hi": [2.84] * (n - 1) + [3.0]},
+        }))
+        fx = load_fixture_file(cfg)
+        pts = fx.domain.sample(3, np.random.default_rng(n))
+        e = [mf.basis(n, i) for i in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            for k in range(n):
+                rho = curvature(fx.conn, e[i], e[j], e[k])
+                for p in pts:
+                    g = np.cumprod([1.0] + [math.sin(v) ** 2 for v in p[:n - 1]])
+                    want = np.zeros(1 << n)
+                    want[1 << i] += g[j] * (j == k)
+                    want[1 << j] -= g[i] * (i == k)
+                    assert_allclose(rho.at(p).coeffs, want, rtol=0, atol=1e-12,
+                                    err_msg=f"(i, j, k) = {(i, j, k)} at {p}")
 
 
 class TestCartanFields:

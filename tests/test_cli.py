@@ -7,6 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from gacalc import expr as ex
+from gacalc import fields as mf
+from gacalc.algebra import format_multivector
+from gacalc.connection import cov_derivative
+from gacalc.fixtures import load_fixture_file
+
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
 
@@ -154,6 +160,23 @@ class TestEvalCommand:
                       "--what", "cov-plus", "--at", "2,1", "--args", "1,0", "0,1")
         assert res.returncode == 0
         assert res.stdout.strip() == "0.5 e2"
+
+    @pytest.mark.parametrize("tail", [
+        ("--args", "-1,0", "0,1"),
+        ("--args=-1,0", "0,1"),
+        ("--args", "-1,0", "--args", "0,1"),
+        ("--args", "1,x1", "-sin(x0),-x1"),
+    ])
+    def test_vector_arguments_may_start_with_minus(self, tail):
+        fix = load_fixture_file(FIXTURES / "torsionful.json")
+        vectors = [v.removeprefix("--args=") for v in tail if v != "--args"]
+        a, b = (mf.vector(2, [ex.parse(c, 2) for c in v.split(",")]) for v in vectors)
+        want = format_multivector(cov_derivative(fix.conn, "+", a, b).at([0.5, 0.5]),
+                                  sig=12, tol=1e-300)
+        res = run_cli("eval", "--config", str(FIXTURES / "torsionful.json"),
+                      "--what", "cov-plus", "--at", "0.5,0.5", *tail)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == want + "\n" != "0\n"
 
     def test_unknown_object_exits_2(self):
         res = run_cli("eval", "--config", str(FIXTURES / "polar.json"),

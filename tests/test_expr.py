@@ -14,6 +14,10 @@ from numpy.testing import assert_allclose
 
 from gacalc import expr as ex
 from gacalc import fields as mf
+from gacalc.cartan import cartan_curvature, curvature, torsion
+from gacalc.fixtures import load_fixture_file
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def fd(e, i, p, h=1e-6):
@@ -459,6 +463,10 @@ class TestCompiled:
             with pytest.raises(ex.DomainError, match="logarithm of a non-positive value"):
                 run()
 
+    def test_points_must_be_a_two_dimensional_array(self):
+        with pytest.raises(ValueError, match=r"points must be an \(N, dim\) array"):
+            ex.Tape([ex.parse("x0 + x1", 2)])(np.ones(2))
+
     @pytest.mark.parametrize("n", [1, 50])
     def test_tape_matches_interpreter(self, n, rng):
         # one tape over the whole corpus, so trees share slots
@@ -478,6 +486,54 @@ class TestCompiled:
         assert values.shape == (7, 4)
         for p, row in zip(pts, values):
             assert_allclose(row, field.at(p).coeffs, rtol=1e-15, atol=0.0)
+
+
+class TestOnePoint:
+    """A one-point call runs on numpy scalars: it must give the bits, and the
+    DomainError text, of the same point in a multi-point call."""
+
+    @pytest.mark.parametrize("config", sorted(p.name for p in FIXTURES.glob("*.json")))
+    def test_fields_at_a_point_match_the_rows_of_a_batch(self, config, rng):
+        fix = load_fixture_file(FIXTURES / config)
+        n = fix.dim
+        a, b, c = (mf.vector(n, [ex.parse(f"{rng.uniform(-1, 1)} + x{i}*x{(i + k) % n}", n)
+                                 for i in range(n)]) for k in range(3))
+        pts = fix.domain.sample(6, rng)
+        for field in (curvature(fix.conn, a, b, c), cartan_curvature(fix.conn, a, b),
+                      torsion(fix.conn, a, b)):
+            rows = mf.compiled_evaluator(field)(pts)
+            for p, row in zip(pts, rows):
+                assert field.at(p).coeffs.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("exponent", [2, -1, 1, 0, 3, -2])
+    def test_powers_match_numpy_array_power(self, exponent, rng):
+        e = ex.parse(f"x0^{exponent} + (x1 - x0)^{exponent}", 2)
+        pts = rng.uniform(-3.0, 3.0, size=(40, 2))
+        with np.errstate(all="ignore"):
+            want = pts[:, 0] ** exponent + (pts[:, 1] - pts[:, 0]) ** exponent
+        tape = ex.Tape([e])
+        assert tape(pts)[:, 0].tobytes() == want.tobytes()
+        for p, value in zip(pts, want):
+            assert tape(p[None, :]).tobytes() == value.tobytes()
+            assert np.float64(ex.evaluate(e, p)).tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("srcs,point", [
+        (["x1 + 1/x0"], (0.0, 1.0)),
+        (["x1 + x0^-3"], (0.0, 1.0)),
+        (["x1*ln(x0 - 1)"], (1.0, 1.0)),
+        (["x1*ln(x0 - 1)"], (0.5, 1.0)),
+        (["x1 - sqrt(x0)"], (-0.5, 1.0)),
+        (["exp(800*x0)"], (1.0, 0.0)),
+        (["1/exp(800*x0)", "x1 + exp(800*x0)"], (1.0, 0.0)),
+    ])
+    def test_faults_raise_the_text_of_a_two_point_call(self, srcs, point):
+        tape = ex.Tape([ex.parse(src, 2) for src in srcs])
+        texts = []
+        for pts in ([point], [(1.5, 0.5), point]):
+            with pytest.raises(ex.DomainError) as err:
+                tape(pts)
+            texts.append(str(err.value))
+        assert texts[0] == texts[1]
 
 
 def test_import_leaves_recursion_limit_unchanged():
