@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import expr as ex
 from . import fields as mf
-from .connection import ConnectionField, ExtensorField11, _cofactor_inverse
+from .connection import ConnectionField, ExtensorField11, ext_inverse
 from .fields import Box, MultivectorField
 
 
@@ -284,7 +284,7 @@ def levi_civita_from_metric(metric, domain: Box) -> ConnectionField:
     n = len(g)
     if any(len(row) != n for row in g):
         raise ValueError("metric must be a square matrix of expressions")
-    ginv = _cofactor_inverse(g)
+    ginv = ext_inverse(ExtensorField11(n, g)).entries
     out = [[[ex.ZERO] * n for _ in range(n)] for _ in range(n)]
     for gg in range(n):
         for a in range(n):

@@ -64,58 +64,54 @@ def curvature_extensor(conn: ConnectionField) -> ExtensorFieldK:
     return ExtensorFieldK(conn.dim, 3, lambda a, b, c: curvature(conn, a, b, c))
 
 
+def _half_double_frame_sum(conn: ConnectionField, coeff, domain, frame: Frame | None):
+    """Half the double frame sum of coeff(e_m, e_n) e^m ^ e^n over m != n."""
+    down, up = const_frames(conn.dim, frame)
+    out = MultivectorField(conn.dim, {}, domain)
+    for m in range(conn.dim):
+        for n in range(conn.dim):
+            if m != n:
+                out = mf.add(out, mf.scale(coeff(down[m], down[n]), mf.wedge(up[m], up[n])))
+    return mf.scale(0.5, out)
+
+
+def _wedge_frame_sum(a: MultivectorField, b: MultivectorField, bivector,
+                     frame: Frame | None) -> MultivectorField:
+    """sum_m ((a^b) . bivector(e_m)) e^m."""
+    down, up = const_frames(a.dim, frame)
+    ab = mf.wedge(a, b)
+    out = MultivectorField(a.dim, {}, a.domain or b.domain)
+    for m in range(a.dim):
+        out = mf.add(out, mf.scale(mf.scalar_product(ab, bivector(down[m])), up[m]))
+    return out
+
+
 def cartan_torsion(conn: ConnectionField, c: MultivectorField,
                    frame: Frame | None = None) -> MultivectorField:
     """Bivector-valued torsion: half double frame sum of e^m ^ e^n (tau(e_m, e_n) . c)."""
-    down, up = const_frames(conn.dim, frame)
-    out = MultivectorField(conn.dim, {}, c.domain or conn.domain)
-    for m in range(conn.dim):
-        for n in range(conn.dim):
-            if m == n:
-                continue
-            coeff = mf.scalar_product(torsion(conn, down[m], down[n]), c)
-            out = mf.add(out, mf.scale(coeff, mf.wedge(up[m], up[n])))
-    return mf.scale(0.5, out)
+    return _half_double_frame_sum(conn, lambda a, b: mf.scalar_product(torsion(conn, a, b), c),
+                                  c.domain or conn.domain, frame)
 
 
 def invert_cartan_torsion(theta: Callable[[MultivectorField], MultivectorField],
                           a: MultivectorField, b: MultivectorField,
                           frame: Frame | None = None) -> MultivectorField:
     """Recover tau(a, b) from the bivector map: sum_m ((a^b) . theta(e_m)) e^m."""
-    down, up = const_frames(a.dim, frame)
-    ab = mf.wedge(a, b)
-    out = MultivectorField(a.dim, {}, a.domain or b.domain)
-    for m in range(a.dim):
-        coeff = mf.scalar_product(ab, theta(down[m]))
-        out = mf.add(out, mf.scale(coeff, up[m]))
-    return out
+    return _wedge_frame_sum(a, b, theta, frame)
 
 
 def cartan_curvature(conn: ConnectionField, c: MultivectorField, d: MultivectorField,
                      frame: Frame | None = None) -> MultivectorField:
     """Bivector-valued curvature: half double frame sum of e^m ^ e^n (rho(e_m, e_n, c) . d)."""
-    down, up = const_frames(conn.dim, frame)
-    out = MultivectorField(conn.dim, {}, c.domain or conn.domain)
-    for m in range(conn.dim):
-        for n in range(conn.dim):
-            if m == n:
-                continue
-            coeff = mf.scalar_product(curvature(conn, down[m], down[n], c), d)
-            out = mf.add(out, mf.scale(coeff, mf.wedge(up[m], up[n])))
-    return mf.scale(0.5, out)
+    return _half_double_frame_sum(conn, lambda a, b: mf.scalar_product(curvature(conn, a, b, c), d),
+                                  c.domain or conn.domain, frame)
 
 
 def invert_cartan_curvature(omega: Callable[[MultivectorField, MultivectorField], MultivectorField],
                             a: MultivectorField, b: MultivectorField, c: MultivectorField,
                             frame: Frame | None = None) -> MultivectorField:
     """Recover rho(a, b, c): sum_m ((a^b) . omega(c, e_m)) e^m."""
-    down, up = const_frames(a.dim, frame)
-    ab = mf.wedge(a, b)
-    out = MultivectorField(a.dim, {}, a.domain or b.domain)
-    for m in range(a.dim):
-        coeff = mf.scalar_product(ab, omega(c, down[m]))
-        out = mf.add(out, mf.scale(coeff, up[m]))
-    return out
+    return _wedge_frame_sum(a, b, lambda e: omega(c, e), frame)
 
 
 def cartan_connection(conn: ConnectionField, kind: str, b: MultivectorField,

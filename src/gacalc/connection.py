@@ -5,26 +5,25 @@ canonical orthonormal frame (index order: output, direction slot, argument
 slot).  From it we build the directional connection map, its gauge
 bivector, the grade-preserving generalized extensor, the plus/minus/zero
 covariant derivative operators, their deformation by a non-singular vector
-map, and covariant derivatives of k-extensor fields (k <= 3).
+map at any n <= 6, and covariant derivatives of k-extensor fields (k <= 3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import expr as ex
 from . import fields as mf
-from .algebra import Frame, LinearMap11, canonical_frame, reciprocal_frame
+from .algebra import Frame, LinearMap11, canonical_frame, reciprocal_frame, same_dim
 from .fields import Box, MultivectorField
 
 SIGNS = ("+", "-", "0")
 _DUAL = {"+": "-", "-": "+", "0": "0"}
 
-MAX_DEFORM_DIM = 4
 MAX_EXTENSOR_ARITY = 3
 
 
@@ -74,19 +73,13 @@ class ConnectionField:
 
 
 def is_symmetric(conn: ConnectionField, points, tol: float = 1e-10) -> bool:
-    """Coefficient symmetry in the two lower slots, checked at sample points."""
+    """Coefficient symmetry in the two lower slots, checked at sample points on one tape."""
     n = conn.dim
-    for g in range(n):
-        for a in range(n):
-            for b in range(a + 1, n):
-                d = ex.sub(conn.gamma[g][a][b], conn.gamma[g][b][a])
-                if isinstance(d, ex.Const):
-                    if abs(d.value) > tol:
-                        return False
-                    continue
-                if np.max(np.abs(ex.compile_fn(d)(points))) > tol:
-                    return False
-    return True
+    diffs = [ex.sub(p[a][b], p[b][a]) for p in conn.gamma for a in range(n) for b in range(a + 1, n)]
+    if any(type(d) is ex.Const and abs(d.value) > tol for d in diffs):
+        return False
+    varying = [d for d in diffs if type(d) is not ex.Const]
+    return not varying or float(np.max(np.abs(ex.Tape(varying)(points)))) <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +112,7 @@ class ExtensorField11:
         return cls(len(rows), tuple(tuple(ex.as_expr(c) for c in r) for r in rows))
 
     def apply(self, v: MultivectorField) -> MultivectorField:
-        if v.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {v.dim} vs {self.dim}")
+        same_dim(v, self)
         if not v.is_vector():
             raise ValueError("a (1,1)-extensor field applies to vector fields")
         comps = v.vector_components()
@@ -130,9 +122,20 @@ class ExtensorField11:
                 out[i] = ex.add(out[i], ex.mul(entry, comps[j]))
         return mf.vector(self.dim, out, v.domain or self.domain)
 
+    @cached_property
+    def _tape(self) -> ex.Tape:
+        """All entries lowered once, row by row (a field is never changed)."""
+        return ex.Tape(c for row in self.entries for c in row)
+
+    @cached_property
+    def _minors(self) -> _Minors:
+        """The minor table of the entries, shared by every call on this map."""
+        return _Minors(self.entries)
+
     def at(self, point) -> LinearMap11:
-        m = np.array([[ex.evaluate(c, point) for c in row] for row in self.entries])
-        return LinearMap11(self.dim, m)
+        """The map at one point, as `expr.evaluate` gives each entry."""
+        values = self._tape(np.asarray(point, dtype=float)[None, :])[0]
+        return LinearMap11(self.dim, values.reshape(self.dim, self.dim))
 
 
 def _nonzero(rows) -> tuple[tuple[int, int, ex.Expr], ...]:
@@ -152,8 +155,7 @@ def ext_adjoint(t: ExtensorField11) -> ExtensorField11:
 
 
 def ext_add(t: ExtensorField11, u: ExtensorField11) -> ExtensorField11:
-    if t.dim != u.dim:
-        raise ValueError(f"dimension mismatch: {t.dim} vs {u.dim}")
+    same_dim(t, u)
     rows = tuple(tuple(ex.add(a, b) for a, b in zip(ra, rb))
                  for ra, rb in zip(t.entries, u.entries))
     return _owning11(t.dim, rows, t.domain or u.domain, _nonzero(rows))
@@ -173,59 +175,63 @@ def ext_skew(t: ExtensorField11) -> ExtensorField11:
     return ext_scale(0.5, ext_add(t, ext_scale(-1.0, ext_adjoint(t))))
 
 
+class _Minors(dict):
+    """The square minors of a matrix by (row mask, column mask), each built on first
+    use along its first row, signs alternating by column.  Minor (M, J) of t is
+    entry [M, J] of the compound matrix C_k(t), t's outermorphism on grade k;
+    Jacobi's complementary minors give C_k(t^-1) (Horn & Johnson 2013, 0.8.4)."""
+
+    def __init__(self, rows):
+        super().__init__({(0, 0): ex.ONE})
+        self.rows, self.full = rows, (1 << len(rows)) - 1
+
+    def __missing__(self, key: tuple[int, int]) -> ex.Expr:
+        rows, cols = key
+        first, rest = self.rows[(rows & -rows).bit_length() - 1], rows & (rows - 1)
+        minor = first[cols.bit_length() - 1]  # a 1 x 1 minor is its entry
+        if rest:
+            minor = ex.ZERO
+            for position, j in enumerate(j for j in range(len(first)) if cols >> j & 1):
+                term = ex.mul(first[j], self[rest, cols ^ 1 << j])
+                minor = ex.add(minor, ex.neg(term) if position % 2 else term)
+        self[key] = minor
+        return minor
+
+    def inverse(self, rows: int, cols: int) -> ex.Expr:
+        """Minor (rows, cols) of the inverse: +-minor(cols', rows') / det, ' the complement."""
+        if not rows:
+            return ex.ONE
+        minor = self[self.full ^ cols, self.full ^ rows]
+        odd = ((rows ^ cols) & 0xAAAA).bit_count() % 2  # the parity of the index sum
+        return ex.div(ex.neg(minor) if odd else minor, self[self.full, self.full])
+
+
+def _outermorphism(t: ExtensorField11, x: MultivectorField, inverse: bool) -> MultivectorField:
+    """ext(t) or ext(t^-1) on x: blade J maps to the sum of C_k[M, J] e_M over grade-k blades M."""
+    n = same_dim(t, x)
+    entry = t._minors.inverse if inverse else lambda m, j: t._minors[m, j]
+    out: dict[int, ex.Expr] = {}
+    for j, c in x.coeffs.items():
+        for m in range(1 << n):
+            if m.bit_count() == j.bit_count() and not ex.is_zero(e := entry(m, j)):
+                out[m] = ex.add(out.get(m, ex.ZERO), ex.mul(c, e))
+    return mf._owning(n, out, x.domain or t.domain)
+
+
 def ext_det(t: ExtensorField11) -> ex.Expr:
-    return _det([list(row) for row in t.entries])
-
-
-def _det(m: list[list[ex.Expr]]) -> ex.Expr:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = ex.ZERO
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = ex.mul(m[0][j], _det(minor))
-        total = ex.add(total, term if j % 2 == 0 else ex.neg(term))
-    return total
-
-
-def _cofactor_inverse(m: list[list[ex.Expr]]) -> list[list[ex.Expr]]:
-    """Entries of the inverse of the square matrix ``m``: adjugate over determinant."""
-    n = len(m)
-    det = _det(m)
-    inv = [[ex.ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [r[:i] + r[i + 1:] for k, r in enumerate(m) if k != j]
-            cof = _det(minor) if minor else ex.ONE
-            inv[i][j] = ex.div(ex.neg(cof) if (i + j) % 2 else cof, det)
-    return inv
+    return t._minors[t._minors.full, t._minors.full]
 
 
 def ext_inverse(t: ExtensorField11) -> ExtensorField11:
-    """Pointwise inverse via adjugate over determinant (small dimensions)."""
-    if t.dim > MAX_DEFORM_DIM:
-        raise ValueError(f"symbolic inversion restricted to dim <= {MAX_DEFORM_DIM}")
-    rows = _cofactor_inverse([list(row) for row in t.entries])
-    return ExtensorField11(t.dim, tuple(tuple(row) for row in rows), t.domain)
+    """Pointwise inverse: signed complementary minors over the determinant."""
+    n = t.dim
+    rows = tuple(tuple(t._minors.inverse(1 << i, 1 << j) for j in range(n)) for i in range(n))
+    return _owning11(n, rows, t.domain, _nonzero(rows))
 
 
 def outermorphism_apply(t: ExtensorField11, x: MultivectorField) -> MultivectorField:
-    """Grade-preserving extension of t: blades map to wedges of column images."""
-    if x.dim != t.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {t.dim}")
-    images = [mf.vector(t.dim, [t.entries[i][j] for i in range(t.dim)]) for j in range(t.dim)]
-    out = mf._owning(x.dim, {}, x.domain or t.domain)
-    for m, c in x.coeffs.items():
-        if m == 0:
-            out = mf.add(out, mf.scalar_field(x.dim, c))
-            continue
-        blade = None
-        for j in range(x.dim):
-            if m >> j & 1:
-                blade = images[j] if blade is None else mf.wedge(blade, images[j])
-        out = mf.add(out, mf.scale(c, blade))
-    return out
+    """Grade-preserving extension of t: blade J maps to the sum of minor(M, J) e_M."""
+    return _outermorphism(t, x, False)
 
 
 @lru_cache(maxsize=None)
@@ -355,16 +361,14 @@ def deform(conn: ConnectionField, lam: ExtensorField11, sign: str, a: Multivecto
 
     plus:  ext(lam) . cov+ . ext(lam)^-1
     minus: ext(lam*) . cov- . ext(adj lam),   lam* = (adj lam)^-1
+
+    Since ext(t)^-1 = ext(t^-1), each sign reads the minor table of one
+    map: lam for plus, its adjoint (transpose) for minus.
     """
     _check_sign(sign, ("+", "-"))
-    if conn.dim > MAX_DEFORM_DIM:
-        raise ValueError(f"deformation restricted to dim <= {MAX_DEFORM_DIM}")
-    if sign == "+":
-        inner = outermorphism_apply(ext_inverse(lam), x)
-        return outermorphism_apply(lam, cov_derivative(conn, "+", a, inner))
-    inner = outermorphism_apply(ext_adjoint(lam), x)
-    star = ext_inverse(ext_adjoint(lam))
-    return outermorphism_apply(star, cov_derivative(conn, "-", a, inner))
+    t = lam if sign == "+" else ext_adjoint(lam)
+    inner = _outermorphism(t, x, sign == "+")
+    return _outermorphism(t, cov_derivative(conn, sign, a, inner), sign == "-")
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,5 +439,4 @@ def resolve11(t: ExtensorFieldK | ExtensorField11) -> ExtensorField11:
     if t.arity != 1:
         raise ValueError("resolve11 needs an arity-1 extensor")
     cols = [t(mf.basis(t.dim, j)).vector_components() for j in range(t.dim)]
-    rows = tuple(tuple(cols[j][i] for j in range(t.dim)) for i in range(t.dim))
-    return ExtensorField11(t.dim, rows)
+    return ExtensorField11(t.dim, tuple(zip(*cols)))

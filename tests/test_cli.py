@@ -29,6 +29,17 @@ class TestCheckCommand:
         assert res.returncode == 0, res.stdout + res.stderr
         assert "overall: PASS" in res.stdout
 
+    def test_core_suite_deforms_at_dim_5(self, tmp_path):
+        cfg = json.loads((FIXTURES / "zero.json").read_text())
+        cfg.update(dim=5, coordinates=[f"x{i}" for i in range(5)],
+                   domain={"lo": [-1.5] * 5, "hi": [1.5] * 5})
+        path = tmp_path / "zero5.json"
+        path.write_text(json.dumps(cfg))
+        res = run_cli("check", "--config", str(path), "--suite", "core")
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert "deform-pairing" in res.stdout
+        assert "overall: PASS" in res.stdout
+
     def test_sphere_bianchi_suite(self):
         res = run_cli("check", "--config", str(FIXTURES / "sphere.json"),
                       "--suite", "bianchi", "--samples", "30")

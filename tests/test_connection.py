@@ -1,14 +1,16 @@
 """Connection maps, covariant derivatives, deformation, extensor derivatives."""
 
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gacalc import bridge
 from gacalc import expr as ex
 from gacalc import fields as mf
-from gacalc.algebra import Frame, Multivector, allclose
+from gacalc.algebra import Frame, LinearMap11, Multivector, allclose, outermorphism
 from gacalc.connection import (
     ConnectionField,
     ExtensorField11,
@@ -28,13 +30,16 @@ from gacalc.connection import (
     generalized_apply,
     is_symmetric,
     outermorphism_apply,
+    _outermorphism,
     resolve11,
 )
+from gacalc.fields import Box
 from gacalc.fixtures import load_fixture_file, zero_fixture
 from gacalc.report import batch_residual
-from gacalc.suites import rand_vector
+from gacalc.suites import rand_scalar, rand_vector
 
-SPHERE3 = Path(__file__).resolve().parents[1] / "fixtures" / "sphere3_metric.json"
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+SPHERE3 = FIXTURES / "sphere3_metric.json"
 
 
 E1 = mf.basis(2, 0)
@@ -43,6 +48,45 @@ E2 = mf.basis(2, 1)
 
 def max_residual(lhs, rhs, points):
     return batch_residual(mf.compiled_evaluator(lhs)(points), mf.compiled_evaluator(rhs)(points))
+
+
+def rand_map(dim, rng):
+    """A non-singular map with non-polynomial entries: identity plus small waves.
+
+    Every off-diagonal entry is below 0.16 in size and every diagonal one
+    above 0.84, so the matrix is strictly diagonally dominant everywhere.
+    """
+    return ExtensorField11.from_matrix(
+        [[ex.add(ex.const(float(i == j) + rng.uniform(-0.08, 0.08)),
+                 ex.mul(ex.const(rng.uniform(-0.08, 0.08)), ex.call("sin", ex.Var((i + j) % dim))))
+          for j in range(dim)] for i in range(dim)])
+
+
+# The recursive first-row cofactor expansion the minor table replaced, kept
+# as the oracle for the trees the table builds.
+
+def cofactor_det(m):
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = ex.ZERO
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = ex.mul(m[0][j], cofactor_det(minor))
+        total = ex.add(total, term if j % 2 == 0 else ex.neg(term))
+    return total
+
+
+def cofactor_inverse(m):
+    n = len(m)
+    det = cofactor_det(m)
+    inv = [[ex.ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [r[:i] + r[i + 1:] for k, r in enumerate(m) if k != j]
+            cof = cofactor_det(minor) if minor else ex.ONE
+            inv[i][j] = ex.div(ex.neg(cof) if (i + j) % 2 else cof, det)
+    return inv
 
 
 @pytest.fixture
@@ -150,18 +194,96 @@ class TestSymmetry:
         pts = torsionful.domain.sample(10, rng)
         assert not is_symmetric(torsionful.conn, pts)
 
+    def test_same_answer_as_a_check_per_pair_on_every_shipped_fixture(self, rng):
+        def per_pair(conn, points, tol=1e-10):
+            n = conn.dim
+            for g in range(n):
+                for a in range(n):
+                    for b in range(a + 1, n):
+                        d = ex.sub(conn.gamma[g][a][b], conn.gamma[g][b][a])
+                        if isinstance(d, ex.Const):
+                            if abs(d.value) > tol:
+                                return False
+                        elif np.max(np.abs(ex.compile_fn(d)(points))) > tol:
+                            return False
+            return True
+
+        answers = {}
+        for path in sorted(FIXTURES.glob("*.json")):
+            fix = load_fixture_file(path)
+            pts = fix.domain.sample(10, rng)
+            answers[path.stem] = is_symmetric(fix.conn, pts)
+            assert answers[path.stem] == per_pair(fix.conn, pts), path.name
+        assert answers["torsionful"] is False and answers["sphere3_metric"] is True
+        # an asymmetry that only shows at points: G^0_{01} = x0 against G^0_{10} = 0
+        varying = ConnectionField.from_entries(2, {(0, 0, 1): ex.Var(0)}, None)
+        pts = np.array([[0.0, 0.3], [0.5, 0.3]])
+        assert is_symmetric(varying, pts[:1]) is per_pair(varying, pts[:1]) is True
+        assert is_symmetric(varying, pts) is per_pair(varying, pts) is False
+
 
 class TestExtensorField11:
     def test_det_and_inverse(self, rng):
         t = ExtensorField11.from_matrix([[ex.parse("1 + x0^2", 2), ex.parse("x1", 2)],
                                          [ex.parse("-x1", 2), ex.ONE]])
-        inv = ext_inverse(t)
-        pts = rng.uniform(-0.8, 0.8, size=(10, 2))
-        for p in pts:
-            m = t.at(p).matrix
-            got = inv.at(p).matrix
-            np.testing.assert_allclose(m @ got, np.eye(2), atol=1e-12)
-            assert ex.evaluate(ext_det(t), p) == pytest.approx(np.linalg.det(m))
+        for t in [t] + [rand_map(dim, rng) for dim in range(2, 7)]:
+            inv, det = ext_inverse(t), ext_det(t)
+            for p in rng.uniform(-0.8, 0.8, size=(10, t.dim)):
+                m = t.at(p).matrix
+                got = inv.at(p).matrix
+                np.testing.assert_allclose(m @ got, np.eye(t.dim), atol=1e-12)
+                np.testing.assert_allclose(got, np.linalg.inv(m), rtol=1e-12, atol=1e-13)
+                assert ex.evaluate(det, p) == pytest.approx(np.linalg.det(m), rel=1e-12)
+
+    def test_det_and_inverse_trees_are_the_cofactor_expansion(self, rng):
+        for dim in range(1, 7):
+            t = rand_map(dim, rng) if dim > 1 else ExtensorField11.from_matrix([[ex.Var(0)]])
+            assert ext_det(t) == cofactor_det(t.entries)
+            assert ext_inverse(t).entries == tuple(map(tuple, cofactor_inverse(t.entries)))
+
+    @pytest.mark.parametrize("metric", ["sphere_metric", "sphere3_metric", "random4"])
+    def test_levi_civita_trees_match_the_cofactor_formula(self, metric, monkeypatch):
+        if metric == "random4":  # a symmetric polynomial metric, 2 I plus small quadratics
+            rng, n = np.random.default_rng(7), 4
+            g = [[ex.ZERO] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = ex.add(ex.const(2.0 * (i == j)),
+                                               ex.mul(ex.const(0.1), rand_scalar(n, rng, 2)))
+        else:
+            cfg = json.loads((FIXTURES / f"{metric}.json").read_text())
+            n = cfg["dim"]
+            g = [[ex.parse(c, n) for c in row] for row in cfg["connection"]["matrix"]]
+        domain = Box((-1.0,) * n, (1.0,) * n)
+        assert ext_inverse(ExtensorField11(n, g)).entries == tuple(map(tuple, cofactor_inverse(g)))
+        got = bridge.levi_civita_from_metric(g, domain)
+        monkeypatch.setattr(bridge, "ext_inverse",
+                            lambda t: ExtensorField11(t.dim, cofactor_inverse(t.entries)))
+        want = bridge.levi_civita_from_metric(g, domain)
+        assert got.gamma == want.gamma
+
+    def test_at_is_one_tape_with_per_entry_values(self, rng):
+        dim = 6
+        t = ExtensorField11.from_matrix([[ex.parse(f"sin(x{i})*x{j} + {i - 0.25 * j}", dim)
+                                          for j in range(dim)] for i in range(dim)])
+        for p in rng.uniform(-1.0, 1.0, size=(10, dim)):
+            want = np.array([[ex.evaluate(c, p) for c in row] for row in t.entries])
+            assert t.at(p).matrix.tobytes() == want.tobytes()
+        assert t._tape is t._tape  # lowered once
+
+    @pytest.mark.parametrize("fault", ["ln(x0 - x1)", "sqrt(x0 - x1)", "1/(x1 - 0.5)",
+                                       "x0^-2", "exp(1500*x1)", "exp(1500*x1) - exp(1500*x1)"])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 0), (1, 1)])
+    def test_at_raises_the_faulting_entry_error(self, fault, where):
+        rows = [[ex.parse("1 + x0", 2), ex.parse("sin(x1)", 2)], [ex.parse("x0*x1", 2), ex.ONE]]
+        rows[where[0]][where[1]] = ex.parse(fault, 2)
+        t = ExtensorField11.from_matrix(rows)
+        p = (0.0, 0.5)
+        with pytest.raises(ex.DomainError) as want:
+            ex.evaluate(rows[where[0]][where[1]], p)
+        with pytest.raises(ex.DomainError) as got:
+            t.at(p)
+        assert str(got.value) == str(want.value)
 
     def test_outermorphism_scalar_and_pseudoscalar(self, rng):
         t = ExtensorField11.from_matrix([[2.0, 0.0], [0.0, ex.parse("3 + x0", 2)]])
@@ -169,6 +291,30 @@ class TestExtensorField11:
         assert s.at((0.5, 0.5)).coeffs[0] == pytest.approx(4.0)
         ps = outermorphism_apply(t, mf.mvf(2, {0b11: ex.ONE}))
         assert ps.at((1.0, 0.0)).coeffs[0b11] == pytest.approx(8.0)  # det at x0=1
+
+    def test_outermorphism_round_trip_and_pseudoscalar(self, rng):
+        for dim in range(2, 7):
+            lam = rand_map(dim, rng)
+            pts = rng.uniform(-0.8, 0.8, size=(3, dim))
+            maps = [LinearMap11(dim, lam.at(p).matrix) for p in pts]
+            inverses = [LinearMap11(dim, np.linalg.inv(m.matrix)) for m in maps]
+            for blade in range(1 << dim):
+                x = mf.mvf(dim, {blade: ex.ONE})
+                numeric = Multivector.blade(dim, blade, 1.0)
+                inv_x = _outermorphism(lam, x, True)  # Jacobi's complementary minors
+                lam_x = outermorphism_apply(lam, x)  # the compound matrix
+                for field, linear_maps in ((inv_x, inverses), (lam_x, maps)):
+                    got = mf.compiled_evaluator(field)(pts)
+                    want = [outermorphism(m, numeric).coeffs for m in linear_maps]
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+                for back in (outermorphism_apply(lam, inv_x), _outermorphism(lam, lam_x, True)):
+                    np.testing.assert_allclose(mf.compiled_evaluator(back)(pts),
+                                               np.tile(numeric.coeffs, (len(pts), 1)), atol=1e-12)
+            full = (1 << dim) - 1
+            assert outermorphism_apply(lam, mf.mvf(dim, {full: ex.ONE})).coeffs == {full: ext_det(lam)}
+            scalar = mf.scalar_field(dim, ex.Var(0))  # grade 0 passes both ways untouched
+            assert _outermorphism(lam, scalar, True).coeffs == {0: ex.Var(0)}
+            assert outermorphism_apply(lam, scalar).coeffs == {0: ex.Var(0)}
 
     def test_adjoint_twice_is_identity(self, rng):
         t = ExtensorField11.from_matrix([[ex.Var(0), ex.ONE], [ex.ZERO, ex.Var(1)]])

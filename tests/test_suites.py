@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from gacalc.cartan import NotSymmetricError
-from gacalc.connection import MAX_DEFORM_DIM
 from gacalc.fixtures import load_fixture_file, load_map_file, zero_fixture
 from gacalc.report import CheckResult, Report, worst_of
 from gacalc.suites import run_fixture_checks, run_transform_checks
@@ -112,12 +111,13 @@ class TestSuiteCoverage:
             run_fixture_checks(torsionful, "bianchi", samples=20)
 
     def test_core_suite_at_the_largest_deformation_dim(self):
-        # deformation is documented up to MAX_DEFORM_DIM; the core suite
-        # (deform-pairing among it) must finish there and pass
-        report = run_fixture_checks(zero_fixture(MAX_DEFORM_DIM), "core")
-        assert {c.name for c in report.checks} == CORE_CHECKS
-        failed = [c.name for c in report.checks if not c.passed]
-        assert failed == []
+        # deformation is documented for every n <= 6; the core suite
+        # (deform-pairing among it) must finish at the top dims and pass
+        for dim in (4, 5, 6):
+            report = run_fixture_checks(zero_fixture(dim), "core")
+            assert {c.name for c in report.checks} == CORE_CHECKS
+            failed = [c.name for c in report.checks if not c.passed]
+            assert failed == [], dim
 
     def test_unknown_suite_rejected(self, sphere):
         with pytest.raises(ValueError, match="unknown suite"):
