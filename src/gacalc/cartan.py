@@ -134,10 +134,6 @@ def cartan_connection(conn: ConnectionField, kind: str, b: MultivectorField,
     return out
 
 
-def first_structure_lhs(conn: ConnectionField, c: MultivectorField) -> MultivectorField:
-    return cartan_torsion(conn, c)
-
-
 def first_structure_rhs(conn: ConnectionField, c: MultivectorField) -> MultivectorField:
     """d_o ^ c plus the frame sum of e^m ^ (second-kind operator of (e_m, c))."""
     down, up = const_frames(conn.dim, None)
@@ -145,11 +141,6 @@ def first_structure_rhs(conn: ConnectionField, c: MultivectorField) -> Multivect
     for m in range(conn.dim):
         out = mf.add(out, mf.wedge(up[m], cartan_connection(conn, "second", down[m], c)))
     return out
-
-
-def second_structure_lhs(conn: ConnectionField, c: MultivectorField,
-                         d: MultivectorField) -> MultivectorField:
-    return cartan_curvature(conn, c, d)
 
 
 def second_structure_rhs(conn: ConnectionField, c: MultivectorField,
@@ -163,6 +154,13 @@ def second_structure_rhs(conn: ConnectionField, c: MultivectorField,
     return out
 
 
+# which -> check name, paper equation, the two sides
+_STRUCTURE_EQUATIONS = {
+    "first": ("structure-first", "FCE.1", cartan_torsion, first_structure_rhs),
+    "second": ("structure-second", "SCE.1", cartan_curvature, second_structure_rhs),
+}
+
+
 def check_structure_equation(conn: ConnectionField, which: str, args: Sequence,
                              points, tol: float) -> CheckResult:
     """Max residual of a structure equation, both sides built independently.
@@ -170,14 +168,11 @@ def check_structure_equation(conn: ConnectionField, which: str, args: Sequence,
     ``args`` is a sequence of argument tuples: (c,) for the first equation,
     (c, d) for the second.
     """
-    if which not in ("first", "second"):
+    if which not in _STRUCTURE_EQUATIONS:
         raise ValueError(f"which must be 'first' or 'second', got {which!r}")
-    lhs, rhs = ((first_structure_lhs, first_structure_rhs) if which == "first"
-                else (second_structure_lhs, second_structure_rhs))
+    name, eq, lhs, rhs = _STRUCTURE_EQUATIONS[which]
     args = list(args)
     worst = worst_residual(((lhs(conn, *tup), rhs(conn, *tup)) for tup in args), points)
-    name = "structure-first" if which == "first" else "structure-second"
-    eq = "FCE.1" if which == "first" else "SCE.1"
     return CheckResult(name, eq, len(args) * len(points), worst, tol)
 
 

@@ -212,12 +212,6 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, DomainError, NotSymmetricError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except RecursionError:
-        # the parser still recurses once per tree level, within the
-        # default limit
-        print("error: expression nested too deeply (maximum recursion depth exceeded)",
-              file=sys.stderr)
-        return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

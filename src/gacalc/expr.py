@@ -17,13 +17,13 @@ evaluates many trees at many points at once and raises `DomainError`
 naming the subexpression that failed; `evaluate` is a one-point tape and
 `compile_fn` wraps one for one tree.  A one-point call runs the tape's
 program on numpy scalars, bit for bit as the same point in an array call.
-Only the parser still recurses once per tree level.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -627,150 +627,91 @@ def evaluate(e: Expr, point) -> float:
     return float(Tape((e,))(np.asarray(point, dtype=float)[None, :])[0, 0])
 
 
-class _Parser:
-    def __init__(self, src: str, dim: int):
-        self.src = src
-        self.dim = dim
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def fail(self, message: str, position: int | None = None):
-        raise ParseError(message, self.pos if position is None else position)
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.src):
-            self.fail(f"unexpected character {self.peek()!r}")
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                e = Add(e, self.term())
-            elif ch == "-":
-                self.pos += 1
-                e = Sub(e, self.term())
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                e = Mul(e, self.factor())
-            elif ch == "/":
-                self.pos += 1
-                e = Div(e, self.factor())
-            else:
-                return e
-
-    def factor(self) -> Expr:
-        e = self.base()
-        self.skip_ws()
-        if self.peek() == "^":
-            self.pos += 1
-            self.skip_ws()
-            start = self.pos
-            if self.peek() == "-":
-                self.pos += 1
-            if not self.peek().isdigit():
-                self.fail("expected integer exponent")
-            while self.peek().isdigit():
-                self.pos += 1
-            e = Pow(e, int(self.src[start:self.pos]))
-        return e
-
-    def base(self) -> Expr:
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "":
-            self.fail("unexpected end of input")
-        if ch == "-":
-            self.pos += 1
-            return Neg(self.base())
-        if ch == "(":
-            self.pos += 1
-            e = self.expr()
-            self.skip_ws()
-            if self.peek() != ")":
-                self.fail("expected ')'")
-            self.pos += 1
-            return e
-        if ch.isdigit() or ch == ".":
-            return self.number()
-        if ch == "x" and self.pos + 1 < len(self.src) and self.src[self.pos + 1].isdigit():
-            return self.variable()
-        if ch.isalpha():
-            return self.func_call()
-        self.fail(f"unexpected character {ch!r}")
-
-    def number(self) -> Const:
-        start = self.pos
-        while self.peek().isdigit():
-            self.pos += 1
-        if self.peek() == ".":
-            self.pos += 1
-            while self.peek().isdigit():
-                self.pos += 1
-        if self.peek() in ("e", "E"):
-            mark = self.pos
-            self.pos += 1
-            if self.peek() in ("+", "-"):
-                self.pos += 1
-            if self.peek().isdigit():
-                while self.peek().isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # not an exponent after all
-        text = self.src[start:self.pos]
-        try:
-            return Const(float(text))
-        except ValueError:
-            self.fail(f"bad number {text!r}", start)
-
-    def variable(self) -> Var:
-        start = self.pos
-        self.pos += 1  # 'x'
-        while self.peek().isdigit():
-            self.pos += 1
-        index = int(self.src[start + 1:self.pos])
-        if index >= self.dim:
-            self.fail(f"variable index {index} out of range for dimension {self.dim}", start)
-        return Var(index)
-
-    def func_call(self) -> Expr:
-        start = self.pos
-        while self.peek().isalpha():
-            self.pos += 1
-        name = self.src[start:self.pos]
-        if name not in _FUNCTIONS:
-            self.fail(f"unknown function {name!r}", start)
-        self.skip_ws()
-        if self.peek() != "(":
-            self.fail(f"expected '(' after {name!r}")
-        self.pos += 1
-        e = self.expr()
-        self.skip_ws()
-        if self.peek() != ")":
-            self.fail("expected ')'")
-        self.pos += 1
-        return Call(name, e)
+_SPACE = re.compile(r"\s*")
+_DIGITS = frozenset("0123456789")
+_NUMBER = re.compile(r"[0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
+_INTEGER = re.compile(r"-?[0-9]+")
+_INFIX_PRECEDENCE = {"+": (Add, 1), "-": (Sub, 1), "*": (Mul, 2), "/": (Div, 2)}
 
 
 def parse(src: str, dim: int) -> Expr:
-    """Parse an expression whose variables are x0..x{dim-1}."""
-    return _Parser(src, dim).parse()
+    """Parse an expression whose variables are x0..x{dim-1}.
+
+    One operator-precedence loop (Dijkstra's shunting-yard) on an explicit
+    stack, so any nesting depth parses.  The stack holds `Neg` for a prefix
+    '-', the name of an open group ('(' or a function), and
+    ``(node type, precedence, left operand)`` for an infix operator waiting
+    for its right operand.  Digits are ASCII only.
+    """
+    stack: list = []
+    pos = 0
+    while True:
+        # an operand: stack prefix '-', '(' and 'name(' up to an atom
+        pos = _SPACE.match(src, pos).end()
+        ch = src[pos:pos + 1]
+        if ch == "-" or ch == "(":
+            stack.append(Neg if ch == "-" else ch)
+            pos += 1
+            continue
+        if ch in _DIGITS or ch == ".":
+            text = _NUMBER.match(src, pos).group()
+            try:
+                e = Const(float(text))
+            except ValueError:
+                raise ParseError(f"bad number {text!r}", pos) from None
+            pos += len(text)
+        elif ch == "x" and src[pos + 1:pos + 2] in _DIGITS:
+            digits = _INTEGER.match(src, pos + 1).group()
+            e = Var(int(digits))
+            if e.index >= dim:
+                raise ParseError(f"variable index {e.index} out of range for dimension {dim}", pos)
+            pos += 1 + len(digits)
+        elif ch.isalpha():
+            start = pos
+            while src[pos:pos + 1].isalpha():
+                pos += 1
+            name = src[start:pos]
+            if name not in _FUNCTIONS:
+                raise ParseError(f"unknown function {name!r}", start)
+            pos = _SPACE.match(src, pos).end()
+            if not src.startswith("(", pos):
+                raise ParseError(f"expected '(' after {name!r}", pos)
+            stack.append(name)
+            pos += 1
+            continue
+        else:
+            raise ParseError("unexpected end of input" if ch == "" else
+                             f"unexpected character {ch!r}", pos)
+        while True:
+            # e is a whole base: apply its prefix minuses, then '^'
+            while stack and stack[-1] is Neg:
+                e = Neg(e)
+                stack.pop()
+            pos = _SPACE.match(src, pos).end()
+            if src.startswith("^", pos):
+                pos = _SPACE.match(src, pos + 1).end()
+                exponent = _INTEGER.match(src, pos)
+                if exponent is None:
+                    raise ParseError("expected integer exponent",
+                                     pos + src.startswith("-", pos))
+                e = Pow(e, int(exponent.group()))
+                pos = _SPACE.match(src, exponent.end()).end()
+            ch = src[pos:pos + 1]
+            node, precedence = _INFIX_PRECEDENCE.get(ch, (None, 0))
+            while stack and type(stack[-1]) is tuple and stack[-1][1] >= precedence:
+                pending, _, left = stack.pop()
+                e = pending(left, e)
+            if node is not None:
+                stack.append((node, precedence, e))
+                pos += 1
+                break
+            if not stack:
+                if pos != len(src):
+                    raise ParseError(f"unexpected character {ch!r}", pos)
+                return e
+            if ch != ")":
+                raise ParseError("expected ')'", pos)
+            group = stack.pop()
+            if group != "(":
+                e = Call(group, e)
+            pos += 1

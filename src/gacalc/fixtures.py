@@ -135,20 +135,39 @@ def load_map(obj) -> CoordinateMap:
                          _load_box(canonical, dim) if canonical else None)
 
 
-def load_map_file(path) -> CoordinateMap:
+def _read_json(path):
+    """The JSON value in the file at ``path``.  Invalid JSON, and JSON nested
+    past the depth the decoder recurses to, are a `ConfigError` naming the file."""
     with open(path) as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as err:
+            return json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as err:
             raise ConfigError(f"invalid JSON in {path}: {err}") from None
-    return load_map(obj)
+
+
+def load_map_file(path) -> CoordinateMap:
+    return load_map(_read_json(path))
 
 
 def _load_connection(spec, dim: int, domain: Box) -> ConnectionField:
-    if not isinstance(spec, dict) or "kind" not in spec:
+    """A connection spec; a 'transform' spec applies its map to its 'base',
+    which is a spec or the name of a built-in fixture."""
+    chain = {}  # id -> transform spec, outermost first
+    while isinstance(spec, dict) and spec.get("kind") == "transform":
+        if id(spec) in chain:
+            raise ConfigError("transform chain contains itself")
+        chain[id(spec)] = spec
+        spec = spec.get("base")
+    if chain and isinstance(spec, str):
+        try:
+            conn = BUILTIN_FIXTURES[spec]().conn
+        except KeyError:
+            raise ConfigError(f"unknown base fixture {spec!r}") from None
+        if conn.dim != dim:
+            raise ConfigError(f"base fixture {spec!r} has dim {conn.dim}, expected {dim}")
+    elif not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("connection spec must be an object with a 'kind'")
-    kind = spec["kind"]
-    if kind == "coefficients":
+    elif spec["kind"] == "coefficients":
         entries = {}
         for key, src in spec.get("coefficients", {}).items():
             try:
@@ -158,27 +177,18 @@ def _load_connection(spec, dim: int, domain: Box) -> ConnectionField:
             if not all(0 <= idx < dim for idx in (g, a, b)):
                 raise ConfigError(f"coefficient index {key!r} out of range for dim {dim}")
             entries[(g, a, b)] = _parse_expr(src, dim)
-        return ConnectionField.from_entries(dim, entries, domain)
-    if kind == "metric":
+        conn = ConnectionField.from_entries(dim, entries, domain)
+    elif spec["kind"] == "metric":
         matrix = spec.get("matrix")
         if not matrix or len(matrix) != dim:
             raise ConfigError(f"metric matrix must be {dim}x{dim}")
         rows = [[_parse_expr(c, dim) for c in row] for row in matrix]
-        return levi_civita_from_metric(rows, domain)
-    if kind == "transform":
-        base_spec = spec.get("base")
-        if isinstance(base_spec, str):
-            try:
-                base = BUILTIN_FIXTURES[base_spec]().conn
-            except KeyError:
-                raise ConfigError(f"unknown base fixture {base_spec!r}") from None
-            if base.dim != dim:
-                raise ConfigError(f"base fixture {base_spec!r} has dim {base.dim}, expected {dim}")
-        else:
-            base = _load_connection(base_spec, dim, domain)
-        cmap = load_map(spec.get("map"))
-        return transform_connection(base, cmap)
-    raise ConfigError(f"unknown connection kind {kind!r}")
+        conn = levi_civita_from_metric(rows, domain)
+    else:
+        raise ConfigError(f"unknown connection kind {spec['kind']!r}")
+    for outer in reversed(chain.values()):
+        conn = transform_connection(conn, load_map(outer.get("map")))
+    return conn
 
 
 def load_fixture(obj) -> FixtureConfig:
@@ -202,9 +212,4 @@ def load_fixture(obj) -> FixtureConfig:
 
 
 def load_fixture_file(path) -> FixtureConfig:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"invalid JSON in {path}: {err}") from None
-    return load_fixture(obj)
+    return load_fixture(_read_json(path))

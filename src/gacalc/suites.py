@@ -207,6 +207,14 @@ def _rand_const_vector(dim: int, rng: np.random.Generator) -> Multivector:
     return Multivector.from_vector(rng.uniform(-1.0, 1.0, size=dim))
 
 
+def frame_independence(conn, op, draws, rng):
+    """op(conn, *args) in the canonical frame against op in a random frame,
+    the args drawn by ``draws`` before the frame."""
+    args = [draw(rng) for draw in draws]
+    frame = rand_frame(conn.dim, rng)
+    yield op(conn, *args), op(conn, *args, frame)
+
+
 # ---------------------------------------------------------------------------
 # Core suite: connection maps and covariant derivatives
 # ---------------------------------------------------------------------------
@@ -223,11 +231,18 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
     def rx(rng):
         return rand_mvf(dim, rng)
 
-    def gen_grade(rng):
+    gen = partial(generalized_apply, conn)
+    skew = partial(generalized_skew_apply, conn)
+
+    def cov(*signs):
+        return [partial(cov_derivative, conn, sign) for sign in signs]
+
+    def grade_preserving(ops, rng):
         a, x = rv(rng), rx(rng)
-        for k in range(dim + 1):
-            y = generalized_apply(conn, a, mf.grade_project(x, k))
-            yield y, mf.grade_project(y, k)
+        for op in ops:
+            for k in range(dim + 1):
+                y = op(a, mf.grade_project(x, k))
+                yield y, mf.grade_project(y, k)
 
     def inv_commute(kind, rng):
         a, x = rv(rng), rx(rng)
@@ -240,12 +255,6 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
     def gen_vector(rng):
         a, b = rv(rng), rv(rng)
         yield generalized_apply(conn, a, b), gamma_apply(conn, a, b)
-
-    def gen_wedge(rng):
-        a, x, y = rv(rng), rx(rng), rx(rng)
-        yield (generalized_apply(conn, a, mf.wedge(x, y)),
-               mf.add(mf.wedge(generalized_apply(conn, a, x), y),
-                      mf.wedge(x, generalized_apply(conn, a, y))))
 
     def gen_adjoint(rng):
         a, x, y = rv(rng), rx(rng), rx(rng)
@@ -264,26 +273,14 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
         yield (generalized_skew_apply(conn, a, x),
                mf.commutator(gauge_bivector(conn, a), x))
 
-    def leibniz(op, label, rng):
-        """Leibniz rule of the derivation op(a, .) over one product."""
+    def leibniz(ops, label, rng):
+        """Leibniz rule of each derivation op(a, .) over one product."""
         product = PRODUCTS[label]
         a, x, y = rv(rng), rx(rng), rx(rng)
-        lhs = op(a, product(x, y))
-        rhs = mf.add(product(op(a, x), y), product(x, op(a, y)))
-        yield (lhs.component(0), rhs.component(0)) if label == "scalar" else (lhs, rhs)
-
-    def skew(a, x):
-        return generalized_skew_apply(conn, a, x)
-
-    def cov_zero(a, x):
-        return cov_derivative(conn, "0", a, x)
-
-    def cov_grade(rng):
-        a, x = rv(rng), rx(rng)
-        for sign in ("+", "-"):
-            for k in range(dim + 1):
-                y = cov_derivative(conn, sign, a, mf.grade_project(x, k))
-                yield y, mf.grade_project(y, k)
+        for op in ops:
+            lhs = op(a, product(x, y))
+            rhs = mf.add(product(op(a, x), y), product(x, op(a, y)))
+            yield (lhs.component(0), rhs.component(0)) if label == "scalar" else (lhs, rhs)
 
     def cov_linear_dir(rng):
         a, a2, x = rv(rng), rv(rng), rx(rng)
@@ -307,20 +304,13 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
             yield (cov_derivative(conn, sign, a, mf.add(x, y)),
                    mf.add(cov_derivative(conn, sign, a, x), cov_derivative(conn, sign, a, y)))
 
-    def cov_f_leibniz(rng):
-        a, x = rv(rng), rx(rng)
+    def scalar_leibniz(ops, arg, rng):
+        """op(a, f X) = (a.d_o f) X + f op(a, X) for each op, X drawn by ``arg``."""
+        a, x = rv(rng), arg(rng)
         f = rand_scalar(dim, rng)
         df = _flat_scalar(a, f)
-        for sign in SIGNS3:
-            yield (cov_derivative(conn, sign, a, mf.scale(f, x)),
-                   mf.add(mf.scale(df, x), mf.scale(f, cov_derivative(conn, sign, a, x))))
-
-    def cov_wedge(rng):
-        a, x, y = rv(rng), rx(rng), rx(rng)
-        for sign in SIGNS3:
-            yield (cov_derivative(conn, sign, a, mf.wedge(x, y)),
-                   mf.add(mf.wedge(cov_derivative(conn, sign, a, x), y),
-                          mf.wedge(x, cov_derivative(conn, sign, a, y))))
+        for op in ops:
+            yield op(a, mf.scale(f, x)), mf.add(mf.scale(df, x), mf.scale(f, op(a, x)))
 
     def pairing(s, s_dual, arg, rng):
         """(cov_s X) . Y + X . (cov_dual Y) = a.d_o (X . Y), X and Y drawn by ``arg``."""
@@ -349,14 +339,6 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
         for sign in ("+", "-"):
             yield (cov_derivative(conn, sign, mf.scale(f, a), b),
                    mf.scale(f, cov_derivative(conn, sign, a, b)))
-
-    def co_f_second(rng):
-        a, b = rv(rng), rv(rng)
-        f = rand_scalar(dim, rng)
-        df = _flat_scalar(a, f)
-        for sign in ("+", "-"):
-            yield (cov_derivative(conn, sign, a, mf.scale(f, b)),
-                   mf.add(mf.scale(df, b), mf.scale(f, cov_derivative(conn, sign, a, b))))
 
     def cde1_k1(rng):
         a, x1, x = rv(rng), rv(rng), rx(rng)
@@ -417,41 +399,31 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
                       mf.scalar_product(x, deform(conn, lam, "-", a, y))),
                _flat_scalar(a, mf.scalar_product(x, y)))
 
-    def gauge_frame_indep(rng):
-        a = rv(rng)
-        frame = rand_frame(dim, rng)
-        yield gauge_bivector(conn, a), gauge_bivector(conn, a, frame)
-
-    def gen_frame_indep(rng):
-        a, x = rv(rng), rx(rng)
-        frame = rand_frame(dim, rng)
-        yield generalized_apply(conn, a, x), generalized_apply(conn, a, x, frame)
-
     return run.check_rows([
-        ("gen-grade-preserving", "PS.4", 2, gen_grade),
+        ("gen-grade-preserving", "PS.4", 2, partial(grade_preserving, [gen])),
         ("gen-involution-hat", "PS.5a", 2, partial(inv_commute, "hat")),
         ("gen-involution-tilde", "PS.5b", 2, partial(inv_commute, "tilde")),
         ("gen-involution-bar", "PS.5c", 2, partial(inv_commute, "bar")),
         ("gen-scalar-kills", "PS.6a", 5, gen_scalar_kills),
         ("gen-vector-agrees", "PS.6b", 5, gen_vector),
-        ("gen-wedge-derivation", "PS.6c", 2, gen_wedge),
+        ("gen-wedge-derivation", "PS.6c", 2, partial(leibniz, [gen], "wedge")),
         ("gen-adjoint-pairing", "PS.7", 2, gen_adjoint),
         ("gen-sym-skew-parts", "PS.8", 2, gen_parts),
         ("gauge-factorization", "PS.9", 2, gauge_factor),
-        *((f"skew-derivation-{p}", "PS.10", 2, partial(leibniz, skew, p)) for p in PRODUCTS),
-        ("cov-grade-preserving", "CDM.2", 2, cov_grade),
+        *((f"skew-derivation-{p}", "PS.10", 2, partial(leibniz, [skew], p)) for p in PRODUCTS),
+        ("cov-grade-preserving", "CDM.2", 2, partial(grade_preserving, cov("+", "-"))),
         ("cov-direction-linearity", "CDM.3", 2, cov_linear_dir),
         ("cov-scalar-field", "CDM.4a", 5, cov_scalar),
         ("cov-additivity", "CDM.4b", 2, cov_additive),
-        ("cov-scalar-leibniz", "CDM.4c", 2, cov_f_leibniz),
-        ("cov-wedge-leibniz", "CDM.5", 2, cov_wedge),
+        ("cov-scalar-leibniz", "CDM.4c", 2, partial(scalar_leibniz, cov(*SIGNS3), rx)),
+        ("cov-wedge-leibniz", "CDM.5", 2, partial(leibniz, cov(*SIGNS3), "wedge")),
         ("cov-pairing", "CDM.6", 5, partial(pairing, "+", "-", rx)),
         ("cov-zero-average", "CDM.7", 2, zero_avg),
         ("cov-zero-pairing", "CDM.9", 5, partial(pairing, "0", "0", rx)),
-        *((f"cov-zero-leibniz-{p}", "CDM.10", 2, partial(leibniz, cov_zero, p)) for p in PRODUCTS),
+        *((f"cov-zero-leibniz-{p}", "CDM.10", 2, partial(leibniz, cov("0"), p)) for p in PRODUCTS),
         ("connection-op-additivity", "CO.2a", 2, co_additive),
         ("connection-op-first-slot", "CO.2c", 2, co_f_first),
-        ("connection-op-second-slot", "CO.2d", 2, co_f_second),
+        ("connection-op-second-slot", "CO.2d", 2, partial(scalar_leibniz, cov("+", "-"), rv)),
         ("connection-op-pairing", "CO.3", 5, partial(pairing, "+", "-", rv)),
         ("extensor-derivative-defining", "CDE.1", 2, cde1_k1),
         ("extensor-derivative-defining-k2", "CDE.1", 1, cde1_k2),
@@ -459,8 +431,10 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
         ("extensor-adjoint-commutation", "CDE.3", 2, cde3),
         ("deform-scalar-field", "CDM.11", 2, deform_scalar),
         ("deform-pairing", "CDM.11", 2, deform_pairing),
-        ("gauge-frame-independence", "PS.2a", 2, gauge_frame_indep),
-        ("generalized-frame-independence", "PS.3", 2, gen_frame_indep),
+        ("gauge-frame-independence", "PS.2a", 2,
+         partial(frame_independence, conn, gauge_bivector, [rv])),
+        ("generalized-frame-independence", "PS.3", 2,
+         partial(frame_independence, conn, generalized_apply, [rv, rx])),
     ])
 
 
@@ -521,16 +495,6 @@ def cartan_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> lis
         yield (invert_cartan_curvature(lambda cc, dd: cartan_curvature(conn, cc, dd), a, b, c),
                curvature(conn, a, b, c))
 
-    def theta_frame_indep(rng):
-        c = rv(rng)
-        frame = rand_frame(dim, rng)
-        yield cartan_torsion(conn, c), cartan_torsion(conn, c, frame)
-
-    def omega_frame_indep(rng):
-        c, d = rv(rng), rv(rng)
-        frame = rand_frame(dim, rng)
-        yield cartan_curvature(conn, c, d), cartan_curvature(conn, c, d, frame)
-
     def torsion_vanishes(rng):
         a, b = rv(rng), rv(rng)
         yield torsion(conn, a, b), zero
@@ -562,8 +526,10 @@ def cartan_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> lis
         ("curvature-classical-coefficients", "TCF.2b", 1, curv_classical),
         ("cartan-torsion-roundtrip", "CF.1a", 2, theta_roundtrip),
         ("cartan-curvature-roundtrip", "CF.2a", 2, omega_roundtrip),
-        ("cartan-torsion-frame-independence", "CF.1", 2, theta_frame_indep),
-        ("cartan-curvature-frame-independence", "CF.2", 2, omega_frame_indep),
+        ("cartan-torsion-frame-independence", "CF.1", 2,
+         partial(frame_independence, conn, cartan_torsion, [rv])),
+        ("cartan-curvature-frame-independence", "CF.2", 2,
+         partial(frame_independence, conn, cartan_curvature, [rv, rv])),
         *([("torsion-vanishes", "SPS.3", 2, torsion_vanishes)] if symmetric else []),
         ("cartan-first-linearity", "CSE.3", 2, partial(kind_linear, "first")),
         ("cartan-second-linearity", "CSE.4", 2, partial(kind_linear, "second")),

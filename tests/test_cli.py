@@ -103,6 +103,14 @@ class TestCheckCommand:
         res = run_cli("check", "--config", "no/such/file.json")
         assert res.returncode == 2
 
+    def test_config_nested_past_the_json_decoder_exits_2_naming_it(self, tmp_path):
+        cfg = tmp_path / "nested.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        res = run_cli("check", "--config", str(cfg))
+        assert res.returncode == 2
+        assert f"invalid JSON in {cfg}" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_bianchi_on_torsionful_exits_2(self):
         res = run_cli("check", "--config", str(FIXTURES / "torsionful.json"),
                       "--suite", "bianchi")
@@ -223,8 +231,8 @@ class TestChristoffelCommand:
         row = [l for l in res.stdout.splitlines() if l.startswith("Gamma^x0'_{x1' x1'}")][0]
         assert float(row.split("=")[-1]) == pytest.approx(-2.0)
 
-    def test_too_deeply_nested_expression_exits_2(self, tmp_path):
-        # the parser recurses once per parenthesis
+    def test_deeply_nested_parentheses_print_their_table(self, tmp_path):
+        # 3000 levels, past the default recursion limit: nothing recurses per level
         cfg = tmp_path / "deep.json"
         cfg.write_text(json.dumps({
             "name": "deep", "dim": 2, "seed": 1,
@@ -232,9 +240,38 @@ class TestChristoffelCommand:
                            "coefficients": {"0,1,1": "(" * 3000 + "x0" + ")" * 3000}},
         }))
         res = run_cli("christoffel", "--config", str(cfg))
+        assert res.returncode == 0, res.stderr
+        assert "Gamma^x0_{x1 x1} = x0\n" in res.stdout
+
+    @pytest.mark.parametrize("coefficient,printed", [
+        ("-" * 3000 + "x0", "x0"),
+        ("sin(" * 3000 + "x0" + ")" * 3000, "sin(" * 3000 + "x0" + ")" * 3000),
+    ])
+    def test_deeply_nested_prefixes_print_their_table(self, tmp_path, coefficient, printed):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(json.dumps({
+            "name": "deep", "dim": 2, "seed": 1,
+            "connection": {"kind": "coefficients", "coefficients": {"0,1,1": coefficient}},
+        }))
+        res = run_cli("christoffel", "--config", str(cfg))
+        assert res.returncode == 0, res.stderr
+        assert f"Gamma^x0_{{x1 x1}} = {printed}\n" in res.stdout
+
+    @pytest.mark.parametrize("coefficient,command,stderr", [
+        ("x0^\u00b2", ["christoffel"], "offset 3: expected integer exponent"),
+        ("x0", ["eval", "--what", "gauge", "--at", "0.5,0.5", "--args", "x\u00b2,1"],
+         "offset 0: unknown function 'x'"),
+    ])
+    def test_non_ascii_digit_is_a_syntax_error(self, tmp_path, coefficient, command, stderr):
+        # '\u00b2' passes str.isdigit but not int()
+        cfg = tmp_path / "sup.json"
+        cfg.write_text(json.dumps({
+            "name": "sup", "dim": 2, "seed": 1,
+            "connection": {"kind": "coefficients", "coefficients": {"0,1,1": coefficient}},
+        }))
+        res = run_cli(command[0], "--config", str(cfg), *command[1:])
         assert res.returncode == 2
-        assert "nested too deeply" in res.stderr
-        assert "Traceback" not in res.stderr
+        assert res.stderr == f"error: syntax error at {stderr}\n"
 
     def test_long_sum_prints_its_table(self, tmp_path):
         # a left-deep tree of 3000 terms, past the default recursion limit

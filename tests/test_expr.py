@@ -3,6 +3,7 @@
 import gc
 import math
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -87,6 +88,231 @@ class TestParser:
 
     def test_scientific_notation(self):
         assert ex.evaluate(ex.parse("1e2 + 2.5E-1", 1), (0.0,)) == pytest.approx(100.25)
+
+
+    def test_deep_nesting_parses(self):
+        depth = 3000
+        e = ex.parse("(" * depth + "x0" + ")" * depth, 1)
+        assert e == ex.Var(0)
+        e = ex.parse("-" * depth + "x0", 1)
+        for _ in range(depth):
+            e = e.arg
+        assert e == ex.Var(0)
+        e = ex.parse("sin(" * depth + "x0" + ")" * depth, 1)
+        for _ in range(depth):
+            assert e.name == "sin"
+            e = e.arg
+        assert e == ex.Var(0)
+
+    @pytest.mark.parametrize("src, position, message", [
+        ("x\u00b2", 0, "unknown function 'x'"),
+        ("x0^\u00b2", 3, "expected integer exponent"),
+        ("x0^-\u00b2", 4, "expected integer exponent"),
+        ("x\u0661", 0, "unknown function 'x'"),
+        ("\u0661", 0, "unexpected character"),
+        ("1\u0661", 1, "unexpected character"),
+    ])
+    def test_digits_are_ascii_only(self, src, position, message):
+        # each of these passes str.isdigit, and some even int() or float()
+        with pytest.raises(ex.ParseError, match=message) as err:
+            ex.parse(src, 2)
+        assert err.value.position == position
+
+
+class RecursiveParser:
+    """Reference parser: the recursive-descent form of the grammar, one
+    method per rule, independent of `ex.parse`'s operator-precedence loop."""
+
+    def __init__(self, src: str, dim: int):
+        self.src = src
+        self.dim = dim
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.src) and self.src[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        return self.src[self.pos] if self.pos < len(self.src) else ""
+
+    def fail(self, message, position=None):
+        raise ex.ParseError(message, self.pos if position is None else position)
+
+    def parse(self):
+        e = self.expr()
+        self.skip_ws()
+        if self.pos != len(self.src):
+            self.fail(f"unexpected character {self.peek()!r}")
+        return e
+
+    def expr(self):
+        e = self.term()
+        while True:
+            self.skip_ws()
+            ch = self.peek()
+            if ch == "+":
+                self.pos += 1
+                e = ex.Add(e, self.term())
+            elif ch == "-":
+                self.pos += 1
+                e = ex.Sub(e, self.term())
+            else:
+                return e
+
+    def term(self):
+        e = self.factor()
+        while True:
+            self.skip_ws()
+            ch = self.peek()
+            if ch == "*":
+                self.pos += 1
+                e = ex.Mul(e, self.factor())
+            elif ch == "/":
+                self.pos += 1
+                e = ex.Div(e, self.factor())
+            else:
+                return e
+
+    def factor(self):
+        e = self.base()
+        self.skip_ws()
+        if self.peek() == "^":
+            self.pos += 1
+            self.skip_ws()
+            start = self.pos
+            if self.peek() == "-":
+                self.pos += 1
+            if not self.peek().isdigit():
+                self.fail("expected integer exponent")
+            while self.peek().isdigit():
+                self.pos += 1
+            e = ex.Pow(e, int(self.src[start:self.pos]))
+        return e
+
+    def base(self):
+        self.skip_ws()
+        ch = self.peek()
+        if ch == "":
+            self.fail("unexpected end of input")
+        if ch == "-":
+            self.pos += 1
+            return ex.Neg(self.base())
+        if ch == "(":
+            self.pos += 1
+            e = self.expr()
+            self.skip_ws()
+            if self.peek() != ")":
+                self.fail("expected ')'")
+            self.pos += 1
+            return e
+        if ch.isdigit() or ch == ".":
+            return self.number()
+        if ch == "x" and self.pos + 1 < len(self.src) and self.src[self.pos + 1].isdigit():
+            return self.variable()
+        if ch.isalpha():
+            return self.func_call()
+        self.fail(f"unexpected character {ch!r}")
+
+    def number(self):
+        start = self.pos
+        while self.peek().isdigit():
+            self.pos += 1
+        if self.peek() == ".":
+            self.pos += 1
+            while self.peek().isdigit():
+                self.pos += 1
+        if self.peek() in ("e", "E"):
+            mark = self.pos
+            self.pos += 1
+            if self.peek() in ("+", "-"):
+                self.pos += 1
+            if self.peek().isdigit():
+                while self.peek().isdigit():
+                    self.pos += 1
+            else:
+                self.pos = mark  # not an exponent after all
+        text = self.src[start:self.pos]
+        try:
+            return ex.Const(float(text))
+        except ValueError:
+            self.fail(f"bad number {text!r}", start)
+
+    def variable(self):
+        start = self.pos
+        self.pos += 1  # 'x'
+        while self.peek().isdigit():
+            self.pos += 1
+        index = int(self.src[start + 1:self.pos])
+        if index >= self.dim:
+            self.fail(f"variable index {index} out of range for dimension {self.dim}", start)
+        return ex.Var(index)
+
+    def func_call(self):
+        start = self.pos
+        while self.peek().isalpha():
+            self.pos += 1
+        name = self.src[start:self.pos]
+        if name not in ex._FUNCTIONS:
+            self.fail(f"unknown function {name!r}", start)
+        self.skip_ws()
+        if self.peek() != "(":
+            self.fail(f"expected '(' after {name!r}")
+        self.pos += 1
+        e = self.expr()
+        self.skip_ws()
+        if self.peek() != ")":
+            self.fail("expected ')'")
+        self.pos += 1
+        return ex.Call(name, e)
+
+
+_OPENERS = ("(", "-", "sin(", "ln (", "atan(")
+_OPERANDS = ("x0", "x1", "3", "0.5", "1e3", "2.5E-1", ".5", "1.") + _OPENERS
+_OPERATORS = ("+", "-", "*", "/", "^2", "^-1", " ^ 3", ")")
+_JUNK = (" ", "\t", "^", "^-", ".", "e", "1e", "x", "x2", "x01", "sinh(", "1.2.3", ",", "(", ")",
+         "-")
+
+
+def random_source(rng: random.Random) -> str:
+    """A string of the grammar's tokens, mostly in grammatical order, with
+    some junk (tokens out of place, printable ASCII) mixed in."""
+    parts, operand, depth = [], True, 0
+    for _ in range(rng.randrange(1, 16)):
+        if rng.random() < 0.04:
+            parts.append(rng.choice(_JUNK) if rng.random() < 0.7 else chr(rng.randrange(32, 127)))
+            continue
+        tok = rng.choice(_OPERANDS if operand else _OPERATORS)
+        if tok == ")" and not depth:
+            continue
+        depth += tok.endswith("(") - (tok == ")")
+        operand = tok in _OPENERS if operand else tok in "+-*/"
+        parts.append(tok + " " * (rng.random() < 0.2))
+    if rng.random() < 0.8:
+        parts.append(")" * depth)
+    return "".join(parts)
+
+
+def _outcome(parse, src):
+    try:
+        return repr(parse(src, 2))
+    except ex.ParseError as err:
+        return str(err), err.position
+
+
+class TestParserAgainstRecursive:
+    def test_same_trees_and_errors_on_random_ascii(self):
+        rng = random.Random(20261018)
+        parsed = 0
+        for _ in range(20000):
+            src = random_source(rng)
+            want = _outcome(lambda s, d: RecursiveParser(s, d).parse(), src)
+            assert _outcome(ex.parse, src) == want, src
+            parsed += isinstance(want, str)
+        assert parsed > 4000  # the trees are compared, not only the errors
+
+    @pytest.mark.parametrize("src", CORPUS)
+    def test_same_trees_on_corpus(self, src):
+        assert ex.parse(src, 2) == RecursiveParser(src, 2).parse()
 
 
 class TestEvaluate:

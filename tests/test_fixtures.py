@@ -1,0 +1,94 @@
+"""Fixture configs: transform chains of any length, and JSON the decoder refuses."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from gacalc import expr as ex
+from gacalc.fixtures import ConfigError, load_fixture, load_fixture_file, load_map_file
+
+MAPS = Path(__file__).resolve().parents[1] / "fixtures" / "maps"
+IDENTITY = json.loads((MAPS / "identity2.json").read_text())
+BASE = {"kind": "coefficients", "coefficients": {"0,1,1": "x0"}}
+
+
+def chain(base, maps):
+    """A transform spec applying ``maps`` in order, the first one innermost."""
+    spec = base
+    for cmap in maps:
+        spec = {"kind": "transform", "base": spec, "map": cmap}
+    return spec
+
+
+def fixture(connection):
+    return {"name": "chain", "dim": 2, "seed": 1, "connection": connection}
+
+
+class TestTransformChain:
+    def test_long_identity_chain_loads(self):
+        fix = load_fixture(fixture(chain(BASE, [IDENTITY] * 1500)))
+        assert fix.conn.gamma[0][1][1] == ex.Var(0)
+
+    def test_deepest_chain_the_json_decoder_reads_loads(self, tmp_path):
+        # one JSON object level per link: the decoder's own limit is the only one
+        path = tmp_path / "chain.json"
+        link = '{"kind": "transform", "map": %s, "base": ' % json.dumps(IDENTITY)
+        for depth in range(1000, 0, -10):
+            path.write_text('{"dim": 2, "seed": 1, "connection": %s%s%s}'
+                            % (link * depth, json.dumps(BASE), "}" * depth))
+            try:
+                fix = load_fixture_file(path)
+            except ConfigError as err:
+                assert "recursion" in str(err)
+                continue
+            assert depth >= 900
+            assert fix.conn.gamma[0][1][1] == ex.Var(0)
+            return
+        pytest.fail("no chain decoded")
+
+    def test_chain_that_contains_itself_is_refused(self):
+        spec = {"kind": "transform", "map": IDENTITY}
+        spec["base"] = spec
+        with pytest.raises(ConfigError, match="contains itself"):
+            load_fixture(fixture(spec))
+
+    def test_base_fails_before_any_map_loads(self):
+        spec = chain({"kind": "bogus"}, [{}, {}])
+        with pytest.raises(ConfigError, match="unknown connection kind 'bogus'"):
+            load_fixture(fixture(spec))
+
+    def test_maps_load_from_the_innermost_outward(self):
+        inner, outer = (dict(IDENTITY, forward=[f"x{i}", "x1"]) for i in (9, 8))
+        with pytest.raises(ex.ParseError, match="variable index 9"):
+            load_fixture(fixture(chain(BASE, [inner, outer])))
+
+    @pytest.mark.parametrize("base, message", [
+        ("polar", None),
+        ("bogus", "unknown base fixture 'bogus'"),
+        ("zero", "base fixture 'zero' has dim 3, expected 2"),
+    ])
+    def test_named_base_fixture(self, base, message):
+        if message is None:
+            assert load_fixture(fixture(chain(base, [IDENTITY] * 3))).conn.dim == 2
+        else:
+            with pytest.raises(ConfigError, match=message):
+                load_fixture(fixture(chain(base, [IDENTITY])))
+
+    def test_named_base_needs_a_transform(self):
+        with pytest.raises(ConfigError, match="must be an object with a 'kind'"):
+            load_fixture(fixture("polar"))
+
+
+class TestJsonFiles:
+    @pytest.mark.parametrize("load", [load_fixture_file, load_map_file])
+    @pytest.mark.parametrize("text, reason", [
+        ("{", "Expecting property name"),
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["truncated", "nested-past-the-decoder"])
+    def test_unreadable_json_names_the_file(self, tmp_path, load, text, reason):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=reason) as err:
+            load(path)
+        assert str(err.value).startswith(f"invalid JSON in {path}: ")

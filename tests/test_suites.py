@@ -146,6 +146,64 @@ class TestSuiteOverrides:
         assert all(c.samples >= 50 for c in report.checks)
 
 
+# samples per check at samples=1: every row then samples 10 points per
+# argument draw, so each entry is 10 x the row's draws
+DRAW_SAMPLES = {
+    "core": {
+        "connection-op-additivity": 20, "connection-op-first-slot": 20,
+        "connection-op-pairing": 50, "connection-op-second-slot": 20,
+        "cov-additivity": 20, "cov-direction-linearity": 20, "cov-grade-preserving": 20,
+        "cov-pairing": 50, "cov-scalar-field": 50, "cov-scalar-leibniz": 20,
+        "cov-wedge-leibniz": 20, "cov-zero-average": 20, "cov-zero-leibniz-clifford": 20,
+        "cov-zero-leibniz-lcontr": 20, "cov-zero-leibniz-rcontr": 20,
+        "cov-zero-leibniz-scalar": 20, "cov-zero-leibniz-wedge": 20, "cov-zero-pairing": 50,
+        "deform-pairing": 20, "deform-scalar-field": 20, "extensor-adjoint-commutation": 20,
+        "extensor-derivative-defining": 20, "extensor-derivative-defining-k2": 10,
+        "extensor-derivative-linearity": 20, "gauge-factorization": 20,
+        "gauge-frame-independence": 20, "gen-adjoint-pairing": 20, "gen-grade-preserving": 20,
+        "gen-involution-bar": 20, "gen-involution-hat": 20, "gen-involution-tilde": 20,
+        "gen-scalar-kills": 50, "gen-sym-skew-parts": 20, "gen-vector-agrees": 50,
+        "gen-wedge-derivation": 20, "generalized-frame-independence": 20,
+        "skew-derivation-clifford": 20, "skew-derivation-lcontr": 20,
+        "skew-derivation-rcontr": 20, "skew-derivation-scalar": 20,
+        "skew-derivation-wedge": 20,
+    },
+    "cartan": {
+        "cartan-curvature-frame-independence": 20, "cartan-curvature-roundtrip": 20,
+        "cartan-first-linearity": 20, "cartan-pairing": 50, "cartan-second-linearity": 20,
+        "cartan-torsion-frame-independence": 20, "cartan-torsion-roundtrip": 20,
+        "curvature-antisymmetry": 20, "curvature-classical-coefficients": 10,
+        "curvature-tensoriality": 10, "structure-first": 40, "structure-second": 40,
+        "torsion-antisymmetry": 20, "torsion-equivalence": 20, "torsion-tensoriality": 20,
+        "torsion-vanishes": 20,
+    },
+    "bianchi": {"curvature-bianchi": 30, "curvature-cyclic": 40},
+    "bridge": {
+        "classical-tensor-co-co": 20, "classical-tensor-mixed": 20,
+        "classical-vector-co": 20, "classical-vector-contra": 20,
+    },
+    "transform": {
+        "christoffel-vs-law": 10, "directional-chain-rule": 30, "frame-reciprocity": 10,
+        "map-jacobian-inverse": 10, "map-roundtrip": 10, "tensor-law-co-co": 30,
+        "tensor-law-co-contra": 30, "tensor-law-contra-co": 30, "tensor-law-contra-contra": 30,
+        "transform-roundtrip": 10, "vector-law-co": 30, "vector-law-contra": 30,
+    },
+}
+
+
+class TestDrawCounts:
+    """Each check's number of argument draws, pinned through its sample count."""
+
+    @pytest.mark.parametrize("suite", ["core", "cartan", "bianchi", "bridge"])
+    def test_fixture_suite(self, zero2, suite):
+        report = run_fixture_checks(zero2, suite, seed=1, samples=1)
+        assert {c.name: c.samples for c in report.checks} == DRAW_SAMPLES[suite]
+
+    def test_transform_suite(self, polar, pmap):
+        report = run_transform_checks(polar, pmap, seed=1, samples=1)
+        assert {c.name: c.samples for c in report.checks} == DRAW_SAMPLES["transform"]
+
+
 class TestNonFiniteResiduals:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_residual_fails(self, value):
