@@ -330,14 +330,9 @@ def biv(t: LinearMap11, frame: Frame | None = None) -> Multivector:
     return out
 
 
-_BLADE_NAMES_CACHE: dict[tuple[int, int], str] = {}
-
-
+@lru_cache(maxsize=None)
 def blade_name(dim: int, mask: int) -> str:
-    key = (dim, mask)
-    if key not in _BLADE_NAMES_CACHE:
-        _BLADE_NAMES_CACHE[key] = "e" + "".join(str(i + 1) for i in range(dim) if mask >> i & 1) if mask else ""
-    return _BLADE_NAMES_CACHE[key]
+    return "e" + "".join(str(i + 1) for i in range(dim) if mask >> i & 1) if mask else ""
 
 
 def format_multivector(x: Multivector, sig: int = 12, tol: float = 0.0) -> str:

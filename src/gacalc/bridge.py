@@ -74,9 +74,9 @@ def coordinate_frames(cmap: CoordinateMap):
     n = cmap.dim
     jinv = inverse_jacobian(cmap)
     kfwd = forward_jacobian_primed(cmap)
-    covariant = [mf.vector(n, [jinv[i][m] for i in range(n)], cmap.domain_primed)
+    covariant = [mf.vector(n, [jinv[i][m] for i in range(n)])
                  for m in range(n)]
-    contravariant = [mf.vector(n, [kfwd[l][i] for i in range(n)], cmap.domain_primed)
+    contravariant = [mf.vector(n, [kfwd[l][i] for i in range(n)])
                      for l in range(n)]
     return covariant, contravariant
 
@@ -117,7 +117,7 @@ def christoffel(conn: ConnectionField, cmap: CoordinateMap) -> ConnectionField:
                 for g in range(n):
                     total = ex.add(total, ex.mul(value[g], up[g]))
                 out[lam][mu][nu] = total
-    return ConnectionField(n, tuple(tuple(tuple(r) for r in p) for p in out), cmap.domain_primed)
+    return ConnectionField(n, out)
 
 
 def transform_connection(conn: ConnectionField, cmap: CoordinateMap) -> ConnectionField:
@@ -146,7 +146,7 @@ def transform_connection(conn: ConnectionField, cmap: CoordinateMap) -> Connecti
                 for b in range(n):
                     total = ex.add(total, ex.mul(hess[b][mu][nu], kfwd[lam][b]))
                 out[lam][mu][nu] = total
-    return ConnectionField(n, tuple(tuple(tuple(r) for r in p) for p in out), cmap.domain_primed)
+    return ConnectionField(n, out)
 
 
 def transform_vector_components(components, cmap: CoordinateMap, variance: str):
@@ -278,7 +278,7 @@ def riemann_coefficients(conn: ConnectionField):
     return out
 
 
-def levi_civita_from_metric(metric, domain: Box) -> ConnectionField:
+def levi_civita_from_metric(metric) -> ConnectionField:
     """Symmetric connection of a metric: half g^{gs}(d_a g_sb + d_b g_as - d_s g_ab)."""
     g = [[ex.as_expr(c) for c in row] for row in metric]
     n = len(g)
@@ -295,7 +295,7 @@ def levi_civita_from_metric(metric, domain: Box) -> ConnectionField:
                                      ex.diff(g[a][b], s))
                     total = ex.add(total, ex.mul(ginv[gg][s], bracket))
                 out[gg][a][b] = ex.mul(ex.const(0.5), total)
-    return ConnectionField(n, tuple(tuple(tuple(r) for r in p) for p in out), domain)
+    return ConnectionField(n, out)
 
 
 def _sum(terms) -> ex.Expr:

@@ -31,6 +31,11 @@ from .fields import MultivectorField
 from .report import CheckResult, worst_residual
 
 
+# random argument draws of check_cyclic and check_bianchi; the first of each is constant
+CYCLIC_DRAWS = 4
+BIANCHI_DRAWS = 3
+
+
 class NotSymmetricError(ValueError):
     """Raised when an identity that needs a torsionless structure is asked
     of a connection with torsion."""
@@ -64,10 +69,10 @@ def curvature_extensor(conn: ConnectionField) -> ExtensorFieldK:
     return ExtensorFieldK(conn.dim, 3, lambda a, b, c: curvature(conn, a, b, c))
 
 
-def _half_double_frame_sum(conn: ConnectionField, coeff, domain, frame: Frame | None):
+def _half_double_frame_sum(conn: ConnectionField, coeff, frame: Frame | None):
     """Half the double frame sum of coeff(e_m, e_n) e^m ^ e^n over m != n."""
     down, up = const_frames(conn.dim, frame)
-    out = MultivectorField(conn.dim, {}, domain)
+    out = MultivectorField(conn.dim, {})
     for m in range(conn.dim):
         for n in range(conn.dim):
             if m != n:
@@ -80,7 +85,7 @@ def _wedge_frame_sum(a: MultivectorField, b: MultivectorField, bivector,
     """sum_m ((a^b) . bivector(e_m)) e^m."""
     down, up = const_frames(a.dim, frame)
     ab = mf.wedge(a, b)
-    out = MultivectorField(a.dim, {}, a.domain or b.domain)
+    out = MultivectorField(a.dim, {})
     for m in range(a.dim):
         out = mf.add(out, mf.scale(mf.scalar_product(ab, bivector(down[m])), up[m]))
     return out
@@ -90,7 +95,7 @@ def cartan_torsion(conn: ConnectionField, c: MultivectorField,
                    frame: Frame | None = None) -> MultivectorField:
     """Bivector-valued torsion: half double frame sum of e^m ^ e^n (tau(e_m, e_n) . c)."""
     return _half_double_frame_sum(conn, lambda a, b: mf.scalar_product(torsion(conn, a, b), c),
-                                  c.domain or conn.domain, frame)
+                                  frame)
 
 
 def invert_cartan_torsion(theta: Callable[[MultivectorField], MultivectorField],
@@ -104,7 +109,7 @@ def cartan_curvature(conn: ConnectionField, c: MultivectorField, d: MultivectorF
                      frame: Frame | None = None) -> MultivectorField:
     """Bivector-valued curvature: half double frame sum of e^m ^ e^n (rho(e_m, e_n, c) . d)."""
     return _half_double_frame_sum(conn, lambda a, b: mf.scalar_product(curvature(conn, a, b, c), d),
-                                  c.domain or conn.domain, frame)
+                                  frame)
 
 
 def invert_cartan_curvature(omega: Callable[[MultivectorField, MultivectorField], MultivectorField],
@@ -124,7 +129,7 @@ def cartan_connection(conn: ConnectionField, kind: str, b: MultivectorField,
     if kind not in ("first", "second"):
         raise ValueError(f"kind must be 'first' or 'second', got {kind!r}")
     down, up = const_frames(conn.dim, frame)
-    out = MultivectorField(conn.dim, {}, b.domain or c.domain or conn.domain)
+    out = MultivectorField(conn.dim, {})
     for m in range(conn.dim):
         if kind == "first":
             coeff = mf.scalar_product(cov_derivative(conn, "+", down[m], b), c)
@@ -183,25 +188,23 @@ def _require_symmetric(conn: ConnectionField, points) -> None:
         )
 
 
-def check_cyclic(conn: ConnectionField, points, tol: float, seed: int = 0,
-                 arg_draws: int = 4) -> CheckResult:
+def check_cyclic(conn: ConnectionField, points, tol: float, seed: int = 0) -> CheckResult:
     """Cyclic curvature sum rho(a,b,c) + rho(b,c,a) + rho(c,a,b) over random fields."""
     _require_symmetric(conn, points)
     rng = np.random.default_rng(seed)
     zero = MultivectorField(conn.dim, {})
 
     def sums():
-        for k in range(arg_draws):
+        for k in range(CYCLIC_DRAWS):
             a, b, c = (_rand_poly_vector(conn.dim, rng, constant=(k == 0)) for _ in range(3))
             yield mf.add(mf.add(curvature(conn, a, b, c), curvature(conn, b, c, a)),
                          curvature(conn, c, a, b)), zero
 
     worst = worst_residual(sums(), points)
-    return CheckResult("curvature-cyclic", "SPS.4", arg_draws * len(points), worst, tol)
+    return CheckResult("curvature-cyclic", "SPS.4", CYCLIC_DRAWS * len(points), worst, tol)
 
 
-def check_bianchi(conn: ConnectionField, points, tol: float, seed: int = 0,
-                  arg_draws: int = 3) -> CheckResult:
+def check_bianchi(conn: ConnectionField, points, tol: float, seed: int = 0) -> CheckResult:
     """Cyclic sum of the (+,+,+,-) signed derivative of curvature over random fields."""
     _require_symmetric(conn, points)
     rng = np.random.default_rng(seed)
@@ -210,7 +213,7 @@ def check_bianchi(conn: ConnectionField, points, tol: float, seed: int = 0,
     zero = MultivectorField(conn.dim, {})
 
     def sums():
-        for k in range(arg_draws):
+        for k in range(BIANCHI_DRAWS):
             a, b, c, d = (_rand_poly_vector(conn.dim, rng, constant=(k == 0)) for _ in range(4))
             s = cov_derivative_extensor(conn, signs, rho, d, (a, b, c))
             s = mf.add(s, cov_derivative_extensor(conn, signs, rho, a, (b, d, c)))
@@ -218,7 +221,7 @@ def check_bianchi(conn: ConnectionField, points, tol: float, seed: int = 0,
             yield s, zero
 
     worst = worst_residual(sums(), points)
-    return CheckResult("curvature-bianchi", "SPS.5", arg_draws * len(points), worst, tol)
+    return CheckResult("curvature-bianchi", "SPS.5", BIANCHI_DRAWS * len(points), worst, tol)
 
 
 def _rand_poly_vector(dim: int, rng: np.random.Generator, constant: bool = False) -> MultivectorField:

@@ -38,15 +38,18 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
-_OBJECT_ARITY = {
-    "torsion": 2,
-    "curvature": 3,
-    "theta": 1,
-    "cartan-curvature": 2,
-    "gauge": 1,
-    "cov-plus": 2,
-    "cov-minus": 2,
-    "cov-zero": 2,
+# --what -> (number of vector arguments, builder of the field from the
+# connection and those vectors); each builder looks its layer function up in
+# this module's globals when it runs, so a wrapper bound here after import sees the call
+_OBJECTS = {
+    "torsion": (2, lambda conn, a, b: torsion(conn, a, b)),
+    "curvature": (3, lambda conn, a, b, c: curvature(conn, a, b, c)),
+    "theta": (1, lambda conn, c: cartan_torsion(conn, c)),
+    "cartan-curvature": (2, lambda conn, c, d: cartan_curvature(conn, c, d)),
+    "gauge": (1, lambda conn, a: gauge_bivector(conn, a)),
+    "cov-plus": (2, lambda conn, a, x: cov_derivative(conn, "+", a, x)),
+    "cov-minus": (2, lambda conn, a, x: cov_derivative(conn, "-", a, x)),
+    "cov-zero": (2, lambda conn, a, x: cov_derivative(conn, "0", a, x)),
 }
 
 
@@ -65,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a geometric object at a point")
     p_eval.add_argument("--config", required=True)
-    p_eval.add_argument("--what", required=True, choices=sorted(_OBJECT_ARITY))
+    p_eval.add_argument("--what", required=True, choices=sorted(_OBJECTS))
     p_eval.add_argument("--at", required=True, help="point, e.g. '2.0,0.785'")
     p_eval.add_argument("--args", nargs="*", action="extend", default=[],
                         help="vector arguments, each as comma-joined component expressions")
@@ -142,25 +145,11 @@ def _cmd_eval(args) -> int:
     point = _parse_point(args.at, fix.dim)
     if not fix.domain.contains(point):
         raise ConfigError(f"point {args.at} is outside the fixture domain")
-    arity = _OBJECT_ARITY[args.what]
+    arity, build = _OBJECTS[args.what]
     if len(args.args) != arity:
         raise ConfigError(f"{args.what} takes {arity} vector argument(s), got {len(args.args)}")
     vectors = [_parse_vector_arg(a, fix.dim) for a in args.args]
-    conn = fix.conn
-    if args.what == "torsion":
-        field = torsion(conn, *vectors)
-    elif args.what == "curvature":
-        field = curvature(conn, *vectors)
-    elif args.what == "theta":
-        field = cartan_torsion(conn, *vectors)
-    elif args.what == "cartan-curvature":
-        field = cartan_curvature(conn, *vectors)
-    elif args.what == "gauge":
-        field = gauge_bivector(conn, *vectors)
-    else:
-        sign = {"cov-plus": "+", "cov-minus": "-", "cov-zero": "0"}[args.what]
-        field = cov_derivative(conn, sign, vectors[0], vectors[1])
-    value = field.at(point)
+    value = build(fix.conn, *vectors).at(point)
     print(format_multivector(value, sig=12, tol=1e-300))
     return EXIT_OK
 

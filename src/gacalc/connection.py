@@ -19,12 +19,14 @@ import numpy as np
 from . import expr as ex
 from . import fields as mf
 from .algebra import Frame, LinearMap11, canonical_frame, reciprocal_frame, same_dim
-from .fields import Box, MultivectorField
+from .fields import MultivectorField
 
 SIGNS = ("+", "-", "0")
 _DUAL = {"+": "-", "-": "+", "0": "0"}
 
 MAX_EXTENSOR_ARITY = 3
+# is_symmetric's bound on |G^g_ab - G^g_ba| at a sample point
+SYMMETRY_TOL = 1e-10
 
 
 def _check_sign(sign: str, allowed=SIGNS) -> None:
@@ -42,7 +44,6 @@ class ConnectionField:
 
     dim: int
     gamma: tuple[tuple[tuple[ex.Expr, ...], ...], ...]
-    domain: Box
     nonzero: tuple[tuple[int, int, int, ex.Expr], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -56,30 +57,30 @@ class ConnectionField:
             for b, c in enumerate(row) if not ex.is_zero(c)))
 
     @classmethod
-    def zero(cls, dim: int, domain: Box) -> ConnectionField:
+    def zero(cls, dim: int) -> ConnectionField:
         z = tuple(tuple((ex.ZERO,) * dim for _ in range(dim)) for _ in range(dim))
-        return cls(dim, z, domain)
+        return cls(dim, z)
 
     @classmethod
-    def from_entries(cls, dim: int, entries: dict[tuple[int, int, int], ex.Expr],
-                     domain: Box) -> ConnectionField:
+    def from_entries(cls, dim: int,
+                     entries: dict[tuple[int, int, int], ex.Expr]) -> ConnectionField:
         g = [[[ex.ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         for (out, a, b), e in entries.items():
             g[out][a][b] = e
-        return cls(dim, tuple(tuple(tuple(r) for r in p) for p in g), domain)
+        return cls(dim, g)
 
     def coefficient(self, out: int, direction: int, argument: int) -> ex.Expr:
         return self.gamma[out][direction][argument]
 
 
-def is_symmetric(conn: ConnectionField, points, tol: float = 1e-10) -> bool:
+def is_symmetric(conn: ConnectionField, points) -> bool:
     """Coefficient symmetry in the two lower slots, checked at sample points on one tape."""
     n = conn.dim
     diffs = [ex.sub(p[a][b], p[b][a]) for p in conn.gamma for a in range(n) for b in range(a + 1, n)]
-    if any(type(d) is ex.Const and abs(d.value) > tol for d in diffs):
+    if any(type(d) is ex.Const and abs(d.value) > SYMMETRY_TOL for d in diffs):
         return False
     varying = [d for d in diffs if type(d) is not ex.Const]
-    return not varying or float(np.max(np.abs(ex.Tape(varying)(points)))) <= tol
+    return not varying or float(np.max(np.abs(ex.Tape(varying)(points)))) <= SYMMETRY_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +92,6 @@ class ExtensorField11:
 
     dim: int
     entries: tuple[tuple[ex.Expr, ...], ...]
-    domain: Box | None = None
     nonzero: tuple[tuple[int, int, ex.Expr], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -120,7 +120,7 @@ class ExtensorField11:
         for i, j, entry in self.nonzero:
             if not ex.is_zero(comps[j]):
                 out[i] = ex.add(out[i], ex.mul(entry, comps[j]))
-        return mf.vector(self.dim, out, v.domain or self.domain)
+        return mf.vector(self.dim, out)
 
     @cached_property
     def _tape(self) -> ex.Tape:
@@ -142,29 +142,29 @@ def _nonzero(rows) -> tuple[tuple[int, int, ex.Expr], ...]:
     return tuple((i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row) if not ex.is_zero(c))
 
 
-def _owning11(dim: int, rows, domain: Box | None, nonzero) -> ExtensorField11:
+def _owning11(dim: int, rows, nonzero) -> ExtensorField11:
     """An extensor field around expression rows this module just built: no check."""
     t = object.__new__(ExtensorField11)
-    t.__dict__.update(dim=dim, entries=rows, domain=domain, nonzero=nonzero)
+    t.__dict__.update(dim=dim, entries=rows, nonzero=nonzero)
     return t
 
 
 def ext_adjoint(t: ExtensorField11) -> ExtensorField11:
     nonzero = tuple(sorted((j, i, c) for i, j, c in t.nonzero))
-    return _owning11(t.dim, tuple(zip(*t.entries)), t.domain, nonzero)
+    return _owning11(t.dim, tuple(zip(*t.entries)), nonzero)
 
 
 def ext_add(t: ExtensorField11, u: ExtensorField11) -> ExtensorField11:
     same_dim(t, u)
     rows = tuple(tuple(ex.add(a, b) for a, b in zip(ra, rb))
                  for ra, rb in zip(t.entries, u.entries))
-    return _owning11(t.dim, rows, t.domain or u.domain, _nonzero(rows))
+    return _owning11(t.dim, rows, _nonzero(rows))
 
 
 def ext_scale(f, t: ExtensorField11) -> ExtensorField11:
     f = ex.as_expr(f)
     rows = tuple(tuple(ex.mul(f, c) for c in row) for row in t.entries)
-    return _owning11(t.dim, rows, t.domain, _nonzero(rows))
+    return _owning11(t.dim, rows, _nonzero(rows))
 
 
 def ext_sym(t: ExtensorField11) -> ExtensorField11:
@@ -215,7 +215,7 @@ def _outermorphism(t: ExtensorField11, x: MultivectorField, inverse: bool) -> Mu
         for m in range(1 << n):
             if m.bit_count() == j.bit_count() and not ex.is_zero(e := entry(m, j)):
                 out[m] = ex.add(out.get(m, ex.ZERO), ex.mul(c, e))
-    return mf._owning(n, out, x.domain or t.domain)
+    return mf._owning(n, out)
 
 
 def ext_det(t: ExtensorField11) -> ex.Expr:
@@ -226,7 +226,7 @@ def ext_inverse(t: ExtensorField11) -> ExtensorField11:
     """Pointwise inverse: signed complementary minors over the determinant."""
     n = t.dim
     rows = tuple(tuple(t._minors.inverse(1 << i, 1 << j) for j in range(n)) for i in range(n))
-    return _owning11(n, rows, t.domain, _nonzero(rows))
+    return _owning11(n, rows, _nonzero(rows))
 
 
 def outermorphism_apply(t: ExtensorField11, x: MultivectorField) -> MultivectorField:
@@ -263,7 +263,7 @@ def gamma_apply(conn: ConnectionField, a: MultivectorField, b: MultivectorField)
     for g, i, j, coeff in conn.nonzero:
         if not (ex.is_zero(ac[i]) or ex.is_zero(bc[j])):
             out[g] = ex.add(out[g], ex.mul(coeff, ex.mul(ac[i], bc[j])))
-    return mf.vector(conn.dim, out, a.domain or b.domain or conn.domain)
+    return mf.vector(conn.dim, out)
 
 
 def gamma_matrix(conn: ConnectionField, a: MultivectorField) -> ExtensorField11:
@@ -276,14 +276,14 @@ def gamma_matrix(conn: ConnectionField, a: MultivectorField) -> ExtensorField11:
         if not ex.is_zero(ai := ac.get(1 << i, ex.ZERO)):
             rows[g][j] = sums[g, j] = ex.add(rows[g][j], ex.mul(ai, coeff))
     nonzero = tuple((g, j, c) for (g, j), c in sorted(sums.items()) if not ex.is_zero(c))
-    return _owning11(n, tuple(map(tuple, rows)), a.domain or conn.domain, nonzero)
+    return _owning11(n, tuple(map(tuple, rows)), nonzero)
 
 
 def gauge_bivector(conn: ConnectionField, a: MultivectorField,
                    frame: Frame | None = None) -> MultivectorField:
     """Gauge bivector: half the frame sum of gamma(a, e^mu) ^ e_mu over its nonempty terms."""
     down, up = const_frames(conn.dim, frame)
-    out = mf._owning(conn.dim, {}, a.domain or conn.domain)
+    out = mf._owning(conn.dim, {})
     for e_mu, e_up in zip(down, up):
         column = gamma_apply(conn, a, e_up)
         if column.coeffs:
@@ -294,8 +294,7 @@ def gauge_bivector(conn: ConnectionField, a: MultivectorField,
 def _generalized(gmap: ExtensorField11, x: MultivectorField, frame: Frame | None) -> MultivectorField:
     """Frame sum of gmap(e^mu) ^ (e_mu . X), skipping the empty gmap(e^mu) terms."""
     down, up = const_frames(gmap.dim, frame)
-    # the domain the first term would give the sum, had no term been skipped
-    out = mf._owning(gmap.dim, {}, x.domain or gmap.domain)
+    out = mf._owning(gmap.dim, {})
     if not gmap.nonzero:
         return out
     for e_mu, e_up in zip(down, up):

@@ -201,7 +201,10 @@ def powi(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Const) and not (base.value == 0.0 and exponent < 0):
-        return Const(base.value ** exponent)
+        try:
+            return Const(base.value ** exponent)
+        except OverflowError:
+            pass
     return Pow(base, exponent)
 
 
@@ -634,6 +637,16 @@ _INTEGER = re.compile(r"-?[0-9]+")
 _INFIX_PRECEDENCE = {"+": (Add, 1), "-": (Sub, 1), "*": (Mul, 2), "/": (Div, 2)}
 
 
+def _integer(text: str, pos: int) -> int:
+    """int(text) for the optionally signed integer at offset ``pos`` of the source."""
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        digits = text.lstrip("-")
+        raise ParseError(f"integer of {len(digits)} digits is too long",
+                         pos + len(text) - len(digits)) from None
+
+
 def parse(src: str, dim: int) -> Expr:
     """Parse an expression whose variables are x0..x{dim-1}.
 
@@ -662,7 +675,7 @@ def parse(src: str, dim: int) -> Expr:
             pos += len(text)
         elif ch == "x" and src[pos + 1:pos + 2] in _DIGITS:
             digits = _INTEGER.match(src, pos + 1).group()
-            e = Var(int(digits))
+            e = Var(_integer(digits, pos + 1))
             if e.index >= dim:
                 raise ParseError(f"variable index {e.index} out of range for dimension {dim}", pos)
             pos += 1 + len(digits)
@@ -694,7 +707,7 @@ def parse(src: str, dim: int) -> Expr:
                 if exponent is None:
                     raise ParseError("expected integer exponent",
                                      pos + src.startswith("-", pos))
-                e = Pow(e, int(exponent.group()))
+                e = Pow(e, _integer(exponent.group(), exponent.start()))
                 pos = _SPACE.match(src, exponent.end()).end()
             ch = src[pos:pos + 1]
             node, precedence = _INFIX_PRECEDENCE.get(ch, (None, 0))

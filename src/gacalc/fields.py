@@ -1,10 +1,11 @@
 """Multivector fields on a chart of R^n: blade-indexed symbolic coefficients.
 
 A field stores a sparse map from blade bitmask to a scalar expression in
-the chart coordinates, plus an optional sampling domain (an axis-aligned
-box with per-axis open exclusions shielding coordinate singularities).
-The chart frame is the canonical orthonormal one, so e^mu = e_mu and the
-flat directional derivative reduces to coefficient-wise partials.
+the chart coordinates, and no sampling domain.  A `Box` (an axis-aligned
+box with per-axis open exclusions shielding coordinate singularities) is
+the domain of a fixture or of a coordinate map, and sampling reads it
+there.  The chart frame is the canonical orthonormal one, so e^mu = e_mu
+and the flat directional derivative reduces to coefficient-wise partials.
 """
 
 from __future__ import annotations
@@ -91,7 +92,6 @@ class Box:
 class MultivectorField:
     dim: int
     coeffs: dict[int, ex.Expr]
-    domain: Box | None = None
 
     def __post_init__(self):
         clean = {int(m): ex.as_expr(c) for m, c in self.coeffs.items()}
@@ -135,41 +135,34 @@ class MultivectorField:
         return scale(ex.const(-1.0), self)
 
 
-def mvf(dim: int, coeffs: dict, domain: Box | None = None) -> MultivectorField:
-    return MultivectorField(dim, coeffs, domain)
+def mvf(dim: int, coeffs: dict) -> MultivectorField:
+    return MultivectorField(dim, coeffs)
 
 
-def vector(dim: int, components, domain: Box | None = None) -> MultivectorField:
+def vector(dim: int, components) -> MultivectorField:
     comps = list(components)
     if len(comps) != dim:
         raise ValueError(f"expected {dim} components, got {len(comps)}")
-    return MultivectorField(dim, {1 << i: ex.as_expr(c) for i, c in enumerate(comps)}, domain)
+    return MultivectorField(dim, {1 << i: ex.as_expr(c) for i, c in enumerate(comps)})
 
 
 def basis(dim: int, i: int) -> MultivectorField:
     return MultivectorField(dim, {1 << i: ex.ONE})
 
 
-def constant(x: Multivector, domain: Box | None = None) -> MultivectorField:
-    return MultivectorField(x.dim, {int(m): ex.const(x.coeffs[m]) for m in np.nonzero(x.coeffs)[0]}, domain)
+def constant(x: Multivector) -> MultivectorField:
+    return MultivectorField(x.dim, {int(m): ex.const(x.coeffs[m]) for m in np.nonzero(x.coeffs)[0]})
 
 
-def scalar_field(dim: int, e: ex.Expr, domain: Box | None = None) -> MultivectorField:
-    return MultivectorField(dim, {0: e}, domain)
+def scalar_field(dim: int, e: ex.Expr) -> MultivectorField:
+    return MultivectorField(dim, {0: e})
 
 
-def _owning(dim: int, coeffs: dict[int, ex.Expr], domain: Box | None) -> MultivectorField:
+def _owning(dim: int, coeffs: dict[int, ex.Expr]) -> MultivectorField:
     """A field around coefficients this module just built: constant zeros dropped, no check."""
     x = object.__new__(MultivectorField)
-    x.__dict__.update(dim=dim, coeffs={m: c for m, c in coeffs.items() if not ex.is_zero(c)},
-                      domain=domain)
+    x.__dict__.update(dim=dim, coeffs={m: c for m, c in coeffs.items() if not ex.is_zero(c)})
     return x
-
-
-def _domain(x: MultivectorField, y: MultivectorField | None = None) -> Box | None:
-    if x.domain is not None:
-        return x.domain
-    return y.domain if y is not None else None
 
 
 def add(x: MultivectorField, y: MultivectorField) -> MultivectorField:
@@ -177,7 +170,7 @@ def add(x: MultivectorField, y: MultivectorField) -> MultivectorField:
     out = dict(x.coeffs)
     for m, c in y.coeffs.items():
         out[m] = ex.add(out.get(m, ex.ZERO), c)
-    return _owning(x.dim, out, _domain(x, y))
+    return _owning(x.dim, out)
 
 
 def sub(x: MultivectorField, y: MultivectorField) -> MultivectorField:
@@ -185,12 +178,12 @@ def sub(x: MultivectorField, y: MultivectorField) -> MultivectorField:
     out = dict(x.coeffs)
     for m, c in y.coeffs.items():
         out[m] = ex.sub(out.get(m, ex.ZERO), c)
-    return _owning(x.dim, out, _domain(x, y))
+    return _owning(x.dim, out)
 
 
 def scale(f, x: MultivectorField) -> MultivectorField:
     f = ex.as_expr(f)
-    return _owning(x.dim, {m: ex.mul(f, c) for m, c in x.coeffs.items()}, x.domain)
+    return _owning(x.dim, {m: ex.mul(f, c) for m, c in x.coeffs.items()})
 
 
 def _product(x: MultivectorField, y: MultivectorField, kind: str) -> MultivectorField:
@@ -207,7 +200,7 @@ def _product(x: MultivectorField, y: MultivectorField, kind: str) -> Multivector
                 m = target_row[b]
                 term = ex.mul(ca, cb)
                 out[m] = ex.add(out.get(m, ex.ZERO), ex.neg(term) if sign < 0 else term)
-    return _owning(x.dim, out, _domain(x, y))
+    return _owning(x.dim, out)
 
 
 def wedge(x: MultivectorField, y: MultivectorField) -> MultivectorField:
@@ -249,11 +242,11 @@ def involute(x: MultivectorField, kind: str) -> MultivectorField:
         raise ValueError(f"unknown involution {kind!r}")
     signs = blade_table(x.dim).involution[kind].tolist()
     out = {m: (ex.neg(c) if signs[m] < 0 else c) for m, c in x.coeffs.items()}
-    return _owning(x.dim, out, x.domain)
+    return _owning(x.dim, out)
 
 
 def grade_project(x: MultivectorField, k: int) -> MultivectorField:
-    return _owning(x.dim, {m: c for m, c in x.coeffs.items() if grade_of(m) == k}, x.domain)
+    return _owning(x.dim, {m: c for m, c in x.coeffs.items() if grade_of(m) == k})
 
 
 def directional_derivative(a: MultivectorField, x: MultivectorField) -> MultivectorField:
@@ -273,7 +266,7 @@ def directional_derivative(a: MultivectorField, x: MultivectorField) -> Multivec
         for i, ai in comps:
             total = ex.add(total, ex.mul(ai, ex.diff(c, i)))
         out[m] = total
-    return _owning(x.dim, out, _domain(x, a))
+    return _owning(x.dim, out)
 
 
 def lie_bracket(a: MultivectorField, b: MultivectorField) -> MultivectorField:
@@ -296,12 +289,12 @@ def curl(x: MultivectorField) -> MultivectorField:
                 key = target_col[1 << i]
                 term = ex.diff(c, i)
                 out[key] = ex.add(out.get(key, ex.ZERO), ex.neg(term) if sign < 0 else term)
-    return _owning(x.dim, out, x.domain)
+    return _owning(x.dim, out)
 
 
-def gradient_field(f: ex.Expr, dim: int, domain: Box | None = None) -> MultivectorField:
+def gradient_field(f: ex.Expr, dim: int) -> MultivectorField:
     """d_o f as a vector field (canonical orthonormal frame)."""
-    return vector(dim, [ex.diff(f, i) for i in range(dim)], domain)
+    return vector(dim, [ex.diff(f, i) for i in range(dim)])
 
 
 def compiled_evaluator(x: MultivectorField):

@@ -39,7 +39,7 @@ class FixtureConfig:
 def zero_fixture(dim: int = 3) -> FixtureConfig:
     domain = Box((-1.5,) * dim, (1.5,) * dim)
     return FixtureConfig("zero", dim, tuple(f"x{i}" for i in range(dim)),
-                         ConnectionField.zero(dim, domain), domain,
+                         ConnectionField.zero(dim), domain,
                          samples=50, seed=12021, tolerance=1e-8)
 
 
@@ -51,7 +51,7 @@ def polar_fixture() -> FixtureConfig:
         (0, 1, 1): ex.neg(r),
         (1, 0, 1): ex.div(ex.ONE, r),
         (1, 1, 0): ex.div(ex.ONE, r),
-    }, domain)
+    })
     return FixtureConfig("polar", 2, ("r", "theta"), conn, domain,
                          samples=50, seed=23031, tolerance=1e-8)
 
@@ -64,7 +64,7 @@ def sphere_fixture() -> FixtureConfig:
         (0, 1, 1): ex.neg(ex.mul(ex.call("sin", th), ex.call("cos", th))),
         (1, 0, 1): ex.div(ex.call("cos", th), ex.call("sin", th)),
         (1, 1, 0): ex.div(ex.call("cos", th), ex.call("sin", th)),
-    }, domain)
+    })
     return FixtureConfig("sphere", 2, ("theta", "phi"), conn, domain,
                          samples=50, seed=34041, tolerance=1e-8)
 
@@ -72,7 +72,7 @@ def sphere_fixture() -> FixtureConfig:
 def torsionful_fixture() -> FixtureConfig:
     """Constant-coefficient connection with torsion (one asymmetric entry)."""
     domain = Box((-1.5, -1.5), (1.5, 1.5))
-    conn = ConnectionField.from_entries(2, {(0, 0, 1): ex.ONE}, domain)
+    conn = ConnectionField.from_entries(2, {(0, 0, 1): ex.ONE})
     return FixtureConfig("torsionful", 2, ("x0", "x1"), conn, domain,
                          samples=50, seed=45051, tolerance=1e-8)
 
@@ -149,7 +149,7 @@ def load_map_file(path) -> CoordinateMap:
     return load_map(_read_json(path))
 
 
-def _load_connection(spec, dim: int, domain: Box) -> ConnectionField:
+def _load_connection(spec, dim: int) -> ConnectionField:
     """A connection spec; a 'transform' spec applies its map to its 'base',
     which is a spec or the name of a built-in fixture."""
     chain = {}  # id -> transform spec, outermost first
@@ -177,13 +177,13 @@ def _load_connection(spec, dim: int, domain: Box) -> ConnectionField:
             if not all(0 <= idx < dim for idx in (g, a, b)):
                 raise ConfigError(f"coefficient index {key!r} out of range for dim {dim}")
             entries[(g, a, b)] = _parse_expr(src, dim)
-        conn = ConnectionField.from_entries(dim, entries, domain)
+        conn = ConnectionField.from_entries(dim, entries)
     elif spec["kind"] == "metric":
         matrix = spec.get("matrix")
         if not matrix or len(matrix) != dim:
             raise ConfigError(f"metric matrix must be {dim}x{dim}")
         rows = [[_parse_expr(c, dim) for c in row] for row in matrix]
-        conn = levi_civita_from_metric(rows, domain)
+        conn = levi_civita_from_metric(rows)
     else:
         raise ConfigError(f"unknown connection kind {spec['kind']!r}")
     for outer in reversed(chain.values()):
@@ -200,7 +200,7 @@ def load_fixture(obj) -> FixtureConfig:
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"fixture needs integer 'dim' and 'seed': {err}") from None
     domain = _load_box(obj.get("domain", {"lo": [-1.5] * dim, "hi": [1.5] * dim}), dim)
-    conn = _load_connection(obj.get("connection", {"kind": "coefficients"}), dim, domain)
+    conn = _load_connection(obj.get("connection", {"kind": "coefficients"}), dim)
     tolerance = float(obj.get("tolerance", 1e-8))
     if tolerance <= 0:
         raise ConfigError("tolerance must be positive")

@@ -32,7 +32,6 @@ from gacalc.connection import (
     generalized_apply,
     resolve11,
 )
-from gacalc.fields import Box
 from gacalc.report import worst_residual
 from gacalc.suites import (
     bridge_suite,
@@ -65,7 +64,7 @@ def test_criterion_2_polar_fixture(polar, pmap):
     """Transforming the flat connection into the polar chart reproduces the
     known coefficients, and the resulting structure is flat."""
     rng = np.random.default_rng(77001)
-    zero2 = ConnectionField.zero(2, Box((0.3, -1.0), (3.0, 1.0)))
+    zero2 = ConnectionField.zero(2)
     derived = transform_connection(zero2, pmap)
     pts = pmap.domain_primed.sample(50, rng)
     r = ex.Var(0)
@@ -231,7 +230,7 @@ def test_criterion_7_classical_bridge(sphere, polar, pmap):
     oracle_worst = max(c.max_residual for c in oracle)
     assert all(c.passed for c in oracle), [(c.name, c.max_residual) for c in oracle]
 
-    zero2 = type(polar)("zero2", 2, ("x", "y"), ConnectionField.zero(2, pmap.domain_canonical),
+    zero2 = type(polar)("zero2", 2, ("x", "y"), ConnectionField.zero(2),
                         pmap.domain_canonical, 50, 77008, 1e-9)
     law_worst = 0.0
     for fix in (zero2, polar):

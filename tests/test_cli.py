@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from gacalc import cli
 from gacalc import expr as ex
 from gacalc import fields as mf
 from gacalc.algebra import format_multivector
@@ -197,6 +198,34 @@ class TestEvalCommand:
         assert res.returncode == 0, res.stderr
         assert res.stdout == want + "\n" != "0\n"
 
+    @pytest.mark.parametrize("what,layer,sign", [
+        ("torsion", "torsion", None),
+        ("curvature", "curvature", None),
+        ("theta", "cartan_torsion", None),
+        ("cartan-curvature", "cartan_curvature", None),
+        ("gauge", "gauge_bivector", None),
+        ("cov-plus", "cov_derivative", "+"),
+        ("cov-minus", "cov_derivative", "-"),
+        ("cov-zero", "cov_derivative", "0"),
+    ])
+    def test_each_object_calls_its_layer_function_through_the_module(
+            self, monkeypatch, capsys, what, layer, sign):
+        # a wrapper bound in gacalc.cli after import, as a tracer binds one, sees the call
+        calls = []
+        original = getattr(cli, layer)
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, layer, spy)
+        arity, _ = cli._OBJECTS[what]
+        code = cli.main(["eval", "--config", str(FIXTURES / "polar.json"), "--what", what,
+                         "--at", "2,0.5", "--args", *["1,x0"] * arity])
+        assert code == 0, capsys.readouterr().err
+        assert len(calls) == 1 and len(calls[0]) == arity + 1 + (sign is not None)
+        assert sign is None or calls[0][1] == sign
+
     def test_unknown_object_exits_2(self):
         res = run_cli("eval", "--config", str(FIXTURES / "polar.json"),
                       "--what", "holonomy", "--at", "2,1")
@@ -272,6 +301,22 @@ class TestChristoffelCommand:
         res = run_cli(command[0], "--config", str(cfg), *command[1:])
         assert res.returncode == 2
         assert res.stderr == f"error: syntax error at {stderr}\n"
+
+    @pytest.mark.parametrize("coefficient,offset", [
+        ("x" + "1" * 5000, 1),
+        ("x0^" + "2" * 5000, 3),
+        ("x0^-" + "2" * 5000, 4),
+    ], ids=["variable", "exponent", "negative-exponent"])
+    def test_digit_run_past_the_int_limit_is_a_syntax_error(self, tmp_path, coefficient, offset):
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps({
+            "name": "long", "dim": 2, "seed": 1,
+            "connection": {"kind": "coefficients", "coefficients": {"0,1,1": coefficient}},
+        }))
+        res = run_cli("christoffel", "--config", str(cfg))
+        assert res.returncode == 2
+        assert res.stderr == (f"error: syntax error at offset {offset}: "
+                              "integer of 5000 digits is too long\n")
 
     def test_long_sum_prints_its_table(self, tmp_path):
         # a left-deep tree of 3000 terms, past the default recursion limit
@@ -383,6 +428,30 @@ class TestPointEvaluationOverflow:
         assert res.returncode == 2, res.stdout + res.stderr
         assert res.stdout == ""
         assert "overflow to a non-finite value in 'x0*1e+308*10'" in res.stderr
+
+    def test_constant_power_past_the_float_range_is_kept_unfolded(self, tmp_path):
+        # 2.0 ** 5000 raises OverflowError where a product would give inf
+        cfg = overflow_config(tmp_path, "2^5000*x0")
+        res = run_cli("christoffel", "--config", str(cfg))
+        assert res.returncode == 0, res.stderr
+        assert "Gamma^x0_{x1 x1} = 2^5000*x0\n" in res.stdout
+        res = run_cli("christoffel", "--config", str(cfg), "--at", "0.5,0.5")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: overflow to a non-finite value in '2^5000'\n"
+
+    def test_metric_whose_derivative_folds_a_huge_power_exits_2(self, tmp_path):
+        # diff of 2^5000*x0^2 asks powi(2, 4999) of the folded constant
+        cfg = tmp_path / "metric.json"
+        cfg.write_text(json.dumps({
+            "name": "huge", "dim": 2, "seed": 1,
+            "connection": {"kind": "metric", "matrix": [["2^5000*x0^2+1", "0"], ["0", "1"]]},
+            "domain": {"lo": [0.5, -1], "hi": [1, 1]},
+        }))
+        res = run_cli("check", "--config", str(cfg), "--suite", "cartan")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: overflow to a non-finite value in '2^5000'\n"
 
 
 class TestTransformCommand:

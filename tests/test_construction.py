@@ -215,7 +215,7 @@ class TestFoldingConstructors:
 def dense3(rng):
     entries = {(g, a, b): rand_scalar(3, rng, degree=2)
                for g in range(3) for a in range(3) for b in range(3)}
-    return ConnectionField.from_entries(3, entries, mf.Box((-1.0,) * 3, (1.0,) * 3))
+    return ConnectionField.from_entries(3, entries)
 
 
 CONNECTIONS = {
@@ -227,40 +227,30 @@ CONNECTIONS = {
 }
 
 
-def first_domain(*fields_):
-    return next((f.domain for f in fields_ if f.domain is not None), None)
-
-
-def assert_validated(r, *sources):
-    """``r`` equals the field the public constructor makes of it and has the
-    domain of the first of ``sources`` that has one."""
+def assert_validated(r):
+    """``r`` equals the field the public constructor makes of it."""
     assert type(r) is mf.MultivectorField
-    if sources:
-        assert r.domain is first_domain(*sources)
-    v = mf.MultivectorField(r.dim, dict(r.coeffs), r.domain)
+    v = mf.MultivectorField(r.dim, dict(r.coeffs))
     assert list(r.coeffs.items()) == list(v.coeffs.items())
     assert all(a is b for a, b in zip(r.coeffs.values(), v.coeffs.values()))
-    assert r.dim == v.dim and r.domain is v.domain
+    assert r.dim == v.dim
 
 
 def assert_validated11(t):
     assert type(t) is ExtensorField11
-    v = ExtensorField11(t.dim, t.entries, t.domain)
-    assert t.entries == v.entries and t.nonzero == v.nonzero and t.domain is v.domain
+    v = ExtensorField11(t.dim, t.entries)
+    assert t.entries == v.entries and t.nonzero == v.nonzero
     assert [[repr(c) for c in row] for row in t.entries] == [[repr(c) for c in row]
                                                             for row in v.entries]
 
 
 def field_cases(conn, rng):
     """Argument fields of the connection's dimension: polynomial, constant and
-    covariant-derivative coefficients, on the connection's domain, on an
-    equal but distinct box, and on none."""
+    covariant-derivative coefficients."""
     n = conn.dim
     grades = {0, 1, 2} if n > 3 else None
     a, b = rand_vector(n, rng), rand_vector(n, rng, degree=2)
-    a = mf.mvf(n, a.coeffs, conn.domain)
-    box = conn.domain
-    x = mf.mvf(n, rand_mvf(n, rng, grades=grades).coeffs, mf.Box(box.lo, box.hi, box.exclusions))
+    x = rand_mvf(n, rng, grades=grades)
     k = mf.constant(Multivector(n, np.where(rng.uniform(size=1 << n) < 0.5, 0.0,
                                             rng.uniform(-1, 1, size=1 << n))))
     cov = cov_derivative(conn, "+", a, mf.vector(n, b.vector_components()))
@@ -276,22 +266,22 @@ class TestFieldResults:
         n = conn.dim
         for p, q in itertools.product((a, b, x, k, cov), repeat=2):
             for op in (mf.add, mf.sub, mf.wedge, mf.clifford, mf.commutator):
-                assert_validated(op(p, q), p, q)
-            assert_validated(mf.contract(p, q, "left"), p, q)
-            assert_validated(mf.contract(p, q, "right"), p, q)
+                assert_validated(op(p, q))
+            assert_validated(mf.contract(p, q, "left"))
+            assert_validated(mf.contract(p, q, "right"))
         for p in (a, b, x, k, cov):
             for f in (ex.Var(0), 0.0, -0.0, 1.0, -1.0, 2.0):
-                assert_validated(mf.scale(f, p), p)
+                assert_validated(mf.scale(f, p))
             for kind in INVOLUTIONS:
-                assert_validated(mf.involute(p, kind), p)
+                assert_validated(mf.involute(p, kind))
             for g in range(n + 1):
-                assert_validated(mf.grade_project(p, g), p)
-            assert_validated(mf.curl(p), p)
+                assert_validated(mf.grade_project(p, g))
+            assert_validated(mf.curl(p))
             for d in (a, b, cov):
-                assert_validated(mf.directional_derivative(d, p), p, d)
+                assert_validated(mf.directional_derivative(d, p))
         assert mf.sub(k, k).coeffs == {}
         assert mf.scale(0.0, x).coeffs == {} and mf.scale(-0.0, x).coeffs == {}
-        assert_validated(mf.lie_bracket(a, b), b, a)
+        assert_validated(mf.lie_bracket(a, b))
         for sign in ("+", "-", "0"):
             assert_validated(cov_derivative(conn, sign, b, x))
 
@@ -305,6 +295,17 @@ class TestFieldResults:
             for u in (ext_adjoint(t), ext_add(t, ext_adjoint(t)), ext_scale(0.5, t),
                       ext_scale(0.0, t), ext_sym(t), ext_skew(t)):
                 assert_validated11(u)
+
+
+class TestFieldsCarryNoDomain:
+    def test_no_field_type_or_result_has_a_domain(self):
+        # sampling reads the fixture's or the coordinate map's box, never a field's
+        for cls in (mf.MultivectorField, ExtensorField11, ConnectionField):
+            assert "domain" not in {f.name for f in dataclasses.fields(cls)}
+        conn = polar_fixture().conn
+        a = rand_vector(2, np.random.default_rng(5))
+        for r in (conn, mf.add(a, a), gamma_matrix(conn, a), cov_derivative(conn, "+", a, a)):
+            assert not hasattr(r, "domain")
 
 
 class TestExtensorMapInputs:
@@ -324,7 +325,7 @@ class TestFlatConnectionMaps:
         conn = zero_fixture(dim).conn
         a = rand_vector(dim, rng)
         x = rand_mvf(dim, rng, grades={1, 2})
-        want = ExtensorField11(dim, ((ex.ZERO,) * dim,) * dim, conn.domain)
+        want = ExtensorField11(dim, ((ex.ZERO,) * dim,) * dim)
         want_plus = generalized_apply(conn, a, x)
         want_minus = generalized_adjoint_apply(conn, a, x)
 
@@ -333,11 +334,11 @@ class TestFlatConnectionMaps:
 
         monkeypatch.setattr(ExtensorField11, "__post_init__", refuse)
         t = gamma_matrix(conn, a)
-        assert t.nonzero == () and t.entries == want.entries and t.domain is want.domain
+        assert t.nonzero == () and t.entries == want.entries
         assert all(c is ex.ZERO for row in t.entries for c in row)
         assert ext_adjoint(t).nonzero == ()
         for got, expected in ((generalized_apply(conn, a, x), want_plus),
                               (generalized_adjoint_apply(conn, a, x), want_minus)):
-            assert got.coeffs == expected.coeffs and got.domain is expected.domain
+            assert got.coeffs == expected.coeffs
         cov_derivative(conn, "+", a, x)
         cov_derivative(conn, "-", a, x)

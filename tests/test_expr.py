@@ -118,6 +118,17 @@ class TestParser:
             ex.parse(src, 2)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("src, position", [
+        ("x" + "1" * 5000, 1),
+        ("x0^" + "2" * 5000, 3),
+        ("x0 ^ -" + "2" * 5000, 6),
+    ], ids=["variable", "exponent", "negative-exponent"])
+    def test_digit_runs_past_the_int_limit_are_syntax_errors(self, src, position):
+        # int() refuses more than sys.get_int_max_str_digits() digits
+        with pytest.raises(ex.ParseError, match="integer of 5000 digits is too long") as err:
+            ex.parse(src, 2)
+        assert err.value.position == position
+
 
 class RecursiveParser:
     """Reference parser: the recursive-descent form of the grammar, one
@@ -540,6 +551,16 @@ class TestSimplify:
             p = rng.uniform(0.5, 2.0, size=2)
             a, b = ex.evaluate(e, p), ex.evaluate(s, p)
             assert abs(a - b) <= 1e-14 * max(1.0, abs(a), abs(b)), src
+
+    def test_constant_power_folds_unless_it_overflows(self):
+        two = ex.const(2.0)
+        assert ex.powi(two, 10) == ex.const(1024.0)
+        assert ex.powi(two, 5000) == ex.Pow(two, 5000)
+        assert ex.powi(ex.const(-2.0), 5001) == ex.Pow(ex.const(-2.0), 5001)
+        assert ex.to_str(ex.diff(ex.parse("2^5000*x0^2", 1), 0)) == "2^5000*(2*x0)"
+        with pytest.raises(ex.DomainError, match="overflow to a non-finite value") as err:
+            ex.evaluate(ex.powi(two, 5000), (0.0,))
+        assert err.value.subexpr == ex.Pow(two, 5000)
 
     def test_folding_rules(self):
         x = ex.Var(0)

@@ -67,9 +67,10 @@ class TestWorstResidual:
     @pytest.mark.parametrize("kind", ["fields", "scalars", "mixed"])
     @pytest.mark.parametrize("name", ["polar", "sphere", "torsionful"])
     def test_one_tape_gives_the_pair_by_pair_residual(self, request, tapes, kind, name):
-        conn = request.getfixturevalue(name).conn
+        fix = request.getfixturevalue(name)
+        conn = fix.conn
         rng = np.random.default_rng(11)
-        points = conn.domain.sample(13, rng)
+        points = fix.domain.sample(13, rng)
         build = {"fields": [field_pairs], "scalars": [scalar_pairs],
                  "mixed": [field_pairs, scalar_pairs, field_pairs]}[kind]
         corpus = [pair for make in build for pair in make(conn, rng)]
