@@ -15,10 +15,9 @@ from gacalc import fields as mf
 from gacalc.bridge import (
     christoffel,
     classical_cov_derivative,
-    coordinate_frames,
     levi_civita_from_metric,
+    transform_components,
     transform_connection,
-    transform_vector_components,
 )
 from gacalc.connection import ConnectionField, cov_derivative
 from gacalc.fixtures import polar_map, sphere_fixture
@@ -27,7 +26,7 @@ pm = polar_map()
 zero = ConnectionField.zero(2)
 
 print("== frames of the polar chart ==")
-cov, contra = coordinate_frames(pm)
+cov, contra = pm.frames
 print("covariant b_r at (2, 0):     ", cov[0].at((2.0, 0.0)).vector_components())
 print("covariant b_theta at (2, 0): ", cov[1].at((2.0, 0.0)).vector_components())
 print("contravariant e^theta:       ", contra[1].at((2.0, 0.0)).vector_components())
@@ -57,7 +56,7 @@ print(f"max coefficient difference over 20 points: {worst:.2e}")
 
 print()
 print("== component law: the constant vector e1 in polar components ==")
-contra_comps = transform_vector_components([ex.ONE, ex.ZERO], pm, "contra")
+contra_comps = transform_components([ex.ONE, ex.ZERO], pm, ("contra",))
 r, th = 1.7, 0.4
 print(f"v^r(1.7, 0.4)     = {ex.evaluate(contra_comps[0], (r, th)):+.6f}   (cos theta)")
 print(f"v^theta(1.7, 0.4) = {ex.evaluate(contra_comps[1], (r, th)):+.6f}   (-sin theta / r)")
@@ -66,7 +65,7 @@ print()
 print("== classical covariant derivative vs the frame-sum engine ==")
 sphere = sphere_fixture()
 v_comps = [ex.parse("x0*x1", 2), ex.parse("sin(x0)", 2)]
-table = classical_cov_derivative(sphere.conn, v_comps, "contra")
+table = classical_cov_derivative(sphere.conn, v_comps, ("contra",))
 v = mf.vector(2, v_comps)
 q = (1.1, 0.7)
 for mu in range(2):

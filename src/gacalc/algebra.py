@@ -335,8 +335,8 @@ def blade_name(dim: int, mask: int) -> str:
     return "e" + "".join(str(i + 1) for i in range(dim) if mask >> i & 1) if mask else ""
 
 
-def format_multivector(x: Multivector, sig: int = 12, tol: float = 0.0) -> str:
-    """Blade-coefficient expansion like '0.75 e1 - 1.25 e12'; '0' when empty."""
+def format_multivector(x: Multivector, tol: float = 0.0) -> str:
+    """Blade-coefficient expansion like '0.75 e1 - 1.25 e12' (12 digits); '0' when empty."""
     masks = [m for m in np.nonzero(x.coeffs)[0] if abs(x.coeffs[m]) > tol]
     masks.sort(key=lambda m: (grade_of(m), m))
     if not masks:
@@ -344,7 +344,7 @@ def format_multivector(x: Multivector, sig: int = 12, tol: float = 0.0) -> str:
     parts: list[str] = []
     for m in masks:
         c = x.coeffs[m]
-        mag = f"{abs(c):.{sig}g}"
+        mag = f"{abs(c):.12g}"
         name = blade_name(x.dim, m)
         term = f"{mag} {name}".strip()
         if not parts:

@@ -10,7 +10,12 @@ gradients of the forward map, composed into the primed chart where needed.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import expr as ex
 from . import fields as mf
@@ -21,7 +26,8 @@ from .fields import Box, MultivectorField
 @dataclass(frozen=True, eq=False)
 class CoordinateMap:
     """Invertible chart change; forward gives primed coordinates in terms of
-    canonical ones, inverse the other way around."""
+    canonical ones, inverse the other way around.  Its Jacobians, Hessian
+    and frames are built on first use and kept, for every law to share."""
 
     dim: int
     forward: tuple[ex.Expr, ...]
@@ -40,50 +46,34 @@ class CoordinateMap:
         coords = tuple(ex.Var(i) for i in range(dim))
         return cls(dim, coords, coords, domain, domain)
 
+    def compose(self, e: ex.Expr) -> ex.Expr:
+        """Re-express a canonical-chart scalar in primed coordinates."""
+        return ex.substitute(e, self.inverse)
 
-def jacobian(components, dim: int) -> list[list[ex.Expr]]:
-    """J[i][j] = d components[i] / d x_j."""
-    return [[ex.diff(c, j) for j in range(dim)] for c in components]
+    @functools.cached_property
+    def inverse_jacobian(self) -> list[list[ex.Expr]]:
+        """[alpha][mu] = d x^alpha / d x^mu' as functions of the primed coordinates."""
+        return [[ex.diff(c, j) for j in range(self.dim)] for c in self.inverse]
 
+    @functools.cached_property
+    def forward_jacobian(self) -> list[list[ex.Expr]]:
+        """[lambda][beta] = d x^lambda' / d x^beta composed into the primed chart."""
+        return [[self.compose(ex.diff(c, j)) for j in range(self.dim)] for c in self.forward]
 
-def inverse_jacobian(cmap: CoordinateMap) -> list[list[ex.Expr]]:
-    """d x^alpha / d x^mu' as functions of the primed coordinates."""
-    return jacobian(cmap.inverse, cmap.dim)
+    @functools.cached_property
+    def inverse_hessian(self) -> list[list[list[ex.Expr]]]:
+        """[beta][mu][nu] = d^2 x^beta / d x^mu' d x^nu'."""
+        return [[[ex.diff(d, k) for k in range(self.dim)] for d in row]
+                for row in self.inverse_jacobian]
 
-
-def forward_jacobian_primed(cmap: CoordinateMap) -> list[list[ex.Expr]]:
-    """d x^lambda' / d x^beta composed into the primed chart."""
-    jac = jacobian(cmap.forward, cmap.dim)
-    return [[ex.substitute(c, cmap.inverse) for c in row] for row in jac]
-
-
-def inverse_hessian(cmap: CoordinateMap) -> list[list[list[ex.Expr]]]:
-    """H[beta][mu'][nu'] = d^2 x^beta / d x^mu' d x^nu'."""
-    n = cmap.dim
-    return [[[ex.diff(ex.diff(cmap.inverse[b], m), n_) for n_ in range(n)] for m in range(n)]
-            for b in range(n)]
-
-
-def coordinate_frames(cmap: CoordinateMap):
-    """Covariant and contravariant frame fields, both in primed coordinates.
-
-    The covariant frame is the Jacobian columns of the inverse map; the
-    contravariant one collects gradients of the forward components,
-    composed back into the primed chart.  They are mutually reciprocal.
-    """
-    n = cmap.dim
-    jinv = inverse_jacobian(cmap)
-    kfwd = forward_jacobian_primed(cmap)
-    covariant = [mf.vector(n, [jinv[i][m] for i in range(n)])
-                 for m in range(n)]
-    contravariant = [mf.vector(n, [kfwd[l][i] for i in range(n)])
-                     for l in range(n)]
-    return covariant, contravariant
-
-
-def _compose(e: ex.Expr, cmap: CoordinateMap) -> ex.Expr:
-    """Re-express a canonical-chart scalar in primed coordinates."""
-    return ex.substitute(e, cmap.inverse)
+    @functools.cached_property
+    def frames(self) -> tuple[list[MultivectorField], list[MultivectorField]]:
+        """Covariant and contravariant frame fields in primed coordinates: the
+        Jacobian columns of the inverse map, and the gradients of the forward
+        components composed into the primed chart.  They are reciprocal."""
+        n, jinv = self.dim, self.inverse_jacobian
+        covariant = [mf.vector(n, [jinv[i][m] for i in range(n)]) for m in range(n)]
+        return covariant, [mf.vector(n, row) for row in self.forward_jacobian]
 
 
 def christoffel(conn: ConnectionField, cmap: CoordinateMap) -> ConnectionField:
@@ -94,9 +84,8 @@ def christoffel(conn: ConnectionField, cmap: CoordinateMap) -> ConnectionField:
     composed connection term) and resolves against the contravariant frame.
     """
     n = cmap.dim
-    covariant, contravariant = coordinate_frames(cmap)
-    comp_gamma = [[[_compose(conn.gamma[g][i][j], cmap) for j in range(n)] for i in range(n)]
-                  for g in range(n)]
+    covariant, contravariant = cmap.frames
+    comp_gamma = [[[cmap.compose(c) for c in row] for row in plane] for plane in conn.gamma]
     out = [[[ex.ZERO] * n for _ in range(n)] for _ in range(n)]
     for mu in range(n):
         b_mu = covariant[mu].vector_components()
@@ -113,10 +102,7 @@ def christoffel(conn: ConnectionField, cmap: CoordinateMap) -> ConnectionField:
                 value.append(term)
             for lam in range(n):
                 up = contravariant[lam].vector_components()
-                total = ex.ZERO
-                for g in range(n):
-                    total = ex.add(total, ex.mul(value[g], up[g]))
-                out[lam][mu][nu] = total
+                out[lam][mu][nu] = _sum(ex.mul(value[g], up[g]) for g in range(n))
     return ConnectionField(n, out)
 
 
@@ -127,11 +113,8 @@ def transform_connection(conn: ConnectionField, cmap: CoordinateMap) -> Connecti
                   + (d^2 x^b/dx^m' dx^n')(dx^l'/dx^b)
     """
     n = cmap.dim
-    jinv = inverse_jacobian(cmap)
-    kfwd = forward_jacobian_primed(cmap)
-    hess = inverse_hessian(cmap)
-    comp_gamma = [[[_compose(conn.gamma[g][i][j], cmap) for j in range(n)] for i in range(n)]
-                  for g in range(n)]
+    jinv, kfwd, hess = cmap.inverse_jacobian, cmap.forward_jacobian, cmap.inverse_hessian
+    comp_gamma = [[[cmap.compose(c) for c in row] for row in plane] for plane in conn.gamma]
     out = [[[ex.ZERO] * n for _ in range(n)] for _ in range(n)]
     for lam in range(n):
         for mu in range(n):
@@ -149,112 +132,57 @@ def transform_connection(conn: ConnectionField, cmap: CoordinateMap) -> Connecti
     return ConnectionField(n, out)
 
 
-def transform_vector_components(components, cmap: CoordinateMap, variance: str):
-    """Vector component law into the primed chart ('co' or 'contra')."""
-    n = cmap.dim
-    comps = [_compose(ex.as_expr(c), cmap) for c in components]
-    if variance == "co":
-        jinv = inverse_jacobian(cmap)
-        return [_sum(ex.mul(jinv[b][a], comps[b]) for b in range(n)) for a in range(n)]
-    if variance == "contra":
-        kfwd = forward_jacobian_primed(cmap)
-        return [_sum(ex.mul(kfwd[a][b], comps[b]) for b in range(n)) for a in range(n)]
-    raise ValueError(f"variance must be 'co' or 'contra', got {variance!r}")
+def transform_components(components, cmap: CoordinateMap, variances) -> list:
+    """Component law into the primed chart, one variance per index.
+
+    Each index takes one Jacobian factor: d x^a / d x^mu' (inverse
+    Jacobian) if it is 'co', d x^mu' / d x^a (forward Jacobian) if it is
+    'contra'.  ``components`` nests one list level per index.
+    """
+    factors = _frame_components(cmap, variances)
+    comps = {raw: cmap.compose(c) for raw, c in _entries(components, cmap.dim, len(factors))}
+    return _tabulate(cmap.dim, len(factors), lambda primed: _sum(
+        ex.mul(_factor(factors, primed, raw), comp) for raw, comp in comps.items()))
 
 
-def transform_tensor2_components(components, cmap: CoordinateMap, variances: tuple[str, str]):
-    """2-tensor component law into the primed chart, one variance per index."""
-    n = cmap.dim
-    comps = [[_compose(ex.as_expr(c), cmap) for c in row] for row in components]
-    jinv = inverse_jacobian(cmap)
-    kfwd = forward_jacobian_primed(cmap)
+def components_in_chart(components, cmap: CoordinateMap, variances) -> list:
+    """Direct primed-chart components: the components contracted with one
+    frame field per index (covariant for 'co', contravariant for 'contra').
 
-    def factor(variance: str, primed: int, raw: int) -> ex.Expr:
-        if variance == "co":
-            return jinv[raw][primed]
-        if variance == "contra":
-            return kfwd[primed][raw]
-        raise ValueError(f"variance must be 'co' or 'contra', got {variance!r}")
-
-    out = [[ex.ZERO] * n for _ in range(n)]
-    for mu in range(n):
-        for nu in range(n):
-            total = ex.ZERO
-            for a in range(n):
-                for b in range(n):
-                    total = ex.add(total, ex.mul(
-                        ex.mul(factor(variances[0], mu, a), factor(variances[1], nu, b)),
-                        comps[a][b]))
-            out[mu][nu] = total
-    return out
+    The sum runs with the last index outermost, the order of the rows of
+    `ExtensorField11.entries` (entries[b][a] = t(e_a) . e_b).
+    """
+    factors = _frame_components(cmap, variances)
+    comps = {raw: cmap.compose(c) for raw, c in _entries(components, cmap.dim, len(factors))}
+    return _tabulate(cmap.dim, len(factors), lambda primed: _sum(
+        ex.mul(comps[walked[::-1]], _factor(factors, primed, walked[::-1])) for walked in comps))
 
 
-def vector_components_in_chart(v: MultivectorField, cmap: CoordinateMap, variance: str):
-    """Direct primed-chart components: scalar products with the frame fields."""
-    covariant, contravariant = coordinate_frames(cmap)
-    frames = covariant if variance == "co" else contravariant
-    comps = [_compose(c, cmap) for c in v.vector_components()]
-    n = cmap.dim
-    out = []
-    for frame_vec in frames:
-        fc = frame_vec.vector_components()
-        out.append(_sum(ex.mul(comps[i], fc[i]) for i in range(n)))
-    return out
-
-
-def tensor2_components_in_chart(t: ExtensorField11, cmap: CoordinateMap,
-                                variances: tuple[str, str]):
-    """Direct primed-chart 2-tensor components t(frame) . frame."""
-    covariant, contravariant = coordinate_frames(cmap)
-    pick = {"co": covariant, "contra": contravariant}
-    first = pick[variances[0]]
-    second = pick[variances[1]]
-    n = cmap.dim
-    entries = [[_compose(c, cmap) for c in row] for row in t.entries]
-    out = [[ex.ZERO] * n for _ in range(n)]
-    for mu in range(n):
-        u = first[mu].vector_components()
-        for nu in range(n):
-            w = second[nu].vector_components()
-            total = ex.ZERO
-            for i in range(n):
-                for j in range(n):
-                    total = ex.add(total, ex.mul(entries[i][j], ex.mul(u[j], w[i])))
-            out[mu][nu] = total
-    return out
-
-
-def classical_cov_derivative(conn: ConnectionField, components, variance):
+def classical_cov_derivative(conn: ConnectionField, components, variances) -> list:
     """Classical covariant derivatives of components in the canonical chart.
 
-    variance 'contra': out[l][m] = d v^l/dx^m + G^l_{m a} v^a
-    variance 'co':     out[n][m] = d v_n/dx^m - G^a_{m n} v_a
-    variance ('co','co'):     out[a][b][m] = d t_ab/dx^m - G^s_{m a} t_sb - G^t_{m b} t_at
-    variance ('co','contra'): out[a][b][m] = d t_a^b/dx^m - G^s_{m a} t_s^b + G^b_{m t} t_a^t
+    out[i_1..i_k][m] = d t_{i_1..i_k}/dx^m plus, for each index p in turn
+    and s = 0..n-1, with t_{..s..} the component with s in place of i_p:
+      + G^{i_p}_{m s} t_{..s..}  if index p is 'contra',
+      - G^s_{m i_p} t_{..s..}    if it is 'co'.
+    e.g. ('co', 'contra'): d t_a^b/dx^m - G^s_{m a} t_s^b + G^b_{m s} t_a^s.
     """
-    n = conn.dim
-    g = conn.gamma
-    if variance == "contra":
-        v = [ex.as_expr(c) for c in components]
-        return [[_sum([ex.diff(v[l], m)] + [ex.mul(g[l][m][a], v[a]) for a in range(n)])
-                 for m in range(n)] for l in range(n)]
-    if variance == "co":
-        v = [ex.as_expr(c) for c in components]
-        return [[_sum([ex.diff(v[nu], m)] + [ex.neg(ex.mul(g[a][m][nu], v[a])) for a in range(n)])
-                 for m in range(n)] for nu in range(n)]
-    if variance == ("co", "co"):
-        t = [[ex.as_expr(c) for c in row] for row in components]
-        return [[[_sum([ex.diff(t[a][b], m)]
-                       + [ex.neg(ex.mul(g[s][m][a], t[s][b])) for s in range(n)]
-                       + [ex.neg(ex.mul(g[s][m][b], t[a][s])) for s in range(n)])
-                  for m in range(n)] for b in range(n)] for a in range(n)]
-    if variance == ("co", "contra"):
-        t = [[ex.as_expr(c) for c in row] for row in components]
-        return [[[_sum([ex.diff(t[a][b], m)]
-                       + [ex.neg(ex.mul(g[s][m][a], t[s][b])) for s in range(n)]
-                       + [ex.mul(g[b][m][s], t[a][s]) for s in range(n)])
-                  for m in range(n)] for b in range(n)] for a in range(n)]
-    raise ValueError(f"unsupported variance {variance!r}")
+    n, g, variances = conn.dim, conn.gamma, _checked(variances)
+    t = dict(_entries(components, n, len(variances)))
+
+    def entry(out_index):
+        *idx, m = out_index
+        terms = [ex.diff(t[tuple(idx)], m)]
+        for p, variance in enumerate(variances):
+            for s in range(n):
+                other = t[(*idx[:p], s, *idx[p + 1:])]
+                if variance == "contra":
+                    terms.append(ex.mul(g[idx[p]][m][s], other))
+                else:
+                    terms.append(ex.neg(ex.mul(g[s][m][idx[p]], other)))
+        return _sum(terms)
+
+    return _tabulate(n, len(variances) + 1, entry)
 
 
 def riemann_coefficients(conn: ConnectionField):
@@ -303,3 +231,37 @@ def _sum(terms) -> ex.Expr:
     for t in terms:
         total = ex.add(total, t)
     return total
+
+
+def _checked(variances) -> tuple[str, ...]:
+    """``variances`` as a tuple, each entry 'co' or 'contra'."""
+    for variance in variances:
+        if variance not in ("co", "contra"):
+            raise ValueError(f"variance must be 'co' or 'contra', got {variance!r}")
+    return tuple(variances)
+
+
+def _frame_components(cmap: CoordinateMap, variances) -> list:
+    """Per index, [mu][a] -> component a of frame vector mu of its variance:
+    d x^a / d x^mu' for 'co', d x^mu' / d x^a for 'contra'."""
+    frames = dict(zip(("co", "contra"), cmap.frames))
+    return [[f.vector_components() for f in frames[v]] for v in _checked(variances)]
+
+
+def _entries(components, n: int, rank: int):
+    """(index, components[i_1]...[i_k] as an expression), outer index first."""
+    for index in itertools.product(range(n), repeat=rank):
+        yield index, ex.as_expr(functools.reduce(operator.getitem, index, components))
+
+
+def _factor(factors, primed, raw) -> ex.Expr:
+    """The product over indices k of factors[k][primed_k][raw_k], folded left."""
+    return functools.reduce(ex.mul, (f[p][r] for f, p, r in zip(factors, primed, raw)))
+
+
+def _tabulate(n: int, rank: int, entry) -> list:
+    """Nested lists, ``rank`` levels of ``n``, holding entry(index) at each index."""
+    out = np.empty((n,) * rank, dtype=object)
+    for index in itertools.product(range(n), repeat=rank):
+        out[index] = entry(index)
+    return out.tolist()

@@ -150,7 +150,7 @@ def _cmd_eval(args) -> int:
         raise ConfigError(f"{args.what} takes {arity} vector argument(s), got {len(args.args)}")
     vectors = [_parse_vector_arg(a, fix.dim) for a in args.args]
     value = build(fix.conn, *vectors).at(point)
-    print(format_multivector(value, sig=12, tol=1e-300))
+    print(format_multivector(value, tol=1e-300))
     return EXIT_OK
 
 

@@ -25,7 +25,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -444,11 +443,8 @@ _NUMPY_FUNCTIONS = {
     "atan": np.arctan,
 }
 
-_BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
-
-# what a one-point call runs for each array ufunc: the same IEEE operation on np.float64
-_SCALAR = {np.add: operator.add, np.subtract: operator.sub, np.multiply: operator.mul,
-           np.divide: operator.truediv, np.negative: operator.neg}
+# numpy runs these as its ufuncs on arrays and as scalar arithmetic on np.float64
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 
 _POWERS = {2: np.square, -1: np.reciprocal, 1: np.positive, 0: np.ones_like}
 
@@ -471,16 +467,16 @@ class Tape:
     Lowering walks each tree once per object (memoized on identity) and
     gives structurally equal nodes (same type, own fields and child slots)
     one slot.  Each slot is decoded once, into ``program``: a function
-    slot holds (numpy callable, operand slot, operand slot or None), a
-    leaf (None, coordinate index, None) or (None, None, constant).
-    Calling the tape on an (N, dim) points array runs the program with no
-    test inside the loop and returns the (N, len(roots)) values.  With
-    N = 1 the same loop runs ``_scalar_program``, the program with numpy
-    scalar arithmetic (``operator.add`` ... ``operator.neg`` on np.float64)
-    in place of the array ufuncs of + - * / and negation: the same IEEE
-    operations under the same errstate, without array dispatch, so a
-    one-point call gives the values and the DomainError of the same point
-    in an array call, at a fraction of the cost.
+    slot holds (callable, operand slot, operand slot or None), a leaf
+    (None, coordinate index, None) or (None, None, constant).  Calling the
+    tape on an (N, dim) points array runs the program with no test inside
+    the loop and returns the (N, len(roots)) values.  + - * / and
+    negation are ``operator.add`` ... ``operator.neg``, which numpy runs as
+    its ufuncs on arrays and as scalar arithmetic on np.float64; with N = 1
+    the program runs on np.float64 values: the same IEEE operations under
+    the same errstate, without array dispatch, so a one-point call gives
+    the values and the DomainError of the same point in an array call, at
+    a fraction of the cost.
 
     It raises DomainError naming the subexpression where a denominator is
     0, 0 is raised to a negative power, ln meets a value <= 0 or sqrt a
@@ -530,7 +526,7 @@ class Tape:
                     elif kind is Call:
                         key = op = (_NUMPY_FUNCTIONS[node.name], arg, None)
                     else:
-                        key = op = (np.negative, arg, None)
+                        key = op = (operator.neg, arg, None)
                 else:
                     raise TypeError(f"not an expression: {node!r}")
                 slot = slot_by_key.get(key)
@@ -544,24 +540,17 @@ class Tape:
                 slot_of[id(node)] = slot
         self.roots = [slot_of[id(r)] for r in roots]
 
-    @cached_property
-    def _scalar_program(self) -> list[tuple]:
-        """``program`` with numpy scalar arithmetic for the array ufuncs of + - * / and -."""
-        return [(_SCALAR.get(fn, fn), a, b) for fn, a, b in self.program]
-
     def __call__(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
             raise ValueError(f"points must be an (N, dim) array, got shape {points.shape}")
         one_point = len(points) == 1
-        if one_point:  # np.float64 values: the same IEEE operations, no array dispatch
-            program, coordinates = self._scalar_program, points[0]
-        else:
-            program, coordinates = self.program, points.T
+        # one point runs on np.float64 values: the same IEEE operations, no array dispatch
+        coordinates = points[0] if one_point else points.T
         values: list = []
         append = values.append
         with np.errstate(all="ignore"):
-            for fn, a, b in program:
+            for fn, a, b in self.program:
                 if fn is None:  # a leaf: a coordinate (column) or a constant
                     append(coordinates[a] if b is None else b)
                 elif b is None:
@@ -708,6 +697,12 @@ def parse(src: str, dim: int) -> Expr:
                     raise ParseError("expected integer exponent",
                                      pos + src.startswith("-", pos))
                 e = Pow(e, _integer(exponent.group(), exponent.start()))
+                try:
+                    float(e.exponent)  # diff and evaluation take it as a float
+                except OverflowError:
+                    digits = exponent.group().lstrip("-")
+                    raise ParseError(f"exponent of {len(digits)} digits is too large",
+                                     exponent.end() - len(digits)) from None
                 pos = _SPACE.match(src, exponent.end()).end()
             ch = src[pos:pos + 1]
             node, precedence = _INFIX_PRECEDENCE.get(ch, (None, 0))

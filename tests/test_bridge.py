@@ -1,6 +1,8 @@
 """Coordinate bridge: frames, transformation laws, classical derivatives."""
 
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +14,10 @@ from gacalc.bridge import (
     CoordinateMap,
     christoffel,
     classical_cov_derivative,
-    coordinate_frames,
-    forward_jacobian_primed,
-    inverse_jacobian,
+    components_in_chart,
     levi_civita_from_metric,
+    transform_components,
     transform_connection,
-    transform_vector_components,
-    vector_components_in_chart,
 )
 from gacalc.connection import (
     ConnectionField,
@@ -27,7 +26,11 @@ from gacalc.connection import (
     extensor_cov_derivative,
 )
 from gacalc.fields import Box
+from gacalc.fixtures import load_fixture_file, load_map_file, polar_map
 from gacalc.report import worst_residual
+from gacalc.suites import rand_scalar
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def eval_gamma(conn, g, a, b, p):
@@ -42,18 +45,18 @@ def zero2_conn():
 class TestCoordinateMap:
     def test_identity_map_frames(self):
         cmap = CoordinateMap.identity(2, Box((-1, -1), (1, 1)))
-        cov, contra = coordinate_frames(cmap)
+        cov, contra = cmap.frames
         for i in range(2):
             assert_allclose(cov[i].at((0.3, 0.4)).vector_components(), np.eye(2)[i])
             assert_allclose(contra[i].at((0.3, 0.4)).vector_components(), np.eye(2)[i])
 
     def test_polar_frames(self, pmap):
-        cov, _ = coordinate_frames(pmap)
+        cov, _ = pmap.frames
         assert_allclose(cov[0].at((2.0, 0.0)).vector_components(), [1.0, 0.0], atol=1e-14)
         assert_allclose(cov[1].at((2.0, 0.0)).vector_components(), [0.0, 2.0], atol=1e-14)
 
     def test_reciprocity(self, pmap, rng):
-        cov, contra = coordinate_frames(pmap)
+        cov, contra = pmap.frames
         pts = pmap.domain_primed.sample(10, rng)
         pairs = [(mf.scalar_product(cov[m], contra[n]),
                   ex.ONE if m == n else ex.ZERO) for m in range(2) for n in range(2)]
@@ -63,8 +66,7 @@ class TestCoordinateMap:
         pts = pmap.domain_primed.sample(10, rng)
         composed = [ex.substitute(f, pmap.inverse) for f in pmap.forward]
         assert worst_residual([(c, ex.Var(i)) for i, c in enumerate(composed)], pts) < 1e-10
-        jinv = inverse_jacobian(pmap)
-        kfwd = forward_jacobian_primed(pmap)
+        jinv, kfwd = pmap.inverse_jacobian, pmap.forward_jacobian
         pairs = []
         for i in range(2):
             for j in range(2):
@@ -178,13 +180,13 @@ class TestComponentTransforms:
         cmap = CoordinateMap.identity(2, Box((-1, -1), (1, 1)))
         comps = [ex.parse("x0*x1", 2), ex.parse("x0^2", 2)]
         for variance in ("co", "contra"):
-            out = transform_vector_components(comps, cmap, variance)
+            out = transform_components(comps, cmap, (variance,))
             pts = rng.uniform(-1, 1, size=(8, 2))
             assert worst_residual(list(zip(out, comps)), pts) < 1e-14
 
     def test_constant_vector_under_polar(self, pmap):
         # e1 has polar components v^r = cos(theta), v^theta = -sin(theta)/r
-        out = transform_vector_components([ex.ONE, ex.ZERO], pmap, "contra")
+        out = transform_components([ex.ONE, ex.ZERO], pmap, ("contra",))
         r, th = 1.7, 0.4
         assert ex.evaluate(out[0], (r, th)) == pytest.approx(math.cos(th))
         assert ex.evaluate(out[1], (r, th)) == pytest.approx(-math.sin(th) / r)
@@ -193,25 +195,23 @@ class TestComponentTransforms:
         v = mf.vector(2, [ex.parse("x0 + x1", 2), ex.parse("x0*x1", 2)])
         pts = pmap.domain_primed.sample(10, rng)
         for variance in ("co", "contra"):
-            law = transform_vector_components(v.vector_components(), pmap, variance)
-            direct = vector_components_in_chart(v, pmap, variance)
+            law = transform_components(v.vector_components(), pmap, (variance,))
+            direct = components_in_chart(v.vector_components(), pmap, (variance,))
             assert worst_residual(list(zip(law, direct)), pts) < 1e-10
 
     def test_variance_validated(self, pmap):
         with pytest.raises(ValueError, match="variance"):
-            transform_vector_components([ex.ONE, ex.ZERO], pmap, "mixed")
+            transform_components([ex.ONE, ex.ZERO], pmap, ("mixed",))
 
     @pytest.mark.parametrize("variances", [("co", "co"), ("contra", "contra"),
                                            ("co", "contra"), ("contra", "co")])
     def test_tensor_law_matches_direct_chart_definition(self, pmap, rng, variances):
-        from gacalc.bridge import tensor2_components_in_chart, transform_tensor2_components
-
         t = ExtensorField11.from_matrix([[ex.parse("x0", 2), ex.parse("x1 + 1", 2)],
                                          [ex.parse("x0*x1", 2), ex.ONE]])
         # canonical orthonormal chart: t_ab = t(e_a).e_b = entries[b][a]
         comps = [[t.entries[b][a] for b in range(2)] for a in range(2)]
-        law = transform_tensor2_components(comps, pmap, variances)
-        direct = tensor2_components_in_chart(t, pmap, variances)
+        law = transform_components(comps, pmap, variances)
+        direct = components_in_chart(comps, pmap, variances)
         pts = pmap.domain_primed.sample(10, rng)
         pairs = [(law[m][n], direct[m][n]) for m in range(2) for n in range(2)]
         assert worst_residual(pairs, pts) < 1e-10
@@ -220,14 +220,14 @@ class TestComponentTransforms:
 class TestClassicalCovariantDerivatives:
     def test_zero_connection_gives_partials(self, zero2_conn, rng):
         v = [ex.parse("x0^2*x1", 2), ex.parse("sin(x0)", 2)]
-        out = classical_cov_derivative(zero2_conn, v, "contra")
+        out = classical_cov_derivative(zero2_conn, v, ("contra",))
         pts = rng.uniform(0.4, 1.0, size=(8, 2))
         pairs = [(out[l][m], ex.diff(v[l], m)) for l in range(2) for m in range(2)]
         assert worst_residual(pairs, pts) < 1e-14
 
     def test_sphere_example_values(self, sphere):
         # v = (1, 0): contra derivative along phi gives (0, cot(theta))
-        out = classical_cov_derivative(sphere.conn, [ex.ONE, ex.ZERO], "contra")
+        out = classical_cov_derivative(sphere.conn, [ex.ONE, ex.ZERO], ("contra",))
         th = 0.9
         assert ex.evaluate(out[0][1], (th, 0.1)) == pytest.approx(0.0)
         assert ex.evaluate(out[1][1], (th, 0.1)) == pytest.approx(1.0 / math.tan(th))
@@ -237,7 +237,7 @@ class TestClassicalCovariantDerivatives:
         pts = sphere.domain.sample(10, rng)
         comps = [ex.parse("x0*x1 + 1", 2), ex.parse("sin(x0)*x1", 2)]
         v = mf.vector(2, comps)
-        table = classical_cov_derivative(sphere.conn, comps, variance)
+        table = classical_cov_derivative(sphere.conn, comps, (variance,))
         pairs = []
         for mu in range(2):
             ga = cov_derivative(sphere.conn, sign, mf.basis(2, mu), v)
@@ -304,3 +304,191 @@ class TestLeviCivita:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             levi_civita_from_metric([[ex.ONE, ex.ZERO]])
+
+
+# The explicit rank-1 and rank-2 rules that the rank-generic ones replaced,
+# kept as their reference: the generic trees must be == to these.
+
+def ref_sum(terms):
+    total = ex.ZERO
+    for t in terms:
+        total = ex.add(total, t)
+    return total
+
+
+def ref_tables(cmap):
+    """Inverse Jacobian, forward Jacobian composed into the primed chart, inverse Hessian."""
+    n = cmap.dim
+    jinv = [[ex.diff(c, j) for j in range(n)] for c in cmap.inverse]
+    kfwd = [[ex.substitute(ex.diff(c, j), cmap.inverse) for j in range(n)] for c in cmap.forward]
+    hess = [[[ex.diff(ex.diff(cmap.inverse[b], m), k) for k in range(n)] for m in range(n)]
+            for b in range(n)]
+    return jinv, kfwd, hess
+
+
+def ref_frames(cmap):
+    n = cmap.dim
+    jinv, kfwd, _ = ref_tables(cmap)
+    return ([mf.vector(n, [jinv[i][m] for i in range(n)]) for m in range(n)],
+            [mf.vector(n, [kfwd[l][i] for i in range(n)]) for l in range(n)])
+
+
+def ref_transform_vector(components, cmap, variance):
+    n = cmap.dim
+    comps = [ex.substitute(ex.as_expr(c), cmap.inverse) for c in components]
+    jinv, kfwd, _ = ref_tables(cmap)
+    if variance == "co":
+        return [ref_sum(ex.mul(jinv[b][a], comps[b]) for b in range(n)) for a in range(n)]
+    return [ref_sum(ex.mul(kfwd[a][b], comps[b]) for b in range(n)) for a in range(n)]
+
+
+def ref_transform_tensor2(components, cmap, variances):
+    n = cmap.dim
+    comps = [[ex.substitute(ex.as_expr(c), cmap.inverse) for c in row] for row in components]
+    jinv, kfwd, _ = ref_tables(cmap)
+
+    def factor(variance, primed, raw):
+        return jinv[raw][primed] if variance == "co" else kfwd[primed][raw]
+
+    out = [[ex.ZERO] * n for _ in range(n)]
+    for mu in range(n):
+        for nu in range(n):
+            total = ex.ZERO
+            for a in range(n):
+                for b in range(n):
+                    total = ex.add(total, ex.mul(
+                        ex.mul(factor(variances[0], mu, a), factor(variances[1], nu, b)),
+                        comps[a][b]))
+            out[mu][nu] = total
+    return out
+
+
+def ref_vector_in_chart(v, cmap, variance):
+    covariant, contravariant = ref_frames(cmap)
+    frames = covariant if variance == "co" else contravariant
+    comps = [ex.substitute(c, cmap.inverse) for c in v.vector_components()]
+    return [ref_sum(ex.mul(comps[i], f.vector_components()[i]) for i in range(cmap.dim))
+            for f in frames]
+
+
+def ref_tensor2_in_chart(t, cmap, variances):
+    pick = dict(zip(("co", "contra"), ref_frames(cmap)))
+    first, second = pick[variances[0]], pick[variances[1]]
+    n = cmap.dim
+    entries = [[ex.substitute(c, cmap.inverse) for c in row] for row in t.entries]
+    out = [[ex.ZERO] * n for _ in range(n)]
+    for mu in range(n):
+        u = first[mu].vector_components()
+        for nu in range(n):
+            w = second[nu].vector_components()
+            total = ex.ZERO
+            for i in range(n):
+                for j in range(n):
+                    total = ex.add(total, ex.mul(entries[i][j], ex.mul(u[j], w[i])))
+            out[mu][nu] = total
+    return out
+
+
+def ref_classical(conn, components, variance):
+    n, g = conn.dim, conn.gamma
+    if variance == "contra":
+        v = [ex.as_expr(c) for c in components]
+        return [[ref_sum([ex.diff(v[l], m)] + [ex.mul(g[l][m][a], v[a]) for a in range(n)])
+                 for m in range(n)] for l in range(n)]
+    if variance == "co":
+        v = [ex.as_expr(c) for c in components]
+        return [[ref_sum([ex.diff(v[nu], m)]
+                         + [ex.neg(ex.mul(g[a][m][nu], v[a])) for a in range(n)])
+                 for m in range(n)] for nu in range(n)]
+    t = [[ex.as_expr(c) for c in row] for row in components]
+    if variance == ("co", "co"):
+        return [[[ref_sum([ex.diff(t[a][b], m)]
+                          + [ex.neg(ex.mul(g[s][m][a], t[s][b])) for s in range(n)]
+                          + [ex.neg(ex.mul(g[s][m][b], t[a][s])) for s in range(n)])
+                  for m in range(n)] for b in range(n)] for a in range(n)]
+    return [[[ref_sum([ex.diff(t[a][b], m)]
+                      + [ex.neg(ex.mul(g[s][m][a], t[s][b])) for s in range(n)]
+                      + [ex.mul(g[b][m][s], t[a][s]) for s in range(n)])
+              for m in range(n)] for b in range(n)] for a in range(n)]
+
+
+SHIPPED_MAPS = {path.stem: path for path in sorted((FIXTURES / "maps").glob("*.json"))}
+SHIPPED_CONFIGS = sorted(path.name for path in FIXTURES.glob("*.json"))
+VARIANCE_PAIRS = list(itertools.product(("co", "contra"), repeat=2))
+
+
+def shipped_map(name):
+    return polar_map() if name == "builtin-polar" else load_map_file(SHIPPED_MAPS[name])
+
+
+def random_components(dim, rng):
+    vector = [rand_scalar(dim, rng, degree=2) for _ in range(dim)]
+    tensor = [[rand_scalar(dim, rng, degree=2) for _ in range(dim)] for _ in range(dim)]
+    return vector, tensor
+
+
+class TestGenericMatchesExplicit:
+    """Trees of the rank-generic rules are == to the explicit rules they replaced."""
+
+    @pytest.mark.parametrize("name", [*SHIPPED_MAPS, "builtin-polar"])
+    def test_map_tables(self, name):
+        cmap = shipped_map(name)
+        jinv, kfwd, hess = ref_tables(cmap)
+        assert cmap.inverse_jacobian == jinv
+        assert cmap.forward_jacobian == kfwd
+        assert cmap.inverse_hessian == hess
+        for got, want in zip(cmap.frames, ref_frames(cmap)):
+            assert [f.coeffs for f in got] == [f.coeffs for f in want]
+        assert cmap.compose(cmap.forward[0]) == ex.substitute(cmap.forward[0], cmap.inverse)
+
+    @pytest.mark.parametrize("name", [*SHIPPED_MAPS, "builtin-polar"])
+    def test_tables_are_built_once(self, name):
+        cmap = shipped_map(name)
+        for table in ("inverse_jacobian", "forward_jacobian", "inverse_hessian", "frames"):
+            assert getattr(cmap, table) is getattr(cmap, table)
+
+    def test_laws_reuse_the_tables(self, pmap, zero2_conn, monkeypatch):
+        pmap = CoordinateMap(2, pmap.forward, pmap.inverse, pmap.domain_primed)
+        transform_connection(zero2_conn, pmap)
+        calls = []
+        monkeypatch.setattr(ex, "diff", lambda e, i: calls.append(i))
+        transform_connection(zero2_conn, pmap)
+        transform_components([[ex.ONE, ex.ZERO], [ex.ZERO, ex.ONE]], pmap, ("co", "contra"))
+        assert calls == []  # the second use differentiates nothing
+
+    @pytest.mark.parametrize("name", [*SHIPPED_MAPS, "builtin-polar"])
+    def test_component_laws(self, name, rng):
+        cmap = shipped_map(name)
+        vector, tensor = random_components(cmap.dim, rng)
+        v = mf.vector(cmap.dim, vector)
+        for variance in ("co", "contra"):
+            assert (transform_components(vector, cmap, (variance,))
+                    == ref_transform_vector(vector, cmap, variance))
+            assert (components_in_chart(vector, cmap, (variance,))
+                    == ref_vector_in_chart(v, cmap, variance))
+        t = ExtensorField11.from_matrix([[tensor[a][b] for a in range(cmap.dim)]
+                                         for b in range(cmap.dim)])  # t(e_a).e_b = tensor[a][b]
+        for variances in VARIANCE_PAIRS:
+            assert (transform_components(tensor, cmap, variances)
+                    == ref_transform_tensor2(tensor, cmap, variances))
+            assert (components_in_chart(tensor, cmap, variances)
+                    == ref_tensor2_in_chart(t, cmap, variances))
+
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+    def test_classical_derivatives(self, config, rng):
+        conn = load_fixture_file(FIXTURES / config).conn
+        vector, tensor = random_components(conn.dim, rng)
+        for variance in ("co", "contra"):
+            assert (classical_cov_derivative(conn, vector, (variance,))
+                    == ref_classical(conn, vector, variance))
+        for variances in (("co", "co"), ("co", "contra")):
+            assert (classical_cov_derivative(conn, tensor, variances)
+                    == ref_classical(conn, tensor, variances))
+
+    def test_unknown_variance_is_named(self, pmap, zero2_conn):
+        tensor = [[ex.ONE, ex.ZERO], [ex.ZERO, ex.ONE]]
+        for call in (lambda v: transform_components(tensor, pmap, v),
+                     lambda v: components_in_chart(tensor, pmap, v),
+                     lambda v: classical_cov_derivative(zero2_conn, tensor, v)):
+            with pytest.raises(ValueError, match="got 'sideways'"):
+                call(("co", "sideways"))

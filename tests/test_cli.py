@@ -191,8 +191,7 @@ class TestEvalCommand:
         fix = load_fixture_file(FIXTURES / "torsionful.json")
         vectors = [v.removeprefix("--args=") for v in tail if v != "--args"]
         a, b = (mf.vector(2, [ex.parse(c, 2) for c in v.split(",")]) for v in vectors)
-        want = format_multivector(cov_derivative(fix.conn, "+", a, b).at([0.5, 0.5]),
-                                  sig=12, tol=1e-300)
+        want = format_multivector(cov_derivative(fix.conn, "+", a, b).at([0.5, 0.5]), tol=1e-300)
         res = run_cli("eval", "--config", str(FIXTURES / "torsionful.json"),
                       "--what", "cov-plus", "--at", "0.5,0.5", *tail)
         assert res.returncode == 0, res.stderr
@@ -317,6 +316,23 @@ class TestChristoffelCommand:
         assert res.returncode == 2
         assert res.stderr == (f"error: syntax error at offset {offset}: "
                               "integer of 5000 digits is too long\n")
+
+    @pytest.mark.parametrize("command", [
+        ("christoffel", "--at", "0.9,0.5"),
+        ("check", "--suite", "cartan"),
+        ("transform", "--map", str(FIXTURES / "maps" / "polar_map.json")),
+    ], ids=["christoffel", "check", "transform"])
+    def test_exponent_past_the_float_range_is_a_syntax_error(self, tmp_path, command):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({
+            "name": "huge", "dim": 2, "seed": 1,
+            "connection": {"kind": "coefficients", "coefficients": {"0,1,1": "x0^" + "9" * 400}},
+        }))
+        res = run_cli(command[0], "--config", str(cfg), *command[1:])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == ("error: syntax error at offset 3: "
+                              "exponent of 400 digits is too large\n")
 
     def test_long_sum_prints_its_table(self, tmp_path):
         # a left-deep tree of 3000 terms, past the default recursion limit

@@ -129,6 +129,25 @@ class TestParser:
             ex.parse(src, 2)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("src, position, digits", [
+        ("x0^" + "9" * 400, 3, 400),
+        ("x0 ^ -" + "9" * 400, 6, 400),
+        ("x0^2" + "0" * 308 + "*x1", 3, 309),
+    ], ids=["exponent", "negative-exponent", "just-past-the-float-range"])
+    def test_exponents_past_the_float_range_are_syntax_errors(self, src, position, digits):
+        # diff and evaluation take the exponent as a float
+        message = f"exponent of {digits} digits is too large"
+        with pytest.raises(ex.ParseError, match=message) as err:
+            ex.parse(src, 2)
+        assert err.value.position == position
+
+    def test_largest_exponents_in_the_float_range_parse(self):
+        exponent = int(sys.float_info.max)
+        for src in (f"x0^{exponent}", f"x0^-{exponent}"):
+            e = ex.parse(src, 2)
+            assert ex.diff(e, 0) == ex.mul(ex.const(float(e.exponent)),
+                                           ex.powi(ex.Var(0), e.exponent - 1))
+
 
 class RecursiveParser:
     """Reference parser: the recursive-descent form of the grammar, one
