@@ -195,6 +195,10 @@ def neg(a: Expr) -> Expr:
 
 def powi(base: Expr, exponent: int) -> Expr:
     exponent = int(exponent)
+    try:
+        float(exponent)  # diff and evaluation take it as a float
+    except OverflowError:
+        raise ValueError("integer exponent past the float range") from None
     if exponent == 0:
         return ONE
     if exponent == 1:

@@ -11,9 +11,12 @@ point by max(1, |lhs|, |rhs|) over its coefficients, a pair of scalar
 expressions on its own, and the check reports the worst residual over all
 pairs and sampled points, NaN included.  A check asked for N samples gets
 ceil(N / draws) points per argument draw, so the reported sample count is
-never below the request.  Builders reach the layer functions through this
-module's globals at call time, so a wrapper installed on them (a tracer)
-sees every call.  Suites group the rows for the command line: 'core'
+never below the request; a row may instead bring a point set of its own as
+a fifth entry, and then reports draws times its size.  `_SuiteRun.check`
+is the one runner: every check of every suite goes through it, and so do
+`transform`'s coordinate-map laws.  Builders reach the layer functions
+through this module's globals at call time, so a wrapper installed on them
+(a tracer) sees every call.  Suites group the rows for the command line: 'core'
 covers the derivative operators, 'cartan' torsion, curvature and the
 structure equations, 'bianchi' the two symmetric-structure identities,
 'bridge' the classical component formulas.
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import expr as ex
 from . import fields as mf
-from .algebra import Frame, Multivector, grade_of
+from .algebra import Frame, grade_of
 from .bridge import (
     CoordinateMap,
     _sum,
@@ -40,6 +43,7 @@ from .bridge import (
     transform_connection,
 )
 from .cartan import (
+    NotSymmetricError,
     cartan_connection,
     cartan_curvature,
     cartan_torsion,
@@ -175,13 +179,14 @@ class _SuiteRun:
     def points(self, count: int) -> np.ndarray:
         return self.fix.domain.sample(count, self.rng)
 
-    def check(self, name: str, tag: str, draws: int, build) -> None:
-        """Run one row: ``draws`` calls of build(rng), every yielded pair evaluated."""
-        n_points = max(10, math.ceil(self.samples / draws))
-        pts = self.points(n_points)
+    def check(self, name: str, tag: str, draws: int, build, points=None) -> None:
+        """Run one row: ``draws`` calls of build(rng), every yielded pair
+        evaluated at the row's own ``points`` or at a fresh sample of its budget."""
+        if points is None:
+            points = self.points(max(10, math.ceil(self.samples / draws)))
         pairs = itertools.chain.from_iterable(build(self.rng) for _ in range(draws))
-        self.results.append(CheckResult(name, tag, draws * n_points,
-                                        worst_residual(pairs, pts), self.tol))
+        self.results.append(CheckResult(name, tag, draws * len(points),
+                                        worst_residual(pairs, points), self.tol))
 
     def check_rows(self, rows) -> list[CheckResult]:
         for row in rows:
@@ -198,16 +203,18 @@ def _ext_sum(t: ExtensorField11, u: ExtensorField11) -> ExtensorFieldK:
     return ExtensorFieldK(t.dim, 1, lambda v: mf.add(t.apply(v), u.apply(v)))
 
 
-def _rand_const_vector(dim: int, rng: np.random.Generator) -> Multivector:
-    return Multivector.from_vector(rng.uniform(-1.0, 1.0, size=dim))
-
-
 def frame_independence(conn, op, draws, rng):
     """op(conn, *args) in the canonical frame against op in a random frame,
     the args drawn by ``draws`` before the frame."""
     args = [draw(rng) for draw in draws]
     frame = rand_frame(conn.dim, rng)
     yield op(conn, *args), op(conn, *args, frame)
+
+
+def identity_draws(dim, sides, arity, degrees, rng):
+    """sides(*vectors) for ``arity`` random vector fields of the next degree in ``degrees``."""
+    degree = next(degrees)
+    yield sides(*(rand_vector(dim, rng, degree) for _ in range(arity)))
 
 
 # ---------------------------------------------------------------------------
@@ -531,27 +538,36 @@ def cartan_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> lis
         ("cartan-pairing", "CSE.5", 5, cartan_pairing),
     ])
 
+    # both structure equations at one point set; the last of the four draws is constant
     struct_pts = run.points(max(10, math.ceil(run.samples / 4)))
-    first_args = [(rand_vector(dim, run.rng),) for _ in range(3)]
-    first_args.append((mf.constant(_rand_const_vector(dim, run.rng)),))
-    run.results.append(check_structure_equation(conn, "first", first_args, struct_pts, tol))
 
-    second_args = [(rand_vector(dim, run.rng), rand_vector(dim, run.rng)) for _ in range(3)]
-    second_args.append((mf.constant(_rand_const_vector(dim, run.rng)),
-                        mf.constant(_rand_const_vector(dim, run.rng))))
-    run.results.append(check_structure_equation(conn, "second", second_args, struct_pts, tol))
+    def structure(which, arity):
+        sides = partial(check_structure_equation, conn, which)
+        return partial(identity_draws, dim, sides, arity, iter((1, 1, 1, 0)))
 
-    return run.results
+    return run.check_rows([
+        ("structure-first", "FCE.1", 4, structure("first", 1), struct_pts),
+        ("structure-second", "SCE.1", 4, structure("second", 2), struct_pts),
+    ])
 
 
 def bianchi_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    n_points = max(10, math.ceil(samples / 3))
-    points = fix.domain.sample(n_points, rng)
-    return [
-        check_cyclic(fix.conn, points, tol, seed=seed + 1),
-        check_bianchi(fix.conn, points, tol, seed=seed + 2),
-    ]
+    """The two symmetric-structure identities at one point set, each row
+    drawing from its own generator; the first draw of each is constant."""
+    run = _SuiteRun(fix, seed, samples, tol)
+    conn, dim = run.conn, run.dim
+    points = run.points(max(10, math.ceil(run.samples / 3)))
+    if not is_symmetric(conn, points):
+        raise NotSymmetricError(
+            "connection is not symmetric: identity only holds for torsionless structures"
+        )
+    cyclic = partial(identity_draws, dim, partial(check_cyclic, conn), 3, iter((0, 1, 1, 1)))
+    bianchi = partial(identity_draws, dim, partial(check_bianchi, conn), 4, iter((0, 1, 1)))
+    cyclic_rng, bianchi_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 2)
+    return run.check_rows([
+        ("curvature-cyclic", "SPS.4", 4, lambda _: cyclic(cyclic_rng), points),
+        ("curvature-bianchi", "SPS.5", 3, lambda _: bianchi(bianchi_rng), points),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -601,101 +617,99 @@ def bridge_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> lis
 
 def transform_suite(fix: FixtureConfig, cmap: CoordinateMap, seed: int, samples: int,
                     tol: float) -> list[CheckResult]:
-    conn = fix.conn
-    dim = cmap.dim
+    """The coordinate-map laws, every row at one sample of the primed domain."""
+    run = _SuiteRun(fix, seed, samples, tol)
+    conn, dim = run.conn, cmap.dim
     if conn.dim != dim:
         raise ValueError("fixture and map dimensions differ")
-    rng = np.random.default_rng(seed)
-    n_points = max(10, samples)
-    pts = cmap.domain_primed.sample(n_points, rng)
-    results: list[CheckResult] = []
+    pts = cmap.domain_primed.sample(max(10, run.samples), run.rng)
     grid = list(itertools.product(range(dim), repeat=2))
-
-    def record(name, tag, pairs, draws=1, points=pts):
-        results.append(CheckResult(name, tag, draws * n_points, worst_residual(pairs, points), tol))
+    cube = list(itertools.product(range(dim), repeat=3))
 
     def delta(i, j):
         return ex.ONE if i == j else ex.ZERO
 
-    # chart consistency
-    record("map-roundtrip", "-",
-           ((cmap.compose(f), ex.Var(i)) for i, f in enumerate(cmap.forward)))
-
     jinv, kfwd = cmap.inverse_jacobian, cmap.forward_jacobian
-    record("map-jacobian-inverse", "-",
-           ((_sum(ex.mul(kfwd[i][k], jinv[k][j]) for k in range(dim)), delta(i, j))
-            for i, j in grid))
-
     covariant, contravariant = cmap.frames
-    record("frame-reciprocity", "A.1",
-           ((mf.scalar_product(covariant[m], contravariant[n]), delta(m, n)) for m, n in grid))
 
-    # connection transformation law, two independent routes
-    by_operator = christoffel(conn, cmap)
-    by_law = transform_connection(conn, cmap)
-    record("christoffel-vs-law", "A3",
-           ((by_operator.gamma[g][a][b], by_law.gamma[g][a][b])
-            for g, a, b in itertools.product(range(dim), repeat=3)))
+    def christoffel_vs_law(rng):
+        """The connection transformation law, two independent routes."""
+        by_operator = christoffel(conn, cmap)
+        by_law = transform_connection(conn, cmap)
+        for g, a, b in cube:
+            yield by_operator.gamma[g][a][b], by_law.gamma[g][a][b]
 
-    # vector laws: reconstruct the field from transformed components
-    vs = [rand_vector(dim, rng).vector_components() for _ in range(3)]
+    # vector laws: reconstruct the field from transformed components; both
+    # rows take the same three vectors, one a draw
+    vs = [rand_vector(dim, run.rng).vector_components() for _ in range(3)]
     composed_vs = [[cmap.compose(c) for c in v] for v in vs]
 
-    def vector_law(variance, reciprocal):
-        for v, composed in zip(vs, composed_vs):
-            comps = transform_components(v, cmap, (variance,))
-            frame = [r.vector_components() for r in reciprocal]
-            for i in range(dim):
-                yield _sum(ex.mul(comps[al], frame[al][i]) for al in range(dim)), composed[i]
+    def vector_law(variance, reciprocal, shared, rng):
+        v, composed = next(shared)
+        comps = transform_components(v, cmap, (variance,))
+        frame = [r.vector_components() for r in reciprocal]
+        for i in range(dim):
+            yield _sum(ex.mul(comps[al], frame[al][i]) for al in range(dim)), composed[i]
 
-    record("vector-law-co", "A8", vector_law("co", contravariant), draws=3)
-    record("vector-law-contra", "A9", vector_law("contra", covariant), draws=3)
+    def tensor_law(variances, probe_variances, rng):
+        """Invariant contraction of a random tensor with probe vectors."""
+        t = rand_ext11(dim, rng)
+        u = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
+        w = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
+        comps = [[t.entries[b][a] for b in range(dim)] for a in range(dim)]
+        law = transform_components(comps, cmap, variances)
+        u_t = transform_components(u, cmap, probe_variances[:1])
+        w_t = transform_components(w, cmap, probe_variances[1:])
+        yield (_sum(ex.mul(law[m][n], ex.mul(u_t[m], w_t[n])) for m, n in grid),
+               _sum(ex.mul(cmap.compose(t.entries[i][j]),
+                           ex.mul(ex.const(u[j]), ex.const(w[i]))) for i, j in grid))
 
-    # tensor laws: invariant contraction with probe vectors
-    def tensor_law(variances, probe_variances):
-        for _ in range(3):
-            t = rand_ext11(dim, rng)
-            u = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
-            w = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
-            comps = [[t.entries[b][a] for b in range(dim)] for a in range(dim)]
-            law = transform_components(comps, cmap, variances)
-            u_t = transform_components(u, cmap, probe_variances[:1])
-            w_t = transform_components(w, cmap, probe_variances[1:])
-            yield (_sum(ex.mul(law[m][n], ex.mul(u_t[m], w_t[n])) for m, n in grid),
-                   _sum(ex.mul(cmap.compose(t.entries[i][j]),
-                               ex.mul(ex.const(u[j]), ex.const(w[i]))) for i, j in grid))
+    def chain_rule(rng):
+        """Directional derivative along frame vectors vs primed-chart partials."""
+        f = rand_scalar(dim, rng, degree=2)
+        grads = [cmap.compose(ex.diff(f, i)) for i in range(dim)]
+        composed_f = cmap.compose(f)
+        for alpha in range(dim):
+            b_comp = covariant[alpha].vector_components()
+            yield (_sum(ex.mul(b_comp[i], grads[i]) for i in range(dim)),
+                   ex.diff(composed_f, alpha))
 
-    for name, tag, variances, probe_variances in (
-            ("tensor-law-co-co", "A20", ("co", "co"), ("contra", "contra")),
-            ("tensor-law-contra-contra", "A21", ("contra", "contra"), ("co", "co")),
-            ("tensor-law-co-contra", "A22", ("co", "contra"), ("contra", "co")),
-            ("tensor-law-contra-co", "A23", ("contra", "co"), ("co", "contra"))):
-        record(name, tag, tensor_law(variances, probe_variances), draws=3)
-
-    # directional derivative along frame vectors vs primed-chart partials
-    def chain_rule():
-        for _ in range(3):
-            f = rand_scalar(dim, rng, degree=2)
-            grads = [cmap.compose(ex.diff(f, i)) for i in range(dim)]
-            composed_f = cmap.compose(f)
-            for alpha in range(dim):
-                b_comp = covariant[alpha].vector_components()
-                yield (_sum(ex.mul(b_comp[i], grads[i]) for i in range(dim)),
-                       ex.diff(composed_f, alpha))
-
-    record("directional-chain-rule", "A.1", chain_rule(), draws=3)
+    run.check_rows([
+        ("map-roundtrip", "-", 1,
+         lambda _: ((cmap.compose(f), ex.Var(i)) for i, f in enumerate(cmap.forward)), pts),
+        ("map-jacobian-inverse", "-", 1,
+         lambda _: ((_sum(ex.mul(kfwd[i][k], jinv[k][j]) for k in range(dim)), delta(i, j))
+                    for i, j in grid), pts),
+        ("frame-reciprocity", "A.1", 1,
+         lambda _: ((mf.scalar_product(covariant[m], contravariant[n]), delta(m, n))
+                    for m, n in grid), pts),
+        ("christoffel-vs-law", "A3", 1, christoffel_vs_law, pts),
+        ("vector-law-co", "A8", 3,
+         partial(vector_law, "co", contravariant, zip(vs, composed_vs)), pts),
+        ("vector-law-contra", "A9", 3,
+         partial(vector_law, "contra", covariant, zip(vs, composed_vs)), pts),
+        ("tensor-law-co-co", "A20", 3,
+         partial(tensor_law, ("co", "co"), ("contra", "contra")), pts),
+        ("tensor-law-contra-contra", "A21", 3,
+         partial(tensor_law, ("contra", "contra"), ("co", "co")), pts),
+        ("tensor-law-co-contra", "A22", 3,
+         partial(tensor_law, ("co", "contra"), ("contra", "co")), pts),
+        ("tensor-law-contra-co", "A23", 3,
+         partial(tensor_law, ("contra", "co"), ("co", "contra")), pts),
+        ("directional-chain-rule", "A.1", 3, chain_rule, pts),
+    ])
 
     # transforming there and back recovers the connection
     if cmap.domain_canonical is not None:
         swapped = CoordinateMap(dim, cmap.inverse, cmap.forward,
                                 cmap.domain_canonical, cmap.domain_primed)
         back = transform_connection(transform_connection(conn, cmap), swapped)
-        record("transform-roundtrip", "A3",
-               ((back.gamma[g][a][b], conn.gamma[g][a][b])
-                for g, a, b in itertools.product(range(dim), repeat=3)),
-               points=cmap.domain_canonical.sample(n_points, rng))
+        run.check("transform-roundtrip", "A3", 1,
+                  lambda _: ((back.gamma[g][a][b], conn.gamma[g][a][b]) for g, a, b in cube),
+                  cmap.domain_canonical.sample(len(pts), run.rng))
+    return run.results
 
-    return results
+
 # ---------------------------------------------------------------------------
 # Entry point used by the CLI and the acceptance tests
 # ---------------------------------------------------------------------------

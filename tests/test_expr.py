@@ -581,6 +581,16 @@ class TestSimplify:
             ex.evaluate(ex.powi(two, 5000), (0.0,))
         assert err.value.subexpr == ex.Pow(two, 5000)
 
+    @pytest.mark.parametrize("base", [ex.Var(0), ex.const(2.0)], ids=["var", "const"])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_exponent_past_the_float_range_is_refused(self, base, sign):
+        # diff and evaluation take the exponent as a float, the bound parse keeps
+        with pytest.raises(ValueError, match="exponent past the float range"):
+            ex.powi(base, sign * 10**400)
+        big = ex.powi(ex.Var(0), sign * 10**300)
+        assert big == ex.Pow(ex.Var(0), sign * 10**300)
+        assert isinstance(ex.diff(big, 0), ex.Mul)  # a representable exponent still differentiates
+
     def test_folding_rules(self):
         x = ex.Var(0)
         assert ex.simplify(ex.Add(x, ex.ZERO)) == x

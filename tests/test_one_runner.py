@@ -1,0 +1,70 @@
+"""Every identity check of gacalc runs through one runner, `suites._SuiteRun.check`.
+
+Read from the source: a `CheckResult` is built (a call of the name
+``CheckResult`` or of an attribute of that name) in one function only,
+outside `report` where the class lives, and `cartan` holds mathematics
+alone, so it imports nothing from `report`.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gacalc"
+
+
+def constructions(package: Path, name: str) -> list[str]:
+    """``module.function`` (or ``module.Class.method``) of each call of ``name``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        stack = [(node, path.stem) for node in tree.body]
+        while stack:
+            node, where = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                where = f"{where}.{node.name}"
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (isinstance(f, ast.Name) and f.id == name) or (
+                        isinstance(f, ast.Attribute) and f.attr == name):
+                    found.append(where)
+            stack.extend((child, where) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def imports_from(path: Path, module: str) -> list[int]:
+    """Line numbers of the statements of ``path`` that import sibling ``module``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            target = node.module or ""
+            if node.level == 0:
+                target = target.removeprefix("gacalc.") if target != "gacalc" else ""
+            if target == module or (target == "" and any(a.name == module for a in node.names)):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name == f"gacalc.{module}" for a in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_finders_see_calls_and_imports(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from .report import CheckResult\n"
+        "import gacalc.report\n"
+        "from . import report, fields\n"
+        "from gacalc import report as r\n"
+        "def f():\n    return CheckResult(1)\n"
+        "class K:\n    def m(self):\n        return [r.CheckResult(2)]\n")
+    assert constructions(tmp_path, "CheckResult") == ["a.K.m", "a.f"]
+    assert imports_from(tmp_path / "a.py", "report") == [1, 2, 3, 4]
+    assert imports_from(tmp_path / "a.py", "fields") == [3]
+
+
+def test_one_place_builds_a_check_result():
+    built = [where for where in constructions(PACKAGE, "CheckResult")
+             if not where.startswith("report.")]
+    assert built == ["suites._SuiteRun.check"]
+
+
+def test_cartan_imports_nothing_from_report():
+    assert imports_from(PACKAGE / "cartan.py", "report") == []

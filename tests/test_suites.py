@@ -107,7 +107,7 @@ class TestSuiteCoverage:
         assert bridge == BRIDGE_CHECKS
 
     def test_bianchi_suite_requires_symmetry(self, torsionful):
-        with pytest.raises(NotSymmetricError):
+        with pytest.raises(NotSymmetricError, match="connection is not symmetric"):
             run_fixture_checks(torsionful, "bianchi", samples=20)
 
     def test_core_suite_at_the_largest_deformation_dim(self):
