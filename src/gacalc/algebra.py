@@ -210,8 +210,9 @@ def contraction(x: Multivector, y: Multivector, side: str = "left") -> Multivect
 
 
 def commutator(a: Multivector, x: Multivector) -> Multivector:
-    """Commutator product A x X = (AX - XA)/2."""
-    return 0.5 * (clifford(a, x) - clifford(x, a))
+    """Commutator product A x X = (AX - XA)/2, in one pass over the blade pairs:
+    a pair that commutes is dropped exactly, not left to cancel by rounding."""
+    return _product(a, x, "commutator")
 
 
 def involution(x: Multivector, kind: str) -> Multivector:
@@ -248,14 +249,6 @@ class LinearMap11:
 def adjoint(t: LinearMap11) -> LinearMap11:
     """Adjoint wrt the Euclidean scalar product: matrix transpose."""
     return LinearMap11(t.dim, t.matrix.T)
-
-
-def sym_part(t: LinearMap11) -> LinearMap11:
-    return LinearMap11(t.dim, 0.5 * (t.matrix + t.matrix.T))
-
-
-def skew_part(t: LinearMap11) -> LinearMap11:
-    return LinearMap11(t.dim, 0.5 * (t.matrix - t.matrix.T))
 
 
 def outermorphism(t: LinearMap11, x: Multivector) -> Multivector:

@@ -83,27 +83,21 @@ def christoffel(conn: ConnectionField, cmap: CoordinateMap) -> ConnectionField:
     the primed chart (directional derivative of frame components plus the
     composed connection term) and resolves against the contravariant frame.
     """
-    n = cmap.dim
-    covariant, contravariant = cmap.frames
-    comp_gamma = [[[cmap.compose(c) for c in row] for row in plane] for plane in conn.gamma]
-    out = [[[ex.ZERO] * n for _ in range(n)] for _ in range(n)]
-    for mu in range(n):
-        b_mu = covariant[mu].vector_components()
-        for nu in range(n):
-            b_nu = covariant[nu].vector_components()
-            # cov+_{b_mu} b_nu, with b_mu . d_o acting as d/dx^mu' in the primed chart
-            value = []
-            for g in range(n):
-                term = ex.diff(b_nu[g], mu)
-                for i in range(n):
-                    for j in range(n):
-                        term = ex.add(term, ex.mul(comp_gamma[g][i][j],
-                                                   ex.mul(b_mu[i], b_nu[j])))
-                value.append(term)
-            for lam in range(n):
-                up = contravariant[lam].vector_components()
-                out[lam][mu][nu] = _sum(ex.mul(value[g], up[g]) for g in range(n))
-    return ConnectionField(n, out)
+    n, gamma = cmap.dim, _composed(conn, cmap)
+    down, up = ([f.vector_components() for f in frame] for frame in cmap.frames)
+
+    @functools.cache
+    def derivative(mu: int, nu: int, g: int) -> ex.Expr:
+        """Component g of cov+_{b_mu} b_nu, b_mu . d_o acting as d/dx^mu' in the primed chart."""
+        pairs = itertools.product(range(n), repeat=2)
+        return _sum(itertools.chain([ex.diff(down[nu][g], mu)], (
+            ex.mul(gamma[g, i, j], ex.mul(down[mu][i], down[nu][j])) for i, j in pairs)))
+
+    def entry(index):
+        lam, mu, nu = index
+        return _sum(ex.mul(derivative(mu, nu, g), up[lam][g]) for g in range(n))
+
+    return ConnectionField(n, _tabulate(n, 3, entry))
 
 
 def transform_connection(conn: ConnectionField, cmap: CoordinateMap) -> ConnectionField:
@@ -112,24 +106,17 @@ def transform_connection(conn: ConnectionField, cmap: CoordinateMap) -> Connecti
     G^l'_{m'n'} = (dx^a/dx^m')(dx^b/dx^n')(dx^l'/dx^g) G^g_{ab}
                   + (d^2 x^b/dx^m' dx^n')(dx^l'/dx^b)
     """
-    n = cmap.dim
+    n, gamma = cmap.dim, _composed(conn, cmap)
     jinv, kfwd, hess = cmap.inverse_jacobian, cmap.forward_jacobian, cmap.inverse_hessian
-    comp_gamma = [[[cmap.compose(c) for c in row] for row in plane] for plane in conn.gamma]
-    out = [[[ex.ZERO] * n for _ in range(n)] for _ in range(n)]
-    for lam in range(n):
-        for mu in range(n):
-            for nu in range(n):
-                total = ex.ZERO
-                for a in range(n):
-                    for b in range(n):
-                        for g in range(n):
-                            total = ex.add(total, ex.mul(
-                                ex.mul(jinv[a][mu], jinv[b][nu]),
-                                ex.mul(kfwd[lam][g], comp_gamma[g][a][b])))
-                for b in range(n):
-                    total = ex.add(total, ex.mul(hess[b][mu][nu], kfwd[lam][b]))
-                out[lam][mu][nu] = total
-    return ConnectionField(n, out)
+
+    def entry(index):
+        lam, mu, nu = index
+        return _sum(itertools.chain(
+            (ex.mul(ex.mul(jinv[a][mu], jinv[b][nu]), ex.mul(kfwd[lam][g], gamma[g, a, b]))
+             for a, b, g in itertools.product(range(n), repeat=3)),
+            (ex.mul(hess[b][mu][nu], kfwd[lam][b]) for b in range(n))))
+
+    return ConnectionField(n, _tabulate(n, 3, entry))
 
 
 def transform_components(components, cmap: CoordinateMap, variances) -> list:
@@ -143,19 +130,6 @@ def transform_components(components, cmap: CoordinateMap, variances) -> list:
     comps = {raw: cmap.compose(c) for raw, c in _entries(components, cmap.dim, len(factors))}
     return _tabulate(cmap.dim, len(factors), lambda primed: _sum(
         ex.mul(_factor(factors, primed, raw), comp) for raw, comp in comps.items()))
-
-
-def components_in_chart(components, cmap: CoordinateMap, variances) -> list:
-    """Direct primed-chart components: the components contracted with one
-    frame field per index (covariant for 'co', contravariant for 'contra').
-
-    The sum runs with the last index outermost, the order of the rows of
-    `ExtensorField11.entries` (entries[b][a] = t(e_a) . e_b).
-    """
-    factors = _frame_components(cmap, variances)
-    comps = {raw: cmap.compose(c) for raw, c in _entries(components, cmap.dim, len(factors))}
-    return _tabulate(cmap.dim, len(factors), lambda primed: _sum(
-        ex.mul(comps[walked[::-1]], _factor(factors, primed, walked[::-1])) for walked in comps))
 
 
 def classical_cov_derivative(conn: ConnectionField, components, variances) -> list:
@@ -191,19 +165,17 @@ def riemann_coefficients(conn: ConnectionField):
     R^d_{g a b} = d_a G^d_{b g} - d_b G^d_{a g}
                   + G^d_{a s} G^s_{b g} - G^d_{b s} G^s_{a g}
     """
-    n = conn.dim
-    g = conn.gamma
-    out = [[[[ex.ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for d in range(n):
-        for gg in range(n):
-            for a in range(n):
-                for b in range(n):
-                    total = ex.sub(ex.diff(g[d][b][gg], a), ex.diff(g[d][a][gg], b))
-                    for s in range(n):
-                        total = ex.add(total, ex.mul(g[d][a][s], g[s][b][gg]))
-                        total = ex.sub(total, ex.mul(g[d][b][s], g[s][a][gg]))
-                    out[d][gg][a][b] = total
-    return out
+    n, g = conn.dim, conn.gamma
+
+    def entry(index):
+        d, c, a, b = index
+        total = ex.sub(ex.diff(g[d][b][c], a), ex.diff(g[d][a][c], b))
+        for s in range(n):
+            total = ex.add(total, ex.mul(g[d][a][s], g[s][b][c]))
+            total = ex.sub(total, ex.mul(g[d][b][s], g[s][a][c]))
+        return total
+
+    return _tabulate(n, 4, entry)
 
 
 def levi_civita_from_metric(metric) -> ConnectionField:
@@ -213,17 +185,14 @@ def levi_civita_from_metric(metric) -> ConnectionField:
     if any(len(row) != n for row in g):
         raise ValueError("metric must be a square matrix of expressions")
     ginv = ext_inverse(ExtensorField11(n, g)).entries
-    out = [[[ex.ZERO] * n for _ in range(n)] for _ in range(n)]
-    for gg in range(n):
-        for a in range(n):
-            for b in range(n):
-                total = ex.ZERO
-                for s in range(n):
-                    bracket = ex.sub(ex.add(ex.diff(g[s][b], a), ex.diff(g[a][s], b)),
-                                     ex.diff(g[a][b], s))
-                    total = ex.add(total, ex.mul(ginv[gg][s], bracket))
-                out[gg][a][b] = ex.mul(ex.const(0.5), total)
-    return ConnectionField(n, out)
+
+    def entry(index):
+        c, a, b = index
+        return ex.mul(ex.const(0.5), _sum(
+            ex.mul(ginv[c][s], ex.sub(ex.add(ex.diff(g[s][b], a), ex.diff(g[a][s], b)),
+                                      ex.diff(g[a][b], s))) for s in range(n)))
+
+    return ConnectionField(n, _tabulate(n, 3, entry))
 
 
 def _sum(terms) -> ex.Expr:
@@ -231,6 +200,11 @@ def _sum(terms) -> ex.Expr:
     for t in terms:
         total = ex.add(total, t)
     return total
+
+
+def _composed(conn: ConnectionField, cmap: CoordinateMap) -> dict:
+    """The connection coefficients composed into the primed chart, by (g, a, b)."""
+    return {index: cmap.compose(c) for index, c in _entries(conn.gamma, conn.dim, 3)}
 
 
 def _checked(variances) -> tuple[str, ...]:

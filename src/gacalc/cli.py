@@ -113,9 +113,9 @@ def _attach_values(argv: list[str]) -> list[str]:
 
 
 def _parse_point(text: str, dim: int):
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
     if len(parts) != dim:
-        raise ConfigError(f"point needs {dim} coordinates, got {len(parts)}")
+        raise ConfigError(f"point {text!r} needs {dim} coordinates, got {len(parts)}")
     try:
         point = [float(p) for p in parts]
     except ValueError as err:

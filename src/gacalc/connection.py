@@ -69,9 +69,6 @@ class ConnectionField:
             g[out][a][b] = e
         return cls(dim, g)
 
-    def coefficient(self, out: int, direction: int, argument: int) -> ex.Expr:
-        return self.gamma[out][direction][argument]
-
 
 def is_symmetric(conn: ConnectionField, points) -> bool:
     """Coefficient symmetry in the two lower slots, checked at sample points on one tape."""
@@ -206,8 +203,10 @@ class _Minors(dict):
         return ex.div(ex.neg(minor) if odd else minor, self[self.full, self.full])
 
 
-def _outermorphism(t: ExtensorField11, x: MultivectorField, inverse: bool) -> MultivectorField:
-    """ext(t) or ext(t^-1) on x: blade J maps to the sum of C_k[M, J] e_M over grade-k blades M."""
+def outermorphism_apply(t: ExtensorField11, x: MultivectorField,
+                        inverse: bool = False) -> MultivectorField:
+    """Grade-preserving extension of t, or of t^-1 if ``inverse``, on x: blade J
+    maps to the sum of C_k[M, J] e_M over the grade-k blades M."""
     n = same_dim(t, x)
     entry = t._minors.inverse if inverse else lambda m, j: t._minors[m, j]
     out: dict[int, ex.Expr] = {}
@@ -227,11 +226,6 @@ def ext_inverse(t: ExtensorField11) -> ExtensorField11:
     n = t.dim
     rows = tuple(tuple(t._minors.inverse(1 << i, 1 << j) for j in range(n)) for i in range(n))
     return _owning11(n, rows, _nonzero(rows))
-
-
-def outermorphism_apply(t: ExtensorField11, x: MultivectorField) -> MultivectorField:
-    """Grade-preserving extension of t: blade J maps to the sum of minor(M, J) e_M."""
-    return _outermorphism(t, x, False)
 
 
 @lru_cache(maxsize=None)
@@ -345,15 +339,6 @@ def cov_derivative(conn: ConnectionField, sign: str, a: MultivectorField,
     return mf.add(flat, mf.commutator(gauge_bivector(conn, a, frame), x))
 
 
-def connection_operator(conn: ConnectionField, sign: str, a: MultivectorField,
-                        b: MultivectorField) -> MultivectorField:
-    """Vector-valued operator (a, b) -> cov. derivative of b along a."""
-    _check_sign(sign, ("+", "-"))
-    if not b.is_vector():
-        raise ValueError("connection operators act on vector fields")
-    return cov_derivative(conn, sign, a, b)
-
-
 def deform(conn: ConnectionField, lam: ExtensorField11, sign: str, a: MultivectorField,
            x: MultivectorField) -> MultivectorField:
     """Deformation of the derivative pair by a non-singular vector map.
@@ -366,8 +351,8 @@ def deform(conn: ConnectionField, lam: ExtensorField11, sign: str, a: Multivecto
     """
     _check_sign(sign, ("+", "-"))
     t = lam if sign == "+" else ext_adjoint(lam)
-    inner = _outermorphism(t, x, sign == "+")
-    return _outermorphism(t, cov_derivative(conn, sign, a, inner), sign == "-")
+    inner = outermorphism_apply(t, x, sign == "+")
+    return outermorphism_apply(t, cov_derivative(conn, sign, a, inner), sign == "-")
 
 
 @dataclass(frozen=True, eq=False)

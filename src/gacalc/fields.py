@@ -10,6 +10,7 @@ and the flat directional derivative reduces to coefficient-wise partials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,6 +38,8 @@ class Box:
         object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
         if len(self.lo) != len(self.hi):
             raise ValueError("lo and hi must have the same length")
+        if not all(math.isfinite(v) for v in self.lo + self.hi):
+            raise ValueError(f"box bounds must be finite, got lo={self.lo}, hi={self.hi}")
         if any(a >= b for a, b in zip(self.lo, self.hi)):
             raise ValueError("box bounds must satisfy lo < hi on every axis")
         object.__setattr__(self, "exclusions",

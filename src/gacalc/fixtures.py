@@ -35,6 +35,20 @@ class FixtureConfig:
     seed: int
     tolerance: float
 
+    def settings(self, seed: int | None = None, samples: int | None = None,
+                 tol: float | None = None) -> tuple[int, int, float]:
+        """A run's seed, sample count and tolerance: each one given, else the
+        fixture's own.  A negative seed, or a tolerance that is not a positive
+        finite number, is a `ConfigError` naming the setting."""
+        seed = self.seed if seed is None else seed
+        samples = self.samples if samples is None else samples
+        tol = self.tolerance if tol is None else tol
+        if seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+        if not 0.0 < tol < math.inf:
+            raise ConfigError(f"tolerance must be a positive finite number, got {tol}")
+        return seed, samples, tol
+
 
 def zero_fixture(dim: int = 3) -> FixtureConfig:
     domain = Box((-1.5,) * dim, (1.5,) * dim)
@@ -202,13 +216,13 @@ def load_fixture(obj) -> FixtureConfig:
     domain = _load_box(obj.get("domain", {"lo": [-1.5] * dim, "hi": [1.5] * dim}), dim)
     conn = _load_connection(obj.get("connection", {"kind": "coefficients"}), dim)
     tolerance = float(obj.get("tolerance", 1e-8))
-    if tolerance <= 0:
-        raise ConfigError("tolerance must be positive")
     coordinates = tuple(obj.get("coordinates", [f"x{i}" for i in range(dim)]))
     if len(coordinates) != dim:
         raise ConfigError(f"expected {dim} coordinate names")
-    return FixtureConfig(str(obj.get("name", "fixture")), dim, coordinates, conn, domain,
-                         int(obj.get("samples", 50)), seed, tolerance)
+    fix = FixtureConfig(str(obj.get("name", "fixture")), dim, coordinates, conn, domain,
+                        int(obj.get("samples", 50)), seed, tolerance)
+    fix.settings()  # refuses the config's own seed or tolerance if it is bad
+    return fix
 
 
 def load_fixture_file(path) -> FixtureConfig:

@@ -57,6 +57,7 @@ from .cartan import (
     torsion_operator_form,
 )
 from .connection import (
+    SIGNS,
     ExtensorField11,
     ExtensorFieldK,
     cov_derivative,
@@ -77,8 +78,6 @@ from .fixtures import FixtureConfig
 from .report import CheckResult, Report, worst_residual
 
 SUITES = ("all", "core", "cartan", "bianchi", "bridge")
-
-SIGNS3 = ("+", "-", "0")
 
 # The products a derivation obeys a Leibniz rule over; "scalar" is X . Y as
 # a scalar field.  Lambdas, so that each call looks `fields` up afresh.
@@ -288,7 +287,7 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
         a, a2, x = rv(rng), rv(rng), rx(rng)
         alpha, beta = rng.uniform(-2, 2), rng.uniform(-2, 2)
         combo = mf.add(mf.scale(alpha, a), mf.scale(beta, a2))
-        for sign in SIGNS3:
+        for sign in SIGNS:
             yield (cov_derivative(conn, sign, combo, x),
                    mf.add(mf.scale(alpha, cov_derivative(conn, sign, a, x)),
                           mf.scale(beta, cov_derivative(conn, sign, a2, x))))
@@ -297,12 +296,12 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
         a = rv(rng)
         f = mf.scalar_field(dim, rand_scalar(dim, rng, degree=2))
         flat = mf.directional_derivative(a, f)
-        for sign in SIGNS3:
+        for sign in SIGNS:
             yield cov_derivative(conn, sign, a, f), flat
 
     def cov_additive(rng):
         a, x, y = rv(rng), rx(rng), rx(rng)
-        for sign in SIGNS3:
+        for sign in SIGNS:
             yield (cov_derivative(conn, sign, a, mf.add(x, y)),
                    mf.add(cov_derivative(conn, sign, a, x), cov_derivative(conn, sign, a, y)))
 
@@ -345,8 +344,8 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
     def cde1_k1(rng):
         a, x1, x = rv(rng), rv(rng), rx(rng)
         t = rand_ext11(dim, rng)
-        for s1 in SIGNS3:
-            for s in SIGNS3:
+        for s1 in SIGNS:
+            for s in SIGNS:
                 yield (mf.scalar_product(cov_derivative_extensor(conn, (s1, s), t, a, (x1,)), x),
                        ex.sub(ex.sub(_flat_scalar(a, mf.scalar_product(t.apply(x1), x)),
                                      mf.scalar_product(t.apply(cov_derivative(conn, s1, a, x1)), x)),
@@ -380,8 +379,8 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
     def cde3(rng):
         a = rv(rng)
         t = rand_ext11(dim, rng)
-        for s1 in SIGNS3:
-            for s in SIGNS3:
+        for s1 in SIGNS:
+            for s in SIGNS:
                 lhs = ext_adjoint(resolve11(extensor_cov_derivative(conn, (s1, s), t, a)))
                 rhs = resolve11(extensor_cov_derivative(conn, (s, s1), ext_adjoint(t), a))
                 yield from zip(itertools.chain(*lhs.entries), itertools.chain(*rhs.entries))
@@ -417,8 +416,8 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
         ("cov-direction-linearity", "CDM.3", 2, cov_linear_dir),
         ("cov-scalar-field", "CDM.4a", 5, cov_scalar),
         ("cov-additivity", "CDM.4b", 2, cov_additive),
-        ("cov-scalar-leibniz", "CDM.4c", 2, partial(scalar_leibniz, cov(*SIGNS3), rx)),
-        ("cov-wedge-leibniz", "CDM.5", 2, partial(leibniz, cov(*SIGNS3), "wedge")),
+        ("cov-scalar-leibniz", "CDM.4c", 2, partial(scalar_leibniz, cov(*SIGNS), rx)),
+        ("cov-wedge-leibniz", "CDM.5", 2, partial(leibniz, cov(*SIGNS), "wedge")),
         ("cov-pairing", "CDM.6", 5, partial(pairing, "+", "-", rx)),
         ("cov-zero-average", "CDM.7", 2, zero_avg),
         ("cov-zero-pairing", "CDM.9", 5, partial(pairing, "0", "0", rx)),
@@ -719,9 +718,7 @@ def run_fixture_checks(fix: FixtureConfig, suite: str = "all", seed: int | None 
                        samples: int | None = None, tol: float | None = None) -> Report:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    seed = fix.seed if seed is None else seed
-    samples = fix.samples if samples is None else samples
-    tol = fix.tolerance if tol is None else tol
+    seed, samples, tol = fix.settings(seed, samples, tol)
 
     checks: list[CheckResult] = []
     if suite in ("all", "core"):
@@ -742,7 +739,5 @@ def run_fixture_checks(fix: FixtureConfig, suite: str = "all", seed: int | None 
 
 def run_transform_checks(fix: FixtureConfig, cmap: CoordinateMap, seed: int | None = None,
                          samples: int | None = None, tol: float | None = None) -> Report:
-    seed = fix.seed if seed is None else seed
-    samples = fix.samples if samples is None else samples
-    tol = fix.tolerance if tol is None else tol
+    seed, samples, tol = fix.settings(seed, samples, tol)
     return Report(fix.name, seed, transform_suite(fix, cmap, seed, samples, tol))

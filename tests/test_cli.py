@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, output formats, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,16 @@ class TestEvalCommand:
                       "--what", "gauge", "--at", "0.01,0", "--args", "0,1")
         assert res.returncode == 2
         assert "outside" in res.stderr
+
+    @pytest.mark.parametrize("command", [("eval", "--what", "gauge", "--args", "0,1"),
+                                         ("christoffel",)])
+    @pytest.mark.parametrize("at", ["1.0,,0", "1.0,0,", ",1.0"])
+    def test_empty_coordinate_exits_2_naming_the_point(self, capsys, command, at):
+        code = cli.main([command[0], "--config", str(FIXTURES / "polar.json"), *command[1:],
+                         "--at", at])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert f"point {at!r}" in err
 
     def test_expression_arguments(self):
         res = run_cli("eval", "--config", str(FIXTURES / "polar.json"),
@@ -493,6 +504,57 @@ class TestTransformCommand:
                       "--map", str(bad))
         assert res.returncode == 2
         assert "inverse" in res.stderr
+
+
+class TestRunSettings:
+    """A bad seed, tolerance or domain bound is refused before any check runs."""
+
+    COMMANDS = {"check": ("check", "--config", str(FIXTURES / "polar.json"), "--suite", "bridge"),
+                "transform": ("transform", "--config", str(FIXTURES / "polar.json"),
+                              "--map", str(FIXTURES / "maps" / "polar_map.json"))}
+
+    def refused(self, capsys, argv, setting):
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {setting} must be ")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, command, tol):
+        self.refused(capsys, (*self.COMMANDS[command], "--tol", tol), "tolerance")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_seed_must_be_non_negative(self, capsys, command):
+        self.refused(capsys, (*self.COMMANDS[command], "--seed", "-1"), "seed")
+
+    def test_core_suite_names_a_negative_seed(self, capsys):
+        self.refused(capsys, ("check", "--config", str(FIXTURES / "polar.json"),
+                              "--suite", "core", "--seed", "-1"), "seed")
+
+    @pytest.mark.parametrize("key,value", [("tolerance", math.nan), ("tolerance", -1.0),
+                                           ("seed", -1)])
+    def test_config_settings_are_checked_alike(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**json.loads((FIXTURES / "polar.json").read_text()),
+                                   key: value}))
+        self.refused(capsys, ("check", "--config", str(cfg), "--suite", "bridge"), key)
+
+    @pytest.mark.parametrize("bound,axis,value", [("lo", 0, math.nan), ("hi", 1, math.inf)])
+    def test_non_finite_domain_bound_exits_2(self, capsys, tmp_path, bound, axis, value):
+        obj = json.loads((FIXTURES / "sphere.json").read_text())
+        obj["domain"][bound][axis] = value
+        cfg = tmp_path / "sphere.json"
+        cfg.write_text(json.dumps(obj))
+        self.refused(capsys, ("check", "--config", str(cfg), "--suite", "bridge"), "box bounds")
+
+    def test_non_finite_map_domain_bound_exits_2(self, capsys, tmp_path):
+        obj = json.loads((FIXTURES / "maps" / "polar_map.json").read_text())
+        obj["domain"]["hi"][0] = math.inf
+        bad = tmp_path / "map.json"
+        bad.write_text(json.dumps(obj))
+        self.refused(capsys, ("transform", "--config", str(FIXTURES / "polar.json"),
+                              "--map", str(bad)), "box bounds")
 
 
 class TestConfigKinds:

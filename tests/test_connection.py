@@ -18,7 +18,6 @@ from gacalc.connection import (
     const_frames,
     cov_derivative,
     cov_derivative_extensor,
-    connection_operator,
     deform,
     ext_adjoint,
     ext_det,
@@ -30,7 +29,6 @@ from gacalc.connection import (
     generalized_apply,
     is_symmetric,
     outermorphism_apply,
-    _outermorphism,
     resolve11,
 )
 from gacalc.fixtures import load_fixture_file, zero_fixture
@@ -169,20 +167,6 @@ class TestCovDerivative:
             cov_derivative(polar.conn, "*", E1, E2)
 
 
-class TestConnectionOperator:
-    def test_zero_connection_is_flat_derivative(self, zero2, rng):
-        pts = zero2.domain.sample(8, rng)
-        a = mf.vector(2, [ex.ONE, ex.Var(1)])
-        b = mf.vector(2, [ex.parse("x0*x1", 2), ex.Var(0)])
-        flat = mf.directional_derivative(a, b)
-        for sign in ("+", "-"):
-            assert max_residual(connection_operator(zero2.conn, sign, a, b), flat, pts) == 0.0
-
-    def test_rejects_nonvector(self, polar):
-        with pytest.raises(ValueError, match="vector"):
-            connection_operator(polar.conn, "+", E1, mf.mvf(2, {0b11: ex.ONE}))
-
-
 class TestSymmetry:
     def test_symmetric_fixtures(self, polar, sphere, zero2, rng):
         for fix in (polar, sphere, zero2):
@@ -299,19 +283,20 @@ class TestExtensorField11:
             for blade in range(1 << dim):
                 x = mf.mvf(dim, {blade: ex.ONE})
                 numeric = Multivector.blade(dim, blade, 1.0)
-                inv_x = _outermorphism(lam, x, True)  # Jacobi's complementary minors
+                inv_x = outermorphism_apply(lam, x, True)  # Jacobi's complementary minors
                 lam_x = outermorphism_apply(lam, x)  # the compound matrix
                 for field, linear_maps in ((inv_x, inverses), (lam_x, maps)):
                     got = mf.compiled_evaluator(field)(pts)
                     want = [outermorphism(m, numeric).coeffs for m in linear_maps]
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-                for back in (outermorphism_apply(lam, inv_x), _outermorphism(lam, lam_x, True)):
+                for back in (outermorphism_apply(lam, inv_x),
+                             outermorphism_apply(lam, lam_x, True)):
                     np.testing.assert_allclose(mf.compiled_evaluator(back)(pts),
                                                np.tile(numeric.coeffs, (len(pts), 1)), atol=1e-12)
             full = (1 << dim) - 1
             assert outermorphism_apply(lam, mf.mvf(dim, {full: ex.ONE})).coeffs == {full: ext_det(lam)}
             scalar = mf.scalar_field(dim, ex.Var(0))  # grade 0 passes both ways untouched
-            assert _outermorphism(lam, scalar, True).coeffs == {0: ex.Var(0)}
+            assert outermorphism_apply(lam, scalar, True).coeffs == {0: ex.Var(0)}
             assert outermorphism_apply(lam, scalar).coeffs == {0: ex.Var(0)}
 
     def test_adjoint_twice_is_identity(self, rng):

@@ -265,6 +265,15 @@ class TestBox:
                      margin=0.24)
         assert (np.abs(box.sample(20, rng)[:, 0] - 0.45) <= 0.01).all()
 
+    @pytest.mark.parametrize("lo,hi", [
+        ((float("nan"), 0.0), (1.0, 1.0)),
+        ((0.0, 0.0), (1.0, float("inf"))),
+        ((float("-inf"), 0.0), (1.0, 1.0)),
+    ])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="box bounds must be finite"):
+            mf.Box(lo, hi)
+
     def test_seeded_sampling_is_deterministic(self):
         box = mf.Box((0.0, 0.0), (1.0, 1.0))
         a = box.sample(5, np.random.default_rng(42))
