@@ -5,8 +5,8 @@ commutator of plus-derivatives.  Both repackage into bivector-valued
 extensor fields through double frame sums, with exact inversion formulas,
 and satisfy the two structure equations; for symmetric (torsionless)
 structures the cyclic and differential curvature identities hold as well.
-Vector-derivative sums are realized as frame sums over a reciprocal pair
-(canonical frame by default).
+Every vector-derivative sum here, single or double, is one
+`connection.frame_sum` over a reciprocal pair (canonical frame by default).
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from .algebra import Frame
 from .connection import (
     ConnectionField,
     ExtensorFieldK,
-    const_frames,
     cov_derivative,
     cov_derivative_extensor,
+    frame_sum,
     gamma_apply,
 )
 from .fields import MultivectorField
@@ -59,58 +59,48 @@ def curvature_extensor(conn: ConnectionField) -> ExtensorFieldK:
     return ExtensorFieldK(conn.dim, 3, lambda a, b, c: curvature(conn, a, b, c))
 
 
-def _half_double_frame_sum(conn: ConnectionField, coeff, frame: Frame | None):
-    """Half the double frame sum of coeff(e_m, e_n) e^m ^ e^n over m != n."""
-    down, up = const_frames(conn.dim, frame)
-    out = MultivectorField(conn.dim, {})
-    for m in range(conn.dim):
-        for n in range(conn.dim):
-            if m != n:
-                out = mf.add(out, mf.scale(coeff(down[m], down[n]), mf.wedge(up[m], up[n])))
-    return mf.scale(0.5, out)
+def _half_double_frame_sum(dim: int, coeff, frame: Frame | None) -> MultivectorField:
+    """Half the double frame sum of coeff(e_m, e_n) e^m ^ e^n over m != n; the
+    m = n term is known by its frame field and skipped before coeff is called."""
+    empty = MultivectorField(dim, {})
 
+    def row(e_m: MultivectorField, up_m: MultivectorField) -> MultivectorField:
+        return frame_sum(dim, lambda e_n, up_n: empty if e_n is e_m else
+                         mf.scale(coeff(e_m, e_n), mf.wedge(up_m, up_n)), frame)
 
-def _wedge_frame_sum(a: MultivectorField, b: MultivectorField, bivector,
-                     frame: Frame | None) -> MultivectorField:
-    """sum_m ((a^b) . bivector(e_m)) e^m."""
-    down, up = const_frames(a.dim, frame)
-    ab = mf.wedge(a, b)
-    out = MultivectorField(a.dim, {})
-    for m in range(a.dim):
-        out = mf.add(out, mf.scale(mf.scalar_product(ab, bivector(down[m])), up[m]))
-    return out
+    return mf.scale(0.5, frame_sum(dim, row, frame))
 
 
 def cartan_torsion(conn: ConnectionField, c: MultivectorField,
                    frame: Frame | None = None) -> MultivectorField:
     """Bivector-valued torsion: half double frame sum of e^m ^ e^n (tau(e_m, e_n) . c)."""
-    return _half_double_frame_sum(conn, lambda a, b: mf.scalar_product(torsion(conn, a, b), c),
-                                  frame)
+    return _half_double_frame_sum(
+        conn.dim, lambda a, b: mf.scalar_product(torsion(conn, a, b), c), frame)
 
 
 def invert_cartan_torsion(theta: Callable[[MultivectorField], MultivectorField],
-                          a: MultivectorField, b: MultivectorField,
-                          frame: Frame | None = None) -> MultivectorField:
+                          a: MultivectorField, b: MultivectorField) -> MultivectorField:
     """Recover tau(a, b) from the bivector map: sum_m ((a^b) . theta(e_m)) e^m."""
-    return _wedge_frame_sum(a, b, theta, frame)
+    ab = mf.wedge(a, b)
+    return frame_sum(a.dim, lambda e, e_up: mf.scale(mf.scalar_product(ab, theta(e)), e_up))
 
 
 def cartan_curvature(conn: ConnectionField, c: MultivectorField, d: MultivectorField,
                      frame: Frame | None = None) -> MultivectorField:
     """Bivector-valued curvature: half double frame sum of e^m ^ e^n (rho(e_m, e_n, c) . d)."""
-    return _half_double_frame_sum(conn, lambda a, b: mf.scalar_product(curvature(conn, a, b, c), d),
-                                  frame)
+    return _half_double_frame_sum(
+        conn.dim, lambda a, b: mf.scalar_product(curvature(conn, a, b, c), d), frame)
 
 
 def invert_cartan_curvature(omega: Callable[[MultivectorField, MultivectorField], MultivectorField],
-                            a: MultivectorField, b: MultivectorField, c: MultivectorField,
-                            frame: Frame | None = None) -> MultivectorField:
+                            a: MultivectorField, b: MultivectorField,
+                            c: MultivectorField) -> MultivectorField:
     """Recover rho(a, b, c): sum_m ((a^b) . omega(c, e_m)) e^m."""
-    return _wedge_frame_sum(a, b, lambda e: omega(c, e), frame)
+    return invert_cartan_torsion(lambda e: omega(c, e), a, b)
 
 
 def cartan_connection(conn: ConnectionField, kind: str, b: MultivectorField,
-                      c: MultivectorField, frame: Frame | None = None) -> MultivectorField:
+                      c: MultivectorField) -> MultivectorField:
     """Cartan connection operators.
 
     first:  sum_m ((cov+_{e_m} b) . c) e^m
@@ -118,35 +108,27 @@ def cartan_connection(conn: ConnectionField, kind: str, b: MultivectorField,
     """
     if kind not in ("first", "second"):
         raise ValueError(f"kind must be 'first' or 'second', got {kind!r}")
-    down, up = const_frames(conn.dim, frame)
-    out = MultivectorField(conn.dim, {})
-    for m in range(conn.dim):
+
+    def term(e: MultivectorField, e_up: MultivectorField) -> MultivectorField:
         if kind == "first":
-            coeff = mf.scalar_product(cov_derivative(conn, "+", down[m], b), c)
-        else:
-            coeff = mf.scalar_product(b, cov_derivative(conn, "-", down[m], c))
-        out = mf.add(out, mf.scale(coeff, up[m]))
-    return out
+            return mf.scale(mf.scalar_product(cov_derivative(conn, "+", e, b), c), e_up)
+        return mf.scale(mf.scalar_product(b, cov_derivative(conn, "-", e, c)), e_up)
+
+    return frame_sum(conn.dim, term)
 
 
 def first_structure_rhs(conn: ConnectionField, c: MultivectorField) -> MultivectorField:
     """d_o ^ c plus the frame sum of e^m ^ (second-kind operator of (e_m, c))."""
-    down, up = const_frames(conn.dim, None)
-    out = mf.curl(c)
-    for m in range(conn.dim):
-        out = mf.add(out, mf.wedge(up[m], cartan_connection(conn, "second", down[m], c)))
-    return out
+    return mf.add(mf.curl(c), frame_sum(
+        conn.dim, lambda e, e_up: mf.wedge(e_up, cartan_connection(conn, "second", e, c))))
 
 
 def second_structure_rhs(conn: ConnectionField, c: MultivectorField,
                          d: MultivectorField) -> MultivectorField:
     """d_o ^ (first kind of (c,d)) plus sum_m first(c, e^m) ^ second(e_m, d)."""
-    down, up = const_frames(conn.dim, None)
-    out = mf.curl(cartan_connection(conn, "first", c, d))
-    for m in range(conn.dim):
-        out = mf.add(out, mf.wedge(cartan_connection(conn, "first", c, up[m]),
-                                   cartan_connection(conn, "second", down[m], d)))
-    return out
+    return mf.add(mf.curl(cartan_connection(conn, "first", c, d)), frame_sum(
+        conn.dim, lambda e, e_up: mf.wedge(cartan_connection(conn, "first", c, e_up),
+                                           cartan_connection(conn, "second", e, d))))
 
 
 # which -> the two sides

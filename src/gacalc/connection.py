@@ -10,6 +10,7 @@ map at any n <= 6, and covariant derivatives of k-extensor fields (k <= 3).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
@@ -229,20 +230,37 @@ def ext_inverse(t: ExtensorField11) -> ExtensorField11:
 
 
 @lru_cache(maxsize=None)
-def _canonical_frame_fields(dim: int) -> tuple[MultivectorField, ...]:
-    # one entry per dim; fields are never modified, so every caller shares them
-    return tuple(mf.constant(v) for v in canonical_frame(dim).vectors)
+def _canonical_frame_fields(dim: int) -> tuple[tuple[MultivectorField, ...], ...]:
+    # one entry per dim; the canonical frame is orthonormal, so its own reciprocal
+    down = tuple(mf.constant(v) for v in canonical_frame(dim).vectors)
+    return down, down
+
+
+_FRAME_FIELDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # frame -> its fields
 
 
 def const_frames(dim: int, frame: Frame | None):
-    """Constant frame fields and their reciprocals, as tuples (canonical by default)."""
+    """Constant frame fields and their reciprocals, as tuples (canonical by default),
+    built once per frame, so that every sum over one frame sees the same fields."""
     if frame is None:
-        # the canonical frame is orthonormal, so its own reciprocal
-        down = _canonical_frame_fields(dim)
-        return down, down
-    down = tuple(mf.constant(v) for v in frame.vectors)
-    up = tuple(mf.constant(v) for v in reciprocal_frame(frame).vectors)
-    return down, up
+        return _canonical_frame_fields(dim)
+    if frame not in _FRAME_FIELDS:
+        _FRAME_FIELDS[frame] = tuple(tuple(mf.constant(v) for v in f.vectors)
+                                     for f in (frame, reciprocal_frame(frame)))
+    return _FRAME_FIELDS[frame]
+
+
+def frame_sum(dim: int, term: Callable[[MultivectorField, MultivectorField], MultivectorField],
+              frame: Frame | None = None) -> MultivectorField:
+    """Sum of term(e_mu, e^mu) over a reciprocal frame pair, folded left from the
+    empty field, empty terms skipped: a vector-derivative sum, the same in every
+    frame (Hestenes & Sobczyk 1984)."""
+    out = mf._owning(dim, {})
+    for e_mu, e_up in zip(*const_frames(dim, frame)):
+        t = term(e_mu, e_up)
+        if t.coeffs:
+            out = mf.add(out, t)
+    return out
 
 
 def gamma_apply(conn: ConnectionField, a: MultivectorField, b: MultivectorField) -> MultivectorField:
@@ -275,27 +293,22 @@ def gamma_matrix(conn: ConnectionField, a: MultivectorField) -> ExtensorField11:
 
 def gauge_bivector(conn: ConnectionField, a: MultivectorField,
                    frame: Frame | None = None) -> MultivectorField:
-    """Gauge bivector: half the frame sum of gamma(a, e^mu) ^ e_mu over its nonempty terms."""
-    down, up = const_frames(conn.dim, frame)
-    out = mf._owning(conn.dim, {})
-    for e_mu, e_up in zip(down, up):
-        column = gamma_apply(conn, a, e_up)
-        if column.coeffs:
-            out = mf.add(out, mf.wedge(column, e_mu))
-    return mf.scale(0.5, out)
+    """Gauge bivector: half the frame sum of gamma(a, e^mu) ^ e_mu."""
+    return mf.scale(0.5, frame_sum(
+        conn.dim, lambda e, e_up: mf.wedge(gamma_apply(conn, a, e_up), e), frame))
 
 
-def _generalized(gmap: ExtensorField11, x: MultivectorField, frame: Frame | None) -> MultivectorField:
-    """Frame sum of gmap(e^mu) ^ (e_mu . X), skipping the empty gmap(e^mu) terms."""
-    down, up = const_frames(gmap.dim, frame)
-    out = mf._owning(gmap.dim, {})
+def _generalized(gmap: ExtensorField11, x: MultivectorField,
+                 frame: Frame | None = None) -> MultivectorField:
+    """Frame sum of gmap(e^mu) ^ (e_mu . X); an empty gmap(e^mu) contracts nothing."""
     if not gmap.nonzero:
-        return out
-    for e_mu, e_up in zip(down, up):
+        return mf._owning(gmap.dim, {})
+
+    def term(e_mu: MultivectorField, e_up: MultivectorField) -> MultivectorField:
         column = gmap.apply(e_up)
-        if column.coeffs:
-            out = mf.add(out, mf.wedge(column, mf.contract(e_mu, x, "left")))
-    return out
+        return mf.wedge(column, mf.contract(e_mu, x, "left")) if column.coeffs else column
+
+    return frame_sum(gmap.dim, term, frame)
 
 
 def generalized_apply(conn: ConnectionField, a: MultivectorField, x: MultivectorField,
@@ -312,19 +325,19 @@ def generalized_adjoint_apply(conn: ConnectionField, a: MultivectorField, x: Mul
     return _generalized(ext_adjoint(gamma_matrix(conn, a)), x, frame)
 
 
-def generalized_skew_apply(conn: ConnectionField, a: MultivectorField, x: MultivectorField,
-                           frame: Frame | None = None) -> MultivectorField:
+def generalized_skew_apply(conn: ConnectionField, a: MultivectorField,
+                           x: MultivectorField) -> MultivectorField:
     """Generalized extension of the skew part of the direction-a connection map."""
-    return _generalized(ext_skew(gamma_matrix(conn, a)), x, frame)
+    return _generalized(ext_skew(gamma_matrix(conn, a)), x)
 
 
-def generalized_sym_apply(conn: ConnectionField, a: MultivectorField, x: MultivectorField,
-                          frame: Frame | None = None) -> MultivectorField:
-    return _generalized(ext_sym(gamma_matrix(conn, a)), x, frame)
+def generalized_sym_apply(conn: ConnectionField, a: MultivectorField,
+                          x: MultivectorField) -> MultivectorField:
+    return _generalized(ext_sym(gamma_matrix(conn, a)), x)
 
 
 def cov_derivative(conn: ConnectionField, sign: str, a: MultivectorField,
-                   x: MultivectorField, frame: Frame | None = None) -> MultivectorField:
+                   x: MultivectorField) -> MultivectorField:
     """Plus, minus or zero covariant derivative of a multivector field.
 
     plus:  a.d_o X + G_a(X)          minus: a.d_o X - adj(G_a)(X)
@@ -333,10 +346,10 @@ def cov_derivative(conn: ConnectionField, sign: str, a: MultivectorField,
     _check_sign(sign)
     flat = mf.directional_derivative(a, x)
     if sign == "+":
-        return mf.add(flat, generalized_apply(conn, a, x, frame))
+        return mf.add(flat, generalized_apply(conn, a, x))
     if sign == "-":
-        return mf.sub(flat, generalized_adjoint_apply(conn, a, x, frame))
-    return mf.add(flat, mf.commutator(gauge_bivector(conn, a, frame), x))
+        return mf.sub(flat, generalized_adjoint_apply(conn, a, x))
+    return mf.add(flat, mf.commutator(gauge_bivector(conn, a), x))
 
 
 def deform(conn: ConnectionField, lam: ExtensorField11, sign: str, a: MultivectorField,

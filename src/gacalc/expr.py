@@ -12,11 +12,13 @@ Coordinates are x0, x1, ...  ASTs are immutable by convention (nothing
 assigns to a node's fields once built; slots hold them and the derivatives
 `diff` stores, `_diff`) and closed under `diff`, so repeated differentiation
 (needed for curvature and its derivatives) stays exact.  `simplify` only
-folds constants and 0/1/-1 identities.  `Tape` is the one evaluator: it
-evaluates many trees at many points at once and raises `DomainError`
-naming the subexpression that failed; `evaluate` is a one-point tape and
-`compile_fn` wraps one for one tree.  A one-point call runs the tape's
-program on numpy scalars, bit for bit as the same point in an array call.
+folds constants and 0/1/-1 identities; a constant call or power folds to
+the value a `Tape` computes for it, when that value is finite.  `Tape` is
+the one evaluator: it evaluates many trees at many points at once and
+raises `DomainError` naming the subexpression that failed; `evaluate` is a
+one-point tape and `compile_fn` wraps one for one tree.  A one-point call
+runs the tape's program on numpy scalars, bit for bit as the same point in
+an array call.
 """
 
 from __future__ import annotations
@@ -91,14 +93,15 @@ _BINARY_NODES = (Add, Sub, Mul, Div)
 ZERO = Const(0.0)
 ONE = Const(1.0)
 
+# the one function table: a Tape runs these ufuncs, and folding a constant call runs them too
 _FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "ln": math.log,
-    "sqrt": math.sqrt,
-    "atan": math.atan,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "ln": np.log,
+    "sqrt": np.sqrt,
+    "atan": np.arctan,
 }
 
 
@@ -203,23 +206,25 @@ def powi(base: Expr, exponent: int) -> Expr:
         return ONE
     if exponent == 1:
         return base
-    if isinstance(base, Const) and not (base.value == 0.0 and exponent < 0):
-        try:
-            return Const(base.value ** exponent)
-        except OverflowError:
-            pass
+    if isinstance(base, Const) and (folded := _fold(_power(exponent), base.value)):
+        return folded
     return Pow(base, exponent)
 
 
 def call(name: str, arg: Expr) -> Expr:
     if name not in _FUNCTIONS:
         raise ValueError(f"unknown function {name!r}")
-    if isinstance(arg, Const):
-        try:
-            return Const(_FUNCTIONS[name](arg.value))
-        except (ValueError, OverflowError, ZeroDivisionError):
-            pass
+    if isinstance(arg, Const) and (folded := _fold(_FUNCTIONS[name], arg.value)):
+        return folded
     return Call(name, arg)
+
+
+def _fold(fn, value: float) -> Const | None:
+    """fn of a constant, computed as a `Tape` computes it, if the result is finite;
+    a fault or overflow stays unfolded, for evaluation to name."""
+    with np.errstate(all="ignore"):
+        result = float(fn(np.float64(value)))
+    return Const(result) if math.isfinite(result) else None
 
 
 _BUILD = {Add: add, Sub: sub, Mul: mul, Div: div}
@@ -437,16 +442,6 @@ def to_str(e: Expr) -> str:
 # tape computes every slot once, as an array over all points (the tape
 # evaluation of Griewank & Walther, "Evaluating Derivatives", 2008).
 
-_NUMPY_FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "ln": np.log,
-    "sqrt": np.sqrt,
-    "atan": np.arctan,
-}
-
 # numpy runs these as its ufuncs on arrays and as scalar arithmetic on np.float64
 _BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 
@@ -528,7 +523,7 @@ class Tape:
                     if kind is Pow:
                         key, op = (Pow, node.exponent, arg), (_power(node.exponent), arg, None)
                     elif kind is Call:
-                        key = op = (_NUMPY_FUNCTIONS[node.name], arg, None)
+                        key = op = (_FUNCTIONS[node.name], arg, None)
                     else:
                         key = op = (operator.neg, arg, None)
                 else:

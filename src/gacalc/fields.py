@@ -46,6 +46,8 @@ class Box:
                            tuple((int(a), float(v)) for a, v in self.exclusions))
         if any(not 0 <= a < self.dim for a, _ in self.exclusions):
             raise ValueError(f"exclusion axis out of range for dimension {self.dim}")
+        if not all(math.isfinite(v) for _, v in self.exclusions):
+            raise ValueError(f"exclusion values must be finite, got {self.exclusions}")
         if not self.margin >= 0.0:
             raise ValueError(f"margin must be a non-negative number, got {self.margin}")
         for axis in range(self.dim):

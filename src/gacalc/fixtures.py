@@ -205,22 +205,28 @@ def _load_connection(spec, dim: int) -> ConnectionField:
     return conn
 
 
+def _number(obj: dict, key: str, kind: type, default=None):
+    """obj[key], else ``default``: a JSON integer if ``kind`` is int, any JSON
+    number if float (true and false are neither), else a `ConfigError`."""
+    value = obj.get(key, default)
+    if type(value) is not int and (kind is int or type(value) is not float):
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {json.dumps(value) if key in obj else 'nothing'}")
+    return kind(value)
+
+
 def load_fixture(obj) -> FixtureConfig:
     if not isinstance(obj, dict):
         raise ConfigError("fixture config must be a JSON object")
-    try:
-        dim = int(obj["dim"])
-        seed = int(obj["seed"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"fixture needs integer 'dim' and 'seed': {err}") from None
+    dim, seed = _number(obj, "dim", int), _number(obj, "seed", int)
     domain = _load_box(obj.get("domain", {"lo": [-1.5] * dim, "hi": [1.5] * dim}), dim)
     conn = _load_connection(obj.get("connection", {"kind": "coefficients"}), dim)
-    tolerance = float(obj.get("tolerance", 1e-8))
+    tolerance = _number(obj, "tolerance", float, 1e-8)
     coordinates = tuple(obj.get("coordinates", [f"x{i}" for i in range(dim)]))
     if len(coordinates) != dim:
         raise ConfigError(f"expected {dim} coordinate names")
     fix = FixtureConfig(str(obj.get("name", "fixture")), dim, coordinates, conn, domain,
-                        int(obj.get("samples", 50)), seed, tolerance)
+                        _number(obj, "samples", int, 50), seed, tolerance)
     fix.settings()  # refuses the config's own seed or tolerance if it is bad
     return fix
 

@@ -540,6 +540,31 @@ class TestRunSettings:
                                    key: value}))
         self.refused(capsys, ("check", "--config", str(cfg), "--suite", "bridge"), key)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("samples", "abc", 'samples must be an integer, got "abc"'),
+        ("samples", 2.7, "samples must be an integer, got 2.7"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", True, "seed must be an integer, got true"),
+        ("dim", "2", 'dim must be an integer, got "2"'),
+        ("tolerance", "x", 'tolerance must be a number, got "x"'),
+        ("tolerance", False, "tolerance must be a number, got false"),
+    ])
+    def test_config_setting_of_the_wrong_json_type_exits_2(self, capsys, tmp_path, key, value,
+                                                             message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**json.loads((FIXTURES / "polar.json").read_text()),
+                                   key: value}))
+        code = cli.main(["check", "--config", str(cfg), "--suite", "bridge"])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+    def test_nan_exclusion_exits_2_naming_it(self, capsys, tmp_path):
+        obj = json.loads((FIXTURES / "polar.json").read_text())
+        obj["domain"]["exclusions"] = [[0, math.nan]]
+        cfg = tmp_path / "polar.json"
+        cfg.write_text(json.dumps(obj))
+        self.refused(capsys, ("check", "--config", str(cfg), "--suite", "bridge"),
+                     "exclusion values")
+
     @pytest.mark.parametrize("bound,axis,value", [("lo", 0, math.nan), ("hi", 1, math.inf)])
     def test_non_finite_domain_bound_exits_2(self, capsys, tmp_path, bound, axis, value):
         obj = json.loads((FIXTURES / "sphere.json").read_text())

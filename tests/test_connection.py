@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,17 @@ from gacalc import bridge
 from gacalc import expr as ex
 from gacalc import fields as mf
 from gacalc.algebra import Frame, LinearMap11, Multivector, allclose, outermorphism
+from gacalc.cartan import (
+    cartan_connection,
+    cartan_curvature,
+    cartan_torsion,
+    curvature,
+    first_structure_rhs,
+    invert_cartan_curvature,
+    invert_cartan_torsion,
+    second_structure_rhs,
+    torsion,
+)
 from gacalc.connection import (
     ConnectionField,
     ExtensorField11,
@@ -545,6 +557,69 @@ class TestSparseContractionsMatchDenseFormulas:
                 dense = mf.scale(0.5, dense)
                 got = gauge_bivector(conn, a, frame)
                 assert got.coeffs == dense.coeffs
+
+    # The Cartan sums below are each one `frame_sum`: the references add every
+    # term, an empty one and the m = n one too, in the same fold order.
+
+    @staticmethod
+    def dense_sum(n, term, frame=None):
+        down, up = const_frames(n, frame)
+        out = mf.mvf(n, {})
+        for e_mu, e_up in zip(down, up):
+            out = mf.add(out, term(e_mu, e_up))
+        return out
+
+    def half_double_sum(self, n, coeff, frame):
+        # the row of each m, then the rows in order, m = n included
+        def row(e_m, up_m):
+            return self.dense_sum(n, lambda e_n, up_n: mf.scale(coeff(e_m, e_n),
+                                                                mf.wedge(up_m, up_n)), frame)
+        return mf.scale(0.5, self.dense_sum(n, row, frame))
+
+    def test_cartan_connection(self, conn, rng):
+        n = conn.dim
+        b, c = _random_vector(n, rng), _random_vector(n, rng)
+        first = self.dense_sum(n, lambda e, e_up: mf.scale(
+            mf.scalar_product(cov_derivative(conn, "+", e, b), c), e_up))
+        second = self.dense_sum(n, lambda e, e_up: mf.scale(
+            mf.scalar_product(b, cov_derivative(conn, "-", e, c)), e_up))
+        assert cartan_connection(conn, "first", b, c).coeffs == first.coeffs
+        assert cartan_connection(conn, "second", b, c).coeffs == second.coeffs
+
+    def test_cartan_torsion_and_its_inverse(self, conn, rng):
+        n = conn.dim
+        a, b, c = (_random_vector(n, rng) for _ in range(3))
+        for frame in self.frames(n, rng):
+            dense = self.half_double_sum(
+                n, lambda u, v: mf.scalar_product(torsion(conn, u, v), c), frame)
+            assert cartan_torsion(conn, c, frame).coeffs == dense.coeffs
+        theta = partial(cartan_torsion, conn)
+        ab = mf.wedge(a, b)
+        dense = self.dense_sum(n, lambda e, e_up: mf.scale(mf.scalar_product(ab, theta(e)), e_up))
+        assert invert_cartan_torsion(theta, a, b).coeffs == dense.coeffs
+
+    def test_cartan_curvature_and_its_inverse(self, conn, rng):
+        n = conn.dim
+        a, b, c, d = (_random_vector(n, rng) for _ in range(4))
+        for frame in self.frames(n, rng):
+            dense = self.half_double_sum(
+                n, lambda u, v: mf.scalar_product(curvature(conn, u, v, c), d), frame)
+            assert cartan_curvature(conn, c, d, frame).coeffs == dense.coeffs
+        omega = partial(cartan_curvature, conn)
+        ab = mf.wedge(a, b)
+        dense = self.dense_sum(n, lambda e, e_up: mf.scale(mf.scalar_product(ab, omega(c, e)), e_up))
+        assert invert_cartan_curvature(omega, a, b, c).coeffs == dense.coeffs
+
+    def test_structure_right_hand_sides(self, conn, rng):
+        n = conn.dim
+        c, d = _random_vector(n, rng), _random_vector(n, rng)
+        dense = mf.add(mf.curl(c), self.dense_sum(n, lambda e, e_up: mf.wedge(
+            e_up, cartan_connection(conn, "second", e, c))))
+        assert first_structure_rhs(conn, c).coeffs == dense.coeffs
+        dense = mf.add(mf.curl(cartan_connection(conn, "first", c, d)), self.dense_sum(
+            n, lambda e, e_up: mf.wedge(cartan_connection(conn, "first", c, e_up),
+                                        cartan_connection(conn, "second", e, d))))
+        assert second_structure_rhs(conn, c, d).coeffs == dense.coeffs
 
 
 class TestZeroDerivativeOnCurvedDim3:

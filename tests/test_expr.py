@@ -581,6 +581,36 @@ class TestSimplify:
             ex.evaluate(ex.powi(two, 5000), (0.0,))
         assert err.value.subexpr == ex.Pow(two, 5000)
 
+    def test_constant_calls_and_powers_fold_to_the_tape_value(self):
+        # folding runs the ufunc a Tape runs, so simplify moves no value by a bit
+        rng = np.random.default_rng(8000)
+        values = np.concatenate([rng.uniform(-10.0, 10.0, 300), rng.uniform(-800.0, 800.0, 100),
+                                 10.0 ** rng.uniform(-300.0, 300.0, 100), [0.0, -0.0]])
+        trees = [ex.Call(name, ex.const(v)) for name in ex._FUNCTIONS for v in values]
+        trees += [ex.Pow(ex.const(v), k) for v in values for k in (-3, -2, -1, 2, 3, 7, 200)]
+        folded = 0
+        for e in trees:
+            s = ex.simplify(e)
+            if s != e:
+                assert type(s) is ex.Const, e
+                assert ex.evaluate(s, (0.0,)).hex() == ex.evaluate(e, (0.0,)).hex(), e
+                folded += 1
+        assert folded > len(trees) // 2
+
+    @pytest.mark.parametrize("src,message", [
+        ("ln(0)", "logarithm of a non-positive value"),
+        ("sqrt(-1)", "square root of a negative value"),
+        ("exp(1000)", "overflow to a non-finite value"),
+        ("0^-1", "zero raised to a negative power"),
+    ])
+    def test_constant_fault_stays_unfolded(self, src, message):
+        e = ex.parse(src, 1)
+        assert type(ex.simplify(e)) is type(e) and ex.to_str(ex.simplify(e)) == src
+        for tree in (e, ex.simplify(e)):
+            with pytest.raises(ex.DomainError, match=message) as err:
+                ex.evaluate(tree, (0.0,))
+            assert ex.to_str(err.value.subexpr) == src
+
     @pytest.mark.parametrize("base", [ex.Var(0), ex.const(2.0)], ids=["var", "const"])
     @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
     def test_exponent_past_the_float_range_is_refused(self, base, sign):

@@ -1,9 +1,11 @@
-"""Every identity check of gacalc runs through one runner, `suites._SuiteRun.check`.
+"""Every identity check of gacalc runs through one runner, `suites._SuiteRun.check`,
+and every frame sum through one function, `connection.frame_sum`.
 
 Read from the source: a `CheckResult` is built (a call of the name
 ``CheckResult`` or of an attribute of that name) in one function only,
 outside `report` where the class lives, and `cartan` holds mathematics
-alone, so it imports nothing from `report`.
+alone, so it imports nothing from `report`.  Only `frame_sum` asks for a
+frame's fields (`const_frames`), so no hand-written frame loop is left.
 """
 
 import ast
@@ -68,3 +70,7 @@ def test_one_place_builds_a_check_result():
 
 def test_cartan_imports_nothing_from_report():
     assert imports_from(PACKAGE / "cartan.py", "report") == []
+
+
+def test_one_function_sums_over_a_frame():
+    assert constructions(PACKAGE, "const_frames") == ["connection.frame_sum"]
