@@ -116,16 +116,50 @@ BUILTIN_FIXTURES = {
 }
 
 
-def _load_box(obj, dim: int) -> Box:
-    try:
-        lo = tuple(float(v) for v in obj["lo"])
-        hi = tuple(float(v) for v in obj["hi"])
-    except (KeyError, TypeError) as err:
-        raise ConfigError(f"domain must have numeric 'lo' and 'hi' lists: {err}") from None
-    if len(lo) != dim or len(hi) != dim:
-        raise ConfigError(f"domain bounds must have {dim} entries")
-    exclusions = tuple((int(a), float(v)) for a, v in obj.get("exclusions", []))
-    return Box(lo, hi, exclusions, float(obj.get("margin", 0.05)))
+_MISSING = object()  # a config key that is absent and has no default
+
+
+def _shown(value) -> str:
+    return "nothing" if value is _MISSING else json.dumps(value, default=repr)
+
+
+def _checked(value, name: str, kind: type):
+    """``value`` as ``kind``: a JSON integer if ``kind`` is int, any JSON number
+    if float (true and false are neither), else a `ConfigError` naming ``name``."""
+    if type(value) is not int and (kind is int or type(value) is not float):
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {_shown(value)}")
+    return kind(value)
+
+
+def _number(obj: dict, key: str, kind: type, default=_MISSING):
+    """obj[key], else ``default``, read by `_checked`'s rule."""
+    return _checked(obj.get(key, default), key, kind)
+
+
+def _array(value, name: str, length: int | None = None) -> list:
+    """``value`` if it is a JSON array (of ``length`` entries if given), else a
+    `ConfigError` naming ``name``."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        size = "" if length is None else f" of {length} entries"
+        raise ConfigError(f"{name} must be a list{size}, got {_shown(value)}")
+    return value
+
+
+def _load_box(obj, dim: int, name: str) -> Box:
+    """The box config ``obj``, every number checked; ``name`` is its key."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name} must be an object with 'lo' and 'hi' lists, got {_shown(obj)}")
+    lo, hi = (tuple(_checked(v, f"{name} {key}[{i}]", float)
+                    for i, v in enumerate(_array(obj.get(key, _MISSING), f"{name} {key}", dim)))
+              for key in ("lo", "hi"))
+    exclusions = []
+    for i, pair in enumerate(_array(obj.get("exclusions", []), f"{name} exclusions")):
+        axis, value = _array(pair, f"{name} exclusions[{i}]", 2)
+        exclusions.append((_checked(axis, f"{name} exclusions[{i}] axis", int),
+                           _checked(value, f"{name} exclusions[{i}] value", float)))
+    return Box(lo, hi, tuple(exclusions),
+               _checked(obj.get("margin", 0.05), f"{name} margin", float))
 
 
 def _parse_expr(src, dim: int) -> ex.Expr:
@@ -136,17 +170,16 @@ def _parse_expr(src, dim: int) -> ex.Expr:
 
 def load_map(obj) -> CoordinateMap:
     try:
-        dim = int(obj["dim"])
-        forward_src = obj["forward"]
-        inverse_src = obj["inverse"]
-        domain = obj["domain"]
+        dim, forward_src, inverse_src, domain = (
+            obj[key] for key in ("dim", "forward", "inverse", "domain"))
     except (KeyError, TypeError) as err:
         raise ConfigError(f"map needs 'dim', 'forward', 'inverse' and 'domain': {err}") from None
-    forward = tuple(_parse_expr(s, dim) for s in forward_src)
-    inverse = tuple(_parse_expr(s, dim) for s in inverse_src)
+    dim = _checked(dim, "map dim", int)
+    forward = tuple(_parse_expr(s, dim) for s in _array(forward_src, "map forward", dim))
+    inverse = tuple(_parse_expr(s, dim) for s in _array(inverse_src, "map inverse", dim))
     canonical = obj.get("domain_canonical")
-    return CoordinateMap(dim, forward, inverse, _load_box(domain, dim),
-                         _load_box(canonical, dim) if canonical else None)
+    return CoordinateMap(dim, forward, inverse, _load_box(domain, dim, "map domain"),
+                         _load_box(canonical, dim, "map domain_canonical") if canonical else None)
 
 
 def _read_json(path):
@@ -183,7 +216,11 @@ def _load_connection(spec, dim: int) -> ConnectionField:
         raise ConfigError("connection spec must be an object with a 'kind'")
     elif spec["kind"] == "coefficients":
         entries = {}
-        for key, src in spec.get("coefficients", {}).items():
+        coefficients = spec.get("coefficients", {})
+        if not isinstance(coefficients, dict):
+            raise ConfigError("coefficients must be an object of 'g,a,b': expression entries, "
+                              f"got {_shown(coefficients)}")
+        for key, src in coefficients.items():
             try:
                 g, a, b = (int(part) for part in key.split(","))
             except ValueError:
@@ -193,10 +230,9 @@ def _load_connection(spec, dim: int) -> ConnectionField:
             entries[(g, a, b)] = _parse_expr(src, dim)
         conn = ConnectionField.from_entries(dim, entries)
     elif spec["kind"] == "metric":
-        matrix = spec.get("matrix")
-        if not matrix or len(matrix) != dim:
-            raise ConfigError(f"metric matrix must be {dim}x{dim}")
-        rows = [[_parse_expr(c, dim) for c in row] for row in matrix]
+        matrix = _array(spec.get("matrix", _MISSING), "metric matrix", dim)
+        rows = [[_parse_expr(c, dim) for c in _array(row, f"metric matrix[{i}]", dim)]
+                for i, row in enumerate(matrix)]
         conn = levi_civita_from_metric(rows)
     else:
         raise ConfigError(f"unknown connection kind {spec['kind']!r}")
@@ -205,26 +241,18 @@ def _load_connection(spec, dim: int) -> ConnectionField:
     return conn
 
 
-def _number(obj: dict, key: str, kind: type, default=None):
-    """obj[key], else ``default``: a JSON integer if ``kind`` is int, any JSON
-    number if float (true and false are neither), else a `ConfigError`."""
-    value = obj.get(key, default)
-    if type(value) is not int and (kind is int or type(value) is not float):
-        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
-                          f"got {json.dumps(value) if key in obj else 'nothing'}")
-    return kind(value)
-
-
 def load_fixture(obj) -> FixtureConfig:
     if not isinstance(obj, dict):
         raise ConfigError("fixture config must be a JSON object")
     dim, seed = _number(obj, "dim", int), _number(obj, "seed", int)
-    domain = _load_box(obj.get("domain", {"lo": [-1.5] * dim, "hi": [1.5] * dim}), dim)
+    domain = _load_box(obj.get("domain", {"lo": [-1.5] * dim, "hi": [1.5] * dim}), dim,
+                       "domain")
     conn = _load_connection(obj.get("connection", {"kind": "coefficients"}), dim)
     tolerance = _number(obj, "tolerance", float, 1e-8)
-    coordinates = tuple(obj.get("coordinates", [f"x{i}" for i in range(dim)]))
-    if len(coordinates) != dim:
-        raise ConfigError(f"expected {dim} coordinate names")
+    coordinates = tuple(_array(obj.get("coordinates", [f"x{i}" for i in range(dim)]),
+                               "coordinates", dim))
+    if not all(isinstance(c, str) for c in coordinates):
+        raise ConfigError(f"coordinates must be {dim} names, got {_shown(coordinates)}")
     fix = FixtureConfig(str(obj.get("name", "fixture")), dim, coordinates, conn, domain,
                         _number(obj, "samples", int, 50), seed, tolerance)
     fix.settings()  # refuses the config's own seed or tolerance if it is bad

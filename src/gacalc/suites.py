@@ -14,12 +14,15 @@ ceil(N / draws) points per argument draw, so the reported sample count is
 never below the request; a row may instead bring a point set of its own as
 a fifth entry, and then reports draws times its size.  `_SuiteRun.check`
 is the one runner: every check of every suite goes through it, and so do
-`transform`'s coordinate-map laws.  Builders reach the layer functions
-through this module's globals at call time, so a wrapper installed on them
-(a tracer) sees every call.  Suites group the rows for the command line: 'core'
-covers the derivative operators, 'cartan' torsion, curvature and the
-structure equations, 'bianchi' the two symmetric-structure identities,
-'bridge' the classical component formulas.
+`transform`'s coordinate-map laws, and every row draws from the generator
+its runner hands it.  Builders reach the layer functions through this
+module's globals at call time, so a wrapper installed on them (a tracer)
+sees every call.  Suites group the rows for the command line: 'core' covers
+the derivative operators, 'cartan' torsion, curvature and the structure
+equations, 'bianchi' the two symmetric-structure identities, 'bridge' the
+classical component formulas.  Whether the connection is symmetric is
+decided once per run (`run_fixture_checks`, on one probe), and that one
+answer gates every symmetric-only row.
 """
 
 from __future__ import annotations
@@ -444,11 +447,12 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
 # ---------------------------------------------------------------------------
 
 
-def cartan_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[CheckResult]:
+def cartan_suite(fix: FixtureConfig, seed: int, samples: int, tol: float,
+                 symmetric: bool) -> list[CheckResult]:
+    """The cartan rows; ``symmetric`` (decided by the caller) adds torsion-vanishes."""
     run = _SuiteRun(fix, seed, samples, tol)
     conn, dim = run.conn, run.dim
     zero = mf.mvf(dim, {})
-    symmetric = is_symmetric(conn, run.points(10))
 
     def rv(rng):
         return rand_vector(dim, rng)
@@ -518,7 +522,12 @@ def cartan_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> lis
                       cartan_connection(conn, "second", b, c)),
                mf.gradient_field(mf.scalar_product(b, c), dim))
 
-    run.check_rows([
+    def structure(which, arity):
+        """Four draws of the structure equation ``which``, the last one constant."""
+        sides = partial(check_structure_equation, conn, which)
+        return partial(identity_draws, dim, sides, arity, iter((1, 1, 1, 0)))
+
+    return run.check_rows([
         ("torsion-equivalence", "TCF.1a", 2, torsion_equiv),
         ("torsion-antisymmetry", "TCF.1b", 2, torsion_antisym),
         ("torsion-tensoriality", "TCF.1b", 2, torsion_tensorial),
@@ -535,37 +544,23 @@ def cartan_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> lis
         ("cartan-first-linearity", "CSE.3", 2, partial(kind_linear, "first")),
         ("cartan-second-linearity", "CSE.4", 2, partial(kind_linear, "second")),
         ("cartan-pairing", "CSE.5", 5, cartan_pairing),
-    ])
-
-    # both structure equations at one point set; the last of the four draws is constant
-    struct_pts = run.points(max(10, math.ceil(run.samples / 4)))
-
-    def structure(which, arity):
-        sides = partial(check_structure_equation, conn, which)
-        return partial(identity_draws, dim, sides, arity, iter((1, 1, 1, 0)))
-
-    return run.check_rows([
-        ("structure-first", "FCE.1", 4, structure("first", 1), struct_pts),
-        ("structure-second", "SCE.1", 4, structure("second", 2), struct_pts),
+        ("structure-first", "FCE.1", 4, structure("first", 1)),
+        ("structure-second", "SCE.1", 4, structure("second", 2)),
     ])
 
 
 def bianchi_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[CheckResult]:
-    """The two symmetric-structure identities at one point set, each row
-    drawing from its own generator; the first draw of each is constant."""
+    """The two symmetric-structure identities at one point set, both rows
+    drawing from the runner's generator; the first draw of each is constant.
+    The caller runs them only on a connection it found symmetric."""
     run = _SuiteRun(fix, seed, samples, tol)
     conn, dim = run.conn, run.dim
     points = run.points(max(10, math.ceil(run.samples / 3)))
-    if not is_symmetric(conn, points):
-        raise NotSymmetricError(
-            "connection is not symmetric: identity only holds for torsionless structures"
-        )
     cyclic = partial(identity_draws, dim, partial(check_cyclic, conn), 3, iter((0, 1, 1, 1)))
     bianchi = partial(identity_draws, dim, partial(check_bianchi, conn), 4, iter((0, 1, 1)))
-    cyclic_rng, bianchi_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 2)
     return run.check_rows([
-        ("curvature-cyclic", "SPS.4", 4, lambda _: cyclic(cyclic_rng), points),
-        ("curvature-bianchi", "SPS.5", 3, lambda _: bianchi(bianchi_rng), points),
+        ("curvature-cyclic", "SPS.4", 4, cyclic, points),
+        ("curvature-bianchi", "SPS.5", 3, bianchi, points),
     ])
 
 
@@ -719,19 +714,21 @@ def run_fixture_checks(fix: FixtureConfig, suite: str = "all", seed: int | None 
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     seed, samples, tol = fix.settings(seed, samples, tol)
+    # symmetry is decided once, on one probe, for every row that depends on it
+    symmetric = suite in ("all", "cartan", "bianchi") and is_symmetric(
+        fix.conn, fix.domain.sample(10, np.random.default_rng(seed)))
+    if suite == "bianchi" and not symmetric:
+        raise NotSymmetricError(
+            "connection is not symmetric: identity only holds for torsionless structures"
+        )
 
     checks: list[CheckResult] = []
     if suite in ("all", "core"):
         checks += core_suite(fix, seed, samples, tol)
     if suite in ("all", "cartan"):
-        checks += cartan_suite(fix, seed + 101, samples, tol)
-    if suite == "bianchi":
+        checks += cartan_suite(fix, seed + 101, samples, tol, symmetric)
+    if suite in ("all", "bianchi") and symmetric:
         checks += bianchi_suite(fix, seed + 202, samples, tol)
-    elif suite == "all":
-        rng = np.random.default_rng(seed)
-        probe = fix.domain.sample(10, rng)
-        if is_symmetric(fix.conn, probe):
-            checks += bianchi_suite(fix, seed + 202, samples, tol)
     if suite in ("all", "bridge"):
         checks += bridge_suite(fix, seed + 303, samples, tol)
     return Report(fix.name, seed, checks)

@@ -548,6 +548,14 @@ class TestRunSettings:
         ("dim", "2", 'dim must be an integer, got "2"'),
         ("tolerance", "x", 'tolerance must be a number, got "x"'),
         ("tolerance", False, "tolerance must be a number, got false"),
+        ("coordinates", "rt", 'coordinates must be a list of 2 entries, got "rt"'),
+        ("connection", {"kind": "coefficients", "coefficients": [["0,1,1", "-x0"]]},
+         """coefficients must be an object of 'g,a,b': expression entries, """
+         """got [["0,1,1", "-x0"]]"""),
+        ("connection", {"kind": "metric", "matrix": ["10", "01"]},
+         'metric matrix[0] must be a list of 2 entries, got "10"'),
+        ("domain", {"lo": [0.1, -3.0], "hi": [3.0, 3.0], "exclusions": [0, 1.0]},
+         "domain exclusions[0] must be a list of 2 entries, got 0"),
     ])
     def test_config_setting_of_the_wrong_json_type_exits_2(self, capsys, tmp_path, key, value,
                                                              message):

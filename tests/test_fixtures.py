@@ -1,4 +1,5 @@
-"""Fixture configs: transform chains of any length, and JSON the decoder refuses."""
+"""Fixture configs: transform chains of any length, JSON the decoder refuses,
+and config values of the wrong JSON type."""
 
 import json
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from gacalc import expr as ex
-from gacalc.fixtures import ConfigError, load_fixture, load_fixture_file, load_map_file
+from gacalc.fixtures import ConfigError, load_fixture, load_fixture_file, load_map, load_map_file
 
 MAPS = Path(__file__).resolve().parents[1] / "fixtures" / "maps"
 IDENTITY = json.loads((MAPS / "identity2.json").read_text())
@@ -92,3 +93,57 @@ class TestJsonFiles:
         with pytest.raises(ConfigError, match=reason) as err:
             load(path)
         assert str(err.value).startswith(f"invalid JSON in {path}: ")
+
+
+POLAR = json.loads((MAPS.parent / "polar.json").read_text())
+POLAR_MAP = json.loads((MAPS / "polar_map.json").read_text())
+
+
+def edited(obj, path, value):
+    """A deep copy of ``obj`` with the entry at key ``path`` set to ``value``."""
+    obj = json.loads(json.dumps(obj))
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return obj
+
+
+class TestConfigTypes:
+    """Every config number and container is read by one rule: a value of the
+    wrong JSON type is a `ConfigError` naming its key and the value (the
+    containers of a fixture are also checked through the command line, in
+    `test_cli.py`)."""
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("domain", "exclusions"), [[0.7, 0.5]], "domain exclusions[0] axis must be an integer, "
+                                                 "got 0.7"),
+        (("domain", "lo"), [True, -3], "domain lo[0] must be a number, got true"),
+        (("domain", "lo"), [0.1, "-3"], 'domain lo[1] must be a number, got "-3"'),
+        (("domain", "margin"), "x", 'domain margin must be a number, got "x"'),
+        (("domain", "exclusions"), [[0, "abc"]],
+         'domain exclusions[0] value must be a number, got "abc"'),
+        (("coordinates",), ["r", 1], 'coordinates must be 2 names, got ["r", 1]'),
+    ], ids=["exclusion-axis-float", "lo-bool", "lo-string", "margin-string",
+            "exclusion-value-string", "coordinate-not-a-name"])
+    def test_fixture_value_of_the_wrong_type(self, path, value, message):
+        with pytest.raises(ConfigError) as err:
+            load_fixture(edited(POLAR, path, value))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("dim", 2.7, "map dim must be an integer, got 2.7"),
+        ("dim", True, "map dim must be an integer, got true"),
+        ("forward", "x0", 'map forward must be a list of 2 entries, got "x0"'),
+        ("inverse", ["x0"], 'map inverse must be a list of 2 entries, got ["x0"]'),
+    ])
+    def test_map_value_of_the_wrong_type(self, key, value, message):
+        with pytest.raises(ConfigError) as err:
+            load_map(edited(POLAR_MAP, (key,), value))
+        assert str(err.value) == message
+
+    def test_well_typed_values_still_load(self):
+        fix = load_fixture(edited(POLAR, ("domain", "exclusions"), [[0, 1], [1, 0.5]]))
+        assert fix.domain.exclusions == ((0, 1.0), (1, 0.5))
+        cmap = load_map(edited(POLAR_MAP, ("domain", "lo"), [1, -1]))
+        assert cmap.domain_primed.lo == (1.0, -1.0)

@@ -6,6 +6,8 @@ Read from the source: a `CheckResult` is built (a call of the name
 outside `report` where the class lives, and `cartan` holds mathematics
 alone, so it imports nothing from `report`.  Only `frame_sum` asks for a
 frame's fields (`const_frames`), so no hand-written frame loop is left.
+Symmetry is decided in one place, generators are built only by a runner and
+by that one decision's probe, and the cartan rows run through one table.
 """
 
 import ast
@@ -74,3 +76,24 @@ def test_cartan_imports_nothing_from_report():
 
 def test_one_function_sums_over_a_frame():
     assert constructions(PACKAGE, "const_frames") == ["connection.frame_sum"]
+
+
+def test_symmetry_is_decided_once_per_run():
+    assert constructions(PACKAGE, "is_symmetric") == ["suites.run_fixture_checks"]
+
+
+def test_only_the_runner_and_the_symmetry_probe_build_a_generator():
+    assert constructions(PACKAGE, "default_rng") == [
+        "suites._SuiteRun.__init__", "suites.run_fixture_checks"]
+
+
+def test_cartan_rows_run_through_one_table_at_the_runner_sample():
+    tree = ast.parse((PACKAGE / "suites.py").read_text())
+    suite = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "cartan_suite")
+    tables = [node.args[0] for node in ast.walk(suite) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute) and node.func.attr == "check_rows"]
+    assert len(tables) == 1
+    rows = [row for row in tables[0].elts if isinstance(row, ast.Tuple)]
+    assert len(rows) > 10
+    assert all(len(row.elts) == 4 for row in rows)  # (name, tag, draws, build): no point set
