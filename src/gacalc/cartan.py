@@ -23,7 +23,7 @@ from .connection import (
     frame_sum,
     gamma_apply,
 )
-from .fields import MultivectorField
+from .fields import MultivectorField, memo
 
 
 class NotSymmetricError(ValueError):
@@ -31,6 +31,7 @@ class NotSymmetricError(ValueError):
     of a connection with torsion."""
 
 
+@memo
 def torsion(conn: ConnectionField, a: MultivectorField, b: MultivectorField) -> MultivectorField:
     """tau(a, b) = gamma_a(b) - gamma_b(a); antisymmetric and tensorial."""
     return mf.sub(gamma_apply(conn, a, b), gamma_apply(conn, b, a))
@@ -45,6 +46,7 @@ def torsion_operator_form(conn: ConnectionField, a: MultivectorField,
     )
 
 
+@memo
 def curvature(conn: ConnectionField, a: MultivectorField, b: MultivectorField,
               c: MultivectorField) -> MultivectorField:
     """rho(a, b, c) = [cov+_a, cov+_b] c - cov+_{[a,b]} c."""

@@ -14,6 +14,7 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import re
 import sys
@@ -188,6 +189,20 @@ def _cmd_transform(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command with the cyclic garbage collector off: expression trees,
+    fields and their memo entries hold no reference cycles, so reference
+    counting frees them and a collection pass would find nothing.  The
+    collector is left as it was found."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
     handlers = {

@@ -20,7 +20,7 @@ import numpy as np
 from . import expr as ex
 from . import fields as mf
 from .algebra import Frame, LinearMap11, canonical_frame, reciprocal_frame, same_dim
-from .fields import MultivectorField
+from .fields import MultivectorField, memo
 
 SIGNS = ("+", "-", "0")
 _DUAL = {"+": "-", "-": "+", "0": "0"}
@@ -263,6 +263,7 @@ def frame_sum(dim: int, term: Callable[[MultivectorField, MultivectorField], Mul
     return out
 
 
+@memo
 def gamma_apply(conn: ConnectionField, a: MultivectorField, b: MultivectorField) -> MultivectorField:
     """Directional connection value gamma(a, b), bilinear over scalar fields."""
     if a.dim != conn.dim or b.dim != conn.dim:
@@ -278,6 +279,7 @@ def gamma_apply(conn: ConnectionField, a: MultivectorField, b: MultivectorField)
     return mf.vector(conn.dim, out)
 
 
+@memo
 def gamma_matrix(conn: ConnectionField, a: MultivectorField) -> ExtensorField11:
     """The direction-a connection map as a (1,1)-extensor field."""
     if not a.is_vector():
@@ -291,6 +293,7 @@ def gamma_matrix(conn: ConnectionField, a: MultivectorField) -> ExtensorField11:
     return _owning11(n, tuple(map(tuple, rows)), nonzero)
 
 
+@memo
 def gauge_bivector(conn: ConnectionField, a: MultivectorField,
                    frame: Frame | None = None) -> MultivectorField:
     """Gauge bivector: half the frame sum of gamma(a, e^mu) ^ e_mu."""
@@ -336,6 +339,7 @@ def generalized_sym_apply(conn: ConnectionField, a: MultivectorField,
     return _generalized(ext_sym(gamma_matrix(conn, a)), x)
 
 
+@memo
 def cov_derivative(conn: ConnectionField, sign: str, a: MultivectorField,
                    x: MultivectorField) -> MultivectorField:
     """Plus, minus or zero covariant derivative of a multivector field.

@@ -277,49 +277,55 @@ def diff(e: Expr, i: int) -> Expr:
     """Exact partial derivative with respect to coordinate x_i.
 
     The walk is iterative (post-order on an explicit stack, so any depth
-    is fine).  Each node keeps its derivatives in its own ``_diff`` dict,
-    outside the fields that ``==``, ``hash`` and ``repr`` read, so it is
-    differentiated by x_i once in its lifetime, whichever call asks.
+    is fine).  It descends one operand at a time, left before right, and
+    looks each operand up once: a leaf's derivative, or the one stored on
+    the node, is handed straight to the node waiting for it.  Each node
+    keeps its derivatives in its own ``_diff`` dict, outside the fields
+    that ``==``, ``hash`` and ``repr`` read, so it is differentiated by
+    x_i once in its lifetime, whichever call asks.
     """
-    d = _stored(e, i)
-    if d is not None:  # a leaf, or differentiated before
-        return d
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if _stored(node, i) is not None:  # a leaf, or differentiated before
-            continue
+    waiting: list[Expr] = []  # nodes whose operands are being differentiated, innermost last
+    lefts: list = []  # per waiting node: its left operand's derivative once done, else None
+    node = e
+    while True:
         kind = type(node)
-        if kind in _BINARY_NODES:
-            left, right = _stored(node.left, i), _stored(node.right, i)
-            if left is None or right is None:  # differentiate the children first
-                stack += (node, node.right, node.left)
-                continue
-            d = _diff_binary(node, left, right)
-        elif kind in (Neg, Pow, Call):
-            child = node.base if kind is Pow else node.arg
-            done = _stored(child, i)
-            if done is None:
-                stack += (node, child)
-                continue
-            d = _diff_unary(node, done)
+        if kind is Var:
+            d = ONE if node.index == i else ZERO
+        elif kind is Const:
+            d = ZERO
         else:
-            raise TypeError(f"not an expression: {node!r}")
-        if getattr(node, "_diff", None) is None:
-            node._diff = {}
-        node._diff[i] = d
-    return _stored(e, i)
-
-
-def _stored(e: Expr, i: int) -> Expr | None:
-    """d/dx_i of ``e`` if it takes no work: a leaf's, or the one stored on ``e``."""
-    kind = type(e)
-    if kind is Var:
-        return ONE if e.index == i else ZERO
-    if kind is Const:
-        return ZERO
-    known = getattr(e, "_diff", None)
-    return None if known is None else known.get(i)
+            known = getattr(node, "_diff", None)
+            d = None if known is None else known.get(i)
+            if d is None:  # differentiate the operands first, left before right
+                waiting.append(node)
+                lefts.append(None)
+                if kind in _BINARY_NODES:
+                    node = node.left
+                elif kind in (Neg, Pow, Call):
+                    node = node.base if kind is Pow else node.arg
+                else:
+                    raise TypeError(f"not an expression: {node!r}")
+                continue
+        while waiting:  # d is done: hand it to the node waiting for it
+            node = waiting[-1]
+            kind = type(node)
+            if kind in _BINARY_NODES:
+                left = lefts[-1]
+                if left is None:
+                    lefts[-1] = d
+                    node = node.right
+                    break
+                d = _diff_binary(node, left, d)
+            else:
+                d = _diff_unary(node, d)
+            waiting.pop()
+            lefts.pop()
+            known = getattr(node, "_diff", None)
+            if known is None:
+                node._diff = known = {}
+            known[i] = d
+        else:
+            return d
 
 
 def _diff_binary(e: Expr, dl: Expr, dr: Expr) -> Expr:
@@ -492,52 +498,72 @@ class Tape:
         self.nodes: list[Expr] = []
         self.program: list[tuple] = []  # per slot: (callable, operand, operand) or a leaf
         self.checked: list[int] = []  # the slots a domain fault can occur in
+        self.roots: list[int] = []
         slot_of: dict[int, int] = {}  # id(node) -> slot; the roots keep the ids valid
         slot_by_key: dict[tuple, int] = {}  # a leaf's or a Pow's key, or a slot's instruction
+        waiting: list[Expr] = []  # nodes whose operands are being lowered, innermost last
+        lefts: list = []  # per waiting node: its left operand's slot once lowered, else None
         for root in roots:
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                if id(node) in slot_of:
-                    continue
-                kind = type(node)
-                if kind in _BINARY_NODES:
-                    left = slot_of.get(id(node.left))
-                    right = slot_of.get(id(node.right))
-                    if left is None or right is None:  # lower the children first
-                        stack += (node, node.right, node.left)
-                        continue
-                    key = op = (_BINARY[kind], left, right)
-                elif kind is Var:
-                    key, op = (Var, node.index), (None, node.index, None)
-                elif kind is Const:
-                    # -0.0 == 0.0, so the sign bit joins the key
-                    key = (Const, node.value, math.copysign(1.0, node.value))
-                    op = (None, None, np.float64(node.value))
-                elif kind in (Neg, Pow, Call):
-                    child = node.base if kind is Pow else node.arg
-                    arg = slot_of.get(id(child))
-                    if arg is None:
-                        stack += (node, child)
-                        continue
-                    if kind is Pow:
-                        key, op = (Pow, node.exponent, arg), (_power(node.exponent), arg, None)
-                    elif kind is Call:
-                        key = op = (_FUNCTIONS[node.name], arg, None)
-                    else:
-                        key = op = (operator.neg, arg, None)
-                else:
-                    raise TypeError(f"not an expression: {node!r}")
-                slot = slot_by_key.get(key)
+            node = root
+            while True:
+                slot = slot_of.get(id(node))
                 if slot is None:
-                    slot = slot_by_key[key] = len(self.program)
-                    self.program.append(op)
-                    self.nodes.append(node)
-                    if (kind is Div or kind is Pow and node.exponent < 0
-                            or kind is Call and node.name in ("ln", "sqrt")):
-                        self.checked.append(slot)
-                slot_of[id(node)] = slot
-        self.roots = [slot_of[id(r)] for r in roots]
+                    kind = type(node)
+                    if kind is Var or kind is Const:  # -0.0 == 0.0: a sign bit joins the key
+                        key = ((Var, node.index) if kind is Var else
+                               (Const, node.value, math.copysign(1.0, node.value)))
+                        slot = slot_of[id(node)] = self._slot(slot_by_key, key, node)
+                    else:  # lower the operands first, one at a time, left before right
+                        waiting.append(node)
+                        lefts.append(None)
+                        if kind in _BINARY_NODES:
+                            node = node.left
+                        elif kind in (Neg, Pow, Call):
+                            node = node.base if kind is Pow else node.arg
+                        else:
+                            raise TypeError(f"not an expression: {node!r}")
+                        continue
+                while waiting:  # the slot is done: hand it to the node waiting for it
+                    node = waiting[-1]
+                    kind = type(node)
+                    if kind in _BINARY_NODES:
+                        left = lefts[-1]
+                        if left is None:
+                            lefts[-1] = slot
+                            node = node.right
+                            break
+                        key = (_BINARY[kind], left, slot)
+                    elif kind is Pow:
+                        key = (Pow, node.exponent, slot)
+                    else:
+                        key = (_FUNCTIONS[node.name] if kind is Call else operator.neg, slot, None)
+                    waiting.pop()
+                    lefts.pop()
+                    slot = slot_of[id(node)] = self._slot(slot_by_key, key, node)
+                else:
+                    break
+            self.roots.append(slot)
+
+    def _slot(self, slot_by_key: dict, key: tuple, node: Expr) -> int:
+        """The slot of ``key``; a new one decodes ``node``'s instruction, once."""
+        slot = slot_by_key.get(key)
+        if slot is None:
+            slot = slot_by_key[key] = len(self.program)
+            kind = type(node)
+            if kind is Var:
+                op = (None, node.index, None)
+            elif kind is Const:
+                op = (None, None, np.float64(node.value))
+            elif kind is Pow:
+                op = (_power(node.exponent), key[2], None)
+            else:
+                op = key
+            self.program.append(op)
+            self.nodes.append(node)
+            if (kind is Div or kind is Pow and node.exponent < 0
+                    or kind is Call and node.name in ("ln", "sqrt")):
+                self.checked.append(slot)
+        return slot
 
     def __call__(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)

@@ -6,13 +6,16 @@ box with per-axis open exclusions shielding coordinate singularities) is
 the domain of a fixture or of a coordinate map, and sampling reads it
 there.  The chart frame is the canonical orthonormal one, so e^mu = e_mu
 and the flat directional derivative reduces to coefficient-wise partials.
+`memo` makes a pure operator on fields a memo function, keyed weakly on the
+identity of its arguments; `lie_bracket` and the connection operators are.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -22,6 +25,52 @@ from .algebra import _owning as _owning_multivector
 
 # Box.sample gives up after this many draws per requested point.
 SAMPLE_TRIES = 1000
+
+
+class _Level(weakref.WeakKeyDictionary):
+    """One argument position of a `memo` table.  An object is a weak key, by
+    identity (no field type defines ``==``); an argument that takes no weak
+    reference (a sign string, None) is a key of ``values``, by value."""
+
+    def __init__(self):
+        super().__init__()
+        self.values: dict = {}
+
+    def table(self, arg):
+        return self if type(arg).__weakrefoffset__ else self.values
+
+
+def memo(fn):
+    """``fn`` computed once per argument set: the same argument objects give
+    the very same result object (a memo function; Michie, *Nature* 218, 1968).
+
+    Each argument as passed is one nested level, the first keyed by the
+    number of arguments, so an entry dies with any object it is keyed on
+    and the memo keeps nothing alive.  ``fn`` must be pure and return no
+    argument of its own.  A call with keyword arguments is not memoized.
+    """
+    by_arity: dict[int, _Level] = {}
+
+    @wraps(fn)
+    def memoized(*args, **kwargs):
+        if kwargs:
+            return fn(*args, **kwargs)
+        level = by_arity.get(len(args))
+        if level is None:
+            level = by_arity[len(args)] = _Level()
+        for arg in args[:-1]:
+            table = level.table(arg)
+            inner = table.get(arg)
+            if inner is None:
+                inner = table[arg] = _Level()
+            level = inner
+        table = level.table(args[-1])
+        result = table.get(args[-1])
+        if result is None:
+            result = table[args[-1]] = fn(*args)
+        return result
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -274,6 +323,7 @@ def directional_derivative(a: MultivectorField, x: MultivectorField) -> Multivec
     return _owning(x.dim, out)
 
 
+@memo
 def lie_bracket(a: MultivectorField, b: MultivectorField) -> MultivectorField:
     """[a, b] = a.d_o b - b.d_o a on vector fields."""
     if not (a.is_vector() and b.is_vector()):

@@ -177,9 +177,10 @@ def load_map(obj) -> CoordinateMap:
     dim = _checked(dim, "map dim", int)
     forward = tuple(_parse_expr(s, dim) for s in _array(forward_src, "map forward", dim))
     inverse = tuple(_parse_expr(s, dim) for s in _array(inverse_src, "map inverse", dim))
-    canonical = obj.get("domain_canonical")
+    canonical = obj.get("domain_canonical", _MISSING)
     return CoordinateMap(dim, forward, inverse, _load_box(domain, dim, "map domain"),
-                         _load_box(canonical, dim, "map domain_canonical") if canonical else None)
+                         None if canonical is _MISSING else
+                         _load_box(canonical, dim, "map domain_canonical"))
 
 
 def _read_json(path):

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, output formats, determinism."""
 
+import gc
 import json
 import math
 import subprocess
@@ -588,6 +589,51 @@ class TestRunSettings:
         bad.write_text(json.dumps(obj))
         self.refused(capsys, ("transform", "--config", str(FIXTURES / "polar.json"),
                               "--map", str(bad)), "box bounds")
+
+
+    def test_falsy_map_domain_canonical_exits_2(self, capsys, tmp_path):
+        obj = json.loads((FIXTURES / "maps" / "polar_map.json").read_text())
+        obj["domain_canonical"] = 0
+        bad = tmp_path / "map.json"
+        bad.write_text(json.dumps(obj))
+        self.refused(capsys, ("transform", "--config", str(FIXTURES / "polar.json"),
+                              "--map", str(bad)), "map domain_canonical")
+
+
+class TestCollectorPolicy:
+    """`cli.main` runs a command with the cyclic collector off and leaves it as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("argv", [
+        ("check", "--config", str(FIXTURES / "polar.json"), "--suite", "bridge"),
+        ("check", "--config", str(FIXTURES / "polar.json"), "--suite", "nope"),
+        ("transform", "--config", str(FIXTURES / "polar.json"),
+         "--map", str(FIXTURES / "maps" / "polar_map.json")),
+    ], ids=["pass", "exit-2", "transform"])
+    def test_main_leaves_the_collector_as_it_found_it(self, capsys, monkeypatch, enabled, argv):
+        seen = []
+        run = cli._main
+
+        def spy(args):
+            seen.append(gc.isenabled())
+            return run(args)
+
+        monkeypatch.setattr(cli, "_main", spy)
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            cli.main(list(argv))
+            assert (seen, gc.isenabled()) == ([False], enabled)
+        finally:
+            (gc.enable if before else gc.disable)()
+        capsys.readouterr()
+
+    def test_usage_error_leaves_the_collector_on(self, capsys):
+        assert gc.isenabled()
+        with pytest.raises(SystemExit):
+            cli.main(["check"])
+        assert gc.isenabled()
+        capsys.readouterr()
 
 
 class TestConfigKinds:

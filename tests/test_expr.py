@@ -2,10 +2,12 @@
 
 import gc
 import math
+import operator
 import os
 import random
 import subprocess
 import sys
+import types
 import weakref
 from pathlib import Path
 
@@ -16,7 +18,9 @@ from numpy.testing import assert_allclose
 from gacalc import expr as ex
 from gacalc import fields as mf
 from gacalc.cartan import cartan_curvature, curvature, torsion
+from gacalc.connection import ConnectionField
 from gacalc.fixtures import load_fixture_file
+from gacalc.suites import rand_scalar, rand_vector
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -840,6 +844,193 @@ class TestOnePoint:
                 tape(pts)
             texts.append(str(err.value))
         assert texts[0] == texts[1]
+
+
+# The walks of `diff` and `Tape.__init__` as they were before each looked a
+# child up once, kept as references: the new walks must build the same
+# derivatives and the same tapes, slot for slot.
+
+def reference_diff(e, i):
+    """`diff` as a post-order walk that asks for every operand's stored
+    derivative each time it meets the node."""
+    def stored(node):
+        if type(node) is ex.Var:
+            return ex.ONE if node.index == i else ex.ZERO
+        if type(node) is ex.Const:
+            return ex.ZERO
+        known = getattr(node, "_diff", None)
+        return None if known is None else known.get(i)
+
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if stored(node) is not None:
+            continue
+        kind = type(node)
+        if kind in (ex.Add, ex.Sub, ex.Mul, ex.Div):
+            left, right = stored(node.left), stored(node.right)
+            if left is None or right is None:
+                stack += (node, node.right, node.left)
+                continue
+            d = ex._diff_binary(node, left, right)
+        else:
+            child = node.base if kind is ex.Pow else node.arg
+            done = stored(child)
+            if done is None:
+                stack += (node, child)
+                continue
+            d = ex._diff_unary(node, done)
+        if getattr(node, "_diff", None) is None:
+            node._diff = {}
+        node._diff[i] = d
+    return stored(e)
+
+
+def reference_lowering(roots):
+    """(nodes, program, checked, roots) of a tape, lowered by the walk that
+    pushes both operands of a node and looks each up again on return."""
+    roots = list(roots)
+    nodes, program, checked = [], [], []
+    slot_of, slot_by_key = {}, {}
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if id(node) in slot_of:
+                continue
+            kind = type(node)
+            if kind in (ex.Add, ex.Sub, ex.Mul, ex.Div):
+                left, right = slot_of.get(id(node.left)), slot_of.get(id(node.right))
+                if left is None or right is None:
+                    stack += (node, node.right, node.left)
+                    continue
+                key = op = (ex._BINARY[kind], left, right)
+            elif kind is ex.Var:
+                key, op = (ex.Var, node.index), (None, node.index, None)
+            elif kind is ex.Const:
+                key = (ex.Const, node.value, math.copysign(1.0, node.value))
+                op = (None, None, np.float64(node.value))
+            else:
+                child = node.base if kind is ex.Pow else node.arg
+                arg = slot_of.get(id(child))
+                if arg is None:
+                    stack += (node, child)
+                    continue
+                if kind is ex.Pow:
+                    key, op = (ex.Pow, node.exponent, arg), (ex._power(node.exponent), arg, None)
+                elif kind is ex.Call:
+                    key = op = (ex._FUNCTIONS[node.name], arg, None)
+                else:
+                    key = op = (operator.neg, arg, None)
+            slot = slot_by_key.get(key)
+            if slot is None:
+                slot = slot_by_key[key] = len(program)
+                program.append(op)
+                nodes.append(node)
+                if (kind is ex.Div or kind is ex.Pow and node.exponent < 0
+                        or kind is ex.Call and node.name in ("ln", "sqrt")):
+                    checked.append(slot)
+            slot_of[id(node)] = slot
+    return nodes, program, checked, [slot_of[id(r)] for r in roots]
+
+
+def fresh_copy(e):
+    """A copy of the DAG ``e`` with the same sharing and no stored derivative."""
+    copies = {}
+    stack = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in copies:
+            continue
+        kids = [getattr(node, f) for f in node.__dataclass_fields__]
+        pending = [k for k in kids if isinstance(k, ex.Expr) and id(k) not in copies]
+        if pending and not ready:
+            stack.append((node, True))
+            stack.extend((k, False) for k in pending)
+            continue
+        copies[id(node)] = type(node)(*(copies[id(k)] if isinstance(k, ex.Expr) else k
+                                        for k in kids))
+    return copies[id(e)]
+
+
+def assert_same_dag(a, b):
+    """``a == b``, with every shared node of one shared alike in the other and
+    differentiated by the same coordinates, checked in one pass over the
+    distinct object pairs."""
+    pairs, back = {}, {}
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if pairs.setdefault(id(x), y) is not y or back.setdefault(id(y), x) is not x:
+            raise AssertionError(f"sharing differs at {ex.to_str(x)!r}")
+        assert type(x) is type(y)
+        assert (getattr(x, "_diff", None) or {}).keys() == (getattr(y, "_diff", None) or {}).keys()
+        for f in x.__dataclass_fields__:
+            u, v = getattr(x, f), getattr(y, f)
+            if isinstance(u, ex.Expr):
+                if id(u) not in pairs:
+                    stack.append((u, v))
+                elif pairs[id(u)] is not v:
+                    raise AssertionError(f"sharing differs at {ex.to_str(u)!r}")
+            else:
+                assert (u, math.copysign(1.0, u) if type(u) is float else 0) == (
+                    v, math.copysign(1.0, v) if type(v) is float else 0)
+
+
+def decoded(program):
+    """A tape program with each power lambda as its code and exponent, so that
+    two lowerings compare with ``==``."""
+    return [((fn.__code__, *(c.cell_contents for c in fn.__closure__))
+             if isinstance(fn, types.FunctionType) else fn, a, b) for fn, a, b in program]
+
+
+def curvature_coefficient():
+    """The largest coefficient of rho(a, b, c) on a curved dim-6 connection,
+    built afresh from one seed."""
+    rng = np.random.default_rng(6)
+    entries = {tuple(int(k) for k in rng.integers(0, 6, size=3)): rand_scalar(6, rng, 2)
+               for _ in range(12)}
+    conn = ConnectionField.from_entries(6, entries)
+    a, b, c = (rand_vector(6, rng, 2) for _ in range(3))
+    rho = curvature(conn, a, b, c)
+    return max(rho.coeffs.values(), key=lambda e: len(ex.Tape([e]).nodes))
+
+
+class TestWalksMatchTheReferenceWalks:
+    def corpus(self):
+        return [ex.parse(src, 2) for src in CORPUS] + [curvature_coefficient()]
+
+    def test_diff_builds_the_reference_derivatives(self):
+        for e in self.corpus():
+            for i in range(2):
+                mine, theirs = fresh_copy(e), fresh_copy(e)
+                d = ex.diff(mine, i)
+                want = reference_diff(theirs, i)
+                assert_same_dag(d, want)
+                assert_same_dag(ex.diff(d, 1 - i), reference_diff(want, 1 - i))
+                assert_same_dag(mine, theirs)  # the same nodes hold derivatives
+                assert ex.diff(mine, i) is d
+
+    def test_corpus_derivatives_are_equal(self):
+        for src in CORPUS:
+            for i in range(2):
+                assert ex.diff(ex.parse(src, 2), i) == reference_diff(ex.parse(src, 2), i)
+
+    def test_tape_lowers_slot_for_slot_as_the_reference(self):
+        for e in self.corpus():
+            roots = [e, ex.diff(e, 0), ex.diff(ex.diff(e, 1), 0), e, ex.ONE, ex.Var(1)]
+            tape = ex.Tape(roots)
+            nodes, program, checked, slots = reference_lowering(roots)
+            assert len(tape.nodes) == len(nodes)
+            assert all(x is y for x, y in zip(tape.nodes, nodes))
+            assert decoded(tape.program) == decoded(program)
+            assert (tape.checked, tape.roots) == (checked, slots)
+
+    def test_tape_of_a_leaf_root_and_of_no_roots(self):
+        assert ex.Tape([]).program == [] and ex.Tape([]).roots == []
+        tape = ex.Tape([ex.Var(0), ex.Const(-0.0), ex.Const(0.0), ex.Var(0)])
+        assert tape.roots == [0, 1, 2, 0]
+        assert reference_lowering(tape.nodes)[1:] == (tape.program, tape.checked, [0, 1, 2])
 
 
 def test_import_leaves_recursion_limit_unchanged():

@@ -142,6 +142,22 @@ class TestConfigTypes:
             load_map(edited(POLAR_MAP, (key,), value))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("value, message", [
+        (0, "map domain_canonical must be an object with 'lo' and 'hi' lists, got 0"),
+        (False, "map domain_canonical must be an object with 'lo' and 'hi' lists, got false"),
+        ([], "map domain_canonical must be an object with 'lo' and 'hi' lists, got []"),
+        ({}, "map domain_canonical lo must be a list of 2 entries, got nothing"),
+    ], ids=["zero", "false", "empty-list", "empty-object"])
+    def test_falsy_domain_canonical_is_refused(self, value, message):
+        # present but empty is not absent: the round-trip row would be skipped silently
+        with pytest.raises(ConfigError) as err:
+            load_map(edited(POLAR_MAP, ("domain_canonical",), value))
+        assert str(err.value) == message
+
+    def test_absent_domain_canonical_loads_as_none(self):
+        obj = {key: v for key, v in POLAR_MAP.items() if key != "domain_canonical"}
+        assert load_map(obj).domain_canonical is None
+
     def test_well_typed_values_still_load(self):
         fix = load_fixture(edited(POLAR, ("domain", "exclusions"), [[0, 1], [1, 0.5]]))
         assert fix.domain.exclusions == ((0, 1.0), (1, 0.5))

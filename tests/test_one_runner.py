@@ -8,6 +8,7 @@ alone, so it imports nothing from `report`.  Only `frame_sum` asks for a
 frame's fields (`const_frames`), so no hand-written frame loop is left.
 Symmetry is decided in one place, generators are built only by a runner and
 by that one decision's probe, and the cartan rows run through one table.
+Exactly the pure connection operators are memo functions.
 """
 
 import ast
@@ -51,6 +52,19 @@ def imports_from(path: Path, module: str) -> list[int]:
     return lines
 
 
+def decorated(package: Path, name: str) -> list[str]:
+    """``module.function`` of each module-level function decorated with ``name``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    (isinstance(d, ast.Name) and d.id == name)
+                    or (isinstance(d, ast.Attribute) and d.attr == name)
+                    for d in node.decorator_list):
+                found.append(f"{path.stem}.{node.name}")
+    return sorted(found)
+
+
 def test_finders_see_calls_and_imports(tmp_path):
     (tmp_path / "a.py").write_text(
         "from .report import CheckResult\n"
@@ -62,6 +76,9 @@ def test_finders_see_calls_and_imports(tmp_path):
     assert constructions(tmp_path, "CheckResult") == ["a.K.m", "a.f"]
     assert imports_from(tmp_path / "a.py", "report") == [1, 2, 3, 4]
     assert imports_from(tmp_path / "a.py", "fields") == [3]
+    (tmp_path / "b.py").write_text("@memo\ndef f():\n    pass\n@mf.memo\ndef g():\n    pass\n"
+                                   "@other\ndef h():\n    pass\n")
+    assert decorated(tmp_path, "memo") == ["b.f", "b.g"]
 
 
 def test_one_place_builds_a_check_result():
@@ -97,3 +114,11 @@ def test_cartan_rows_run_through_one_table_at_the_runner_sample():
     rows = [row for row in tables[0].elts if isinstance(row, ast.Tuple)]
     assert len(rows) > 10
     assert all(len(row.elts) == 4 for row in rows)  # (name, tag, draws, build): no point set
+
+
+def test_exactly_the_pure_connection_operators_are_memo_functions():
+    assert decorated(PACKAGE, "memo") == [
+        "cartan.curvature", "cartan.torsion", "connection.cov_derivative",
+        "connection.gamma_apply", "connection.gamma_matrix", "connection.gauge_bivector",
+        "fields.lie_bracket"]
+    assert constructions(PACKAGE, "memo") == []  # and none is wrapped by a call

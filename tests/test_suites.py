@@ -1,5 +1,6 @@
 """Suite runner: coverage of the check registry, overrides, determinism."""
 
+import gc
 import json
 import math
 from pathlib import Path
@@ -270,6 +271,25 @@ class TestShippedCurvedFixtures:
             CORE_CHECKS | CARTAN_CHECKS | BRIDGE_CHECKS | SYMMETRIC_ONLY)
         failed = [(c.name, c.max_residual) for c in report.checks if not c.passed]
         assert failed == []
+
+
+class TestNoCyclicGarbage:
+    """`cli.main` runs with the cyclic collector off, which is sound only while
+    the trees, fields and memo entries of a run form no reference cycle."""
+
+    @pytest.mark.parametrize("name", ["sphere", "zero"])
+    def test_a_suite_run_leaves_nothing_for_the_collector(self, name):
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            report = run_fixture_checks(load_fixture_file(FIXTURES / f"{name}.json"), "all")
+            assert report.passed
+            del report
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 # Operations of the benchmark's shipped-fixture workloads (deep-trees and
