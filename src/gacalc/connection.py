@@ -10,9 +10,8 @@ map at any n <= 6, and covariant derivatives of k-extensor fields (k <= 3).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -229,25 +228,14 @@ def ext_inverse(t: ExtensorField11) -> ExtensorField11:
     return _owning11(n, rows, _nonzero(rows))
 
 
-@lru_cache(maxsize=None)
-def _canonical_frame_fields(dim: int) -> tuple[tuple[MultivectorField, ...], ...]:
-    # one entry per dim; the canonical frame is orthonormal, so its own reciprocal
-    down = tuple(mf.constant(v) for v in canonical_frame(dim).vectors)
-    return down, down
-
-
-_FRAME_FIELDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # frame -> its fields
-
-
-def const_frames(dim: int, frame: Frame | None):
+@memo
+def const_frames(dim: int, frame: Frame | None) -> tuple[tuple[MultivectorField, ...], ...]:
     """Constant frame fields and their reciprocals, as tuples (canonical by default),
     built once per frame, so that every sum over one frame sees the same fields."""
-    if frame is None:
-        return _canonical_frame_fields(dim)
-    if frame not in _FRAME_FIELDS:
-        _FRAME_FIELDS[frame] = tuple(tuple(mf.constant(v) for v in f.vectors)
-                                     for f in (frame, reciprocal_frame(frame)))
-    return _FRAME_FIELDS[frame]
+    if frame is None:  # the canonical frame is orthonormal, so its own reciprocal
+        down = tuple(mf.constant(v) for v in canonical_frame(dim).vectors)
+        return down, down
+    return tuple(tuple(mf.constant(v) for v in f.vectors) for f in (frame, reciprocal_frame(frame)))
 
 
 def frame_sum(dim: int, term: Callable[[MultivectorField, MultivectorField], MultivectorField],

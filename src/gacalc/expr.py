@@ -11,14 +11,16 @@ Grammar (whitespace insignificant)::
 Coordinates are x0, x1, ...  ASTs are immutable by convention (nothing
 assigns to a node's fields once built; slots hold them and the derivatives
 `diff` stores, `_diff`) and closed under `diff`, so repeated differentiation
-(needed for curvature and its derivatives) stays exact.  `simplify` only
-folds constants and 0/1/-1 identities; a constant call or power folds to
-the value a `Tape` computes for it, when that value is finite.  `Tape` is
-the one evaluator: it evaluates many trees at many points at once and
+(needed for curvature and its derivatives) stays exact.  Each binary node
+type and each function has one row of rules (`_BINARY`, `_FUNCTIONS`).
+`simplify` only folds constants and 0/1/-1 identities; a constant call or
+power folds to the value a `Tape` computes for it, when that value is
+finite.  `simplify`, `substitute` and `to_str` fold over one walk memoized
+on identity, so a shared subtree is visited once and stays shared.  `Tape`
+is the one evaluator: it evaluates many trees at many points at once and
 raises `DomainError` naming the subexpression that failed; `evaluate` is a
-one-point tape and `compile_fn` wraps one for one tree.  A one-point call
-runs the tape's program on numpy scalars, bit for bit as the same point in
-an array call.
+one-point tape, bit for bit as the same point in an array call, and
+`compile_fn` wraps one for one tree.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,21 +91,8 @@ class Call(Expr):
     arg: Expr
 
 
-_BINARY_NODES = (Add, Sub, Mul, Div)
-
 ZERO = Const(0.0)
 ONE = Const(1.0)
-
-# the one function table: a Tape runs these ufuncs, and folding a constant call runs them too
-_FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "ln": np.log,
-    "sqrt": np.sqrt,
-    "atan": np.arctan,
-}
 
 
 class ParseError(ValueError):
@@ -212,9 +202,10 @@ def powi(base: Expr, exponent: int) -> Expr:
 
 
 def call(name: str, arg: Expr) -> Expr:
-    if name not in _FUNCTIONS:
+    row = _FUNCTIONS.get(name)
+    if row is None:
         raise ValueError(f"unknown function {name!r}")
-    if isinstance(arg, Const) and (folded := _fold(_FUNCTIONS[name], arg.value)):
+    if isinstance(arg, Const) and (folded := _fold(row.ufunc, arg.value)):
         return folded
     return Call(name, arg)
 
@@ -227,7 +218,86 @@ def _fold(fn, value: float) -> Const | None:
     return Const(result) if math.isfinite(result) else None
 
 
-_BUILD = {Add: add, Sub: sub, Mul: mul, Div: div}
+# The rules: one row per binary node type and one per function name.  A
+# domain fault is (message, test of the node's last operand's values: a
+# divisor, a base or an argument); a Tape raises the message where it holds.
+
+_ATOM, _UNARY, _MULDIV, _ADDSUB = 4, 3, 2, 1  # printing precedence
+
+
+class _Binary(NamedTuple):
+    build: Callable  # the folding constructor
+    op: Callable  # the tape's callable, an operator.* that numpy runs as a ufunc or on np.float64
+    infix: str
+    prec: int
+    diff: Callable  # (node, left's derivative, right's derivative) -> the node's derivative
+    fault: tuple | None = None
+
+
+class _Function(NamedTuple):
+    ufunc: Callable  # a Tape runs it, and folding a constant call runs it too
+    diff: Callable  # (node, its operand's derivative) -> the node's derivative
+    fault: tuple | None = None
+
+
+_BINARY = {
+    Add: _Binary(add, operator.add, " + ", _ADDSUB, lambda e, dl, dr: add(dl, dr)),
+    Sub: _Binary(sub, operator.sub, " - ", _ADDSUB, lambda e, dl, dr: sub(dl, dr)),
+    Mul: _Binary(mul, operator.mul, "*", _MULDIV,
+                 lambda e, dl, dr: add(mul(dl, e.right), mul(e.left, dr))),
+    Div: _Binary(div, operator.truediv, "/", _MULDIV,
+                 lambda e, dl, dr: div(sub(mul(dl, e.right), mul(e.left, dr)), powi(e.right, 2)),
+                 ("division by zero", lambda v: v == 0.0)),
+}
+
+_FUNCTIONS = {
+    "sin": _Function(np.sin, lambda e, du: mul(call("cos", e.arg), du)),
+    "cos": _Function(np.cos, lambda e, du: neg(mul(call("sin", e.arg), du))),
+    "tan": _Function(np.tan, lambda e, du: mul(add(ONE, powi(e, 2)), du)),
+    "exp": _Function(np.exp, lambda e, du: mul(e, du)),
+    "ln": _Function(np.log, lambda e, du: div(du, e.arg),
+                    ("logarithm of a non-positive value", lambda v: v <= 0.0)),
+    "sqrt": _Function(np.sqrt, lambda e, du: div(du, mul(const(2.0), e)),
+                      ("square root of a negative value", lambda v: v < 0.0)),
+    "atan": _Function(np.arctan, lambda e, du: div(du, add(ONE, powi(e.arg, 2)))),
+}
+
+_NEGATIVE_POWER = ("zero raised to a negative power", lambda v: v == 0.0)
+
+
+def _fault(node: Expr) -> tuple | None:
+    """The domain fault ``node`` can raise, or None: its row's, or a negative Pow's."""
+    kind = type(node)
+    if kind is Call:
+        return _FUNCTIONS[node.name].fault
+    if kind is Pow:
+        return _NEGATIVE_POWER if node.exponent < 0 else None
+    return _BINARY[kind].fault if kind in _BINARY else None
+
+
+def _walk(e: Expr, fold):
+    """fold(node, *its operands' results) at each distinct object of ``e``: post-order
+    on an explicit stack (any depth), left operand before right, memoized on identity,
+    so a subtree ``e`` shares is folded once and its one result is shared alike."""
+    done: dict[int, object] = {}  # id(node) -> its result; e keeps the ids valid
+    stack = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        kind = type(node)
+        if ready:  # its operands are folded
+            done[id(node)] = (fold(node, done[id(node.left)], done[id(node.right)])
+                              if kind in _BINARY else
+                              fold(node, done[id(node.base if kind is Pow else node.arg)]))
+        elif id(node) not in done:
+            if kind in _BINARY:
+                stack += ((node, True), (node.right, False), (node.left, False))
+            elif kind in (Neg, Pow, Call):
+                stack += ((node, True), (node.base if kind is Pow else node.arg, False))
+            elif kind is Var or kind is Const:
+                done[id(node)] = fold(node)
+            else:
+                raise TypeError(f"not an expression: {node!r}")
+    return done[id(e)]
 
 
 def simplify(e: Expr) -> Expr:
@@ -235,42 +305,25 @@ def simplify(e: Expr) -> Expr:
     return _rebuild(e, lambda v: v)
 
 
-def _rebuild(e: Expr, var) -> Expr:
-    """Rebuild ``e`` bottom-up through the folding constructors, each Var v as var(v).
+def substitute(e: Expr, replacements) -> Expr:
+    """Replace Var(i) by replacements[i] (composition of expressions)."""
+    return _rebuild(e, lambda v: replacements[v.index])
 
-    The walk is iterative (post-order on an explicit stack, as in `diff`),
-    so any depth is fine; it calls the constructors in the order a
-    recursive rebuild would, left operand before right.
-    """
-    done: list[Expr] = []  # rebuilt operands, innermost last
-    stack = [(e, False)]
-    while stack:
-        node, ready = stack.pop()
+
+def _rebuild(e: Expr, var) -> Expr:
+    """Rebuild ``e`` through the folding constructors, each Var v as var(v), in
+    one `_walk`: a subtree ``e`` shares is rebuilt once, and shared alike."""
+    def fold(node, a=None, b=None):
         kind = type(node)
-        if kind is Var:
-            done.append(var(node))
-        elif kind is Const:
-            done.append(node)
-        elif kind in _BINARY_NODES:
-            if not ready:  # rebuild the operands first
-                stack += ((node, True), (node.right, False), (node.left, False))
-                continue
-            right = done.pop()
-            done.append(_BUILD[kind](done.pop(), right))
-        elif kind in (Neg, Pow, Call):
-            if not ready:
-                stack += ((node, True), (node.base if kind is Pow else node.arg, False))
-                continue
-            arg = done.pop()
-            if kind is Neg:
-                done.append(neg(arg))
-            elif kind is Pow:
-                done.append(powi(arg, node.exponent))
-            else:
-                done.append(call(node.name, arg))
-        else:
-            raise TypeError(f"not an expression: {node!r}")
-    return done.pop()
+        if kind in _BINARY:
+            return _BINARY[kind].build(a, b)
+        if kind is Call:
+            return call(node.name, a)
+        if kind is Pow:
+            return powi(a, node.exponent)
+        return var(node) if kind is Var else node if kind is Const else neg(a)
+
+    return _walk(e, fold)
 
 
 def diff(e: Expr, i: int) -> Expr:
@@ -299,7 +352,7 @@ def diff(e: Expr, i: int) -> Expr:
             if d is None:  # differentiate the operands first, left before right
                 waiting.append(node)
                 lefts.append(None)
-                if kind in _BINARY_NODES:
+                if kind in _BINARY:
                     node = node.left
                 elif kind in (Neg, Pow, Call):
                     node = node.base if kind is Pow else node.arg
@@ -309,15 +362,20 @@ def diff(e: Expr, i: int) -> Expr:
         while waiting:  # d is done: hand it to the node waiting for it
             node = waiting[-1]
             kind = type(node)
-            if kind in _BINARY_NODES:
+            row = _BINARY.get(kind)
+            if row is not None:
                 left = lefts[-1]
                 if left is None:
                     lefts[-1] = d
                     node = node.right
                     break
-                d = _diff_binary(node, left, d)
+                d = row.diff(node, left, d)
+            elif kind is Call:
+                d = _FUNCTIONS[node.name].diff(node, d)
+            elif kind is Pow:
+                d = mul(mul(const(node.exponent), powi(node.base, node.exponent - 1)), d)
             else:
-                d = _diff_unary(node, d)
+                d = neg(d)
             waiting.pop()
             lefts.pop()
             known = getattr(node, "_diff", None)
@@ -328,64 +386,16 @@ def diff(e: Expr, i: int) -> Expr:
             return d
 
 
-def _diff_binary(e: Expr, dl: Expr, dr: Expr) -> Expr:
-    """Derivative of a binary node from the derivatives of its operands."""
-    if isinstance(e, Add):
-        return add(dl, dr)
-    if isinstance(e, Sub):
-        return sub(dl, dr)
-    if isinstance(e, Mul):
-        return add(mul(dl, e.right), mul(e.left, dr))
-    num = sub(mul(dl, e.right), mul(e.left, dr))
-    return div(num, powi(e.right, 2))
-
-
-def _diff_unary(e: Expr, du: Expr) -> Expr:
-    """Derivative of a Neg, Pow or Call node from the derivative of its operand."""
-    if isinstance(e, Neg):
-        return neg(du)
-    if isinstance(e, Pow):
-        return mul(mul(const(e.exponent), powi(e.base, e.exponent - 1)), du)
-    u = e.arg
-    if e.name == "sin":
-        return mul(call("cos", u), du)
-    if e.name == "cos":
-        return neg(mul(call("sin", u), du))
-    if e.name == "tan":
-        return mul(add(ONE, powi(call("tan", u), 2)), du)
-    if e.name == "exp":
-        return mul(call("exp", u), du)
-    if e.name == "ln":
-        return div(du, u)
-    if e.name == "sqrt":
-        return div(du, mul(const(2.0), call("sqrt", u)))
-    return div(du, add(ONE, powi(u, 2)))  # atan
-
-
-def substitute(e: Expr, replacements) -> Expr:
-    """Replace Var(i) by replacements[i] (composition of expressions)."""
-    return _rebuild(e, lambda v: replacements[v.index])
-
-
 # Printing.  Binary operators parenthesize right operands of equal
 # precedence, so the printed form reparses to the same tree shape.
 
-_ATOM, _UNARY, _MULDIV, _ADDSUB = 4, 3, 2, 1
-
-
 def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _ADDSUB
-    if isinstance(e, (Mul, Div)):
-        return _MULDIV
-    if isinstance(e, (Neg, Pow)):
-        return _UNARY
-    if isinstance(e, Const) and (e.value < 0 or math.copysign(1.0, e.value) < 0):
+    kind = type(e)
+    if kind in _BINARY:
+        return _BINARY[kind].prec
+    if kind is Neg or kind is Pow or kind is Const and math.copysign(1.0, e.value) < 0:
         return _UNARY
     return _ATOM
-
-
-_INFIX = {Add: (" + ", _ADDSUB), Sub: (" - ", _ADDSUB), Mul: ("*", _MULDIV), Div: ("/", _MULDIV)}
 
 
 def _const_str(v: float) -> str:
@@ -395,50 +405,28 @@ def _const_str(v: float) -> str:
 
 
 def to_str(e: Expr) -> str:
-    """Render in the source grammar; parse(to_str(e)) evaluates like e.
-
-    The walk is iterative (post-order on an explicit stack, as in `diff`),
-    so any depth is fine.
-    """
-    done: list[str] = []  # rendered operands, innermost last
-    stack = [(e, False)]
-    while stack:
-        node, ready = stack.pop()
+    """Render in the source grammar, in one `_walk`; parse(to_str(e)) evaluates like e."""
+    def fold(node, a=None, b=None):
         kind = type(node)
+        if kind in _BINARY:
+            row = _BINARY[kind]
+            if _prec(node.left) < row.prec:
+                a = f"({a})"
+            if _prec(node.right) < row.prec + 1:
+                b = f"({b})"
+            return f"{a}{row.infix}{b}"
         if kind is Var:
-            done.append(f"x{node.index}")
-        elif kind is Const:
-            done.append(_const_str(node.value))
-        elif kind in _BINARY_NODES:
-            if not ready:  # render the operands first
-                stack += ((node, True), (node.right, False), (node.left, False))
-                continue
-            right, left = done.pop(), done.pop()
-            op, prec = _INFIX[kind]
-            if _prec(node.left) < prec:
-                left = f"({left})"
-            if _prec(node.right) < prec + 1:
-                right = f"({right})"
-            done.append(f"{left}{op}{right}")
-        elif kind in (Neg, Pow, Call):
-            child = node.base if kind is Pow else node.arg
-            if not ready:
-                stack += ((node, True), (child, False))
-                continue
-            inner = done.pop()
-            if kind is Neg:
-                # '^' binds outside a leading '-', so a Pow operand needs parens
-                if _prec(child) < _UNARY or type(child) is Pow:
-                    inner = f"({inner})"
-                done.append(f"-{inner}")
-            elif kind is Pow:
-                done.append(f"({inner})^{node.exponent}" if _prec(child) < _ATOM
-                            else f"{inner}^{node.exponent}")
-            else:
-                done.append(f"{node.name}({inner})")
-        else:
-            raise TypeError(f"not an expression: {node!r}")
-    return done.pop()
+            return f"x{node.index}"
+        if kind is Const:
+            return _const_str(node.value)
+        if kind is Call:
+            return f"{node.name}({a})"
+        if kind is Pow:
+            return f"({a})^{node.exponent}" if _prec(node.base) < _ATOM else f"{a}^{node.exponent}"
+        # '^' binds outside a leading '-', so a Pow operand needs parens
+        return f"-({a})" if _prec(node.arg) < _UNARY or type(node.arg) is Pow else f"-{a}"
+
+    return _walk(e, fold)
 
 
 # Batched evaluation.  A tape holds the distinct nodes of some expressions
@@ -447,9 +435,6 @@ def to_str(e: Expr) -> str:
 # millions of nodes often has only thousands of distinct ones.  Running the
 # tape computes every slot once, as an array over all points (the tape
 # evaluation of Griewank & Walther, "Evaluating Derivatives", 2008).
-
-# numpy runs these as its ufuncs on arrays and as scalar arithmetic on np.float64
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 
 _POWERS = {2: np.square, -1: np.reciprocal, 1: np.positive, 0: np.ones_like}
 
@@ -516,7 +501,7 @@ class Tape:
                     else:  # lower the operands first, one at a time, left before right
                         waiting.append(node)
                         lefts.append(None)
-                        if kind in _BINARY_NODES:
+                        if kind in _BINARY:
                             node = node.left
                         elif kind in (Neg, Pow, Call):
                             node = node.base if kind is Pow else node.arg
@@ -526,17 +511,19 @@ class Tape:
                 while waiting:  # the slot is done: hand it to the node waiting for it
                     node = waiting[-1]
                     kind = type(node)
-                    if kind in _BINARY_NODES:
+                    row = _BINARY.get(kind)
+                    if row is not None:
                         left = lefts[-1]
                         if left is None:
                             lefts[-1] = slot
                             node = node.right
                             break
-                        key = (_BINARY[kind], left, slot)
+                        key = (row.op, left, slot)
                     elif kind is Pow:
                         key = (Pow, node.exponent, slot)
                     else:
-                        key = (_FUNCTIONS[node.name] if kind is Call else operator.neg, slot, None)
+                        key = (_FUNCTIONS[node.name].ufunc if kind is Call else operator.neg,
+                               slot, None)
                     waiting.pop()
                     lefts.pop()
                     slot = slot_of[id(node)] = self._slot(slot_by_key, key, node)
@@ -560,8 +547,7 @@ class Tape:
                 op = key
             self.program.append(op)
             self.nodes.append(node)
-            if (kind is Div or kind is Pow and node.exponent < 0
-                    or kind is Call and node.name in ("ln", "sqrt")):
+            if _fault(node) is not None:
                 self.checked.append(slot)
         return slot
 
@@ -601,15 +587,9 @@ class Tape:
         """Raise the DomainError of a call whose screen tripped, if any is due."""
         for slot in self.checked:  # the exact tests, in slot order
             node, (_, a, b) = self.nodes[slot], self.program[slot]
-            kind = type(node)
-            if kind is Div and np.any(values[b] == 0.0):
-                raise DomainError("division by zero", node)
-            if kind is Pow and np.any(values[a] == 0.0):
-                raise DomainError("zero raised to a negative power", node)
-            if kind is Call and node.name == "ln" and np.any(values[a] <= 0.0):
-                raise DomainError("logarithm of a non-positive value", node)
-            if kind is Call and node.name == "sqrt" and np.any(values[a] < 0.0):
-                raise DomainError("square root of a negative value", node)
+            message, test = _fault(node)
+            if np.any(test(values[a if b is None else b])):
+                raise DomainError(message, node)
         finite = np.isfinite(out).all(axis=0)
         if finite.all():
             return  # a checked slot went non-finite under a finite root, by no fault
@@ -630,11 +610,8 @@ class Tape:
 
 
 def compile_fn(e: Expr):
-    """Lower ``e`` to a `Tape` once; return points (N, dim) -> values (N,).
-
-    The returned function evaluates every distinct node once over all
-    points and raises DomainError as `Tape` describes.
-    """
+    """Lower ``e`` to a `Tape` once; return points (N, dim) -> values (N,),
+    under the tape's `DomainError` contract."""
     tape = Tape((e,))
     return lambda points: tape(points)[:, 0]
 
@@ -648,7 +625,7 @@ _SPACE = re.compile(r"\s*")
 _DIGITS = frozenset("0123456789")
 _NUMBER = re.compile(r"[0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
 _INTEGER = re.compile(r"-?[0-9]+")
-_INFIX_PRECEDENCE = {"+": (Add, 1), "-": (Sub, 1), "*": (Mul, 2), "/": (Div, 2)}
+_INFIX_PRECEDENCE = {row.infix.strip(): (kind, row.prec) for kind, row in _BINARY.items()}
 
 
 def _integer(text: str, pos: int) -> int:

@@ -21,8 +21,9 @@ sees every call.  Suites group the rows for the command line: 'core' covers
 the derivative operators, 'cartan' torsion, curvature and the structure
 equations, 'bianchi' the two symmetric-structure identities, 'bridge' the
 classical component formulas.  Whether the connection is symmetric is
-decided once per run (`run_fixture_checks`, on one probe), and that one
-answer gates every symmetric-only row.
+decided once per run (`run_fixture_checks`, on one probe at points that do
+not depend on the run's seed), and that one answer gates every
+symmetric-only row.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ from .fixtures import FixtureConfig
 from .report import CheckResult, Report, worst_residual
 
 SUITES = ("all", "core", "cartan", "bianchi", "bridge")
+_PROBE_SEED = 0  # the symmetry probe's generator, the same at every --seed
 
 # The products a derivation obeys a Leibniz rule over; "scalar" is X . Y as
 # a scalar field.  Lambdas, so that each call looks `fields` up afresh.
@@ -716,7 +718,7 @@ def run_fixture_checks(fix: FixtureConfig, suite: str = "all", seed: int | None 
     seed, samples, tol = fix.settings(seed, samples, tol)
     # symmetry is decided once, on one probe, for every row that depends on it
     symmetric = suite in ("all", "cartan", "bianchi") and is_symmetric(
-        fix.conn, fix.domain.sample(10, np.random.default_rng(seed)))
+        fix.conn, fix.domain.sample(10, np.random.default_rng(_PROBE_SEED)))
     if suite == "bianchi" and not symmetric:
         raise NotSymmetricError(
             "connection is not symmetric: identity only holds for torsionless structures"

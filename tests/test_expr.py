@@ -673,6 +673,28 @@ class TestSimplify:
         want = (r * math.cos(t)) ** 2 + r * math.sin(t)
         assert ex.evaluate(composed, (r, t)) == pytest.approx(want)
 
+    def test_a_shared_dag_stays_shared(self):
+        # 16 levels of e = e*e: 2**16 paths, 17 distinct Mul objects; each
+        # walk visits an object once and shares its one result alike
+        x, y, sin_x = ex.Var(0), ex.Var(1), ex.Call("sin", ex.Var(0))
+        e = ex.Add(ex.Mul(ex.ONE, x), y)
+        for _ in range(16):
+            e = ex.Mul(e, e)
+        lookups = []
+
+        class Replacements(list):
+            def __getitem__(self, i):
+                lookups.append(i)
+                return super().__getitem__(i)
+
+        for out, bottom in ((ex.simplify(e), ex.Add(x, y)),
+                            (ex.substitute(e, Replacements([y, sin_x])), ex.Add(y, sin_x))):
+            for _ in range(16):
+                assert type(out) is ex.Mul and out.left is out.right
+                out = out.left
+            assert out == bottom
+        assert lookups == [0, 1]  # one visit to each Var object
+
 
 def interpret(e, point):
     """Reference evaluator: a plain recursive walk in `math`, independent of `Tape`."""
@@ -725,6 +747,23 @@ class TestCompiled:
                 run()
             assert f"'{subexpr}'" in str(err.value)
             assert ex.to_str(err.value.subexpr) == subexpr
+
+    def test_each_fault_row_raises_its_message(self):
+        # the rows' faults, each tested on its node's last operand
+        x = ex.Var(0)
+        cases = [(ex.Div(ex.ONE, x), 0.0, ex._BINARY[ex.Div].fault),
+                 (ex.Pow(x, -3), 0.0, ex._NEGATIVE_POWER)]
+        cases += [(ex.Call(name, x), -1.0, row.fault)
+                  for name, row in ex._FUNCTIONS.items() if row.fault]
+        assert [message for *_, (message, _) in cases] == [
+            "division by zero", "zero raised to a negative power",
+            "logarithm of a non-positive value", "square root of a negative value"]
+        for e, bad, (message, _) in cases:
+            assert np.isfinite(ex.Tape([e])([(2.0,)])).all()
+            with pytest.raises(ex.DomainError) as err:
+                ex.Tape([e])([(2.0,), (bad,)])
+            assert str(err.value) == f"{message} in '{ex.to_str(e)}'"
+            assert err.value.subexpr is e
 
     def test_overflow_blames_a_node_below_the_non_finite_root(self):
         # exp(800*x0) overflows under the finite 1/exp(800*x0); the second
@@ -872,18 +911,27 @@ def reference_diff(e, i):
             if left is None or right is None:
                 stack += (node, node.right, node.left)
                 continue
-            d = ex._diff_binary(node, left, right)
+            d = ex._BINARY[kind].diff(node, left, right)
         else:
             child = node.base if kind is ex.Pow else node.arg
             done = stored(child)
             if done is None:
                 stack += (node, child)
                 continue
-            d = ex._diff_unary(node, done)
+            d = unary_derivative(node, done)
         if getattr(node, "_diff", None) is None:
             node._diff = {}
         node._diff[i] = d
     return stored(e)
+
+
+def unary_derivative(node, du):
+    """The derivative of a Call (its function's row), Pow or Neg node."""
+    if type(node) is ex.Call:
+        return ex._FUNCTIONS[node.name].diff(node, du)
+    if type(node) is ex.Pow:
+        return ex.mul(ex.mul(ex.const(node.exponent), ex.powi(node.base, node.exponent - 1)), du)
+    return ex.neg(du)
 
 
 def reference_lowering(roots):
@@ -904,7 +952,7 @@ def reference_lowering(roots):
                 if left is None or right is None:
                     stack += (node, node.right, node.left)
                     continue
-                key = op = (ex._BINARY[kind], left, right)
+                key = op = (ex._BINARY[kind].op, left, right)
             elif kind is ex.Var:
                 key, op = (ex.Var, node.index), (None, node.index, None)
             elif kind is ex.Const:
@@ -919,7 +967,7 @@ def reference_lowering(roots):
                 if kind is ex.Pow:
                     key, op = (ex.Pow, node.exponent, arg), (ex._power(node.exponent), arg, None)
                 elif kind is ex.Call:
-                    key = op = (ex._FUNCTIONS[node.name], arg, None)
+                    key = op = (ex._FUNCTIONS[node.name].ufunc, arg, None)
                 else:
                     key = op = (operator.neg, arg, None)
             slot = slot_by_key.get(key)

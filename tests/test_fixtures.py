@@ -9,7 +9,8 @@ import pytest
 from gacalc import expr as ex
 from gacalc.fixtures import ConfigError, load_fixture, load_fixture_file, load_map, load_map_file
 
-MAPS = Path(__file__).resolve().parents[1] / "fixtures" / "maps"
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+MAPS = FIXTURES / "maps"
 IDENTITY = json.loads((MAPS / "identity2.json").read_text())
 BASE = {"kind": "coefficients", "coefficients": {"0,1,1": "x0"}}
 
@@ -47,6 +48,21 @@ class TestTransformChain:
             assert fix.conn.gamma[0][1][1] == ex.Var(0)
             return
         pytest.fail("no chain decoded")
+
+    def test_a_polar_chain_keeps_its_sharing(self):
+        # substitute rebuilds a shared subtree once and shares the result, so
+        # the depth-4 chain holds ~25k distinct node objects, not 225,238
+        polar = json.loads((FIXTURES / "polar.json").read_text())["connection"]
+        polar_map = json.loads((MAPS / "polar_map.json").read_text())
+        conn = load_fixture(fixture(chain(polar, [polar_map] * 4))).conn
+        seen, stack = set(), [c for p in conn.gamma for row in p for c in row]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                fields = (getattr(node, name) for name in node.__dataclass_fields__)
+                stack += [f for f in fields if isinstance(f, ex.Expr)]
+        assert len(seen) <= 50_000
 
     def test_chain_that_contains_itself_is_refused(self):
         spec = {"kind": "transform", "map": IDENTITY}

@@ -8,7 +8,9 @@ alone, so it imports nothing from `report`.  Only `frame_sum` asks for a
 frame's fields (`const_frames`), so no hand-written frame loop is left.
 Symmetry is decided in one place, generators are built only by a runner and
 by that one decision's probe, and the cartan rows run through one table.
-Exactly the pure connection operators are memo functions.
+Exactly the pure connection operators are memo functions.  Each function
+of the expression grammar is one row of `expr._FUNCTIONS`, and its name is
+written nowhere else in `expr`.
 """
 
 import ast
@@ -118,7 +120,26 @@ def test_cartan_rows_run_through_one_table_at_the_runner_sample():
 
 def test_exactly_the_pure_connection_operators_are_memo_functions():
     assert decorated(PACKAGE, "memo") == [
-        "cartan.curvature", "cartan.torsion", "connection.cov_derivative",
-        "connection.gamma_apply", "connection.gamma_matrix", "connection.gauge_bivector",
-        "fields.lie_bracket"]
+        "cartan.curvature", "cartan.torsion", "connection.const_frames",
+        "connection.cov_derivative", "connection.gamma_apply", "connection.gamma_matrix",
+        "connection.gauge_bivector", "fields.lie_bracket"]
     assert constructions(PACKAGE, "memo") == []  # and none is wrapped by a call
+
+
+def test_each_function_name_is_written_only_in_the_function_table():
+    source = (PACKAGE / "expr.py").read_text()
+    grammar = next(line for line in source.splitlines() if line.strip().startswith("func"))
+    names = [name.strip() for name in grammar.split(":=")[1].split("|")]
+    tree = ast.parse(source)
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_FUNCTIONS"])
+    assert sorted(key.value for key in table.keys) == sorted(names)  # one row per name
+    in_table = {id(node) for node in ast.walk(table)}
+    outside = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+               and node.value in names and id(node) not in in_table]
+    assert outside == []
+    # inside the table, only the sin and cos derivative rules name another row
+    named = sorted((key.value, node.value) for key, row in zip(table.keys, table.values)
+                   for node in ast.walk(row) if isinstance(node, ast.Constant)
+                   and node.value in names)
+    assert named == [("cos", "sin"), ("sin", "cos")]

@@ -10,7 +10,7 @@ import pytest
 from gacalc.cartan import NotSymmetricError
 from gacalc.fixtures import load_fixture, load_fixture_file, load_map_file, zero_fixture
 from gacalc.report import CheckResult, Report, worst_of
-from gacalc.suites import run_fixture_checks, run_transform_checks
+from gacalc.suites import _SuiteRun, run_fixture_checks, run_transform_checks
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -130,7 +130,8 @@ class TestOneSymmetryDecision:
     of it: probes on different point sets disagree on its symmetry, so the run
     must decide once.  Seeds 2 and 5 once lost the whole `all` report to a
     bianchi refusal, and seeds 6 and 9 reported torsion-vanishes without the
-    bianchi rows."""
+    bianchi rows.  When the probe drew its points from the run's seed, seeds
+    1, 2 and 5 called it symmetric and seeds 6 and 9 did not."""
 
     BORDERLINE = {"name": "borderline", "dim": 2, "seed": 1, "connection": {
         "kind": "coefficients", "coefficients": {"0,0,1": "exp(-200*(x0+1.5))"}}}
@@ -146,6 +147,12 @@ class TestOneSymmetryDecision:
         else:
             with pytest.raises(NotSymmetricError, match="connection is not symmetric"):
                 run_fixture_checks(fix, "bianchi", seed=seed, samples=1)
+
+    def test_every_seed_gets_one_verdict(self):
+        fix = load_fixture(self.BORDERLINE)
+        verdicts = {frozenset(SYMMETRIC_ONLY & {c.name for c in run_fixture_checks(
+            fix, "all", seed=seed, samples=1).checks}) for seed in (1, 2, 5, 6, 9)}
+        assert len(verdicts) == 1
 
 
 class TestSuiteOverrides:
@@ -298,9 +305,34 @@ KNOWN_OPS = ("zero.all", "polar_from_zero.cartan", "sphere.all", "sphere_metric.
              "polar.all", "torsionful.all", "torsionful.bianchi", "polar.transform")
 
 
+def known_op(op_id, samples=None):
+    """The report of a known-answer operation at seed 1."""
+    fixture, suite = op_id.split(".")
+    fix = load_fixture_file(FIXTURES / f"{fixture}.json")
+    if suite == "transform":
+        return run_transform_checks(fix, load_map_file(FIXTURES / "maps" / "polar_map.json"),
+                                    seed=1, samples=samples)
+    return run_fixture_checks(fix, suite, seed=1, samples=samples)
+
+
+def samples_at_one(report):
+    return {c.name: c.samples for c in report.checks}
+
+
+def pinned_at_one(answer):
+    """Each check of a known answer at samples=1: 10 x its draws, from `DRAW_SAMPLES`."""
+    pinned = {name: n for table in DRAW_SAMPLES.values() for name, n in table.items()}
+    return {name: pinned[name] for name, *_ in answer["checks"]}
+
+
 class TestBenchmarkKnownAnswers:
     """The in-process reports at seed 1 against `perfbench/known_answers.json`,
-    so a check that is dropped, renamed, re-tagged or redrawn fails here."""
+    so a check that is dropped, renamed, re-tagged or redrawn fails here.
+
+    The known answers' samples are draws * max(10, ceil(50 / draws)), which
+    reads 50 for 2 draws and for 5; so each operation also runs at
+    samples=1, where a check samples 10 x its draws, against the pinned draws.
+    """
 
     @pytest.fixture(scope="class")
     def known(self):
@@ -309,18 +341,38 @@ class TestBenchmarkKnownAnswers:
     @pytest.mark.parametrize("op_id", KNOWN_OPS)
     def test_report_matches_known_answer(self, known, op_id):
         answer = known[op_id]
-        fixture, suite = op_id.split(".")
-        fix = load_fixture_file(FIXTURES / f"{fixture}.json")
         if answer["exit"] != 0:
             with pytest.raises(NotSymmetricError, match=answer["stderr"]):
-                run_fixture_checks(fix, suite, seed=1)
+                known_op(op_id)
             return
-        if suite == "transform":
-            report = run_transform_checks(fix, load_map_file(FIXTURES / "maps" / "polar_map.json"),
-                                          seed=1)
-        else:
-            report = run_fixture_checks(fix, suite, seed=1)
+        report = known_op(op_id)
         shape = [[c.name, c.paper_eq, c.samples, c.tolerance] for c in report.checks]
         assert shape == answer["checks"]
         for c in report.checks:
             assert math.isfinite(c.max_residual) and 0 <= c.max_residual < c.tolerance, c.name
+
+    @pytest.mark.parametrize("op_id", KNOWN_OPS)
+    def test_each_check_keeps_its_draws(self, known, op_id):
+        answer = known[op_id]
+        if answer["exit"] != 0:
+            with pytest.raises(NotSymmetricError, match=answer["stderr"]):
+                known_op(op_id, samples=1)
+            return
+        assert samples_at_one(known_op(op_id, samples=1)) == pinned_at_one(answer)
+
+    def test_a_redraw_shows_only_at_one_sample(self, known, monkeypatch):
+        # gen-vector-agrees with 2 draws in place of its 5
+        check = _SuiteRun.check
+
+        def redrawn(run, name, tag, draws, build, points=None):
+            draws = 2 if name == "gen-vector-agrees" else draws
+            return check(run, name, tag, draws, build, points)
+
+        monkeypatch.setattr(_SuiteRun, "check", redrawn)
+        answer = known["zero.all"]
+        report = known_op("zero.all")
+        assert [[c.name, c.paper_eq, c.samples, c.tolerance] for c in report.checks] == (
+            answer["checks"])  # 2 x 25 = 5 x 10 samples
+        drawn = samples_at_one(known_op("zero.all", samples=1))
+        assert drawn != pinned_at_one(answer)
+        assert (drawn["gen-vector-agrees"], pinned_at_one(answer)["gen-vector-agrees"]) == (20, 50)
