@@ -218,9 +218,10 @@ def _fold(fn, value: float) -> Const | None:
     return Const(result) if math.isfinite(result) else None
 
 
-# The rules: one row per binary node type and one per function name.  A
-# domain fault is (message, test of the node's last operand's values: a
-# divisor, a base or an argument); a Tape raises the message where it holds.
+# The rules: one row per binary node type and one per function name.  A domain
+# fault is (message, test of the values of the node's last operand: a divisor, a
+# base or an argument).  A derivative rule builds a fresh call, never its node:
+# `diff` stores the derivative on the node, and a cycle needs the collector.
 
 _ATOM, _UNARY, _MULDIV, _ADDSUB = 4, 3, 2, 1  # printing precedence
 
@@ -253,11 +254,11 @@ _BINARY = {
 _FUNCTIONS = {
     "sin": _Function(np.sin, lambda e, du: mul(call("cos", e.arg), du)),
     "cos": _Function(np.cos, lambda e, du: neg(mul(call("sin", e.arg), du))),
-    "tan": _Function(np.tan, lambda e, du: mul(add(ONE, powi(e, 2)), du)),
-    "exp": _Function(np.exp, lambda e, du: mul(e, du)),
+    "tan": _Function(np.tan, lambda e, du: mul(add(ONE, powi(call("tan", e.arg), 2)), du)),
+    "exp": _Function(np.exp, lambda e, du: mul(call("exp", e.arg), du)),
     "ln": _Function(np.log, lambda e, du: div(du, e.arg),
                     ("logarithm of a non-positive value", lambda v: v <= 0.0)),
-    "sqrt": _Function(np.sqrt, lambda e, du: div(du, mul(const(2.0), e)),
+    "sqrt": _Function(np.sqrt, lambda e, du: div(du, mul(const(2.0), call("sqrt", e.arg))),
                       ("square root of a negative value", lambda v: v < 0.0)),
     "atan": _Function(np.arctan, lambda e, du: div(du, add(ONE, powi(e.arg, 2)))),
 }
@@ -276,27 +277,42 @@ def _fault(node: Expr) -> tuple | None:
 
 
 def _walk(e: Expr, fold):
-    """fold(node, *its operands' results) at each distinct object of ``e``: post-order
-    on an explicit stack (any depth), left operand before right, memoized on identity,
-    so a subtree ``e`` shares is folded once and its one result is shared alike."""
-    done: dict[int, object] = {}  # id(node) -> its result; e keeps the ids valid
+    """fold(node, *its operands' results) at each distinct object of ``e``, operands first,
+    left before right; a first pass (explicit stack: any depth) orders them and counts
+    their uses, so a shared subtree is folded once and a result dropped at its last use."""
+    uses: dict[int, int] = {}  # id(node) -> references to it from its parents, +1 for e
+    order: list[Expr] = []  # the distinct nodes, each after its operands; e keeps the ids valid
     stack = [(e, False)]
     while stack:
         node, ready = stack.pop()
-        kind = type(node)
-        if ready:  # its operands are folded
-            done[id(node)] = (fold(node, done[id(node.left)], done[id(node.right)])
-                              if kind in _BINARY else
-                              fold(node, done[id(node.base if kind is Pow else node.arg)]))
-        elif id(node) not in done:
+        if ready:
+            order.append(node)
+        elif id(node) in uses:
+            uses[id(node)] += 1
+        else:
+            uses[id(node)] = 1
+            stack.append((node, True))
+            kind = type(node)
             if kind in _BINARY:
-                stack += ((node, True), (node.right, False), (node.left, False))
+                stack += ((node.right, False), (node.left, False))
             elif kind in (Neg, Pow, Call):
-                stack += ((node, True), (node.base if kind is Pow else node.arg, False))
-            elif kind is Var or kind is Const:
-                done[id(node)] = fold(node)
-            else:
+                stack.append((node.base if kind is Pow else node.arg, False))
+            elif kind is not Var and kind is not Const:
                 raise TypeError(f"not an expression: {node!r}")
+    done: dict[int, object] = {}  # id(node) -> its result, until its last use
+
+    def take(operand):
+        uses[id(operand)] -= 1
+        return done[id(operand)] if uses[id(operand)] else done.pop(id(operand))
+
+    for node in order:
+        kind = type(node)
+        if kind in _BINARY:
+            done[id(node)] = fold(node, take(node.left), take(node.right))
+        elif kind is Var or kind is Const:
+            done[id(node)] = fold(node)
+        else:
+            done[id(node)] = fold(node, take(node.base if kind is Pow else node.arg))
     return done[id(e)]
 
 
@@ -311,8 +327,7 @@ def substitute(e: Expr, replacements) -> Expr:
 
 
 def _rebuild(e: Expr, var) -> Expr:
-    """Rebuild ``e`` through the folding constructors, each Var v as var(v), in
-    one `_walk`: a subtree ``e`` shares is rebuilt once, and shared alike."""
+    """``e`` through the folding constructors in one `_walk`, each Var v as var(v)."""
     def fold(node, a=None, b=None):
         kind = type(node)
         if kind in _BINARY:
@@ -329,13 +344,12 @@ def _rebuild(e: Expr, var) -> Expr:
 def diff(e: Expr, i: int) -> Expr:
     """Exact partial derivative with respect to coordinate x_i.
 
-    The walk is iterative (post-order on an explicit stack, so any depth
-    is fine).  It descends one operand at a time, left before right, and
-    looks each operand up once: a leaf's derivative, or the one stored on
-    the node, is handed straight to the node waiting for it.  Each node
-    keeps its derivatives in its own ``_diff`` dict, outside the fields
-    that ``==``, ``hash`` and ``repr`` read, so it is differentiated by
-    x_i once in its lifetime, whichever call asks.
+    The walk is iterative (post-order on an explicit stack: any depth).  It
+    descends one operand at a time, left before right, and looks each up once:
+    a leaf's derivative, or the one stored on the node, goes straight to the
+    node waiting for it.  Each node keeps its derivatives in its own ``_diff``
+    dict, outside the fields ``==``, ``hash`` and ``repr`` read, so it is
+    differentiated by x_i once in its lifetime, whichever call asks.
     """
     waiting: list[Expr] = []  # nodes whose operands are being differentiated, innermost last
     lefts: list = []  # per waiting node: its left operand's derivative once done, else None
@@ -440,14 +454,10 @@ _POWERS = {2: np.square, -1: np.reciprocal, 1: np.positive, 0: np.ones_like}
 
 
 def _power(exponent: int):
-    """x -> x ** exponent through the ufunc numpy's array ``**`` picks for it.
-
-    An array's ``**`` takes np.square, np.reciprocal, np.positive or
-    np.ones_like for 2, -1, 1 or 0 and np.power otherwise; a numpy
-    scalar's ``**`` calls the C library's pow instead, which can differ in
-    the last bit.  Calling the ufunc gives a one-point call on numpy
-    scalars the bits of the same point in an array call.
-    """
+    """x -> x ** exponent through the ufunc an array's ``**`` picks for it
+    (np.square, np.reciprocal, np.positive, np.ones_like or np.power), where a
+    numpy scalar's ``**`` calls the C library's pow, which can differ in the last
+    bit: a one-point call then gives the bits of the same point in an array call."""
     return _POWERS.get(exponent) or (lambda x: np.power(x, exponent))
 
 
@@ -460,13 +470,12 @@ class Tape:
     slot holds (callable, operand slot, operand slot or None), a leaf
     (None, coordinate index, None) or (None, None, constant).  Calling the
     tape on an (N, dim) points array runs the program with no test inside
-    the loop and returns the (N, len(roots)) values.  + - * / and
-    negation are ``operator.add`` ... ``operator.neg``, which numpy runs as
-    its ufuncs on arrays and as scalar arithmetic on np.float64; with N = 1
-    the program runs on np.float64 values: the same IEEE operations under
-    the same errstate, without array dispatch, so a one-point call gives
-    the values and the DomainError of the same point in an array call, at
-    a fraction of the cost.
+    the loop and returns the (N, len(roots)) values.  With N = 1 the
+    program runs on np.float64 values, where the rows' ``operator.*``
+    callables and ``operator.neg`` are scalar arithmetic, not ufuncs: the
+    same IEEE operations under the same errstate, without array dispatch,
+    so a one-point call gives the values and the DomainError of the same
+    point in an array call, at a fraction of the cost.
 
     It raises DomainError naming the subexpression where a denominator is
     0, 0 is raised to a negative power, ln meets a value <= 0 or sqrt a
@@ -556,7 +565,6 @@ class Tape:
         if points.ndim != 2:
             raise ValueError(f"points must be an (N, dim) array, got shape {points.shape}")
         one_point = len(points) == 1
-        # one point runs on np.float64 values: the same IEEE operations, no array dispatch
         coordinates = points[0] if one_point else points.T
         values: list = []
         append = values.append

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import types
 import weakref
 from pathlib import Path
@@ -491,6 +492,25 @@ class TestDiff:
         assert root() is None
         assert derivative() is None
 
+    @pytest.mark.parametrize("name", sorted(ex._FUNCTIONS))
+    def test_a_derivative_never_holds_its_node(self, name):
+        # `cli.main` runs with the collector off, so reference counting alone
+        # must free a differentiated node: a derivative holding its node would
+        # be a cycle through the node's stored derivatives
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            e = ex.parse(f"{name}(x0*x0 + 1)", 1)
+            d = ex.diff(ex.diff(e, 0), 0)
+            node, derivative = weakref.ref(e), weakref.ref(d)
+            del e, d
+            assert node() is None
+            assert derivative() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_deep_sum_differentiates_at_any_depth(self):
         # a left-deep sum of 5000 terms, far past the default recursion limit
         n = 5000
@@ -554,6 +574,19 @@ class TestPrintRoundTrip:
         with pytest.raises(ex.DomainError, match="division by zero") as err:
             ex.evaluate(ex.Div(ex.ONE, deep), (0.0, 0.0))
         assert str(err.value).endswith("in '1/(" + " + ".join(["x0*x1"] * 3000) + ")'")
+
+    def test_printing_holds_about_its_output(self):
+        # a subtree's text is dropped once its parent has used it; keeping
+        # every prefix of this 24k-character sum would take about 37 MB
+        deep = ex.parse(" + ".join(["x0*x1"] * 3000), 2)
+        tracemalloc.start()
+        try:
+            text = ex.to_str(deep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 23_997
+        assert peak < 4_000_000
 
     @pytest.mark.parametrize("value,text", [
         (math.inf, "1e999*x0"), (-math.inf, "-1e999*x0"), (math.nan, "nan*x0"),

@@ -222,13 +222,16 @@ DRAW_SAMPLES = {
 }
 
 
+def samples_at_one(fix, suite):
+    return {c.name: c.samples for c in run_fixture_checks(fix, suite, seed=1, samples=1).checks}
+
+
 class TestDrawCounts:
     """Each check's number of argument draws, pinned through its sample count."""
 
     @pytest.mark.parametrize("suite", ["core", "cartan", "bianchi", "bridge"])
     def test_fixture_suite(self, zero2, suite):
-        report = run_fixture_checks(zero2, suite, seed=1, samples=1)
-        assert {c.name: c.samples for c in report.checks} == DRAW_SAMPLES[suite]
+        assert samples_at_one(zero2, suite) == DRAW_SAMPLES[suite]
 
     def test_transform_suite(self, polar, pmap):
         report = run_transform_checks(polar, pmap, seed=1, samples=1)
@@ -284,7 +287,7 @@ class TestNoCyclicGarbage:
     """`cli.main` runs with the cyclic collector off, which is sound only while
     the trees, fields and memo entries of a run form no reference cycle."""
 
-    @pytest.mark.parametrize("name", ["sphere", "zero"])
+    @pytest.mark.parametrize("name", ["sphere", "zero", "polar_from_zero"])
     def test_a_suite_run_leaves_nothing_for_the_collector(self, name):
         enabled = gc.isenabled()
         gc.collect()
@@ -305,33 +308,23 @@ KNOWN_OPS = ("zero.all", "polar_from_zero.cartan", "sphere.all", "sphere_metric.
              "polar.all", "torsionful.all", "torsionful.bianchi", "polar.transform")
 
 
-def known_op(op_id, samples=None):
+def known_op(op_id):
     """The report of a known-answer operation at seed 1."""
     fixture, suite = op_id.split(".")
     fix = load_fixture_file(FIXTURES / f"{fixture}.json")
     if suite == "transform":
         return run_transform_checks(fix, load_map_file(FIXTURES / "maps" / "polar_map.json"),
-                                    seed=1, samples=samples)
-    return run_fixture_checks(fix, suite, seed=1, samples=samples)
-
-
-def samples_at_one(report):
-    return {c.name: c.samples for c in report.checks}
-
-
-def pinned_at_one(answer):
-    """Each check of a known answer at samples=1: 10 x its draws, from `DRAW_SAMPLES`."""
-    pinned = {name: n for table in DRAW_SAMPLES.values() for name, n in table.items()}
-    return {name: pinned[name] for name, *_ in answer["checks"]}
+                                    seed=1)
+    return run_fixture_checks(fix, suite, seed=1)
 
 
 class TestBenchmarkKnownAnswers:
     """The in-process reports at seed 1 against `perfbench/known_answers.json`,
-    so a check that is dropped, renamed, re-tagged or redrawn fails here.
+    so a check that is dropped, renamed or re-tagged fails here.
 
     The known answers' samples are draws * max(10, ceil(50 / draws)), which
-    reads 50 for 2 draws and for 5; so each operation also runs at
-    samples=1, where a check samples 10 x its draws, against the pinned draws.
+    reads 50 for 2 draws and for 5; a redraw shows at samples=1, where a
+    check samples 10 x its draws, as `TestDrawCounts` pins them.
     """
 
     @pytest.fixture(scope="class")
@@ -351,16 +344,7 @@ class TestBenchmarkKnownAnswers:
         for c in report.checks:
             assert math.isfinite(c.max_residual) and 0 <= c.max_residual < c.tolerance, c.name
 
-    @pytest.mark.parametrize("op_id", KNOWN_OPS)
-    def test_each_check_keeps_its_draws(self, known, op_id):
-        answer = known[op_id]
-        if answer["exit"] != 0:
-            with pytest.raises(NotSymmetricError, match=answer["stderr"]):
-                known_op(op_id, samples=1)
-            return
-        assert samples_at_one(known_op(op_id, samples=1)) == pinned_at_one(answer)
-
-    def test_a_redraw_shows_only_at_one_sample(self, known, monkeypatch):
+    def test_a_redraw_shows_only_at_one_sample(self, known, zero2, monkeypatch):
         # gen-vector-agrees with 2 draws in place of its 5
         check = _SuiteRun.check
 
@@ -373,6 +357,6 @@ class TestBenchmarkKnownAnswers:
         report = known_op("zero.all")
         assert [[c.name, c.paper_eq, c.samples, c.tolerance] for c in report.checks] == (
             answer["checks"])  # 2 x 25 = 5 x 10 samples
-        drawn = samples_at_one(known_op("zero.all", samples=1))
-        assert drawn != pinned_at_one(answer)
-        assert (drawn["gen-vector-agrees"], pinned_at_one(answer)["gen-vector-agrees"]) == (20, 50)
+        drawn = samples_at_one(zero2, "core")  # the comparison of TestDrawCounts
+        assert drawn != DRAW_SAMPLES["core"]
+        assert (drawn["gen-vector-agrees"], DRAW_SAMPLES["core"]["gen-vector-agrees"]) == (20, 50)
