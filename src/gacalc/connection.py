@@ -25,7 +25,7 @@ SIGNS = ("+", "-", "0")
 _DUAL = {"+": "-", "-": "+", "0": "0"}
 
 MAX_EXTENSOR_ARITY = 3
-# is_symmetric's bound on |G^g_ab - G^g_ba| at a sample point
+# asymmetry's bound on |G^g_ab - G^g_ba| at a sample point
 SYMMETRY_TOL = 1e-10
 
 
@@ -70,14 +70,31 @@ class ConnectionField:
         return cls(dim, g)
 
 
-def is_symmetric(conn: ConnectionField, points) -> bool:
-    """Coefficient symmetry in the two lower slots, checked at sample points on one tape."""
+def asymmetry(conn: ConnectionField, points):
+    """Where G^g_ab and G^g_ba differ, as ((g, a, b), point), a < b; None if nowhere.
+
+    The first pair that differs by a nonzero constant is named with no point
+    (None): the trees decide it exactly.  Else the varying differences are
+    evaluated at ``points`` on one tape, and the first pair that differs at
+    any of them is named with the point of its largest difference."""
     n = conn.dim
-    diffs = [ex.sub(p[a][b], p[b][a]) for p in conn.gamma for a in range(n) for b in range(a + 1, n)]
-    if any(type(d) is ex.Const and abs(d.value) > SYMMETRY_TOL for d in diffs):
-        return False
-    varying = [d for d in diffs if type(d) is not ex.Const]
-    return not varying or float(np.max(np.abs(ex.Tape(varying)(points)))) <= SYMMETRY_TOL
+    diffs = {(g, a, b): ex.sub(p[a][b], p[b][a])
+             for g, p in enumerate(conn.gamma) for a in range(n) for b in range(a + 1, n)}
+    for index, d in diffs.items():
+        if type(d) is ex.Const and abs(d.value) > SYMMETRY_TOL:
+            return index, None
+    varying = {index: d for index, d in diffs.items() if type(d) is not ex.Const}
+    if varying:
+        gaps = np.abs(ex.Tape(varying.values())(points))
+        for index, gap in zip(varying, gaps.T):
+            if not np.max(gap) <= SYMMETRY_TOL:  # NaN is a difference too
+                return index, points[np.argmax(gap)]
+    return None
+
+
+def is_symmetric(conn: ConnectionField, points) -> bool:
+    """Coefficient symmetry in the two lower slots: `asymmetry` finds no pair."""
+    return asymmetry(conn, points) is None
 
 
 @dataclass(frozen=True, eq=False)

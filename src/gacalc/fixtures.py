@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import expr as ex
+from .algebra import MAX_DIM
 from .bridge import CoordinateMap, levi_civita_from_metric, transform_connection
 from .connection import ConnectionField
 from .fields import Box
@@ -132,6 +133,15 @@ def _checked(value, name: str, kind: type):
     return kind(value)
 
 
+def _dim(value, name: str) -> int:
+    """``value`` as a dimension of the documented scope, 2 to `MAX_DIM`, else a
+    `ConfigError` naming ``name``."""
+    dim = _checked(value, name, int)
+    if not 2 <= dim <= MAX_DIM:
+        raise ConfigError(f"{name} must be between 2 and {MAX_DIM}, got {dim}")
+    return dim
+
+
 def _number(obj: dict, key: str, kind: type, default=_MISSING):
     """obj[key], else ``default``, read by `_checked`'s rule."""
     return _checked(obj.get(key, default), key, kind)
@@ -174,7 +184,7 @@ def load_map(obj) -> CoordinateMap:
             obj[key] for key in ("dim", "forward", "inverse", "domain"))
     except (KeyError, TypeError) as err:
         raise ConfigError(f"map needs 'dim', 'forward', 'inverse' and 'domain': {err}") from None
-    dim = _checked(dim, "map dim", int)
+    dim = _dim(dim, "map dim")
     forward = tuple(_parse_expr(s, dim) for s in _array(forward_src, "map forward", dim))
     inverse = tuple(_parse_expr(s, dim) for s in _array(inverse_src, "map inverse", dim))
     canonical = obj.get("domain_canonical", _MISSING)
@@ -238,14 +248,17 @@ def _load_connection(spec, dim: int) -> ConnectionField:
     else:
         raise ConfigError(f"unknown connection kind {spec['kind']!r}")
     for outer in reversed(chain.values()):
-        conn = transform_connection(conn, load_map(outer.get("map")))
+        cmap = load_map(outer.get("map"))
+        if cmap.dim != dim:
+            raise ConfigError(f"map dim must be the fixture's dim {dim}, got {cmap.dim}")
+        conn = transform_connection(conn, cmap)
     return conn
 
 
 def load_fixture(obj) -> FixtureConfig:
     if not isinstance(obj, dict):
         raise ConfigError("fixture config must be a JSON object")
-    dim, seed = _number(obj, "dim", int), _number(obj, "seed", int)
+    dim, seed = _dim(obj.get("dim", _MISSING), "dim"), _number(obj, "seed", int)
     domain = _load_box(obj.get("domain", {"lo": [-1.5] * dim, "hi": [1.5] * dim}), dim,
                        "domain")
     conn = _load_connection(obj.get("connection", {"kind": "coefficients"}), dim)

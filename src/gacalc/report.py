@@ -1,6 +1,7 @@
 """Residual-check records and report rendering (text table and JSON).
 
-`worst_residual` is the one residual path: one `expr.Tape` for a check's pairs.
+`worst_residual` is the one residual rule: a scalar pair is a pair of fields
+on blade 0, and every pair of a check is scored on one `expr.Tape`.
 """
 
 from __future__ import annotations
@@ -15,60 +16,49 @@ from . import expr as ex
 from . import fields as mf
 
 
-def batch_residual(lhs, rhs) -> float:
-    """Largest residual over a batch of (lhs, rhs) values.
-
-    The last axis of the two arrays holds the coefficients of one item
-    (e.g. one point of a multivector field); an item's residual is
-    max|l - r| / max(1, max|l|, max|r|), and the result is the max over
-    items.  A NaN anywhere makes the result NaN.
-    """
-    lhs = np.asarray(lhs, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    num = np.max(np.abs(lhs - rhs), axis=-1)
-    den = np.maximum(1.0, np.maximum(np.max(np.abs(lhs), axis=-1), np.max(np.abs(rhs), axis=-1)))
-    return float(np.max(num / den))
-
-
-def worst_of(*residuals: float) -> float:
-    """The largest of some residuals; unlike the builtin max, NaN wins."""
-    return float(np.max(residuals))
-
-
 def worst_residual(pairs, points) -> float:
-    """`worst_of` the residuals of (lhs, rhs) pairs over an (N, dim) points array.
+    """The worst residual of (lhs, rhs) pairs over an (N, dim) points array.
 
-    All the pairs, which may come from a generator, are lowered onto one
-    `expr.Tape` (every coefficient of a pair of multivector fields, both
-    sides of a pair of scalar expressions) and evaluated in one pass, so a
-    subtree the pairs share is evaluated once.  A pair of fields is then
-    normalized per point over its coefficients; a pair of scalars on its
-    own, in one batch with the other scalar pairs.  No pairs give 0.0.
+    A pair of scalar expressions is a pair of fields on blade 0, so one rule
+    scores every pair at every point: max|l - r| / max(1, max|l|, max|r|)
+    over the blades either side holds.  All the pairs, which may come from a
+    generator, are lowered onto one `expr.Tape` (each pair's lhs
+    coefficients, then its rhs) and evaluated in one pass, so a subtree the
+    pairs share is evaluated once; a blade one side lacks reads a constant-0
+    root.  The result is the worst over pairs and points, NaN winning; a pair
+    with no blade, like no pairs at all, scores 0.0.
     """
     roots: list[ex.Expr] = []
-    field_pairs = []  # (dim, lhs blades, rhs blades, column of the first lhs value)
-    scalar_columns = []  # column of each scalar pair's lhs value; its rhs is next
+    lhs_columns: list[int] = []  # per blade of each pair; -1 is the constant-0 root
+    rhs_columns: list[int] = []
+    starts: list[int] = []  # the first blade of each pair that has any
     for lhs, rhs in pairs:
         if isinstance(lhs, mf.MultivectorField):
-            field_pairs.append((lhs.dim, list(lhs.coeffs), list(rhs.coeffs), len(roots)))
-            roots += lhs.coeffs.values()
-            roots += rhs.coeffs.values()
+            lhs, rhs = lhs.coeffs, rhs.coeffs
         else:
-            scalar_columns.append(len(roots))
-            roots += (lhs, rhs)
+            lhs, rhs = {0: lhs}, {0: rhs}
+        lhs_of = {blade: len(roots) + i for i, blade in enumerate(lhs)}
+        roots += lhs.values()
+        rhs_of = {blade: len(roots) + i for i, blade in enumerate(rhs)}
+        roots += rhs.values()
+        blades = lhs_of.keys() | rhs_of.keys()
+        if blades:
+            starts.append(len(lhs_columns))
+            lhs_columns += [lhs_of.get(blade, -1) for blade in blades]
+            rhs_columns += [rhs_of.get(blade, -1) for blade in blades]
+    roots.append(ex.ZERO)
     values = ex.Tape(roots)(points)
-    worst = 0.0
-    for dim, lhs_blades, rhs_blades, column in field_pairs:
-        split = column + len(lhs_blades)
-        lhs_values, rhs_values = np.zeros((2, len(values), 1 << dim))
-        lhs_values[:, lhs_blades] = values[:, column:split]
-        rhs_values[:, rhs_blades] = values[:, split:split + len(rhs_blades)]
-        worst = worst_of(worst, batch_residual(lhs_values, rhs_values))
-    if scalar_columns:
-        lhs_columns = np.array(scalar_columns)
-        worst = worst_of(worst, batch_residual(values[:, lhs_columns].T[..., None],
-                                               values[:, lhs_columns + 1].T[..., None]))
-    return worst
+    if not starts:
+        return 0.0
+    left, right = values[:, lhs_columns], values[:, rhs_columns]
+    del values
+    gap = np.subtract(left, right)
+    np.abs(gap, out=gap)
+    scale = np.maximum(np.abs(left, out=left), np.abs(right, out=right), out=left)
+    worst = np.maximum.reduceat(gap, starts, axis=1)
+    bound = np.maximum.reduceat(scale, starts, axis=1)
+    worst /= np.maximum(bound, 1.0, out=bound)
+    return float(np.max(worst))
 
 
 @dataclass

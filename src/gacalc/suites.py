@@ -6,13 +6,14 @@ equation it verifies, the number of seeded argument draws, and a builder.
 from ``rng``, then yields the ``(lhs, rhs)`` pairs of that draw, built
 through independent code paths where the law relates different
 constructions.  The runner evaluates all pairs of a check on one tape
-(`report.worst_residual`): a pair of multivector fields is normalized per
-point by max(1, |lhs|, |rhs|) over its coefficients, a pair of scalar
-expressions on its own, and the check reports the worst residual over all
-pairs and sampled points, NaN included.  A check asked for N samples gets
-ceil(N / draws) points per argument draw, so the reported sample count is
-never below the request; a row may instead bring a point set of its own as
-a fifth entry, and then reports draws times its size.  `_SuiteRun.check`
+(`report.worst_residual`) and scores them by one rule, a pair of scalar
+expressions being a pair of fields on blade 0: each pair is normalized per
+point by max(1, |lhs|, |rhs|) over its coefficients, and the check reports
+the worst residual over all pairs and sampled points, NaN included.  A
+check asked for N samples gets ceil(N / draws) points per argument draw, so
+the reported sample count is never below the request; a row may instead
+bring a point set of its own as a fifth entry, and then reports draws times
+its size.  `_SuiteRun.check`
 is the one runner: every check of every suite goes through it, and so do
 `transform`'s coordinate-map laws, and every row draws from the generator
 its runner hands it.  Builders reach the layer functions through this
@@ -63,6 +64,7 @@ from .cartan import (
 from .connection import (
     SIGNS,
     ExtensorField11,
+    asymmetry,
     ExtensorFieldK,
     cov_derivative,
     cov_derivative_extensor,
@@ -75,7 +77,6 @@ from .connection import (
     generalized_apply,
     generalized_skew_apply,
     generalized_sym_apply,
-    is_symmetric,
     resolve11,
 )
 from .fixtures import FixtureConfig
@@ -286,7 +287,7 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
         for op in ops:
             lhs = op(a, product(x, y))
             rhs = mf.add(product(op(a, x), y), product(x, op(a, y)))
-            yield (lhs.component(0), rhs.component(0)) if label == "scalar" else (lhs, rhs)
+            yield lhs, rhs
 
     def cov_linear_dir(rng):
         a, a2, x = rv(rng), rv(rng), rx(rng)
@@ -717,11 +718,17 @@ def run_fixture_checks(fix: FixtureConfig, suite: str = "all", seed: int | None 
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     seed, samples, tol = fix.settings(seed, samples, tol)
     # symmetry is decided once, on one probe, for every row that depends on it
-    symmetric = suite in ("all", "cartan", "bianchi") and is_symmetric(
-        fix.conn, fix.domain.sample(10, np.random.default_rng(_PROBE_SEED)))
+    witness = None  # ((g, a, b), probe point or None) where symmetry fails
+    if suite in ("all", "cartan", "bianchi"):
+        witness = asymmetry(fix.conn, fix.domain.sample(10, np.random.default_rng(_PROBE_SEED)))
+    symmetric = witness is None
     if suite == "bianchi" and not symmetric:
+        pair, point = witness
+        at = "" if point is None else " at the probe point ({})".format(
+            ", ".join(f"{v:.12g}" for v in point))
         raise NotSymmetricError(
-            "connection is not symmetric: identity only holds for torsionless structures"
+            f"connection is not symmetric: G^g_ab and G^g_ba differ for (g, a, b) = {pair}{at}; "
+            "identity only holds for torsionless structures"
         )
 
     checks: list[CheckResult] = []

@@ -29,7 +29,7 @@ from gacalc.cartan import (
     torsion_operator_form,
 )
 from gacalc.fixtures import load_fixture_file
-from gacalc.report import batch_residual, worst_residual
+from gacalc.report import worst_residual
 from gacalc.suites import rand_frame, rand_vector, run_fixture_checks
 
 SPHERE3 = Path(__file__).resolve().parents[1] / "fixtures" / "sphere3_metric.json"
@@ -39,7 +39,7 @@ E2 = mf.basis(2, 1)
 
 
 def max_residual(lhs, rhs, points):
-    return batch_residual(mf.compiled_evaluator(lhs)(points), mf.compiled_evaluator(rhs)(points))
+    return worst_residual([(lhs, rhs)], points)
 
 
 def identity_pairs(sides, arity, draws, seed):

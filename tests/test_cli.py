@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,8 +22,10 @@ FIXTURES = REPO / "fixtures"
 
 
 def run_cli(*args, **kwargs):
-    return subprocess.run([sys.executable, "-m", "gacalc", *args],
-                          capture_output=True, text=True, cwd=REPO, **kwargs)
+    """``python -m gacalc`` in a child that finds the package in ``src``."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "gacalc", *args], capture_output=True,
+                          text=True, cwd=REPO, env=dict(os.environ, PYTHONPATH=path), **kwargs)
 
 
 class TestCheckCommand:
@@ -646,3 +649,42 @@ class TestConfigKinds:
         res = run_cli("check", "--config", str(FIXTURES / "polar_from_zero.json"),
                       "--suite", "bridge", "--samples", "20")
         assert res.returncode == 0
+
+
+class TestDimensionScope:
+    """A config or transform map of a dim outside 2..6 is refused as it loads."""
+
+    @staticmethod
+    def zero_config(tmp_path, dim, connection=None):
+        cfg = json.loads((FIXTURES / "zero.json").read_text())
+        cfg.update(dim=dim, coordinates=[f"x{i}" for i in range(dim)],
+                   domain={"lo": [-1.5] * dim, "hi": [1.5] * dim})
+        if connection is not None:
+            cfg["connection"] = connection
+        path = tmp_path / f"zero{dim}.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    @pytest.mark.parametrize("dim", [0, 1, 7])
+    @pytest.mark.parametrize("command", ["check", "eval", "christoffel"])
+    def test_a_dim_out_of_scope_exits_2(self, tmp_path, dim, command):
+        point = ",".join(["0.5"] * dim)
+        tail = {"check": ["--suite", "bianchi"],
+                "eval": ["--what", "torsion", "--at", point, "--args", point, point],
+                "christoffel": []}[command]
+        res = run_cli(command, "--config", self.zero_config(tmp_path, dim), *tail)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: dim must be between 2 and 6, got {dim}\n"
+
+    @pytest.mark.parametrize("dim, map_name, map_dim", [
+        (2, "cylindrical3.json", 3),
+        (3, "identity2.json", 2),
+    ])
+    def test_a_transform_map_of_another_dim_exits_2(self, tmp_path, dim, map_name, map_dim):
+        spec = {"kind": "transform", "base": {"kind": "coefficients"},
+                "map": json.loads((FIXTURES / "maps" / map_name).read_text())}
+        res = run_cli("check", "--config", self.zero_config(tmp_path, dim, spec))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: map dim must be the fixture's dim {dim}, got {map_dim}\n"

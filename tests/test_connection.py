@@ -27,6 +27,7 @@ from gacalc.connection import (
     ConnectionField,
     ExtensorField11,
     ExtensorFieldK,
+    asymmetry,
     const_frames,
     cov_derivative,
     cov_derivative_extensor,
@@ -44,7 +45,7 @@ from gacalc.connection import (
     resolve11,
 )
 from gacalc.fixtures import load_fixture_file, zero_fixture
-from gacalc.report import batch_residual
+from gacalc.report import worst_residual
 from gacalc.suites import rand_scalar, rand_vector
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -56,7 +57,7 @@ E2 = mf.basis(2, 1)
 
 
 def max_residual(lhs, rhs, points):
-    return batch_residual(mf.compiled_evaluator(lhs)(points), mf.compiled_evaluator(rhs)(points))
+    return worst_residual([(lhs, rhs)], points)
 
 
 def rand_map(dim, rng):
@@ -215,6 +216,18 @@ class TestSymmetry:
         pts = np.array([[0.0, 0.3], [0.5, 0.3]])
         assert is_symmetric(varying, pts[:1]) is per_pair(varying, pts[:1]) is True
         assert is_symmetric(varying, pts) is per_pair(varying, pts) is False
+
+    def test_asymmetry_names_the_pair_and_the_point(self, torsionful):
+        pts = np.array([[0.5, 0.3], [-0.75, 0.3], [0.25, 0.3]])
+        assert asymmetry(torsionful.conn, pts) == ((0, 0, 1), None)
+        varying = ConnectionField.from_entries(2, {(0, 0, 1): ex.Var(0), (1, 0, 1): ex.Var(1)})
+        index, point = asymmetry(varying, pts)
+        assert index == (0, 0, 1)
+        assert point.tolist() == [-0.75, 0.3]  # the largest |G^0_01 - G^0_10|
+        # a constant difference decides first, wherever it stands
+        mixed = ConnectionField.from_entries(2, {(0, 0, 1): ex.Var(0), (1, 0, 1): ex.ONE})
+        assert asymmetry(mixed, pts) == ((1, 0, 1), None)
+        assert asymmetry(ConnectionField.zero(2), pts) is None
 
 
 class TestExtensorField11:

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from gacalc import expr as ex
 from gacalc import fields as mf
 from gacalc.algebra import Multivector, allclose, grade_of
-from gacalc.report import batch_residual
+from gacalc.report import worst_residual
 from test_algebra import KEPT_GRADE, blade_mul_oracle, generators, sort_generators
 
 
@@ -33,7 +33,7 @@ def rand_poly_mvf(dim, rng):
 
 
 def max_residual(lhs, rhs, points):
-    return batch_residual(mf.compiled_evaluator(lhs)(points), mf.compiled_evaluator(rhs)(points))
+    return worst_residual([(lhs, rhs)], points)
 
 
 class TestFieldBasics:

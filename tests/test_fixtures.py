@@ -152,6 +152,8 @@ class TestConfigTypes:
         ("dim", True, "map dim must be an integer, got true"),
         ("forward", "x0", 'map forward must be a list of 2 entries, got "x0"'),
         ("inverse", ["x0"], 'map inverse must be a list of 2 entries, got ["x0"]'),
+        ("dim", 1, "map dim must be between 2 and 6, got 1"),
+        ("dim", 7, "map dim must be between 2 and 6, got 7"),
     ])
     def test_map_value_of_the_wrong_type(self, key, value, message):
         with pytest.raises(ConfigError) as err:

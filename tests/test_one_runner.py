@@ -98,7 +98,9 @@ def test_one_function_sums_over_a_frame():
 
 
 def test_symmetry_is_decided_once_per_run():
-    assert constructions(PACKAGE, "is_symmetric") == ["suites.run_fixture_checks"]
+    assert constructions(PACKAGE, "is_symmetric") == []
+    assert constructions(PACKAGE, "asymmetry") == ["connection.is_symmetric",
+                                                   "suites.run_fixture_checks"]
 
 
 def test_only_the_runner_and_the_symmetry_probe_build_a_generator():

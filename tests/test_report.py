@@ -6,25 +6,27 @@ import pytest
 from gacalc import expr as ex
 from gacalc import fields as mf
 from gacalc.connection import cov_derivative, generalized_apply
-from gacalc.report import batch_residual, worst_of, worst_residual
+from gacalc.report import worst_residual
 from gacalc.suites import rand_scalar, rand_vector
 
 
 def pair_by_pair(pairs, points):
-    """Each field pair on two tapes of its own, each scalar pair on two more."""
+    """Each pair on two tapes of its own, scored by the rule written out: at each
+    point, max|l - r| / max(1, max|l|, max|r|) over a field pair's 2**dim
+    coefficients or a scalar pair's two values; the worst over pairs and
+    points, NaN winning."""
     worst = 0.0
-    lhs_values, rhs_values = [], []
     for lhs, rhs in pairs:
         if isinstance(lhs, mf.MultivectorField):
-            worst = worst_of(worst, batch_residual(mf.compiled_evaluator(lhs)(points),
-                                                   mf.compiled_evaluator(rhs)(points)))
+            lhs_values = mf.compiled_evaluator(lhs)(points)
+            rhs_values = mf.compiled_evaluator(rhs)(points)
         else:
-            lhs_values.append(ex.compile_fn(lhs)(points))
-            rhs_values.append(ex.compile_fn(rhs)(points))
-    if lhs_values:
-        worst = worst_of(worst, batch_residual(np.stack(lhs_values)[..., None],
-                                               np.stack(rhs_values)[..., None]))
-    return worst
+            lhs_values = ex.compile_fn(lhs)(points)[:, None]
+            rhs_values = ex.compile_fn(rhs)(points)[:, None]
+        gap = np.max(np.abs(lhs_values - rhs_values), axis=1)
+        scale = np.maximum(np.max(np.abs(lhs_values), axis=1), np.max(np.abs(rhs_values), axis=1))
+        worst = np.max([worst, np.max(gap / np.maximum(1.0, scale))])
+    return float(worst)
 
 
 @pytest.fixture
@@ -82,6 +84,35 @@ class TestWorstResidual:
         assert len(tapes) == 1
         for lhs, rhs in corpus:  # and pair by pair
             assert worst_residual([(lhs, rhs)], points) == pair_by_pair([(lhs, rhs)], points)
+
+    @pytest.mark.parametrize("name", ["polar", "sphere", "torsionful"])
+    def test_a_scalar_pair_scores_as_a_one_blade_field_pair(self, request, name):
+        fix = request.getfixturevalue(name)
+        rng = np.random.default_rng(5)
+        points = fix.domain.sample(13, rng)
+        for lhs, rhs in scalar_pairs(fix.conn, rng):  # ONE against ZERO: a blade on one side
+            wrapped = mf.scalar_field(fix.dim, lhs), mf.scalar_field(fix.dim, rhs)
+            assert worst_residual([(lhs, rhs)], points) == worst_residual([wrapped], points)
+
+    def test_a_pair_with_blades_on_one_side_only(self):
+        points = np.array([[0.5, -2.0], [0.25, 0.5], [-3.0, 0.0]])
+        x0, x1 = ex.Var(0), ex.Var(1)
+        # at each point max(|x0|, |x1|) / max(1, |x0|, |x1|): 1, 0.5 and 1
+        disjoint = mf.mvf(2, {0b01: x0}), mf.mvf(2, {0b10: x1})
+        assert worst_residual([disjoint], points[1:2]) == 0.5
+        assert worst_residual([disjoint], points) == 1.0
+        # one side empty: max|x0 x1| / max(1, |x0 x1|) is 0.125 at the second point
+        one_sided = mf.mvf(2, {}), mf.mvf(2, {0b11: ex.mul(x0, x1)})
+        assert worst_residual([one_sided], points[1:2]) == 0.125
+        assert worst_residual([one_sided[::-1]], points[1:2]) == 0.125
+        for pair in (disjoint, one_sided, one_sided[::-1]):
+            assert worst_residual([pair], points) == pair_by_pair([pair], points)
+
+    def test_a_pair_of_empty_fields_scores_0(self):
+        points = np.array([[0.5, -2.0], [0.25, 0.5]])
+        empty = mf.mvf(2, {}), mf.mvf(2, {})
+        assert worst_residual([empty], points) == 0.0
+        assert worst_residual([empty, (ex.const(0.5), ex.ZERO), empty], points) == 0.5
 
     def test_no_pairs_give_0(self, tapes):
         assert worst_residual(iter(()), np.zeros((4, 2))) == 0.0

@@ -5,12 +5,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gacalc.cartan import NotSymmetricError
 from gacalc.fixtures import load_fixture, load_fixture_file, load_map_file, zero_fixture
-from gacalc.report import CheckResult, Report, worst_of
-from gacalc.suites import _SuiteRun, run_fixture_checks, run_transform_checks
+from gacalc.report import CheckResult, Report
+from gacalc.suites import _PROBE_SEED, _SuiteRun, run_fixture_checks, run_transform_checks
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -110,6 +111,27 @@ class TestSuiteCoverage:
     def test_bianchi_suite_requires_symmetry(self, torsionful):
         with pytest.raises(NotSymmetricError, match="connection is not symmetric"):
             run_fixture_checks(torsionful, "bianchi", samples=20)
+
+    def test_the_refusal_names_the_pair(self, torsionful):
+        # G^0_01 = 1 against G^0_10 = 0: decided from the trees, at no point
+        with pytest.raises(NotSymmetricError) as err:
+            run_fixture_checks(torsionful, "bianchi", samples=20)
+        assert str(err.value) == ("connection is not symmetric: G^g_ab and G^g_ba differ for "
+                                  "(g, a, b) = (0, 0, 1); identity only holds for torsionless "
+                                  "structures")
+
+    def test_a_refusal_the_probe_decided_names_its_point(self):
+        # G^0_01 = x0 against G^0_10 = 0 differs only at points, most where |x0| is largest
+        fix = load_fixture({"dim": 2, "seed": 1, "connection": {
+            "kind": "coefficients", "coefficients": {"0,0,1": "x0"}}})
+        probe = fix.domain.sample(10, np.random.default_rng(_PROBE_SEED))
+        worst = probe[np.argmax(np.abs(probe[:, 0]))]
+        with pytest.raises(NotSymmetricError) as err:
+            run_fixture_checks(fix, "bianchi", seed=3, samples=1)
+        assert str(err.value) == (
+            "connection is not symmetric: G^g_ab and G^g_ba differ for (g, a, b) = (0, 0, 1) "
+            f"at the probe point ({worst[0]:.12g}, {worst[1]:.12g}); identity only holds for "
+            "torsionless structures")
 
     def test_core_suite_at_the_largest_deformation_dim(self):
         # deformation is documented for every n <= 6; the core suite
@@ -255,10 +277,6 @@ class TestNonFiniteResiduals:
         assert entry["max_residual"] is None
         assert set(entry) == {"name", "paper_eq", "samples", "max_residual", "tolerance", "pass"}
         assert "FAIL" in report.to_text()
-
-    def test_worst_of_keeps_nan(self):
-        assert math.isnan(worst_of(0.0, math.nan))
-        assert worst_of(1e-9, 2e-9, 0.0) == 2e-9
 
 
 class TestShippedCurvedFixtures:
