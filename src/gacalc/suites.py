@@ -13,18 +13,17 @@ the worst residual over all pairs and sampled points, NaN included.  A
 check asked for N samples gets ceil(N / draws) points per argument draw, so
 the reported sample count is never below the request; a row may instead
 bring a point set of its own as a fifth entry, and then reports draws times
-its size.  `_SuiteRun.check`
-is the one runner: every check of every suite goes through it, and so do
-`transform`'s coordinate-map laws, and every row draws from the generator
-its runner hands it.  Builders reach the layer functions through this
-module's globals at call time, so a wrapper installed on them (a tracer)
-sees every call.  Suites group the rows for the command line: 'core' covers
-the derivative operators, 'cartan' torsion, curvature and the structure
-equations, 'bianchi' the two symmetric-structure identities, 'bridge' the
-classical component formulas.  Whether the connection is symmetric is
-decided once per run (`run_fixture_checks`, on one probe at points that do
-not depend on the run's seed), and that one answer gates every
-symmetric-only row.
+its size.  `_SuiteRun.check` is the one runner: every check of every suite
+goes through it, and so do `transform`'s coordinate-map laws, and every row
+draws from the generator its runner hands it.  Builders reach the layer
+functions through this module's globals at call time, so a wrapper installed
+on them (a tracer) sees every call.  Suites group the rows for the command
+line: 'core' covers the derivative operators, 'cartan' torsion, curvature
+and the structure equations, 'bianchi' the two symmetric-structure
+identities, 'bridge' the classical component formulas.  Whether the
+connection is symmetric is decided once per run (`run_fixture_checks`, on
+one probe at points that do not depend on the run's seed), and that one
+answer gates every symmetric-only row.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ from .cartan import (
 from .connection import (
     SIGNS,
     ExtensorField11,
-    asymmetry,
     ExtensorFieldK,
+    asymmetry,
     cov_derivative,
     cov_derivative_extensor,
     deform,
