@@ -32,7 +32,7 @@ from .cartan import (
 )
 from .connection import cov_derivative, gauge_bivector
 from .expr import DomainError, ParseError
-from .fixtures import ConfigError, load_fixture_file, load_map_file
+from .fixtures import ConfigError, check_map_dim, load_fixture_file, load_map_file
 from .suites import SUITES, run_fixture_checks, run_transform_checks
 
 EXIT_OK = 0
@@ -161,8 +161,7 @@ def _cmd_christoffel(args) -> int:
     names = fix.coordinates
     if args.map_path is not None:
         cmap = load_map_file(args.map_path)
-        if cmap.dim != fix.dim:
-            raise ConfigError("fixture and map dimensions differ")
+        check_map_dim(cmap, fix.dim)
         conn = transform_connection(conn, cmap)
         names = tuple(f"x{i}'" for i in range(fix.dim))
     point = _parse_point(args.at, fix.dim) if args.at else None

@@ -73,13 +73,17 @@ class ConnectionField:
 def asymmetry(conn: ConnectionField, points):
     """Where G^g_ab and G^g_ba differ, as ((g, a, b), point), a < b; None if nowhere.
 
-    The first pair that differs by a nonzero constant is named with no point
-    (None): the trees decide it exactly.  Else the varying differences are
-    evaluated at ``points`` on one tape, and the first pair that differs at
-    any of them is named with the point of its largest difference."""
-    n = conn.dim
-    diffs = {(g, a, b): ex.sub(p[a][b], p[b][a])
-             for g, p in enumerate(conn.gamma) for a in range(n) for b in range(a + 1, n)}
+    Every coefficient is lowered onto one tape, and a pair whose trees are
+    equal (one slot) is symmetric, exactly.  Of the others, the first pair
+    that differs by a nonzero constant is named with no point (None): the
+    trees decide it exactly.  Else the varying differences are evaluated at
+    ``points`` on one tape, and the first pair that differs at any of them is
+    named with the point of its largest difference."""
+    n, gamma = conn.dim, conn.gamma
+    pairs = [(g, a, b) for g in range(n) for a in range(n) for b in range(a + 1, n)]
+    slots = ex.Tape(gamma[g][i][j] for g, a, b in pairs for i, j in ((a, b), (b, a))).roots
+    diffs = {(g, a, b): ex.sub(gamma[g][a][b], gamma[g][b][a])
+             for (g, a, b), ab, ba in zip(pairs, slots[::2], slots[1::2]) if ab != ba}
     for index, d in diffs.items():
         if type(d) is ex.Const and abs(d.value) > SYMMETRY_TOL:
             return index, None
@@ -90,11 +94,6 @@ def asymmetry(conn: ConnectionField, points):
             if not np.max(gap) <= SYMMETRY_TOL:  # NaN is a difference too
                 return index, points[np.argmax(gap)]
     return None
-
-
-def is_symmetric(conn: ConnectionField, points) -> bool:
-    """Coefficient symmetry in the two lower slots: `asymmetry` finds no pair."""
-    return asymmetry(conn, points) is None
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,12 +15,12 @@ assigns to a node's fields once built; slots hold them and the derivatives
 type and each function has one row of rules (`_BINARY`, `_FUNCTIONS`).
 `simplify` only folds constants and 0/1/-1 identities; a constant call or
 power folds to the value a `Tape` computes for it, when that value is
-finite.  `simplify`, `substitute` and `to_str` fold over one walk memoized
-on identity, so a shared subtree is visited once and stays shared.  `Tape`
-is the one evaluator: it evaluates many trees at many points at once and
-raises `DomainError` naming the subexpression that failed; `evaluate` is a
-one-point tape, bit for bit as the same point in an array call, and
-`compile_fn` wraps one for one tree.
+finite.  `simplify` and `substitute` rebuild a `Tape`'s slots in order, so
+equal subtrees are rebuilt once, as one object; `to_str` prints from an
+explicit stack.  `Tape` is the one DAG order and the one evaluator: it
+evaluates many trees at many points at once and raises `DomainError` naming
+the subexpression that failed; `evaluate` is a one-point tape, bit for bit
+as the same point in an array call, and `compile_fn` wraps one for one tree.
 """
 
 from __future__ import annotations
@@ -276,46 +276,6 @@ def _fault(node: Expr) -> tuple | None:
     return _BINARY[kind].fault if kind in _BINARY else None
 
 
-def _walk(e: Expr, fold):
-    """fold(node, *its operands' results) at each distinct object of ``e``, operands first,
-    left before right; a first pass (explicit stack: any depth) orders them and counts
-    their uses, so a shared subtree is folded once and a result dropped at its last use."""
-    uses: dict[int, int] = {}  # id(node) -> references to it from its parents, +1 for e
-    order: list[Expr] = []  # the distinct nodes, each after its operands; e keeps the ids valid
-    stack = [(e, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            order.append(node)
-        elif id(node) in uses:
-            uses[id(node)] += 1
-        else:
-            uses[id(node)] = 1
-            stack.append((node, True))
-            kind = type(node)
-            if kind in _BINARY:
-                stack += ((node.right, False), (node.left, False))
-            elif kind in (Neg, Pow, Call):
-                stack.append((node.base if kind is Pow else node.arg, False))
-            elif kind is not Var and kind is not Const:
-                raise TypeError(f"not an expression: {node!r}")
-    done: dict[int, object] = {}  # id(node) -> its result, until its last use
-
-    def take(operand):
-        uses[id(operand)] -= 1
-        return done[id(operand)] if uses[id(operand)] else done.pop(id(operand))
-
-    for node in order:
-        kind = type(node)
-        if kind in _BINARY:
-            done[id(node)] = fold(node, take(node.left), take(node.right))
-        elif kind is Var or kind is Const:
-            done[id(node)] = fold(node)
-        else:
-            done[id(node)] = fold(node, take(node.base if kind is Pow else node.arg))
-    return done[id(e)]
-
-
 def simplify(e: Expr) -> Expr:
     """Rebuild bottom-up through the folding constructors."""
     return _rebuild(e, lambda v: v)
@@ -327,18 +287,23 @@ def substitute(e: Expr, replacements) -> Expr:
 
 
 def _rebuild(e: Expr, var) -> Expr:
-    """``e`` through the folding constructors in one `_walk`, each Var v as var(v)."""
-    def fold(node, a=None, b=None):
+    """``e`` through the folding constructors, each Var v as var(v): one pass over
+    the slots of ``Tape((e,))``, so equal subtrees are rebuilt once, as one object."""
+    tape = Tape((e,))
+    done: list[Expr] = []  # per slot: its node rebuilt
+    for node, (_, a, b) in zip(tape.nodes, tape.program):
         kind = type(node)
         if kind in _BINARY:
-            return _BINARY[kind].build(a, b)
-        if kind is Call:
-            return call(node.name, a)
-        if kind is Pow:
-            return powi(a, node.exponent)
-        return var(node) if kind is Var else node if kind is Const else neg(a)
-
-    return _walk(e, fold)
+            done.append(_BINARY[kind].build(done[a], done[b]))
+        elif kind is Var:
+            done.append(var(node))
+        elif kind is Const:
+            done.append(node)
+        elif kind is Call:
+            done.append(call(node.name, done[a]))
+        else:
+            done.append(powi(done[a], node.exponent) if kind is Pow else neg(done[a]))
+    return done[tape.roots[0]]
 
 
 def diff(e: Expr, i: int) -> Expr:
@@ -418,29 +383,41 @@ def _const_str(v: float) -> str:
     return repr(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
 
 
-def to_str(e: Expr) -> str:
-    """Render in the source grammar, in one `_walk`; parse(to_str(e)) evaluates like e."""
-    def fold(node, a=None, b=None):
-        kind = type(node)
-        if kind in _BINARY:
-            row = _BINARY[kind]
-            if _prec(node.left) < row.prec:
-                a = f"({a})"
-            if _prec(node.right) < row.prec + 1:
-                b = f"({b})"
-            return f"{a}{row.infix}{b}"
-        if kind is Var:
-            return f"x{node.index}"
-        if kind is Const:
-            return _const_str(node.value)
-        if kind is Call:
-            return f"{node.name}({a})"
-        if kind is Pow:
-            return f"({a})^{node.exponent}" if _prec(node.base) < _ATOM else f"{a}^{node.exponent}"
-        # '^' binds outside a leading '-', so a Pow operand needs parens
-        return f"-({a})" if _prec(node.arg) < _UNARY or type(node.arg) is Pow else f"-{a}"
+def _grouped(e: Expr, prec: int) -> tuple:
+    """The pieces of ``e`` as an operand that binds at ``prec``, last first."""
+    return (")", e, "(") if _prec(e) < prec else (e,)
 
-    return _walk(e, fold)
+
+def to_str(e: Expr) -> str:
+    """Render in the source grammar; parse(to_str(e)) evaluates like e.  An explicit
+    stack (any depth) holds the pieces still to print, strings and nodes, next on top."""
+    out: list[str] = []
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is str:
+            out.append(node)
+        elif kind is Var:
+            out.append(f"x{node.index}")
+        elif kind is Const:
+            out.append(_const_str(node.value))
+        elif kind in _BINARY:
+            row = _BINARY[kind]
+            stack += _grouped(node.right, row.prec + 1)
+            stack.append(row.infix)
+            stack += _grouped(node.left, row.prec)
+        elif kind is Call:
+            stack += (")", node.arg, f"{node.name}(")
+        elif kind is Pow:
+            stack.append(f"^{node.exponent}")
+            stack += _grouped(node.base, _ATOM)
+        elif kind is Neg:  # '^' binds outside a leading '-', so a Pow operand needs parens
+            stack += _grouped(node.arg, _ATOM if type(node.arg) is Pow else _UNARY)
+            stack.append("-")
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+    return "".join(out)
 
 
 # Batched evaluation.  A tape holds the distinct nodes of some expressions
@@ -466,7 +443,7 @@ class Tape:
 
     Lowering walks each tree once per object (memoized on identity) and
     gives structurally equal nodes (same type, own fields and child slots)
-    one slot.  Each slot is decoded once, into ``program``: a function
+    one slot; `simplify` and `substitute` fold over the slots.  Each slot is decoded once, into ``program``: a function
     slot holds (callable, operand slot, operand slot or None), a leaf
     (None, coordinate index, None) or (None, None, constant).  Calling the
     tape on an (N, dim) points array runs the program with no test inside

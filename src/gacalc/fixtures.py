@@ -193,6 +193,12 @@ def load_map(obj) -> CoordinateMap:
                          _load_box(canonical, dim, "map domain_canonical"))
 
 
+def check_map_dim(cmap: CoordinateMap, dim: int) -> None:
+    """Refuse a map whose dim is not the fixture's ``dim`` (a `ConfigError`)."""
+    if cmap.dim != dim:
+        raise ConfigError(f"map dim must be the fixture's dim {dim}, got {cmap.dim}")
+
+
 def _read_json(path):
     """The JSON value in the file at ``path``.  Invalid JSON, and JSON nested
     past the depth the decoder recurses to, are a `ConfigError` naming the file."""
@@ -249,8 +255,7 @@ def _load_connection(spec, dim: int) -> ConnectionField:
         raise ConfigError(f"unknown connection kind {spec['kind']!r}")
     for outer in reversed(chain.values()):
         cmap = load_map(outer.get("map"))
-        if cmap.dim != dim:
-            raise ConfigError(f"map dim must be the fixture's dim {dim}, got {cmap.dim}")
+        check_map_dim(cmap, dim)
         conn = transform_connection(conn, cmap)
     return conn
 

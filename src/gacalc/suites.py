@@ -78,7 +78,7 @@ from .connection import (
     generalized_sym_apply,
     resolve11,
 )
-from .fixtures import FixtureConfig
+from .fixtures import FixtureConfig, check_map_dim
 from .report import CheckResult, Report, worst_residual
 
 SUITES = ("all", "core", "cartan", "bianchi", "bridge")
@@ -616,8 +616,7 @@ def transform_suite(fix: FixtureConfig, cmap: CoordinateMap, seed: int, samples:
     """The coordinate-map laws, every row at one sample of the primed domain."""
     run = _SuiteRun(fix, seed, samples, tol)
     conn, dim = run.conn, cmap.dim
-    if conn.dim != dim:
-        raise ValueError("fixture and map dimensions differ")
+    check_map_dim(cmap, conn.dim)
     pts = cmap.domain_primed.sample(max(10, run.samples), run.rng)
     grid = list(itertools.product(range(dim), repeat=2))
     cube = list(itertools.product(range(dim), repeat=3))

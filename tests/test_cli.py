@@ -19,6 +19,7 @@ from gacalc.fixtures import load_fixture_file
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
+GOLDEN = REPO / "tests" / "golden"
 
 
 def run_cli(*args, **kwargs):
@@ -274,6 +275,21 @@ class TestChristoffelCommand:
         row = [l for l in res.stdout.splitlines() if l.startswith("Gamma^x0'_{x1' x1'}")][0]
         assert float(row.split("=")[-1]) == pytest.approx(-2.0)
 
+    @pytest.mark.parametrize("golden, args", [
+        ("christoffel_polar_from_zero.txt", ["--config", "fixtures/polar_from_zero.json"]),
+        ("christoffel_cylindrical3_from_zero.txt",
+         ["--config", "fixtures/cylindrical3_from_zero.json"]),
+        ("christoffel_polar_under_polar_map.txt",
+         ["--config", "fixtures/polar.json", "--map", "fixtures/maps/polar_map.json",
+          "--at", "1.1,0.4"]),
+    ])
+    def test_printed_table_is_the_golden_text(self, golden, args):
+        # the whole table as printed: simplify, substitute and to_str of the
+        # mapped and transformed trees, character for character
+        res = run_cli("christoffel", *args)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == (GOLDEN / golden).read_text()
+
     def test_deeply_nested_parentheses_print_their_table(self, tmp_path):
         # 3000 levels, past the default recursion limit: nothing recurses per level
         cfg = tmp_path / "deep.json"
@@ -407,7 +423,8 @@ class TestChristoffelCommand:
         res = run_cli("christoffel", "--config", str(FIXTURES / "zero.json"),
                       "--map", str(FIXTURES / "maps" / "identity2.json"))
         assert res.returncode == 2
-        assert "dimensions differ" in res.stderr
+        assert res.stdout == ""
+        assert res.stderr == "error: map dim must be the fixture's dim 3, got 2\n"
 
     def test_singular_jacobian_point_exits_2(self, tmp_path):
         cfg = tmp_path / "flat2.json"
@@ -508,6 +525,13 @@ class TestTransformCommand:
                       "--map", str(bad))
         assert res.returncode == 2
         assert "inverse" in res.stderr
+
+    def test_map_dimension_mismatch_exits_2(self):
+        res = run_cli("transform", "--config", str(FIXTURES / "zero.json"),
+                      "--map", str(FIXTURES / "maps" / "identity2.json"))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: map dim must be the fixture's dim 3, got 2\n"
 
 
 class TestRunSettings:

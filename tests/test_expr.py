@@ -728,6 +728,15 @@ class TestSimplify:
             assert out == bottom
         assert lookups == [0, 1]  # one visit to each Var object
 
+    def test_equal_subtrees_are_rebuilt_as_one_object(self):
+        # two distinct but equal Mul objects share one tape slot, so the
+        # rebuild returns one object on both sides
+        x0, x1 = ex.Var(0), ex.Var(1)
+        e = ex.Add(ex.Mul(x0, x1), ex.Mul(x0, x1))
+        assert e.left is not e.right
+        for out in (ex.simplify(e), ex.substitute(e, [x0, x1])):
+            assert out == e and out.left is out.right
+
 
 def interpret(e, point):
     """Reference evaluator: a plain recursive walk in `math`, independent of `Tape`."""

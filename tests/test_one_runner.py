@@ -98,9 +98,12 @@ def test_one_function_sums_over_a_frame():
 
 
 def test_symmetry_is_decided_once_per_run():
-    assert constructions(PACKAGE, "is_symmetric") == []
-    assert constructions(PACKAGE, "asymmetry") == ["connection.is_symmetric",
-                                                   "suites.run_fixture_checks"]
+    assert constructions(PACKAGE, "asymmetry") == ["suites.run_fixture_checks"]
+
+
+def test_one_function_checks_a_map_dim():
+    assert constructions(PACKAGE, "check_map_dim") == [
+        "cli._cmd_christoffel", "fixtures._load_connection", "suites.transform_suite"]
 
 
 def test_only_the_runner_and_the_symmetry_probe_build_a_generator():
