@@ -29,7 +29,7 @@ from .algebra import (
     scalar_product,
     wedge,
 )
-from .connection import ConnectionField, ExtensorField11, ExtensorFieldK, cov_derivative
+from .connection import ConnectionField, ExtensorField11, cov_derivative
 from .expr import DomainError, ParseError, diff, evaluate, parse, simplify, to_str
 from .fields import Box, MultivectorField
 
@@ -40,7 +40,6 @@ __all__ = [
     "ConnectionField",
     "DomainError",
     "ExtensorField11",
-    "ExtensorFieldK",
     "Frame",
     "LinearMap11",
     "Multivector",

@@ -11,13 +11,13 @@ Every vector-derivative sum here, single or double, is one
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from . import fields as mf
 from .algebra import Frame
 from .connection import (
     ConnectionField,
-    ExtensorFieldK,
     cov_derivative,
     cov_derivative_extensor,
     frame_sum,
@@ -54,11 +54,6 @@ def curvature(conn: ConnectionField, a: MultivectorField, b: MultivectorField,
     ba = cov_derivative(conn, "+", b, cov_derivative(conn, "+", a, c))
     lie = cov_derivative(conn, "+", mf.lie_bracket(a, b), c)
     return mf.sub(mf.sub(ab, ba), lie)
-
-
-def curvature_extensor(conn: ConnectionField) -> ExtensorFieldK:
-    """rho as an arity-3 evaluator (for signed extensor derivatives)."""
-    return ExtensorFieldK(conn.dim, 3, lambda a, b, c: curvature(conn, a, b, c))
 
 
 def _half_double_frame_sum(dim: int, coeff, frame: Frame | None) -> MultivectorField:
@@ -163,7 +158,7 @@ def check_bianchi(conn: ConnectionField, a: MultivectorField, b: MultivectorFiel
                   c: MultivectorField, d: MultivectorField) -> tuple[MultivectorField, MultivectorField]:
     """The cyclic sum of the (+,+,+,-) signed derivative of curvature and the
     zero it equals on a symmetric structure."""
-    rho = curvature_extensor(conn)
+    rho = partial(curvature, conn)
     signs = ("+", "+", "+", "-")
     total = cov_derivative_extensor(conn, signs, rho, d, (a, b, c))
     total = mf.add(total, cov_derivative_extensor(conn, signs, rho, a, (b, d, c)))

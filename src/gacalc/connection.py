@@ -5,7 +5,9 @@ canonical orthonormal frame (index order: output, direction slot, argument
 slot).  From it we build the directional connection map, its gauge
 bivector, the grade-preserving generalized extensor, the plus/minus/zero
 covariant derivative operators, their deformation by a non-singular vector
-map at any n <= 6, and covariant derivatives of k-extensor fields (k <= 3).
+map at any n <= 6, and covariant derivatives of k-extensor fields.  A
+k-extensor field is any function of k vector fields; an `ExtensorField11`,
+a matrix of expressions, is one for k = 1.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .fields import MultivectorField, memo
 SIGNS = ("+", "-", "0")
 _DUAL = {"+": "-", "-": "+", "0": "0"}
 
-MAX_EXTENSOR_ARITY = 3
 # asymmetry's bound on |G^g_ab - G^g_ba| at a sample point
 SYMMETRY_TOL = 1e-10
 
@@ -124,7 +125,7 @@ class ExtensorField11:
         rows = [list(r) for r in matrix]
         return cls(len(rows), tuple(tuple(ex.as_expr(c) for c in r) for r in rows))
 
-    def apply(self, v: MultivectorField) -> MultivectorField:
+    def __call__(self, v: MultivectorField) -> MultivectorField:
         same_dim(v, self)
         if not v.is_vector():
             raise ValueError("a (1,1)-extensor field applies to vector fields")
@@ -312,7 +313,7 @@ def _generalized(gmap: ExtensorField11, x: MultivectorField,
         return mf._owning(gmap.dim, {})
 
     def term(e_mu: MultivectorField, e_up: MultivectorField) -> MultivectorField:
-        column = gmap.apply(e_up)
+        column = gmap(e_up)
         return mf.wedge(column, mf.contract(e_mu, x, "left")) if column.coeffs else column
 
     return frame_sum(gmap.dim, term, frame)
@@ -376,72 +377,33 @@ def deform(conn: ConnectionField, lam: ExtensorField11, sign: str, a: Multivecto
     return outermorphism_apply(t, cov_derivative(conn, sign, a, inner), sign == "-")
 
 
-@dataclass(frozen=True, eq=False)
-class ExtensorFieldK:
-    """k-extensor field given by its evaluator on multivector fields."""
-
-    dim: int
-    arity: int
-    func: Callable[..., MultivectorField]
-
-    def __post_init__(self):
-        if not 1 <= self.arity <= MAX_EXTENSOR_ARITY:
-            raise ValueError(f"extensor arity must be 1..{MAX_EXTENSOR_ARITY}, got {self.arity}")
-
-    def __call__(self, *args: MultivectorField) -> MultivectorField:
-        if len(args) != self.arity:
-            raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        return self.func(*args)
-
-
-def as_extensor(t: ExtensorField11 | ExtensorFieldK) -> ExtensorFieldK:
-    if isinstance(t, ExtensorFieldK):
-        return t
-    return ExtensorFieldK(t.dim, 1, t.apply)
-
-
 def cov_derivative_extensor(conn: ConnectionField, signs: Sequence[str],
-                            t: ExtensorField11 | ExtensorFieldK, a: MultivectorField,
+                            t: Callable[..., MultivectorField], a: MultivectorField,
                             args: Sequence[MultivectorField]) -> MultivectorField:
-    """Signed covariant derivative of a k-extensor field, evaluated on args.
+    """Signed covariant derivative of a k-extensor field t, a function of the
+    k vector fields ``args``, evaluated on them.
 
     With signs (s_1 .. s_k, s), the value is the dual(s) derivative of
     t(args) minus the sum of t with one argument replaced by its s_i
     derivative, where dual swaps + and - and fixes 0.
     """
-    ext = as_extensor(t)
     signs = tuple(signs)
-    if len(signs) != ext.arity + 1:
-        raise ValueError(f"expected {ext.arity + 1} signs for arity {ext.arity}, got {len(signs)}")
+    if len(signs) != len(args) + 1:
+        raise ValueError(f"expected {len(args) + 1} signs for {len(args)} argument(s), "
+                         f"got {len(signs)}")
     for s in signs:
         _check_sign(s)
-    if len(args) != ext.arity:
-        raise ValueError(f"expected {ext.arity} arguments, got {len(args)}")
-    out = cov_derivative(conn, _DUAL[signs[-1]], a, ext(*args))
+    out = cov_derivative(conn, _DUAL[signs[-1]], a, t(*args))
     for i, s in enumerate(signs[:-1]):
         replaced = list(args)
         replaced[i] = cov_derivative(conn, s, a, args[i])
-        out = mf.sub(out, ext(*replaced))
+        out = mf.sub(out, t(*replaced))
     return out
 
 
-def extensor_cov_derivative(conn: ConnectionField, signs: Sequence[str],
-                            t: ExtensorField11 | ExtensorFieldK,
-                            a: MultivectorField) -> ExtensorFieldK:
-    """The signed derivative as a k-extensor field in its own right."""
-    ext = as_extensor(t)
-
-    def func(*args: MultivectorField) -> MultivectorField:
-        return cov_derivative_extensor(conn, signs, ext, a, args)
-
-    return ExtensorFieldK(ext.dim, ext.arity, func)
-
-
-def resolve11(t: ExtensorFieldK | ExtensorField11) -> ExtensorField11:
-    """Matrix of a (1,1)-extensor evaluator, resolved against the canonical frame."""
-    if isinstance(t, ExtensorField11):
-        return t
-    if t.arity != 1:
-        raise ValueError("resolve11 needs an arity-1 extensor")
-    cols = [t(mf.basis(t.dim, j)).vector_components() for j in range(t.dim)]
+def extensor_cov_derivative(conn: ConnectionField, signs: Sequence[str], t: ExtensorField11,
+                            a: MultivectorField) -> ExtensorField11:
+    """The signed derivative of a vector map as a vector map: column j is its value on e_j."""
+    cols = [cov_derivative_extensor(conn, signs, t, a, (mf.basis(t.dim, j),)).vector_components()
+            for j in range(t.dim)]
     return ExtensorField11(t.dim, tuple(zip(*cols)))

@@ -25,6 +25,9 @@ class ConfigError(ValueError):
     """Malformed fixture or map configuration."""
 
 
+MAX_SAMPLES = 100_000  # the most points a run may ask for, so that it ends in bounded time
+
+
 @dataclass(frozen=True, eq=False)
 class FixtureConfig:
     name: str
@@ -39,13 +42,16 @@ class FixtureConfig:
     def settings(self, seed: int | None = None, samples: int | None = None,
                  tol: float | None = None) -> tuple[int, int, float]:
         """A run's seed, sample count and tolerance: each one given, else the
-        fixture's own.  A negative seed, or a tolerance that is not a positive
-        finite number, is a `ConfigError` naming the setting."""
+        fixture's own.  A negative seed, a sample count past `MAX_SAMPLES`, or
+        a tolerance that is not a positive finite number, is a `ConfigError`
+        naming the setting."""
         seed = self.seed if seed is None else seed
         samples = self.samples if samples is None else samples
         tol = self.tolerance if tol is None else tol
         if seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+        if samples > MAX_SAMPLES:
+            raise ConfigError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
         if not 0.0 < tol < math.inf:
             raise ConfigError(f"tolerance must be a positive finite number, got {tol}")
         return seed, samples, tol
@@ -274,7 +280,7 @@ def load_fixture(obj) -> FixtureConfig:
         raise ConfigError(f"coordinates must be {dim} names, got {_shown(coordinates)}")
     fix = FixtureConfig(str(obj.get("name", "fixture")), dim, coordinates, conn, domain,
                         _number(obj, "samples", int, 50), seed, tolerance)
-    fix.settings()  # refuses the config's own seed or tolerance if it is bad
+    fix.settings()  # refuses the config's own seed, samples or tolerance if bad
     return fix
 
 

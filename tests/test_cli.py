@@ -556,12 +556,18 @@ class TestRunSettings:
     def test_seed_must_be_non_negative(self, capsys, command):
         self.refused(capsys, (*self.COMMANDS[command], "--seed", "-1"), "seed")
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_samples_past_the_cap_are_refused_before_sampling(self, capsys, command):
+        code = cli.main([*self.COMMANDS[command], "--samples", "100001"])
+        assert (code, *capsys.readouterr()) == (
+            2, "", "error: samples must be at most 100000, got 100001\n")
+
     def test_core_suite_names_a_negative_seed(self, capsys):
         self.refused(capsys, ("check", "--config", str(FIXTURES / "polar.json"),
                               "--suite", "core", "--seed", "-1"), "seed")
 
     @pytest.mark.parametrize("key,value", [("tolerance", math.nan), ("tolerance", -1.0),
-                                           ("seed", -1)])
+                                           ("seed", -1), ("samples", 100001)])
     def test_config_settings_are_checked_alike(self, capsys, tmp_path, key, value):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({**json.loads((FIXTURES / "polar.json").read_text()),

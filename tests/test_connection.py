@@ -24,14 +24,15 @@ from gacalc.cartan import (
     torsion,
 )
 from gacalc.connection import (
+    SIGNS,
     ConnectionField,
     ExtensorField11,
-    ExtensorFieldK,
     asymmetry,
     const_frames,
     cov_derivative,
     cov_derivative_extensor,
     deform,
+    extensor_cov_derivative,
     ext_adjoint,
     ext_det,
     ext_inverse,
@@ -41,11 +42,10 @@ from gacalc.connection import (
     generalized_adjoint_apply,
     generalized_apply,
     outermorphism_apply,
-    resolve11,
 )
 from gacalc.fixtures import load_fixture_file, zero_fixture
 from gacalc.report import worst_residual
-from gacalc.suites import rand_scalar, rand_vector
+from gacalc.suites import rand_ext11, rand_lambda, rand_scalar, rand_vector
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 SPHERE3 = FIXTURES / "sphere3_metric.json"
@@ -401,7 +401,7 @@ class TestExtensorDerivatives:
         got = cov_derivative_extensor(sphere.conn, ("+", "+"), t, E2, (b,))
         gm = gamma_matrix(sphere.conn, E2)
         sym_sum = ext_add(gm, ext_adjoint(gm))
-        want = mf.scale(-1.0, sym_sum.apply(b))
+        want = mf.scale(-1.0, sym_sum(b))
         assert max_residual(got, want, pts) < 1e-12
 
     def test_zero_connection_reduces_to_flat_rule(self, zero2, rng):
@@ -410,8 +410,8 @@ class TestExtensorDerivatives:
         b = mf.vector(2, [ex.Var(1), ex.ONE])
         for signs in (("+", "+"), ("-", "0"), ("0", "-")):
             got = cov_derivative_extensor(zero2.conn, signs, t, E1, (b,))
-            want = mf.sub(mf.directional_derivative(E1, t.apply(b)),
-                          t.apply(mf.directional_derivative(E1, b)))
+            want = mf.sub(mf.directional_derivative(E1, t(b)),
+                          t(mf.directional_derivative(E1, b)))
             assert max_residual(got, want, pts) < 1e-13
 
     def test_displayed_sign_table(self, sphere, rng):
@@ -427,8 +427,8 @@ class TestExtensorDerivatives:
         }
         for signs, (outer, inner) in cases.items():
             got = cov_derivative_extensor(sphere.conn, signs, t, E2, (b,))
-            want = mf.sub(cov_derivative(sphere.conn, outer, E2, t.apply(b)),
-                          t.apply(cov_derivative(sphere.conn, inner, E2, b)))
+            want = mf.sub(cov_derivative(sphere.conn, outer, E2, t(b)),
+                          t(cov_derivative(sphere.conn, inner, E2, b)))
             assert max_residual(got, want, pts) < 1e-12
 
     def test_spec_length_validated(self, sphere):
@@ -438,16 +438,14 @@ class TestExtensorDerivatives:
         with pytest.raises(ValueError, match="invalid derivative sign"):
             cov_derivative_extensor(sphere.conn, ("+", "x"), t, E1, (E2,))
 
-    def test_resolve11_round_trip(self, rng):
+    def test_matrix_columns_are_the_values_on_the_frame(self, sphere):
+        # column j of the derivative as a matrix is the derivative's value on e_j
         t = ExtensorField11.from_matrix([[ex.Var(0), ex.ONE], [ex.parse("x0*x1", 2), ex.Var(1)]])
-        back = resolve11(ExtensorFieldK(2, 1, t.apply))
-        pts = rng.uniform(-1, 1, size=(5, 2))
-        for p in pts:
-            np.testing.assert_allclose(back.at(p).matrix, t.at(p).matrix, atol=1e-14)
-
-    def test_arity_cap(self):
-        with pytest.raises(ValueError, match="arity"):
-            ExtensorFieldK(2, 4, lambda *a: None)
+        for signs in (("+", "-"), ("0", "+"), ("-", "-")):
+            dt = extensor_cov_derivative(sphere.conn, signs, t, E2)
+            for j in range(2):
+                column = cov_derivative_extensor(sphere.conn, signs, t, E2, (mf.basis(2, j),))
+                assert [row[j] for row in dt.entries] == column.vector_components()
 
 
 def _random_component(dim, rng):
@@ -530,7 +528,7 @@ class TestSparseContractionsMatchDenseFormulas:
             for i in range(n):
                 for j in range(n):
                     dense[i] = ex.add(dense[i], ex.mul(t.entries[i][j], comps[j]))
-            assert t.apply(v).coeffs == mf.vector(n, dense).coeffs
+            assert t(v).coeffs == mf.vector(n, dense).coeffs
 
     def test_directional_derivative(self, conn, rng):
         n = conn.dim
@@ -563,7 +561,7 @@ class TestSparseContractionsMatchDenseFormulas:
                                  (generalized_adjoint_apply, ext_adjoint(gmap))):
                     dense = mf.mvf(n, {})
                     for e_mu, e_up in zip(down, up):
-                        dense = mf.add(dense, mf.wedge(t.apply(e_up), mf.contract(e_mu, x)))
+                        dense = mf.add(dense, mf.wedge(t(e_up), mf.contract(e_mu, x)))
                     got = apply(conn, a, x, frame)
                     assert got.coeffs == dense.coeffs
 
@@ -660,6 +658,24 @@ class TestZeroDerivativeOnCurvedDim3:
         assert mf.commutator(omega, b).grades() == {1}
 
 
+class TestGradeOneLaws:
+    @pytest.mark.parametrize("name", ["sphere3_metric", "torsionful", "cylindrical3_from_zero"])
+    def test_vector_valued_laws_build_only_grade_1_blades(self, name):
+        # every law that fixes grade 1 builds grade 1 exactly: the products drop
+        # the other blades from their tables, with no cancellation to evaluate
+        conn = load_fixture_file(FIXTURES / f"{name}.json").conn
+        n, rng = conn.dim, np.random.default_rng(5)
+        a, b, c = (rand_vector(n, rng) for _ in range(3))
+        lam = rand_lambda(n, rng)
+        values = [torsion(conn, a, b), curvature(conn, a, b, c), mf.lie_bracket(a, b),
+                  rand_ext11(n, rng)(a)]
+        values += [cov_derivative(conn, sign, a, b) for sign in SIGNS]
+        values += [deform(conn, lam, sign, a, b) for sign in ("+", "-")]
+        values += [cartan_connection(conn, kind, b, c) for kind in ("first", "second")]
+        for value in values:
+            assert value.grades() <= {1}
+
+
 class TestEmptyConnectionMap:
     def test_generalized_maps_of_the_zero_connection_apply_no_extensor(self, monkeypatch, rng):
         # an all-zero connection map has no nonzero entry, so the frame sum
@@ -667,9 +683,9 @@ class TestEmptyConnectionMap:
         conn = zero_fixture(3).conn
 
         def refuse(self, v):
-            raise AssertionError("ExtensorField11.apply called on an all-zero map")
+            raise AssertionError("ExtensorField11 called on an all-zero map")
 
-        monkeypatch.setattr(ExtensorField11, "apply", refuse)
+        monkeypatch.setattr(ExtensorField11, "__call__", refuse)
         a, x = rand_vector(3, rng), _random_field(3, rng)
         copy = mf.mvf(3, x.coeffs)
         for fn in (generalized_apply, generalized_adjoint_apply):

@@ -342,3 +342,9 @@ class TestFlatConnectionMaps:
             assert got.coeffs == expected.coeffs
         cov_derivative(conn, "+", a, x)
         cov_derivative(conn, "-", a, x)
+
+
+def test_every_exported_name_resolves():
+    import gacalc
+
+    assert [name for name in gacalc.__all__ if not hasattr(gacalc, name)] == []
