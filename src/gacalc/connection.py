@@ -403,7 +403,9 @@ def cov_derivative_extensor(conn: ConnectionField, signs: Sequence[str],
 
 def extensor_cov_derivative(conn: ConnectionField, signs: Sequence[str], t: ExtensorField11,
                             a: MultivectorField) -> ExtensorField11:
-    """The signed derivative of a vector map as a vector map: column j is its value on e_j."""
-    cols = [cov_derivative_extensor(conn, signs, t, a, (mf.basis(t.dim, j),)).vector_components()
-            for j in range(t.dim)]
+    """The signed derivative of a vector map as a vector map: column j is its value on e_j.
+    The e_j are the canonical frame's shared fields, so the memo of `cov_derivative`
+    serves every sign pair of one t and a."""
+    cols = [cov_derivative_extensor(conn, signs, t, a, (e_j,)).vector_components()
+            for e_j in const_frames(t.dim, None)[0]]
     return ExtensorField11(t.dim, tuple(zip(*cols)))

@@ -14,22 +14,33 @@ check asked for N samples gets ceil(N / draws) points per argument draw, so
 the reported sample count is never below the request; a row may instead
 bring a point set of its own as a fifth entry, and then reports draws times
 its size.  `_SuiteRun.check` is the one runner: every check of every suite
-goes through it, and so do `transform`'s coordinate-map laws, and every row
-draws from the generator its runner hands it.  Builders reach the layer
-functions through this module's globals at call time, so a wrapper installed
-on them (a tracer) sees every call.  Suites group the rows for the command
-line: 'core' covers the derivative operators, 'cartan' torsion, curvature
-and the structure equations, 'bianchi' the two symmetric-structure
-identities, 'bridge' the classical component formulas.  Whether the
-connection is symmetric is decided once per run (`run_fixture_checks`, on
-one probe at points that do not depend on the run's seed), and that one
-answer gates every symmetric-only row.
+goes through it, and so do `transform`'s coordinate-map laws.  Each row
+draws its points and arguments from a generator of its own, keyed by the
+run's seed and the row's name, and a draw that several rows share comes
+from one keyed by the suite's name; so a row's result does not depend on
+which rows run before it, or where.  A run collects the rows of every
+suite it selects into one table and runs them on one forked process per
+usable CPU, each taking the next row from one shared queue
+(`_SuiteRun.check_rows`); the report is the same under any schedule, and
+on one CPU every row runs in this process, in table order.  Builders reach
+the layer functions through this module's globals at call time, so a
+wrapper installed on them (a tracer) sees every call made in this process.
+Suites group the rows for the command line: 'core' covers the derivative
+operators, 'cartan' torsion, curvature and the structure equations,
+'bianchi' the two symmetric-structure identities, 'bridge' the classical
+component formulas.  Whether the connection is symmetric is decided once
+per run (`run_fixture_checks`, on one probe at points that do not depend on
+the run's seed), and that one answer gates every symmetric-only row.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import signal
+import zlib
 from functools import partial
 
 import numpy as np
@@ -166,34 +177,107 @@ def rand_kextensor2(dim: int, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the OS cannot say or cannot fork."""
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
 class _SuiteRun:
-    """Bookkeeping for one suite: seeded generator, point budgets, results."""
+    """One run's settings, and the runner of its rows."""
 
     def __init__(self, fix: FixtureConfig, seed: int, samples: int, tol: float):
         self.fix = fix
         self.conn = fix.conn
         self.dim = fix.dim
-        self.rng = np.random.default_rng(seed)
+        self.seed = seed
         self.tol = tol
         self.samples = max(1, samples)
-        self.results: list[CheckResult] = []
 
-    def points(self, count: int) -> np.ndarray:
-        return self.fix.domain.sample(count, self.rng)
+    def rng(self, name: str) -> np.random.Generator:
+        """The generator of the row, or the draw several rows share, called ``name``:
+        keyed by the run's seed and the name, so no row's draws depend on another's."""
+        return np.random.default_rng([self.seed, zlib.crc32(name.encode())])
 
-    def check(self, name: str, tag: str, draws: int, build, points=None) -> None:
+    def check(self, name: str, tag: str, draws: int, build, points=None) -> CheckResult:
         """Run one row: ``draws`` calls of build(rng), every yielded pair
         evaluated at the row's own ``points`` or at a fresh sample of its budget."""
+        rng = self.rng(name)
         if points is None:
-            points = self.points(max(10, math.ceil(self.samples / draws)))
-        pairs = itertools.chain.from_iterable(build(self.rng) for _ in range(draws))
-        self.results.append(CheckResult(name, tag, draws * len(points),
-                                        worst_residual(pairs, points), self.tol))
+            points = self.fix.domain.sample(max(10, math.ceil(self.samples / draws)), rng)
+        pairs = itertools.chain.from_iterable(build(rng) for _ in range(draws))
+        return CheckResult(name, tag, draws * len(points), worst_residual(pairs, points), self.tol)
 
-    def check_rows(self, rows) -> list[CheckResult]:
-        for row in rows:
-            self.check(*row)
-        return self.results
+    def check_rows(self, rows: list) -> list[CheckResult]:
+        """Run every row on one forked process per usable CPU (`_pool`), then run
+        here, in table order, each row that has no result: a row that raised
+        raises again with its own error, so the first failing row in table
+        order wins.  On one CPU that is every row, one after another."""
+        workers = min(_usable_cpus(), len(rows))
+        done = self._pool(rows, workers) if workers > 1 else {}
+        return [done[i] if i in done else self.check(*row) for i, row in enumerate(rows)]
+
+    def _pool(self, rows: list, workers: int) -> dict[int, CheckResult]:
+        """The results of the rows that ``workers`` processes, this one and
+        ``workers - 1`` forked children, take one at a time from one queue.
+        A forked child already holds the rows, closures that could not be
+        pickled, and imports nothing again; it sends its results back as one
+        pickle on a pipe of its own."""
+        queue, fill = os.pipe()  # a table's few dozen 2-byte indices fit the pipe's buffer
+        os.write(fill, b"".join(i.to_bytes(2, "little") for i in range(len(rows))))
+        os.close(fill)
+        children = {}  # pid -> the read end of its results pipe
+        try:
+            for _ in range(workers - 1):
+                out, into = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: fewer workers take the rows
+                    os.close(out)
+                    os.close(into)
+                    break
+                if pid == 0:
+                    # a child leaves only through os._exit: it never returns into
+                    # the caller, runs no atexit handler, flushes no copy of the
+                    # parent's buffers, and whatever it raises is dropped
+                    code = 1
+                    try:
+                        os.close(out)
+                        with open(into, "wb") as pipe:
+                            pickle.dump(self._pull(rows, queue), pipe)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(into)
+                children[pid] = open(out, "rb")
+            done = self._pull(rows, queue)
+            for pid, pipe in list(children.items()):
+                with pipe:
+                    sent = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[pid]
+                if sent and os.waitstatus_to_exitcode(status) == 0:
+                    done.update(pickle.loads(sent))
+            return done
+        finally:
+            os.close(queue)
+            for pid, pipe in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+    def _pull(self, rows: list, queue: int) -> dict[int, CheckResult]:
+        """Run the rows whose indices this process reads from ``queue``, until
+        it is empty or a row raises."""
+        done = {}
+        while record := os.read(queue, 2):
+            i = int.from_bytes(record, "little")
+            try:
+                done[i] = self.check(*rows[i])
+            except Exception:  # the row runs again in check_rows, and raises there
+                break
+        return done
 
 
 def _flat_scalar(a: mf.MultivectorField, f: ex.Expr) -> ex.Expr:
@@ -220,8 +304,7 @@ def identity_draws(dim, sides, arity, degrees, rng):
 # ---------------------------------------------------------------------------
 
 
-def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[CheckResult]:
-    run = _SuiteRun(fix, seed, samples, tol)
+def core_rows(run: _SuiteRun) -> list:
     conn, dim = run.conn, run.dim
     zero = mf.mvf(dim, {})
 
@@ -400,7 +483,7 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
                       mf.scalar_product(x, deform(conn, lam, "-", a, y))),
                _flat_scalar(a, mf.scalar_product(x, y)))
 
-    return run.check_rows([
+    return [
         ("gen-grade-preserving", "PS.4", 2, partial(grade_preserving, [gen])),
         ("gen-involution-hat", "PS.5a", 2, partial(inv_commute, "hat")),
         ("gen-involution-tilde", "PS.5b", 2, partial(inv_commute, "tilde")),
@@ -436,7 +519,7 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
          partial(frame_independence, conn, gauge_bivector, [rv])),
         ("generalized-frame-independence", "PS.3", 2,
          partial(frame_independence, conn, generalized_apply, [rv, rx])),
-    ])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +527,8 @@ def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[
 # ---------------------------------------------------------------------------
 
 
-def cartan_suite(fix: FixtureConfig, seed: int, samples: int, tol: float,
-                 symmetric: bool) -> list[CheckResult]:
+def cartan_rows(run: _SuiteRun, symmetric: bool) -> list:
     """The cartan rows; ``symmetric`` (decided by the caller) adds torsion-vanishes."""
-    run = _SuiteRun(fix, seed, samples, tol)
     conn, dim = run.conn, run.dim
     zero = mf.mvf(dim, {})
 
@@ -524,7 +605,7 @@ def cartan_suite(fix: FixtureConfig, seed: int, samples: int, tol: float,
         sides = partial(check_structure_equation, conn, which)
         return partial(identity_draws, dim, sides, arity, iter((1, 1, 1, 0)))
 
-    return run.check_rows([
+    return [
         ("torsion-equivalence", "TCF.1a", 2, torsion_equiv),
         ("torsion-antisymmetry", "TCF.1b", 2, torsion_antisym),
         ("torsion-tensoriality", "TCF.1b", 2, torsion_tensorial),
@@ -543,22 +624,21 @@ def cartan_suite(fix: FixtureConfig, seed: int, samples: int, tol: float,
         ("cartan-pairing", "CSE.5", 5, cartan_pairing),
         ("structure-first", "FCE.1", 4, structure("first", 1)),
         ("structure-second", "SCE.1", 4, structure("second", 2)),
-    ])
+    ]
 
 
-def bianchi_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[CheckResult]:
-    """The two symmetric-structure identities at one point set, both rows
-    drawing from the runner's generator; the first draw of each is constant.
+def bianchi_rows(run: _SuiteRun) -> list:
+    """The two symmetric-structure identities at one point set, drawn from the
+    generator of the suite's name; the first argument draw of each is constant.
     The caller runs them only on a connection it found symmetric."""
-    run = _SuiteRun(fix, seed, samples, tol)
     conn, dim = run.conn, run.dim
-    points = run.points(max(10, math.ceil(run.samples / 3)))
+    points = run.fix.domain.sample(max(10, math.ceil(run.samples / 3)), run.rng("bianchi"))
     cyclic = partial(identity_draws, dim, partial(check_cyclic, conn), 3, iter((0, 1, 1, 1)))
     bianchi = partial(identity_draws, dim, partial(check_bianchi, conn), 4, iter((0, 1, 1)))
-    return run.check_rows([
+    return [
         ("curvature-cyclic", "SPS.4", 4, cyclic, points),
         ("curvature-bianchi", "SPS.5", 3, bianchi, points),
-    ])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +646,7 @@ def bianchi_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> li
 # ---------------------------------------------------------------------------
 
 
-def bridge_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[CheckResult]:
-    run = _SuiteRun(fix, seed, samples, tol)
+def bridge_rows(run: _SuiteRun) -> list:
     conn, dim = run.conn, run.dim
 
     def classical_vector(sign, variance, rng):
@@ -590,14 +669,40 @@ def bridge_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> lis
                 for b in range(dim):
                     yield dt[b][a], table[a][b][mu]
 
-    return run.check_rows([
+    return [
         ("classical-vector-contra", "A10", 2, partial(classical_vector, "+", "contra")),
         ("classical-vector-co", "A11", 2, partial(classical_vector, "-", "co")),
         ("classical-tensor-co-co", "A24", 2,
          partial(classical_tensor, ("+", "+"), ("co", "co"))),
         ("classical-tensor-mixed", "A25", 2,
          partial(classical_tensor, ("+", "-"), ("co", "contra"))),
-    ])
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Each suite run on its own (`run_fixture_checks` runs the union of its tables)
+# ---------------------------------------------------------------------------
+
+
+def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[CheckResult]:
+    run = _SuiteRun(fix, seed, samples, tol)
+    return run.check_rows(core_rows(run))
+
+
+def cartan_suite(fix: FixtureConfig, seed: int, samples: int, tol: float,
+                 symmetric: bool) -> list[CheckResult]:
+    run = _SuiteRun(fix, seed, samples, tol)
+    return run.check_rows(cartan_rows(run, symmetric))
+
+
+def bianchi_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[CheckResult]:
+    run = _SuiteRun(fix, seed, samples, tol)
+    return run.check_rows(bianchi_rows(run))
+
+
+def bridge_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[CheckResult]:
+    run = _SuiteRun(fix, seed, samples, tol)
+    return run.check_rows(bridge_rows(run))
 
 
 # ---------------------------------------------------------------------------
@@ -607,11 +712,14 @@ def bridge_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> lis
 
 def transform_suite(fix: FixtureConfig, cmap: CoordinateMap, seed: int, samples: int,
                     tol: float) -> list[CheckResult]:
-    """The coordinate-map laws, every row at one sample of the primed domain."""
+    """The coordinate-map laws, every row at one sample of the primed domain
+    (the round trip at one of the canonical domain), both drawn, with the
+    vectors two rows share, from the generator of the suite's name."""
     run = _SuiteRun(fix, seed, samples, tol)
     conn, dim = run.conn, cmap.dim
     check_map_dim(cmap, conn.dim)
-    pts = cmap.domain_primed.sample(max(10, run.samples), run.rng)
+    common = run.rng("transform")
+    pts = cmap.domain_primed.sample(max(10, run.samples), common)
     grid = list(itertools.product(range(dim), repeat=2))
     cube = list(itertools.product(range(dim), repeat=3))
 
@@ -630,7 +738,7 @@ def transform_suite(fix: FixtureConfig, cmap: CoordinateMap, seed: int, samples:
 
     # vector laws: reconstruct the field from transformed components; both
     # rows take the same three vectors, one a draw
-    vs = [rand_vector(dim, run.rng).vector_components() for _ in range(3)]
+    vs = [rand_vector(dim, common).vector_components() for _ in range(3)]
     composed_vs = [[cmap.compose(c) for c in v] for v in vs]
 
     def vector_law(variance, reciprocal, shared, rng):
@@ -663,7 +771,15 @@ def transform_suite(fix: FixtureConfig, cmap: CoordinateMap, seed: int, samples:
             yield (_sum(ex.mul(b_comp[i], grads[i]) for i in range(dim)),
                    ex.diff(composed_f, alpha))
 
-    run.check_rows([
+    def roundtrip(rng):
+        """Transforming there and back recovers the connection."""
+        swapped = CoordinateMap(dim, cmap.inverse, cmap.forward,
+                                cmap.domain_canonical, cmap.domain_primed)
+        back = transform_connection(transform_connection(conn, cmap), swapped)
+        for g, a, b in cube:
+            yield back.gamma[g][a][b], conn.gamma[g][a][b]
+
+    rows = [
         ("map-roundtrip", "-", 1,
          lambda _: ((cmap.compose(f), ex.Var(i)) for i, f in enumerate(cmap.forward)), pts),
         ("map-jacobian-inverse", "-", 1,
@@ -686,17 +802,11 @@ def transform_suite(fix: FixtureConfig, cmap: CoordinateMap, seed: int, samples:
         ("tensor-law-contra-co", "A23", 3,
          partial(tensor_law, ("contra", "co"), ("co", "contra")), pts),
         ("directional-chain-rule", "A.1", 3, chain_rule, pts),
-    ])
-
-    # transforming there and back recovers the connection
+    ]
     if cmap.domain_canonical is not None:
-        swapped = CoordinateMap(dim, cmap.inverse, cmap.forward,
-                                cmap.domain_canonical, cmap.domain_primed)
-        back = transform_connection(transform_connection(conn, cmap), swapped)
-        run.check("transform-roundtrip", "A3", 1,
-                  lambda _: ((back.gamma[g][a][b], conn.gamma[g][a][b]) for g, a, b in cube),
-                  cmap.domain_canonical.sample(len(pts), run.rng))
-    return run.results
+        rows.append(("transform-roundtrip", "A3", 1, roundtrip,
+                     cmap.domain_canonical.sample(len(pts), common)))
+    return run.check_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -723,16 +833,17 @@ def run_fixture_checks(fix: FixtureConfig, suite: str = "all", seed: int | None 
             "identity only holds for torsionless structures"
         )
 
-    checks: list[CheckResult] = []
+    run = _SuiteRun(fix, seed, samples, tol)
+    rows = []
     if suite in ("all", "core"):
-        checks += core_suite(fix, seed, samples, tol)
+        rows += core_rows(run)
     if suite in ("all", "cartan"):
-        checks += cartan_suite(fix, seed + 101, samples, tol, symmetric)
+        rows += cartan_rows(run, symmetric)
     if suite in ("all", "bianchi") and symmetric:
-        checks += bianchi_suite(fix, seed + 202, samples, tol)
+        rows += bianchi_rows(run)
     if suite in ("all", "bridge"):
-        checks += bridge_suite(fix, seed + 303, samples, tol)
-    return Report(fix.name, seed, checks)
+        rows += bridge_rows(run)
+    return Report(fix.name, seed, run.check_rows(rows))
 
 
 def run_transform_checks(fix: FixtureConfig, cmap: CoordinateMap, seed: int | None = None,

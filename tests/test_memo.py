@@ -4,6 +4,7 @@ argument is computed again, and no entry outlives an object it is keyed on."""
 
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,14 +13,20 @@ from gacalc import expr as ex
 from gacalc import fields as mf
 from gacalc.cartan import curvature, torsion
 from gacalc.connection import (
+    SIGNS,
     ConnectionField,
     const_frames,
     cov_derivative,
+    ext_adjoint,
+    extensor_cov_derivative,
     gamma_apply,
     gamma_matrix,
     gauge_bivector,
 )
-from gacalc.suites import rand_frame, rand_vector
+from gacalc.fixtures import load_fixture_file
+from gacalc.suites import rand_ext11, rand_frame, rand_vector
+
+SPHERE3 = Path(__file__).resolve().parents[1] / "fixtures" / "sphere3_metric.json"
 
 POINT = (0.3, -0.7, 1.1)
 
@@ -142,3 +149,25 @@ def test_reference_counting_alone_frees_an_entry():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_extensor_columns_share_the_derivatives_of_every_sign_pair(monkeypatch):
+    # one draw of the extensor-adjoint-commutation row: nine sign pairs, both
+    # sides, every column on the canonical frame's own fields, so the memo of
+    # cov_derivative serves the columns again (108 derivatives on fresh e_j)
+    conn = load_fixture_file(SPHERE3).conn
+    rng = np.random.default_rng(5)
+    a, t = rand_vector(3, rng), rand_ext11(3, rng)
+    calls = []
+    derivative = mf.directional_derivative
+
+    def counted(*args):
+        calls.append(args)
+        return derivative(*args)
+
+    monkeypatch.setattr(mf, "directional_derivative", counted)
+    for s1 in SIGNS:
+        for s in SIGNS:
+            ext_adjoint(extensor_cov_derivative(conn, (s1, s), t, a))
+            extensor_cov_derivative(conn, (s, s1), ext_adjoint(t), a)
+    assert len(calls) == 63

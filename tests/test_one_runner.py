@@ -5,9 +5,11 @@ Read from the source: a `CheckResult` is built (a call of the name
 ``CheckResult`` or of an attribute of that name) in one function only,
 outside `report` where the class lives, and `cartan` holds mathematics
 alone, so it imports nothing from `report`.  Only `frame_sum` asks for a
-frame's fields (`const_frames`), so no hand-written frame loop is left.
-Symmetry is decided in one place, generators are built only by a runner and
-by that one decision's probe, and the cartan rows run through one table.
+frame's fields (`const_frames`) to sum over them, so no hand-written frame
+sum is left; `extensor_cov_derivative` asks for the canonical ones as the
+columns of its matrix.  Symmetry is decided in one place, generators are
+built only by the runner's keyed `_SuiteRun.rng` and by that one decision's
+probe, and the cartan rows are one table.
 Exactly the pure connection operators are memo functions.  Each function
 of the expression grammar is one row of `expr._FUNCTIONS`, and its name is
 written nowhere else in `expr`.
@@ -94,7 +96,8 @@ def test_cartan_imports_nothing_from_report():
 
 
 def test_one_function_sums_over_a_frame():
-    assert constructions(PACKAGE, "const_frames") == ["connection.frame_sum"]
+    assert constructions(PACKAGE, "const_frames") == [
+        "connection.extensor_cov_derivative", "connection.frame_sum"]
 
 
 def test_symmetry_is_decided_once_per_run():
@@ -108,15 +111,15 @@ def test_one_function_checks_a_map_dim():
 
 def test_only_the_runner_and_the_symmetry_probe_build_a_generator():
     assert constructions(PACKAGE, "default_rng") == [
-        "suites._SuiteRun.__init__", "suites.run_fixture_checks"]
+        "suites._SuiteRun.rng", "suites.run_fixture_checks"]
 
 
 def test_cartan_rows_run_through_one_table_at_the_runner_sample():
     tree = ast.parse((PACKAGE / "suites.py").read_text())
     suite = next(node for node in tree.body
-                 if isinstance(node, ast.FunctionDef) and node.name == "cartan_suite")
-    tables = [node.args[0] for node in ast.walk(suite) if isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Attribute) and node.func.attr == "check_rows"]
+                 if isinstance(node, ast.FunctionDef) and node.name == "cartan_rows")
+    tables = [node.value for node in ast.walk(suite) if isinstance(node, ast.Return)
+              and isinstance(node.value, ast.List)]
     assert len(tables) == 1
     rows = [row for row in tables[0].elts if isinstance(row, ast.Tuple)]
     assert len(rows) > 10
