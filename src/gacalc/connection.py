@@ -148,8 +148,7 @@ class ExtensorField11:
 
     def at(self, point) -> LinearMap11:
         """The map at one point, as `expr.evaluate` gives each entry."""
-        values = self._tape(np.asarray(point, dtype=float)[None, :])[0]
-        return LinearMap11(self.dim, values.reshape(self.dim, self.dim))
+        return LinearMap11(self.dim, np.reshape(self._tape.at(point), (self.dim, self.dim)))
 
 
 def _nonzero(rows) -> tuple[tuple[int, int, ex.Expr], ...]:

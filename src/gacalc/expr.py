@@ -19,8 +19,8 @@ finite.  `simplify` and `substitute` rebuild a `Tape`'s slots in order, so
 equal subtrees are rebuilt once, as one object; `to_str` prints from an
 explicit stack.  `Tape` is the one DAG order and the one evaluator: it
 evaluates many trees at many points at once and raises `DomainError` naming
-the subexpression that failed; `evaluate` is a one-point tape, bit for bit
-as the same point in an array call, and `compile_fn` wraps one for one tree.
+the subexpression that failed; `evaluate` is `Tape.at`, bit for bit as the
+same point in an array call, and `compile_fn` wraps a tape for one tree.
 """
 
 from __future__ import annotations
@@ -438,6 +438,32 @@ def _power(exponent: int):
     return _POWERS.get(exponent) or (lambda x: np.power(x, exponent))
 
 
+# `_POWERS` on floats, bit for bit: np.square is x*x, np.reciprocal 1/x,
+# np.positive x and np.ones_like 1, whatever x is (NaN and infinities too)
+_FLOAT_POWERS = {2: lambda x: x * x, -1: lambda x: 1.0 / x, 1: lambda x: x, 0: lambda x: 1.0}
+
+
+def _returning_float(fn):
+    """fn, with its numpy scalar result turned back into a float."""
+    return lambda x: float(fn(x))
+
+
+@np.errstate(all="ignore")  # as a decorator, half the cost of a `with` on each call
+def _run(program: list, coordinates) -> list:
+    """Every slot's value: ``program`` run once, slot by slot, on ``coordinates``
+    (arrays of the points' columns, or one point's floats)."""
+    values: list = []
+    append = values.append
+    for fn, a, b in program:
+        if fn is None:  # a leaf: a coordinate or a constant
+            append(coordinates[a] if b is None else b)
+        elif b is None:
+            append(fn(values[a]))
+        else:
+            append(fn(values[a], values[b]))
+    return values
+
+
 class Tape:
     """The distinct nodes of ``roots`` in topological order, evaluated in one pass.
 
@@ -446,13 +472,23 @@ class Tape:
     one slot; `simplify` and `substitute` fold over the slots.  Each slot is decoded once, into ``program``: a function
     slot holds (callable, operand slot, operand slot or None), a leaf
     (None, coordinate index, None) or (None, None, constant).  Calling the
-    tape on an (N, dim) points array runs the program with no test inside
-    the loop and returns the (N, len(roots)) values.  With N = 1 the
-    program runs on np.float64 values, where the rows' ``operator.*``
-    callables and ``operator.neg`` are scalar arithmetic, not ufuncs: the
-    same IEEE operations under the same errstate, without array dispatch,
-    so a one-point call gives the values and the DomainError of the same
-    point in an array call, at a fraction of the cost.
+    tape on an (N, dim) points array runs the program once, each slot as one
+    numpy call over all N points (`_run`), and returns the (N, len(roots))
+    values.
+
+    A one-point call (`at`, or ``__call__`` on one row) runs a second
+    decoding of the slots instead, the one-point plan, made on the first
+    such call (a tape only ever called on many points never makes it).  It
+    runs on Python floats: ``+ - * /`` and negation are float arithmetic,
+    ``Pow`` 2, -1, 1 and 0 are ``x*x``, ``1.0/x``, ``x`` and ``1.0`` (the
+    bits of np.square, np.reciprocal, np.positive and np.ones_like), and
+    every other power and every function runs its ufunc and turns the result
+    back into a float: the same IEEE operations, without numpy's scalar
+    dispatch.  Python's ``/`` raises ZeroDivisionError at a zero divisor,
+    where numpy gives +-inf or NaN; that, or a non-finite root or other
+    checked slot (`math.isfinite`), reruns the point as a one-row array
+    call.  So a point's values are the bits of its row in an array call, and
+    a fault's values and DomainError come from the one array program.
 
     It raises DomainError naming the subexpression where a denominator is
     0, 0 is raised to a negative power, ln meets a value <= 0 or sqrt a
@@ -470,6 +506,7 @@ class Tape:
         self.program: list[tuple] = []  # per slot: (callable, operand, operand) or a leaf
         self.checked: list[int] = []  # the slots a domain fault can occur in
         self.roots: list[int] = []
+        self._plan: tuple | None = None  # the one-point plan and its screen, made by the first `at`
         slot_of: dict[int, int] = {}  # id(node) -> slot; the roots keep the ids valid
         slot_by_key: dict[tuple, int] = {}  # a leaf's or a Pow's key, or a slot's instruction
         waiting: list[Expr] = []  # nodes whose operands are being lowered, innermost last
@@ -541,32 +578,58 @@ class Tape:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
             raise ValueError(f"points must be an (N, dim) array, got shape {points.shape}")
-        one_point = len(points) == 1
-        coordinates = points[0] if one_point else points.T
-        values: list = []
-        append = values.append
-        with np.errstate(all="ignore"):
-            for fn, a, b in self.program:
-                if fn is None:  # a leaf: a coordinate (column) or a constant
-                    append(coordinates[a] if b is None else b)
-                elif b is None:
-                    append(fn(values[a]))
-                else:
-                    append(fn(values[a], values[b]))
-        if one_point:  # one small array holds the roots, then the checked slots
-            row = np.array([values[s] for s in self.roots + self.checked])
-            out = row[None, :len(self.roots)]
-            finite = np.isfinite(row).all()
-        else:
-            out = np.empty((len(points), len(self.roots)))
-            for j, slot in enumerate(self.roots):
-                out[:, j] = values[slot]
-            screen = [values[s] for s in self.checked]
-            screen.append(out)
-            finite = np.isfinite(np.concatenate(screen, axis=None)).all()
-        if not finite:
+        if len(points) == 1:
+            return np.array([self.at(points[0])])
+        return self._array_call(points)
+
+    def _array_call(self, points: np.ndarray) -> np.ndarray:
+        """``program`` on the columns of ``points``, screened and returned as
+        the (N, len(roots)) values."""
+        values = _run(self.program, points.T)
+        out = np.empty((len(points), len(self.roots)))
+        for j, slot in enumerate(self.roots):
+            out[:, j] = values[slot]
+        screen = [values[s] for s in self.checked]
+        screen.append(out)
+        if not np.isfinite(np.concatenate(screen, axis=None)).all():
             self._raise(values, out)
         return out
+
+    def at(self, point) -> list[float]:
+        """The roots' values at one (dim,) point, as floats: the one-point
+        plan's, or, where it meets a zero divisor or a non-finite screened
+        slot, those of the point as a one-row array call."""
+        point = np.asarray(point, dtype=float)
+        if point.ndim != 1:
+            raise ValueError(f"a point must be a (dim,) array, got shape {point.shape}")
+        if self._plan is None:
+            self._plan = self._decode_plan()
+        plan, screen = self._plan
+        try:
+            values = _run(plan, point.tolist())
+        except ZeroDivisionError:
+            pass
+        else:
+            if all(map(math.isfinite, map(values.__getitem__, screen))):
+                return [values[s] for s in self.roots]
+        return self._array_call(point[None, :])[0].tolist()
+
+    def _decode_plan(self) -> tuple[list, list]:
+        """The one-point plan (see the class docstring), and the slots it
+        screens: the roots and the checked slots, but for the divisions and
+        the -1 powers, whose every zero divisor makes Python's ``/`` raise."""
+        plan = []
+        for node, (fn, a, b) in zip(self.nodes, self.program):
+            kind = type(node)
+            if kind is Const:
+                b = float(b)
+            elif kind is Pow:
+                fn = _FLOAT_POWERS.get(node.exponent) or _returning_float(fn)
+            elif kind is Call:
+                fn = _returning_float(fn)
+            plan.append((fn, a, b))  # the rest: a coordinate, or operator.* on floats
+        dividing = (operator.truediv, _FLOAT_POWERS[-1])
+        return plan, self.roots + [s for s in self.checked if plan[s][0] not in dividing]
 
     def _raise(self, values: list, out: np.ndarray) -> None:
         """Raise the DomainError of a call whose screen tripped, if any is due."""
@@ -602,8 +665,8 @@ def compile_fn(e: Expr):
 
 
 def evaluate(e: Expr, point) -> float:
-    """Evaluate at one point: a one-point `Tape`, under its `DomainError` contract."""
-    return float(Tape((e,))(np.asarray(point, dtype=float)[None, :])[0, 0])
+    """Evaluate at one point: `Tape.at`, under the tape's `DomainError` contract."""
+    return Tape((e,)).at(point)[0]
 
 
 _SPACE = re.compile(r"\s*")

@@ -173,10 +173,11 @@ class MultivectorField:
         return ex.Tape(self.coeffs.values()), np.fromiter(self.coeffs, np.intp, len(self.coeffs))
 
     def at(self, point) -> Multivector:
-        """The field at one point, as `expr.evaluate` gives each coefficient."""
+        """The field at one point: its tape's `expr.Tape.at`, bit for bit the
+        point's row of `compiled_evaluator`, written into the coefficients."""
         tape, masks = self._tape
         c = np.zeros(1 << self.dim)
-        c[masks] = tape(np.asarray(point, dtype=float)[None, :])[0]
+        c[masks] = tape.at(point)
         return _owning_multivector(self.dim, c)
 
     def __add__(self, other: MultivectorField) -> MultivectorField:

@@ -210,17 +210,26 @@ class _SuiteRun:
         return CheckResult(name, tag, draws * len(points), worst_residual(pairs, points), self.tol)
 
     def check_rows(self, rows: list) -> list[CheckResult]:
-        """Run every row on one forked process per usable CPU (`_pool`), then run
-        here, in table order, each row that has no result: a row that raised
-        raises again with its own error, so the first failing row in table
-        order wins.  On one CPU that is every row, one after another."""
+        """Run every row on one forked process per usable CPU (`_pool`), then
+        take the results in table order: a row that raised in this process
+        raises its error again, and a row with no result (it raised in a
+        worker, or its worker died) runs here, where no run has used its
+        builder; so the first failing row in table order wins.  On one CPU
+        every row runs here, one after another."""
         workers = min(_usable_cpus(), len(rows))
         done = self._pool(rows, workers) if workers > 1 else {}
-        return [done[i] if i in done else self.check(*row) for i, row in enumerate(rows)]
+        results = []
+        for i, row in enumerate(rows):
+            result = done[i] if i in done else self.check(*row)
+            if isinstance(result, Exception):
+                raise result
+            results.append(result)
+        return results
 
-    def _pool(self, rows: list, workers: int) -> dict[int, CheckResult]:
+    def _pool(self, rows: list, workers: int) -> dict:
         """The results of the rows that ``workers`` processes, this one and
-        ``workers - 1`` forked children, take one at a time from one queue.
+        ``workers - 1`` forked children, take one at a time from one queue,
+        and the error of a row that raised in this one.
         A forked child already holds the rows, closures that could not be
         pickled, and imports nothing again; it sends its results back as one
         pickle on a pipe of its own."""
@@ -244,8 +253,10 @@ class _SuiteRun:
                     code = 1
                     try:
                         os.close(out)
-                        with open(into, "wb") as pipe:
-                            pickle.dump(self._pull(rows, queue), pipe)
+                        done = self._pull(rows, queue)
+                        with open(into, "wb") as pipe:  # an error stays here: the caller reruns its row
+                            pickle.dump({i: r for i, r in done.items()
+                                         if not isinstance(r, Exception)}, pipe)
                         code = 0
                     finally:
                         os._exit(code)
@@ -267,15 +278,18 @@ class _SuiteRun:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
-    def _pull(self, rows: list, queue: int) -> dict[int, CheckResult]:
+    def _pull(self, rows: list, queue: int) -> dict:
         """Run the rows whose indices this process reads from ``queue``, until
-        it is empty or a row raises."""
+        it is empty or a row raises; the result of each, or the error it raised.
+        A row runs once per process: a builder may hold an iterator that its
+        first run used up."""
         done = {}
         while record := os.read(queue, 2):
             i = int.from_bytes(record, "little")
             try:
                 done[i] = self.check(*rows[i])
-            except Exception:  # the row runs again in check_rows, and raises there
+            except Exception as error:
+                done[i] = error
                 break
         return done
 
@@ -677,32 +691,6 @@ def bridge_rows(run: _SuiteRun) -> list:
         ("classical-tensor-mixed", "A25", 2,
          partial(classical_tensor, ("+", "-"), ("co", "contra"))),
     ]
-
-
-# ---------------------------------------------------------------------------
-# Each suite run on its own (`run_fixture_checks` runs the union of its tables)
-# ---------------------------------------------------------------------------
-
-
-def core_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[CheckResult]:
-    run = _SuiteRun(fix, seed, samples, tol)
-    return run.check_rows(core_rows(run))
-
-
-def cartan_suite(fix: FixtureConfig, seed: int, samples: int, tol: float,
-                 symmetric: bool) -> list[CheckResult]:
-    run = _SuiteRun(fix, seed, samples, tol)
-    return run.check_rows(cartan_rows(run, symmetric))
-
-
-def bianchi_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[CheckResult]:
-    run = _SuiteRun(fix, seed, samples, tol)
-    return run.check_rows(bianchi_rows(run))
-
-
-def bridge_suite(fix: FixtureConfig, seed: int, samples: int, tol: float) -> list[CheckResult]:
-    run = _SuiteRun(fix, seed, samples, tol)
-    return run.check_rows(bridge_rows(run))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from gacalc.connection import (
 )
 from gacalc.report import worst_residual
 from gacalc.suites import (
-    bridge_suite,
     rand_ext11,
     rand_frame,
     rand_lambda,
@@ -233,7 +232,7 @@ def test_criterion_6_inversions_and_frames(sphere, torsionful):
 def test_criterion_7_classical_bridge(sphere, polar, pmap):
     """Component-calculus oracle on the sphere; transformation laws under
     the polar map."""
-    oracle = bridge_suite(sphere, seed=77007, samples=50, tol=1e-10)
+    oracle = run_fixture_checks(sphere, "bridge", seed=77007, samples=50, tol=1e-10).checks
     oracle_worst = max(c.max_residual for c in oracle)
     assert all(c.passed for c in oracle), [(c.name, c.max_residual) for c in oracle]
 

@@ -18,9 +18,10 @@ from numpy.testing import assert_allclose
 
 from gacalc import expr as ex
 from gacalc import fields as mf
+from gacalc import suites
 from gacalc.cartan import cartan_curvature, curvature, torsion
 from gacalc.connection import ConnectionField
-from gacalc.fixtures import load_fixture_file
+from gacalc.fixtures import load_fixture_file, load_map_file
 from gacalc.suites import rand_scalar, rand_vector
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -925,6 +926,98 @@ class TestOnePoint:
                 tape(pts)
             texts.append(str(err.value))
         assert texts[0] == texts[1]
+
+
+X0, X1 = ex.Var(0), ex.Var(1)
+NEG_ZERO = ex.Const(-0.0)
+
+# every binary row (both ways round, and with a -0.0 constant on either side),
+# negation, every function row, every Pow form, and faults in non-root slots
+ONE_POINT_EXPRS = (
+    [kind(a, b) for kind in ex._BINARY for a, b in ((X0, X1), (X1, X0), (NEG_ZERO, X0), (X0, NEG_ZERO))]
+    + [ex.Neg(X0), ex.Neg(NEG_ZERO)]
+    + [ex.Call(name, arg) for name in ex._FUNCTIONS for arg in (X0, ex.Div(X1, X0))]
+    + [ex.Pow(base, k) for k in (2, -1, 1, 0, 3, -2) for base in (X0, ex.Sub(X0, X1))]
+    + [ex.parse(src, 2) for src in ("1/x0", "x0^-1", "x1 + exp(ln(x0))", "atan(1/x0)",
+                                    "1/exp(x0^-2)", "x1 - 1/(1 + exp(800*x0))",
+                                    "x1 + 0*sqrt(x0)", "x0*x1 - x1*x0 + cos(x0)^2")]
+)
+
+BENIGN = (0.75, 1.25)  # a point where every expression above is finite
+ONE_POINT_POINTS = [
+    (0.0, 1.0), (-0.0, 1.0), (0.5, -0.0), (-0.0, -0.0), (-1.5, 2.0), (2.0, 0.25),
+    (1.0, 1.0), (math.pi / 2, 3.0), (710.0, 1.0), (-710.0, 1e-300), (1e300, 1e300),
+    (1e-200, 1e200), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, -0.0),
+]
+
+
+def outcome(call):
+    """The bytes of call()'s float64 values, or the text of its DomainError."""
+    try:
+        return np.asarray(call(), dtype=float).tobytes()
+    except ex.DomainError as err:
+        return str(err)
+
+
+class TestOnePointPlan:
+    """`Tape.at`, and everything that reads it (`evaluate`, a one-row call,
+    `MultivectorField.at`), give the bits, or the DomainError text, of the
+    point's row in an array call; and a tape called only on many points
+    never decodes the one-point plan."""
+
+    @pytest.mark.parametrize("e", ONE_POINT_EXPRS, ids=ex.to_str)
+    def test_every_row_matches_the_array_call(self, e):
+        field = mf.mvf(2, {0b10: e})
+        for point in ONE_POINT_POINTS:
+            p = np.array(point)
+            want = outcome(lambda: ex.Tape([e])(np.array([BENIGN, point]))[1])
+            assert outcome(lambda: ex.Tape([e]).at(point)) == want, point
+            assert outcome(lambda: ex.Tape([e])(p[None, :])[0]) == want, point
+            assert outcome(lambda: [ex.evaluate(e, point)]) == want, point
+            assert outcome(lambda: field.at(p).coeffs[[0b10]]) == want, point
+
+    def test_a_fault_under_a_finite_root_raises(self):
+        # finite roots at x0 = 0: a zero divisor (Python raises) or a screened slot must raise
+        for src, text in (("x1 + exp(ln(x0))", "logarithm of a non-positive value in 'ln(x0)'"),
+                          ("atan(1/x0)", "division by zero in '1/x0'"),
+                          ("atan(x0^-1)", "zero raised to a negative power in 'x0^-1'"),
+                          ("1/exp(x0^-2)", "zero raised to a negative power in 'x0^-2'")):
+            tape = ex.Tape([ex.parse(src, 2)])
+            for point in ((0.0, 1.0), (-0.0, 1.0)):
+                with pytest.raises(ex.DomainError) as err:
+                    tape.at(point)
+                assert str(err.value) == text
+
+    def test_a_negative_zero_keeps_its_sign(self):
+        for src, point in (("-x0", (0.0, 1.0)), ("x0*x1", (-0.0, 1.0)), ("sqrt(x0)", (-0.0, 1.0)),
+                           ("atan(x0)^1", (-0.0, 1.0)), ("x1/x0", (-1.0, 0.0))):
+            value = ex.evaluate(ex.parse(src, 2), point)
+            assert value == 0.0 and math.copysign(1.0, value) == -1.0, src
+        tape = ex.Tape([ex.Mul(NEG_ZERO, X1), ex.Add(NEG_ZERO, X0)])  # unfolded: -0.0 is a leaf
+        assert [math.copysign(1.0, v) for v in tape.at((-0.0, 2.0))] == [-1.0, -1.0]
+
+    def test_the_plan_is_decoded_on_the_first_one_point_call_only(self, monkeypatch):
+        made = []
+        decode = ex.Tape._decode_plan
+        monkeypatch.setattr(ex.Tape, "_decode_plan", lambda tape: made.append(tape) or decode(tape))
+        tape = ex.Tape([ex.parse("x0/x1 + sin(x0)^3", 2)])
+        tape(np.array([BENIGN, (1.0, 2.0)]))
+        assert made == []
+        tape.at(BENIGN)
+        tape(np.array([BENIGN]))
+        assert made == [tape]
+
+    @pytest.mark.parametrize("config", ["sphere.json", "torsionful.json", "polar.json"])
+    def test_a_suite_check_builds_no_one_point_plan(self, config, monkeypatch):
+        made = []
+        decode = ex.Tape._decode_plan
+        monkeypatch.setattr(ex.Tape, "_decode_plan", lambda tape: made.append(tape) or decode(tape))
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)  # every row in this process
+        fix = load_fixture_file(FIXTURES / config)
+        checks = suites.run_fixture_checks(fix, "all", seed=1).checks
+        checks += suites.run_transform_checks(
+            fix, load_map_file(FIXTURES / "maps" / "polar_map.json"), seed=1).checks
+        assert len(checks) > 20 and made == []
 
 
 # The walks of `diff` and `Tape.__init__` as they were before each looked a

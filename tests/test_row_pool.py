@@ -52,6 +52,26 @@ def parent_takes_no_rows(monkeypatch):
     return parent
 
 
+@pytest.fixture
+def workers_take_no_rows(monkeypatch):
+    """Every row runs in this process: each forked worker leaves the queue to it."""
+    parent = os.getpid()
+    pull = _SuiteRun._pull
+    monkeypatch.setattr(_SuiteRun, "_pull",
+                        lambda run, rows, queue: pull(run, rows, queue) if os.getpid() == parent
+                        else {})
+    return parent
+
+
+# symmetric, so `--suite bianchi` runs its rows, and ln(x0) faults at x0 <= 0;
+# both Bianchi rows draw their degrees from an iterator their builder holds
+LN_FAULT = {
+    "name": "ln-fault", "dim": 2, "seed": 1,
+    "connection": {"kind": "coefficients", "coefficients": {"0,0,0": "ln(x0)"}},
+    "domain": {"lo": [-1, -1], "hi": [1, 1]},
+}
+
+
 @pytest.mark.parametrize("op", ["sphere.all", "torsionful.all", "polar.transform"])
 def test_one_worker_and_the_pool_give_one_report(op, monkeypatch):
     # three workers on any host, more than this one's CPUs
@@ -159,3 +179,32 @@ def test_a_row_draws_the_same_without_the_rows_before_it(monkeypatch):
     dropped = set(full) - set(fewer)
     assert dropped == {"gen-grade-preserving"}  # the first row of the table
     assert fewer == {name: r for name, r in full.items() if name not in dropped}
+
+
+def test_a_row_that_raises_here_raises_its_error_and_runs_once(tmp_path, monkeypatch,
+                                                               workers_take_no_rows):
+    ran = []
+    check = _SuiteRun.check
+
+    def logged(run, name, tag, draws, build, points=None):
+        ran.append(name)
+        return check(run, name, tag, draws, build, points)
+
+    monkeypatch.setattr(_SuiteRun, "check", logged)
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 3)
+    cfg = tmp_path / "ln.json"
+    cfg.write_text(json.dumps(LN_FAULT))
+    with pytest.raises(DomainError, match=r"^logarithm of a non-positive value in 'ln\(x0\)'$"):
+        run_fixture_checks(load_fixture_file(cfg), "bianchi", seed=1)
+    assert ran == ["curvature-cyclic"]  # the first row, run once: no second run of its builder
+    no_worker_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_pooled_fault_prints_the_one_cpu_error(workers, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: workers)
+    cfg = tmp_path / "ln.json"
+    cfg.write_text(json.dumps(LN_FAULT))
+    assert cli.main(["check", "--config", str(cfg), "--suite", "bianchi", "--seed", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: logarithm of a non-positive value in 'ln(x0)'\n")
+    no_worker_left()
