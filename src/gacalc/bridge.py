@@ -46,9 +46,11 @@ class CoordinateMap:
         coords = tuple(ex.Var(i) for i in range(dim))
         return cls(dim, coords, coords, domain, domain)
 
-    def compose(self, e: ex.Expr) -> ex.Expr:
-        """Re-express a canonical-chart scalar in primed coordinates."""
-        return ex.substitute(e, self.inverse)
+    def compose(self, table):
+        """An expression, or nested lists of them, composed into the primed chart on one tape."""
+        cells = np.array(table, dtype=object)
+        cells.flat = ex.substitute(cells.flat, self.inverse)
+        return cells.tolist()
 
     @functools.cached_property
     def inverse_jacobian(self) -> list[list[ex.Expr]]:
@@ -58,7 +60,7 @@ class CoordinateMap:
     @functools.cached_property
     def forward_jacobian(self) -> list[list[ex.Expr]]:
         """[lambda][beta] = d x^lambda' / d x^beta composed into the primed chart."""
-        return [[self.compose(ex.diff(c, j)) for j in range(self.dim)] for c in self.forward]
+        return self.compose([[ex.diff(c, j) for j in range(self.dim)] for c in self.forward])
 
     @functools.cached_property
     def inverse_hessian(self) -> list[list[list[ex.Expr]]]:
@@ -83,7 +85,7 @@ def christoffel(conn: ConnectionField, cmap: CoordinateMap) -> ConnectionField:
     the primed chart (directional derivative of frame components plus the
     composed connection term) and resolves against the contravariant frame.
     """
-    n, gamma = cmap.dim, _composed(conn, cmap)
+    n, gamma = cmap.dim, cmap.compose(conn.gamma)
     down, up = ([f.vector_components() for f in frame] for frame in cmap.frames)
 
     @functools.cache
@@ -91,7 +93,7 @@ def christoffel(conn: ConnectionField, cmap: CoordinateMap) -> ConnectionField:
         """Component g of cov+_{b_mu} b_nu, b_mu . d_o acting as d/dx^mu' in the primed chart."""
         pairs = itertools.product(range(n), repeat=2)
         return _sum(itertools.chain([ex.diff(down[nu][g], mu)], (
-            ex.mul(gamma[g, i, j], ex.mul(down[mu][i], down[nu][j])) for i, j in pairs)))
+            ex.mul(gamma[g][i][j], ex.mul(down[mu][i], down[nu][j])) for i, j in pairs)))
 
     def entry(index):
         lam, mu, nu = index
@@ -106,13 +108,13 @@ def transform_connection(conn: ConnectionField, cmap: CoordinateMap) -> Connecti
     G^l'_{m'n'} = (dx^a/dx^m')(dx^b/dx^n')(dx^l'/dx^g) G^g_{ab}
                   + (d^2 x^b/dx^m' dx^n')(dx^l'/dx^b)
     """
-    n, gamma = cmap.dim, _composed(conn, cmap)
+    n, gamma = cmap.dim, cmap.compose(conn.gamma)
     jinv, kfwd, hess = cmap.inverse_jacobian, cmap.forward_jacobian, cmap.inverse_hessian
 
     def entry(index):
         lam, mu, nu = index
         return _sum(itertools.chain(
-            (ex.mul(ex.mul(jinv[a][mu], jinv[b][nu]), ex.mul(kfwd[lam][g], gamma[g, a, b]))
+            (ex.mul(ex.mul(jinv[a][mu], jinv[b][nu]), ex.mul(kfwd[lam][g], gamma[g][a][b]))
              for a, b, g in itertools.product(range(n), repeat=3)),
             (ex.mul(hess[b][mu][nu], kfwd[lam][b]) for b in range(n))))
 
@@ -127,9 +129,10 @@ def transform_components(components, cmap: CoordinateMap, variances) -> list:
     'contra'.  ``components`` nests one list level per index.
     """
     factors = _frame_components(cmap, variances)
-    comps = {raw: cmap.compose(c) for raw, c in _entries(components, cmap.dim, len(factors))}
+    entries = dict(_entries(components, cmap.dim, len(factors)))
+    comps = list(zip(entries, cmap.compose(list(entries.values()))))
     return _tabulate(cmap.dim, len(factors), lambda primed: _sum(
-        ex.mul(_factor(factors, primed, raw), comp) for raw, comp in comps.items()))
+        ex.mul(_factor(factors, primed, raw), comp) for raw, comp in comps))
 
 
 def classical_cov_derivative(conn: ConnectionField, components, variances) -> list:
@@ -200,11 +203,6 @@ def _sum(terms) -> ex.Expr:
     for t in terms:
         total = ex.add(total, t)
     return total
-
-
-def _composed(conn: ConnectionField, cmap: CoordinateMap) -> dict:
-    """The connection coefficients composed into the primed chart, by (g, a, b)."""
-    return {index: cmap.compose(c) for index, c in _entries(conn.gamma, conn.dim, 3)}
 
 
 def _checked(variances) -> tuple[str, ...]:

@@ -278,18 +278,18 @@ def _fault(node: Expr) -> tuple | None:
 
 def simplify(e: Expr) -> Expr:
     """Rebuild bottom-up through the folding constructors."""
-    return _rebuild(e, lambda v: v)
+    return _rebuild((e,), lambda v: v)[0]
 
 
-def substitute(e: Expr, replacements) -> Expr:
-    """Replace Var(i) by replacements[i] (composition of expressions)."""
-    return _rebuild(e, lambda v: replacements[v.index])
+def substitute(exprs, replacements) -> list[Expr]:
+    """Each of ``exprs`` with Var(i) as replacements[i] (composition), on one tape."""
+    return _rebuild(exprs, lambda v: replacements[v.index])
 
 
-def _rebuild(e: Expr, var) -> Expr:
-    """``e`` through the folding constructors, each Var v as var(v): one pass over
-    the slots of ``Tape((e,))``, so equal subtrees are rebuilt once, as one object."""
-    tape = Tape((e,))
+def _rebuild(roots, var) -> list[Expr]:
+    """``roots`` through the folding constructors, each Var v as var(v): one pass over
+    the slots of ``Tape(roots)``, so equal subtrees are rebuilt once, as one object."""
+    tape = Tape(roots)
     done: list[Expr] = []  # per slot: its node rebuilt
     for node, (_, a, b) in zip(tape.nodes, tape.program):
         kind = type(node)
@@ -303,7 +303,7 @@ def _rebuild(e: Expr, var) -> Expr:
             done.append(call(node.name, done[a]))
         else:
             done.append(powi(done[a], node.exponent) if kind is Pow else neg(done[a]))
-    return done[tape.roots[0]]
+    return [done[slot] for slot in tape.roots]
 
 
 def diff(e: Expr, i: int) -> Expr:

@@ -42,14 +42,16 @@ class FixtureConfig:
     def settings(self, seed: int | None = None, samples: int | None = None,
                  tol: float | None = None) -> tuple[int, int, float]:
         """A run's seed, sample count and tolerance: each one given, else the
-        fixture's own.  A negative seed, a sample count past `MAX_SAMPLES`, or
-        a tolerance that is not a positive finite number, is a `ConfigError`
-        naming the setting."""
+        fixture's own.  A negative seed, a sample count below 1 or past
+        `MAX_SAMPLES`, or a tolerance that is not a positive finite number, is
+        a `ConfigError` naming the setting."""
         seed = self.seed if seed is None else seed
         samples = self.samples if samples is None else samples
         tol = self.tolerance if tol is None else tol
         if seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+        if samples < 1:
+            raise ConfigError(f"samples must be at least 1, got {samples}")
         if samples > MAX_SAMPLES:
             raise ConfigError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
         if not 0.0 < tol < math.inf:
@@ -238,7 +240,7 @@ def _load_connection(spec, dim: int) -> ConnectionField:
     elif not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("connection spec must be an object with a 'kind'")
     elif spec["kind"] == "coefficients":
-        entries = {}
+        entries, keys = {}, {}  # (g, a, b) -> its expression, and the key that gave it
         coefficients = spec.get("coefficients", {})
         if not isinstance(coefficients, dict):
             raise ConfigError("coefficients must be an object of 'g,a,b': expression entries, "
@@ -250,7 +252,11 @@ def _load_connection(spec, dim: int) -> ConnectionField:
                 raise ConfigError(f"bad coefficient key {key!r}; expected 'g,a,b'") from None
             if not all(0 <= idx < dim for idx in (g, a, b)):
                 raise ConfigError(f"coefficient index {key!r} out of range for dim {dim}")
-            entries[(g, a, b)] = _parse_expr(src, dim)
+            if (g, a, b) in keys:
+                raise ConfigError(f"coefficient keys {keys[g, a, b]!r} and {key!r} "
+                                  f"both name ({g}, {a}, {b})")
+            keys[g, a, b] = key
+            entries[g, a, b] = _parse_expr(src, dim)
         conn = ConnectionField.from_entries(dim, entries)
     elif spec["kind"] == "metric":
         matrix = _array(spec.get("matrix", _MISSING), "metric matrix", dim)

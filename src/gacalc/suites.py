@@ -14,7 +14,7 @@ check asked for N samples gets ceil(N / draws) points per argument draw, so
 the reported sample count is never below the request; a row may instead
 bring a point set of its own as a fifth entry, and then reports draws times
 its size.  `_SuiteRun.check` is the one runner: every check of every suite
-goes through it, and so do `transform`'s coordinate-map laws.  Each row
+goes through it, and so do `transform`'s laws (`transform_rows`).  Each row
 draws its points and arguments from a generator of its own, keyed by the
 run's seed and the row's name, and a draw that several rows share comes
 from one keyed by the suite's name; so a row's result does not depend on
@@ -193,7 +193,7 @@ class _SuiteRun:
         self.dim = fix.dim
         self.seed = seed
         self.tol = tol
-        self.samples = max(1, samples)
+        self.samples = samples
 
     def rng(self, name: str) -> np.random.Generator:
         """The generator of the row, or the draw several rows share, called ``name``:
@@ -694,18 +694,15 @@ def bridge_rows(run: _SuiteRun) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Transform suite: coordinate-map laws (used by `transform`)
+# Transform rows: coordinate-map laws (used by `transform`)
 # ---------------------------------------------------------------------------
 
 
-def transform_suite(fix: FixtureConfig, cmap: CoordinateMap, seed: int, samples: int,
-                    tol: float) -> list[CheckResult]:
+def transform_rows(run: _SuiteRun, cmap: CoordinateMap) -> list:
     """The coordinate-map laws, every row at one sample of the primed domain
     (the round trip at one of the canonical domain), both drawn, with the
     vectors two rows share, from the generator of the suite's name."""
-    run = _SuiteRun(fix, seed, samples, tol)
     conn, dim = run.conn, cmap.dim
-    check_map_dim(cmap, conn.dim)
     common = run.rng("transform")
     pts = cmap.domain_primed.sample(max(10, run.samples), common)
     grid = list(itertools.product(range(dim), repeat=2))
@@ -727,7 +724,7 @@ def transform_suite(fix: FixtureConfig, cmap: CoordinateMap, seed: int, samples:
     # vector laws: reconstruct the field from transformed components; both
     # rows take the same three vectors, one a draw
     vs = [rand_vector(dim, common).vector_components() for _ in range(3)]
-    composed_vs = [[cmap.compose(c) for c in v] for v in vs]
+    composed_vs = cmap.compose(vs)
 
     def vector_law(variance, reciprocal, shared, rng):
         v, composed = next(shared)
@@ -745,15 +742,15 @@ def transform_suite(fix: FixtureConfig, cmap: CoordinateMap, seed: int, samples:
         law = transform_components(comps, cmap, variances)
         u_t = transform_components(u, cmap, probe_variances[:1])
         w_t = transform_components(w, cmap, probe_variances[1:])
+        composed = cmap.compose(t.entries)
         yield (_sum(ex.mul(law[m][n], ex.mul(u_t[m], w_t[n])) for m, n in grid),
-               _sum(ex.mul(cmap.compose(t.entries[i][j]),
-                           ex.mul(ex.const(u[j]), ex.const(w[i]))) for i, j in grid))
+               _sum(ex.mul(composed[i][j], ex.mul(ex.const(u[j]), ex.const(w[i])))
+                    for i, j in grid))
 
     def chain_rule(rng):
         """Directional derivative along frame vectors vs primed-chart partials."""
         f = rand_scalar(dim, rng, degree=2)
-        grads = [cmap.compose(ex.diff(f, i)) for i in range(dim)]
-        composed_f = cmap.compose(f)
+        *grads, composed_f = cmap.compose([*(ex.diff(f, i) for i in range(dim)), f])
         for alpha in range(dim):
             b_comp = covariant[alpha].vector_components()
             yield (_sum(ex.mul(b_comp[i], grads[i]) for i in range(dim)),
@@ -769,7 +766,7 @@ def transform_suite(fix: FixtureConfig, cmap: CoordinateMap, seed: int, samples:
 
     rows = [
         ("map-roundtrip", "-", 1,
-         lambda _: ((cmap.compose(f), ex.Var(i)) for i, f in enumerate(cmap.forward)), pts),
+         lambda _: zip(cmap.compose(cmap.forward), map(ex.Var, range(dim))), pts),
         ("map-jacobian-inverse", "-", 1,
          lambda _: ((_sum(ex.mul(kfwd[i][k], jinv[k][j]) for k in range(dim)), delta(i, j))
                     for i, j in grid), pts),
@@ -794,7 +791,7 @@ def transform_suite(fix: FixtureConfig, cmap: CoordinateMap, seed: int, samples:
     if cmap.domain_canonical is not None:
         rows.append(("transform-roundtrip", "A3", 1, roundtrip,
                      cmap.domain_canonical.sample(len(pts), common)))
-    return run.check_rows(rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -837,4 +834,6 @@ def run_fixture_checks(fix: FixtureConfig, suite: str = "all", seed: int | None 
 def run_transform_checks(fix: FixtureConfig, cmap: CoordinateMap, seed: int | None = None,
                          samples: int | None = None, tol: float | None = None) -> Report:
     seed, samples, tol = fix.settings(seed, samples, tol)
-    return Report(fix.name, seed, transform_suite(fix, cmap, seed, samples, tol))
+    check_map_dim(cmap, fix.dim)
+    run = _SuiteRun(fix, seed, samples, tol)
+    return Report(fix.name, seed, run.check_rows(transform_rows(run, cmap)))

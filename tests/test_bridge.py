@@ -63,7 +63,7 @@ class TestCoordinateMap:
 
     def test_round_trip_and_jacobians(self, pmap, rng):
         pts = pmap.domain_primed.sample(10, rng)
-        composed = [ex.substitute(f, pmap.inverse) for f in pmap.forward]
+        composed = ex.substitute(pmap.forward, pmap.inverse)
         assert worst_residual([(c, ex.Var(i)) for i, c in enumerate(composed)], pts) < 1e-10
         jinv, kfwd = pmap.inverse_jacobian, pmap.forward_jacobian
         pairs = []
@@ -294,7 +294,8 @@ def ref_tables(cmap):
     """Inverse Jacobian, forward Jacobian composed into the primed chart, inverse Hessian."""
     n = cmap.dim
     jinv = [[ex.diff(c, j) for j in range(n)] for c in cmap.inverse]
-    kfwd = [[ex.substitute(ex.diff(c, j), cmap.inverse) for j in range(n)] for c in cmap.forward]
+    kfwd = [[ex.substitute([ex.diff(c, j)], cmap.inverse)[0] for j in range(n)]
+            for c in cmap.forward]
     hess = [[[ex.diff(ex.diff(cmap.inverse[b], m), k) for k in range(n)] for m in range(n)]
             for b in range(n)]
     return jinv, kfwd, hess
@@ -309,7 +310,7 @@ def ref_frames(cmap):
 
 def ref_transform_vector(components, cmap, variance):
     n = cmap.dim
-    comps = [ex.substitute(ex.as_expr(c), cmap.inverse) for c in components]
+    comps = [ex.substitute([ex.as_expr(c)], cmap.inverse)[0] for c in components]
     jinv, kfwd, _ = ref_tables(cmap)
     if variance == "co":
         return [ref_sum(ex.mul(jinv[b][a], comps[b]) for b in range(n)) for a in range(n)]
@@ -318,7 +319,7 @@ def ref_transform_vector(components, cmap, variance):
 
 def ref_transform_tensor2(components, cmap, variances):
     n = cmap.dim
-    comps = [[ex.substitute(ex.as_expr(c), cmap.inverse) for c in row] for row in components]
+    comps = [[ex.substitute([ex.as_expr(c)], cmap.inverse)[0] for c in row] for row in components]
     jinv, kfwd, _ = ref_tables(cmap)
 
     def factor(variance, primed, raw):
@@ -375,6 +376,40 @@ def random_components(dim, rng):
     return vector, tensor
 
 
+class TestCompose:
+    """`CoordinateMap.compose` takes a table in any nesting and composes it on one tape."""
+
+    @pytest.mark.parametrize("name", [*SHIPPED_MAPS, "builtin-polar"])
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    def test_each_entry_as_composed_alone_in_the_same_nesting(self, name, rank, rng):
+        cmap = shipped_map(name)
+        n = cmap.dim
+
+        def table(depth):
+            if depth == 0:
+                return ex.diff(rand_scalar(n, rng, degree=2), 0)
+            return [table(depth - 1) for _ in range(n)]
+
+        def alone(entries):
+            if isinstance(entries, ex.Expr):
+                return ex.substitute([entries], cmap.inverse)[0]
+            return [alone(e) for e in entries]
+
+        entries = table(rank)
+        got = cmap.compose(entries)
+        assert got == alone(entries)
+        assert np.shape(np.array(got, dtype=object)) == (n,) * rank
+
+    def test_equal_subtrees_across_entries_come_back_as_one_object(self, pmap):
+        x0, x1 = ex.Var(0), ex.Var(1)
+        first = ex.Add(ex.Call("sin", x0), x1)
+        second = ex.Mul(ex.Call("sin", x0), x1)
+        twin = ex.Add(ex.Call("sin", x0), x1)  # equal to ``first``, another object
+        [[a, b], [c, _]] = pmap.compose([[first, second], [twin, x0]])
+        assert first.left is not second.left and twin is not first
+        assert a.left is b.left and a is c
+
+
 class TestGenericMatchesExplicit:
     """Trees of the rank-generic rules are == to the explicit rules they replaced."""
 
@@ -387,7 +422,7 @@ class TestGenericMatchesExplicit:
         assert cmap.inverse_hessian == hess
         for got, want in zip(cmap.frames, ref_frames(cmap)):
             assert [f.coeffs for f in got] == [f.coeffs for f in want]
-        assert cmap.compose(cmap.forward[0]) == ex.substitute(cmap.forward[0], cmap.inverse)
+        assert cmap.compose(cmap.forward[0]) == ex.substitute([cmap.forward[0]], cmap.inverse)[0]
 
     @pytest.mark.parametrize("name", [*SHIPPED_MAPS, "builtin-polar"])
     def test_tables_are_built_once(self, name):

@@ -562,12 +562,20 @@ class TestRunSettings:
         assert (code, *capsys.readouterr()) == (
             2, "", "error: samples must be at most 100000, got 100001\n")
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("samples", [-3, 0])
+    def test_samples_below_one_are_refused(self, capsys, command, samples):
+        code = cli.main([*self.COMMANDS[command], "--samples", str(samples)])
+        assert (code, *capsys.readouterr()) == (
+            2, "", f"error: samples must be at least 1, got {samples}\n")
+
     def test_core_suite_names_a_negative_seed(self, capsys):
         self.refused(capsys, ("check", "--config", str(FIXTURES / "polar.json"),
                               "--suite", "core", "--seed", "-1"), "seed")
 
     @pytest.mark.parametrize("key,value", [("tolerance", math.nan), ("tolerance", -1.0),
-                                           ("seed", -1), ("samples", 100001)])
+                                           ("seed", -1), ("samples", 100001),
+                                           ("samples", 0), ("samples", -3)])
     def test_config_settings_are_checked_alike(self, capsys, tmp_path, key, value):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({**json.loads((FIXTURES / "polar.json").read_text()),

@@ -106,7 +106,7 @@ def test_symmetry_is_decided_once_per_run():
 
 def test_one_function_checks_a_map_dim():
     assert constructions(PACKAGE, "check_map_dim") == [
-        "cli._cmd_christoffel", "fixtures._load_connection", "suites.transform_suite"]
+        "cli._cmd_christoffel", "fixtures._load_connection", "suites.run_transform_checks"]
 
 
 def test_only_the_runner_and_the_symmetry_probe_build_a_generator():

@@ -17,16 +17,20 @@ def pair_by_pair(pairs, points):
     points, NaN winning."""
     worst = 0.0
     for lhs, rhs in pairs:
-        if isinstance(lhs, mf.MultivectorField):
-            lhs_values = mf.compiled_evaluator(lhs)(points)
-            rhs_values = mf.compiled_evaluator(rhs)(points)
-        else:
-            lhs_values = ex.compile_fn(lhs)(points)[:, None]
-            rhs_values = ex.compile_fn(rhs)(points)[:, None]
+        lhs_values, rhs_values = values(lhs, points), values(rhs, points)
         gap = np.max(np.abs(lhs_values - rhs_values), axis=1)
         scale = np.maximum(np.max(np.abs(lhs_values), axis=1), np.max(np.abs(rhs_values), axis=1))
         worst = np.max([worst, np.max(gap / np.maximum(1.0, scale))])
     return float(worst)
+
+
+def values(x, points):
+    """A field's (N, 2**dim) coefficients, or a scalar's (N, 1) values, on a tape of its own."""
+    if not isinstance(x, mf.MultivectorField):
+        return ex.Tape([x])(points)
+    out = np.zeros((len(points), 1 << x.dim))
+    out[:, list(x.coeffs)] = ex.Tape(x.coeffs.values())(points)
+    return out
 
 
 @pytest.fixture
