@@ -16,8 +16,10 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import re
 import sys
+from typing import NoReturn
 
 from . import expr as ex
 from . import fields as mf
@@ -187,6 +189,26 @@ def _cmd_transform(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+def run() -> NoReturn:
+    """The program entry: `main`, then a flushed hard exit.
+
+    Once stdout and stderr are flushed, nothing the process holds needs
+    tearing down: every config file is read in a ``with`` block, forked row
+    workers have already left, and nothing registers an atexit handler.  So
+    the process leaves through ``os._exit`` and skips freeing every tree,
+    field and memo entry it is about to drop anyway.  A flush that fails (a
+    reader closed the pipe) leaves through ``sys.exit`` as before.  `main` is
+    the entry that returns its exit code.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 def main(argv=None) -> int:
     """Run one command with the cyclic garbage collector off: expression trees,
     fields and their memo entries hold no reference cycles, so reference
@@ -218,4 +240,4 @@ def _main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

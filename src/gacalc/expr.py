@@ -469,12 +469,12 @@ class Tape:
 
     Lowering walks each tree once per object (memoized on identity) and
     gives structurally equal nodes (same type, own fields and child slots)
-    one slot; `simplify` and `substitute` fold over the slots.  Each slot is decoded once, into ``program``: a function
-    slot holds (callable, operand slot, operand slot or None), a leaf
-    (None, coordinate index, None) or (None, None, constant).  Calling the
-    tape on an (N, dim) points array runs the program once, each slot as one
-    numpy call over all N points (`_run`), and returns the (N, len(roots))
-    values.
+    one slot; `simplify` and `substitute` fold over the slots.  Each slot is
+    decoded once, into ``program``: a function slot holds (callable, operand
+    slot, operand slot or None), a leaf (None, coordinate index, None) or
+    (None, None, constant).  Calling the tape on an (N, dim) points array
+    runs the program once, each slot as one numpy call over all N points
+    (`_run`), and returns the (N, len(roots)) values.
 
     A one-point call (`at`, or ``__call__`` on one row) runs a second
     decoding of the slots instead, the one-point plan, made on the first

@@ -126,20 +126,26 @@ class Box:
         return True
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Rejection-sample ``count`` points, one uniform draw per try."""
+        """Rejection-sample ``count`` points, one uniform draw of ``dim`` values
+        per try.  Each shortfall is drawn as one block of tries, never more
+        than are still needed, so the points and the generator state after
+        are those of drawing one try at a time."""
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
-        out = []
-        tries = 0
-        while len(out) < count:
+        out = [np.empty((0, self.dim))]
+        got = tries = 0
+        while got < count:
             if tries == SAMPLE_TRIES * count:
-                raise ValueError(f"drew {len(out)} of {count} points in {tries} tries: "
+                raise ValueError(f"drew {got} of {count} points in {tries} tries: "
                                  "the exclusions leave too little of the box")
-            tries += 1
-            p = rng.uniform(lo, hi)
-            if all(abs(p[axis] - value) > self.margin for axis, value in self.exclusions):
-                out.append(p)
-        return np.array(out)
+            n = min(count - got, SAMPLE_TRIES * count - tries)
+            tries += n
+            block = rng.uniform(lo, hi, size=(n, self.dim))
+            for axis, value in self.exclusions:
+                block = block[np.abs(block[:, axis] - value) > self.margin]
+            out.append(block)
+            got += len(block)
+        return np.concatenate(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +180,7 @@ class MultivectorField:
 
     def at(self, point) -> Multivector:
         """The field at one point: its tape's `expr.Tape.at`, bit for bit the
-        point's row of `compiled_evaluator`, written into the coefficients."""
+        point's row of `expr.Tape.__call__`, written into the coefficients."""
         tape, masks = self._tape
         c = np.zeros(1 << self.dim)
         c[masks] = tape.at(point)

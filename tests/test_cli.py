@@ -677,6 +677,105 @@ class TestCollectorPolicy:
         capsys.readouterr()
 
 
+class TestExitPath:
+    """``python -m gacalc`` ends through `cli.run`: `main`, a flush of stdout and
+    stderr, then ``os._exit``; a flush that fails falls back to ``sys.exit``.
+    The children here run with block-buffered stdout, as a program's output
+    into a file or pipe is by default, so output still in the buffer when
+    `main` returns is what the flush must deliver."""
+
+    BIG = ("check", "--config", str(FIXTURES / "zero.json"), "--json", "--seed", "1")
+
+    @staticmethod
+    def child(args, **kwargs):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                          env.get("PYTHONPATH")]))
+        return subprocess.Popen([sys.executable, "-m", "gacalc", *args], cwd=REPO, env=env,
+                                **kwargs)
+
+    @staticmethod
+    def in_process(capsys, args):
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_output_past_the_buffer_reaches_a_file_and_a_pipe_whole(self, capsys, tmp_path):
+        code, out, err = self.in_process(capsys, self.BIG)
+        assert (code, err) == (0, "")
+        assert len(out.encode()) > 8192  # past io.DEFAULT_BUFFER_SIZE
+        with open(tmp_path / "report.json", "wb") as fh:
+            assert self.child(self.BIG, stdout=fh).wait() == 0
+        assert (tmp_path / "report.json").read_bytes() == out.encode()
+        piped = self.child(self.BIG, stdout=subprocess.PIPE)
+        assert piped.communicate()[0] == out.encode()
+        assert piped.returncode == 0
+
+    @pytest.mark.parametrize("args, code", [
+        (("eval", "--config", str(FIXTURES / "polar.json"), "--what", "gauge",
+          "--at", "1.0,0.5", "--args", "1,0"), 0),
+        (("check", "--config", str(FIXTURES / "polar.json"), "--suite", "bridge",
+          "--samples", "10", "--tol", "1e-30"), 1),
+        (("eval", "--config", str(FIXTURES / "polar.json"), "--what", "gauge",
+          "--at", "9,0.5", "--args", "1,0"), 2),
+        (("check", "--config", str(FIXTURES / "missing.json")), 2),
+    ], ids=["pass", "fail", "outside-domain", "missing-config"])
+    def test_each_exit_code_reaches_the_parent_with_its_output(self, capsys, args, code):
+        want = self.in_process(capsys, args)  # main returns: this process goes on
+        assert want[0] == code
+        proc = self.child(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate()
+        assert (proc.returncode, out.decode(), err.decode()) == want
+
+    def test_a_reader_that_closed_the_pipe_gets_exit_2(self):
+        read, write = os.pipe()
+        os.close(read)  # no reader from the start: every write is EPIPE
+        try:
+            proc = self.child(self.BIG, stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        err = proc.communicate()[1]
+        assert (proc.returncode, err) == (2, b"error: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_run_flushes_then_exits_hard_with_mains_code(self, monkeypatch, code):
+        calls = []
+
+        class Stream:
+            def __init__(self, name):
+                self.name = name
+
+            def flush(self):
+                calls.append(self.name)
+
+        def hard_exit(status):
+            calls.append(status)
+            raise SystemExit("os._exit")  # this test process goes on
+
+        monkeypatch.setattr(cli, "main", lambda: code)
+        monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+        monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+        monkeypatch.setattr(os, "_exit", hard_exit)
+        with pytest.raises(SystemExit, match="os._exit"):
+            cli.run()
+        assert calls == ["stdout", "stderr", code]
+
+    def test_run_falls_back_to_sys_exit_when_a_flush_fails(self, monkeypatch):
+        class ClosedPipe:
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def hard_exit(status):
+            raise AssertionError("os._exit after a failed flush")
+
+        monkeypatch.setattr(cli, "main", lambda: 0)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(os, "_exit", hard_exit)
+        with pytest.raises(SystemExit) as exit_:
+            cli.run()
+        assert exit_.value.code == 0
+
+
 class TestConfigKinds:
     def test_metric_fixture_equals_explicit(self):
         res = run_cli("check", "--config", str(FIXTURES / "sphere_metric.json"),

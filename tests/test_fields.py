@@ -279,3 +279,46 @@ class TestBox:
         a = box.sample(5, np.random.default_rng(42))
         b = box.sample(5, np.random.default_rng(42))
         assert_allclose(a, b)
+
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    @pytest.mark.parametrize("exclusions", [(), ((0, 0.1),), ((0, 0.1), (-1, -0.3))])
+    def test_sampling_draws_as_one_try_at_a_time(self, dim, exclusions):
+        # one block per shortfall: the same points, then the same next draw
+        exclusions = tuple((axis % dim, v) for axis, v in exclusions)
+        box = mf.Box([-1.0] * dim, [1.0] * dim, exclusions=exclusions, margin=0.4)
+        for seed in range(10):
+            for count in (1, 7, 50):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got, want = box.sample(count, a), sample_one_try_at_a_time(box, count, b)
+                assert got.shape == want.shape == (count, dim)
+                assert got.tobytes() == want.tobytes()
+                assert a.random() == b.random()
+
+    @pytest.mark.parametrize("margin,count", [(0.999999, 3), (0.9995, 40)])
+    def test_giving_up_draws_as_one_try_at_a_time(self, margin, count):
+        box = mf.Box((-1.0, -1.0), (1.0, 1.0), exclusions=((0, 0.0),), margin=margin)
+        errors = []
+        for sample in (box.sample, lambda n, rng: sample_one_try_at_a_time(box, n, rng)):
+            rng = np.random.default_rng(3)
+            with pytest.raises(ValueError) as err:
+                sample(count, rng)
+            errors.append((str(err.value), rng.random()))
+        assert errors[0] == errors[1]
+        assert errors[0][0].endswith(f"of {count} points in {mf.SAMPLE_TRIES * count} tries: "
+                                     "the exclusions leave too little of the box")
+
+
+def sample_one_try_at_a_time(box, count, rng):
+    """`Box.sample` as one uniform draw and one exclusion test per try."""
+    lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+    out = []
+    tries = 0
+    while len(out) < count:
+        if tries == mf.SAMPLE_TRIES * count:
+            raise ValueError(f"drew {len(out)} of {count} points in {tries} tries: "
+                             "the exclusions leave too little of the box")
+        tries += 1
+        p = rng.uniform(lo, hi)
+        if all(abs(p[axis] - value) > box.margin for axis, value in box.exclusions):
+            out.append(p)
+    return np.array(out)
