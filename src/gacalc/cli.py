@@ -61,13 +61,16 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="run identity suites against a fixture")
-    p_check.add_argument("--config", required=True, help="fixture config (JSON)")
+    run_options = argparse.ArgumentParser(add_help=False)  # the options of a checking run
+    run_options.add_argument("--config", required=True, help="fixture config (JSON)")
+    run_options.add_argument("--seed", type=int, default=None)
+    run_options.add_argument("--tol", type=float, default=None)
+    run_options.add_argument("--samples", type=int, default=None)
+    run_options.add_argument("--json", action="store_true", help="emit the JSON report")
+
+    p_check = sub.add_parser("check", parents=[run_options],
+                             help="run identity suites against a fixture")
     p_check.add_argument("--suite", default="all", help=f"one of {', '.join(SUITES)}")
-    p_check.add_argument("--seed", type=int, default=None)
-    p_check.add_argument("--tol", type=float, default=None)
-    p_check.add_argument("--samples", type=int, default=None)
-    p_check.add_argument("--json", action="store_true", help="emit the JSON report")
 
     p_eval = sub.add_parser("eval", help="evaluate a geometric object at a point")
     p_eval.add_argument("--config", required=True)
@@ -82,13 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="coordinate map (JSON); table is then given in the primed chart")
     p_chr.add_argument("--at", default=None, help="optional point for numeric values")
 
-    p_tr = sub.add_parser("transform", help="verify transformation laws under a map")
-    p_tr.add_argument("--config", required=True)
+    p_tr = sub.add_parser("transform", parents=[run_options],
+                          help="verify transformation laws under a map")
     p_tr.add_argument("--map", dest="map_path", required=True)
-    p_tr.add_argument("--seed", type=int, default=None)
-    p_tr.add_argument("--tol", type=float, default=None)
-    p_tr.add_argument("--samples", type=int, default=None)
-    p_tr.add_argument("--json", action="store_true")
 
     return parser
 
@@ -139,8 +138,7 @@ def _cmd_check(args) -> int:
     fix = load_fixture_file(args.config)
     report = run_fixture_checks(fix, args.suite, seed=args.seed, samples=args.samples,
                                 tol=args.tol)
-    sys.stdout.write(report.to_json() if args.json else report.to_text())
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _write_report(report, args.json)
 
 
 def _cmd_eval(args) -> int:
@@ -185,7 +183,11 @@ def _cmd_transform(args) -> int:
     cmap = load_map_file(args.map_path)
     report = run_transform_checks(fix, cmap, seed=args.seed, samples=args.samples,
                                   tol=args.tol)
-    sys.stdout.write(report.to_json() if args.json else report.to_text())
+    return _write_report(report, args.json)
+
+
+def _write_report(report, as_json: bool) -> int:
+    sys.stdout.write(report.to_json() if as_json else report.to_text())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -236,6 +238,9 @@ def _main(argv) -> int:
         return handlers[args.command](args)
     except (ConfigError, ParseError, DomainError, NotSymmetricError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except MemoryError:  # numpy's message names an array size, not the run's cause
+        print("error: the run ran out of memory", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
 

@@ -427,20 +427,17 @@ def to_str(e: Expr) -> str:
 # tape computes every slot once, as an array over all points (the tape
 # evaluation of Griewank & Walther, "Evaluating Derivatives", 2008).
 
-_POWERS = {2: np.square, -1: np.reciprocal, 1: np.positive, 0: np.ones_like}
+# x ** exponent for the exponents an array's ``**`` sends to np.square,
+# np.reciprocal, np.positive and np.ones_like, written as the arithmetic those
+# run, so that arrays, numpy scalars and floats get the same bits, NaN and
+# infinities included (a numpy scalar's ``**`` calls the C library's pow,
+# which can differ in the last bit).  ``x ** 0`` is 1.0 for every x and keeps
+# an array's shape.  Every other exponent runs np.power.
+_POWERS = {2: lambda x: x * x, -1: lambda x: 1.0 / x, 1: lambda x: x, 0: lambda x: x ** 0}
 
 
 def _power(exponent: int):
-    """x -> x ** exponent through the ufunc an array's ``**`` picks for it
-    (np.square, np.reciprocal, np.positive, np.ones_like or np.power), where a
-    numpy scalar's ``**`` calls the C library's pow, which can differ in the last
-    bit: a one-point call then gives the bits of the same point in an array call."""
     return _POWERS.get(exponent) or (lambda x: np.power(x, exponent))
-
-
-# `_POWERS` on floats, bit for bit: np.square is x*x, np.reciprocal 1/x,
-# np.positive x and np.ones_like 1, whatever x is (NaN and infinities too)
-_FLOAT_POWERS = {2: lambda x: x * x, -1: lambda x: 1.0 / x, 1: lambda x: x, 0: lambda x: 1.0}
 
 
 def _returning_float(fn):
@@ -476,19 +473,18 @@ class Tape:
     runs the program once, each slot as one numpy call over all N points
     (`_run`), and returns the (N, len(roots)) values.
 
-    A one-point call (`at`, or ``__call__`` on one row) runs a second
-    decoding of the slots instead, the one-point plan, made on the first
-    such call (a tape only ever called on many points never makes it).  It
-    runs on Python floats: ``+ - * /`` and negation are float arithmetic,
-    ``Pow`` 2, -1, 1 and 0 are ``x*x``, ``1.0/x``, ``x`` and ``1.0`` (the
-    bits of np.square, np.reciprocal, np.positive and np.ones_like), and
-    every other power and every function runs its ufunc and turns the result
-    back into a float: the same IEEE operations, without numpy's scalar
-    dispatch.  Python's ``/`` raises ZeroDivisionError at a zero divisor,
-    where numpy gives +-inf or NaN; that, or a non-finite root or other
-    checked slot (`math.isfinite`), reruns the point as a one-row array
-    call.  So a point's values are the bits of its row in an array call, and
-    a fault's values and DomainError come from the one array program.
+    A one-point call (`at`) runs a second decoding of the slots instead,
+    the one-point plan, made on the first such call (a tape only ever called
+    on arrays, one row included, never makes it).  It runs on Python floats:
+    ``+ - * /``, negation and the `_POWERS` table are float arithmetic, the
+    same callables as in the array program, and every other power and every
+    function runs its ufunc and turns the result back into a float: the same
+    IEEE operations, without numpy's scalar dispatch.  Python's ``/``
+    raises ZeroDivisionError at a zero divisor, where numpy gives +-inf or
+    NaN; that, or a non-finite root or other checked slot (`math.isfinite`),
+    reruns the point as a one-row array call.  So a point's values are the
+    bits of its row in an array call, and a fault's values and DomainError
+    come from the one array program.
 
     It raises DomainError naming the subexpression where a denominator is
     0, 0 is raised to a negative power, ln meets a value <= 0 or sqrt a
@@ -578,13 +574,6 @@ class Tape:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
             raise ValueError(f"points must be an (N, dim) array, got shape {points.shape}")
-        if len(points) == 1:
-            return np.array([self.at(points[0])])
-        return self._array_call(points)
-
-    def _array_call(self, points: np.ndarray) -> np.ndarray:
-        """``program`` on the columns of ``points``, screened and returned as
-        the (N, len(roots)) values."""
         values = _run(self.program, points.T)
         out = np.empty((len(points), len(self.roots)))
         for j, slot in enumerate(self.roots):
@@ -612,7 +601,7 @@ class Tape:
         else:
             if all(map(math.isfinite, map(values.__getitem__, screen))):
                 return [values[s] for s in self.roots]
-        return self._array_call(point[None, :])[0].tolist()
+        return self(point[None, :])[0].tolist()
 
     def _decode_plan(self) -> tuple[list, list]:
         """The one-point plan (see the class docstring), and the slots it
@@ -623,12 +612,10 @@ class Tape:
             kind = type(node)
             if kind is Const:
                 b = float(b)
-            elif kind is Pow:
-                fn = _FLOAT_POWERS.get(node.exponent) or _returning_float(fn)
-            elif kind is Call:
+            elif kind is Call or (kind is Pow and node.exponent not in _POWERS):
                 fn = _returning_float(fn)
-            plan.append((fn, a, b))  # the rest: a coordinate, or operator.* on floats
-        dividing = (operator.truediv, _FLOAT_POWERS[-1])
+            plan.append((fn, a, b))  # the rest: a coordinate, `_POWERS` or operator.* on floats
+        dividing = (operator.truediv, _POWERS[-1])
         return plan, self.roots + [s for s in self.checked if plan[s][0] not in dividing]
 
     def _raise(self, values: list, out: np.ndarray) -> None:

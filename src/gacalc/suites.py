@@ -210,14 +210,12 @@ class _SuiteRun:
         return CheckResult(name, tag, draws * len(points), worst_residual(pairs, points), self.tol)
 
     def check_rows(self, rows: list) -> list[CheckResult]:
-        """Run every row on one forked process per usable CPU (`_pool`), then
-        take the results in table order: a row that raised in this process
-        raises its error again, and a row with no result (it raised in a
-        worker, or its worker died) runs here, where no run has used its
-        builder; so the first failing row in table order wins.  On one CPU
-        every row runs here, one after another."""
-        workers = min(_usable_cpus(), len(rows))
-        done = self._pool(rows, workers) if workers > 1 else {}
+        """Run every row on one process per usable CPU (`_pool`), then take
+        the results in table order: a row that raised in this process raises
+        its error again, and a row with no result (it raised in a worker, or
+        its worker died) runs here, where no run has used its builder; so the
+        first failing row in table order wins."""
+        done = self._pool(rows, min(_usable_cpus(), len(rows)))
         results = []
         for i, row in enumerate(rows):
             result = done[i] if i in done else self.check(*row)
@@ -229,69 +227,67 @@ class _SuiteRun:
     def _pool(self, rows: list, workers: int) -> dict:
         """The results of the rows that ``workers`` processes, this one and
         ``workers - 1`` forked children, take one at a time from one queue,
-        and the error of a row that raised in this one.
+        and the error of a row that raised in this one; on one CPU no child is
+        forked, and this process takes every row, in table order.
         A forked child already holds the rows, closures that could not be
-        pickled, and imports nothing again; it sends its results back as one
-        pickle on a pipe of its own."""
+        pickled, and imports nothing again.  It writes each result as soon as
+        it has it, one length-prefixed ``(index, result)`` pickle on the
+        results pipe all children share, so a child that dies keeps the rows
+        it finished: a write of at most PIPE_BUF bytes is never interleaved
+        with another, and a longer record is not written (its row runs again
+        here)."""
         queue, fill = os.pipe()  # a table's few dozen 2-byte indices fit the pipe's buffer
         os.write(fill, b"".join(i.to_bytes(2, "little") for i in range(len(rows))))
         os.close(fill)
-        children = {}  # pid -> the read end of its results pipe
-        try:
-            for _ in range(workers - 1):
-                out, into = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:  # no process to spare: fewer workers take the rows
-                    os.close(out)
-                    os.close(into)
-                    break
-                if pid == 0:
-                    # a child leaves only through os._exit: it never returns into
-                    # the caller, runs no atexit handler, flushes no copy of the
-                    # parent's buffers, and whatever it raises is dropped
-                    code = 1
+        out, into = os.pipe()  # and so do its records, some 180 bytes each
+        children = []
+        with open(out, "rb") as records, open(into, "wb", buffering=0) as sink:
+            try:
+                for _ in range(workers - 1):
                     try:
-                        os.close(out)
-                        done = self._pull(rows, queue)
-                        with open(into, "wb") as pipe:  # an error stays here: the caller reruns its row
-                            pickle.dump({i: r for i, r in done.items()
-                                         if not isinstance(r, Exception)}, pipe)
-                        code = 0
-                    finally:
-                        os._exit(code)
-                os.close(into)
-                children[pid] = open(out, "rb")
-            done = self._pull(rows, queue)
-            for pid, pipe in list(children.items()):
-                with pipe:
-                    sent = pipe.read()
-                status = os.waitpid(pid, 0)[1]
-                del children[pid]
-                if sent and os.waitstatus_to_exitcode(status) == 0:
-                    done.update(pickle.loads(sent))
-            return done
-        finally:
-            os.close(queue)
-            for pid, pipe in children.items():
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                        pid = os.fork()
+                    except OSError:  # no process to spare: fewer workers take the rows
+                        break
+                    if pid == 0:
+                        # a child leaves only through os._exit: it never returns into
+                        # the caller, runs no atexit handler, flushes no copy of the
+                        # parent's buffers, and whatever it raises is dropped
+                        try:
+                            whole = os.fpathconf(into, "PC_PIPE_BUF")  # PIPE_BUF, with no import of select
+                            for i, result in self._pull(rows, queue):
+                                if isinstance(result, Exception):
+                                    break  # an error stays here: the caller reruns its row
+                                record = pickle.dumps((i, result))
+                                if len(record) + 2 <= whole:
+                                    sink.write(len(record).to_bytes(2, "little") + record)
+                        finally:
+                            os._exit(0)
+                    children.append(pid)
+                sink.close()
+                done = dict(self._pull(rows, queue))
+                while size := records.read(2):  # to EOF, when every child has left
+                    i, result = pickle.loads(records.read(int.from_bytes(size, "little")))
+                    done[i] = result
+                return done
+            finally:
+                os.close(queue)
+                for pid in children:  # a child still running is stopped; every one is reaped
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
-    def _pull(self, rows: list, queue: int) -> dict:
+    def _pull(self, rows: list, queue: int):
         """Run the rows whose indices this process reads from ``queue``, until
-        it is empty or a row raises; the result of each, or the error it raised.
-        A row runs once per process: a builder may hold an iterator that its
-        first run used up."""
-        done = {}
+        it is empty or a row raises, yielding each row's index and its result,
+        or the error it raised, as soon as the row is done.  A row runs once
+        per process: a builder may hold an iterator that its first run used up."""
         while record := os.read(queue, 2):
             i = int.from_bytes(record, "little")
             try:
-                done[i] = self.check(*rows[i])
+                result = self.check(*rows[i])
             except Exception as error:
-                done[i] = error
-                break
-        return done
+                yield i, error
+                return
+            yield i, result
 
 
 def _flat_scalar(a: mf.MultivectorField, f: ex.Expr) -> ex.Expr:

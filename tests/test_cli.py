@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -568,6 +569,21 @@ class TestRunSettings:
         code = cli.main([*self.COMMANDS[command], "--samples", str(samples)])
         assert (code, *capsys.readouterr()) == (
             2, "", f"error: samples must be at least 1, got {samples}\n")
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    @pytest.mark.parametrize("one_cpu", [False, True], ids=["pooled", "one-cpu"])
+    def test_a_run_out_of_memory_exits_2_with_one_line(self, monkeypatch, one_cpu):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the import's address space on any host
+
+        def limited():  # in the child alone, before it runs gacalc
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+            if one_cpu:
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+        res = run_cli("check", "--config", str(FIXTURES / "zero.json"), "--suite", "core",
+                      "--samples", "100000", preexec_fn=limited)
+        assert (res.returncode, res.stdout, res.stderr) == (
+            2, "", "error: the run ran out of memory\n")
 
     def test_core_suite_names_a_negative_seed(self, capsys):
         self.refused(capsys, ("check", "--config", str(FIXTURES / "polar.json"),

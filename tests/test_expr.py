@@ -961,10 +961,10 @@ def outcome(call):
 
 
 class TestOnePointPlan:
-    """`Tape.at`, and everything that reads it (`evaluate`, a one-row call,
+    """`Tape.at`, and everything that reads it (`evaluate`,
     `MultivectorField.at`), give the bits, or the DomainError text, of the
-    point's row in an array call; and a tape called only on many points
-    never decodes the one-point plan."""
+    point's row in an array call, as a one-row array call does; and a tape
+    called only on arrays never decodes the one-point plan."""
 
     @pytest.mark.parametrize("e", ONE_POINT_EXPRS, ids=ex.to_str)
     def test_every_row_matches_the_array_call(self, e):
@@ -1003,9 +1003,10 @@ class TestOnePointPlan:
         monkeypatch.setattr(ex.Tape, "_decode_plan", lambda tape: made.append(tape) or decode(tape))
         tape = ex.Tape([ex.parse("x0/x1 + sin(x0)^3", 2)])
         tape(np.array([BENIGN, (1.0, 2.0)]))
-        assert made == []
+        tape(np.array([[0.5, 0.5]]))  # one row runs the array program too
+        assert made == [] and tape._plan is None
         tape.at(BENIGN)
-        tape(np.array([BENIGN]))
+        tape.at((1.0, 2.0))
         assert made == [tape]
 
     @pytest.mark.parametrize("config", ["sphere.json", "torsionful.json", "polar.json"])
@@ -1164,7 +1165,7 @@ def assert_same_dag(a, b):
 def decoded(program):
     """A tape program with each power lambda as its code and exponent, so that
     two lowerings compare with ``==``."""
-    return [((fn.__code__, *(c.cell_contents for c in fn.__closure__))
+    return [((fn.__code__, *(c.cell_contents for c in fn.__closure__ or ()))
              if isinstance(fn, types.FunctionType) else fn, a, b) for fn, a, b in program]
 
 

@@ -3,8 +3,9 @@ CPU, each row drawing from a generator keyed by its name.
 
 A report does not depend on how many workers ran it, nor on which rows ran
 beside a row; a row that raises in a worker raises again in the caller, with
-its own error; a worker that dies leaves its rows to the caller; and no
-worker outlives a run, whether the run passed or raised.
+its own error; a worker that dies keeps the rows it finished and leaves the
+rest to the caller; and no worker outlives a run, whether the run passed or
+raised.
 """
 
 import json
@@ -134,15 +135,19 @@ def test_the_first_failing_row_in_table_order_wins(monkeypatch, parent_takes_no_
 
 def test_a_worker_that_dies_leaves_a_full_report(monkeypatch, parent_takes_no_rows):
     expected = report_json("sphere.all", 1, monkeypatch)
+    ran_here = []
     check = _SuiteRun.check
 
     def dying(run, name, tag, draws, build, points=None):
-        if name == "cartan-pairing" and os.getpid() != parent_takes_no_rows:
+        if os.getpid() == parent_takes_no_rows:
+            ran_here.append(name)
+        elif name == "cartan-pairing":
             os._exit(3)
         return check(run, name, tag, draws, build, points)
 
     monkeypatch.setattr(_SuiteRun, "check", dying)
     assert report_json("sphere.all", 3, monkeypatch) == expected
+    assert ran_here == ["cartan-pairing"]  # the worker kept every row it finished
     no_worker_left()
 
 
