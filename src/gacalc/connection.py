@@ -148,6 +148,8 @@ class ExtensorField11:
 
     def at(self, point) -> LinearMap11:
         """The map at one point, as `expr.evaluate` gives each entry."""
+        if len(point) != self.dim:
+            raise ValueError(f"point has {len(point)} coordinates, expected {self.dim}")
         return LinearMap11(self.dim, np.reshape(self._tape.at(point), (self.dim, self.dim)))
 
 

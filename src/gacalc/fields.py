@@ -117,6 +117,8 @@ class Box:
         return len(self.lo)
 
     def contains(self, point) -> bool:
+        if len(point) != self.dim:
+            raise ValueError(f"point has {len(point)} coordinates, expected {self.dim}")
         for i, (a, b) in enumerate(zip(self.lo, self.hi)):
             if not a < point[i] < b:
                 return False
@@ -181,6 +183,8 @@ class MultivectorField:
     def at(self, point) -> Multivector:
         """The field at one point: its tape's `expr.Tape.at`, bit for bit the
         point's row of `expr.Tape.__call__`, written into the coefficients."""
+        if len(point) != self.dim:
+            raise ValueError(f"point has {len(point)} coordinates, expected {self.dim}")
         tape, masks = self._tape
         c = np.zeros(1 << self.dim)
         c[masks] = tape.at(point)

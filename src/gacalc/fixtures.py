@@ -284,7 +284,9 @@ def load_fixture(obj) -> FixtureConfig:
                                "coordinates", dim))
     if not all(isinstance(c, str) for c in coordinates):
         raise ConfigError(f"coordinates must be {dim} names, got {_shown(coordinates)}")
-    fix = FixtureConfig(str(obj.get("name", "fixture")), dim, coordinates, conn, domain,
+    if not isinstance(name := obj.get("name", "fixture"), str):
+        raise ConfigError(f"name must be a string, got {_shown(name)}")
+    fix = FixtureConfig(name, dim, coordinates, conn, domain,
                         _number(obj, "samples", int, 50), seed, tolerance)
     fix.settings()  # refuses the config's own seed, samples or tolerance if bad
     return fix

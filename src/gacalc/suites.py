@@ -2,29 +2,30 @@
 
 A row is ``(name, tag, draws, build)``: the check's name, the paper
 equation it verifies, the number of seeded argument draws, and a builder.
-``build(rng)`` is a generator: it draws one set of random argument fields
-from ``rng``, then yields the ``(lhs, rhs)`` pairs of that draw, built
-through independent code paths where the law relates different
-constructions.  The runner evaluates all pairs of a check on one tape
-(`report.worst_residual`) and scores them by one rule, a pair of scalar
-expressions being a pair of fields on blade 0: each pair is normalized per
-point by max(1, |lhs|, |rhs|) over its coefficients, and the check reports
-the worst residual over all pairs and sampled points, NaN included.  A
-check asked for N samples gets ceil(N / draws) points per argument draw, so
-the reported sample count is never below the request; a row may instead
-bring a point set of its own as a fifth entry, and then reports draws times
-its size.  `_SuiteRun.check` is the one runner: every check of every suite
-goes through it, and so do `transform`'s laws (`transform_rows`).  Each row
-draws its points and arguments from a generator of its own, keyed by the
-run's seed and the row's name, and a draw that several rows share comes
-from one keyed by the suite's name; so a row's result does not depend on
-which rows run before it, or where.  A run collects the rows of every
-suite it selects into one table and runs them on one forked process per
-usable CPU, each taking the next row from one shared queue
-(`_SuiteRun.check_rows`); the report is the same under any schedule, and
-on one CPU every row runs in this process, in table order.  Builders reach
-the layer functions through this module's globals at call time, so a
-wrapper installed on them (a tracer) sees every call made in this process.
+``build(rng, draw)`` is a generator and a function of its arguments alone:
+it draws the random argument fields of draw ``draw`` from ``rng``, then
+yields the ``(lhs, rhs)`` pairs of that draw, built through independent code
+paths where the law relates different constructions.  The runner evaluates
+all pairs of a check on one tape (`report.worst_residual`) and scores them
+by one rule, a pair of scalar expressions being a pair of fields on blade 0:
+each pair is normalized per point by max(1, |lhs|, |rhs|) over its
+coefficients, and the check reports the worst residual over all pairs and
+sampled points, NaN included.  A check asked for N samples gets
+ceil(N / draws) points per argument draw, so the reported sample count is
+never below the request; a row may instead bring a point set of its own as
+a fifth entry, and then reports draws times its size.  `_SuiteRun.check` is
+the one runner: every check of every suite goes through it, and so do
+`transform`'s laws (`transform_rows`).  Each row draws its points and
+arguments from a generator of its own, keyed by the run's seed and the
+row's name, and a draw that several rows share comes from one keyed by the
+suite's name; so a row's result does not depend on which rows run before
+it, where, or how often.  A run collects the rows of every suite it selects
+into one table and runs them on one forked process per usable CPU, each
+taking the next row from one shared queue, and a row left without a result
+runs again in this process (`_SuiteRun.check_rows`); the report is the same
+under any schedule.  Builders reach the layer functions through this
+module's globals at call time, so a wrapper installed on them (a tracer)
+sees every call made in this process.
 Suites group the rows for the command line: 'core' covers the derivative
 operators, 'cartan' torsion, curvature and the structure equations,
 'bianchi' the two symmetric-structure identities, 'bridge' the classical
@@ -201,41 +202,32 @@ class _SuiteRun:
         return np.random.default_rng([self.seed, zlib.crc32(name.encode())])
 
     def check(self, name: str, tag: str, draws: int, build, points=None) -> CheckResult:
-        """Run one row: ``draws`` calls of build(rng), every yielded pair
+        """Run one row: build(rng, draw) for each draw index, every yielded pair
         evaluated at the row's own ``points`` or at a fresh sample of its budget."""
         rng = self.rng(name)
         if points is None:
             points = self.fix.domain.sample(max(10, math.ceil(self.samples / draws)), rng)
-        pairs = itertools.chain.from_iterable(build(rng) for _ in range(draws))
+        pairs = itertools.chain.from_iterable(build(rng, draw) for draw in range(draws))
         return CheckResult(name, tag, draws * len(points), worst_residual(pairs, points), self.tol)
 
     def check_rows(self, rows: list) -> list[CheckResult]:
         """Run every row on one process per usable CPU (`_pool`), then take
-        the results in table order: a row that raised in this process raises
-        its error again, and a row with no result (it raised in a worker, or
-        its worker died) runs here, where no run has used its builder; so the
-        first failing row in table order wins."""
+        the results in table order; a row with no result runs again here, so
+        a row that raised raises its own error, and the first failing row in
+        table order wins."""
         done = self._pool(rows, min(_usable_cpus(), len(rows)))
-        results = []
-        for i, row in enumerate(rows):
-            result = done[i] if i in done else self.check(*row)
-            if isinstance(result, Exception):
-                raise result
-            results.append(result)
-        return results
+        return [done[i] if i in done else self.check(*row) for i, row in enumerate(rows)]
 
     def _pool(self, rows: list, workers: int) -> dict:
         """The results of the rows that ``workers`` processes, this one and
-        ``workers - 1`` forked children, take one at a time from one queue,
-        and the error of a row that raised in this one; on one CPU no child is
-        forked, and this process takes every row, in table order.
-        A forked child already holds the rows, closures that could not be
-        pickled, and imports nothing again.  It writes each result as soon as
-        it has it, one length-prefixed ``(index, result)`` pickle on the
-        results pipe all children share, so a child that dies keeps the rows
-        it finished: a write of at most PIPE_BUF bytes is never interleaved
-        with another, and a longer record is not written (its row runs again
-        here)."""
+        ``workers - 1`` forked children, take one at a time from one queue; on
+        one CPU no child is forked, and this process takes every row, in table
+        order.  A forked child already holds the rows, closures that could not
+        be pickled.  It writes each result as soon as it has it, one
+        length-prefixed ``(index, result)`` pickle on the results pipe all
+        children share, so a child that dies keeps the rows it finished: a
+        write of at most PIPE_BUF bytes is never interleaved with another, and
+        a longer record is not written."""
         queue, fill = os.pipe()  # a table's few dozen 2-byte indices fit the pipe's buffer
         os.write(fill, b"".join(i.to_bytes(2, "little") for i in range(len(rows))))
         os.close(fill)
@@ -255,8 +247,6 @@ class _SuiteRun:
                         try:
                             whole = os.fpathconf(into, "PC_PIPE_BUF")  # PIPE_BUF, with no import of select
                             for i, result in self._pull(rows, queue):
-                                if isinstance(result, Exception):
-                                    break  # an error stays here: the caller reruns its row
                                 record = pickle.dumps((i, result))
                                 if len(record) + 2 <= whole:
                                     sink.write(len(record).to_bytes(2, "little") + record)
@@ -277,15 +267,13 @@ class _SuiteRun:
 
     def _pull(self, rows: list, queue: int):
         """Run the rows whose indices this process reads from ``queue``, until
-        it is empty or a row raises, yielding each row's index and its result,
-        or the error it raised, as soon as the row is done.  A row runs once
-        per process: a builder may hold an iterator that its first run used up."""
+        it is empty or a row raises, yielding each row's index and result as
+        soon as the row is done."""
         while record := os.read(queue, 2):
             i = int.from_bytes(record, "little")
             try:
                 result = self.check(*rows[i])
-            except Exception as error:
-                yield i, error
+            except Exception:  # the row is left without a result: check_rows runs it again
                 return
             yield i, result
 
@@ -295,18 +283,17 @@ def _flat_scalar(a: mf.MultivectorField, f: ex.Expr) -> ex.Expr:
     return mf.directional_derivative(a, mf.scalar_field(a.dim, f)).component(0)
 
 
-def frame_independence(conn, op, draws, rng):
+def frame_independence(conn, op, drawers, rng, _):
     """op(conn, *args) in the canonical frame against op in a random frame,
-    the args drawn by ``draws`` before the frame."""
-    args = [draw(rng) for draw in draws]
+    the args drawn by ``drawers`` before the frame."""
+    args = [drawer(rng) for drawer in drawers]
     frame = rand_frame(conn.dim, rng)
     yield op(conn, *args), op(conn, *args, frame)
 
 
-def identity_draws(dim, sides, arity, degrees, rng):
-    """sides(*vectors) for ``arity`` random vector fields of the next degree in ``degrees``."""
-    degree = next(degrees)
-    yield sides(*(rand_vector(dim, rng, degree) for _ in range(arity)))
+def identity_draws(dim, sides, arity, degrees, rng, draw):
+    """sides(*vectors) for ``arity`` random vector fields of degree ``degrees[draw]``."""
+    yield sides(*(rand_vector(dim, rng, degrees[draw]) for _ in range(arity)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,43 +317,43 @@ def core_rows(run: _SuiteRun) -> list:
     def cov(*signs):
         return [partial(cov_derivative, conn, sign) for sign in signs]
 
-    def grade_preserving(ops, rng):
+    def grade_preserving(ops, rng, _):
         a, x = rv(rng), rx(rng)
         for op in ops:
             for k in range(dim + 1):
                 y = op(a, mf.grade_project(x, k))
                 yield y, mf.grade_project(y, k)
 
-    def inv_commute(kind, rng):
+    def inv_commute(kind, rng, _):
         a, x = rv(rng), rx(rng)
         yield (generalized_apply(conn, a, mf.involute(x, kind)),
                mf.involute(generalized_apply(conn, a, x), kind))
 
-    def gen_scalar_kills(rng):
+    def gen_scalar_kills(rng, _):
         yield generalized_apply(conn, rv(rng), mf.scalar_field(dim, rand_scalar(dim, rng))), zero
 
-    def gen_vector(rng):
+    def gen_vector(rng, _):
         a, b = rv(rng), rv(rng)
         yield generalized_apply(conn, a, b), gamma_apply(conn, a, b)
 
-    def gen_adjoint(rng):
+    def gen_adjoint(rng, _):
         a, x, y = rv(rng), rx(rng), rx(rng)
         yield (mf.scalar_product(generalized_apply(conn, a, x), y),
                mf.scalar_product(x, generalized_adjoint_apply(conn, a, y)))
 
-    def gen_parts(rng):
+    def gen_parts(rng, _):
         a, x = rv(rng), rx(rng)
         plus = generalized_apply(conn, a, x)
         minus = generalized_adjoint_apply(conn, a, x)
         yield mf.scale(0.5, mf.add(plus, minus)), generalized_sym_apply(conn, a, x)
         yield mf.scale(0.5, mf.sub(plus, minus)), generalized_skew_apply(conn, a, x)
 
-    def gauge_factor(rng):
+    def gauge_factor(rng, _):
         a, x = rv(rng), rx(rng)
         yield (generalized_skew_apply(conn, a, x),
                mf.commutator(gauge_bivector(conn, a), x))
 
-    def leibniz(ops, label, rng):
+    def leibniz(ops, label, rng, _):
         """Leibniz rule of each derivation op(a, .) over one product."""
         product = PRODUCTS[label]
         a, x, y = rv(rng), rx(rng), rx(rng)
@@ -375,7 +362,7 @@ def core_rows(run: _SuiteRun) -> list:
             rhs = mf.add(product(op(a, x), y), product(x, op(a, y)))
             yield lhs, rhs
 
-    def cov_linear_dir(rng):
+    def cov_linear_dir(rng, _):
         a, a2, x = rv(rng), rv(rng), rx(rng)
         alpha, beta = rng.uniform(-2, 2), rng.uniform(-2, 2)
         combo = mf.add(mf.scale(alpha, a), mf.scale(beta, a2))
@@ -384,20 +371,20 @@ def core_rows(run: _SuiteRun) -> list:
                    mf.add(mf.scale(alpha, cov_derivative(conn, sign, a, x)),
                           mf.scale(beta, cov_derivative(conn, sign, a2, x))))
 
-    def cov_scalar(rng):
+    def cov_scalar(rng, _):
         a = rv(rng)
         f = mf.scalar_field(dim, rand_scalar(dim, rng, degree=2))
         flat = mf.directional_derivative(a, f)
         for sign in SIGNS:
             yield cov_derivative(conn, sign, a, f), flat
 
-    def cov_additive(rng):
+    def cov_additive(rng, _):
         a, x, y = rv(rng), rx(rng), rx(rng)
         for sign in SIGNS:
             yield (cov_derivative(conn, sign, a, mf.add(x, y)),
                    mf.add(cov_derivative(conn, sign, a, x), cov_derivative(conn, sign, a, y)))
 
-    def scalar_leibniz(ops, arg, rng):
+    def scalar_leibniz(ops, arg, rng, _):
         """op(a, f X) = (a.d_o f) X + f op(a, X) for each op, X drawn by ``arg``."""
         a, x = rv(rng), arg(rng)
         f = rand_scalar(dim, rng)
@@ -405,20 +392,20 @@ def core_rows(run: _SuiteRun) -> list:
         for op in ops:
             yield op(a, mf.scale(f, x)), mf.add(mf.scale(df, x), mf.scale(f, op(a, x)))
 
-    def pairing(s, s_dual, arg, rng):
+    def pairing(s, s_dual, arg, rng, _):
         """(cov_s X) . Y + X . (cov_dual Y) = a.d_o (X . Y), X and Y drawn by ``arg``."""
         a, x, y = rv(rng), arg(rng), arg(rng)
         yield (ex.add(mf.scalar_product(cov_derivative(conn, s, a, x), y),
                       mf.scalar_product(x, cov_derivative(conn, s_dual, a, y))),
                _flat_scalar(a, mf.scalar_product(x, y)))
 
-    def zero_avg(rng):
+    def zero_avg(rng, _):
         a, x = rv(rng), rx(rng)
         yield (cov_derivative(conn, "0", a, x),
                mf.scale(0.5, mf.add(cov_derivative(conn, "+", a, x),
                                     cov_derivative(conn, "-", a, x))))
 
-    def co_additive(rng):
+    def co_additive(rng, _):
         a, a2, b, b2 = rv(rng), rv(rng), rv(rng), rv(rng)
         for sign in ("+", "-"):
             yield (cov_derivative(conn, sign, mf.add(a, a2), b),
@@ -426,14 +413,14 @@ def core_rows(run: _SuiteRun) -> list:
             yield (cov_derivative(conn, sign, a, mf.add(b, b2)),
                    mf.add(cov_derivative(conn, sign, a, b), cov_derivative(conn, sign, a, b2)))
 
-    def co_f_first(rng):
+    def co_f_first(rng, _):
         a, b = rv(rng), rv(rng)
         f = rand_scalar(dim, rng)
         for sign in ("+", "-"):
             yield (cov_derivative(conn, sign, mf.scale(f, a), b),
                    mf.scale(f, cov_derivative(conn, sign, a, b)))
 
-    def cde1_k1(rng):
+    def cde1_k1(rng, _):
         a, x1, x = rv(rng), rv(rng), rx(rng)
         t = rand_ext11(dim, rng)
         for s1 in SIGNS:
@@ -443,7 +430,7 @@ def core_rows(run: _SuiteRun) -> list:
                                      mf.scalar_product(t(cov_derivative(conn, s1, a, x1)), x)),
                               mf.scalar_product(t(x1), cov_derivative(conn, s, a, x))))
 
-    def cde1_k2(rng):
+    def cde1_k2(rng, _):
         a, x1, x2, x = rv(rng), rv(rng), rv(rng), rx(rng)
         t = rand_kextensor2(dim, rng)
         for signs in (("+", "-", "+"), ("-", "0", "-"), ("0", "+", "0")):
@@ -454,7 +441,7 @@ def core_rows(run: _SuiteRun) -> list:
             rhs = ex.sub(rhs, mf.scalar_product(t(x1, x2), cov_derivative(conn, signs[2], a, x)))
             yield lhs, rhs
 
-    def cde2(rng):
+    def cde2(rng, _):
         a, x1 = rv(rng), rv(rng)
         t, u = rand_ext11(dim, rng), rand_ext11(dim, rng)
         f = rand_scalar(dim, rng)
@@ -469,7 +456,7 @@ def core_rows(run: _SuiteRun) -> list:
                    mf.add(mf.scale(df, t(x1)),
                           mf.scale(f, cov_derivative_extensor(conn, signs, t, a, (x1,)))))
 
-    def cde3(rng):
+    def cde3(rng, _):
         a = rv(rng)
         t = rand_ext11(dim, rng)
         for s1 in SIGNS:
@@ -478,7 +465,7 @@ def core_rows(run: _SuiteRun) -> list:
                 rhs = extensor_cov_derivative(conn, (s, s1), ext_adjoint(t), a)
                 yield from zip(itertools.chain(*lhs.entries), itertools.chain(*rhs.entries))
 
-    def deform_scalar(rng):
+    def deform_scalar(rng, _):
         a = rv(rng)
         lam = rand_lambda(dim, rng)
         f = mf.scalar_field(dim, rand_scalar(dim, rng, degree=2))
@@ -486,7 +473,7 @@ def core_rows(run: _SuiteRun) -> list:
         for sign in ("+", "-"):
             yield deform(conn, lam, sign, a, f), flat
 
-    def deform_pairing(rng):
+    def deform_pairing(rng, _):
         a, x, y = rv(rng), rx(rng), rx(rng)
         lam = rand_lambda(dim, rng)
         yield (ex.add(mf.scalar_product(deform(conn, lam, "+", a, x), y),
@@ -545,25 +532,25 @@ def cartan_rows(run: _SuiteRun, symmetric: bool) -> list:
     def rv(rng):
         return rand_vector(dim, rng)
 
-    def torsion_equiv(rng):
+    def torsion_equiv(rng, _):
         a, b = rv(rng), rv(rng)
         yield torsion(conn, a, b), torsion_operator_form(conn, a, b)
 
-    def torsion_antisym(rng):
+    def torsion_antisym(rng, _):
         a, b = rv(rng), rv(rng)
         yield torsion(conn, a, b), mf.scale(-1.0, torsion(conn, b, a))
 
-    def torsion_tensorial(rng):
+    def torsion_tensorial(rng, _):
         a, b = rv(rng), rv(rng)
         f, g = rand_scalar(dim, rng), rand_scalar(dim, rng)
         yield (torsion(conn, mf.scale(f, a), mf.scale(g, b)),
                mf.scale(ex.mul(f, g), torsion(conn, a, b)))
 
-    def curv_antisym(rng):
+    def curv_antisym(rng, _):
         a, b, c = rv(rng), rv(rng), rv(rng)
         yield curvature(conn, a, b, c), mf.scale(-1.0, curvature(conn, b, a, c))
 
-    def curv_tensorial(rng):
+    def curv_tensorial(rng, _):
         a, b, c = rv(rng), rv(rng), rv(rng)
         f = rand_scalar(dim, rng)
         base = mf.scale(f, curvature(conn, a, b, c))
@@ -571,29 +558,29 @@ def cartan_rows(run: _SuiteRun, symmetric: bool) -> list:
         yield curvature(conn, a, mf.scale(f, b), c), base
         yield curvature(conn, a, b, mf.scale(f, c)), base
 
-    def curv_classical(rng):
+    def curv_classical(rng, _):
         riem = riemann_coefficients(conn)
         for a, b, g in itertools.product(range(dim), repeat=3):
             value = curvature(conn, mf.basis(dim, a), mf.basis(dim, b), mf.basis(dim, g))
             for d in range(dim):
                 yield value.component(1 << d), riem[d][g][a][b]
 
-    def theta_roundtrip(rng):
+    def theta_roundtrip(rng, _):
         a, b = rv(rng), rv(rng)
         yield (invert_cartan_torsion(lambda c: cartan_torsion(conn, c), a, b),
                torsion(conn, a, b))
 
-    def omega_roundtrip(rng):
+    def omega_roundtrip(rng, _):
         a, b, c = rv(rng), rv(rng), rv(rng)
         yield (invert_cartan_curvature(lambda cc, dd: cartan_curvature(conn, cc, dd), a, b, c),
                curvature(conn, a, b, c))
 
-    def torsion_vanishes(rng):
+    def torsion_vanishes(rng, _):
         a, b = rv(rng), rv(rng)
         yield torsion(conn, a, b), zero
         yield cartan_torsion(conn, a), zero
 
-    def kind_linear(kind, rng):
+    def kind_linear(kind, rng, _):
         """The Cartan operator of ``kind`` is tensorial in one slot, a derivation in the other."""
         b, c = rv(rng), rv(rng)
         f = rand_scalar(dim, rng)
@@ -604,7 +591,7 @@ def cartan_rows(run: _SuiteRun, symmetric: bool) -> list:
         yield (cartan_connection(conn, kind, *derivation),
                mf.add(mf.scale(mf.scalar_product(b, c), mf.gradient_field(f, dim)), base))
 
-    def cartan_pairing(rng):
+    def cartan_pairing(rng, _):
         b, c = rv(rng), rv(rng)
         yield (mf.add(cartan_connection(conn, "first", b, c),
                       cartan_connection(conn, "second", b, c)),
@@ -613,7 +600,7 @@ def cartan_rows(run: _SuiteRun, symmetric: bool) -> list:
     def structure(which, arity):
         """Four draws of the structure equation ``which``, the last one constant."""
         sides = partial(check_structure_equation, conn, which)
-        return partial(identity_draws, dim, sides, arity, iter((1, 1, 1, 0)))
+        return partial(identity_draws, dim, sides, arity, (1, 1, 1, 0))
 
     return [
         ("torsion-equivalence", "TCF.1a", 2, torsion_equiv),
@@ -643,8 +630,8 @@ def bianchi_rows(run: _SuiteRun) -> list:
     The caller runs them only on a connection it found symmetric."""
     conn, dim = run.conn, run.dim
     points = run.fix.domain.sample(max(10, math.ceil(run.samples / 3)), run.rng("bianchi"))
-    cyclic = partial(identity_draws, dim, partial(check_cyclic, conn), 3, iter((0, 1, 1, 1)))
-    bianchi = partial(identity_draws, dim, partial(check_bianchi, conn), 4, iter((0, 1, 1)))
+    cyclic = partial(identity_draws, dim, partial(check_cyclic, conn), 3, (0, 1, 1, 1))
+    bianchi = partial(identity_draws, dim, partial(check_bianchi, conn), 4, (0, 1, 1))
     return [
         ("curvature-cyclic", "SPS.4", 4, cyclic, points),
         ("curvature-bianchi", "SPS.5", 3, bianchi, points),
@@ -659,7 +646,7 @@ def bianchi_rows(run: _SuiteRun) -> list:
 def bridge_rows(run: _SuiteRun) -> list:
     conn, dim = run.conn, run.dim
 
-    def classical_vector(sign, variance, rng):
+    def classical_vector(sign, variance, rng, _):
         """Component lam of cov_sign along e_mu of v against the classical table."""
         v = rand_vector(dim, rng, degree=2)
         table = classical_cov_derivative(conn, v.vector_components(), (variance,))
@@ -668,7 +655,7 @@ def bridge_rows(run: _SuiteRun) -> list:
             for lam in range(dim):
                 yield value.component(1 << lam), table[lam][mu]
 
-    def classical_tensor(signs, variances, rng):
+    def classical_tensor(signs, variances, rng, _):
         """Component b of the signed derivative along e_mu of t, applied to e_a."""
         t = rand_ext11(dim, rng)
         comps = [[t.entries[b][a] for b in range(dim)] for a in range(dim)]  # t_ab = t(e_a).e_b
@@ -710,7 +697,7 @@ def transform_rows(run: _SuiteRun, cmap: CoordinateMap) -> list:
     jinv, kfwd = cmap.inverse_jacobian, cmap.forward_jacobian
     covariant, contravariant = cmap.frames
 
-    def christoffel_vs_law(rng):
+    def christoffel_vs_law(rng, _):
         """The connection transformation law, two independent routes."""
         by_operator = christoffel(conn, cmap)
         by_law = transform_connection(conn, cmap)
@@ -722,14 +709,14 @@ def transform_rows(run: _SuiteRun, cmap: CoordinateMap) -> list:
     vs = [rand_vector(dim, common).vector_components() for _ in range(3)]
     composed_vs = cmap.compose(vs)
 
-    def vector_law(variance, reciprocal, shared, rng):
-        v, composed = next(shared)
+    def vector_law(variance, reciprocal, rng, draw):
+        v, composed = vs[draw], composed_vs[draw]
         comps = transform_components(v, cmap, (variance,))
         frame = [r.vector_components() for r in reciprocal]
         for i in range(dim):
             yield _sum(ex.mul(comps[al], frame[al][i]) for al in range(dim)), composed[i]
 
-    def tensor_law(variances, probe_variances, rng):
+    def tensor_law(variances, probe_variances, rng, _):
         """Invariant contraction of a random tensor with probe vectors."""
         t = rand_ext11(dim, rng)
         u = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
@@ -743,7 +730,7 @@ def transform_rows(run: _SuiteRun, cmap: CoordinateMap) -> list:
                _sum(ex.mul(composed[i][j], ex.mul(ex.const(u[j]), ex.const(w[i])))
                     for i, j in grid))
 
-    def chain_rule(rng):
+    def chain_rule(rng, _):
         """Directional derivative along frame vectors vs primed-chart partials."""
         f = rand_scalar(dim, rng, degree=2)
         *grads, composed_f = cmap.compose([*(ex.diff(f, i) for i in range(dim)), f])
@@ -752,7 +739,7 @@ def transform_rows(run: _SuiteRun, cmap: CoordinateMap) -> list:
             yield (_sum(ex.mul(b_comp[i], grads[i]) for i in range(dim)),
                    ex.diff(composed_f, alpha))
 
-    def roundtrip(rng):
+    def roundtrip(rng, _):
         """Transforming there and back recovers the connection."""
         swapped = CoordinateMap(dim, cmap.inverse, cmap.forward,
                                 cmap.domain_canonical, cmap.domain_primed)
@@ -762,18 +749,18 @@ def transform_rows(run: _SuiteRun, cmap: CoordinateMap) -> list:
 
     rows = [
         ("map-roundtrip", "-", 1,
-         lambda _: zip(cmap.compose(cmap.forward), map(ex.Var, range(dim))), pts),
+         lambda *_: zip(cmap.compose(cmap.forward), map(ex.Var, range(dim))), pts),
         ("map-jacobian-inverse", "-", 1,
-         lambda _: ((_sum(ex.mul(kfwd[i][k], jinv[k][j]) for k in range(dim)), delta(i, j))
+         lambda *_: ((_sum(ex.mul(kfwd[i][k], jinv[k][j]) for k in range(dim)), delta(i, j))
                     for i, j in grid), pts),
         ("frame-reciprocity", "A.1", 1,
-         lambda _: ((mf.scalar_product(covariant[m], contravariant[n]), delta(m, n))
+         lambda *_: ((mf.scalar_product(covariant[m], contravariant[n]), delta(m, n))
                     for m, n in grid), pts),
         ("christoffel-vs-law", "A3", 1, christoffel_vs_law, pts),
         ("vector-law-co", "A8", 3,
-         partial(vector_law, "co", contravariant, zip(vs, composed_vs)), pts),
+         partial(vector_law, "co", contravariant), pts),
         ("vector-law-contra", "A9", 3,
-         partial(vector_law, "contra", covariant, zip(vs, composed_vs)), pts),
+         partial(vector_law, "contra", covariant), pts),
         ("tensor-law-co-co", "A20", 3,
          partial(tensor_law, ("co", "co"), ("contra", "contra")), pts),
         ("tensor-law-contra-contra", "A21", 3,

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from gacalc import expr as ex
 from gacalc import fields as mf
 from gacalc.algebra import Multivector, allclose, grade_of
+from gacalc.connection import ExtensorField11
 from gacalc.report import worst_residual
 from test_algebra import KEPT_GRADE, blade_mul_oracle, generators, sort_generators
 
@@ -235,6 +236,21 @@ class TestProductsMatchOracleLoops:
                     sign = {"hat": hat, "tilde": tilde, "bar": hat * tilde}[kind]
                     dense[m] = ex.neg(c) if sign < 0 else c
                 self.assert_same_tree(mf.involute(x, kind), mf.mvf(dim, dense))
+
+
+@pytest.mark.parametrize("entry", ["field", "extensor", "box"])
+@pytest.mark.parametrize("point, message", [
+    ((0.5, 0.25, 9.0), "point has 3 coordinates, expected 2"),
+    ((0.5,), "point has 1 coordinates, expected 2"),
+], ids=["too-long", "too-short"])
+def test_a_point_of_the_wrong_length_is_refused(entry, point, message):
+    x = ex.add(ex.Var(0), ex.Var(1))
+    query = {"field": mf.vector(2, [x, ex.ONE]).at,
+             "extensor": ExtensorField11(2, ((x, ex.ZERO), (ex.ZERO, x))).at,
+             "box": mf.Box((0.0, 0.0), (1.0, 1.0)).contains}[entry]
+    with pytest.raises(ValueError) as err:
+        query(point)
+    assert str(err.value) == message
 
 
 class TestBox:

@@ -150,8 +150,9 @@ class TestConfigTypes:
         (("domain", "exclusions"), [[0, "abc"]],
          'domain exclusions[0] value must be a number, got "abc"'),
         (("coordinates",), ["r", 1], 'coordinates must be 2 names, got ["r", 1]'),
+        (("name",), None, "name must be a string, got null"),
     ], ids=["exclusion-axis-float", "lo-bool", "lo-string", "margin-string",
-            "exclusion-value-string", "coordinate-not-a-name"])
+            "exclusion-value-string", "coordinate-not-a-name", "name-null"])
     def test_fixture_value_of_the_wrong_type(self, path, value, message):
         with pytest.raises(ConfigError) as err:
             load_fixture(edited(POLAR, path, value))

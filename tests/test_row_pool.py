@@ -2,10 +2,11 @@
 CPU, each row drawing from a generator keyed by its name.
 
 A report does not depend on how many workers ran it, nor on which rows ran
-beside a row; a row that raises in a worker raises again in the caller, with
-its own error; a worker that dies keeps the rows it finished and leaves the
-rest to the caller; and no worker outlives a run, whether the run passed or
-raised.
+beside a row; a row run twice gives one result, so a row left without a
+result runs again in the caller: a row that raised, in a worker or in the
+caller, raises again with its own error, and a worker that dies keeps the
+rows it finished and leaves the rest to the caller; and no worker outlives a
+run, whether the run passed or raised.
 """
 
 import json
@@ -64,8 +65,8 @@ def workers_take_no_rows(monkeypatch):
     return parent
 
 
-# symmetric, so `--suite bianchi` runs its rows, and ln(x0) faults at x0 <= 0;
-# both Bianchi rows draw their degrees from an iterator their builder holds
+# symmetric, so `--suite bianchi` runs its rows, and ln(x0) faults at x0 <= 0
+# in both of them
 LN_FAULT = {
     "name": "ln-fault", "dim": 2, "seed": 1,
     "connection": {"kind": "coefficients", "coefficients": {"0,0,0": "ln(x0)"}},
@@ -186,8 +187,8 @@ def test_a_row_draws_the_same_without_the_rows_before_it(monkeypatch):
     assert fewer == {name: r for name, r in full.items() if name not in dropped}
 
 
-def test_a_row_that_raises_here_raises_its_error_and_runs_once(tmp_path, monkeypatch,
-                                                               workers_take_no_rows):
+def test_a_row_that_raises_here_runs_again_and_raises_its_error(tmp_path, monkeypatch,
+                                                                workers_take_no_rows):
     ran = []
     check = _SuiteRun.check
 
@@ -201,8 +202,24 @@ def test_a_row_that_raises_here_raises_its_error_and_runs_once(tmp_path, monkeyp
     cfg.write_text(json.dumps(LN_FAULT))
     with pytest.raises(DomainError, match=r"^logarithm of a non-positive value in 'ln\(x0\)'$"):
         run_fixture_checks(load_fixture_file(cfg), "bianchi", seed=1)
-    assert ran == ["curvature-cyclic"]  # the first row, run once: no second run of its builder
+    assert ran == ["curvature-cyclic"] * 2  # the first row, left without a result, runs again
     no_worker_left()
+
+
+@pytest.mark.parametrize("fixture", ["sphere", "torsionful", "sphere3_metric"])
+def test_every_row_run_twice_gives_one_result(fixture, monkeypatch):
+    tables = []
+    monkeypatch.setattr(_SuiteRun, "check_rows",
+                        lambda run, rows: tables.append((run, rows)) or [])
+    fix = load_fixture_file(FIXTURES / f"{fixture}.json")
+    run_fixture_checks(fix, "all", seed=1, samples=20)
+    if fix.dim == 2:
+        run_transform_checks(fix, load_map_file(FIXTURES / "maps" / "polar_map.json"),
+                             seed=1, samples=20)
+    rows = [(run, row) for run, table in tables for row in table]
+    assert {row[0] for _, row in rows} >= {"structure-first", "structure-second"}
+    for run, row in rows:
+        assert run.check(*row) == run.check(*row), row[0]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
