@@ -14,7 +14,6 @@ The numeric products here and the symbolic ones in `fields` both read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,7 +40,6 @@ def grade_of(mask: int) -> int:
     return int(mask).bit_count()
 
 
-@dataclass(frozen=True, eq=False)
 class BladeTable:
     """Products and involutions of the 2**dim basis blades of one dimension.
 
@@ -55,11 +53,12 @@ class BladeTable:
     caller.
     """
 
-    dim: int
-    grade: np.ndarray
-    target: np.ndarray
-    sign: dict[str, np.ndarray]
-    involution: dict[str, np.ndarray]
+    __slots__ = ("dim", "grade", "target", "sign", "involution")
+
+    def __init__(self, dim: int, grade: np.ndarray, target: np.ndarray,
+                 sign: dict[str, np.ndarray], involution: dict[str, np.ndarray]):
+        self.dim, self.grade, self.target, self.sign, self.involution = (
+            dim, grade, target, sign, involution)
 
 
 @lru_cache(maxsize=None)
@@ -84,21 +83,17 @@ def blade_table(dim: int) -> BladeTable:
     return BladeTable(dim, grade, target, sign, involution)
 
 
-@dataclass(frozen=True, eq=False)
 class Multivector:
     """Element of the 2^n-dimensional Clifford algebra of Euclidean R^n."""
 
-    dim: int
-    coeffs: np.ndarray
+    __slots__ = ("dim", "coeffs")
 
-    def __post_init__(self):
-        _check_dim(self.dim)
-        arr = np.asarray(self.coeffs, dtype=float)
-        if arr.shape != (1 << self.dim,):
-            raise ValueError(
-                f"expected {1 << self.dim} coefficients for dim {self.dim}, got {arr.shape}"
-            )
-        object.__setattr__(self, "coeffs", arr.copy())  # the caller keeps its own array
+    def __init__(self, dim: int, coeffs: np.ndarray):
+        _check_dim(dim)
+        arr = np.asarray(coeffs, dtype=float)
+        if arr.shape != (1 << dim,):
+            raise ValueError(f"expected {1 << dim} coefficients for dim {dim}, got {arr.shape}")
+        self.dim, self.coeffs = dim, arr.copy()  # the caller keeps its own array
 
     @classmethod
     def zero(cls, dim: int) -> Multivector:
@@ -156,7 +151,7 @@ class Multivector:
 def _owning(dim: int, coeffs: np.ndarray) -> Multivector:
     """A Multivector around a float array this module just built: no check, no copy."""
     x = object.__new__(Multivector)
-    x.__dict__.update(dim=dim, coeffs=coeffs)
+    x.dim, x.coeffs = dim, coeffs
     return x
 
 
@@ -222,19 +217,17 @@ def involution(x: Multivector, kind: str) -> Multivector:
     return _owning(x.dim, x.coeffs * blade_table(x.dim).involution[kind])
 
 
-@dataclass(frozen=True, eq=False)
 class LinearMap11:
     """Pointwise linear map on vectors; column j is the image of e_{j+1}."""
 
-    dim: int
-    matrix: np.ndarray
+    __slots__ = ("dim", "matrix")
 
-    def __post_init__(self):
-        _check_dim(self.dim)
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {m.shape}")
-        object.__setattr__(self, "matrix", m.copy())
+    def __init__(self, dim: int, matrix: np.ndarray):
+        _check_dim(dim)
+        m = np.asarray(matrix, dtype=float)
+        if m.shape != (dim, dim):
+            raise ValueError(f"expected {dim}x{dim} matrix, got {m.shape}")
+        self.dim, self.matrix = dim, m.copy()
 
     @classmethod
     def identity(cls, dim: int) -> LinearMap11:
@@ -270,22 +263,20 @@ def outermorphism(t: LinearMap11, x: Multivector) -> Multivector:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class Frame:
     """Ordered tuple of n linearly independent vectors of R^n."""
 
-    dim: int
-    vectors: tuple[Multivector, ...]
+    __slots__ = ("dim", "vectors", "__weakref__")  # a `fields.memo` key, held weakly
 
-    def __post_init__(self):
-        _check_dim(self.dim)
-        vs = tuple(self.vectors)
-        if len(vs) != self.dim:
-            raise ValueError(f"frame needs {self.dim} vectors, got {len(vs)}")
+    def __init__(self, dim: int, vectors: tuple[Multivector, ...]):
+        _check_dim(dim)
+        vs = tuple(vectors)
+        if len(vs) != dim:
+            raise ValueError(f"frame needs {dim} vectors, got {len(vs)}")
         for v in vs:
-            if v.dim != self.dim or v.grades() - {1}:
+            if v.dim != dim or v.grades() - {1}:
                 raise ValueError("frame vectors must be grade-1 multivectors of matching dimension")
-        object.__setattr__(self, "vectors", vs)
+        self.dim, self.vectors = dim, vs
 
     @classmethod
     def from_matrix(cls, matrix) -> Frame:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,23 +22,18 @@ from .connection import ConnectionField, ExtensorField11, ext_inverse
 from .fields import Box, MultivectorField
 
 
-@dataclass(frozen=True, eq=False)
 class CoordinateMap:
     """Invertible chart change; forward gives primed coordinates in terms of
     canonical ones, inverse the other way around.  Its Jacobians, Hessian
-    and frames are built on first use and kept, for every law to share."""
+    and frames are built on first use and kept (in its instance dict), for
+    every law to share."""
 
-    dim: int
-    forward: tuple[ex.Expr, ...]
-    inverse: tuple[ex.Expr, ...]
-    domain_primed: Box
-    domain_canonical: Box | None = None
-
-    def __post_init__(self):
-        if len(self.forward) != self.dim or len(self.inverse) != self.dim:
-            raise ValueError(f"expected {self.dim} forward and inverse components")
-        object.__setattr__(self, "forward", tuple(self.forward))
-        object.__setattr__(self, "inverse", tuple(self.inverse))
+    def __init__(self, dim: int, forward: tuple[ex.Expr, ...], inverse: tuple[ex.Expr, ...],
+                 domain_primed: Box, domain_canonical: Box | None = None):
+        if len(forward) != dim or len(inverse) != dim:
+            raise ValueError(f"expected {dim} forward and inverse components")
+        self.dim, self.forward, self.inverse = dim, tuple(forward), tuple(inverse)
+        self.domain_primed, self.domain_canonical = domain_primed, domain_canonical
 
     @classmethod
     def identity(cls, dim: int, domain: Box) -> CoordinateMap:

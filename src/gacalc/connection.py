@@ -12,7 +12,6 @@ a matrix of expressions, is one for k = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -35,7 +34,6 @@ def _check_sign(sign: str, allowed=SIGNS) -> None:
         raise ValueError(f"invalid derivative sign {sign!r}; expected one of {allowed}")
 
 
-@dataclass(frozen=True, eq=False)
 class ConnectionField:
     """Coefficients gamma[out][direction][argument] as scalar expressions.
 
@@ -43,19 +41,16 @@ class ConnectionField:
     that are not a constant 0, in index order; contractions iterate it.
     """
 
-    dim: int
-    gamma: tuple[tuple[tuple[ex.Expr, ...], ...], ...]
-    nonzero: tuple[tuple[int, int, int, ex.Expr], ...] = field(init=False, repr=False)
+    __slots__ = ("dim", "gamma", "nonzero", "__weakref__")  # a `memo` key, held weakly
 
-    def __post_init__(self):
-        g = tuple(tuple(tuple(row) for row in plane) for plane in self.gamma)
-        n = self.dim
-        if len(g) != n or any(len(p) != n or any(len(r) != n for r in p) for p in g):
-            raise ValueError(f"connection coefficients must form an {n}x{n}x{n} array")
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "nonzero", tuple(
-            (out, a, b, c) for out, plane in enumerate(g) for a, row in enumerate(plane)
-            for b, c in enumerate(row) if not ex.is_zero(c)))
+    def __init__(self, dim: int, gamma: tuple[tuple[tuple[ex.Expr, ...], ...], ...]):
+        g = tuple(tuple(tuple(row) for row in plane) for plane in gamma)
+        if len(g) != dim or any(len(p) != dim or any(len(r) != dim for r in p) for p in g):
+            raise ValueError(f"connection coefficients must form an {dim}x{dim}x{dim} array")
+        self.dim, self.gamma = dim, g
+        self.nonzero = tuple((out, a, b, c) for out, plane in enumerate(g)
+                             for a, row in enumerate(plane) for b, c in enumerate(row)
+                             if not ex.is_zero(c))
 
     @classmethod
     def zero(cls, dim: int) -> ConnectionField:
@@ -97,23 +92,18 @@ def asymmetry(conn: ConnectionField, points):
     return None
 
 
-@dataclass(frozen=True, eq=False)
 class ExtensorField11:
     """Vector-to-vector extensor field; entries[i][j] = component i of the image of e_{j+1}.
 
     ``nonzero`` lists the (i, j, entry) entries not a constant 0, in index order.
+    No slots: the instance dict holds `_tape` and `_minors`.
     """
 
-    dim: int
-    entries: tuple[tuple[ex.Expr, ...], ...]
-    nonzero: tuple[tuple[int, int, ex.Expr], ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        rows = tuple(tuple(ex.as_expr(c) for c in row) for row in self.entries)
-        if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
-            raise ValueError(f"expected {self.dim}x{self.dim} entries")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "nonzero", _nonzero(rows))
+    def __init__(self, dim: int, entries: tuple[tuple[ex.Expr, ...], ...]):
+        rows = tuple(tuple(ex.as_expr(c) for c in row) for row in entries)
+        if len(rows) != dim or any(len(r) != dim for r in rows):
+            raise ValueError(f"expected {dim}x{dim} entries")
+        self.dim, self.entries, self.nonzero = dim, rows, _nonzero(rows)
 
     @classmethod
     def identity(cls, dim: int) -> ExtensorField11:

@@ -28,67 +28,98 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 
-class Expr:
+class Record:
+    """A class whose ``__slots__`` are its fields, with a frozen dataclass's ``==``,
+    ``hash`` and ``repr``: those of the tuple of its fields, compared within one class."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Expr(Record):
     """Base of all expression nodes; never assign to a field (hash and `_diff` rely on it)."""
 
     __slots__ = ("_diff", "__weakref__")
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class Var(Expr):
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        self.value = value
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class Add(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left, self.right = left, right
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class Sub(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left, self.right = left, right
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class Mul(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left, self.right = left, right
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class Div(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left, self.right = left, right
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        self.arg = arg
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        self.base, self.exponent = base, exponent
 
 
-@dataclass(unsafe_hash=True, slots=True)
 class Call(Expr):
-    name: str
-    arg: Expr
+    __slots__ = ("name", "arg")
+
+    def __init__(self, name: str, arg: Expr):
+        self.name, self.arg = name, arg
 
 
 ZERO = Const(0.0)
@@ -502,6 +533,7 @@ class Tape:
         self.program: list[tuple] = []  # per slot: (callable, operand, operand) or a leaf
         self.checked: list[int] = []  # the slots a domain fault can occur in
         self.roots: list[int] = []
+        self.width = 0  # the coordinates it reads: its highest Var index + 1
         self._plan: tuple | None = None  # the one-point plan and its screen, made by the first `at`
         slot_of: dict[int, int] = {}  # id(node) -> slot; the roots keep the ids valid
         slot_by_key: dict[tuple, int] = {}  # a leaf's or a Pow's key, or a slot's instruction
@@ -558,6 +590,7 @@ class Tape:
             kind = type(node)
             if kind is Var:
                 op = (None, node.index, None)
+                self.width = max(self.width, node.index + 1)
             elif kind is Const:
                 op = (None, None, np.float64(node.value))
             elif kind is Pow:
@@ -574,6 +607,8 @@ class Tape:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
             raise ValueError(f"points must be an (N, dim) array, got shape {points.shape}")
+        if points.shape[1] < self.width:
+            raise self._short(points.shape[1])
         values = _run(self.program, points.T)
         out = np.empty((len(points), len(self.roots)))
         for j, slot in enumerate(self.roots):
@@ -594,14 +629,20 @@ class Tape:
         if self._plan is None:
             self._plan = self._decode_plan()
         plan, screen = self._plan
+        coordinates = point.tolist()
+        if len(coordinates) < self.width:
+            raise self._short(len(coordinates))
         try:
-            values = _run(plan, point.tolist())
+            values = _run(plan, coordinates)
         except ZeroDivisionError:
             pass
         else:
             if all(map(math.isfinite, map(values.__getitem__, screen))):
                 return [values[s] for s in self.roots]
         return self(point[None, :])[0].tolist()
+
+    def _short(self, length: int) -> ValueError:
+        return ValueError(f"point has {length} coordinates, but the tape reads {self.width}")
 
     def _decode_plan(self) -> tuple[list, list]:
         """The one-point plan (see the class docstring), and the slots it

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from functools import cached_property, wraps
 
 import numpy as np
@@ -73,26 +72,22 @@ def memo(fn):
     return memoized
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(ex.Record):
     """Open axis-aligned sampling box, minus margins around excluded values."""
 
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-    exclusions: tuple[tuple[int, float], ...] = ()
-    margin: float = 0.05
+    __slots__ = ("lo", "hi", "exclusions", "margin")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
-        object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
+    def __init__(self, lo: tuple[float, ...], hi: tuple[float, ...],
+                 exclusions: tuple[tuple[int, float], ...] = (), margin: float = 0.05):
+        self.lo, self.hi = tuple(float(v) for v in lo), tuple(float(v) for v in hi)
         if len(self.lo) != len(self.hi):
             raise ValueError("lo and hi must have the same length")
         if not all(math.isfinite(v) for v in self.lo + self.hi):
             raise ValueError(f"box bounds must be finite, got lo={self.lo}, hi={self.hi}")
         if any(a >= b for a, b in zip(self.lo, self.hi)):
             raise ValueError("box bounds must satisfy lo < hi on every axis")
-        object.__setattr__(self, "exclusions",
-                           tuple((int(a), float(v)) for a, v in self.exclusions))
+        self.exclusions = tuple((int(a), float(v)) for a, v in exclusions)
+        self.margin = margin
         if any(not 0 <= a < self.dim for a, _ in self.exclusions):
             raise ValueError(f"exclusion axis out of range for dimension {self.dim}")
         if not all(math.isfinite(v) for _, v in self.exclusions):
@@ -111,7 +106,6 @@ class Box:
                 if reach >= self.hi[axis]:
                     raise ValueError(f"exclusions with margin {self.margin} cover all "
                                      f"of axis {axis}; no point can be sampled")
-
     @property
     def dim(self) -> int:
         return len(self.lo)
@@ -150,18 +144,16 @@ class Box:
         return np.concatenate(out)
 
 
-@dataclass(frozen=True, eq=False)
 class MultivectorField:
-    dim: int
-    coeffs: dict[int, ex.Expr]
+    """Blade index -> coefficient expression, constant zeros dropped; no slots, for `_tape`."""
 
-    def __post_init__(self):
-        clean = {int(m): ex.as_expr(c) for m, c in self.coeffs.items()}
+    def __init__(self, dim: int, coeffs: dict[int, ex.Expr]):
+        clean = {int(m): ex.as_expr(c) for m, c in coeffs.items()}
         clean = {m: c for m, c in clean.items() if not ex.is_zero(c)}
         for m in clean:
-            if not 0 <= m < (1 << self.dim):
-                raise ValueError(f"blade index {m} out of range for dim {self.dim}")
-        object.__setattr__(self, "coeffs", clean)
+            if not 0 <= m < (1 << dim):
+                raise ValueError(f"blade index {m} out of range for dim {dim}")
+        self.dim, self.coeffs = dim, clean
 
     def grades(self) -> set[int]:
         return {grade_of(m) for m in self.coeffs}

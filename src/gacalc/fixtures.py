@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 from . import expr as ex
 from .algebra import MAX_DIM
@@ -28,16 +27,13 @@ class ConfigError(ValueError):
 MAX_SAMPLES = 100_000  # the most points a run may ask for, so that it ends in bounded time
 
 
-@dataclass(frozen=True, eq=False)
 class FixtureConfig:
-    name: str
-    dim: int
-    coordinates: tuple[str, ...]
-    conn: ConnectionField
-    domain: Box
-    samples: int
-    seed: int
-    tolerance: float
+    __slots__ = ("name", "dim", "coordinates", "conn", "domain", "samples", "seed", "tolerance")
+
+    def __init__(self, name: str, dim: int, coordinates: tuple[str, ...], conn: ConnectionField,
+                 domain: Box, samples: int, seed: int, tolerance: float):
+        self.name, self.dim, self.coordinates, self.conn = name, dim, coordinates, conn
+        self.domain, self.samples, self.seed, self.tolerance = domain, samples, seed, tolerance
 
     def settings(self, seed: int | None = None, samples: int | None = None,
                  tol: float | None = None) -> tuple[int, int, float]:

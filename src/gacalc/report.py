@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,19 +60,14 @@ def worst_residual(pairs, points) -> float:
     return float(np.max(worst))
 
 
-@dataclass
-class CheckResult:
-    name: str
-    paper_eq: str
-    samples: int
-    max_residual: float
-    tolerance: float
+class CheckResult(ex.Record):
+    __slots__ = ("name", "paper_eq", "samples", "max_residual", "tolerance")
+    __hash__ = None  # its fields are not frozen
 
-    def __post_init__(self):
-        self.samples = int(self.samples)
-        self.max_residual = float(self.max_residual)
-        self.tolerance = float(self.tolerance)
-
+    def __init__(self, name: str, paper_eq: str, samples: int, max_residual: float,
+                 tolerance: float):
+        self.name, self.paper_eq, self.samples = name, paper_eq, int(samples)
+        self.max_residual, self.tolerance = float(max_residual), float(tolerance)
     @property
     def passed(self) -> bool:
         # False for NaN too, which compares false with everything
@@ -91,15 +85,13 @@ class CheckResult:
         }
 
 
-@dataclass
-class Report:
-    fixture: str
-    seed: int
-    checks: list[CheckResult]
+class Report(ex.Record):
+    __slots__ = ("fixture", "seed", "checks")
+    __hash__ = None  # its fields are not frozen
 
-    def __post_init__(self):
-        self.checks = sorted(self.checks, key=lambda c: c.name)
-
+    def __init__(self, fixture: str, seed: int, checks: list[CheckResult]):
+        self.fixture, self.seed = fixture, seed
+        self.checks = sorted(checks, key=lambda c: c.name)
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)

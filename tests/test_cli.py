@@ -792,6 +792,20 @@ class TestExitPath:
         assert exit_.value.code == 0
 
 
+class TestStartup:
+    def test_a_cache_free_import_loads_no_dataclasses(self):
+        # dataclass builds its methods through exec on every import, cached or not
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        res = subprocess.run(
+            [sys.executable, "-B", "-c", "import gacalc.cli, json, sys; print(json.dumps(sorted("
+             "m for m in sys.modules if m.split('.')[0] in ('dataclasses', 'gacalc'))))"],
+            capture_output=True, text=True, cwd=REPO,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"))
+        assert res.returncode == 0, res.stderr
+        loaded = json.loads(res.stdout)
+        assert "gacalc.cli" in loaded and "dataclasses" not in loaded
+
+
 class TestConfigKinds:
     def test_metric_fixture_equals_explicit(self):
         res = run_cli("check", "--config", str(FIXTURES / "sphere_metric.json"),

@@ -8,6 +8,8 @@ public validating constructors of `MultivectorField` and `ExtensorField11`.
 
 import ast
 import dataclasses
+import importlib
+import inspect
 import itertools
 import pathlib
 import weakref
@@ -17,7 +19,8 @@ import pytest
 
 from gacalc import expr as ex
 from gacalc import fields as mf
-from gacalc.algebra import INVOLUTIONS, Multivector
+from gacalc.algebra import INVOLUTIONS, BladeTable, Frame, LinearMap11, Multivector
+from gacalc.bridge import CoordinateMap
 from gacalc.connection import (
     ConnectionField,
     ExtensorField11,
@@ -31,7 +34,13 @@ from gacalc.connection import (
     generalized_adjoint_apply,
     generalized_apply,
 )
-from gacalc.fixtures import polar_fixture, sphere_fixture, torsionful_fixture, zero_fixture
+from gacalc.fixtures import (
+    FixtureConfig,
+    polar_fixture,
+    sphere_fixture,
+    torsionful_fixture,
+    zero_fixture,
+)
 from gacalc.suites import rand_mvf, rand_scalar, rand_vector
 
 SOURCE = pathlib.Path(ex.__file__).parent
@@ -54,6 +63,67 @@ REFERENCE = {kind: dataclasses.make_dataclass(kind.__name__, names, frozen=True)
              for kind, names in NODE_FIELDS.items()}
 
 
+# The classes that were frozen dataclasses, and so immutable by convention
+# now: each with a sample instance, whose fields are its slots or, for a
+# class that keeps an instance dict for cached properties, what its
+# constructor stored there.
+FROZEN_SAMPLES = {
+    BladeTable: lambda: BladeTable(2, None, None, None, None),
+    Multivector: lambda: Multivector.zero(2),
+    LinearMap11: lambda: LinearMap11.identity(2),
+    Frame: lambda: Frame.from_matrix(np.eye(2)),
+    ConnectionField: lambda: ConnectionField.zero(2),
+    ExtensorField11: lambda: ExtensorField11.identity(2),
+    mf.Box: lambda: mf.Box((0.0, 0.0), (1.0, 1.0)),
+    mf.MultivectorField: lambda: mf.basis(2, 0),
+    CoordinateMap: lambda: CoordinateMap.identity(2, mf.Box((0.0, 0.0), (1.0, 1.0))),
+    FixtureConfig: lambda: zero_fixture(2),
+}
+
+
+def own_fields(obj) -> tuple:
+    """The fields of one instance: its class's slots, else its instance dict's keys."""
+    names = type(obj).__slots__ if "__slots__" in vars(type(obj)) else tuple(vars(obj))
+    return tuple(name for name in names if name != "__weakref__")
+
+
+def attribute_stores(path):
+    """Every store to an attribute in the module at ``path``, as (the enclosing
+    defs, outermost first; the expression stored to; the attribute name): an
+    assignment or ``del``, a ``setattr`` with a constant name, or a keyword of
+    a ``__dict__.update`` call."""
+    found = []
+
+    def visit(node, scopes):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scopes = scopes + (node,)
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            found.append((scopes, node.value, node.attr))
+        elif isinstance(node, ast.Call):
+            func = ast.unparse(node.func)
+            if (func in ("setattr", "object.__setattr__") and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)):
+                found.append((scopes, node.args[0], node.args[1].value))
+            elif func.endswith(".__dict__.update"):
+                found.extend((scopes, node.func.value.value, k.arg) for k in node.keywords)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scopes)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def constructs_own_field(path, scopes, target, attr) -> bool:
+    """True for a store, in a class's own ``__init__``, to a field of the
+    instance being built: ``self.<attr>`` where the class declares ``attr``
+    in its slots, or has an instance dict, whose fields its constructor sets."""
+    if not (len(scopes) > 1 and isinstance(scopes[-2], ast.ClassDef)
+            and scopes[-1].name == "__init__" and ast.unparse(target) == "self"):
+        return False
+    cls = getattr(importlib.import_module(f"gacalc.{path.stem}"), scopes[-2].name)
+    return attr in cls.__slots__ if "__slots__" in vars(cls) else True
+
+
 def node_samples():
     x0, x1 = ex.Var(0), ex.Var(1)
     return [
@@ -74,7 +144,8 @@ def reference(node):
 class TestNodeClasses:
     @pytest.mark.parametrize("kind", list(NODE_FIELDS), ids=lambda k: k.__name__)
     def test_fields_are_the_frozen_ones(self, kind):
-        assert tuple(f.name for f in dataclasses.fields(kind)) == NODE_FIELDS[kind]
+        assert kind.__slots__ == NODE_FIELDS[kind]
+        assert tuple(inspect.signature(kind).parameters) == NODE_FIELDS[kind]
         assert issubclass(kind, ex.Expr)
 
     def test_eq_hash_and_repr_match_the_frozen_copy(self):
@@ -92,22 +163,32 @@ class TestNodeClasses:
             assert weakref.ref(node)() is node
 
     def test_no_module_assigns_to_a_node_field(self):
-        """Nodes are immutable by convention: only `diff` stores on a node, in `_diff`."""
+        """Nodes are immutable by convention: a node class's own ``__init__``
+        stores its fields, and only `diff` stores on a node after, in `_diff`.
+        Another class's constructor may store a field of the same name on its
+        own instance, which is never a node."""
         node_fields = {name for names in NODE_FIELDS.values() for name in names}
+        stores, diff_stores = [], set()
+        for path in sorted(SOURCE.rglob("*.py")):
+            for scopes, target, attr in attribute_stores(path):
+                if attr == "_diff":
+                    diff_stores.add((path.name, scopes[-1].name if scopes else None))
+                elif attr in node_fields and not constructs_own_field(path, scopes, target, attr):
+                    stores.append((path.name, [s.name for s in scopes], attr))
+        assert not stores
+        assert diff_stores == {("expr.py", "diff")}
+
+    def test_no_module_assigns_to_a_field_of_a_formerly_frozen_class(self):
+        """Only a class's own constructor stores its fields, and the `_owning`
+        builders theirs, on the object each has just made (not validated)."""
+        guarded = {name for sample in FROZEN_SAMPLES.values() for name in own_fields(sample())}
         stores = []
         for path in sorted(SOURCE.rglob("*.py")):
-            tree = ast.parse(path.read_text())
-            for fn in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
-                for n in ast.walk(fn):
-                    if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Load):
-                        stores.append((path.name, fn, n.attr))
-                    elif (isinstance(n, ast.Call) and ast.unparse(n.func).endswith("setattr")
-                          and len(n.args) > 1 and isinstance(n.args[1], ast.Constant)):
-                        stores.append((path.name, fn, n.args[1].value))
-        assert not [s for s in stores if s[2] in node_fields]
-        diff_stores = {(name, getattr(fn, "name", None)) for name, fn, attr in stores
-                       if attr == "_diff" and isinstance(fn, ast.FunctionDef)}
-        assert diff_stores == {("expr.py", "diff")}
+            for scopes, target, attr in attribute_stores(path):
+                if (attr in guarded and not constructs_own_field(path, scopes, target, attr)
+                        and not (scopes and scopes[-1].name.startswith("_owning"))):
+                    stores.append((path.name, [s.name for s in scopes], attr))
+        assert not stores
 
 
 # The folding rules as isinstance chains, in the order the constructors apply them.
@@ -301,7 +382,8 @@ class TestFieldsCarryNoDomain:
     def test_no_field_type_or_result_has_a_domain(self):
         # sampling reads the fixture's or the coordinate map's box, never a field's
         for cls in (mf.MultivectorField, ExtensorField11, ConnectionField):
-            assert "domain" not in {f.name for f in dataclasses.fields(cls)}
+            assert "domain" not in inspect.signature(cls).parameters
+            assert "domain" not in own_fields(FROZEN_SAMPLES[cls]())
         conn = polar_fixture().conn
         a = rand_vector(2, np.random.default_rng(5))
         for r in (conn, mf.add(a, a), gamma_matrix(conn, a), cov_derivative(conn, "+", a, a)):
@@ -329,10 +411,10 @@ class TestFlatConnectionMaps:
         want_plus = generalized_apply(conn, a, x)
         want_minus = generalized_adjoint_apply(conn, a, x)
 
-        def refuse(self):
-            raise AssertionError("ExtensorField11.__post_init__ ran")
+        def refuse(self, *args):
+            raise AssertionError("ExtensorField11.__init__ ran")
 
-        monkeypatch.setattr(ExtensorField11, "__post_init__", refuse)
+        monkeypatch.setattr(ExtensorField11, "__init__", refuse)
         t = gamma_matrix(conn, a)
         assert t.nonzero == () and t.entries == want.entries
         assert all(c is ex.ZERO for row in t.entries for c in row)

@@ -382,6 +382,18 @@ class TestEvaluate:
             ex.evaluate(ex.parse("x1 + sin(x0*1e308*10)", 2), (1.0, 1.0))
         assert "'x0*1e+308*10'" in str(err.value)
 
+    @pytest.mark.parametrize("call", ["evaluate", "at", "array"])
+    def test_a_point_too_short_for_the_tape_is_refused(self, call):
+        e = ex.add(ex.Var(0), ex.powi(ex.Var(2), 2))  # reads x0 and x2: width 3
+        run = {"evaluate": lambda p: ex.evaluate(e, p), "at": ex.Tape([e]).at,
+               "array": lambda p: ex.Tape([e])(np.array([p, p]))}[call]
+        for point in ((0.5,), (0.5, 0.25)):
+            with pytest.raises(ValueError) as err:
+                run(point)
+            assert str(err.value) == f"point has {len(point)} coordinates, but the tape reads 3"
+        assert np.ravel(run((0.5, 0.25, 2.0)))[0] == 4.5
+        assert ex.Tape([ex.ONE])(np.empty((2, 0))).tolist() == [[1.0], [1.0]]
+
     def test_deep_sum_evaluates_at_any_depth(self):
         # a left-deep sum of 5000 terms, far past the default recursion limit
         e = ex.parse(" + ".join(["x0*x1"] * 5000), 2)
@@ -1127,7 +1139,7 @@ def fresh_copy(e):
         node, ready = stack.pop()
         if id(node) in copies:
             continue
-        kids = [getattr(node, f) for f in node.__dataclass_fields__]
+        kids = [getattr(node, f) for f in node.__slots__]
         pending = [k for k in kids if isinstance(k, ex.Expr) and id(k) not in copies]
         if pending and not ready:
             stack.append((node, True))
@@ -1150,7 +1162,7 @@ def assert_same_dag(a, b):
             raise AssertionError(f"sharing differs at {ex.to_str(x)!r}")
         assert type(x) is type(y)
         assert (getattr(x, "_diff", None) or {}).keys() == (getattr(y, "_diff", None) or {}).keys()
-        for f in x.__dataclass_fields__:
+        for f in x.__slots__:
             u, v = getattr(x, f), getattr(y, f)
             if isinstance(u, ex.Expr):
                 if id(u) not in pairs:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gacalc import algebra as alg
 from gacalc import expr as ex
 from gacalc import fields as mf
 from gacalc.algebra import Multivector, allclose, grade_of
 from gacalc.connection import ExtensorField11
 from gacalc.report import worst_residual
+from gacalc.suites import rand_mvf
 from test_algebra import KEPT_GRADE, blade_mul_oracle, generators, sort_generators
 
 
@@ -236,6 +238,56 @@ class TestProductsMatchOracleLoops:
                     sign = {"hat": hat, "tilde": tilde, "bar": hat * tilde}[kind]
                     dense[m] = ex.neg(c) if sign < 0 else c
                 self.assert_same_tree(mf.involute(x, kind), mf.mvf(dim, dense))
+
+
+class TestProductsMatchTheNumericAlgebra:
+    """Known answers for the symbolic operations: each one, evaluated at a
+    sampled point, is `algebra`'s numeric operation on its arguments' values
+    there.  Two implementations meet, so a term dropped or mis-signed on
+    either side, blade 0 included, fails."""
+
+    BINARY = {
+        "wedge": (mf.wedge, alg.wedge),
+        "clifford": (mf.clifford, alg.clifford),
+        "contract-left": (lambda x, y: mf.contract(x, y, "left"),
+                          lambda x, y: alg.contraction(x, y, "left")),
+        "contract-right": (lambda x, y: mf.contract(x, y, "right"),
+                           lambda x, y: alg.contraction(x, y, "right")),
+        "commutator": (mf.commutator, alg.commutator),
+    }
+
+    @staticmethod
+    def draw(dim):
+        rng = np.random.default_rng(1000 + dim)
+        x, y = rand_mvf(dim, rng), rand_mvf(dim, rng)
+        return x, y, rng.uniform(-1.5, 1.5, size=(3, dim))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_products(self, dim):
+        x, y, points = self.draw(dim)
+        for name, (symbolic, numeric) in self.BINARY.items():
+            field = symbolic(x, y)
+            for p in points:
+                assert_allclose(field.at(p).coeffs, numeric(x.at(p), y.at(p)).coeffs,
+                                rtol=1e-12, atol=1e-12, err_msg=name)
+        product = mf.scalar_product(x, y)
+        for p in points:
+            assert_allclose(ex.evaluate(product, p), alg.scalar_product(x.at(p), y.at(p)),
+                            rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_involutions_and_grade_projections(self, dim):
+        x, _, points = self.draw(dim)
+        unary = {kind: (lambda f, k=kind: mf.involute(f, k), lambda v, k=kind: alg.involution(v, k))
+                 for kind in alg.INVOLUTIONS}
+        unary.update({f"grade-{k}": (lambda f, k=k: mf.grade_project(f, k),
+                                     lambda v, k=k: alg.grade_project(v, k))
+                      for k in range(dim + 1)})
+        for name, (symbolic, numeric) in unary.items():
+            field = symbolic(x)
+            for p in points:
+                assert_allclose(field.at(p).coeffs, numeric(x.at(p)).coeffs,
+                                rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 @pytest.mark.parametrize("entry", ["field", "extensor", "box"])

@@ -63,7 +63,7 @@ class TestTransformChain:
             node = stack.pop()
             if id(node) not in seen:
                 seen.add(id(node))
-                fields = (getattr(node, name) for name in node.__dataclass_fields__)
+                fields = (getattr(node, name) for name in node.__slots__)
                 stack += [f for f in fields if isinstance(f, ex.Expr)]
         assert len(seen) <= 1_200
 

@@ -134,6 +134,26 @@ def test_an_entry_on_a_canonical_frame_field_goes_with_its_connection():
     assert [r() for r in refs] == [None] * len(refs)
 
 
+@pytest.mark.parametrize("make", [lambda rng: rand_frame(3, rng), lambda rng: rand_ext11(3, rng),
+                                  lambda rng: connection(), lambda rng: vectors(1)[0]],
+                         ids=["Frame", "ExtensorField11", "ConnectionField", "MultivectorField"])
+def test_every_memo_argument_type_takes_a_weak_reference(make):
+    # a class without a weak-reference slot would be a memo key by value, kept alive
+    obj = make(np.random.default_rng(4))
+    assert type(obj).__weakrefoffset__
+    assert weakref.ref(obj)() is obj
+
+
+def test_a_const_frames_entry_dies_with_its_frame():
+    frame = rand_frame(3, np.random.default_rng(9))
+    down, up = const_frames(3, frame)
+    assert const_frames(3, frame)[0] is down
+    refs = [weakref.ref(f) for f in down + up]
+    del frame, down, up
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
 def test_reference_counting_alone_frees_an_entry():
     enabled = gc.isenabled()
     gc.disable()
