@@ -6,7 +6,7 @@ extensor fields through double frame sums, with exact inversion formulas,
 and satisfy the two structure equations; for symmetric (torsionless)
 structures the cyclic and differential curvature identities hold as well.
 Every vector-derivative sum here, single or double, is one
-`connection.frame_sum` over a reciprocal pair (canonical frame by default).
+`fields.frame_sum` over a reciprocal pair (canonical frame by default).
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from .connection import (
     ConnectionField,
     cov_derivative,
     cov_derivative_extensor,
-    frame_sum,
     gamma_apply,
 )
-from .fields import MultivectorField, memo
+from .fields import MultivectorField, frame_sum, memo
 
 
 class NotSymmetricError(ValueError):

@@ -7,7 +7,8 @@ bivector, the grade-preserving generalized extensor, the plus/minus/zero
 covariant derivative operators, their deformation by a non-singular vector
 map at any n <= 6, and covariant derivatives of k-extensor fields.  A
 k-extensor field is any function of k vector fields; an `ExtensorField11`,
-a matrix of expressions, is one for k = 1.
+a matrix of expressions, is one for k = 1.  Every frame sum here is one
+`fields.frame_sum`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import expr as ex
 from . import fields as mf
-from .algebra import Frame, LinearMap11, canonical_frame, reciprocal_frame, same_dim
-from .fields import MultivectorField, memo
+from .algebra import Frame, LinearMap11, same_dim
+from .fields import MultivectorField, const_frames, frame_sum, memo
 
 SIGNS = ("+", "-", "0")
 _DUAL = {"+": "-", "-": "+", "0": "0"}
@@ -234,29 +235,6 @@ def ext_inverse(t: ExtensorField11) -> ExtensorField11:
     n = t.dim
     rows = tuple(tuple(t._minors.inverse(1 << i, 1 << j) for j in range(n)) for i in range(n))
     return _owning11(n, rows, _nonzero(rows))
-
-
-@memo
-def const_frames(dim: int, frame: Frame | None) -> tuple[tuple[MultivectorField, ...], ...]:
-    """Constant frame fields and their reciprocals, as tuples (canonical by default),
-    built once per frame, so that every sum over one frame sees the same fields."""
-    if frame is None:  # the canonical frame is orthonormal, so its own reciprocal
-        down = tuple(mf.constant(v) for v in canonical_frame(dim).vectors)
-        return down, down
-    return tuple(tuple(mf.constant(v) for v in f.vectors) for f in (frame, reciprocal_frame(frame)))
-
-
-def frame_sum(dim: int, term: Callable[[MultivectorField, MultivectorField], MultivectorField],
-              frame: Frame | None = None) -> MultivectorField:
-    """Sum of term(e_mu, e^mu) over a reciprocal frame pair, folded left from the
-    empty field, empty terms skipped: a vector-derivative sum, the same in every
-    frame (Hestenes & Sobczyk 1984)."""
-    out = mf._owning(dim, {})
-    for e_mu, e_up in zip(*const_frames(dim, frame)):
-        t = term(e_mu, e_up)
-        if t.coeffs:
-            out = mf.add(out, t)
-    return out
 
 
 @memo

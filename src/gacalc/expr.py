@@ -502,7 +502,10 @@ class Tape:
     slot, operand slot or None), a leaf (None, coordinate index, None) or
     (None, None, constant).  Calling the tape on an (N, dim) points array
     runs the program once, each slot as one numpy call over all N points
-    (`_run`), and returns the (N, len(roots)) values.
+    (`_run`), and returns the (N, len(roots)) values.  A tape has no dim: it
+    reads coordinates 0..width-1, refuses a point with fewer and ignores the
+    rest of a longer one; the dim-bearing entries (`MultivectorField.at`,
+    `ExtensorField11.at`, `Box.contains`, `gacalc eval`) refuse a wrong length.
 
     A one-point call (`at`) runs a second decoding of the slots instead,
     the one-point plan, made on the first such call (a tape only ever called
@@ -620,9 +623,10 @@ class Tape:
         return out
 
     def at(self, point) -> list[float]:
-        """The roots' values at one (dim,) point, as floats: the one-point
-        plan's, or, where it meets a zero divisor or a non-finite screened
-        slot, those of the point as a one-row array call."""
+        """The roots' values at one point, as floats: the one-point plan's, or,
+        where it meets a zero divisor or a non-finite screened slot, those of
+        the point as a one-row array call.  Coordinates past ``width`` are
+        ignored; a point with fewer raises ValueError."""
         point = np.asarray(point, dtype=float)
         if point.ndim != 1:
             raise ValueError(f"a point must be a (dim,) array, got shape {point.shape}")
@@ -693,7 +697,8 @@ def compile_fn(e: Expr):
 
 
 def evaluate(e: Expr, point) -> float:
-    """Evaluate at one point: `Tape.at`, under the tape's `DomainError` contract."""
+    """Evaluate at one point: `Tape.at`, under the tape's `DomainError` contract.
+    The point needs the coordinates ``e`` reads, and any past them are ignored."""
     return Tape((e,)).at(point)[0]
 
 

@@ -6,6 +6,8 @@ box with per-axis open exclusions shielding coordinate singularities) is
 the domain of a fixture or of a coordinate map, and sampling reads it
 there.  The chart frame is the canonical orthonormal one, so e^mu = e_mu
 and the flat directional derivative reduces to coefficient-wise partials.
+It is the one flat derivative: `curl`, `gradient_field` and every
+vector-derivative sum of `connection` and `cartan` are one `fields.frame_sum`.
 `memo` makes a pure operator on fields a memo function, keyed weakly on the
 identity of its arguments; `lie_bracket` and the connection operators are.
 """
@@ -15,11 +17,13 @@ from __future__ import annotations
 import math
 import weakref
 from functools import cached_property, wraps
+from typing import Callable
 
 import numpy as np
 
 from . import expr as ex
-from .algebra import INVOLUTIONS, Multivector, blade_table, grade_of, same_dim
+from .algebra import (INVOLUTIONS, Frame, Multivector, blade_table, canonical_frame, grade_of,
+                      reciprocal_frame, same_dim)
 from .algebra import _owning as _owning_multivector
 
 # Box.sample gives up after this many draws per requested point.
@@ -334,25 +338,37 @@ def lie_bracket(a: MultivectorField, b: MultivectorField) -> MultivectorField:
     return sub(directional_derivative(a, b), directional_derivative(b, a))
 
 
+@memo
+def const_frames(dim: int, frame: Frame | None) -> tuple[tuple[MultivectorField, ...], ...]:
+    """Constant frame fields and their reciprocals, as tuples (canonical by default),
+    built once per frame, so that every sum over one frame sees the same fields."""
+    if frame is None:  # the canonical frame is orthonormal, so its own reciprocal
+        down = tuple(constant(v) for v in canonical_frame(dim).vectors)
+        return down, down
+    return tuple(tuple(constant(v) for v in f.vectors) for f in (frame, reciprocal_frame(frame)))
+
+
+def frame_sum(dim: int, term: Callable[[MultivectorField, MultivectorField], MultivectorField],
+              frame: Frame | None = None) -> MultivectorField:
+    """Sum of term(e_mu, e^mu) over a reciprocal frame pair, folded left from the
+    empty field, empty terms skipped: a vector-derivative sum, the same in every
+    frame (Hestenes & Sobczyk 1984)."""
+    out = _owning(dim, {})
+    for e_mu, e_up in zip(*const_frames(dim, frame)):
+        t = term(e_mu, e_up)
+        if t.coeffs:
+            out = add(out, t)
+    return out
+
+
 def curl(x: MultivectorField) -> MultivectorField:
-    """Grade-raising derivative d_o ^ X = sum_mu e_mu ^ dX/dx_mu (stored `expr.diff` partials)."""
-    table = blade_table(x.dim)
-    signs, targets = table.sign["wedge"], table.target
-    out: dict[int, ex.Expr] = {}
-    for m, c in x.coeffs.items():
-        sign_col, target_col = signs[:, m].tolist(), targets[:, m].tolist()
-        for i in range(x.dim):
-            sign = sign_col[1 << i]
-            if sign:
-                key = target_col[1 << i]
-                term = ex.diff(c, i)
-                out[key] = ex.add(out.get(key, ex.ZERO), ex.neg(term) if sign < 0 else term)
-    return _owning(x.dim, out)
+    """Grade-raising derivative d_o ^ X: the frame sum of e^mu ^ (e_mu . d_o X)."""
+    return frame_sum(x.dim, lambda e, e_up: wedge(e_up, directional_derivative(e, x)))
 
 
 def gradient_field(f: ex.Expr, dim: int) -> MultivectorField:
-    """d_o f as a vector field (canonical orthonormal frame)."""
-    return vector(dim, [ex.diff(f, i) for i in range(dim)])
+    """d_o f as a vector field: the curl of the scalar field f."""
+    return curl(scalar_field(dim, f))
 
 
 def compiled_evaluator(x: MultivectorField):

@@ -188,11 +188,12 @@ def accumulate(out, mask, sign, term):
 
 
 class TestProductsMatchOracleLoops:
-    """The symbolic products, curl and involutions read the blade table; the
-    trees must come out as loops over every coefficient pair, signed by the
-    generator-list oracle, build them: same keys in the same order, and
-    structurally equal sums.  The sparse operands cover every blade, so a
-    flipped sign or a reordered sum anywhere in the table fails."""
+    """The symbolic products and involutions read the blade table, and curl
+    wedges each direction's derivative; the trees must come out as loops over
+    every coefficient pair, signed by the generator-list oracle, build them:
+    same keys in the same order, and structurally equal sums.  The sparse
+    operands cover every blade, so a flipped sign or a reordered sum anywhere
+    in the table fails."""
 
     PRODUCTS = {"clifford": mf.clifford, "wedge": mf.wedge,
                 "left": lambda x, y: mf.contract(x, y, "left"),
@@ -220,8 +221,8 @@ class TestProductsMatchOracleLoops:
     def test_curl(self, dim, rng):
         for x in sparse_fields_covering_every_blade(dim, rng):
             dense = {}
-            for m, c in x.coeffs.items():
-                for i in range(dim):
+            for i in range(dim):  # the frame sum's order: direction outer
+                for m, c in x.coeffs.items():
                     mask, sign = blade_mul_oracle(1 << i, m)
                     if grade_of(mask) == grade_of(m) + 1:
                         accumulate(dense, mask, sign, ex.diff(c, i))
@@ -303,6 +304,14 @@ def test_a_point_of_the_wrong_length_is_refused(entry, point, message):
     with pytest.raises(ValueError) as err:
         query(point)
     assert str(err.value) == message
+
+
+def test_a_tape_ignores_a_long_point_that_a_field_refuses():
+    # a tape has no dim: it reads x0 and x1 and ignores the rest; the field has one
+    x = ex.add(ex.Var(0), ex.Var(1))
+    assert ex.evaluate(x, (0.5, 0.25, 9.0)) == 0.75
+    with pytest.raises(ValueError, match="point has 3 coordinates, expected 2"):
+        mf.scalar_field(2, x).at((0.5, 0.25, 9.0))
 
 
 class TestBox:

@@ -1,5 +1,5 @@
 """Every identity check of gacalc runs through one runner, `suites._SuiteRun.check`,
-and every frame sum through one function, `connection.frame_sum`.
+and every frame sum through one function, `fields.frame_sum`.
 
 Read from the source: a `CheckResult` is built (a call of the name
 ``CheckResult`` or of an attribute of that name) in one function only,
@@ -7,9 +7,12 @@ outside `report` where the class lives, and `cartan` holds mathematics
 alone, so it imports nothing from `report`.  Only `frame_sum` asks for a
 frame's fields (`const_frames`) to sum over them, so no hand-written frame
 sum is left; `extensor_cov_derivative` asks for the canonical ones as the
-columns of its matrix.  Symmetry is decided in one place, generators are
-built only by the runner's keyed `_SuiteRun.rng` and by that one decision's
-probe, and the cartan rows are one table.
+columns of its matrix.  The flat derivative is one function too: among the
+calculus modules only `fields.directional_derivative` differentiates, and in
+`fields` only `_product` reads the blade table's signs and targets.  Symmetry
+is decided in one place, generators are built only by the runner's keyed
+`_SuiteRun.rng` and by that one decision's probe, and the cartan rows are one
+table.
 Exactly the pure connection operators are memo functions.  Each function
 of the expression grammar is one row of `expr._FUNCTIONS`, and its name is
 written nowhere else in `expr`.
@@ -21,23 +24,30 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gacalc"
 
 
+def located(path: Path):
+    """Each AST node of ``path`` with the ``module.function`` (or
+    ``module.Class.method``) it sits in."""
+    stack = [(node, path.stem) for node in ast.parse(path.read_text()).body]
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        yield node, where
+        stack.extend((child, where) for child in ast.iter_child_nodes(node))
+
+
 def constructions(package: Path, name: str) -> list[str]:
     """``module.function`` (or ``module.Class.method``) of each call of ``name``."""
-    found = []
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        stack = [(node, path.stem) for node in tree.body]
-        while stack:
-            node, where = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                where = f"{where}.{node.name}"
-            if isinstance(node, ast.Call):
-                f = node.func
-                if (isinstance(f, ast.Name) and f.id == name) or (
-                        isinstance(f, ast.Attribute) and f.attr == name):
-                    found.append(where)
-            stack.extend((child, where) for child in ast.iter_child_nodes(node))
-    return sorted(found)
+    return sorted(where for path in sorted(package.glob("*.py")) for node, where in located(path)
+                  if isinstance(node, ast.Call) and (
+                      (isinstance(node.func, ast.Name) and node.func.id == name)
+                      or (isinstance(node.func, ast.Attribute) and node.func.attr == name)))
+
+
+def attribute_reads(path: Path, names: set[str]) -> list[str]:
+    """``module.function`` of each use of an attribute named in ``names``."""
+    return sorted(where for node, where in located(path)
+                  if isinstance(node, ast.Attribute) and node.attr in names)
 
 
 def imports_from(path: Path, module: str) -> list[int]:
@@ -83,6 +93,9 @@ def test_finders_see_calls_and_imports(tmp_path):
     (tmp_path / "b.py").write_text("@memo\ndef f():\n    pass\n@mf.memo\ndef g():\n    pass\n"
                                    "@other\ndef h():\n    pass\n")
     assert decorated(tmp_path, "memo") == ["b.f", "b.g"]
+    (tmp_path / "c.py").write_text("def f(t):\n    return t.sign, t.target\n"
+                                   "def g(t):\n    return t.signs\n")
+    assert attribute_reads(tmp_path / "c.py", {"sign", "target"}) == ["c.f", "c.f"]
 
 
 def test_one_place_builds_a_check_result():
@@ -97,7 +110,18 @@ def test_cartan_imports_nothing_from_report():
 
 def test_one_function_sums_over_a_frame():
     assert constructions(PACKAGE, "const_frames") == [
-        "connection.extensor_cov_derivative", "connection.frame_sum"]
+        "connection.extensor_cov_derivative", "fields.frame_sum"]
+
+
+def test_one_function_differentiates_in_the_calculus_modules():
+    calculus = ("fields.", "connection.", "cartan.")
+    assert [where for where in constructions(PACKAGE, "diff")
+            if where.startswith(calculus)] == ["fields.directional_derivative"]
+
+
+def test_only_the_product_reads_the_blade_table_signs_in_fields():
+    assert attribute_reads(PACKAGE / "fields.py", {"sign", "target"}) == [
+        "fields._product", "fields._product"]
 
 
 def test_symmetry_is_decided_once_per_run():
@@ -128,9 +152,9 @@ def test_cartan_rows_run_through_one_table_at_the_runner_sample():
 
 def test_exactly_the_pure_connection_operators_are_memo_functions():
     assert decorated(PACKAGE, "memo") == [
-        "cartan.curvature", "cartan.torsion", "connection.const_frames",
-        "connection.cov_derivative", "connection.gamma_apply", "connection.gamma_matrix",
-        "connection.gauge_bivector", "fields.lie_bracket"]
+        "cartan.curvature", "cartan.torsion", "connection.cov_derivative",
+        "connection.gamma_apply", "connection.gamma_matrix", "connection.gauge_bivector",
+        "fields.const_frames", "fields.lie_bracket"]
     assert constructions(PACKAGE, "memo") == []  # and none is wrapped by a call
 
 
