@@ -21,6 +21,7 @@ import numpy as np
 from . import expr as ex
 from . import fields as mf
 from .algebra import Frame, LinearMap11, same_dim
+# const_frames is not called here; it is imported for the importers of this module
 from .fields import MultivectorField, const_frames, frame_sum, memo
 
 SIGNS = ("+", "-", "0")
@@ -375,6 +376,6 @@ def extensor_cov_derivative(conn: ConnectionField, signs: Sequence[str], t: Exte
     """The signed derivative of a vector map as a vector map: column j is its value on e_j.
     The e_j are the canonical frame's shared fields, so the memo of `cov_derivative`
     serves every sign pair of one t and a."""
-    cols = [cov_derivative_extensor(conn, signs, t, a, (e_j,)).vector_components()
-            for e_j in const_frames(t.dim, None)[0]]
+    cols = [cov_derivative_extensor(conn, signs, t, a, (mf.basis(t.dim, j),)).vector_components()
+            for j in range(t.dim)]
     return ExtensorField11(t.dim, tuple(zip(*cols)))

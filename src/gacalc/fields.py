@@ -186,15 +186,6 @@ class MultivectorField:
         c[masks] = tape.at(point)
         return _owning_multivector(self.dim, c)
 
-    def __add__(self, other: MultivectorField) -> MultivectorField:
-        return add(self, other)
-
-    def __sub__(self, other: MultivectorField) -> MultivectorField:
-        return sub(self, other)
-
-    def __neg__(self) -> MultivectorField:
-        return scale(ex.const(-1.0), self)
-
 
 def mvf(dim: int, coeffs: dict) -> MultivectorField:
     return MultivectorField(dim, coeffs)
@@ -208,7 +199,10 @@ def vector(dim: int, components) -> MultivectorField:
 
 
 def basis(dim: int, i: int) -> MultivectorField:
-    return MultivectorField(dim, {1 << i: ex.ONE})
+    """e_i of the canonical frame: the very field `frame_sum` sums over, one object per (dim, i)."""
+    if not 0 <= i < dim:
+        raise ValueError(f"basis index {i} out of range for dim {dim}")
+    return const_frames(dim, None)[0][i]
 
 
 def constant(x: Multivector) -> MultivectorField:

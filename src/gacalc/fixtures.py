@@ -1,11 +1,14 @@
-"""Built-in connection fixtures and JSON fixture-config loading.
+"""Fixture and coordinate-map configs, and the built-ins as configs.
 
-Shipped fixtures cover the four regimes of interest: flat (zero
+A config can give connection coefficients directly, derive them from a
+metric, or transform another fixture through a coordinate map.  The
+built-in fixtures cover the four regimes of interest: flat (zero
 connection), flat in a curvilinear chart (polar), genuinely curved (unit
-sphere chart) and torsionful (constant coefficients).  The same fixtures
-are available as JSON config files for the command line; a config can
-give coefficients directly, derive them from a metric, or transform
-another fixture through a coordinate map.
+sphere chart) and torsionful (constant coefficients).  Each of them, and
+`polar_map`, is a config read by `load_fixture` or `load_map`, the loader
+of every JSON config under `fixtures/`, so it states only what differs
+from the loader's defaults (50 samples, tolerance 1e-8, the [-1.5, 1.5]^n
+box, coordinates x0, x1, ...).
 """
 
 from __future__ import annotations
@@ -53,72 +56,6 @@ class FixtureConfig:
         if not 0.0 < tol < math.inf:
             raise ConfigError(f"tolerance must be a positive finite number, got {tol}")
         return seed, samples, tol
-
-
-def zero_fixture(dim: int = 3) -> FixtureConfig:
-    domain = Box((-1.5,) * dim, (1.5,) * dim)
-    return FixtureConfig("zero", dim, tuple(f"x{i}" for i in range(dim)),
-                         ConnectionField.zero(dim), domain,
-                         samples=50, seed=12021, tolerance=1e-8)
-
-
-def polar_fixture() -> FixtureConfig:
-    """Flat plane in polar coordinates (r, theta), r bounded away from 0."""
-    domain = Box((0.1, -3.0), (3.0, 3.0))
-    r = ex.Var(0)
-    conn = ConnectionField.from_entries(2, {
-        (0, 1, 1): ex.neg(r),
-        (1, 0, 1): ex.div(ex.ONE, r),
-        (1, 1, 0): ex.div(ex.ONE, r),
-    })
-    return FixtureConfig("polar", 2, ("r", "theta"), conn, domain,
-                         samples=50, seed=23031, tolerance=1e-8)
-
-
-def sphere_fixture() -> FixtureConfig:
-    """Unit-sphere chart (theta, phi) with theta away from the poles."""
-    domain = Box((0.1, -3.0), (math.pi - 0.1, 3.0))
-    th = ex.Var(0)
-    conn = ConnectionField.from_entries(2, {
-        (0, 1, 1): ex.neg(ex.mul(ex.call("sin", th), ex.call("cos", th))),
-        (1, 0, 1): ex.div(ex.call("cos", th), ex.call("sin", th)),
-        (1, 1, 0): ex.div(ex.call("cos", th), ex.call("sin", th)),
-    })
-    return FixtureConfig("sphere", 2, ("theta", "phi"), conn, domain,
-                         samples=50, seed=34041, tolerance=1e-8)
-
-
-def torsionful_fixture() -> FixtureConfig:
-    """Constant-coefficient connection with torsion (one asymmetric entry)."""
-    domain = Box((-1.5, -1.5), (1.5, 1.5))
-    conn = ConnectionField.from_entries(2, {(0, 0, 1): ex.ONE})
-    return FixtureConfig("torsionful", 2, ("x0", "x1"), conn, domain,
-                         samples=50, seed=45051, tolerance=1e-8)
-
-
-def polar_map() -> CoordinateMap:
-    """Right half-plane to polar coordinates; forward needs atan, so the
-    primed angle stays inside the principal branch."""
-    x, y = ex.Var(0), ex.Var(1)
-    forward = (
-        ex.call("sqrt", ex.add(ex.powi(x, 2), ex.powi(y, 2))),
-        ex.call("atan", ex.div(y, x)),
-    )
-    r, th = ex.Var(0), ex.Var(1)
-    inverse = (ex.mul(r, ex.call("cos", th)), ex.mul(r, ex.call("sin", th)))
-    return CoordinateMap(
-        2, forward, inverse,
-        domain_primed=Box((0.2, -1.3), (3.0, 1.3)),
-        domain_canonical=Box((0.3, -1.0), (3.0, 1.0)),
-    )
-
-
-BUILTIN_FIXTURES = {
-    "zero": zero_fixture,
-    "polar": polar_fixture,
-    "sphere": sphere_fixture,
-    "torsionful": torsionful_fixture,
-}
 
 
 _MISSING = object()  # a config key that is absent and has no default
@@ -290,3 +227,49 @@ def load_fixture(obj) -> FixtureConfig:
 
 def load_fixture_file(path) -> FixtureConfig:
     return load_fixture(_read_json(path))
+
+
+def zero_fixture(dim: int = 3) -> FixtureConfig:
+    return load_fixture({"name": "zero", "dim": dim, "seed": 12021})
+
+
+def polar_fixture() -> FixtureConfig:
+    """Flat plane in polar coordinates (r, theta), r bounded away from 0."""
+    return load_fixture({
+        "name": "polar", "dim": 2, "coordinates": ["r", "theta"], "seed": 23031,
+        "connection": {"kind": "coefficients", "coefficients": {
+            "0,1,1": "-x0", "1,0,1": "1/x0", "1,1,0": "1/x0"}},
+        "domain": {"lo": [0.1, -3.0], "hi": [3.0, 3.0]}})
+
+
+def sphere_fixture() -> FixtureConfig:
+    """Unit-sphere chart (theta, phi) with theta away from the poles."""
+    return load_fixture({
+        "name": "sphere", "dim": 2, "coordinates": ["theta", "phi"], "seed": 34041,
+        "connection": {"kind": "coefficients", "coefficients": {
+            "0,1,1": "-(sin(x0)*cos(x0))", "1,0,1": "cos(x0)/sin(x0)",
+            "1,1,0": "cos(x0)/sin(x0)"}},
+        "domain": {"lo": [0.1, -3.0], "hi": [3.0415926535897933, 3.0]}})
+
+
+def torsionful_fixture() -> FixtureConfig:
+    """Constant-coefficient connection with torsion (one asymmetric entry)."""
+    return load_fixture({"name": "torsionful", "dim": 2, "seed": 45051, "connection": {
+        "kind": "coefficients", "coefficients": {"0,0,1": "1"}}})
+
+
+def polar_map() -> CoordinateMap:
+    """Right half-plane to polar coordinates; forward needs atan, so the
+    primed angle stays inside the principal branch."""
+    return load_map({"dim": 2, "forward": ["sqrt(x0^2+x1^2)", "atan(x1/x0)"],
+                     "inverse": ["x0*cos(x1)", "x0*sin(x1)"],
+                     "domain": {"lo": [0.2, -1.3], "hi": [3.0, 1.3]},
+                     "domain_canonical": {"lo": [0.3, -1.0], "hi": [3.0, 1.0]}})
+
+
+BUILTIN_FIXTURES = {
+    "zero": zero_fixture,
+    "polar": polar_fixture,
+    "sphere": sphere_fixture,
+    "torsionful": torsionful_fixture,
+}

@@ -8,7 +8,9 @@ from gacalc import algebra as alg
 from gacalc import expr as ex
 from gacalc import fields as mf
 from gacalc.algebra import Multivector, allclose, grade_of
+from gacalc.cartan import curvature
 from gacalc.connection import ExtensorField11
+from gacalc.fixtures import sphere_fixture
 from gacalc.report import worst_residual
 from gacalc.suites import rand_mvf
 from test_algebra import KEPT_GRADE, blade_mul_oracle, generators, sort_generators
@@ -37,6 +39,25 @@ def rand_poly_mvf(dim, rng):
 
 def max_residual(lhs, rhs, points):
     return worst_residual([(lhs, rhs)], points)
+
+
+class TestBasis:
+    def test_one_object_per_dim_and_index_the_frame_sum_sees(self):
+        assert mf.basis(3, 1) is mf.basis(3, 1) is mf.const_frames(3, None)[0][1]
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_an_index_outside_the_dim_is_refused(self, i):
+        with pytest.raises(ValueError, match=f"basis index {i} out of range for dim 2"):
+            mf.basis(2, i)
+
+    def test_a_dim_outside_the_documented_scope_is_refused(self):
+        with pytest.raises(ValueError, match="dimension must be between 2 and 6, got 7"):
+            mf.basis(7, 0)
+
+    def test_memo_functions_share_work_across_basis_calls(self):
+        conn = sphere_fixture().conn
+        first = curvature(conn, mf.basis(2, 0), mf.basis(2, 1), mf.basis(2, 1))
+        assert curvature(conn, mf.basis(2, 0), mf.basis(2, 1), mf.basis(2, 1)) is first
 
 
 class TestFieldBasics:

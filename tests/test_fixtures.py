@@ -1,13 +1,25 @@
 """Fixture configs: transform chains of any length, JSON the decoder refuses,
-and config values of the wrong JSON type."""
+config values of the wrong JSON type, and built-ins that match the shipped
+configs."""
 
+import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gacalc import expr as ex
-from gacalc.fixtures import ConfigError, load_fixture, load_fixture_file, load_map, load_map_file
+from gacalc.fixtures import (
+    BUILTIN_FIXTURES,
+    ConfigError,
+    load_fixture,
+    load_fixture_file,
+    load_map,
+    load_map_file,
+    polar_map,
+    zero_fixture,
+)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 MAPS = FIXTURES / "maps"
@@ -192,3 +204,34 @@ class TestConfigTypes:
         assert fix.domain.exclusions == ((0, 1.0), (1, 0.5))
         cmap = load_map(edited(POLAR_MAP, ("domain", "lo"), [1, -1]))
         assert cmap.domain_primed.lo == (1.0, -1.0)
+
+
+def same_values(got, want, points):
+    """True if the expressions ``got`` and ``want`` give the same bits at every point."""
+    return np.array_equal(ex.Tape(got)(points), ex.Tape(want)(points))
+
+
+class TestBuiltinsMatchTheShippedConfigs:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FIXTURES))
+    def test_fixture(self, name):
+        got, want = BUILTIN_FIXTURES[name](), load_fixture_file(FIXTURES / f"{name}.json")
+        for key in ("name", "dim", "coordinates", "samples", "seed", "tolerance", "domain"):
+            assert getattr(got, key) == getattr(want, key), key
+        points = got.domain.sample(50, np.random.default_rng(50))
+        for g, a, b in itertools.product(range(got.dim), repeat=3):
+            assert same_values([got.conn.gamma[g][a][b]], [want.conn.gamma[g][a][b]],
+                               points), (g, a, b)
+
+    def test_polar_map(self):
+        got, want = polar_map(), load_map_file(MAPS / "polar_map.json")
+        assert got.dim == want.dim
+        assert got.domain_primed == want.domain_primed
+        assert got.domain_canonical == want.domain_canonical
+        rng = np.random.default_rng(51)
+        # forward is written in the canonical coordinates, inverse in the primed ones
+        for side, domain in (("forward", got.domain_canonical), ("inverse", got.domain_primed)):
+            assert same_values(getattr(got, side), getattr(want, side), domain.sample(50, rng)), side
+
+    def test_a_zero_fixture_past_the_documented_dims_is_refused(self):
+        with pytest.raises(ConfigError, match="dim must be between 2 and 6, got 7"):
+            zero_fixture(7)

@@ -6,10 +6,13 @@ Read from the source: a `CheckResult` is built (a call of the name
 outside `report` where the class lives, and `cartan` holds mathematics
 alone, so it imports nothing from `report`.  Only `frame_sum` asks for a
 frame's fields (`const_frames`) to sum over them, so no hand-written frame
-sum is left; `extensor_cov_derivative` asks for the canonical ones as the
-columns of its matrix.  The flat derivative is one function too: among the
-calculus modules only `fields.directional_derivative` differentiates, and in
-`fields` only `_product` reads the blade table's signs and targets.  Symmetry
+sum is left, and `basis` hands out the canonical frame's own fields, so a
+basis field is the one a frame sum sees.  A fixture config is built only by
+the loader, from a box the loader reads, and in `fixtures` a coordinate map
+only by the map loader, so each built-in fixture and map is a config it
+reads.  The flat derivative is one function too: among the calculus modules
+only `fields.directional_derivative` differentiates, and in `fields` only
+`_product` reads the blade table's signs and targets.  Symmetry
 is decided in one place, generators are built only by the runner's keyed
 `_SuiteRun.rng` and by that one decision's probe, and the cartan rows are one
 table.
@@ -109,8 +112,20 @@ def test_cartan_imports_nothing_from_report():
 
 
 def test_one_function_sums_over_a_frame():
-    assert constructions(PACKAGE, "const_frames") == [
-        "connection.extensor_cov_derivative", "fields.frame_sum"]
+    assert constructions(PACKAGE, "const_frames") == ["fields.basis", "fields.frame_sum"]
+
+
+def test_only_the_loader_builds_a_fixture_config():
+    assert constructions(PACKAGE, "FixtureConfig") == ["fixtures.load_fixture"]
+
+
+def test_only_the_box_loader_builds_a_box():
+    assert constructions(PACKAGE, "Box") == ["fixtures._load_box"]
+
+
+def test_only_the_map_loader_builds_a_coordinate_map_in_fixtures():
+    assert [where for where in constructions(PACKAGE, "CoordinateMap")
+            if where.startswith("fixtures.")] == ["fixtures.load_map"]
 
 
 def test_one_function_differentiates_in_the_calculus_modules():
