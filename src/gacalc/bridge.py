@@ -163,11 +163,16 @@ def riemann_coefficients(conn: ConnectionField):
                   + G^d_{a s} G^s_{b g} - G^d_{b s} G^s_{a g}
     """
     n, g = conn.dim, conn.gamma
+    summed = [[set() for _ in range(n)] for _ in range(n)]  # [d][a]: the s of G^d_{a s} not 0
+    for d, a, s, _ in conn.nonzero:
+        summed[d][a].add(s)
 
     def entry(index):
         d, c, a, b = index
-        total = ex.sub(ex.diff(g[d][b][c], a), ex.diff(g[d][a][c], b))
-        for s in range(n):
+        # only an s with G^d_{a s} or G^d_{b s} not 0 gives a term the fold keeps;
+        # adding 0 first gives a constant -0.0 the sign the skipped terms would
+        total = ex.add(ex.sub(ex.diff(g[d][b][c], a), ex.diff(g[d][a][c], b)), ex.ZERO)
+        for s in sorted(summed[d][a] | summed[d][b]):
             total = ex.add(total, ex.mul(g[d][a][s], g[s][b][c]))
             total = ex.sub(total, ex.mul(g[d][b][s], g[s][a][c]))
         return total

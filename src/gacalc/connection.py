@@ -117,7 +117,9 @@ class ExtensorField11:
         rows = [list(r) for r in matrix]
         return cls(len(rows), tuple(tuple(ex.as_expr(c) for c in r) for r in rows))
 
+    @memo
     def __call__(self, v: MultivectorField) -> MultivectorField:
+        """The image of the vector field v, one object per (map, v)."""
         same_dim(v, self)
         if not v.is_vector():
             raise ValueError("a (1,1)-extensor field applies to vector fields")
@@ -374,8 +376,8 @@ def cov_derivative_extensor(conn: ConnectionField, signs: Sequence[str],
 def extensor_cov_derivative(conn: ConnectionField, signs: Sequence[str], t: ExtensorField11,
                             a: MultivectorField) -> ExtensorField11:
     """The signed derivative of a vector map as a vector map: column j is its value on e_j.
-    The e_j are the canonical frame's shared fields, so the memo of `cov_derivative`
-    serves every sign pair of one t and a."""
+    The e_j are the canonical frame's shared fields and t(e_j) is one object per
+    column, so the memo of `cov_derivative` serves every sign pair of one t and a."""
     cols = [cov_derivative_extensor(conn, signs, t, a, (mf.basis(t.dim, j),)).vector_components()
             for j in range(t.dim)]
     return ExtensorField11(t.dim, tuple(zip(*cols)))

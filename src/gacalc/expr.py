@@ -9,10 +9,12 @@ Grammar (whitespace insignificant)::
     func   := sin | cos | tan | exp | ln | sqrt | atan
 
 Coordinates are x0, x1, ...  ASTs are immutable by convention (nothing
-assigns to a node's fields once built; slots hold them and the derivatives
-`diff` stores, `_diff`) and closed under `diff`, so repeated differentiation
-(needed for curvature and its derivatives) stays exact.  Each binary node
-type and each function has one row of rules (`_BINARY`, `_FUNCTIONS`).
+assigns to a node's fields once built; slots hold them and the partials
+`diff` stores, `_diff`) and closed under `diff` and `tangent`, so repeated
+differentiation (needed for curvature and its derivatives) stays exact.
+Both are one walk, `_derive`, seeded for a partial or for a direction
+(forward mode).  Each binary node type and each function has one row of
+rules (`_BINARY`, `_FUNCTIONS`).
 `simplify` only folds constants and 0/1/-1 identities; a constant call or
 power folds to the value a `Tape` computes for it, when that value is
 finite.  `simplify` and `substitute` rebuild a `Tape`'s slots in order, so
@@ -338,14 +340,30 @@ def _rebuild(roots, var) -> list[Expr]:
 
 
 def diff(e: Expr, i: int) -> Expr:
-    """Exact partial derivative with respect to coordinate x_i.
+    """Exact partial derivative with respect to coordinate x_i: `_derive` with
+    the seed D(x_i) = 1.  Each node keeps its partials in its own ``_diff``
+    dict, outside the fields ``==``, ``hash`` and ``repr`` read, so it is
+    differentiated by x_i once in its lifetime, whichever call asks."""
+    return _derive(e, {i: ONE}, i, None)
+
+
+def tangent(e: Expr, seeds: dict[int, Expr], memo: dict) -> Expr:
+    """Exact derivative along the direction whose x_i component is seeds[i]
+    (absent: 0), in one forward pass: `_derive` with the seeds D(x_i) = seeds[i].
+    ``memo`` maps id(node) -> (node, its tangent) and belongs to the direction,
+    so a node is differentiated along it once in the direction's lifetime."""
+    return _derive(e, seeds, None, memo)
+
+
+def _derive(e: Expr, seeds: dict[int, Expr], i: int | None, memo: dict | None) -> Expr:
+    """The one derivative walk, seeded D(x_k) = seeds.get(k, 0) and D(const) = 0;
+    every other node takes its row's rule.  Its store is the node's ``_diff[i]``
+    for a partial (``memo`` None), else ``memo``, keyed by id(node).
 
     The walk is iterative (post-order on an explicit stack: any depth).  It
     descends one operand at a time, left before right, and looks each up once:
-    a leaf's derivative, or the one stored on the node, goes straight to the
-    node waiting for it.  Each node keeps its derivatives in its own ``_diff``
-    dict, outside the fields ``==``, ``hash`` and ``repr`` read, so it is
-    differentiated by x_i once in its lifetime, whichever call asks.
+    a leaf's derivative, or the one stored, goes straight to the node waiting
+    for it.
     """
     waiting: list[Expr] = []  # nodes whose operands are being differentiated, innermost last
     lefts: list = []  # per waiting node: its left operand's derivative once done, else None
@@ -353,12 +371,16 @@ def diff(e: Expr, i: int) -> Expr:
     while True:
         kind = type(node)
         if kind is Var:
-            d = ONE if node.index == i else ZERO
+            d = seeds.get(node.index, ZERO)
         elif kind is Const:
             d = ZERO
         else:
-            known = getattr(node, "_diff", None)
-            d = None if known is None else known.get(i)
+            if memo is None:
+                known = getattr(node, "_diff", None)
+                d = None if known is None else known.get(i)
+            else:
+                known = memo.get(id(node))
+                d = None if known is None else known[1]
             if d is None:  # differentiate the operands first, left before right
                 waiting.append(node)
                 lefts.append(None)
@@ -388,10 +410,13 @@ def diff(e: Expr, i: int) -> Expr:
                 d = neg(d)
             waiting.pop()
             lefts.pop()
-            known = getattr(node, "_diff", None)
-            if known is None:
-                node._diff = known = {}
-            known[i] = d
+            if memo is None:
+                known = getattr(node, "_diff", None)
+                if known is None:
+                    node._diff = known = {}
+                known[i] = d
+            else:  # the memo holds the node, so its id stays its own
+                memo[id(node)] = (node, d)
         else:
             return d
 

@@ -5,8 +5,9 @@ the chart coordinates, and no sampling domain.  A `Box` (an axis-aligned
 box with per-axis open exclusions shielding coordinate singularities) is
 the domain of a fixture or of a coordinate map, and sampling reads it
 there.  The chart frame is the canonical orthonormal one, so e^mu = e_mu
-and the flat directional derivative reduces to coefficient-wise partials.
-It is the one flat derivative: `curl`, `gradient_field` and every
+and the flat directional derivative is coefficient-wise: a sum of partials
+along a constant direction, a forward pass along a varying one.  It is
+the one flat derivative: `curl`, `gradient_field` and every
 vector-derivative sum of `connection` and `cartan` are one `fields.frame_sum`.
 `memo` makes a pure operator on fields a memo function, keyed weakly on the
 identity of its arguments; `lie_bracket` and the connection operators are.
@@ -172,6 +173,11 @@ class MultivectorField:
         return [self.component(1 << i) for i in range(self.dim)]
 
     @cached_property
+    def _tangents(self) -> dict:
+        """The tangent memo of this field as a direction (`expr.tangent`): it dies with the field."""
+        return {}
+
+    @cached_property
     def _tape(self) -> tuple[ex.Tape, np.ndarray]:
         """All coefficients lowered once (a field is never changed), and their blade indices."""
         return ex.Tape(self.coeffs.values()), np.fromiter(self.coeffs, np.intp, len(self.coeffs))
@@ -305,20 +311,27 @@ def grade_project(x: MultivectorField, k: int) -> MultivectorField:
 
 
 def directional_derivative(a: MultivectorField, x: MultivectorField) -> MultivectorField:
-    """Flat derivative a.d_o X: coefficient-wise sum of a^i dX/dx_i.
+    """Flat derivative a.d_o X, coefficient by coefficient.
 
-    Directions whose component is a constant 0 are skipped (their term
-    would fold away); `expr.diff` differentiates each coefficient node once
-    per coordinate in its lifetime, whichever call asks.
+    Along a constant direction (every component a `Const`: a frame vector)
+    it is the sum of a^i dX/dx_i over the components not 0, from the
+    partials `expr.diff` stores on each node.  Along a varying one it is one
+    forward pass per coefficient, `expr.tangent`, memoized on the direction.
+    The canonical frame's fields live as long as the process, so a memo on
+    them would keep every tree differentiated along them alive; a partial
+    dies with its node and serves every constant direction.
     """
     same_dim(a, x)
     if not a.is_vector():
         raise ValueError("direction must be a vector field")
-    comps = [(i, ai) for i, ai in enumerate(a.vector_components()) if not ex.is_zero(ai)]
+    comps = {i: ai for i, ai in enumerate(a.vector_components()) if not ex.is_zero(ai)}
+    if any(type(ai) is not ex.Const for ai in comps.values()):
+        memo = a._tangents
+        return _owning(x.dim, {m: ex.tangent(c, comps, memo) for m, c in x.coeffs.items()})
     out: dict[int, ex.Expr] = {}
     for m, c in x.coeffs.items():
         total = ex.ZERO
-        for i, ai in comps:
+        for i, ai in comps.items():
             total = ex.add(total, ex.mul(ai, ex.diff(c, i)))
         out[m] = total
     return _owning(x.dim, out)

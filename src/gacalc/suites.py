@@ -459,10 +459,11 @@ def core_rows(run: _SuiteRun) -> list:
     def cde3(rng, _):
         a = rv(rng)
         t = rand_ext11(dim, rng)
+        adjoint = ext_adjoint(t)  # one map, so every sign pair shares its derivatives
         for s1 in SIGNS:
             for s in SIGNS:
                 lhs = ext_adjoint(extensor_cov_derivative(conn, (s1, s), t, a))
-                rhs = extensor_cov_derivative(conn, (s, s1), ext_adjoint(t), a)
+                rhs = extensor_cov_derivative(conn, (s, s1), adjoint, a)
                 yield from zip(itertools.chain(*lhs.entries), itertools.chain(*rhs.entries))
 
     def deform_scalar(rng, _):

@@ -15,6 +15,7 @@ from gacalc.bridge import (
     christoffel,
     classical_cov_derivative,
     levi_civita_from_metric,
+    riemann_coefficients,
     transform_components,
     transform_connection,
 )
@@ -467,3 +468,42 @@ class TestGenericMatchesExplicit:
                      lambda v: classical_cov_derivative(zero2_conn, tensor, v)):
             with pytest.raises(ValueError, match="got 'sideways'"):
                 call(("co", "sideways"))
+
+
+def dense_riemann(conn):
+    """R^d_{g a b} summed over every s, zero factors included, as the formula reads."""
+    n, g = conn.dim, conn.gamma
+    out = np.empty((n,) * 4, dtype=object)
+    for d, c, a, b in itertools.product(range(n), repeat=4):
+        total = ex.sub(ex.diff(g[d][b][c], a), ex.diff(g[d][a][c], b))
+        for s in range(n):
+            total = ex.add(total, ex.mul(g[d][a][s], g[s][b][c]))
+            total = ex.sub(total, ex.mul(g[d][b][s], g[s][a][c]))
+        out[d, c, a, b] = total
+    return out.tolist()
+
+
+def sparse_connection(dim, rng):
+    """A seeded connection with a few nonzero coefficients: constants, coordinates,
+    negated coordinates (whose partials are a constant -0.0) and products."""
+    pool = [ex.const(1.5), ex.const(-2.0)] + [ex.Var(i) for i in range(dim)] + [
+        ex.Neg(ex.Var(i)) for i in range(dim)] + [ex.parse(f"x0*sin(x{dim - 1})", dim)]
+    entries = {}
+    for _ in range(2 * dim):
+        index = tuple(int(v) for v in rng.integers(0, dim, size=3))
+        entries[index] = pool[int(rng.integers(len(pool)))]
+    return ConnectionField.from_entries(dim, entries)
+
+
+class TestRiemannCoefficients:
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_the_sparse_sum_builds_the_dense_trees(self, dim):
+        rng = np.random.default_rng(dim)
+        conns = [sparse_connection(dim, rng) for _ in range(3)] + [ConnectionField.zero(dim)]
+        if dim == 2:
+            conns += [load_fixture_file(FIXTURES / f"{name}.json").conn
+                      for name in ("sphere", "polar", "torsionful")]
+        if dim == 3:
+            conns.append(load_fixture_file(FIXTURES / "sphere3_metric.json").conn)
+        for conn in conns:
+            assert repr(riemann_coefficients(conn)) == repr(dense_riemann(conn))

@@ -164,7 +164,8 @@ class TestNodeClasses:
 
     def test_no_module_assigns_to_a_node_field(self):
         """Nodes are immutable by convention: a node class's own ``__init__``
-        stores its fields, and only `diff` stores on a node after, in `_diff`.
+        stores its fields, and only the derivative walk `_derive` stores on a
+        node after, in `_diff`.
         Another class's constructor may store a field of the same name on its
         own instance, which is never a node."""
         node_fields = {name for names in NODE_FIELDS.values() for name in names}
@@ -176,7 +177,7 @@ class TestNodeClasses:
                 elif attr in node_fields and not constructs_own_field(path, scopes, target, attr):
                     stores.append((path.name, [s.name for s in scopes], attr))
         assert not stores
-        assert diff_stores == {("expr.py", "diff")}
+        assert diff_stores == {("expr.py", "_derive")}
 
     def test_no_module_assigns_to_a_field_of_a_formerly_frozen_class(self):
         """Only a class's own constructor stores its fields, and the `_owning`

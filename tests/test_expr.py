@@ -1,6 +1,7 @@
 """Expression DSL: grammar, evaluation, exact differentiation, printing."""
 
 import gc
+import json
 import math
 import operator
 import os
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gacalc import cli
 from gacalc import expr as ex
 from gacalc import fields as mf
 from gacalc import suites
@@ -535,6 +537,93 @@ class TestDiff:
         k = np.arange(1, n + 1) / n
         want = [np.sum(k * np.cos(k * p)) for (p,) in points]
         assert_allclose(ex.Tape([d])(points)[:, 0], want, rtol=1e-12)
+
+
+def tangent_corpus(n: int) -> list[ex.Expr]:
+    """Expressions in x0..x{n-1}, finite on [-1.5, 1.5]^n: every function row
+    (on an argument in [0.9, 1.5], inside every domain and below tan's pole),
+    a quotient and negative powers, each reading several coordinates."""
+    last = n - 1
+    inner = f"(1.2 + 0.3*sin(x0*x{last} - x1))"
+    sources = [f"{name}{inner}*x{k % n}" for k, name in enumerate(sorted(ex._FUNCTIONS))]
+    sources += [f"x0*x1/(2 + cos(x{last}))", f"(2 + sin(x0 - x{last}))^-3",
+                f"{inner}^-2 - x0^3*x{last}"]
+    return [ex.parse(src, n) for src in sources]
+
+
+def varying_direction(n: int) -> dict[int, ex.Expr]:
+    """The components of a varying direction: a constant one, a zero one, the rest varying."""
+    seeds = {0: ex.const(-0.75)}
+    for i in range(2, n):
+        seeds[i] = ex.parse(f"sin(x{i - 1}) + x0*x{i}", n)
+    seeds[1] = ex.parse("exp(x1/3)", n)
+    return seeds
+
+
+class TestTangent:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_the_sum_of_partials_in_value(self, n, rng):
+        seeds = varying_direction(n)
+        corpus = tangent_corpus(n)
+        ours = [ex.tangent(e, seeds, {}) for e in corpus]
+        summed = []
+        for e in corpus:
+            total = ex.ZERO
+            for i, a in seeds.items():
+                total = ex.add(total, ex.mul(a, ex.diff(e, i)))
+            summed.append(total)
+        points = rng.uniform(-1.5, 1.5, size=(30, n))
+        assert_allclose(ex.Tape(ours)(points), ex.Tape(summed)(points), rtol=1e-12, atol=1e-12)
+
+    def test_along_a_unit_direction_is_the_partial(self, rng):
+        for e in tangent_corpus(3):
+            for i in range(3):
+                points = rng.uniform(-1.5, 1.5, size=(10, 3))
+                got = ex.Tape([ex.tangent(e, {i: ex.ONE}, {}), ex.diff(e, i)])(points)
+                assert_allclose(got[:, 0], got[:, 1], rtol=1e-13, atol=1e-13)
+
+    def test_one_direction_gives_one_tangent_object(self):
+        a = mf.vector(3, [ex.parse(src, 3) for src in ("x1", "1 + x0*x2", "0.5")])
+        x = mf.mvf(3, dict(zip(range(8), tangent_corpus(3))))
+        first, second = mf.directional_derivative(a, x), mf.directional_derivative(a, x)
+        assert first.coeffs.keys() == second.coeffs.keys()
+        for m, c in first.coeffs.items():
+            assert second.coeffs[m] is c
+        # a subtree's tangent is kept on the way, and read again by another root
+        assert mf.directional_derivative(a, mf.scalar_field(3, x.coeffs[0].left)).coeffs[0] \
+            is a._tangents[id(x.coeffs[0].left)][1]
+
+    def test_the_tangents_die_with_their_direction(self):
+        # `cli.main` runs with the collector off: reference counting alone must
+        # free the direction, the memo it holds and every tangent in it
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            a = mf.vector(2, [ex.parse("x1", 2), ex.parse("sin(x0)", 2)])
+            x = mf.scalar_field(2, ex.parse("exp(x0*x1) + ln(2 + cos(x1))", 2))
+            d = mf.directional_derivative(a, x)
+            inner = x.coeffs[0].left  # a node held by the memo once x is gone
+            refs = [weakref.ref(o) for o in (a, x, d, d.coeffs[0], inner)]
+            refs += [weakref.ref(t) for _, t in a._tangents.values()]
+            del x, inner
+            assert refs[4]() is not None
+            del a, d
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("suite", ["bianchi", "all"])
+    def test_a_fault_under_a_tangent_exits_2_with_one_line(self, suite, tmp_path, capsys):
+        # the bianchi and all rows differentiate ln(x0) along varying draws
+        cfg = tmp_path / "ln.json"
+        cfg.write_text(json.dumps({
+            "name": "ln-fault", "dim": 2, "seed": 1,
+            "connection": {"kind": "coefficients", "coefficients": {"0,0,0": "ln(x0)"}},
+            "domain": {"lo": [-1, -1], "hi": [1, 1]}}))
+        assert cli.main(["check", "--config", str(cfg), "--suite", suite, "--seed", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: logarithm of a non-positive value in 'ln(x0)'\n")
 
 
 class TestPrintRoundTrip:

@@ -11,7 +11,8 @@ basis field is the one a frame sum sees.  A fixture config is built only by
 the loader, from a box the loader reads, and in `fixtures` a coordinate map
 only by the map loader, so each built-in fixture and map is a config it
 reads.  The flat derivative is one function too: among the calculus modules
-only `fields.directional_derivative` differentiates, and in `fields` only
+only `fields.directional_derivative` differentiates (by partials or by a
+tangent), and in `fields` only
 `_product` reads the blade table's signs and targets.  Symmetry
 is decided in one place, generators are built only by the runner's keyed
 `_SuiteRun.rng` and by that one decision's probe, and the cartan rows are one
@@ -70,15 +71,16 @@ def imports_from(path: Path, module: str) -> list[int]:
 
 
 def decorated(package: Path, name: str) -> list[str]:
-    """``module.function`` of each module-level function decorated with ``name``."""
+    """``module.function`` (or ``module.Class.method``) of each function decorated
+    with ``name``."""
     found = []
     for path in sorted(package.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        for node, where in located(path):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
                     (isinstance(d, ast.Name) and d.id == name)
                     or (isinstance(d, ast.Attribute) and d.attr == name)
                     for d in node.decorator_list):
-                found.append(f"{path.stem}.{node.name}")
+                found.append(where)
     return sorted(found)
 
 
@@ -94,8 +96,9 @@ def test_finders_see_calls_and_imports(tmp_path):
     assert imports_from(tmp_path / "a.py", "report") == [1, 2, 3, 4]
     assert imports_from(tmp_path / "a.py", "fields") == [3]
     (tmp_path / "b.py").write_text("@memo\ndef f():\n    pass\n@mf.memo\ndef g():\n    pass\n"
-                                   "@other\ndef h():\n    pass\n")
-    assert decorated(tmp_path, "memo") == ["b.f", "b.g"]
+                                   "@other\ndef h():\n    pass\n"
+                                   "class K:\n    @memo\n    def __call__(self):\n        pass\n")
+    assert decorated(tmp_path, "memo") == ["b.K.__call__", "b.f", "b.g"]
     (tmp_path / "c.py").write_text("def f(t):\n    return t.sign, t.target\n"
                                    "def g(t):\n    return t.signs\n")
     assert attribute_reads(tmp_path / "c.py", {"sign", "target"}) == ["c.f", "c.f"]
@@ -130,8 +133,9 @@ def test_only_the_map_loader_builds_a_coordinate_map_in_fixtures():
 
 def test_one_function_differentiates_in_the_calculus_modules():
     calculus = ("fields.", "connection.", "cartan.")
-    assert [where for where in constructions(PACKAGE, "diff")
-            if where.startswith(calculus)] == ["fields.directional_derivative"]
+    for derivative in ("diff", "tangent"):
+        assert [where for where in constructions(PACKAGE, derivative)
+                if where.startswith(calculus)] == ["fields.directional_derivative"]
 
 
 def test_only_the_product_reads_the_blade_table_signs_in_fields():
@@ -167,7 +171,8 @@ def test_cartan_rows_run_through_one_table_at_the_runner_sample():
 
 def test_exactly_the_pure_connection_operators_are_memo_functions():
     assert decorated(PACKAGE, "memo") == [
-        "cartan.curvature", "cartan.torsion", "connection.cov_derivative",
+        "cartan.curvature", "cartan.torsion", "connection.ExtensorField11.__call__",
+        "connection.cov_derivative",
         "connection.gamma_apply", "connection.gamma_matrix", "connection.gauge_bivector",
         "fields.const_frames", "fields.lie_bracket"]
     assert constructions(PACKAGE, "memo") == []  # and none is wrapped by a call

@@ -1,7 +1,7 @@
 """An independent computer-algebra oracle: sympy's derivatives and curvature.
 
-`expr.diff` is checked against `sympy.diff` on seeded random parsed
-expressions, and the classical tables `levi_civita_from_metric` and
+`expr.diff` and `expr.tangent` are checked against `sympy.diff` on seeded
+random parsed expressions, and the classical tables `levi_civita_from_metric` and
 `riemann_coefficients` against sympy's Christoffel symbols and Riemann
 tensor of the unit S^3 metric.  Both sides are evaluated numerically at
 points of the domain.  sympy is a test-only dependency; without it the file
@@ -87,6 +87,28 @@ class TestDiffAgainstSympy:
             for i in range(DIM):
                 ours.append(ex.diff(e, i))
                 theirs.append(sympy.diff(s, symbols[i]))
+        assert_allclose(ours_at(ours, points), theirs_at(symbols, theirs, points),
+                        rtol=1e-10, atol=1e-10)
+
+
+class TestTangentAgainstSympy:
+    def test_random_expressions_along_random_directions(self):
+        # the derivative along a varying direction a is sum_i a_i d/dx_i
+        rng = np.random.default_rng(20261019)
+        symbols = sympy.symbols(f"x0:{DIM}")
+        sources = [random_source(rng, depth) for depth in (1, 2, 3) for _ in range(12)]
+        used = "".join(sources)
+        assert all(re.search(rf"\b{name}\(", used) for name in FUNCTIONS)
+        assert all(op in used for op in (" / ", "^-"))
+        points = rng.uniform(-1.5, 1.5, size=(8, DIM))
+        ours, theirs = [], []
+        for src in sources:
+            direction = [random_source(rng, 1) for _ in range(DIM)]
+            seeds = {i: ex.parse(c, DIM) for i, c in enumerate(direction)}
+            ours.append(ex.tangent(ex.parse(src, DIM), seeds, {}))
+            s = to_sympy(src, symbols)
+            theirs.append(sum(to_sympy(c, symbols) * sympy.diff(s, x)
+                              for c, x in zip(direction, symbols)))
         assert_allclose(ours_at(ours, points), theirs_at(symbols, theirs, points),
                         rtol=1e-10, atol=1e-10)
 
