@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr as ex
 from . import fields as mf
-from .connection import ConnectionField, ExtensorField11, ext_inverse
+from .connection import ConnectionField, ExtensorField11, asymmetry, ext_inverse
 from .fields import Box, MultivectorField
 
 
@@ -112,6 +112,8 @@ def transform_connection(conn: ConnectionField, cmap: CoordinateMap) -> Connecti
              for a, b, g in itertools.product(range(n), repeat=3)),
             (ex.mul(hess[b][mu][nu], kfwd[lam][b]) for b in range(n))))
 
+    if asymmetry(conn) is None:  # the law keeps a proved symmetry: the Hessian term is symmetric
+        return ConnectionField(n, _tabulate_symmetric(n, entry))
     return ConnectionField(n, _tabulate(n, 3, entry))
 
 
@@ -181,11 +183,16 @@ def riemann_coefficients(conn: ConnectionField):
 
 
 def levi_civita_from_metric(metric) -> ConnectionField:
-    """Symmetric connection of a metric: half g^{gs}(d_a g_sb + d_b g_as - d_s g_ab)."""
+    """Symmetric connection of a metric symmetric as written ([i][j] the same expression
+    as [j][i]): half g^{gs}(d_a g_sb + d_b g_as - d_s g_ab), one tree per pair (a, b)."""
     g = [[ex.as_expr(c) for c in row] for row in metric]
     n = len(g)
     if any(len(row) != n for row in g):
         raise ValueError("metric must be a square matrix of expressions")
+    for i, j in itertools.combinations(range(n), 2):
+        if g[i][j] != g[j][i]:
+            raise ValueError(f"metric matrix is not symmetric: [{i}][{j}] is {ex.to_str(g[i][j])} "
+                             f"and [{j}][{i}] is {ex.to_str(g[j][i])}")
     ginv = ext_inverse(ExtensorField11(n, g)).entries
 
     def entry(index):
@@ -194,7 +201,7 @@ def levi_civita_from_metric(metric) -> ConnectionField:
             ex.mul(ginv[c][s], ex.sub(ex.add(ex.diff(g[s][b], a), ex.diff(g[a][s], b)),
                                       ex.diff(g[a][b], s))) for s in range(n)))
 
-    return ConnectionField(n, _tabulate(n, 3, entry))
+    return ConnectionField(n, _tabulate_symmetric(n, entry))
 
 
 def _sum(terms) -> ex.Expr:
@@ -228,6 +235,12 @@ def _entries(components, n: int, rank: int):
 def _factor(factors, primed, raw) -> ex.Expr:
     """The product over indices k of factors[k][primed_k][raw_k], folded left."""
     return functools.reduce(ex.mul, (f[p][r] for f, p, r in zip(factors, primed, raw)))
+
+
+def _tabulate_symmetric(n: int, entry) -> list:
+    """An n x n x n table, entry(index) built once per (c, a, b), a <= b, for (c, b, a) too."""
+    lower = functools.cache(entry)
+    return _tabulate(n, 3, lambda index: lower((index[0], *sorted(index[1:]))))
 
 
 def _tabulate(n: int, rank: int, entry) -> list:

@@ -21,13 +21,12 @@ import numpy as np
 from . import expr as ex
 from . import fields as mf
 from .algebra import Frame, LinearMap11, same_dim
-# const_frames is not called here; it is imported for the importers of this module
-from .fields import MultivectorField, const_frames, frame_sum, memo
+from .fields import MultivectorField, frame_sum, memo
 
 SIGNS = ("+", "-", "0")
 _DUAL = {"+": "-", "-": "+", "0": "0"}
 
-# asymmetry's bound on |G^g_ab - G^g_ba| at a sample point
+# asymmetry's bound on a constant difference G^g_ab - G^g_ba
 SYMMETRY_TOL = 1e-10
 
 
@@ -68,15 +67,12 @@ class ConnectionField:
         return cls(dim, g)
 
 
-def asymmetry(conn: ConnectionField, points):
-    """Where G^g_ab and G^g_ba differ, as ((g, a, b), point), a < b; None if nowhere.
-
-    Every coefficient is lowered onto one tape, and a pair whose trees are
-    equal (one slot) is symmetric, exactly.  Of the others, the first pair
-    that differs by a nonzero constant is named with no point (None): the
-    trees decide it exactly.  Else the varying differences are evaluated at
-    ``points`` on one tape, and the first pair that differs at any of them is
-    named with the point of its largest difference."""
+def asymmetry(conn: ConnectionField):
+    """The first pair whose G^g_ab and G^g_ba are not proved equal, as ((g, a, b),
+    proved), a < b; None if every pair is.  Nothing is evaluated at a point: a
+    pair whose trees share one tape slot is symmetric, and so is one whose
+    difference folds to a constant within `SYMMETRY_TOL`.  ``proved`` is True
+    for the first larger constant, else False: two different expressions."""
     n, gamma = conn.dim, conn.gamma
     pairs = [(g, a, b) for g in range(n) for a in range(n) for b in range(a + 1, n)]
     slots = ex.Tape(gamma[g][i][j] for g, a, b in pairs for i, j in ((a, b), (b, a))).roots
@@ -84,14 +80,9 @@ def asymmetry(conn: ConnectionField, points):
              for (g, a, b), ab, ba in zip(pairs, slots[::2], slots[1::2]) if ab != ba}
     for index, d in diffs.items():
         if type(d) is ex.Const and abs(d.value) > SYMMETRY_TOL:
-            return index, None
-    varying = {index: d for index, d in diffs.items() if type(d) is not ex.Const}
-    if varying:
-        gaps = np.abs(ex.Tape(varying.values())(points))
-        for index, gap in zip(varying, gaps.T):
-            if not np.max(gap) <= SYMMETRY_TOL:  # NaN is a difference too
-                return index, points[np.argmax(gap)]
-    return None
+            return index, True
+    return next(((index, False) for index, d in diffs.items()  # a NaN constant is not proved
+                 if not (type(d) is ex.Const and abs(d.value) <= SYMMETRY_TOL)), None)
 
 
 class ExtensorField11:

@@ -37,7 +37,9 @@ import numpy as np
 
 class Record:
     """A class whose ``__slots__`` are its fields, with a frozen dataclass's ``==``,
-    ``hash`` and ``repr``: those of the tuple of its fields, compared within one class."""
+    ``hash`` and ``repr``: those of the tuple of its fields, compared within one class.
+    Each is a loop over an explicit stack, so a tree of any depth has them, and
+    ``==`` and ``hash`` visit a shared child once, in time linear in a DAG's nodes."""
 
     __slots__ = ()
 
@@ -45,14 +47,64 @@ class Record:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
-        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+        """Field by field, ``x is y or x == y`` as a tuple compares; a pair of
+        records of one class is compared here, once per pair of objects."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        seen, stack = set(), [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                for x, y in zip(a._fields(), b._fields()):
+                    if x is y:
+                        continue
+                    if isinstance(x, Record) and y.__class__ is x.__class__:
+                        stack.append((x, y))
+                    elif not x == y:
+                        return False
+        return True
 
     def __hash__(self):
-        return hash(self._fields())
+        """hash(tuple(fields)), a record field standing in by its own hash, found first."""
+        hashes, stack = {}, [self]
+        while stack:
+            node = stack[-1]
+            fields = node._fields()
+            todo = [f for f in fields if isinstance(f, Record) and id(f) not in hashes]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            hashes[id(node)] = hash(tuple(_Hashed(hashes[id(f)]) if isinstance(f, Record) else f
+                                          for f in fields))
+        return hashes[id(self)]
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
+        out, stack = [], [self]  # the pieces still to print, strings and records, next on top
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            pieces = [f"{type(item).__qualname__}("]
+            for k, (name, value) in enumerate(zip(item.__slots__, item._fields())):
+                pieces += [", " * (k > 0) + f"{name}=",
+                           value if isinstance(value, Record) else repr(value)]
+            stack += reversed(pieces + [")"])
+        return "".join(out)
+
+
+class _Hashed:
+    """A stand-in, in a tuple, for a record whose hash is known."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
 
 
 class Expr(Record):

@@ -30,8 +30,8 @@ Suites group the rows for the command line: 'core' covers the derivative
 operators, 'cartan' torsion, curvature and the structure equations,
 'bianchi' the two symmetric-structure identities, 'bridge' the classical
 component formulas.  Whether the connection is symmetric is decided once
-per run (`run_fixture_checks`, on one probe at points that do not depend on
-the run's seed), and that one answer gates every symmetric-only row.
+per run (`run_fixture_checks`, from its expressions alone, with no sample),
+and that one answer gates every symmetric-only row.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ from .fixtures import FixtureConfig, check_map_dim
 from .report import CheckResult, Report, worst_residual
 
 SUITES = ("all", "core", "cartan", "bianchi", "bridge")
-_PROBE_SEED = 0  # the symmetry probe's generator, the same at every --seed
 
 # The products a derivation obeys a Leibniz rule over; "scalar" is X . Y as
 # a scalar field.  Lambdas, so that each call looks `fields` up afresh.
@@ -788,19 +787,15 @@ def run_fixture_checks(fix: FixtureConfig, suite: str = "all", seed: int | None 
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     seed, samples, tol = fix.settings(seed, samples, tol)
-    # symmetry is decided once, on one probe, for every row that depends on it
-    witness = None  # ((g, a, b), probe point or None) where symmetry fails
-    if suite in ("all", "cartan", "bianchi"):
-        witness = asymmetry(fix.conn, fix.domain.sample(10, np.random.default_rng(_PROBE_SEED)))
+    # symmetry is decided once, from the expressions, for every row that depends on it
+    witness = asymmetry(fix.conn) if suite in ("all", "cartan", "bianchi") else None
     symmetric = witness is None
     if suite == "bianchi" and not symmetric:
-        pair, point = witness
-        at = "" if point is None else " at the probe point ({})".format(
-            ", ".join(f"{v:.12g}" for v in point))
-        raise NotSymmetricError(
-            f"connection is not symmetric: G^g_ab and G^g_ba differ for (g, a, b) = {pair}{at}; "
-            "identity only holds for torsionless structures"
-        )
+        pair, proved = witness
+        claim = ("symmetric: G^g_ab and G^g_ba differ" if proved else
+                 "proved symmetric: G^g_ab and G^g_ba are different expressions")
+        raise NotSymmetricError(f"connection is not {claim} for (g, a, b) = {pair}; "
+                                "identity only holds for torsionless structures")
 
     run = _SuiteRun(fix, seed, samples, tol)
     rows = []

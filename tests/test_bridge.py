@@ -1,6 +1,8 @@
 """Coordinate bridge: frames, transformation laws, classical derivatives."""
 
+import functools
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -19,16 +21,19 @@ from gacalc.bridge import (
     transform_components,
     transform_connection,
 )
+from gacalc.cartan import NotSymmetricError
 from gacalc.connection import (
     ConnectionField,
     ExtensorField11,
+    asymmetry,
     cov_derivative,
+    ext_inverse,
     extensor_cov_derivative,
 )
 from gacalc.fields import Box
-from gacalc.fixtures import load_fixture_file, load_map_file, polar_map
+from gacalc.fixtures import load_fixture, load_fixture_file, load_map_file, polar_map
 from gacalc.report import worst_residual
-from gacalc.suites import rand_scalar
+from gacalc.suites import rand_scalar, run_fixture_checks
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -279,6 +284,93 @@ class TestLeviCivita:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             levi_civita_from_metric([[ex.ONE, ex.ZERO]])
+
+    def test_non_symmetric_matrix_rejected_naming_both_entries(self):
+        g = [[ex.const(2.0), ex.Var(0)], [ex.Var(1), ex.const(3.0)]]
+        with pytest.raises(ValueError, match=r"metric matrix is not symmetric: "
+                                             r"\[0\]\[1\] is x0 and \[1\]\[0\] is x1$"):
+            levi_civita_from_metric(g)
+
+
+def dense_metric(n: int) -> list[list[str]]:
+    """A metric whose every entry varies, positive definite on [-0.5, 0.5]^n,
+    each off-diagonal entry written once and mirrored."""
+    return [[f"3 + 0.2*x{(i + 1) % n}^2" if i == j else
+             f"0.1*x{min(i, j)}*x{max(i, j)}" for j in range(n)] for i in range(n)]
+
+
+def dense_metric_fixture(n: int):
+    return load_fixture({"name": f"dense{n}", "dim": n, "seed": 1,
+                         "connection": {"kind": "metric", "matrix": dense_metric(n)},
+                         "domain": {"lo": [-0.5] * n, "hi": [0.5] * n}})
+
+
+def under_polar_map(base: str):
+    cmap = json.loads((FIXTURES / "maps" / "polar_map.json").read_text())
+    return load_fixture({"name": f"{base}-polar", "dim": 2, "seed": 1, "domain": cmap["domain"],
+                         "connection": {"kind": "transform", "base": base, "map": cmap}})
+
+
+def mirrored(conn) -> bool:
+    """Whether every entry (g, b, a) is the very object at (g, a, b)."""
+    n = conn.dim
+    return all(conn.gamma[g][a][b] is conn.gamma[g][b][a]
+               for g in range(n) for a in range(n) for b in range(n))
+
+
+class TestSymmetricBuilders:
+    """The metric connection and the transformation law of a symmetric
+    connection build one tree per symmetric pair, so `asymmetry` decides them
+    from the trees; the operational `christoffel` stays entry by entry."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_a_dense_metric_gives_one_tree_per_pair(self, dim):
+        conn = dense_metric_fixture(dim).conn
+        assert mirrored(conn)
+        assert asymmetry(conn) is None
+
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_a_dense_metric_passes_the_bianchi_suite(self, dim):
+        report = run_fixture_checks(dense_metric_fixture(dim), "bianchi", samples=4)
+        assert {c.name for c in report.checks} == {"curvature-cyclic", "curvature-bianchi"}
+        assert report.passed
+
+    def test_a_mirrored_entry_has_the_value_of_its_own_formula(self, rng):
+        n = 3
+        g = [[ex.parse(c, n) for c in row] for row in dense_metric(n)]
+        conn, ginv = levi_civita_from_metric(g), ext_inverse(ExtensorField11(n, g)).entries
+
+        def formula(c, a, b):
+            return ex.mul(ex.const(0.5), functools.reduce(ex.add, (
+                ex.mul(ginv[c][s], ex.sub(ex.add(ex.diff(g[s][b], a), ex.diff(g[a][s], b)),
+                                          ex.diff(g[a][b], s))) for s in range(n))))
+
+        pairs = [(conn.gamma[c][a][b], formula(c, a, b))
+                 for c, a, b in itertools.product(range(n), repeat=3)]
+        assert worst_residual(pairs, rng.uniform(-0.5, 0.5, size=(10, n))) < 1e-13
+
+    def test_sphere_under_the_polar_map_keeps_its_symmetry(self):
+        fix = under_polar_map("sphere")
+        assert mirrored(fix.conn)
+        assert asymmetry(fix.conn) is None
+        assert run_fixture_checks(fix, "bianchi", samples=4).passed
+
+    def test_the_mirrored_law_agrees_with_christoffel_on_every_entry(self, sphere, pmap):
+        law, operational = transform_connection(sphere.conn, pmap), christoffel(sphere.conn, pmap)
+        pairs = [(law.gamma[g][a][b], operational.gamma[g][a][b])
+                 for g, a, b in itertools.product(range(2), repeat=3)]
+        assert worst_residual(pairs, pmap.domain_primed.sample(20, np.random.default_rng(4))) < 1e-10
+
+    def test_christoffel_builds_each_entry_on_its_own(self, sphere, pmap):
+        conn = christoffel(sphere.conn, pmap)
+        assert all(conn.gamma[g][0][1] is not conn.gamma[g][1][0] for g in range(2))
+
+    def test_torsionful_under_the_polar_map_is_still_refused(self):
+        fix = under_polar_map("torsionful")
+        assert not mirrored(fix.conn)
+        assert asymmetry(fix.conn) == ((0, 0, 1), False)
+        with pytest.raises(NotSymmetricError, match="connection is not proved symmetric"):
+            run_fixture_checks(fix, "bianchi", samples=4)
 
 
 # The explicit rank-1 and rank-2 rules that the rank-generic ones replaced,

@@ -125,6 +125,29 @@ class TestCheckCommand:
         assert res.returncode == 2
         assert "not symmetric" in res.stderr
 
+    def test_bianchi_on_a_symmetry_written_two_ways_exits_2(self, tmp_path):
+        # cos/sin against 1/tan: equal values, but no fold proves it, so it is refused
+        cfg = json.loads((FIXTURES / "sphere.json").read_text())
+        cfg["connection"]["coefficients"]["1,1,0"] = "1/tan(x0)"
+        path = tmp_path / "sphere_tan.json"
+        path.write_text(json.dumps(cfg))
+        res = run_cli("check", "--config", str(path), "--suite", "bianchi")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == (
+            "error: connection is not proved symmetric: G^g_ab and G^g_ba are different "
+            "expressions for (g, a, b) = (1, 0, 1); identity only holds for torsionless "
+            "structures\n")
+
+    def test_non_symmetric_metric_exits_2_naming_both_entries(self, tmp_path):
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps({"name": "m", "dim": 2, "seed": 1, "connection": {
+            "kind": "metric", "matrix": [["2", "x0*x1"], ["x1*x0", "3"]]}}))
+        res = run_cli("check", "--config", str(path), "--suite", "bianchi")
+        assert res.returncode == 2
+        assert res.stderr == ("error: metric matrix is not symmetric: [0][1] is x0*x1 "
+                              "and [1][0] is x1*x0\n")
+
     def test_json_report_schema_and_determinism(self):
         args = ("check", "--config", str(FIXTURES / "torsionful.json"),
                 "--suite", "bridge", "--samples", "20", "--json")

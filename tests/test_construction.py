@@ -158,6 +158,36 @@ class TestNodeClasses:
             assert (a == b) == (reference(a) == reference(b)), (a, b)
             assert (a != b) == (reference(a) != reference(b)), (a, b)
 
+    def test_eq_hash_and_repr_take_any_depth(self):
+        # a 5000-term sum nests 4999 Add nodes, far past the recursion limit
+        n = 5000
+        a, b = (ex.parse("+".join(["x0"] * n), 1) for _ in range(2))
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b) == hash((a.left, a.right))
+        assert repr(a) == ("Add(left=" * (n - 1) + "Var(index=0)"
+                           + ", right=Var(index=0))" * (n - 1))
+        other = ex.parse("+".join(["x1"] + ["x0"] * (n - 1)), 2)  # differs at the bottom
+        assert a != other and not a == other
+
+    def test_eq_and_hash_visit_a_shared_child_once(self, monkeypatch):
+        def dag(depth):  # 2^depth leaves as a tree, depth + 1 nodes as a DAG
+            e = ex.Var(0)
+            for _ in range(depth):
+                e = ex.mul(e, e)
+            return e
+
+        fields, calls = ex.Record._fields, []
+
+        def counted(node):  # a walk over the tree, not the DAG, stops here at once
+            calls.append(node)
+            assert len(calls) <= 20 * 201, "a shared child visited again"
+            return fields(node)
+
+        a, b = dag(200), dag(200)
+        monkeypatch.setattr(ex.Record, "_fields", counted)
+        assert a == b and a != ex.mul(b, ex.Var(0))
+        assert hash(a) == hash(b)
+
     def test_every_node_takes_a_weak_reference(self):
         for node in node_samples():
             assert weakref.ref(node)() is node

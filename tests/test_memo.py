@@ -15,7 +15,6 @@ from gacalc.cartan import curvature, torsion
 from gacalc.connection import (
     SIGNS,
     ConnectionField,
-    const_frames,
     cov_derivative,
     ext_adjoint,
     extensor_cov_derivative,
@@ -23,6 +22,7 @@ from gacalc.connection import (
     gamma_matrix,
     gauge_bivector,
 )
+from gacalc.fields import const_frames
 from gacalc.fixtures import load_fixture_file
 from gacalc.suites import rand_ext11, rand_frame, rand_vector
 

@@ -14,8 +14,9 @@ reads.  The flat derivative is one function too: among the calculus modules
 only `fields.directional_derivative` differentiates (by partials or by a
 tangent), and in `fields` only
 `_product` reads the blade table's signs and targets.  Symmetry
-is decided in one place, generators are built only by the runner's keyed
-`_SuiteRun.rng` and by that one decision's probe, and the cartan rows are one
+is decided from the expressions in one place per run (and once by the
+transformation law, which keeps a proved symmetry), generators are built
+only by the runner's keyed `_SuiteRun.rng`, and the cartan rows are one
 table.
 Exactly the pure connection operators are memo functions.  Each function
 of the expression grammar is one row of `expr._FUNCTIONS`, and its name is
@@ -144,7 +145,9 @@ def test_only_the_product_reads_the_blade_table_signs_in_fields():
 
 
 def test_symmetry_is_decided_once_per_run():
-    assert constructions(PACKAGE, "asymmetry") == ["suites.run_fixture_checks"]
+    # and once more by the transformation law, which keeps a proved symmetry
+    assert constructions(PACKAGE, "asymmetry") == [
+        "bridge.transform_connection", "suites.run_fixture_checks"]
 
 
 def test_one_function_checks_a_map_dim():
@@ -152,9 +155,9 @@ def test_one_function_checks_a_map_dim():
         "cli._cmd_christoffel", "fixtures._load_connection", "suites.run_transform_checks"]
 
 
-def test_only_the_runner_and_the_symmetry_probe_build_a_generator():
-    assert constructions(PACKAGE, "default_rng") == [
-        "suites._SuiteRun.rng", "suites.run_fixture_checks"]
+def test_only_the_runner_builds_a_generator():
+    # the symmetry decision samples nothing
+    assert constructions(PACKAGE, "default_rng") == ["suites._SuiteRun.rng"]
 
 
 def test_cartan_rows_run_through_one_table_at_the_runner_sample():
