@@ -50,7 +50,7 @@ class BladeTable:
     two blades commute.  ``grade[m]`` is the grade of blade m and
     ``involution[k][m]`` its sign under involution ``k`` (one of
     `INVOLUTIONS`).  The arrays are read-only, since one table serves every
-    caller.
+    caller.  `kept_pairs` lists, from it, the pairs each product keeps.
     """
 
     __slots__ = ("dim", "grade", "target", "sign", "involution")
@@ -83,6 +83,22 @@ def blade_table(dim: int) -> BladeTable:
     return BladeTable(dim, grade, target, sign, involution)
 
 
+@lru_cache(maxsize=None)
+def kept_pairs(dim: int, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs that ``kind`` (a product or "commutator") keeps, built on first use.
+
+    ``(a, b, target[a, b], sign[kind][a, b])`` of `blade_table(dim)` over
+    the pairs where ``sign[kind]`` is nonzero, in row-major order, the order
+    of the flattened table.  A symbolic-only run never builds them.
+    """
+    table = blade_table(dim)
+    a, b = np.nonzero(table.sign[kind])
+    pairs = (a, b, table.target[a, b], table.sign[kind][a, b])
+    for arr in pairs:
+        arr.setflags(write=False)
+    return pairs
+
+
 class Multivector:
     """Element of the 2^n-dimensional Clifford algebra of Euclidean R^n."""
 
@@ -105,12 +121,17 @@ class Multivector:
 
     @classmethod
     def blade(cls, dim: int, mask: int, coeff: float = 1.0) -> Multivector:
+        _check_dim(dim)
+        if not 0 <= mask < 1 << dim:
+            raise ValueError(f"blade mask {mask} out of range for dim {dim}")
         c = np.zeros(1 << dim)
         c[mask] = coeff
         return cls(dim, c)
 
     @classmethod
     def basis_vector(cls, dim: int, i: int) -> Multivector:
+        if not 0 <= i < dim:
+            raise ValueError(f"basis index {i} out of range for dim {dim}")
         return cls.blade(dim, 1 << i)
 
     @classmethod
@@ -165,15 +186,20 @@ def grade_project(x: Multivector, k: int) -> Multivector:
 
 
 def _product(x: Multivector, y: Multivector, kind: str) -> Multivector:
-    """Sum every coefficient pair's signed product onto its target blade.
+    """Sum the signed product of every pair the product keeps onto its target blade.
 
-    `np.bincount` adds in flattened (a, b) order, the order of a double
-    loop over x's blades and then y's.
+    Only the pairs of `kept_pairs` are multiplied, and `np.bincount` adds
+    them in flattened (a, b) order, the order of a double loop over x's
+    blades and then y's.  For finite operands the result is
+    bit for bit the sum over all pairs with the dropped ones signed 0.0:
+    those pairs added only ±0.0 to a sum that starts at +0.0, which never
+    changed it.  A dropped pair is never multiplied, so an infinite
+    coefficient makes no NaN through it; a kept pair of inf and 0 still does.
     """
-    table = blade_table(same_dim(x, y))
-    weights = table.sign[kind] * np.outer(x.coeffs, y.coeffs)
-    return _owning(x.dim, np.bincount(table.target.ravel(), weights=weights.ravel(),
-                                      minlength=len(x.coeffs)))
+    a, b, target, sign = kept_pairs(same_dim(x, y), kind)
+    weights = x.coeffs[a] * y.coeffs[b]
+    weights *= sign
+    return _owning(x.dim, np.bincount(target, weights=weights, minlength=len(x.coeffs)))
 
 
 def wedge(x: Multivector, y: Multivector) -> Multivector:
@@ -236,6 +262,8 @@ class LinearMap11:
     def apply(self, v: Multivector) -> Multivector:
         if v.dim != self.dim:
             raise ValueError(f"dimension mismatch: {v.dim} vs {self.dim}")
+        if v.grades() - {1}:
+            raise ValueError("a (1,1)-extensor applies to vectors")
         return Multivector.from_vector(self.matrix @ v.vector_components())
 
 
@@ -281,6 +309,8 @@ class Frame:
     @classmethod
     def from_matrix(cls, matrix) -> Frame:
         m = np.asarray(matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"frame matrix must be square, got shape {m.shape}")
         return cls(m.shape[0], tuple(Multivector.from_vector(m[:, j]) for j in range(m.shape[0])))
 
     @property

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from gacalc.algebra import (
     MAX_DIM,
+    PRODUCTS,
     Frame,
     LinearMap11,
     Multivector,
@@ -26,6 +27,7 @@ from gacalc.algebra import (
     grade_of,
     grade_project,
     involution,
+    kept_pairs,
     outermorphism,
     reciprocal_frame,
     scalar_product,
@@ -212,19 +214,71 @@ class TestMultivectorArrays:
 
 
 class TestBladeTable:
-    def test_import_builds_no_table(self):
-        code = ("import gacalc.cli; from gacalc.algebra import blade_table; "
-                "assert blade_table.cache_info().currsize == 0, blade_table.cache_info()")
+    @staticmethod
+    def run_fresh(code):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stderr
+
+    def test_import_builds_no_table(self):
+        self.run_fresh("import gacalc.cli; from gacalc.algebra import blade_table, kept_pairs; "
+                       "assert blade_table.cache_info().currsize == 0, blade_table.cache_info(); "
+                       "assert kept_pairs.cache_info().currsize == 0, kept_pairs.cache_info()")
+
+    def test_symbolic_products_build_no_pair_list(self):
+        # the pair lists cost memory a run of symbolic fields has no use for
+        self.run_fresh("from gacalc import fields; from gacalc.algebra import kept_pairs; "
+                       "e = [fields.basis(6, i) for i in range(6)]; "
+                       "fields.clifford(fields.wedge(e[0], e[1]), e[2]); "
+                       "assert kept_pairs.cache_info().currsize == 0, kept_pairs.cache_info()")
 
     def test_shared_table_is_read_only(self):
         table = blade_table(3)
         assert blade_table(3) is table
         with pytest.raises(ValueError, match="read-only"):
             table.sign["clifford"][1, 1] = -1.0
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_pair_lists_are_the_nonzero_signs_in_row_major_order(self, dim):
+        table = blade_table(dim)
+        for kind in (*PRODUCTS, "commutator"):
+            a, b, target, sign = kept_pairs(dim, kind)
+            assert kept_pairs(dim, kind)[0] is a
+            rows, cols = np.nonzero(table.sign[kind])
+            assert np.array_equal(a, rows) and np.array_equal(b, cols), kind
+            assert np.array_equal(target, table.target[rows, cols]), kind
+            assert np.array_equal(sign, table.sign[kind][rows, cols]), kind
+            for column in (a, b, target, sign):
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = column[0]
+
+
+class TestKeptPairKernel:
+    """The products gather only the pairs each keeps; the dense rule over
+    every pair, written out here, is the reference they must match bit for bit."""
+
+    KINDS = {"clifford": clifford, "wedge": wedge,
+             "left": lambda x, y: contraction(x, y, "left"),
+             "right": lambda x, y: contraction(x, y, "right"), "commutator": commutator}
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_every_product_is_bit_identical_to_the_dense_rule(self, dim, rng):
+        table = blade_table(dim)
+        for _ in range(8):
+            x, y = rand_mv(dim, rng), rand_mv(dim, rng)
+            for kind, product in self.KINDS.items():
+                weights = (table.sign[kind] * np.outer(x.coeffs, y.coeffs)).ravel()
+                dense = np.bincount(table.target.ravel(), weights=weights, minlength=1 << dim)
+                assert np.array_equal(product(x, y).coeffs, dense), kind
+
+    def test_a_dropped_pair_never_meets_an_infinite_coefficient(self):
+        x = Multivector.blade(2, 0b01, np.inf)
+        with np.errstate(invalid="ignore"):
+            got = wedge(x, Multivector.basis_vector(2, 0)).coeffs
+        # e1^e1 is dropped, so blades 0 and e2 stay 0; the kept pair (e1, 1) still meets 0
+        assert got[0] == 0.0 and got[2] == 0.0
+        assert np.isnan(got[1]) and np.isnan(got[3])
 
 
 class TestAlgebraProperties:
@@ -357,6 +411,33 @@ class TestFrames:
         bad = Multivector.blade(2, 0b11)
         with pytest.raises(ValueError, match="grade-1"):
             Frame(2, (bad, Multivector.basis_vector(2, 1)))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,)])
+    def test_from_matrix_refuses_a_matrix_that_is_not_square(self, shape):
+        m = np.arange(float(np.prod(shape))).reshape(shape)
+        with pytest.raises(ValueError, match=rf"square, got shape \({shape[0]},"):
+            Frame.from_matrix(m)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("mask", [-1, 4])
+    def test_blade_refuses_a_mask_out_of_range(self, mask):
+        with pytest.raises(ValueError, match=f"blade mask {mask} out of range for dim 2"):
+            Multivector.blade(2, mask)
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_basis_vector_refuses_an_index_out_of_range(self, i):
+        with pytest.raises(ValueError, match=f"basis index {i} out of range for dim 2"):
+            Multivector.basis_vector(2, i)
+
+    @pytest.mark.parametrize("mask", [0b00, 0b11])
+    def test_linear_map_applies_to_vectors_only(self, mask):
+        t = LinearMap11.identity(2)
+        with pytest.raises(ValueError, match="applies to vectors"):
+            t.apply(Multivector.blade(2, mask))
+        with pytest.raises(ValueError, match="applies to vectors"):
+            t.apply(Multivector.basis_vector(2, 0) + Multivector.blade(2, mask))
+        assert allclose(t.apply(Multivector.zero(2)), Multivector.zero(2))
 
 
 class TestFormatting:
