@@ -351,7 +351,7 @@ def blade_name(dim: int, mask: int) -> str:
 
 def format_multivector(x: Multivector, tol: float = 0.0) -> str:
     """Blade-coefficient expansion like '0.75 e1 - 1.25 e12' (12 digits); '0' when empty."""
-    masks = [m for m in np.nonzero(x.coeffs)[0] if abs(x.coeffs[m]) > tol]
+    masks = [m for m in np.nonzero(x.coeffs)[0] if not abs(x.coeffs[m]) <= tol]  # NaN prints
     masks.sort(key=lambda m: (grade_of(m), m))
     if not masks:
         return "0"
@@ -362,7 +362,7 @@ def format_multivector(x: Multivector, tol: float = 0.0) -> str:
         name = blade_name(x.dim, m)
         term = f"{mag} {name}".strip()
         if not parts:
-            parts.append(term if c >= 0 else f"-{term}")
+            parts.append(f"-{term}" if c < 0 else term)
         else:
-            parts.append(f"+ {term}" if c >= 0 else f"- {term}")
+            parts.append(f"- {term}" if c < 0 else f"+ {term}")
     return " ".join(parts)

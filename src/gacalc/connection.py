@@ -89,14 +89,14 @@ class ExtensorField11:
     """Vector-to-vector extensor field; entries[i][j] = component i of the image of e_{j+1}.
 
     ``nonzero`` lists the (i, j, entry) entries not a constant 0, in index order.
-    No slots: the instance dict holds `_tape` and `_minors`.
+    No slots: the instance dict holds `nonzero`, `_tape` and `_minors`.
     """
 
     def __init__(self, dim: int, entries: tuple[tuple[ex.Expr, ...], ...]):
         rows = tuple(tuple(ex.as_expr(c) for c in row) for row in entries)
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise ValueError(f"expected {dim}x{dim} entries")
-        self.dim, self.entries, self.nonzero = dim, rows, _nonzero(rows)
+        self.dim, self.entries = dim, rows
 
     @classmethod
     def identity(cls, dim: int) -> ExtensorField11:
@@ -122,6 +122,11 @@ class ExtensorField11:
         return mf.vector(self.dim, out)
 
     @cached_property
+    def nonzero(self) -> tuple[tuple[int, int, ex.Expr], ...]:
+        return tuple((i, j, c) for i, row in enumerate(self.entries) for j, c in enumerate(row)
+                     if not ex.is_zero(c))
+
+    @cached_property
     def _tape(self) -> ex.Tape:
         """All entries lowered once, row by row (a field is never changed)."""
         return ex.Tape(c for row in self.entries for c in row)
@@ -138,33 +143,28 @@ class ExtensorField11:
         return LinearMap11(self.dim, np.reshape(self._tape.at(point), (self.dim, self.dim)))
 
 
-def _nonzero(rows) -> tuple[tuple[int, int, ex.Expr], ...]:
-    return tuple((i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row) if not ex.is_zero(c))
-
-
-def _owning11(dim: int, rows, nonzero) -> ExtensorField11:
+def _owning11(dim: int, rows) -> ExtensorField11:
     """An extensor field around expression rows this module just built: no check."""
     t = object.__new__(ExtensorField11)
-    t.__dict__.update(dim=dim, entries=rows, nonzero=nonzero)
+    t.__dict__.update(dim=dim, entries=rows)
     return t
 
 
 def ext_adjoint(t: ExtensorField11) -> ExtensorField11:
-    nonzero = tuple(sorted((j, i, c) for i, j, c in t.nonzero))
-    return _owning11(t.dim, tuple(zip(*t.entries)), nonzero)
+    return _owning11(t.dim, tuple(zip(*t.entries)))
 
 
 def ext_add(t: ExtensorField11, u: ExtensorField11) -> ExtensorField11:
     same_dim(t, u)
     rows = tuple(tuple(ex.add(a, b) for a, b in zip(ra, rb))
                  for ra, rb in zip(t.entries, u.entries))
-    return _owning11(t.dim, rows, _nonzero(rows))
+    return _owning11(t.dim, rows)
 
 
 def ext_scale(f, t: ExtensorField11) -> ExtensorField11:
     f = ex.as_expr(f)
     rows = tuple(tuple(ex.mul(f, c) for c in row) for row in t.entries)
-    return _owning11(t.dim, rows, _nonzero(rows))
+    return _owning11(t.dim, rows)
 
 
 def ext_sym(t: ExtensorField11) -> ExtensorField11:
@@ -221,6 +221,8 @@ def outermorphism_apply(t: ExtensorField11, x: MultivectorField,
 
 
 def ext_det(t: ExtensorField11) -> ex.Expr:
+    """The paper's extensor determinant of t, the scalar field with t(I) = det(t) I for
+    the pseudoscalar I: the full minor of its entries.  Public API; nothing here calls it."""
     return t._minors[t._minors.full, t._minors.full]
 
 
@@ -228,7 +230,7 @@ def ext_inverse(t: ExtensorField11) -> ExtensorField11:
     """Pointwise inverse: signed complementary minors over the determinant."""
     n = t.dim
     rows = tuple(tuple(t._minors.inverse(1 << i, 1 << j) for j in range(n)) for i in range(n))
-    return _owning11(n, rows, _nonzero(rows))
+    return _owning11(n, rows)
 
 
 @memo
@@ -252,13 +254,12 @@ def gamma_matrix(conn: ConnectionField, a: MultivectorField) -> ExtensorField11:
     """The direction-a connection map as a (1,1)-extensor field."""
     if not a.is_vector():
         raise ValueError("direction must be a vector field")
-    n, ac, sums = conn.dim, a.coeffs, {}
+    n, ac = conn.dim, a.coeffs
     rows = [[ex.ZERO] * n for _ in range(n)]
     for g, i, j, coeff in conn.nonzero:  # for each (g, j): i ascending, as in the sum
         if not ex.is_zero(ai := ac.get(1 << i, ex.ZERO)):
-            rows[g][j] = sums[g, j] = ex.add(rows[g][j], ex.mul(ai, coeff))
-    nonzero = tuple((g, j, c) for (g, j), c in sorted(sums.items()) if not ex.is_zero(c))
-    return _owning11(n, tuple(map(tuple, rows)), nonzero)
+            rows[g][j] = ex.add(rows[g][j], ex.mul(ai, coeff))
+    return _owning11(n, tuple(map(tuple, rows)))
 
 
 @memo

@@ -38,8 +38,8 @@ import numpy as np
 class Record:
     """A class whose ``__slots__`` are its fields, with a frozen dataclass's ``==``,
     ``hash`` and ``repr``: those of the tuple of its fields, compared within one class.
-    Each is a loop over an explicit stack, so a tree of any depth has them, and
-    ``==`` and ``hash`` visit a shared child once, in time linear in a DAG's nodes."""
+    ``repr`` is a loop over an explicit stack, so an expression of any depth prints;
+    `Expr` compares and hashes through a `Tape` instead."""
 
     __slots__ = ()
 
@@ -47,38 +47,12 @@ class Record:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
-        """Field by field, ``x is y or x == y`` as a tuple compares; a pair of
-        records of one class is compared here, once per pair of objects."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        seen, stack = set(), [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if (id(a), id(b)) not in seen:
-                seen.add((id(a), id(b)))
-                for x, y in zip(a._fields(), b._fields()):
-                    if x is y:
-                        continue
-                    if isinstance(x, Record) and y.__class__ is x.__class__:
-                        stack.append((x, y))
-                    elif not x == y:
-                        return False
-        return True
+        return self._fields() == other._fields()
 
     def __hash__(self):
-        """hash(tuple(fields)), a record field standing in by its own hash, found first."""
-        hashes, stack = {}, [self]
-        while stack:
-            node = stack[-1]
-            fields = node._fields()
-            todo = [f for f in fields if isinstance(f, Record) and id(f) not in hashes]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            hashes[id(node)] = hash(tuple(_Hashed(hashes[id(f)]) if isinstance(f, Record) else f
-                                          for f in fields))
-        return hashes[id(self)]
+        return hash(self._fields())
 
     def __repr__(self):
         out, stack = [], [self]  # the pieces still to print, strings and records, next on top
@@ -95,22 +69,31 @@ class Record:
         return "".join(out)
 
 
-class _Hashed:
-    """A stand-in, in a tuple, for a record whose hash is known."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __hash__(self):
-        return self.value
-
-
 class Expr(Record):
-    """Base of all expression nodes; never assign to a field (hash and `_diff` rely on it)."""
+    """Base of all expression nodes; never assign to a field (`==`, hash and `_diff` rely on it).
+
+    Two expressions are equal when they lower to one slot of one `Tape`: then
+    either can stand for the other on any tape without changing a bit (so
+    ``Const(0.0) != Const(-0.0)``).  Lowering is memoized on identity, so
+    ``==`` and hash take any depth in time linear in a DAG's distinct nodes."""
 
     __slots__ = ("_diff", "__weakref__")
+
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        roots = Tape((self, other)).roots
+        return roots[0] == roots[1]
+
+    def __hash__(self):
+        """The hash of its own tape: per slot, the node's kind, its own fields that
+        are not nodes, and an operation's operand slots.  Equal expressions lower
+        to equal slots in one order, so they hash equal."""
+        tape = Tape((self,))
+        return hash(tuple(
+            (type(node).__name__, *(f for f in node._fields() if not isinstance(f, Expr)),
+             *(operands if fn is not None else ()))
+            for node, (fn, *operands) in zip(tape.nodes, tape.program)))
 
 
 class Var(Expr):

@@ -448,3 +448,9 @@ class TestFormatting:
         assert format_multivector(x) == "0.75 e1"
         y = Multivector.blade(2, 0b11, -1.25) + Multivector.scalar(2, 2.0)
         assert format_multivector(y) == "2 - 1.25 e12"
+
+    def test_a_nan_coefficient_prints(self):
+        # NaN fails every comparison: it is kept unless abs(c) <= tol, and prints unsigned
+        nan = float("nan")
+        assert repr(Multivector(2, [nan, 0, 0, 0])) == "Multivector(2, nan)"
+        assert format_multivector(Multivector(2, [0, -1, nan, -2]), tol=0.5) == "-1 e1 + nan e2 - 2 e12"
