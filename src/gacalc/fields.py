@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import weakref
 from functools import cached_property, wraps
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -77,6 +77,13 @@ def memo(fn):
     return memoized
 
 
+class Uniform(Protocol):
+    """What `Box.sample` draws from: `suites.KeyedStream`, a numpy ``Generator``,
+    or any other object with this method."""
+
+    def uniform(self, low, high, size=None): ...
+
+
 class Box(ex.Record):
     """Open axis-aligned sampling box, minus margins around excluded values."""
 
@@ -126,11 +133,12 @@ class Box(ex.Record):
                 return False
         return True
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, count: int, rng: Uniform) -> np.ndarray:
         """Rejection-sample ``count`` points, one uniform draw of ``dim`` values
-        per try.  Each shortfall is drawn as one block of tries, never more
-        than are still needed, so the points and the generator state after
-        are those of drawing one try at a time."""
+        per try, ``rng.uniform(lo, hi, size=(tries, dim))`` with the box's
+        bounds as arrays.  Each shortfall is drawn as one block of tries, never
+        more than are still needed, so the points and the generator state
+        after are those of drawing one try at a time."""
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         out = [np.empty((0, self.dim))]

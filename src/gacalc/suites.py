@@ -16,16 +16,19 @@ never below the request; a row may instead bring a point set of its own as
 a fifth entry, and then reports draws times its size.  `_SuiteRun.check` is
 the one runner: every check of every suite goes through it, and so do
 `transform`'s laws (`transform_rows`).  Each row draws its points and
-arguments from a generator of its own, keyed by the run's seed and the
-row's name, and a draw that several rows share comes from one keyed by the
-suite's name; so a row's result does not depend on which rows run before
-it, where, or how often.  A run collects the rows of every suite it selects
-into one table and runs them on one forked process per usable CPU, each
-taking the next row from one shared queue, and a row left without a result
-runs again in this process (`_SuiteRun.check_rows`); the report is the same
-under any schedule.  Builders reach the layer functions through this
-module's globals at call time, so a wrapper installed on them (a tracer)
-sees every call made in this process.
+arguments from a stream of its own, a `KeyedStream` keyed by the run's seed
+and the row's name, and a draw that several rows share comes from one keyed
+by the suite's name; so a row's result does not depend on which rows run
+before it, where, or how often.  The stream is SplitMix64 over a keyed
+counter, so the draws are fixed by this module alone, whatever the numpy
+version, and a run imports nothing of numpy's random package.  A run
+collects the rows of every suite it selects into one table and runs them on
+one forked process per usable CPU, each taking the next row from one shared
+queue, and a row left without a result runs again in this process
+(`_SuiteRun.check_rows`); the report is the same under any schedule.
+Builders reach the layer functions through this module's globals at call
+time, so a wrapper installed on them (a tracer) sees every call made in
+this process.
 Suites group the rows for the command line: 'core' covers the derivative
 operators, 'cartan' torsion, curvature and the structure equations,
 'bianchi' the two symmetric-structure identities, 'bridge' the classical
@@ -105,11 +108,89 @@ PRODUCTS = {
 
 
 # ---------------------------------------------------------------------------
-# Random argument generators (seeded)
+# Random argument generators (seeded), each drawing from a `KeyedStream` or
+# any object with its two methods, a numpy Generator included
 # ---------------------------------------------------------------------------
 
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter step, 2**64 / golden ratio, odd
+_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_U64 = np.uint64
 
-def rand_scalar(dim: int, rng: np.random.Generator, degree: int = 1) -> ex.Expr:
+
+def _mix(z: int) -> int:
+    """The SplitMix64 finalizer of one 64-bit word, on a Python int."""
+    z = (z ^ (z >> 30)) * _M1 & _MASK
+    z = (z ^ (z >> 27)) * _M2 & _MASK
+    return z ^ (z >> 31)
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """`_mix` of every word of a ``uint64`` array, in place: an array's
+    arithmetic wraps mod 2**64, with no warning."""
+    z ^= z >> _U64(30)
+    z *= _U64(_M1)
+    z ^= z >> _U64(27)
+    z *= _U64(_M2)
+    z ^= z >> _U64(31)
+    return z
+
+
+class KeyedStream:
+    """Uniform draws from one counter stream keyed by a seed and a name.
+
+    The key folds the name's CRC-32 with every 64-bit word of the seed, least
+    significant first: key = mix(key ^ word) per word, mix being the
+    SplitMix64 finalizer.  Draw k (k = 1, 2, ...) is the word
+    mix(key + k * 0x9E3779B97F4A7C15 mod 2**64), that is SplitMix64 seeded
+    with the key, and a uniform value is its top 53 bits times 2**-53, in
+    [0, 1).  A scalar is drawn on Python ints and an array on ``uint64``
+    arrays, one vectorized pass over its consecutive counters, so both give
+    the same bits for the same counters.  The stream offers the two methods
+    of a numpy ``Generator`` that gacalc calls, and no others."""
+
+    __slots__ = ("_count",)
+
+    def __init__(self, seed: int, name: str):
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        key = zlib.crc32(name.encode())
+        for shift in range(0, max(seed.bit_length(), 1), 64):
+            key = _mix(key ^ (seed >> shift) & _MASK)
+        self._count = key  # key + (draws so far) * _GAMMA, mod 2**64
+
+    def _word(self) -> int:
+        self._count = (self._count + _GAMMA) & _MASK
+        return _mix(self._count)
+
+    def uniform(self, low, high, size=None):
+        """One float in [low, high) when ``size`` is None; else an array of
+        shape ``size``, drawn in C order, with ``low`` and ``high`` broadcast
+        against it."""
+        if size is None:
+            return low + (high - low) * ((self._word() >> 11) * 2.0 ** -53)
+        shape = (size,) if np.ndim(size) == 0 else tuple(size)
+        n = math.prod(shape)
+        words = np.arange(1, n + 1, dtype=_U64)
+        words *= _U64(_GAMMA)
+        words += _U64(self._count)
+        self._count = (self._count + n * _GAMMA) & _MASK
+        words = _mix_array(words)
+        words >>= _U64(11)
+        value = words.astype(np.float64).reshape(shape)
+        value *= 2.0 ** -53
+        value *= high - low
+        value += low
+        return value
+
+    def integers(self, high: int) -> int:
+        """One int in range(high): the draw's word times ``high``, over 2**64."""
+        if high < 1:
+            raise ValueError(f"high must be at least 1, got {high}")
+        return self._word() * high >> 64
+
+
+def rand_scalar(dim: int, rng: KeyedStream, degree: int = 1) -> ex.Expr:
     e = ex.const(rng.uniform(-1.0, 1.0))
     if degree >= 1:
         for i in range(dim):
@@ -120,11 +201,11 @@ def rand_scalar(dim: int, rng: np.random.Generator, degree: int = 1) -> ex.Expr:
     return e
 
 
-def rand_vector(dim: int, rng: np.random.Generator, degree: int = 1) -> mf.MultivectorField:
+def rand_vector(dim: int, rng: KeyedStream, degree: int = 1) -> mf.MultivectorField:
     return mf.vector(dim, [rand_scalar(dim, rng, degree) for _ in range(dim)])
 
 
-def rand_mvf(dim: int, rng: np.random.Generator, grades=None) -> mf.MultivectorField:
+def rand_mvf(dim: int, rng: KeyedStream, grades=None) -> mf.MultivectorField:
     coeffs = {}
     for mask in range(1 << dim):
         if grades is not None and grade_of(mask) not in grades:
@@ -133,12 +214,12 @@ def rand_mvf(dim: int, rng: np.random.Generator, grades=None) -> mf.MultivectorF
     return mf.mvf(dim, coeffs)
 
 
-def rand_ext11(dim: int, rng: np.random.Generator, degree: int = 1) -> ExtensorField11:
+def rand_ext11(dim: int, rng: KeyedStream, degree: int = 1) -> ExtensorField11:
     rows = tuple(tuple(rand_scalar(dim, rng, degree) for _ in range(dim)) for _ in range(dim))
     return ExtensorField11(dim, rows)
 
 
-def rand_lambda(dim: int, rng: np.random.Generator) -> ExtensorField11:
+def rand_lambda(dim: int, rng: KeyedStream) -> ExtensorField11:
     """Non-singular non-constant vector map: identity plus a small linear part."""
     rows = []
     for i in range(dim):
@@ -150,14 +231,14 @@ def rand_lambda(dim: int, rng: np.random.Generator) -> ExtensorField11:
     return ExtensorField11(dim, tuple(rows))
 
 
-def rand_frame(dim: int, rng: np.random.Generator) -> Frame:
+def rand_frame(dim: int, rng: KeyedStream) -> Frame:
     while True:
         m = np.eye(dim) + rng.uniform(-0.4, 0.4, size=(dim, dim))
         if abs(np.linalg.det(m)) > 0.3:
             return Frame.from_matrix(m)
 
 
-def rand_kextensor2(dim: int, rng: np.random.Generator):
+def rand_kextensor2(dim: int, rng: KeyedStream):
     """Random 2-extensor field: a pointwise-bilinear map on vector pairs, multivector valued."""
     p = rand_vector(dim, rng)
     q = rand_vector(dim, rng)
@@ -195,10 +276,10 @@ class _SuiteRun:
         self.tol = tol
         self.samples = samples
 
-    def rng(self, name: str) -> np.random.Generator:
-        """The generator of the row, or the draw several rows share, called ``name``:
+    def rng(self, name: str) -> KeyedStream:
+        """The stream of the row, or the draw several rows share, called ``name``:
         keyed by the run's seed and the name, so no row's draws depend on another's."""
-        return np.random.default_rng([self.seed, zlib.crc32(name.encode())])
+        return KeyedStream(self.seed, name)
 
     def check(self, name: str, tag: str, draws: int, build, points=None) -> CheckResult:
         """Run one row: build(rng, draw) for each draw index, every yielded pair

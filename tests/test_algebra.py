@@ -254,6 +254,25 @@ class TestBladeTable:
                     column[0] = column[0]
 
 
+class TestFreshCommands:
+    def test_a_check_and_a_transform_never_import_numpy_random(self):
+        # the seeded draws are gacalc's own (`suites.KeyedStream`): numpy.random
+        # would cost every command process its import.  On one CPU every row
+        # runs in the process that is asked.
+        fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+        for argv in (["check", "--config", str(fixtures / "sphere.json"), "--suite", "all"],
+                     ["transform", "--config", str(fixtures / "polar.json"),
+                      "--map", str(fixtures / "maps" / "polar_map.json")]):
+            TestBladeTable.run_fresh(
+                "import contextlib, io, sys\n"
+                "from gacalc import cli, suites\n"
+                "suites._usable_cpus = lambda: 1\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = cli.main({argv!r})\n"
+                "assert code == 0, code\n"
+                "assert 'numpy.random' not in sys.modules\n")
+
+
 class TestKeptPairKernel:
     """The products gather only the pairs each keeps; the dense rule over
     every pair, written out here, is the reference they must match bit for bit."""

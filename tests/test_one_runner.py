@@ -157,7 +157,10 @@ def test_one_function_checks_a_map_dim():
 
 def test_only_the_runner_builds_a_generator():
     # the symmetry decision samples nothing
-    assert constructions(PACKAGE, "default_rng") == ["suites._SuiteRun.rng"]
+    assert constructions(PACKAGE, "KeyedStream") == ["suites._SuiteRun.rng"]
+    assert constructions(PACKAGE, "default_rng") == []
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if "numpy.random" in path.read_text() or "np.random" in path.read_text()] == []
 
 
 def test_cartan_rows_run_through_one_table_at_the_runner_sample():

@@ -3,15 +3,17 @@
 import gc
 import json
 import math
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gacalc import suites
 from gacalc.cartan import NotSymmetricError
 from gacalc.fixtures import load_fixture, load_fixture_file, load_map_file, zero_fixture
 from gacalc.report import CheckResult, Report
-from gacalc.suites import _SuiteRun, run_fixture_checks, run_transform_checks
+from gacalc.suites import KeyedStream, _SuiteRun, _mix, run_fixture_checks, run_transform_checks
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -253,6 +255,88 @@ class TestDrawCounts:
     def test_transform_suite(self, polar, pmap):
         report = run_transform_checks(polar, pmap, seed=1, samples=1)
         assert {c.name: c.samples for c in report.checks} == DRAW_SAMPLES["transform"]
+
+
+class TestKeyedStream:
+    """The seeded draws: SplitMix64 words of a counter keyed by seed and name."""
+
+    def test_the_words_are_splitmix64(self):
+        # the first outputs of SplitMix64 seeded with 0 (Steele, Lea & Flood 2014)
+        gamma = 0x9E3779B97F4A7C15
+        assert [_mix(k * gamma % 2**64) for k in range(1, 5)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
+
+    @pytest.mark.parametrize("seed, name", [(1, "cov-pairing"), (0, ""), (2**64 + 7, "bianchi")])
+    def test_array_and_scalar_draws_give_the_same_bits(self, seed, name):
+        whole = KeyedStream(seed, name).uniform(-1.0, 1.0, size=(4, 5))
+        one = KeyedStream(seed, name)
+        assert whole.tolist() == [[one.uniform(-1.0, 1.0) for _ in range(5)] for _ in range(4)]
+        # an array continues the counter where scalars left it, and the other way round
+        mixed = KeyedStream(seed, name)
+        drawn = [mixed.uniform(-1.0, 1.0) for _ in range(3)]
+        drawn += mixed.uniform(-1.0, 1.0, size=7).tolist()
+        drawn += [mixed.uniform(-1.0, 1.0) for _ in range(2)]
+        assert drawn == KeyedStream(seed, name).uniform(-1.0, 1.0, size=12).tolist()
+        # an integer takes one word of the stream
+        a, b = KeyedStream(seed, name), KeyedStream(seed, name)
+        a.integers(3)
+        b.uniform(0.0, 1.0)
+        assert a.uniform(0.0, 1.0) == b.uniform(0.0, 1.0)
+
+    def test_the_first_draws_of_a_row_are_pinned(self, zero2):
+        rng = _SuiteRun(zero2, 1, 50, 1e-8).rng("cov-pairing")
+        assert rng.uniform(0.0, 1.0, size=4).tolist() == [
+            0.008328618709294466, 0.18472422987243675, 0.3403941148080337, 0.19899511660809488]
+
+    def test_every_seed_word_and_the_name_key_the_stream(self):
+        keys = [(1, "cov-pairing"), (1 + 2**64, "cov-pairing"), (2**64, "cov-pairing"),
+                (1 + 2**128, "cov-pairing"), (2, "cov-pairing"), (1, "cov-additivity"),
+                (1, "bianchi"), (0, "cov-pairing")]
+        firsts = {tuple(KeyedStream(seed, name).uniform(0.0, 1.0, size=4)) for seed, name in keys}
+        assert len(firsts) == len(keys)
+        with pytest.raises(ValueError, match="non-negative"):
+            KeyedStream(-1, "cov-pairing")
+
+    def test_uniform_takes_the_asked_shape_within_the_bounds(self):
+        rng = KeyedStream(3, "uniform")
+        for _ in range(1000):
+            x = rng.uniform(-0.5, 0.5)
+            assert isinstance(x, float) and -0.5 <= x < 0.5
+        assert rng.uniform(-2, 2, size=9).shape == (9,)
+        frame = rng.uniform(-0.4, 0.4, size=(3, 3))
+        assert frame.shape == (3, 3) and frame.dtype == np.float64
+        # the array bounds `Box.sample` passes, one per axis
+        lo, hi = np.array([0.3, -3.0, 10.0]), np.array([2.84, 3.0, 10.5])
+        block = rng.uniform(lo, hi, size=(5000, 3))
+        assert block.shape == (5000, 3)
+        assert np.all(block >= lo) and np.all(block < hi)
+        assert np.all(block.min(axis=0) < lo + 0.01) and np.all(block.max(axis=0) > hi - 0.01)
+        assert rng.uniform(lo, hi, size=(0, 3)).shape == (0, 3)
+
+    def test_box_sample_draws_from_the_stream(self, sphere):
+        points = sphere.domain.sample(200, KeyedStream(1, "sample"))
+        assert points.shape == (200, 2)
+        assert all(sphere.domain.contains(p) for p in points)
+
+    @pytest.mark.parametrize("high", [1, 2, 3, 6, 7])
+    def test_integers_stay_in_range(self, high):
+        rng = KeyedStream(5, "integers")
+        drawn = [rng.integers(high) for _ in range(500)]
+        assert all(isinstance(i, int) for i in drawn)
+        assert set(drawn) == set(range(high))
+        with pytest.raises(ValueError):
+            rng.integers(0)
+
+    def test_nothing_warns(self):
+        # uint64 arithmetic wraps, on arrays silently; a numpy scalar would warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in (0, 1, 2**64 - 1, 2**200 + 3):
+                rng = KeyedStream(seed, "warn")
+                rng.uniform(-1.0, 1.0, size=(20000, 6))
+                rng.uniform(np.zeros(2), np.ones(2), size=(10, 2))
+                [rng.uniform(-1.0, 1.0) for _ in range(100)]
+                [rng.integers(6) for _ in range(100)]
 
 
 class TestNonFiniteResiduals:
