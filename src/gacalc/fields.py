@@ -78,8 +78,8 @@ def memo(fn):
 
 
 class Uniform(Protocol):
-    """What `Box.sample` draws from: `suites.KeyedStream`, a numpy ``Generator``,
-    or any other object with this method."""
+    """What `Box.sample` draws from: `suites.KeyedStream` (stdlib MT19937), a
+    numpy ``Generator``, or any other object with this method."""
 
     def uniform(self, low, high, size=None): ...
 

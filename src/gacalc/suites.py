@@ -19,13 +19,13 @@ the one runner: every check of every suite goes through it, and so do
 arguments from a stream of its own, a `KeyedStream` keyed by the run's seed
 and the row's name, and a draw that several rows share comes from one keyed
 by the suite's name; so a row's result does not depend on which rows run
-before it, where, or how often.  The stream is SplitMix64 over a keyed
-counter, so the draws are fixed by this module alone, whatever the numpy
-version, and a run imports nothing of numpy's random package.  A run
-collects the rows of every suite it selects into one table and runs them on
-one forked process per usable CPU, each taking the next row from one shared
-queue, and a row left without a result runs again in this process
-(`_SuiteRun.check_rows`); the report is the same under any schedule.
+before it, where, or how often.  The stream is the standard library's
+MT19937, so the draws do not depend on the numpy version, and a run imports
+nothing of numpy's random package.  A run collects the rows of every suite
+it selects into one table and runs them on one forked process per usable
+CPU, each taking the next row from one shared queue, and a row left without
+a result runs again in this process (`_SuiteRun.check_rows`); the report is
+the same under any schedule.
 Builders reach the layer functions through this module's globals at call
 time, so a wrapper installed on them (a tracer) sees every call made in
 this process.
@@ -43,6 +43,7 @@ import itertools
 import math
 import os
 import pickle
+import random
 import signal
 import zlib
 from functools import partial
@@ -112,82 +113,36 @@ PRODUCTS = {
 # any object with its two methods, a numpy Generator included
 # ---------------------------------------------------------------------------
 
-_MASK = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter step, 2**64 / golden ratio, odd
-_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-_U64 = np.uint64
 
-
-def _mix(z: int) -> int:
-    """The SplitMix64 finalizer of one 64-bit word, on a Python int."""
-    z = (z ^ (z >> 30)) * _M1 & _MASK
-    z = (z ^ (z >> 27)) * _M2 & _MASK
-    return z ^ (z >> 31)
-
-
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    """`_mix` of every word of a ``uint64`` array, in place: an array's
-    arithmetic wraps mod 2**64, with no warning."""
-    z ^= z >> _U64(30)
-    z *= _U64(_M1)
-    z ^= z >> _U64(27)
-    z *= _U64(_M2)
-    z ^= z >> _U64(31)
-    return z
-
-
-class KeyedStream:
-    """Uniform draws from one counter stream keyed by a seed and a name.
-
-    The key folds the name's CRC-32 with every 64-bit word of the seed, least
-    significant first: key = mix(key ^ word) per word, mix being the
-    SplitMix64 finalizer.  Draw k (k = 1, 2, ...) is the word
-    mix(key + k * 0x9E3779B97F4A7C15 mod 2**64), that is SplitMix64 seeded
-    with the key, and a uniform value is its top 53 bits times 2**-53, in
-    [0, 1).  A scalar is drawn on Python ints and an array on ``uint64``
-    arrays, one vectorized pass over its consecutive counters, so both give
-    the same bits for the same counters.  The stream offers the two methods
-    of a numpy ``Generator`` that gacalc calls, and no others."""
-
-    __slots__ = ("_count",)
+class KeyedStream(random.Random):
+    """Uniform draws from the standard library's MT19937 (`random.Random`),
+    seeded with the integer ``seed << 32 | crc32(name)``.  A value is one
+    32-bit word w of the stream, taken as w * 2**-32 in [0, 1): a scalar reads
+    one word (`getrandbits(32)`), an array of n values the next n words
+    (`randbytes(4 * n)`, in C order), so both give the same bits.  It offers
+    the two methods of a numpy ``Generator`` that gacalc calls."""
 
     def __init__(self, seed: int, name: str):
         if seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        key = zlib.crc32(name.encode())
-        for shift in range(0, max(seed.bit_length(), 1), 64):
-            key = _mix(key ^ (seed >> shift) & _MASK)
-        self._count = key  # key + (draws so far) * _GAMMA, mod 2**64
-
-    def _word(self) -> int:
-        self._count = (self._count + _GAMMA) & _MASK
-        return _mix(self._count)
+        super().__init__(seed << 32 | zlib.crc32(name.encode()))
 
     def uniform(self, low, high, size=None):
         """One float in [low, high) when ``size`` is None; else an array of
         shape ``size``, drawn in C order, with ``low`` and ``high`` broadcast
         against it."""
         if size is None:
-            return low + (high - low) * ((self._word() >> 11) * 2.0 ** -53)
+            return low + (high - low) * (self.getrandbits(32) * 2.0 ** -32)
         shape = (size,) if np.ndim(size) == 0 else tuple(size)
-        n = math.prod(shape)
-        words = np.arange(1, n + 1, dtype=_U64)
-        words *= _U64(_GAMMA)
-        words += _U64(self._count)
-        self._count = (self._count + n * _GAMMA) & _MASK
-        words = _mix_array(words)
-        words >>= _U64(11)
-        value = words.astype(np.float64).reshape(shape)
-        value *= 2.0 ** -53
+        words = np.frombuffer(self.randbytes(4 * math.prod(shape)), "<u4")
+        value = words.reshape(shape) * 2.0 ** -32
         value *= high - low
         value += low
         return value
 
     def integers(self, high: int) -> int:
-        """One int in range(high): the draw's word times ``high``, over 2**64."""
-        if high < 1:
-            raise ValueError(f"high must be at least 1, got {high}")
-        return self._word() * high >> 64
+        """One int in range(high)."""
+        return self.randrange(high)
 
 
 def rand_scalar(dim: int, rng: KeyedStream, degree: int = 1) -> ex.Expr:
@@ -281,12 +236,17 @@ class _SuiteRun:
         keyed by the run's seed and the name, so no row's draws depend on another's."""
         return KeyedStream(self.seed, name)
 
+    def points(self, domain: mf.Box, rng: KeyedStream, draws: int = 1) -> np.ndarray:
+        """A sample of ``domain`` from ``rng`` for a row of ``draws`` argument
+        draws: ceil(samples / draws) points, and never fewer than 10."""
+        return domain.sample(max(10, math.ceil(self.samples / draws)), rng)
+
     def check(self, name: str, tag: str, draws: int, build, points=None) -> CheckResult:
         """Run one row: build(rng, draw) for each draw index, every yielded pair
         evaluated at the row's own ``points`` or at a fresh sample of its budget."""
         rng = self.rng(name)
         if points is None:
-            points = self.fix.domain.sample(max(10, math.ceil(self.samples / draws)), rng)
+            points = self.points(self.fix.domain, rng, draws)
         pairs = itertools.chain.from_iterable(build(rng, draw) for draw in range(draws))
         return CheckResult(name, tag, draws * len(points), worst_residual(pairs, points), self.tol)
 
@@ -710,7 +670,7 @@ def bianchi_rows(run: _SuiteRun) -> list:
     generator of the suite's name; the first argument draw of each is constant.
     The caller runs them only on a connection it found symmetric."""
     conn, dim = run.conn, run.dim
-    points = run.fix.domain.sample(max(10, math.ceil(run.samples / 3)), run.rng("bianchi"))
+    points = run.points(run.fix.domain, run.rng("bianchi"), 3)
     cyclic = partial(identity_draws, dim, partial(check_cyclic, conn), 3, (0, 1, 1, 1))
     bianchi = partial(identity_draws, dim, partial(check_bianchi, conn), 4, (0, 1, 1))
     return [
@@ -768,7 +728,7 @@ def transform_rows(run: _SuiteRun, cmap: CoordinateMap) -> list:
     vectors two rows share, from the generator of the suite's name."""
     conn, dim = run.conn, cmap.dim
     common = run.rng("transform")
-    pts = cmap.domain_primed.sample(max(10, run.samples), common)
+    pts = run.points(cmap.domain_primed, common)
     grid = list(itertools.product(range(dim), repeat=2))
     cube = list(itertools.product(range(dim), repeat=3))
 
@@ -854,7 +814,7 @@ def transform_rows(run: _SuiteRun, cmap: CoordinateMap) -> list:
     ]
     if cmap.domain_canonical is not None:
         rows.append(("transform-roundtrip", "A3", 1, roundtrip,
-                     cmap.domain_canonical.sample(len(pts), common)))
+                     run.points(cmap.domain_canonical, common)))
     return rows
 
 

@@ -16,8 +16,8 @@ tangent), and in `fields` only
 `_product` reads the blade table's signs and targets.  Symmetry
 is decided from the expressions in one place per run (and once by the
 transformation law, which keeps a proved symmetry), generators are built
-only by the runner's keyed `_SuiteRun.rng`, and the cartan rows are one
-table.
+only by the runner's keyed `_SuiteRun.rng`, only `suites` imports `random`,
+and the cartan rows are one table.
 Exactly the pure connection operators are memo functions.  Each function
 of the expression grammar is one row of `expr._FUNCTIONS`, and its name is
 written nowhere else in `expr`.
@@ -161,6 +161,12 @@ def test_only_the_runner_builds_a_generator():
     assert constructions(PACKAGE, "default_rng") == []
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
             if "numpy.random" in path.read_text() or "np.random" in path.read_text()] == []
+    # the stream is the standard library's, and one module imports it
+    assert [path.stem for path in sorted(PACKAGE.glob("*.py"))
+            if any(isinstance(node, ast.Import) and any(a.name == "random" for a in node.names)
+                   or isinstance(node, ast.ImportFrom) and node.level == 0
+                   and node.module == "random"
+                   for node in ast.walk(ast.parse(path.read_text())))] == ["suites"]
 
 
 def test_cartan_rows_run_through_one_table_at_the_runner_sample():
