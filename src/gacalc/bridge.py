@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr as ex
 from . import fields as mf
-from .connection import ConnectionField, ExtensorField11, asymmetry, ext_inverse
+from .connection import ConnectionField, ExtensorField11, asymmetry, ext_det, ext_inverse
 from .fields import Box, MultivectorField
 
 
@@ -193,7 +193,11 @@ def levi_civita_from_metric(metric) -> ConnectionField:
         if g[i][j] != g[j][i]:
             raise ValueError(f"metric matrix is not symmetric: [{i}][{j}] is {ex.to_str(g[i][j])} "
                              f"and [{j}][{i}] is {ex.to_str(g[j][i])}")
-    ginv = ext_inverse(ExtensorField11(n, g)).entries
+    t = ExtensorField11(n, g)
+    if ex.is_zero(ext_det(t)):  # else mul folds each 1/det away with a zero derivative
+        rows = ", ".join(f"[{', '.join(map(ex.to_str, row))}]" for row in g)
+        raise ValueError(f"metric matrix [{rows}] is singular: its determinant is 0")
+    ginv = ext_inverse(t).entries
 
     def entry(index):
         c, a, b = index

@@ -222,7 +222,8 @@ def outermorphism_apply(t: ExtensorField11, x: MultivectorField,
 
 def ext_det(t: ExtensorField11) -> ex.Expr:
     """The paper's extensor determinant of t, the scalar field with t(I) = det(t) I for
-    the pseudoscalar I: the full minor of its entries.  Public API; nothing here calls it."""
+    the pseudoscalar I: the full minor of its entries.  `levi_civita_from_metric` refuses
+    a metric whose determinant folds to 0."""
     return t._minors[t._minors.full, t._minors.full]
 
 

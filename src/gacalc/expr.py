@@ -333,15 +333,9 @@ _FUNCTIONS = {
 
 _NEGATIVE_POWER = ("zero raised to a negative power", lambda v: v == 0.0)
 
-
-def _fault(node: Expr) -> tuple | None:
-    """The domain fault ``node`` can raise, or None: its row's, or a negative Pow's."""
-    kind = type(node)
-    if kind is Call:
-        return _FUNCTIONS[node.name].fault
-    if kind is Pow:
-        return _NEGATIVE_POWER if node.exponent < 0 else None
-    return _BINARY[kind].fault if kind in _BINARY else None
+# a tape instruction's callable -> its domain fault; `_power` adds a negative exponent's
+_FAULTS = {**{row.op: row.fault for row in _BINARY.values() if row.fault},
+           **{row.ufunc: row.fault for row in _FUNCTIONS.values() if row.fault}}
 
 
 def simplify(e: Expr) -> Expr:
@@ -525,10 +519,16 @@ def to_str(e: Expr) -> str:
 # which can differ in the last bit).  ``x ** 0`` is 1.0 for every x and keeps
 # an array's shape.  Every other exponent runs np.power.
 _POWERS = {2: lambda x: x * x, -1: lambda x: 1.0 / x, 1: lambda x: x, 0: lambda x: x ** 0}
+_POWER_MEMO: dict = {}  # exponent -> its one callable, so that a Pow's instruction is its key
 
 
 def _power(exponent: int):
-    return _POWERS.get(exponent) or (lambda x: np.power(x, exponent))
+    """x ** exponent's callable, one per exponent; a negative one's enters `_FAULTS`."""
+    if exponent not in _POWER_MEMO:
+        fn = _POWER_MEMO[exponent] = _POWERS.get(exponent) or (lambda x: np.power(x, exponent))
+        if exponent < 0:
+            _FAULTS[fn] = _NEGATIVE_POWER
+    return _POWER_MEMO[exponent]
 
 
 def _returning_float(fn):
@@ -556,11 +556,12 @@ class Tape:
     """The distinct nodes of ``roots`` in topological order, evaluated in one pass.
 
     Lowering walks each tree once per object (memoized on identity) and
-    gives structurally equal nodes (same type, own fields and child slots)
-    one slot; `simplify` and `substitute` fold over the slots.  Each slot is
-    decoded once, into ``program``: a function slot holds (callable, operand
-    slot, operand slot or None), a leaf (None, coordinate index, None) or
-    (None, None, constant).  Calling the tape on an (N, dim) points array
+    gives structurally equal nodes one slot; `simplify` and `substitute`
+    fold over the slots.  A node is keyed by its instruction in ``program``
+    (local value numbering): (callable, operand slot, operand slot or None),
+    one callable per power, or a leaf (None, coordinate index, None) or
+    (None, None, constant), a constant keyed with its sign bit instead.
+    Calling the tape on an (N, dim) points array
     runs the program once, each slot as one numpy call over all N points
     (`_run`), and returns the (N, len(roots)) values.  A tape has no dim: it
     reads coordinates 0..width-1, refuses a point with fewer and ignores the
@@ -599,30 +600,26 @@ class Tape:
         self.width = 0  # the coordinates it reads: its highest Var index + 1
         self._plan: tuple | None = None  # the one-point plan and its screen, made by the first `at`
         slot_of: dict[int, int] = {}  # id(node) -> slot; the roots keep the ids valid
-        slot_by_key: dict[tuple, int] = {}  # a leaf's or a Pow's key, or a slot's instruction
+        slot_by_key: dict[tuple, int] = {}  # a slot's instruction, or a constant's key
         waiting: list[Expr] = []  # nodes whose operands are being lowered, innermost last
         lefts: list = []  # per waiting node: its left operand's slot once lowered, else None
         for root in roots:
             node = root
             while True:
                 slot = slot_of.get(id(node))
-                if slot is None:
+                if slot is None:  # wait for its operands, lowered one at a time, left first
+                    waiting.append(node)
+                    lefts.append(None)
                     kind = type(node)
-                    if kind is Var or kind is Const:  # -0.0 == 0.0: a sign bit joins the key
-                        key = ((Var, node.index) if kind is Var else
-                               (Const, node.value, math.copysign(1.0, node.value)))
-                        slot = slot_of[id(node)] = self._slot(slot_by_key, key, node)
-                    else:  # lower the operands first, one at a time, left before right
-                        waiting.append(node)
-                        lefts.append(None)
-                        if kind in _BINARY:
-                            node = node.left
-                        elif kind in (Neg, Pow, Call):
-                            node = node.base if kind is Pow else node.arg
-                        else:
-                            raise TypeError(f"not an expression: {node!r}")
+                    if kind in _BINARY:
+                        node = node.left
                         continue
-                while waiting:  # the slot is done: hand it to the node waiting for it
+                    if kind is Neg or kind is Call or kind is Pow:
+                        node = node.base if kind is Pow else node.arg
+                        continue
+                    if kind is not Var and kind is not Const:
+                        raise TypeError(f"not an expression: {node!r}")
+                while waiting:  # the operands are done: give the node waiting for them its slot
                     node = waiting[-1]
                     kind = type(node)
                     row = _BINARY.get(kind)
@@ -633,38 +630,30 @@ class Tape:
                             node = node.right
                             break
                         key = (row.op, left, slot)
+                    elif kind is Const:  # -0.0 == 0.0: a sign bit joins the key
+                        key = (Const, node.value, math.copysign(1.0, node.value))
+                    elif kind is Var:
+                        key = (None, node.index, None)
+                        self.width = max(self.width, node.index + 1)
                     elif kind is Pow:
-                        key = (Pow, node.exponent, slot)
+                        key = (_power(node.exponent), slot, None)
                     else:
                         key = (_FUNCTIONS[node.name].ufunc if kind is Call else operator.neg,
                                slot, None)
                     waiting.pop()
                     lefts.pop()
-                    slot = slot_of[id(node)] = self._slot(slot_by_key, key, node)
+                    slot = slot_by_key.get(key)
+                    if slot is None:
+                        slot = slot_by_key[key] = len(self.program)
+                        self.program.append(key if kind is not Const else
+                                            (None, None, np.float64(node.value)))
+                        self.nodes.append(node)
+                        if key[0] in _FAULTS:
+                            self.checked.append(slot)
+                    slot_of[id(node)] = slot
                 else:
                     break
             self.roots.append(slot)
-
-    def _slot(self, slot_by_key: dict, key: tuple, node: Expr) -> int:
-        """The slot of ``key``; a new one decodes ``node``'s instruction, once."""
-        slot = slot_by_key.get(key)
-        if slot is None:
-            slot = slot_by_key[key] = len(self.program)
-            kind = type(node)
-            if kind is Var:
-                op = (None, node.index, None)
-                self.width = max(self.width, node.index + 1)
-            elif kind is Const:
-                op = (None, None, np.float64(node.value))
-            elif kind is Pow:
-                op = (_power(node.exponent), key[2], None)
-            else:
-                op = key
-            self.program.append(op)
-            self.nodes.append(node)
-            if _fault(node) is not None:
-                self.checked.append(slot)
-        return slot
 
     def __call__(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -726,10 +715,10 @@ class Tape:
     def _raise(self, values: list, out: np.ndarray) -> None:
         """Raise the DomainError of a call whose screen tripped, if any is due."""
         for slot in self.checked:  # the exact tests, in slot order
-            node, (_, a, b) = self.nodes[slot], self.program[slot]
-            message, test = _fault(node)
+            fn, a, b = self.program[slot]
+            message, test = _FAULTS[fn]
             if np.any(test(values[a if b is None else b])):
-                raise DomainError(message, node)
+                raise DomainError(message, self.nodes[slot])
         finite = np.isfinite(out).all(axis=0)
         if finite.all():
             return  # a checked slot went non-finite under a finite root, by no fault

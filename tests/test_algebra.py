@@ -256,7 +256,7 @@ class TestBladeTable:
 
 class TestFreshCommands:
     def test_a_check_and_a_transform_never_import_numpy_random(self):
-        # the seeded draws are gacalc's own (`suites.KeyedStream`): numpy.random
+        # the seeded draws are the standard library's (`suites.KeyedStream`): numpy.random
         # would cost every command process its import.  On one CPU every row
         # runs in the process that is asked.
         fixtures = Path(__file__).resolve().parents[1] / "fixtures"

@@ -281,6 +281,18 @@ class TestLeviCivita:
         with pytest.raises(ex.DomainError):
             ex.evaluate(conn.gamma[0][0][0], (0.0, 0.5))
 
+    @pytest.mark.parametrize("matrix, printed", [
+        ([["0", "0"], ["0", "1"]], "[[0, 0], [0, 1]]"),
+        ([["1", "2"], ["2", "4"]], "[[1, 2], [2, 4]]"),
+    ])
+    def test_constant_singular_metric_refused_naming_the_matrix(self, matrix, printed):
+        # every Christoffel term would fold 1/det away under a zero derivative
+        spec = {"name": "m", "dim": 2, "seed": 1,
+                "connection": {"kind": "metric", "matrix": matrix}}
+        with pytest.raises(ValueError) as err:
+            load_fixture(spec)
+        assert str(err.value) == f"metric matrix {printed} is singular: its determinant is 0"
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             levi_civita_from_metric([[ex.ONE, ex.ZERO]])

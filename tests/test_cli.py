@@ -148,6 +148,28 @@ class TestCheckCommand:
         assert res.stderr == ("error: metric matrix is not symmetric: [0][1] is x0*x1 "
                               "and [1][0] is x1*x0\n")
 
+    @pytest.mark.parametrize("command", [("check",), ("christoffel", "--at", "1,1")])
+    @pytest.mark.parametrize("matrix, stderr", [
+        ([["0", "0"], ["0", "1"]],
+         "error: metric matrix [[0, 0], [0, 1]] is singular: its determinant is 0\n"),
+        ([["1", "2"], ["2", "4"]],
+         "error: metric matrix [[1, 2], [2, 4]] is singular: its determinant is 0\n"),
+        ([["x0", "x0"], ["x0", "x0"]], None),  # not constant: the first evaluation faults
+    ])
+    def test_singular_metric_exits_2_with_one_line(self, tmp_path, command, matrix, stderr):
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps({"name": "m", "dim": 2, "seed": 1, "connection": {
+            "kind": "metric", "matrix": matrix},
+            "domain": {"lo": [0.5, 0.5], "hi": [1.5, 1.5]}}))
+        res = run_cli(command[0], "--config", str(path), *command[1:])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.count("\n") == 1
+        if stderr is None:
+            assert "division by zero" in res.stderr
+        else:
+            assert res.stderr == stderr
+
     def test_json_report_schema_and_determinism(self):
         args = ("check", "--config", str(FIXTURES / "torsionful.json"),
                 "--suite", "bridge", "--samples", "20", "--json")

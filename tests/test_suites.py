@@ -330,7 +330,7 @@ class TestKeyedStream:
             rng.integers(0)
 
     def test_nothing_warns(self):
-        # uint64 arithmetic wraps, on arrays silently; a numpy scalar would warn
+        # huge seeds, large arrays, array bounds and integers draw without a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for seed in (0, 1, 2**64 - 1, 2**200 + 3):
