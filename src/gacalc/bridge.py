@@ -86,12 +86,12 @@ def christoffel(conn: ConnectionField, cmap: CoordinateMap) -> ConnectionField:
     def derivative(mu: int, nu: int, g: int) -> ex.Expr:
         """Component g of cov+_{b_mu} b_nu, b_mu . d_o acting as d/dx^mu' in the primed chart."""
         pairs = itertools.product(range(n), repeat=2)
-        return _sum(itertools.chain([ex.diff(down[nu][g], mu)], (
+        return ex.total(itertools.chain([ex.diff(down[nu][g], mu)], (
             ex.mul(gamma[g][i][j], ex.mul(down[mu][i], down[nu][j])) for i, j in pairs)))
 
     def entry(index):
         lam, mu, nu = index
-        return _sum(ex.mul(derivative(mu, nu, g), up[lam][g]) for g in range(n))
+        return ex.total(ex.mul(derivative(mu, nu, g), up[lam][g]) for g in range(n))
 
     return ConnectionField(n, _tabulate(n, 3, entry))
 
@@ -107,7 +107,7 @@ def transform_connection(conn: ConnectionField, cmap: CoordinateMap) -> Connecti
 
     def entry(index):
         lam, mu, nu = index
-        return _sum(itertools.chain(
+        return ex.total(itertools.chain(
             (ex.mul(ex.mul(jinv[a][mu], jinv[b][nu]), ex.mul(kfwd[lam][g], gamma[g][a][b]))
              for a, b, g in itertools.product(range(n), repeat=3)),
             (ex.mul(hess[b][mu][nu], kfwd[lam][b]) for b in range(n))))
@@ -127,7 +127,7 @@ def transform_components(components, cmap: CoordinateMap, variances) -> list:
     factors = _frame_components(cmap, variances)
     entries = dict(_entries(components, cmap.dim, len(factors)))
     comps = list(zip(entries, cmap.compose(list(entries.values()))))
-    return _tabulate(cmap.dim, len(factors), lambda primed: _sum(
+    return _tabulate(cmap.dim, len(factors), lambda primed: ex.total(
         ex.mul(_factor(factors, primed, raw), comp) for raw, comp in comps))
 
 
@@ -153,7 +153,7 @@ def classical_cov_derivative(conn: ConnectionField, components, variances) -> li
                     terms.append(ex.mul(g[idx[p]][m][s], other))
                 else:
                     terms.append(ex.neg(ex.mul(g[s][m][idx[p]], other)))
-        return _sum(terms)
+        return ex.total(terms)
 
     return _tabulate(n, len(variances) + 1, entry)
 
@@ -201,18 +201,11 @@ def levi_civita_from_metric(metric) -> ConnectionField:
 
     def entry(index):
         c, a, b = index
-        return ex.mul(ex.const(0.5), _sum(
+        return ex.mul(ex.const(0.5), ex.total(
             ex.mul(ginv[c][s], ex.sub(ex.add(ex.diff(g[s][b], a), ex.diff(g[a][s], b)),
                                       ex.diff(g[a][b], s))) for s in range(n)))
 
     return ConnectionField(n, _tabulate_symmetric(n, entry))
-
-
-def _sum(terms) -> ex.Expr:
-    total = ex.ZERO
-    for t in terms:
-        total = ex.add(total, t)
-    return total
 
 
 def _checked(variances) -> tuple[str, ...]:

@@ -190,10 +190,10 @@ class _Minors(dict):
         first, rest = self.rows[(rows & -rows).bit_length() - 1], rows & (rows - 1)
         minor = first[cols.bit_length() - 1]  # a 1 x 1 minor is its entry
         if rest:
-            minor = ex.ZERO
-            for position, j in enumerate(j for j in range(len(first)) if cols >> j & 1):
-                term = ex.mul(first[j], self[rest, cols ^ 1 << j])
-                minor = ex.add(minor, ex.neg(term) if position % 2 else term)
+            terms = (ex.mul(first[j], self[rest, cols ^ 1 << j])
+                     for j in range(len(first)) if cols >> j & 1)
+            minor = ex.total(ex.neg(term) if position % 2 else term
+                             for position, term in enumerate(terms))
         self[key] = minor
         return minor
 
@@ -236,7 +236,10 @@ def ext_inverse(t: ExtensorField11) -> ExtensorField11:
 
 @memo
 def gamma_apply(conn: ConnectionField, a: MultivectorField, b: MultivectorField) -> MultivectorField:
-    """Directional connection value gamma(a, b), bilinear over scalar fields."""
+    """Directional connection value gamma(a, b), bilinear over scalar fields.  Its own loop,
+    not gamma_matrix(conn, a)(b): the independent route of `gen-vector-agrees` (PS.6b), which
+    through gamma_matrix compares a tree with itself (tests/test_census.py), and of the
+    torsion in `torsion-equivalence` (TCF.1a)."""
     if a.dim != conn.dim or b.dim != conn.dim:
         raise ValueError("dimension mismatch between connection and arguments")
     if not (a.is_vector() and b.is_vector()):

@@ -207,6 +207,15 @@ def add(a: Expr, b: Expr) -> Expr:
     return Add(a, b)
 
 
+def total(terms) -> Expr:
+    """gacalc's one list sum: ``terms`` folded left from +0 through `add`, ((0 + t1) + t2) + ...,
+    so constants fold and zero terms drop as they come, and the terms' order fixes the tree."""
+    out = ZERO
+    for term in terms:
+        out = add(out, term)
+    return out
+
+
 def sub(a: Expr, b: Expr) -> Expr:
     if type(b) is Const:
         if type(a) is Const:

@@ -288,11 +288,7 @@ def contract(x: MultivectorField, y: MultivectorField, side: str = "left") -> Mu
 
 def scalar_product(x: MultivectorField, y: MultivectorField) -> ex.Expr:
     same_dim(x, y)
-    total = ex.ZERO
-    for m, ca in x.coeffs.items():
-        if m in y.coeffs:
-            total = ex.add(total, ex.mul(ca, y.coeffs[m]))
-    return total
+    return ex.total(ex.mul(ca, y.coeffs[m]) for m, ca in x.coeffs.items() if m in y.coeffs)
 
 
 def commutator(a: MultivectorField, x: MultivectorField) -> MultivectorField:
@@ -336,13 +332,8 @@ def directional_derivative(a: MultivectorField, x: MultivectorField) -> Multivec
     if any(type(ai) is not ex.Const for ai in comps.values()):
         memo = a._tangents
         return _owning(x.dim, {m: ex.tangent(c, comps, memo) for m, c in x.coeffs.items()})
-    out: dict[int, ex.Expr] = {}
-    for m, c in x.coeffs.items():
-        total = ex.ZERO
-        for i, ai in comps.items():
-            total = ex.add(total, ex.mul(ai, ex.diff(c, i)))
-        out[m] = total
-    return _owning(x.dim, out)
+    return _owning(x.dim, {m: ex.total(ex.mul(ai, ex.diff(c, i)) for i, ai in comps.items())
+                           for m, c in x.coeffs.items()})
 
 
 @memo

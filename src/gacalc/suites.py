@@ -55,7 +55,6 @@ from . import fields as mf
 from .algebra import Frame, grade_of
 from .bridge import (
     CoordinateMap,
-    _sum,
     christoffel,
     classical_cov_derivative,
     riemann_coefficients,
@@ -344,13 +343,7 @@ def identity_draws(dim, sides, arity, degrees, rng, draw):
 def core_rows(run: _SuiteRun) -> list:
     conn, dim = run.conn, run.dim
     zero = mf.mvf(dim, {})
-
-    def rv(rng):
-        return rand_vector(dim, rng)
-
-    def rx(rng):
-        return rand_mvf(dim, rng)
-
+    rv, rx = partial(rand_vector, dim), partial(rand_mvf, dim)
     gen = partial(generalized_apply, conn)
     skew = partial(generalized_skew_apply, conn)
 
@@ -411,13 +404,6 @@ def core_rows(run: _SuiteRun) -> list:
                    mf.add(mf.scale(alpha, cov_derivative(conn, sign, a, x)),
                           mf.scale(beta, cov_derivative(conn, sign, a2, x))))
 
-    def cov_scalar(rng, _):
-        a = rv(rng)
-        f = mf.scalar_field(dim, rand_scalar(dim, rng, degree=2))
-        flat = mf.directional_derivative(a, f)
-        for sign in SIGNS:
-            yield cov_derivative(conn, sign, a, f), flat
-
     def cov_additive(rng, _):
         a, x, y = rv(rng), rx(rng), rx(rng)
         for sign in SIGNS:
@@ -432,11 +418,27 @@ def core_rows(run: _SuiteRun) -> list:
         for op in ops:
             yield op(a, mf.scale(f, x)), mf.add(mf.scale(df, x), mf.scale(f, op(a, x)))
 
-    def pairing(s, s_dual, arg, rng, _):
-        """(cov_s X) . Y + X . (cov_dual Y) = a.d_o (X . Y), X and Y drawn by ``arg``."""
+    def deformed(rng):
+        """The deformed derivatives, + and -, by a vector map drawn from ``rng``."""
+        lam = rand_lambda(dim, rng)
+        return [partial(deform, conn, lam, sign) for sign in ("+", "-")]
+
+    def scalar_field_rule(ops, rng, _):
+        """op(a, f) = a.d_o f on a scalar field for each op of ``ops(rng)``, the
+        flat side built classically, as the sum of a^i df/dx_i."""
+        a, derivatives = rv(rng), ops(rng)
+        f = rand_scalar(dim, rng, degree=2)
+        flat = ex.total(ex.mul(ai, ex.diff(f, i)) for i, ai in enumerate(a.vector_components()))
+        f, flat = mf.scalar_field(dim, f), mf.scalar_field(dim, flat)
+        for op in derivatives:
+            yield op(a, f), flat
+
+    def pairing(ops, arg, rng, _):
+        """op(a, X) . Y + X . dual(a, Y) = a.d_o (X . Y) for (op, dual) = ``ops(rng)``,
+        X and Y drawn by ``arg`` before them."""
         a, x, y = rv(rng), arg(rng), arg(rng)
-        yield (ex.add(mf.scalar_product(cov_derivative(conn, s, a, x), y),
-                      mf.scalar_product(x, cov_derivative(conn, s_dual, a, y))),
+        op, dual = ops(rng)
+        yield (ex.add(mf.scalar_product(op(a, x), y), mf.scalar_product(x, dual(a, y))),
                _flat_scalar(a, mf.scalar_product(x, y)))
 
     def zero_avg(rng, _):
@@ -460,25 +462,19 @@ def core_rows(run: _SuiteRun) -> list:
             yield (cov_derivative(conn, sign, mf.scale(f, a), b),
                    mf.scale(f, cov_derivative(conn, sign, a, b)))
 
-    def cde1_k1(rng, _):
-        a, x1, x = rv(rng), rv(rng), rx(rng)
-        t = rand_ext11(dim, rng)
-        for s1 in SIGNS:
-            for s in SIGNS:
-                yield (mf.scalar_product(cov_derivative_extensor(conn, (s1, s), t, a, (x1,)), x),
-                       ex.sub(ex.sub(_flat_scalar(a, mf.scalar_product(t(x1), x)),
-                                     mf.scalar_product(t(cov_derivative(conn, s1, a, x1)), x)),
-                              mf.scalar_product(t(x1), cov_derivative(conn, s, a, x))))
-
-    def cde1_k2(rng, _):
-        a, x1, x2, x = rv(rng), rv(rng), rv(rng), rx(rng)
-        t = rand_kextensor2(dim, rng)
-        for signs in (("+", "-", "+"), ("-", "0", "-"), ("0", "+", "0")):
-            lhs = mf.scalar_product(cov_derivative_extensor(conn, signs, t, a, (x1, x2)), x)
-            rhs = _flat_scalar(a, mf.scalar_product(t(x1, x2), x))
-            rhs = ex.sub(rhs, mf.scalar_product(t(cov_derivative(conn, signs[0], a, x1), x2), x))
-            rhs = ex.sub(rhs, mf.scalar_product(t(x1, cov_derivative(conn, signs[1], a, x2)), x))
-            rhs = ex.sub(rhs, mf.scalar_product(t(x1, x2), cov_derivative(conn, signs[2], a, x)))
+    def cde1(draw_t, arity, sign_sets, rng, _):
+        """The defining law of the derivative of t, drawn by ``draw_t``, on ``arity``
+        vectors x_p and a field X: (cov t)(x_1..x_k) . X is a.d_o (t(x_1..x_k) . X)
+        less the term of each slot's derivative, the x_p in turn and then X's."""
+        a, *xs = (rv(rng) for _ in range(arity + 1))
+        x, t = rx(rng), draw_t(dim, rng)
+        for signs in sign_sets:
+            lhs = mf.scalar_product(cov_derivative_extensor(conn, signs, t, a, tuple(xs)), x)
+            rhs = _flat_scalar(a, mf.scalar_product(t(*xs), x))
+            for p, sign in enumerate(signs):
+                moved = [*xs, x]
+                moved[p] = cov_derivative(conn, sign, a, moved[p])
+                rhs = ex.sub(rhs, mf.scalar_product(t(*moved[:-1]), moved[-1]))
             yield lhs, rhs
 
     def cde2(rng, _):
@@ -506,21 +502,6 @@ def core_rows(run: _SuiteRun) -> list:
                 rhs = extensor_cov_derivative(conn, (s, s1), adjoint, a)
                 yield from zip(itertools.chain(*lhs.entries), itertools.chain(*rhs.entries))
 
-    def deform_scalar(rng, _):
-        a = rv(rng)
-        lam = rand_lambda(dim, rng)
-        f = mf.scalar_field(dim, rand_scalar(dim, rng, degree=2))
-        flat = mf.directional_derivative(a, f)
-        for sign in ("+", "-"):
-            yield deform(conn, lam, sign, a, f), flat
-
-    def deform_pairing(rng, _):
-        a, x, y = rv(rng), rx(rng), rx(rng)
-        lam = rand_lambda(dim, rng)
-        yield (ex.add(mf.scalar_product(deform(conn, lam, "+", a, x), y),
-                      mf.scalar_product(x, deform(conn, lam, "-", a, y))),
-               _flat_scalar(a, mf.scalar_product(x, y)))
-
     return [
         ("gen-grade-preserving", "PS.4", 2, partial(grade_preserving, [gen])),
         ("gen-involution-hat", "PS.5a", 2, partial(inv_commute, "hat")),
@@ -535,24 +516,26 @@ def core_rows(run: _SuiteRun) -> list:
         *((f"skew-derivation-{p}", "PS.10", 2, partial(leibniz, [skew], p)) for p in PRODUCTS),
         ("cov-grade-preserving", "CDM.2", 2, partial(grade_preserving, cov("+", "-"))),
         ("cov-direction-linearity", "CDM.3", 2, cov_linear_dir),
-        ("cov-scalar-field", "CDM.4a", 5, cov_scalar),
+        ("cov-scalar-field", "CDM.4a", 5, partial(scalar_field_rule, lambda _: cov(*SIGNS))),
         ("cov-additivity", "CDM.4b", 2, cov_additive),
         ("cov-scalar-leibniz", "CDM.4c", 2, partial(scalar_leibniz, cov(*SIGNS), rx)),
         ("cov-wedge-leibniz", "CDM.5", 2, partial(leibniz, cov(*SIGNS), "wedge")),
-        ("cov-pairing", "CDM.6", 5, partial(pairing, "+", "-", rx)),
+        ("cov-pairing", "CDM.6", 5, partial(pairing, lambda _: cov("+", "-"), rx)),
         ("cov-zero-average", "CDM.7", 2, zero_avg),
-        ("cov-zero-pairing", "CDM.9", 5, partial(pairing, "0", "0", rx)),
+        ("cov-zero-pairing", "CDM.9", 5, partial(pairing, lambda _: cov("0", "0"), rx)),
         *((f"cov-zero-leibniz-{p}", "CDM.10", 2, partial(leibniz, cov("0"), p)) for p in PRODUCTS),
         ("connection-op-additivity", "CO.2a", 2, co_additive),
         ("connection-op-first-slot", "CO.2c", 2, co_f_first),
         ("connection-op-second-slot", "CO.2d", 2, partial(scalar_leibniz, cov("+", "-"), rv)),
-        ("connection-op-pairing", "CO.3", 5, partial(pairing, "+", "-", rv)),
-        ("extensor-derivative-defining", "CDE.1", 2, cde1_k1),
-        ("extensor-derivative-defining-k2", "CDE.1", 1, cde1_k2),
+        ("connection-op-pairing", "CO.3", 5, partial(pairing, lambda _: cov("+", "-"), rv)),
+        ("extensor-derivative-defining", "CDE.1", 2,
+         partial(cde1, rand_ext11, 1, list(itertools.product(SIGNS, repeat=2)))),
+        ("extensor-derivative-defining-k2", "CDE.1", 1,
+         partial(cde1, rand_kextensor2, 2, [("+", "-", "+"), ("-", "0", "-"), ("0", "+", "0")])),
         ("extensor-derivative-linearity", "CDE.2", 2, cde2),
         ("extensor-adjoint-commutation", "CDE.3", 2, cde3),
-        ("deform-scalar-field", "CDM.11", 2, deform_scalar),
-        ("deform-pairing", "CDM.11", 2, deform_pairing),
+        ("deform-scalar-field", "CDM.11", 2, partial(scalar_field_rule, deformed)),
+        ("deform-pairing", "CDM.11", 2, partial(pairing, deformed, rx)),
         ("gauge-frame-independence", "PS.2a", 2,
          partial(frame_independence, conn, gauge_bivector, [rv])),
         ("generalized-frame-independence", "PS.3", 2,
@@ -569,27 +552,22 @@ def cartan_rows(run: _SuiteRun, symmetric: bool) -> list:
     """The cartan rows; ``symmetric`` (decided by the caller) adds torsion-vanishes."""
     conn, dim = run.conn, run.dim
     zero = mf.mvf(dim, {})
-
-    def rv(rng):
-        return rand_vector(dim, rng)
+    rv = partial(rand_vector, dim)
 
     def torsion_equiv(rng, _):
         a, b = rv(rng), rv(rng)
         yield torsion(conn, a, b), torsion_operator_form(conn, a, b)
 
-    def torsion_antisym(rng, _):
-        a, b = rv(rng), rv(rng)
-        yield torsion(conn, a, b), mf.scale(-1.0, torsion(conn, b, a))
+    def antisymmetric(op, arity, rng, _):
+        """op(conn, a, b, ...) changes sign when a and b swap, on ``arity`` vectors."""
+        a, b, *rest = (rv(rng) for _ in range(arity))
+        yield op(conn, a, b, *rest), mf.scale(-1.0, op(conn, b, a, *rest))
 
     def torsion_tensorial(rng, _):
         a, b = rv(rng), rv(rng)
         f, g = rand_scalar(dim, rng), rand_scalar(dim, rng)
         yield (torsion(conn, mf.scale(f, a), mf.scale(g, b)),
                mf.scale(ex.mul(f, g), torsion(conn, a, b)))
-
-    def curv_antisym(rng, _):
-        a, b, c = rv(rng), rv(rng), rv(rng)
-        yield curvature(conn, a, b, c), mf.scale(-1.0, curvature(conn, b, a, c))
 
     def curv_tensorial(rng, _):
         a, b, c = rv(rng), rv(rng), rv(rng)
@@ -645,9 +623,9 @@ def cartan_rows(run: _SuiteRun, symmetric: bool) -> list:
 
     return [
         ("torsion-equivalence", "TCF.1a", 2, torsion_equiv),
-        ("torsion-antisymmetry", "TCF.1b", 2, torsion_antisym),
+        ("torsion-antisymmetry", "TCF.1b", 2, partial(antisymmetric, torsion, 2)),
         ("torsion-tensoriality", "TCF.1b", 2, torsion_tensorial),
-        ("curvature-antisymmetry", "TCF.3", 2, curv_antisym),
+        ("curvature-antisymmetry", "TCF.3", 2, partial(antisymmetric, curvature, 3)),
         ("curvature-tensoriality", "TCF.2a", 1, curv_tensorial),
         ("curvature-classical-coefficients", "TCF.2b", 1, curv_classical),
         ("cartan-torsion-roundtrip", "CF.1a", 2, theta_roundtrip),
@@ -755,7 +733,7 @@ def transform_rows(run: _SuiteRun, cmap: CoordinateMap) -> list:
         comps = transform_components(v, cmap, (variance,))
         frame = [r.vector_components() for r in reciprocal]
         for i in range(dim):
-            yield _sum(ex.mul(comps[al], frame[al][i]) for al in range(dim)), composed[i]
+            yield ex.total(ex.mul(comps[al], frame[al][i]) for al in range(dim)), composed[i]
 
     def tensor_law(variances, probe_variances, rng, _):
         """Invariant contraction of a random tensor with probe vectors."""
@@ -767,9 +745,9 @@ def transform_rows(run: _SuiteRun, cmap: CoordinateMap) -> list:
         u_t = transform_components(u, cmap, probe_variances[:1])
         w_t = transform_components(w, cmap, probe_variances[1:])
         composed = cmap.compose(t.entries)
-        yield (_sum(ex.mul(law[m][n], ex.mul(u_t[m], w_t[n])) for m, n in grid),
-               _sum(ex.mul(composed[i][j], ex.mul(ex.const(u[j]), ex.const(w[i])))
-                    for i, j in grid))
+        yield (ex.total(ex.mul(law[m][n], ex.mul(u_t[m], w_t[n])) for m, n in grid),
+               ex.total(ex.mul(composed[i][j], ex.mul(ex.const(u[j]), ex.const(w[i])))
+                        for i, j in grid))
 
     def chain_rule(rng, _):
         """Directional derivative along frame vectors vs primed-chart partials."""
@@ -777,7 +755,7 @@ def transform_rows(run: _SuiteRun, cmap: CoordinateMap) -> list:
         *grads, composed_f = cmap.compose([*(ex.diff(f, i) for i in range(dim)), f])
         for alpha in range(dim):
             b_comp = covariant[alpha].vector_components()
-            yield (_sum(ex.mul(b_comp[i], grads[i]) for i in range(dim)),
+            yield (ex.total(ex.mul(b_comp[i], grads[i]) for i in range(dim)),
                    ex.diff(composed_f, alpha))
 
     def roundtrip(rng, _):
@@ -792,7 +770,7 @@ def transform_rows(run: _SuiteRun, cmap: CoordinateMap) -> list:
         ("map-roundtrip", "-", 1,
          lambda *_: zip(cmap.compose(cmap.forward), map(ex.Var, range(dim))), pts),
         ("map-jacobian-inverse", "-", 1,
-         lambda *_: ((_sum(ex.mul(kfwd[i][k], jinv[k][j]) for k in range(dim)), delta(i, j))
+         lambda *_: ((ex.total(ex.mul(kfwd[i][k], jinv[k][j]) for k in range(dim)), delta(i, j))
                     for i, j in grid), pts),
         ("frame-reciprocity", "A.1", 1,
          lambda *_: ((mf.scalar_product(covariant[m], contravariant[n]), delta(m, n))

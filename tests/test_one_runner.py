@@ -17,7 +17,8 @@ tangent), and in `fields` only
 is decided from the expressions in one place per run (and once by the
 transformation law, which keeps a proved symmetry), generators are built
 only by the runner's keyed `_SuiteRun.rng`, only `suites` imports `random`,
-and the cartan rows are one table.
+and the cartan rows are one table.  A list of expressions is summed by one
+function, `expr.total`: no hand-written fold from ``ex.ZERO`` is left.
 Exactly the pure connection operators are memo functions.  Each function
 of the expression grammar is one row of `expr._FUNCTIONS`, and its name is
 written nowhere else in `expr`.
@@ -117,6 +118,47 @@ def test_cartan_imports_nothing_from_report():
 
 def test_one_function_sums_over_a_frame():
     assert constructions(PACKAGE, "const_frames") == ["fields.basis", "fields.frame_sum"]
+
+
+def list_folds(package: Path) -> list[str]:
+    """``module.function`` of each function outside `expr` that sets a name to
+    ``ex.ZERO`` and, inside a loop, sets it again to ``ex.add(name, ...)``."""
+
+    def is_ex(node, attr):
+        return (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.value, ast.Name) and node.value.id == "ex")
+
+    def refolds(step):  # name = ex.add(name, ...)
+        return (isinstance(step, ast.Assign) and isinstance(step.targets[0], ast.Name)
+                and isinstance(step.value, ast.Call) and is_ex(step.value.func, "add")
+                and isinstance(step.value.args[0], ast.Name)
+                and step.value.args[0].id == step.targets[0].id)
+
+    zeroed, folded = set(), set()
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "expr":
+            continue
+        for node, where in located(path):
+            if isinstance(node, ast.Assign) and is_ex(node.value, "ZERO"):
+                zeroed |= {(where, t.id) for t in node.targets if isinstance(t, ast.Name)}
+            elif isinstance(node, (ast.For, ast.While)):
+                folded |= {(where, step.targets[0].id) for step in ast.walk(node) if refolds(step)}
+    return sorted(where for where, _ in zeroed & folded)
+
+
+def test_the_fold_finder_sees_a_hand_written_list_sum(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(ts):\n    s = ex.ZERO\n    for t in ts:\n        s = ex.add(s, t)\n    return s\n"
+        "def g(ts):\n    s = ex.ZERO\n    return ex.add(s, ts[0])\n"
+        "def h(ts):\n    s = ex.ONE\n    for t in ts:\n        s = ex.add(s, t)\n    return s\n"
+        "class K:\n    def m(self, ts):\n        s = ex.ZERO\n        while ts:\n"
+        "            s = ex.add(s, ts.pop())\n        return s\n")
+    (tmp_path / "expr.py").write_text((tmp_path / "a.py").read_text())
+    assert list_folds(tmp_path) == ["a.K.m", "a.f"]
+
+
+def test_one_function_sums_a_list_of_expressions():
+    assert list_folds(PACKAGE) == []
 
 
 def test_only_the_loader_builds_a_fixture_config():
