@@ -268,7 +268,7 @@ def _product(x: MultivectorField, y: MultivectorField, kind: str) -> Multivector
             if sign:
                 m = target_row[b]
                 term = ex.mul(ca, cb)
-                out[m] = ex.add(out.get(m, ex.ZERO), ex.neg(term) if sign < 0 else term)
+                out[m] = (ex.sub if sign < 0 else ex.add)(out.get(m, ex.ZERO), term)
     return _owning(x.dim, out)
 
 

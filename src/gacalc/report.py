@@ -21,36 +21,27 @@ def worst_residual(pairs, points) -> float:
     A pair of scalar expressions is a pair of fields on blade 0, so one rule
     scores every pair at every point: max|l - r| / max(1, max|l|, max|r|)
     over the blades either side holds.  All the pairs, which may come from a
-    generator, are lowered onto one `expr.Tape` (each pair's lhs
-    coefficients, then its rhs) and evaluated in one pass, so a subtree the
-    pairs share is evaluated once; a blade one side lacks reads a constant-0
-    root.  The result is the worst over pairs and points, NaN winning; a pair
-    with no blade, like no pairs at all, scores 0.0.
+    generator, are lowered onto one `expr.Tape`, each blade as two
+    neighbouring roots (its lhs coefficient, then its rhs one, a side without
+    it reading `expr.ZERO`), and evaluated in one pass, so a subtree the pairs
+    share is evaluated once.  The result is the worst over pairs and points,
+    NaN winning; a pair with no blade, like no pairs at all, scores 0.0.
     """
     roots: list[ex.Expr] = []
-    lhs_columns: list[int] = []  # per blade of each pair; -1 is the constant-0 root
-    rhs_columns: list[int] = []
     starts: list[int] = []  # the first blade of each pair that has any
     for lhs, rhs in pairs:
         if isinstance(lhs, mf.MultivectorField):
             lhs, rhs = lhs.coeffs, rhs.coeffs
         else:
             lhs, rhs = {0: lhs}, {0: rhs}
-        lhs_of = {blade: len(roots) + i for i, blade in enumerate(lhs)}
-        roots += lhs.values()
-        rhs_of = {blade: len(roots) + i for i, blade in enumerate(rhs)}
-        roots += rhs.values()
-        blades = lhs_of.keys() | rhs_of.keys()
+        blades = lhs.keys() | rhs.keys()
         if blades:
-            starts.append(len(lhs_columns))
-            lhs_columns += [lhs_of.get(blade, -1) for blade in blades]
-            rhs_columns += [rhs_of.get(blade, -1) for blade in blades]
-    roots.append(ex.ZERO)
+            starts.append(len(roots) // 2)
+            roots += [side.get(blade, ex.ZERO) for blade in blades for side in (lhs, rhs)]
     values = ex.Tape(roots)(points)
     if not starts:
         return 0.0
-    left, right = values[:, lhs_columns], values[:, rhs_columns]
-    del values
+    left, right = values[:, 0::2], values[:, 1::2]
     gap = np.subtract(left, right)
     np.abs(gap, out=gap)
     scale = np.maximum(np.abs(left, out=left), np.abs(right, out=right), out=left)

@@ -663,6 +663,8 @@ def bianchi_rows(run: _SuiteRun) -> list:
 
 
 def bridge_rows(run: _SuiteRun) -> list:
+    """Signed derivatives against the classical tables.  `classical-vector-co` reads exactly 0 on
+    the curved 2-D fixtures: its sides are one computation, spelled a + (-b) and a - b."""
     conn, dim = run.conn, run.dim
 
     def classical_vector(sign, variance, rng, _):

@@ -122,6 +122,17 @@ class TestWorstResidual:
         assert worst_residual(iter(()), np.zeros((4, 2))) == 0.0
         assert len(tapes) == 1
 
+    def test_each_blade_is_its_lhs_root_then_its_rhs_root(self, tapes):
+        # pair after pair, blade after blade: the lhs coefficient, then the rhs
+        # one, a side without the blade reading the constant 0
+        x0, x1, x2 = ex.Var(0), ex.Var(1), ex.Var(2)
+        a, b, c, d = x0, x1, x2, ex.mul(x0, x1)
+        e, f = ex.call("sin", x2), ex.add(x1, x2)
+        fields = mf.mvf(3, {0b001: a, 0b010: b}), mf.mvf(3, {0b010: c, 0b100: d})
+        worst_residual([fields, (e, f)], np.zeros((2, 3)))
+        (tape,) = tapes
+        assert [tape.nodes[slot] for slot in tape.roots] == [a, ex.ZERO, b, c, ex.ZERO, d, e, f]
+
     def test_overflow_in_a_later_pair_is_named_there(self):
         # the first pair is finite though exp(800*x0) overflows inside it
         first = (ex.parse("1/exp(800*x0)", 1), ex.ZERO)
