@@ -561,6 +561,28 @@ def _run(program: list, coordinates) -> list:
     return values
 
 
+@np.errstate(all="ignore")
+def _run_freeing(program: list, coordinates, last: list) -> list:
+    """`_run` on arrays, each operand's value set to None once its last
+    reader, ``last[operand]``, has run.  The one-point plan keeps `_run`:
+    these tests make a point query about 1.5x slower (BENCH_bounded_memory.json)."""
+    values: list = []
+    append = values.append
+    for slot, (fn, a, b) in enumerate(program):
+        if fn is None:
+            append(coordinates[a] if b is None else b)
+            continue
+        if b is None:
+            append(fn(values[a]))
+        else:
+            append(fn(values[a], values[b]))
+            if last[b] == slot:
+                values[b] = None
+        if last[a] == slot:
+            values[a] = None
+    return values
+
+
 class Tape:
     """The distinct nodes of ``roots`` in topological order, evaluated in one pass.
 
@@ -570,10 +592,13 @@ class Tape:
     (local value numbering): (callable, operand slot, operand slot or None),
     one callable per power, or a leaf (None, coordinate index, None) or
     (None, None, constant), a constant keyed with its sign bit instead.
-    Calling the tape on an (N, dim) points array
-    runs the program once, each slot as one numpy call over all N points
-    (`_run`), and returns the (N, len(roots)) values.  A tape has no dim: it
-    reads coordinates 0..width-1, refuses a point with fewer and ignores the
+    Calling the tape on an (N, dim) points array runs the program once, each
+    slot as one numpy call over all N points, and returns the (N, len(roots))
+    values.  It drops each operand's array after its last reader
+    (`_run_freeing`, reading ``last``, made while lowering), but the roots' and
+    the checked slots'; when the screen trips, the program runs again unfreed
+    (`_run`) for the exact tests and the blame walk below.  A tape has no dim:
+    it reads coordinates 0..width-1, refuses a point with fewer and ignores the
     rest of a longer one; the dim-bearing entries (`MultivectorField.at`,
     `ExtensorField11.at`, `Box.contains`, `gacalc eval`) refuse a wrong length.
 
@@ -606,6 +631,7 @@ class Tape:
         self.program: list[tuple] = []  # per slot: (callable, operand, operand) or a leaf
         self.checked: list[int] = []  # the slots a domain fault can occur in
         self.roots: list[int] = []
+        self.last: list[int] = []  # per slot: the last slot reading it, past the end if pinned
         self.width = 0  # the coordinates it reads: its highest Var index + 1
         self._plan: tuple | None = None  # the one-point plan and its screen, made by the first `at`
         slot_of: dict[int, int] = {}  # id(node) -> slot; the roots keep the ids valid
@@ -657,12 +683,19 @@ class Tape:
                         self.program.append(key if kind is not Const else
                                             (None, None, np.float64(node.value)))
                         self.nodes.append(node)
+                        self.last.append(slot)
+                        if kind is not Var and kind is not Const:  # its operands' last reader so far
+                            self.last[key[1]] = slot
+                            if key[2] is not None:
+                                self.last[key[2]] = slot
                         if key[0] in _FAULTS:
                             self.checked.append(slot)
                     slot_of[id(node)] = slot
                 else:
                     break
             self.roots.append(slot)
+        for slot in self.roots + self.checked:  # pinned: the screen reads them after the run
+            self.last[slot] = len(self.program)
 
     def __call__(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -670,14 +703,14 @@ class Tape:
             raise ValueError(f"points must be an (N, dim) array, got shape {points.shape}")
         if points.shape[1] < self.width:
             raise self._short(points.shape[1])
-        values = _run(self.program, points.T)
+        values = _run_freeing(self.program, points.T, self.last)
         out = np.empty((len(points), len(self.roots)))
         for j, slot in enumerate(self.roots):
             out[:, j] = values[slot]
         screen = [values[s] for s in self.checked]
         screen.append(out)
         if not np.isfinite(np.concatenate(screen, axis=None)).all():
-            self._raise(values, out)
+            self._raise(_run(self.program, points.T), out)  # the blame reads freed slots too
         return out
 
     def at(self, point) -> list[float]:

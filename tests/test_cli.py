@@ -617,15 +617,22 @@ class TestRunSettings:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     @pytest.mark.parametrize("one_cpu", [False, True], ids=["pooled", "one-cpu"])
-    def test_a_run_out_of_memory_exits_2_with_one_line(self, monkeypatch, one_cpu):
+    def test_a_run_out_of_memory_exits_2_with_one_line(self, monkeypatch, tmp_path, one_cpu):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the import's address space on any host
+        # a sum times the same sum reversed: its tape holds all 70,000 terms' arrays at
+        # once, 1,024 points (8 KB) each, so 573 MB, past the 512 MiB limit on any host
+        terms = [f"{k}*x0" for k in range(2, 70_002)]
+        wide = f"({'+'.join(terms)})*({'+'.join(reversed(terms))})"
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({"name": "wide", "dim": 2, "seed": 1, "connection": {
+            "kind": "coefficients", "coefficients": {"0,1,1": wide}}}))
 
         def limited():  # in the child alone, before it runs gacalc
             resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
             if one_cpu:
                 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
-        res = run_cli("check", "--config", str(FIXTURES / "zero.json"), "--suite", "core",
+        res = run_cli("check", "--config", str(config), "--suite", "core",
                       "--samples", "100000", preexec_fn=limited)
         assert (res.returncode, res.stdout, res.stderr) == (
             2, "", "error: the run ran out of memory\n")

@@ -980,6 +980,59 @@ class TestCompiled:
             assert_allclose(row, field.at(p).coeffs[[0, 0b11]], rtol=1e-15, atol=0.0)
 
 
+class TestFreedSlots:
+    """An array call drops each slot's value after its last reader; the roots
+    and every DomainError text are those of the unfreed `_run`."""
+
+    def test_freed_roots_are_the_unfreed_ones(self, rng):
+        trees = [ex.parse(src, 2) for src in CORPUS]
+        tape = ex.Tape(trees + [ex.diff(e, 0) for e in trees])
+        pts = rng.uniform(0.5, 2.0, size=(40, 2))
+        unfreed = ex._run(tape.program, pts.T)
+        got = tape(pts)
+        for j, slot in enumerate(tape.roots):
+            assert got[:, j].tobytes() == np.broadcast_to(unfreed[slot], 40).tobytes()
+        # only the roots and the checked slots, which the screen reads, outlive the run
+        freed = ex._run_freeing(tape.program, pts.T, tape.last)
+        kept = {slot for slot, value in enumerate(freed) if value is not None}
+        assert kept == set(tape.roots) | set(tape.checked)
+
+    @staticmethod
+    def chained(e: ex.Expr) -> ex.Expr:
+        """``e`` deep in a chain of 200 operations whose values die as it runs."""
+        for k in range(100):
+            e = ex.add(ex.mul(e, ex.Var(1)), ex.const(k + 2))
+        return e
+
+    @pytest.mark.parametrize("src,message", [
+        ("1/(x0 - x0)", "division by zero in '1/(x0 - x0)'"),
+        ("x1 + exp(exp(exp(10*x0)))", "overflow to a non-finite value in 'exp(exp(10*x0))'"),
+    ])
+    def test_a_fault_among_freed_slots_names_its_subexpression(self, src, message):
+        # the divisor x0 - x0, and every value the overflow blame reads, is
+        # freed before the screen trips
+        tape = ex.Tape([self.chained(ex.parse(src, 2))])
+        with pytest.raises(ex.DomainError) as err:
+            tape([(0.5, 1.5), (1.0, 1.0)])
+        assert str(err.value) == message
+
+    def test_a_long_chain_holds_a_few_arrays(self):
+        e = ex.Var(0)
+        for _ in range(2000):
+            e = ex.add(e, ex.Var(1))
+        tape = ex.Tape([e])
+        assert len(tape.program) == 2002
+        pts = np.ones((2000, 2))
+        column = 2000 * 8
+        tracemalloc.start()
+        try:
+            tape(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * column  # unfreed, the run held 2,000 columns: 32 MB
+
+
 class TestOnePoint:
     """A one-point call runs on numpy scalars: it must give the bits, and the
     DomainError text, of the same point in a multi-point call."""

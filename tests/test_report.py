@@ -6,7 +6,7 @@ import pytest
 from gacalc import expr as ex
 from gacalc import fields as mf
 from gacalc.connection import cov_derivative, generalized_apply
-from gacalc.report import worst_residual
+from gacalc.report import CHUNK, worst_residual
 from gacalc.suites import rand_scalar, rand_vector
 
 
@@ -88,6 +88,22 @@ class TestWorstResidual:
         assert len(tapes) == 1
         for lhs, rhs in corpus:  # and pair by pair
             assert worst_residual([(lhs, rhs)], points) == pair_by_pair([(lhs, rhs)], points)
+
+    @pytest.mark.parametrize("name", ["polar", "sphere"])
+    def test_points_past_one_chunk_give_the_pair_by_pair_residual(self, request, tapes, name):
+        fix = request.getfixturevalue(name)
+        rng = np.random.default_rng(17)
+        points = fix.domain.sample(2 * CHUNK + 5, rng)  # three chunks, the last of 5 points
+        corpus = [pair for make in (field_pairs, scalar_pairs) for pair in make(fix.conn, rng)]
+        want = pair_by_pair(corpus, points)
+        del tapes[:]
+        assert worst_residual(iter(corpus), points) == want
+        assert len(tapes) == 1
+
+    def test_the_worst_point_may_sit_in_the_last_chunk(self):
+        points = np.zeros((2 * CHUNK + 1, 1))
+        points[-1] = 0.5
+        assert worst_residual([(ex.Var(0), ex.ZERO)], points) == 0.5
 
     @pytest.mark.parametrize("name", ["polar", "sphere", "torsionful"])
     def test_a_scalar_pair_scores_as_a_one_blade_field_pair(self, request, name):

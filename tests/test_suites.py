@@ -5,12 +5,14 @@ import json
 import math
 import random
 import warnings
+import weakref
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gacalc import fields as mf
 from gacalc import suites
 from gacalc.cartan import NotSymmetricError
 from gacalc.fixtures import load_fixture, load_fixture_file, load_map_file, zero_fixture
@@ -380,6 +382,48 @@ class TestShippedCurvedFixtures:
             CORE_CHECKS | CARTAN_CHECKS | BRIDGE_CHECKS | SYMMETRIC_ONLY)
         failed = [(c.name, c.max_residual) for c in report.checks if not c.passed]
         assert failed == []
+
+
+class TestOneDrawPerTape:
+    def test_a_draw_dies_before_the_next_draw_is_built(self, polar, monkeypatch):
+        # every core row: each argument field that rand_vector or rand_mvf made
+        # in a draw, and each coefficient tree a draw yielded, is dead when the
+        # row's next draw begins (by reference counting alone, the collector
+        # off as in cli.main), unless it outlives the row too (a constant, a
+        # coordinate, a connection coefficient)
+        drawn: list = []
+        for name in ("rand_vector", "rand_mvf"):
+            def recorded(*args, _make=getattr(suites, name), **kwargs):
+                field = _make(*args, **kwargs)
+                drawn.append(weakref.ref(field))
+                return field
+            monkeypatch.setattr(suites, name, recorded)
+        run = _SuiteRun(polar, 1, 20, 1e-8)
+        live_at_draw = []
+
+        def watched(build):
+            def build_draw(rng, draw):
+                live_at_draw.append({i for i, ref in enumerate(drawn) if ref() is not None})
+                for pair in build(rng, draw):
+                    for side in pair:
+                        trees = side.coeffs.values() if isinstance(side, mf.MultivectorField) else [side]
+                        drawn.extend(map(weakref.ref, trees))
+                    yield pair
+            return build_draw
+
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for name, tag, draws, build, *points in suites.core_rows(run):
+                del drawn[:], live_at_draw[:]
+                assert run.check(name, tag, draws, watched(build), *points).passed
+                outlive = {i for i, ref in enumerate(drawn) if ref() is not None}
+                assert len(live_at_draw) == draws
+                assert all(live <= outlive for live in live_at_draw), name
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestNoCyclicGarbage:
