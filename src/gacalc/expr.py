@@ -92,8 +92,8 @@ class Expr(Record):
         tape = Tape((self,))
         return hash(tuple(
             (type(node).__name__, *(f for f in node._fields() if not isinstance(f, Expr)),
-             *(operands if fn is not None else ()))
-            for node, (fn, *operands) in zip(tape.nodes, tape.program)))
+             *((a, b) if fn is not None else ()))
+            for node, (fn, a, b, _) in zip(tape.nodes, tape.program)))
 
 
 class Var(Expr):
@@ -362,7 +362,7 @@ def _rebuild(roots, var) -> list[Expr]:
     the slots of ``Tape(roots)``, so equal subtrees are rebuilt once, as one object."""
     tape = Tape(roots)
     done: list[Expr] = []  # per slot: its node rebuilt
-    for node, (_, a, b) in zip(tape.nodes, tape.program):
+    for node, (_, a, b, _) in zip(tape.nodes, tape.program):
         kind = type(node)
         if kind in _BINARY:
             done.append(_BINARY[kind].build(done[a], done[b]))
@@ -546,40 +546,29 @@ def _returning_float(fn):
 
 
 @np.errstate(all="ignore")  # as a decorator, half the cost of a `with` on each call
-def _run(program: list, coordinates) -> list:
+def _run(program: list, coordinates) -> list | None:
     """Every slot's value: ``program`` run once, slot by slot, on ``coordinates``
-    (arrays of the points' columns, or one point's floats)."""
+    (arrays of the points' columns, or one point's floats).  Bits 1 and 2 of an
+    instruction's mask drop its first and second operand's value once it has run;
+    bits 4 and 8 screen that operand, a checked slot, first: a non-finite one ends
+    the run with None."""
     values: list = []
     append = values.append
-    for fn, a, b in program:
+    for fn, a, b, dead in program:
         if fn is None:  # a leaf: a coordinate or a constant
             append(coordinates[a] if b is None else b)
         elif b is None:
             append(fn(values[a]))
         else:
             append(fn(values[a], values[b]))
-    return values
-
-
-@np.errstate(all="ignore")
-def _run_freeing(program: list, coordinates, last: list) -> list:
-    """`_run` on arrays, each operand's value set to None once its last
-    reader, ``last[operand]``, has run.  The one-point plan keeps `_run`:
-    these tests make a point query about 1.5x slower (BENCH_bounded_memory.json)."""
-    values: list = []
-    append = values.append
-    for slot, (fn, a, b) in enumerate(program):
-        if fn is None:
-            append(coordinates[a] if b is None else b)
-            continue
-        if b is None:
-            append(fn(values[a]))
-        else:
-            append(fn(values[a], values[b]))
-            if last[b] == slot:
+        if dead:
+            if (dead & 4 and not np.isfinite(values[a]).all()
+                    or dead & 8 and not np.isfinite(values[b]).all()):
+                return None
+            if dead & 1:
+                values[a] = None
+            if dead & 2:
                 values[b] = None
-        if last[a] == slot:
-            values[a] = None
     return values
 
 
@@ -588,19 +577,18 @@ class Tape:
 
     Lowering walks each tree once per object (memoized on identity) and
     gives structurally equal nodes one slot; `simplify` and `substitute`
-    fold over the slots.  A node is keyed by its instruction in ``program``
-    (local value numbering): (callable, operand slot, operand slot or None),
-    one callable per power, or a leaf (None, coordinate index, None) or
-    (None, None, constant), a constant keyed with its sign bit instead.
-    Calling the tape on an (N, dim) points array runs the program once, each
-    slot as one numpy call over all N points, and returns the (N, len(roots))
-    values.  It drops each operand's array after its last reader
-    (`_run_freeing`, reading ``last``, made while lowering), but the roots' and
-    the checked slots'; when the screen trips, the program runs again unfreed
-    (`_run`) for the exact tests and the blame walk below.  A tape has no dim:
-    it reads coordinates 0..width-1, refuses a point with fewer and ignores the
-    rest of a longer one; the dim-bearing entries (`MultivectorField.at`,
-    `ExtensorField11.at`, `Box.contains`, `gacalc eval`) refuse a wrong length.
+    fold over the slots.  A node is keyed by its instruction (local value
+    numbering): (callable, operand slot, operand slot or None), one callable
+    per power, or a leaf (None, coordinate index, None) or (None, None,
+    constant), a constant keyed with its sign bit instead.  In ``program``
+    each instruction also holds the mask of the operands whose last reader it
+    is (`_run`), made in one pass at the end of lowering; the roots are never
+    dropped.  Calling the tape on an (N, dim) points array runs the program
+    once, each slot as one numpy call over all N points, and returns the (N,
+    len(roots)) values.  A tape has no dim: it reads coordinates 0..width-1,
+    refuses a point with fewer and ignores the rest of a longer one; the
+    dim-bearing entries (`MultivectorField.at`, `ExtensorField11.at`,
+    `Box.contains`, `gacalc eval`) refuse a wrong length.
 
     A one-point call (`at`) runs a second decoding of the slots instead,
     the one-point plan, made on the first such call (a tape only ever called
@@ -608,12 +596,12 @@ class Tape:
     ``+ - * /``, negation and the `_POWERS` table are float arithmetic, the
     same callables as in the array program, and every other power and every
     function runs its ufunc and turns the result back into a float: the same
-    IEEE operations, without numpy's scalar dispatch.  Python's ``/``
-    raises ZeroDivisionError at a zero divisor, where numpy gives +-inf or
-    NaN; that, or a non-finite root or other checked slot (`math.isfinite`),
-    reruns the point as a one-row array call.  So a point's values are the
-    bits of its row in an array call, and a fault's values and DomainError
-    come from the one array program.
+    IEEE operations, without numpy's scalar dispatch, and every mask 0.
+    Python's ``/`` raises ZeroDivisionError at a zero divisor, where numpy
+    gives +-inf or NaN; that, or a non-finite root or other checked slot
+    (`math.isfinite`), reruns the point as a one-row array call.  So a
+    point's values are the bits of its row in an array call, and a fault's
+    values and DomainError come from the one array program.
 
     It raises DomainError naming the subexpression where a denominator is
     0, 0 is raised to a negative power, ln meets a value <= 0 or sqrt a
@@ -621,17 +609,17 @@ class Tape:
     below the first such root that did.  IEEE arithmetic leaves each of
     those domain faults non-finite in its own slot (x/0 is +-inf or NaN,
     0^-k is +-inf, ln(0) is -inf, ln and sqrt of a negative are NaN), so
-    one isfinite over the checked slots and the roots screens a call; only
-    when it trips do the exact tests run, in slot order.
+    an isfinite of each checked slot as it dies, and of the roots, screens
+    a call; only when it trips does the program run again with every mask
+    0, for the exact tests, in slot order, and the blame walk below.
     """
 
     def __init__(self, roots):
         roots = list(roots)
         self.nodes: list[Expr] = []
-        self.program: list[tuple] = []  # per slot: (callable, operand, operand) or a leaf
+        self.program: list[tuple] = []  # per slot: (callable, operand, operand, mask) or a leaf
         self.checked: list[int] = []  # the slots a domain fault can occur in
         self.roots: list[int] = []
-        self.last: list[int] = []  # per slot: the last slot reading it, past the end if pinned
         self.width = 0  # the coordinates it reads: its highest Var index + 1
         self._plan: tuple | None = None  # the one-point plan and its screen, made by the first `at`
         slot_of: dict[int, int] = {}  # id(node) -> slot; the roots keep the ids valid
@@ -683,19 +671,28 @@ class Tape:
                         self.program.append(key if kind is not Const else
                                             (None, None, np.float64(node.value)))
                         self.nodes.append(node)
-                        self.last.append(slot)
-                        if kind is not Var and kind is not Const:  # its operands' last reader so far
-                            self.last[key[1]] = slot
-                            if key[2] is not None:
-                                self.last[key[2]] = slot
                         if key[0] in _FAULTS:
                             self.checked.append(slot)
                     slot_of[id(node)] = slot
                 else:
                     break
             self.roots.append(slot)
-        for slot in self.roots + self.checked:  # pinned: the screen reads them after the run
-            self.last[slot] = len(self.program)
+        del slot_of, slot_by_key  # so that each key is freed as its instruction replaces it
+        program, checked = self.program, set(self.checked)
+        read = bytearray(len(program))  # per slot: read later, by a slot or by the call (a root)
+        for slot in self.roots:
+            read[slot] = 1
+        for slot in reversed(range(len(program))):  # backwards, so the first reader met is the last
+            fn, a, b = program[slot]
+            dead = 0
+            if fn is not None:
+                if not read[a]:
+                    dead = 5 if a in checked else 1
+                if b is not None and not read[b]:
+                    dead |= 10 if b in checked else 2
+                    read[b] = 1
+                read[a] = 1
+            program[slot] = (fn, a, b, dead)
 
     def __call__(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -703,14 +700,20 @@ class Tape:
             raise ValueError(f"points must be an (N, dim) array, got shape {points.shape}")
         if points.shape[1] < self.width:
             raise self._short(points.shape[1])
-        values = _run_freeing(self.program, points.T, self.last)
-        out = np.empty((len(points), len(self.roots)))
+        values = _run(self.program, points.T)
+        if values is not None and np.isfinite(out := self._gather(values, len(points))).all():
+            return out
+        # the screen tripped: the exact tests and the blame walk read dropped slots too
+        values = _run([(fn, a, b, 0) for fn, a, b, _ in self.program], points.T)
+        out = self._gather(values, len(points))
+        self._raise(values, out)
+        return out
+
+    def _gather(self, values: list, n: int) -> np.ndarray:
+        """The (n, len(roots)) values of the roots, from a run's slot values."""
+        out = np.empty((n, len(self.roots)))
         for j, slot in enumerate(self.roots):
             out[:, j] = values[slot]
-        screen = [values[s] for s in self.checked]
-        screen.append(out)
-        if not np.isfinite(np.concatenate(screen, axis=None)).all():
-            self._raise(_run(self.program, points.T), out)  # the blame reads freed slots too
         return out
 
     def at(self, point) -> list[float]:
@@ -744,20 +747,20 @@ class Tape:
         screens: the roots and the checked slots, but for the divisions and
         the -1 powers, whose every zero divisor makes Python's ``/`` raise."""
         plan = []
-        for node, (fn, a, b) in zip(self.nodes, self.program):
+        for node, (fn, a, b, _) in zip(self.nodes, self.program):
             kind = type(node)
             if kind is Const:
                 b = float(b)
             elif kind is Call or (kind is Pow and node.exponent not in _POWERS):
                 fn = _returning_float(fn)
-            plan.append((fn, a, b))  # the rest: a coordinate, `_POWERS` or operator.* on floats
+            plan.append((fn, a, b, 0))  # the rest: a coordinate, `_POWERS` or operator.* on floats
         dividing = (operator.truediv, _POWERS[-1])
         return plan, self.roots + [s for s in self.checked if plan[s][0] not in dividing]
 
     def _raise(self, values: list, out: np.ndarray) -> None:
         """Raise the DomainError of a call whose screen tripped, if any is due."""
         for slot in self.checked:  # the exact tests, in slot order
-            fn, a, b = self.program[slot]
+            fn, a, b, _ = self.program[slot]
             message, test = _FAULTS[fn]
             if np.any(test(values[a if b is None else b])):
                 raise DomainError(message, self.nodes[slot])
@@ -771,7 +774,7 @@ class Tape:
         root = self.roots[int(np.argmin(finite))]
         below = {root}
         for slot in range(root, -1, -1):  # children sit before their parents
-            fn, a, b = self.program[slot]
+            fn, a, b, _ = self.program[slot]
             if slot in below and fn is not None:
                 below.add(a)
                 if b is not None:

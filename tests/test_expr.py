@@ -981,21 +981,54 @@ class TestCompiled:
 
 
 class TestFreedSlots:
-    """An array call drops each slot's value after its last reader; the roots
-    and every DomainError text are those of the unfreed `_run`."""
+    """An array call drops each slot's value after its last reader, as its
+    instruction's mask says; the roots and every DomainError text are those of
+    the run that drops nothing."""
 
     def test_freed_roots_are_the_unfreed_ones(self, rng):
         trees = [ex.parse(src, 2) for src in CORPUS]
         tape = ex.Tape(trees + [ex.diff(e, 0) for e in trees])
+        assert tape.checked
         pts = rng.uniform(0.5, 2.0, size=(40, 2))
-        unfreed = ex._run(tape.program, pts.T)
+        kept = ex._run([(fn, a, b, 0) for fn, a, b, _ in tape.program], pts.T)  # drops nothing
         got = tape(pts)
         for j, slot in enumerate(tape.roots):
-            assert got[:, j].tobytes() == np.broadcast_to(unfreed[slot], 40).tobytes()
-        # only the roots and the checked slots, which the screen reads, outlive the run
-        freed = ex._run_freeing(tape.program, pts.T, tape.last)
-        kept = {slot for slot, value in enumerate(freed) if value is not None}
-        assert kept == set(tape.roots) | set(tape.checked)
+            assert got[:, j].tobytes() == np.broadcast_to(kept[slot], 40).tobytes()
+        # only the roots, which the call reads, outlive the run; checked slots die too
+        freed = ex._run(tape.program, pts.T)
+        assert {slot for slot, value in enumerate(freed) if value is not None} == set(tape.roots)
+
+    @pytest.mark.parametrize("src", [*CORPUS, "atan(1/(x0 - x0)) + x1", "sqrt(x0)*sqrt(x0)"])
+    def test_each_mask_is_the_liveness_of_the_reference_lowering(self, src):
+        e = ex.parse(src, 2)
+        roots = [e, ex.diff(e, 0), ex.Var(1), ex.diff(ex.diff(e, 1), 0)]
+        tape = ex.Tape(roots)
+        _, program, checked, slots = reference_lowering(roots)
+        for slot, (fn, a, b) in enumerate(program):
+            want = 0
+            for bit, operand in ((1, a), (2, b)):
+                # dead after this slot: an operand slot no root is and no later slot reads
+                if fn is not None and operand is not None and operand not in slots and not any(
+                        f is not None and operand in (x, y) for f, x, y in program[slot + 1:]):
+                    want |= bit * (5 if operand in checked else 1)
+            assert tape.program[slot][3] == want, (slot, program[slot])
+        for fn, a, b, dead in tape.program:  # no root is ever dropped
+            assert not (dead & 1 and a in slots or dead & 2 and b in slots)
+
+    def test_the_one_point_plan_and_the_fault_rerun_drop_nothing(self, monkeypatch):
+        tape = ex.Tape([self.chained(ex.parse("x1/(x0 - 1)", 2))])
+        assert any(dead for *_, dead in tape.program)
+        assert tape.at([0.5, 1.0]) == tape([(0.5, 1.0)])[0].tolist()
+        plan, _ = tape._plan
+        assert [dead for *_, dead in plan] == [0] * len(plan)
+        runs = []
+        run = ex._run
+        monkeypatch.setattr(ex, "_run", lambda program, columns: runs.append(program) or run(
+            program, columns))
+        with pytest.raises(ex.DomainError, match="division by zero"):
+            tape([(0.5, 1.0), (1.0, 1.0)])
+        assert [program is tape.program for program in runs] == [True, False]
+        assert [dead for *_, dead in runs[1]] == [0] * len(tape.program)
 
     @staticmethod
     def chained(e: ex.Expr) -> ex.Expr:
@@ -1007,14 +1040,27 @@ class TestFreedSlots:
     @pytest.mark.parametrize("src,message", [
         ("1/(x0 - x0)", "division by zero in '1/(x0 - x0)'"),
         ("x1 + exp(exp(exp(10*x0)))", "overflow to a non-finite value in 'exp(exp(10*x0))'"),
+        ("atan(1/(x0 - x0))", "division by zero in '1/(x0 - x0)'"),
     ])
     def test_a_fault_among_freed_slots_names_its_subexpression(self, src, message):
         # the divisor x0 - x0, and every value the overflow blame reads, is
-        # freed before the screen trips
+        # freed before the screen trips; atan's quotient dies at once, and its
+        # root is finite, so only the quotient's own screen, as it dies, sees it
         tape = ex.Tape([self.chained(ex.parse(src, 2))])
         with pytest.raises(ex.DomainError) as err:
             tape([(0.5, 1.5), (1.0, 1.0)])
         assert str(err.value) == message
+
+    @staticmethod
+    def traced_peak(tape: ex.Tape) -> int:
+        """tracemalloc's peak, in bytes, of a call of ``tape`` on 2,000 points."""
+        pts = np.ones((2000, 2))
+        tracemalloc.start()
+        try:
+            tape(pts)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_a_long_chain_holds_a_few_arrays(self):
         e = ex.Var(0)
@@ -1022,15 +1068,17 @@ class TestFreedSlots:
             e = ex.add(e, ex.Var(1))
         tape = ex.Tape([e])
         assert len(tape.program) == 2002
-        pts = np.ones((2000, 2))
         column = 2000 * 8
-        tracemalloc.start()
-        try:
-            tape(pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * column  # unfreed, the run held 2,000 columns: 32 MB
+        assert self.traced_peak(tape) < 8 * column  # unfreed, the run held 2,000 columns: 32 MB
+
+    def test_checked_slots_die_like_any_other(self):
+        e = ex.Var(0)
+        for k in range(2000):
+            e = ex.add(e, ex.div(ex.ONE, ex.add(ex.Var(1), ex.const(k + 1))))
+        tape = ex.Tape([e])
+        assert len(tape.checked) == 2000
+        column = 2000 * 8
+        assert self.traced_peak(tape) < 8 * column  # with the quotients kept to the screen: 64 MB
 
 
 class TestOnePoint:
@@ -1317,10 +1365,11 @@ def assert_same_dag(a, b):
 
 
 def decoded(program):
-    """A tape program with each power lambda as its code and exponent, so that
-    two lowerings compare with ``==``."""
+    """The (callable, operand, operand) of each instruction of a tape program,
+    each power lambda as its code and exponent, so that two lowerings compare
+    with ``==``; a mask, if any, is left out."""
     return [((fn.__code__, *(c.cell_contents for c in fn.__closure__ or ()))
-             if isinstance(fn, types.FunctionType) else fn, a, b) for fn, a, b in program]
+             if isinstance(fn, types.FunctionType) else fn, a, b) for fn, a, b, *_ in program]
 
 
 def curvature_coefficient():
@@ -1369,7 +1418,8 @@ class TestWalksMatchTheReferenceWalks:
         assert ex.Tape([]).program == [] and ex.Tape([]).roots == []
         tape = ex.Tape([ex.Var(0), ex.Const(-0.0), ex.Const(0.0), ex.Var(0)])
         assert tape.roots == [0, 1, 2, 0]
-        assert reference_lowering(tape.nodes)[1:] == (tape.program, tape.checked, [0, 1, 2])
+        assert reference_lowering(tape.nodes)[1:] == (
+            [instruction[:3] for instruction in tape.program], tape.checked, [0, 1, 2])
 
 
 def test_import_leaves_recursion_limit_unchanged():

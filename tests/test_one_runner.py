@@ -21,7 +21,8 @@ and the cartan rows are one table.  A list of expressions is summed by one
 function, `expr.total`: no hand-written fold from ``ex.ZERO`` is left.
 Exactly the pure connection operators are memo functions.  Each function
 of the expression grammar is one row of `expr._FUNCTIONS`, and its name is
-written nowhere else in `expr`.
+written nowhere else in `expr`.  A tape's program runs in one interpreter
+loop: only `expr._run` calls an instruction's callable.
 """
 
 import ast
@@ -104,6 +105,44 @@ def test_finders_see_calls_and_imports(tmp_path):
     (tmp_path / "c.py").write_text("def f(t):\n    return t.sign, t.target\n"
                                    "def g(t):\n    return t.signs\n")
     assert attribute_reads(tmp_path / "c.py", {"sign", "target"}) == ["c.f", "c.f"]
+
+
+def instruction_runs(package: Path) -> list[str]:
+    """``module.function`` of each function that calls an instruction's callable:
+    a name it unpacks first of four, as in ``for fn, a, b, dead in program``
+    (a loop, an assignment or a comprehension, nested in a tuple or not), or
+    item 0 of a subscript, as in ``program[slot][0](x)``."""
+    unpacked, called = set(), set()
+    for path in sorted(package.glob("*.py")):
+        for node, where in located(path):
+            targets = ([node.target] if isinstance(node, (ast.For, ast.comprehension)) else
+                       node.targets if isinstance(node, ast.Assign) else [])
+            unpacked |= {(where, t.elts[0].id) for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Tuple) and len(t.elts) == 4
+                         and isinstance(t.elts[0], ast.Name)}
+            if isinstance(node, ast.Call):
+                fn = node.func
+                if isinstance(fn, ast.Name):
+                    called.add((where, fn.id))
+                elif (isinstance(fn, ast.Subscript) and isinstance(fn.slice, ast.Constant)
+                      and fn.slice.value == 0):
+                    called.add((where, None))
+    return sorted({where for where, name in called if name is None or (where, name) in unpacked})
+
+
+def test_the_instruction_finder_sees_every_interpreter_loop(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def run(p, c):\n    for fn, a, b, dead in p:\n        fn(a)\n"
+        "def freeing(p, c):\n    for s, (fn, a, b, dead) in enumerate(p):\n"
+        "        c.append(fn(c[a], c[b]))\n"
+        "def one(p, s):\n    return p[s][0](1.0)\n"
+        "def read(p, s):\n    fn, a, b, _ = p[s]\n    return wrap(fn), [f for f, *_ in p]\n"
+        "def parse(stack, e):\n    pending, _, left = stack.pop()\n    return pending(left, e)\n")
+    assert instruction_runs(tmp_path) == ["a.freeing", "a.one", "a.run"]
+
+
+def test_one_interpreter_loop_runs_every_tape_program():
+    assert instruction_runs(PACKAGE) == ["expr._run"]
 
 
 def test_one_place_builds_a_check_result():

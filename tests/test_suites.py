@@ -200,49 +200,51 @@ class TestSuiteOverrides:
         assert all(c.samples >= 50 for c in report.checks)
 
 
-# samples per check at samples=1: every row then samples 10 points per
-# argument draw, so each entry is 10 x the row's draws
-DRAW_SAMPLES = {
+# each check's argument draws, read from the row tables; at samples=1 every
+# row samples 10 points per draw, so it reports 10 x its draws
+DRAWS = {
     "core": {
-        "connection-op-additivity": 20, "connection-op-first-slot": 20,
-        "connection-op-pairing": 50, "connection-op-second-slot": 20,
-        "cov-additivity": 20, "cov-direction-linearity": 20, "cov-grade-preserving": 20,
-        "cov-pairing": 50, "cov-scalar-field": 50, "cov-scalar-leibniz": 20,
-        "cov-wedge-leibniz": 20, "cov-zero-average": 20, "cov-zero-leibniz-clifford": 20,
-        "cov-zero-leibniz-lcontr": 20, "cov-zero-leibniz-rcontr": 20,
-        "cov-zero-leibniz-scalar": 20, "cov-zero-leibniz-wedge": 20, "cov-zero-pairing": 50,
-        "deform-pairing": 20, "deform-scalar-field": 20, "extensor-adjoint-commutation": 20,
-        "extensor-derivative-defining": 20, "extensor-derivative-defining-k2": 10,
-        "extensor-derivative-linearity": 20, "gauge-factorization": 20,
-        "gauge-frame-independence": 20, "gen-adjoint-pairing": 20, "gen-grade-preserving": 20,
-        "gen-involution-bar": 20, "gen-involution-hat": 20, "gen-involution-tilde": 20,
-        "gen-scalar-kills": 50, "gen-sym-skew-parts": 20, "gen-vector-agrees": 50,
-        "gen-wedge-derivation": 20, "generalized-frame-independence": 20,
-        "skew-derivation-clifford": 20, "skew-derivation-lcontr": 20,
-        "skew-derivation-rcontr": 20, "skew-derivation-scalar": 20,
-        "skew-derivation-wedge": 20,
+        "connection-op-additivity": 2, "connection-op-first-slot": 2,
+        "connection-op-pairing": 5, "connection-op-second-slot": 2,
+        "cov-additivity": 2, "cov-direction-linearity": 2, "cov-grade-preserving": 2,
+        "cov-pairing": 5, "cov-scalar-field": 5, "cov-scalar-leibniz": 2,
+        "cov-wedge-leibniz": 2, "cov-zero-average": 2, "cov-zero-leibniz-clifford": 2,
+        "cov-zero-leibniz-lcontr": 2, "cov-zero-leibniz-rcontr": 2,
+        "cov-zero-leibniz-scalar": 2, "cov-zero-leibniz-wedge": 2, "cov-zero-pairing": 5,
+        "deform-pairing": 2, "deform-scalar-field": 2, "extensor-adjoint-commutation": 2,
+        "extensor-derivative-defining": 2, "extensor-derivative-defining-k2": 1,
+        "extensor-derivative-linearity": 2, "gauge-factorization": 2,
+        "gauge-frame-independence": 2, "gen-adjoint-pairing": 2, "gen-grade-preserving": 2,
+        "gen-involution-bar": 2, "gen-involution-hat": 2, "gen-involution-tilde": 2,
+        "gen-scalar-kills": 5, "gen-sym-skew-parts": 2, "gen-vector-agrees": 5,
+        "gen-wedge-derivation": 2, "generalized-frame-independence": 2,
+        "skew-derivation-clifford": 2, "skew-derivation-lcontr": 2,
+        "skew-derivation-rcontr": 2, "skew-derivation-scalar": 2,
+        "skew-derivation-wedge": 2,
     },
     "cartan": {
-        "cartan-curvature-frame-independence": 20, "cartan-curvature-roundtrip": 20,
-        "cartan-first-linearity": 20, "cartan-pairing": 50, "cartan-second-linearity": 20,
-        "cartan-torsion-frame-independence": 20, "cartan-torsion-roundtrip": 20,
-        "curvature-antisymmetry": 20, "curvature-classical-coefficients": 10,
-        "curvature-tensoriality": 10, "structure-first": 40, "structure-second": 40,
-        "torsion-antisymmetry": 20, "torsion-equivalence": 20, "torsion-tensoriality": 20,
-        "torsion-vanishes": 20,
+        "cartan-curvature-frame-independence": 2, "cartan-curvature-roundtrip": 2,
+        "cartan-first-linearity": 2, "cartan-pairing": 5, "cartan-second-linearity": 2,
+        "cartan-torsion-frame-independence": 2, "cartan-torsion-roundtrip": 2,
+        "curvature-antisymmetry": 2, "curvature-classical-coefficients": 1,
+        "curvature-tensoriality": 1, "structure-first": 4, "structure-second": 4,
+        "torsion-antisymmetry": 2, "torsion-equivalence": 2, "torsion-tensoriality": 2,
+        "torsion-vanishes": 2,
     },
-    "bianchi": {"curvature-bianchi": 30, "curvature-cyclic": 40},
+    "bianchi": {"curvature-bianchi": 3, "curvature-cyclic": 4},
     "bridge": {
-        "classical-tensor-co-co": 20, "classical-tensor-mixed": 20,
-        "classical-vector-co": 20, "classical-vector-contra": 20,
+        "classical-tensor-co-co": 2, "classical-tensor-mixed": 2,
+        "classical-vector-co": 2, "classical-vector-contra": 2,
     },
     "transform": {
-        "christoffel-vs-law": 10, "directional-chain-rule": 30, "frame-reciprocity": 10,
-        "map-jacobian-inverse": 10, "map-roundtrip": 10, "tensor-law-co-co": 30,
-        "tensor-law-co-contra": 30, "tensor-law-contra-co": 30, "tensor-law-contra-contra": 30,
-        "transform-roundtrip": 10, "vector-law-co": 30, "vector-law-contra": 30,
+        "christoffel-vs-law": 1, "directional-chain-rule": 3, "frame-reciprocity": 1,
+        "map-jacobian-inverse": 1, "map-roundtrip": 1, "tensor-law-co-co": 3,
+        "tensor-law-co-contra": 3, "tensor-law-contra-co": 3, "tensor-law-contra-contra": 3,
+        "transform-roundtrip": 1, "vector-law-co": 3, "vector-law-contra": 3,
     },
 }
+DRAW_SAMPLES = {suite: {name: 10 * draws for name, draws in rows.items()}
+                for suite, rows in DRAWS.items()}
 
 
 def samples_at_one(fix, suite):
@@ -250,7 +252,18 @@ def samples_at_one(fix, suite):
 
 
 class TestDrawCounts:
-    """Each check's number of argument draws, pinned through its sample count."""
+    """Each check's number of argument draws, pinned in its row table and
+    through its sample count."""
+
+    def test_the_row_tables_hold_the_draws(self, zero2, polar, pmap):
+        # every row of `all` on a symmetric 2-D fixture, and every transform row
+        run = _SuiteRun(zero2, 1, 50, 1e-8)
+        tables = {"core": suites.core_rows(run), "cartan": suites.cartan_rows(run, True),
+                  "bianchi": suites.bianchi_rows(run), "bridge": suites.bridge_rows(run),
+                  "transform": suites.transform_rows(_SuiteRun(polar, 1, 50, 1e-8), pmap)}
+        for suite, rows in tables.items():
+            assert len(rows) == len(DRAWS[suite]), suite
+            assert {name: draws for name, _, draws, *_ in rows} == DRAWS[suite], suite
 
     @pytest.mark.parametrize("suite", ["core", "cartan", "bianchi", "bridge"])
     def test_fixture_suite(self, zero2, suite):
