@@ -295,10 +295,10 @@ def generalized_apply(conn: ConnectionField, a: MultivectorField, x: Multivector
     return _generalized(gamma_matrix(conn, a), x, frame)
 
 
-def generalized_adjoint_apply(conn: ConnectionField, a: MultivectorField, x: MultivectorField,
-                              frame: Frame | None = None) -> MultivectorField:
+def generalized_adjoint_apply(conn: ConnectionField, a: MultivectorField,
+                              x: MultivectorField) -> MultivectorField:
     """Generalized extension of the adjoint of the direction-a connection map."""
-    return _generalized(ext_adjoint(gamma_matrix(conn, a)), x, frame)
+    return _generalized(ext_adjoint(gamma_matrix(conn, a)), x)
 
 
 def generalized_skew_apply(conn: ConnectionField, a: MultivectorField,

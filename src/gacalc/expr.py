@@ -15,14 +15,15 @@ differentiation (needed for curvature and its derivatives) stays exact.
 Both are one walk, `_derive`, seeded for a partial or for a direction
 (forward mode).  Each binary node type and each function has one row of
 rules (`_BINARY`, `_FUNCTIONS`).
-`simplify` only folds constants and 0/1/-1 identities; a constant call or
-power folds to the value a `Tape` computes for it, when that value is
-finite.  `simplify` and `substitute` rebuild a `Tape`'s slots in order, so
-equal subtrees are rebuilt once, as one object; `to_str` prints from an
-explicit stack.  `Tape` is the one DAG order and the one evaluator: it
-evaluates many trees at many points at once and raises `DomainError` naming
-the subexpression that failed; `evaluate` is `Tape.at`, bit for bit as the
-same point in an array call, and `compile_fn` wraps a tape for one tree.
+`simplify` folds constants and 0/1/-1 identities and writes a + -b as a - b
+(a - -b as a + b); a constant call or power folds to the value a `Tape`
+computes for it, when that value is finite.  `simplify` and `substitute`
+rebuild a `Tape`'s slots in order, so equal subtrees are rebuilt once, as one
+object; `to_str` prints from an explicit stack.  `Tape` is the one DAG order
+and the one evaluator: it evaluates many trees at many points at once and
+raises `DomainError` naming the subexpression that failed; `evaluate` is
+`Tape.at`, bit for bit as the same point in an array call, and `compile_fn`
+wraps a tape for one tree.
 """
 
 from __future__ import annotations
@@ -196,15 +197,17 @@ def is_zero(e: Expr) -> bool:
 
 # Smart constructors: fold constants, then 0, 1 and -1 operands (left first),
 # so that trees built by differentiation and field arithmetic stay bounded.
+# `add` alone spells a difference: a `Neg` or negative constant on the right makes a `Sub`.
 
 def add(a: Expr, b: Expr) -> Expr:
     if type(a) is Const:
         if type(b) is Const:
             return Const(a.value + b.value)
-        return b if a.value == 0.0 else Add(a, b)
-    if type(b) is Const and b.value == 0.0:
-        return a
-    return Add(a, b)
+        if a.value == 0.0:
+            return b
+    elif type(b) is Const and b.value <= 0.0:
+        return a if b.value == 0.0 else Sub(a, Const(-b.value))
+    return Sub(a, b.arg) if type(b) is Neg else Add(a, b)
 
 
 def total(terms) -> Expr:
@@ -217,13 +220,7 @@ def total(terms) -> Expr:
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if type(b) is Const:
-        if type(a) is Const:
-            return Const(a.value - b.value)
-        return a if b.value == 0.0 else Sub(a, b)
-    if type(a) is Const and a.value == 0.0:
-        return neg(b)
-    return Sub(a, b)
+    return add(a, neg(b))
 
 
 def mul(a: Expr, b: Expr) -> Expr:
@@ -348,7 +345,7 @@ _FAULTS = {**{row.op: row.fault for row in _BINARY.values() if row.fault},
 
 
 def simplify(e: Expr) -> Expr:
-    """Rebuild bottom-up through the folding constructors."""
+    """Rebuild bottom-up through the folding constructors, which write a + -b as a - b."""
     return _rebuild((e,), lambda v: v)[0]
 
 

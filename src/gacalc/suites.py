@@ -169,8 +169,8 @@ def rand_mvf(dim: int, rng: KeyedStream, grades=None) -> mf.MultivectorField:
     return mf.mvf(dim, coeffs)
 
 
-def rand_ext11(dim: int, rng: KeyedStream, degree: int = 1) -> ExtensorField11:
-    rows = tuple(tuple(rand_scalar(dim, rng, degree) for _ in range(dim)) for _ in range(dim))
+def rand_ext11(dim: int, rng: KeyedStream) -> ExtensorField11:
+    rows = tuple(tuple(rand_scalar(dim, rng) for _ in range(dim)) for _ in range(dim))
     return ExtensorField11(dim, rows)
 
 
@@ -666,8 +666,8 @@ def bianchi_rows(run: _SuiteRun) -> list:
 
 
 def bridge_rows(run: _SuiteRun) -> list:
-    """Signed derivatives against the classical tables.  `classical-vector-co` reads exactly 0 on
-    the curved 2-D fixtures: its sides are one computation, spelled a + (-b) and a - b."""
+    """Signed derivatives against the classical tables.  On the curved 2-D fixtures both sides of
+    `classical-vector-co` lower to one slot, a self-comparison the census pins (no other route yet)."""
     conn, dim = run.conn, run.dim
 
     def classical_vector(sign, variance, rng, _):

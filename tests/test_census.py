@@ -11,6 +11,7 @@ so a change that makes a row compare a tree with itself shows here.
 """
 
 import itertools
+import operator
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 # the grade rows and gen-scalar-kills guard the representation: no other route exists
 GUARDS = ["cov-grade-preserving", "gen-grade-preserving", "gen-scalar-kills"]
-CURVED = sorted(["classical-vector-contra", *GUARDS])
+CURVED = sorted(["classical-vector-co", "classical-vector-contra", *GUARDS])
 
 SELF_COMPARED = {
     "cylindrical3_from_zero": GUARDS,
@@ -76,8 +77,11 @@ def compares_itself(run: suites._SuiteRun, name: str, draws: int, build, points=
         for blade in lhs.keys() | rhs.keys():
             pairs.append((len(roots), len(roots) + 1))
             roots += [lhs.get(blade, ex.ZERO), rhs.get(blade, ex.ZERO)]
-    slots = ex.Tape(roots).roots
-    return all(slots[i] == slots[j] for i, j in pairs)
+    tape = ex.Tape(roots)
+    # `expr.add` spells a + (-b) as a - b, so no sum on a row's tape reads a negation
+    assert not any(fn is operator.add and tape.program[b][0] is operator.neg
+                   for fn, _, b, _ in tape.program), name
+    return all(tape.roots[i] == tape.roots[j] for i, j in pairs)
 
 
 @pytest.mark.parametrize("name", sorted(SELF_COMPARED))

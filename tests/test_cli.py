@@ -423,6 +423,19 @@ class TestChristoffelCommand:
         assert res.returncode == 0, res.stderr
         assert f"Gamma^x0_{{x1 x1}} = {total}\n" in res.stdout
 
+    def test_a_negated_right_operand_prints_with_the_other_sign(self, tmp_path):
+        # simplify writes a sum of a negation as a difference, and a difference of one as a sum
+        cfg = tmp_path / "signs.json"
+        cfg.write_text(json.dumps({
+            "name": "signs", "dim": 2, "seed": 1,
+            "connection": {"kind": "coefficients",
+                           "coefficients": {"0,1,1": "x0 + -x1", "1,0,1": "x1 - -x0"}},
+        }))
+        res = run_cli("christoffel", "--config", str(cfg))
+        assert res.returncode == 0, res.stderr
+        assert "Gamma^x0_{x1 x1} = x0 - x1\n" in res.stdout
+        assert "Gamma^x1_{x0 x1} = x1 + x0\n" in res.stdout
+
     def test_infinite_constant_prints_and_its_point_query_exits_2(self, tmp_path):
         cfg = overflow_config(tmp_path, "1e309*x0")
         res = run_cli("christoffel", "--config", str(cfg))

@@ -267,6 +267,10 @@ def ref_add(a, b):
         return b
     if _is_zero(b):
         return a
+    if isinstance(b, ex.Neg):
+        return ex.Sub(a, b.arg)
+    if isinstance(b, ex.Const) and b.value < 0.0:
+        return ex.Sub(a, ex.Const(-b.value))
     return ex.Add(a, b)
 
 
@@ -277,6 +281,10 @@ def ref_sub(a, b):
         return a
     if _is_zero(a):
         return ref_neg(b)
+    if isinstance(b, ex.Neg):
+        return ref_add(a, b.arg)
+    if isinstance(b, ex.Const) and b.value < 0.0:
+        return ex.Add(a, ex.Const(-b.value))
     return ex.Sub(a, b)
 
 
@@ -348,6 +356,85 @@ class TestFoldingConstructors:
     def test_is_zero_matches_the_reference(self):
         for a in operands() + [ex.Const(float("nan")), 0.0, 0]:
             assert ex.is_zero(a) == _is_zero(a)
+
+
+# One spelling of a difference: `add` writes a negated or negative right operand
+# as a `Sub`, and every other constructor reaches a sum through it.
+
+def is_signed_sum(node) -> bool:
+    """An `Add` whose right operand is a `Neg` or a constant below zero."""
+    right = getattr(node, "right", None)
+    return type(node) is ex.Add and (type(right) is ex.Neg or
+                                     type(right) is ex.Const and right.value < 0.0)
+
+
+def every_node(e):
+    stack, seen = [e], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            stack += [f for f in node._fields() if isinstance(f, ex.Expr)]
+
+
+def raw_tree(rng, depth):
+    """A seeded tree of raw nodes, built without the folding constructors."""
+    if depth == 0 or rng.uniform() < 0.2:
+        if rng.uniform() < 0.5:
+            return ex.Var(int(rng.integers(2)))
+        return ex.Const(float(rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, math.nan])))
+    kind = rng.choice(["Add", "Sub", "Mul", "Div", "Neg", "Pow", "Call"])
+    if kind == "Neg":
+        return ex.Neg(raw_tree(rng, depth - 1))
+    if kind == "Pow":
+        return ex.Pow(raw_tree(rng, depth - 1), int(rng.integers(-2, 4)))
+    if kind == "Call":
+        return ex.Call(str(rng.choice(sorted(ex._FUNCTIONS))), raw_tree(rng, depth - 1))
+    return getattr(ex, kind)(raw_tree(rng, depth - 1), raw_tree(rng, depth - 1))
+
+
+def spelling_cases():
+    """Every pair of `operands()`, then pairs of seeded raw trees."""
+    rng = np.random.default_rng(4747)
+    trees = [raw_tree(rng, 5) for _ in range(400)]
+    return list(itertools.product(operands(), repeat=2)) + list(zip(trees[::2], trees[1::2]))
+
+
+class TestOneSpelling:
+    def test_no_constructor_adds_a_negated_or_negative_right_operand(self):
+        for a, b in spelling_cases():
+            for built in (ex.add(a, b), ex.sub(a, b), ex.total([a, b]), ex.total([b, a, b])):
+                assert not is_signed_sum(built), (a, b)
+            for raw in (ex.Add(a, b), ex.Sub(a, b)):
+                assert not any(map(is_signed_sum, every_node(ex.simplify(raw)))), raw
+
+    def test_sub_is_add_of_a_negation(self):
+        for a, b in spelling_cases():
+            assert repr(ex.sub(a, b)) == repr(ex.add(a, ex.neg(b)))
+
+    def test_a_sum_of_a_negation_has_the_bits_of_the_difference(self):
+        # IEEE rounds x + (-y) as x - y, signed zeros and infinities included;
+        # only a NaN's sign bit may differ.  Both decodings of one tape: the
+        # array program and the one-point plan's floats.
+        rng = np.random.default_rng(4748)
+        special = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, 1.7e308]
+        column = np.concatenate([special, rng.uniform(-4.0, 4.0, 12),
+                                 10.0 ** rng.uniform(-300.0, 300.0, 12)])
+        points = np.array(list(itertools.product(column, repeat=2)))
+        x0, x1 = ex.Var(0), ex.Var(1)
+        roots = [ex.Add(x0, ex.Neg(x1)), ex.Sub(x0, x1)]
+        for c in [*special, *rng.uniform(-4.0, 4.0, 8)]:
+            roots += [ex.Add(x0, ex.Const(-c)), ex.Sub(x0, ex.Const(c))]
+        tape = ex.Tape(roots)
+        arrays = ex._run(tape.program, points.T)
+        plan = tape._decode_plan()[0]
+        floats = [ex._run(plan, p) for p in points.tolist()]
+        for values in ([arrays[s] for s in tape.roots],
+                       [np.array([run[s] for run in floats]) for s in tape.roots]):
+            for added, subtracted in zip(values[0::2], values[1::2]):
+                same = added.view(np.uint64) == subtracted.view(np.uint64)
+                assert (same | np.isnan(added) & np.isnan(subtracted)).all()
 
 
 # Fields built by `fields` and `connection` without re-validation.
